@@ -4,13 +4,13 @@ exploration, and the on-policy TD training loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (Adam, Dense, GcnLayer, Tensor, concat_cols, mse,
                        normalized_adjacency)
-from .env import ActionBundle, SecWindow, prune_involved  # noqa: F401
+from .env import ActionBundle, SecWindow
 
 SINR_DB_SCALE = 60.0
 OFFLOAD_FEATURES = 9     # plane, slot, L_e, 4 x SINR, phi_off, phi_gs
@@ -56,6 +56,10 @@ class TrainConfig:
             raise TrainingError("kappa must be in [0, 1]")
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise TrainingError("learning rates must be positive")
+        if self.steps < 1 or self.decay_every_steps < 1:
+            raise TrainingError("steps and decay_every_steps must be >= 1")
+        if self.noise_std < 0:
+            raise TrainingError("noise_std must be nonnegative")
 
 
 #: per-parameter-group learning-rate multipliers for the actors.  Head biases
@@ -268,13 +272,8 @@ def _actor_lr_scale(p) -> float:
 class GrantAgent:
     """Two GCN actors plus a centralized GCN critic trained on-policy."""
 
-    policy_name = "grant"
-
     def __init__(self, env: SecWindow, cfg: TrainConfig):
-        self.env = env
-        self.cfg = cfg
-        self.k = env.band_to.n_subbands
-        rng = np.random.default_rng(cfg.seed)
+        rng = self._bind(env, cfg)
         self.actor_to = OffloadActor(rng, self.k, cfg.hidden_width)
         self.actor_ot = OutcomeActor(rng, self.k, cfg.hidden_width)
         self.critic = CentralCritic(rng, self.k, cfg.hidden_width)
@@ -288,10 +287,17 @@ class GrantAgent:
                                lr_scales=[SKIP_LR_SCALE if "skip" in p.name
                                           else 1.0
                                           for p in self.critic_params])
+
+    def _bind(self, env: SecWindow, cfg: TrainConfig):
+        """Attach the window and config; returns the network-init generator."""
+        self.env = env
+        self.cfg = cfg
+        self.k = env.band_to.n_subbands
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         self.source_rows = [env.node_index[s] for s in env.sources]
         self.tx_rows = [env.node_index[t] for t in env.outcome_transmitters]
+        return np.random.default_rng(cfg.seed)
 
     # -- state and actions --------------------------------------------------
 
@@ -313,6 +319,7 @@ class GrantAgent:
                 ot_sub.data.copy(), ot_power.data.copy())
 
     def act(self, snapshot, explore: bool = False):
+        """The policy protocol: (ActionBundle, ratios, encoded states)."""
         s_to, s_ot = self.encode(snapshot)
         ratios = self._ratios_from_tensors(self.actor_tensors(s_to, s_ot))
         if explore:

@@ -6,7 +6,6 @@ JSON checkpoint format.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -317,9 +316,6 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    scale: float = 1.0) -> np.ndarray:
@@ -365,17 +361,6 @@ class GcnLayer:
         return [self.w]
 
 
-def gcn_forward(features: np.ndarray, a_norm: np.ndarray,
-                weight: np.ndarray, activation: str = "identity") -> np.ndarray:
-    """Single GCN layer on plain arrays (no gradient recording)."""
-    out = a_norm @ np.asarray(features, float) @ np.asarray(weight, float)
-    if activation == "relu":
-        return np.maximum(out, 0.0)
-    if activation == "tanh":
-        return np.tanh(out)
-    return out
-
-
 class Adam:
     """Adam with bias correction; ascent is descent on the negated objective.
 
@@ -410,10 +395,6 @@ class Adam:
             v_hat = self.v[i] / (1 - b2**self.step_count)
             p.data -= (self.lr * self.lr_scales[i] * m_hat
                        / (np.sqrt(v_hat) + self.eps))
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
 
 
 # -- checkpoints --------------------------------------------------------------

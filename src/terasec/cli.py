@@ -6,15 +6,13 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import harness
-from .autodiff import load_checkpoint
-from .constellation import SatId
+from .constellation import build_walker
 from .harness import ConfigError, ExperimentConfig, load_config
 from .thz_link import band_preset, link_rate, noise_power, path_gain, link_gain, sinr
 
@@ -70,21 +68,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     seed = (args.seed or [0])[0]
-    env = harness.build_environment(cfg, seed)
-    policy = harness.make_policy(cfg.policy, env, cfg, seed)
-    if args.checkpoint:
-        if not hasattr(policy, "parameters"):
-            raise ConfigError(f"policy {cfg.policy!r} takes no checkpoint")
-        load_checkpoint(args.checkpoint, policy.parameters())
+    env, policy = harness.restored_policy(cfg, seed, args.checkpoint)
     steps = args.steps or min(cfg.train.steps, 50)
-    rows = []
-    for _ in range(steps):
-        if hasattr(policy, "encode"):
-            bundle, _, _ = policy.act(env.snapshot())
-        else:
-            bundle = policy.act(env.snapshot())
-        outcome, _, _ = env.step(bundle)
-        rows.append(outcome)
+    rows = [r["outcome"] for r in harness.rollout_policy(env, policy, steps)]
     u = float(np.mean([o.u_total for o in rows]))
     t_avg = float(np.mean([o.t_avg for o in rows]))
     t_max = float(np.max([o.t_max for o in rows]))
@@ -109,29 +95,16 @@ def cmd_compare_bands(args) -> int:
 
 def cmd_dump_topology(args) -> int:
     """Emit the full ISL edge list as CSV: sat_a,sat_b,distance_km."""
-    from .constellation import build_walker
-
     cfg = _apply_overrides(load_config(args.config), args)
-    c = build_walker(cfg.walker)
     t = cfg.walker.epoch_s
-    pos = c.positions_at(t)
-    n_sp = cfg.walker.sats_per_plane
+    edges = build_walker(cfg.walker).isl_edges(t)
     lines = [f"# config_hash={cfg.config_hash()} t={t}", "sat_a,sat_b,distance_km"]
-    seen = set()
-    for flat in range(c.n_sats):
-        for nb in c.isl_neighbors(SatId.from_flat(flat, n_sp)):
-            other = nb.flat(n_sp)
-            edge = (min(flat, other), max(flat, other))
-            if edge in seen:
-                continue
-            seen.add(edge)
-            d = float(np.linalg.norm(pos[edge[0]] - pos[edge[1]]))
-            lines.append(f"{edge[0]},{edge[1]},{d:.6f}")
+    lines += [f"{a},{b},{d:.6f}" for a, b, d in edges]
     text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        print("wrote", args.out, f"({len(seen)} edges)")
+        print("wrote", args.out, f"({len(edges)} edges)")
     else:
         print(text)
     return EXIT_OK
@@ -181,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, help="override training steps")
         p.add_argument("--out", help="override output directory")
         if policy:
-            p.add_argument("--policy",
-                           choices=["grant", "maddpg_fc", "uniform", "full"])
+            p.add_argument("--policy", choices=harness.POLICY_NAMES)
 
     p = sub.add_parser("train", help="train/run a policy and write CSVs")
     common(p)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class WalkerConfig:
     phasing_factor: int = 0
     epoch_s: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.planes < 1:
             raise ConfigurationError("planes must be >= 1")
         if self.sats_per_plane < 3:
@@ -75,7 +75,7 @@ class GroundStation:
     longitude_deg: float = 121.4
     min_elevation_deg: float = 15.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if abs(self.latitude_deg) > 90.0:
             raise ConfigurationError("latitude_deg must be in [-90, 90]")
         if not 0.0 < self.min_elevation_deg < 90.0:
@@ -102,7 +102,6 @@ class Constellation:
     """Walker-Delta shell: positions, ISL neighbors, GS access, routing."""
 
     def __init__(self, cfg: WalkerConfig):
-        cfg.validate()
         self.cfg = cfg
         self.n_sats = cfg.planes * cfg.sats_per_plane
         self.orbit_radius_km = EARTH_RADIUS_KM + cfg.altitude_km
@@ -215,7 +214,6 @@ class Constellation:
     def gs_access_satellite(self, gs: GroundStation, t: float,
                             previous: SatId | None = None) -> SatId:
         """Sticky GS access: keep `previous` while visible, else nearest visible."""
-        gs.validate()
         if previous is not None:
             if self.elevation_deg(previous, gs, t) >= gs.min_elevation_deg:
                 return previous

@@ -7,8 +7,7 @@ SINRs) advance every slot.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,8 +102,7 @@ class SecWindow:
                  n_sources: int = 10,
                  steps: int = 390,
                  source_seed: int = 0,
-                 routing_eta: float = 0.5,
-                 start_time: float | None = None):
+                 routing_eta: float = 0.5):
         self.c = constellation
         self.gs = gs
         self.traffic_cfg = traffic_cfg
@@ -118,7 +116,7 @@ class SecWindow:
         self.steps = steps
         n_sp = constellation.cfg.sats_per_plane
 
-        self.t0 = self._find_window_start(start_time)
+        self.t0 = self._find_window_start()
         self.gs_sat = constellation.gs_access_satellite(gs, self.t0)
         self.gs_flat = self.gs_sat.flat(n_sp)
 
@@ -164,9 +162,7 @@ class SecWindow:
 
     # -- construction helpers ----------------------------------------------
 
-    def _find_window_start(self, start_time):
-        if start_time is not None:
-            return start_time
+    def _find_window_start(self):
         t = self.c.cfg.epoch_s
         for _ in range(10000):
             try:
@@ -212,7 +208,8 @@ class SecWindow:
         bundle = self.reference_bundle()
         alloc_to, alloc_ot = self._quantize_allocations(bundle)
         pos = self.c.positions_at(self.t0)
-        self._record_sinrs(alloc_to, alloc_ot, pos)
+        _, _, gammas_to, gammas_ot = self._rates(alloc_to, alloc_ot, pos, self.t0)
+        self._record_sinrs(gammas_to, gammas_ot)
 
     # -- per-step geometry ---------------------------------------------------
 
@@ -291,10 +288,8 @@ class SecWindow:
             return 0.0
         return float(np.mean(10.0 * np.log10(active)))
 
-    def _record_sinrs(self, alloc_to, alloc_ot, pos, t=None):
-        if t is None:
-            t = self.t0
-        _, _, gammas_to, gammas_ot = self._rates(alloc_to, alloc_ot, pos, t)
+    def _record_sinrs(self, gammas_to: dict, gammas_ot: dict):
+        """Next-slot SINR features from the per-link gammas of a rated slot."""
         n = len(self.involved)
         self._sinr_to_db = np.zeros((n, 4))
         self._sinr_ot_db = np.zeros((n, 4))
@@ -376,8 +371,8 @@ class SecWindow:
             tasks_to[src] = to
         assignment = OffloadAssignment(tasks_self=tasks_self, tasks_to=tasks_to)
 
-        rates_to, rates_ot, _, _ = self._rates(alloc_to, alloc_ot, pos, t,
-                                               band_to, band_ot)
+        rates_to, rates_ot, gammas_to, gammas_ot = self._rates(
+            alloc_to, alloc_ot, pos, t, band_to, band_ot)
         offload_dist = {(s, nb): float(np.linalg.norm(pos[s] - pos[nb]))
                         for s, nb in self._offload_link_list}
         routes = {}
@@ -398,7 +393,7 @@ class SecWindow:
 
         if advance:
             # next-slot state: realized SINRs and expected outcome inflow
-            self._record_sinrs(alloc_to, alloc_ot, pos, t)
+            self._record_sinrs(gammas_to, gammas_ot)
             mean_bytes = self.traffic_cfg.mean_bytes_per_slot
             self._expected_outcome = np.zeros(len(self.involved))
             for i, src in enumerate(self.sources):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .agent import GrantAgent, TrainConfig
+from .agent import GrantAgent, TrainConfig, TrainingError
 from .autodiff import save_checkpoint, load_checkpoint
 from .baselines import (FullResourcePolicy, MaddpgFcAgent, UniformPolicy,
                         rollout_policy)
@@ -60,9 +60,7 @@ def default_config() -> dict:
 def _build_section(section: str, cls, values: dict):
     try:
         return cls(**values)
-    except TypeError as exc:
-        raise ConfigError(f"config section {section!r}: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError, TrainingError) as exc:
         raise ConfigError(f"config section {section!r}: {exc}") from None
 
 
@@ -190,6 +188,20 @@ def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
     raise ConfigError(f"unknown policy {name!r}")
 
 
+def restored_policy(cfg: ExperimentConfig, seed: int,
+                    checkpoint: str | None = None):
+    """(env, policy) for one seed, with learner parameters optionally loaded
+    from a checkpoint."""
+    env = build_environment(cfg, seed)
+    policy = make_policy(cfg.policy, env, cfg, seed)
+    if checkpoint is not None:
+        if not isinstance(policy, GrantAgent):
+            raise ConfigError(
+                f"policy {cfg.policy!r} has no parameters to restore")
+        load_checkpoint(checkpoint, policy.parameters())
+    return env, policy
+
+
 # -- output files --------------------------------------------------------------
 
 
@@ -255,7 +267,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
     for seed in seeds:
         env = build_environment(cfg, seed)
         policy = make_policy(cfg.policy, env, cfg, seed)
-        learning = hasattr(policy, "run_training")
+        learning = isinstance(policy, GrantAgent)
         base = os.path.join(cfg.output_dir, f"{cfg.policy}_seed{seed}")
         metrics_path = base + "_metrics.csv"
         loss_path = base + "_loss.csv" if learning else None
@@ -270,26 +282,27 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
                 lfh.write(header + "\n" + LOSS_HEADER + "\n")
             t_start = time.perf_counter()
             steps_done = 0
+
+            def on_step(agent, record):
+                nonlocal steps_done
+                step = record["step"]
+                mfh.write(_metrics_row(step, record["outcome"]) + "\n")
+                steps_done = step + 1
+                if lfh:
+                    lfh.write(_loss_row(record) + "\n")
+                    if steps_done % CHECKPOINT_EVERY == 0:
+                        save_checkpoint(
+                            f"{base}_step{steps_done}.ckpt.json",
+                            agent.parameters(),
+                            meta={"config_hash": chash, "seed": seed,
+                                  "policy": cfg.policy, "step": steps_done})
+
             try:
                 if learning:
-                    def on_step(agent, record, _mfh=mfh, _lfh=lfh, _base=base):
-                        nonlocal steps_done
-                        step = record["step"]
-                        _mfh.write(_metrics_row(step, record["outcome"]) + "\n")
-                        _lfh.write(_loss_row(record) + "\n")
-                        steps_done = step + 1
-                        if steps_done % CHECKPOINT_EVERY == 0:
-                            save_checkpoint(
-                                f"{_base}_step{steps_done}.ckpt.json",
-                                agent.parameters(),
-                                meta={"config_hash": chash, "seed": seed,
-                                      "policy": cfg.policy, "step": steps_done})
                     policy.run_training(on_step=on_step)
                 else:
                     for record in rollout_policy(env, policy, cfg.train.steps):
-                        mfh.write(_metrics_row(record["step"],
-                                               record["outcome"]) + "\n")
-                        steps_done = record["step"] + 1
+                        on_step(policy, record)
             except Exception as exc:
                 marker = f"# FAILED step={steps_done} error={type(exc).__name__}"
                 mfh.write(marker + "\n")
@@ -343,23 +356,14 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
     allocations.  Latencies are raw path-delay means, uncapped, so slow
     bands report their true multi-second queueing delays.
     """
-    env = build_environment(cfg, seed)
-    policy = make_policy(cfg.policy, env, cfg, seed)
-    if checkpoint is not None:
-        if not hasattr(policy, "parameters"):
-            raise ConfigError(
-                f"policy {cfg.policy!r} has no parameters to restore")
-        load_checkpoint(checkpoint, policy.parameters())
+    env, policy = restored_policy(cfg, seed, checkpoint)
     steps = steps if steps is not None else min(cfg.train.steps, 20)
     band_plans = {name: (band_preset(name, "offloading"),
                          band_preset(name, "outcome")) for name in bands}
     delays = {name: [] for name in bands}
     maxima = {name: [] for name in bands}
     for _ in range(steps):
-        if hasattr(policy, "act") and hasattr(policy, "encode"):
-            bundle, _, _ = policy.act(env.snapshot())
-        else:
-            bundle = policy.act(env.snapshot())
+        bundle, _, _ = policy.act(env.snapshot())
         allocations = env._quantize_allocations(bundle)
         for name, (b_to, b_ot) in band_plans.items():
             outcome, _, _ = env.step(bundle, band_to=b_to, band_ot=b_ot,

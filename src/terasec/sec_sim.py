@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class RewardParams:
     latency_threshold_s: float = 0.1
     w_below: float = 10.0
     w_above: float = 50.0
-    kappa: float = 0.5                   # consumed by the training loop
+    kappa: float = 0.5                   # not read: training reads train.kappa
 
     def __post_init__(self):
         if not self.w_above >= self.w_below > 0:

@@ -1,5 +1,5 @@
-"""THz/Ka/Ku link budget: steering vectors, path gain, beamformed link gain,
-SINR and multi-sub-band Shannon capacity.
+"""THz/Ka/Ku link budget: path gain, beamformed link gain, SINR and
+multi-sub-band Shannon capacity.
 
 The beamformer is abstracted as an ideal aligned beam: the full transmit and
 receive array gains are applied and the combiner noise term is folded into
@@ -26,7 +26,7 @@ class LinkDomainError(ValueError):
 class ArrayConfig:
     m_x: int = 4
     m_y: int = 4
-    d0_wavelengths: float = 0.5          # antenna spacing in wavelengths
+    d0_wavelengths: float = 0.5          # spacing in wavelengths; not read (ideal beam)
     element_gain_dbi: float = 10.0
     s_max: int = 64                      # max transmitting sub-arrays
     rx_subarrays_per_isl: int = 1
@@ -120,18 +120,6 @@ def band_preset(name: str, phase: str, g0_per_km: float | None = None) -> BandPl
     centers = tuple(f * ratio for f in thz_centers)
     return BandPlan(phase=phase, centers_hz=centers, bandwidth_hz=2e9 * ratio,
                     absorption=absorption, element_gain_scale=ratio**2)
-
-
-def steering_vector(phi: float, theta: float, a: ArrayConfig,
-                    wavelength_m: float) -> np.ndarray:
-    """Planar-array steering vector, length m_x*m_y, unit Euclidean norm."""
-    m = a.m_x * a.m_y
-    mx = np.repeat(np.arange(a.m_x), a.m_y)
-    my = np.tile(np.arange(a.m_y), a.m_x)
-    # d0 is expressed in wavelengths, so 2*pi*d0/lambda * lambda = 2*pi*d0
-    phase = 2.0 * math.pi * a.d0_wavelengths * (
-        mx * math.sin(theta) * math.cos(phi) + my * math.cos(theta))
-    return np.exp(1j * phase) / math.sqrt(m)
 
 
 def absorption_factor(f_hz: float, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,

@@ -24,7 +24,7 @@ class TrafficConfig:
     task_size_bytes: int = 2500
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mean_tasks_per_slot <= 0:
             raise TrafficConfigError("mean_tasks_per_slot must be positive")
         if not 0.0 < self.hurst < 1.0:
@@ -63,7 +63,6 @@ def fgn(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def generate_counts(cfg: TrafficConfig, sources: int, steps: int) -> np.ndarray:
     """Nonnegative integer task counts, shape [sources, steps]."""
-    cfg.validate()
     if steps < 1:
         raise TrafficConfigError("steps must be >= 1")
     rng = np.random.default_rng(cfg.seed)

@@ -6,10 +6,9 @@ import pytest
 from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
                            OutcomeActor, PhaseState, TrainConfig,
                            TrainingError, bound_logits, encode_state,
-                           explore_group, logit_bias, prune_involved,
-                           safe_init, td_target)
+                           explore_group, logit_bias, safe_init, td_target)
 from terasec.autodiff import Adam, Tensor, mse, normalized_adjacency
-from terasec.env import GS_NODE
+from terasec.env import GS_NODE, prune_involved
 
 
 # -- logit bounding -----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
                               GraphStateError, Parameter, Tensor, concat_cols,
-                              gcn_forward, load_checkpoint, mse,
+                              load_checkpoint, mse,
                               normalized_adjacency, save_checkpoint,
                               xavier_uniform)
 
@@ -155,19 +155,6 @@ def test_normalized_adjacency_asymmetric_error():
 
 
 # -- layers -------------------------------------------------------------------
-
-def test_gcn_forward_oracles():
-    # single node: A_norm = [[1]], identity activation -> F @ W
-    f = np.array([[1.0, 2.0]])
-    w = np.array([[1.0], [3.0]])
-    assert np.allclose(gcn_forward(f, np.eye(1), w), [[7.0]])
-    # two-node graph with identity weights averages features
-    a_norm = normalized_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    f2 = np.array([[2.0], [4.0]])
-    assert np.allclose(gcn_forward(f2, a_norm, np.eye(1)), [[3.0], [3.0]])
-    # relu clamps all-negative pre-activations
-    assert np.allclose(gcn_forward(f2, a_norm, -np.eye(1), "relu"), 0.0)
-
 
 def test_gcn_layer_gradient():
     rng = np.random.default_rng(5)

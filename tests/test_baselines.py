@@ -12,20 +12,21 @@ from conftest import make_env
 def test_uniform_bundle_values(small_env):
     policy = UniformPolicy(small_env)
     k = small_env.band_to.n_subbands
-    b = policy.act()
+    b, ratios, states = policy.act()
+    assert ratios is None and states is None
     assert np.allclose(b.offload, 0.2)
     assert np.allclose(b.to_subarrays, 0.25)
     assert np.allclose(b.to_power, 1.0 / (4 * k))
     assert np.allclose(b.ot_subarray, 1.0)
     assert np.allclose(b.ot_power, 1.0 / k)
     # stateless: identical bundle regardless of snapshot
-    b2 = policy.act(small_env.snapshot())
+    b2, _, _ = policy.act(small_env.snapshot())
     assert np.array_equal(b.offload, b2.offload)
 
 
 def test_uniform_quantizes_to_equal_split(small_env):
     env = small_env
-    b = UniformPolicy(env).act()
+    b, _, _ = UniformPolicy(env).act()
     outcome, _, (alloc_to, alloc_ot) = env.step(b, advance=False)
     s_max = env.array_cfg.s_max
     p_max = env.budget.p_max_w
@@ -44,7 +45,7 @@ def test_uniform_quantizes_to_equal_split(small_env):
 
 def test_full_resource_policy(small_env):
     env = small_env
-    b = FullResourcePolicy(env).act()
+    b, _, _ = FullResourcePolicy(env).act()
     assert np.allclose(b.offload[:, 0], 1.0)
     outcome, assignment, _ = env.step(b, advance=False)
     assert outcome.u_total > 0.95

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from terasec import harness
 from terasec.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main)
 
 
@@ -53,6 +54,16 @@ def test_eval_outputs_json(tmp_path, capsys):
     assert report["steps"] == 2
     assert report["U"] > 0.0
     assert report["T_avg_ms"] > 0.0
+
+
+@pytest.mark.parametrize("policy", harness.POLICY_NAMES)
+def test_eval_every_policy(tmp_path, capsys, policy):
+    cfg = write_cfg(tmp_path)
+    code = main(["eval", "--config", cfg, "--policy", policy, "--steps", "1"])
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["policy"] == policy
+    assert np.isfinite(report["T_avg_ms"])
 
 
 def test_eval_policy_override(tmp_path, capsys):
@@ -121,8 +132,30 @@ def test_exit_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
-def test_exit_runtime_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"train": {"steps": 1, "kappa": 2.0}})
+@pytest.mark.parametrize("section,field,value", [
+    ("train", "kappa", 1.5),
+    ("train", "decay_every_steps", 0),
+    ("train", "steps", 0),
+    ("train", "noise_std", -1.0),
+    ("traffic", "hurst", 1.5),
+    ("constellation", "planes", 0),
+    ("ground_station", "min_elevation_deg", 0.0),
+])
+def test_exit_config_error_before_any_output(tmp_path, capsys, section,
+                                             field, value):
+    cfg = write_cfg(tmp_path, {section: {field: value}})
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"'{section}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_runtime_error(tmp_path, capsys, monkeypatch):
+    def failing_rollout(env, policy, steps):
+        raise RuntimeError("simulated mid-run failure")
+
+    monkeypatch.setattr(harness, "rollout_policy", failing_rollout)
+    cfg = write_cfg(tmp_path)
     assert main(["eval", "--config", cfg]) == EXIT_RUNTIME
     assert "runtime error" in capsys.readouterr().err
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from terasec import harness
+from terasec.autodiff import save_checkpoint
+from terasec.env import ActionBundle
 from terasec.harness import (CONVERGED_WINDOW, ConfigError, ExperimentConfig,
                              compare_bands, default_config, load_config,
                              run_experiment, summarize_metrics)
@@ -156,7 +158,7 @@ def test_run_experiment_failure_marker(tmp_path, monkeypatch):
         for step in range(steps):
             if step == 2:
                 raise Boom("mid-run failure")
-            outcome, _, _ = env.step(policy.act(env.snapshot()))
+            outcome, _, _ = env.step(policy.act(env.snapshot())[0])
             yield {"step": step, "outcome": outcome, "critic_loss": 0.0,
                    "q_value": 0.0, "actor_lr": 0.0}
 
@@ -167,6 +169,22 @@ def test_run_experiment_failure_marker(tmp_path, monkeypatch):
         str(tmp_path), "uniform_seed1_metrics.csv")).read().splitlines()
     assert lines[-1] == "# FAILED step=2 error=Boom"
     assert len(lines) == 2 + 2 + 1  # header, columns, 2 rows, marker
+
+
+# -- the policy protocol ------------------------------------------------------
+
+@pytest.mark.parametrize("name", harness.POLICY_NAMES)
+def test_every_policy_acts_and_rolls_out(name):
+    cfg = ExperimentConfig.from_dict({"policy": name, "train": {"steps": 2}})
+    env, policy = harness.restored_policy(cfg, 1)
+    action = policy.act(env.snapshot())
+    assert isinstance(action, tuple) and len(action) == 3
+    assert isinstance(action[0], ActionBundle)
+    history = harness.rollout_policy(env, policy, 2)
+    assert [rec["step"] for rec in history] == [0, 1]
+    for rec in history:
+        assert np.isfinite(rec["outcome"].reward)
+        assert np.isfinite(rec["outcome"].t_avg)
 
 
 # -- band comparison ----------------------------------------------------------
@@ -193,7 +211,7 @@ def test_compare_bands_reference_band_matches_plain_run(tmp_path):
     policy = harness.make_policy("uniform", env, cfg, 2)
     raw = []
     for _ in range(2):
-        outcome, _, _ = env.step(policy.act(env.snapshot()))
+        outcome, _, _ = env.step(policy.act(env.snapshot())[0])
         raw.append(float(np.mean(list(outcome.overall_delay.values()))))
     assert abs(table["thz"]["t_avg_s"] - np.mean(raw)) < 1e-12
 
@@ -204,3 +222,17 @@ def test_compare_bands_checkpoint_restriction(tmp_path):
         "output_dir": str(tmp_path)})
     with pytest.raises(ConfigError, match="no parameters"):
         compare_bands(cfg, seed=1, checkpoint="whatever.json", steps=1)
+
+
+def test_compare_bands_grant_checkpoint(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "policy": "grant", "train": {"steps": 2},
+        "output_dir": str(tmp_path)})
+    table = compare_bands(cfg, seed=1, steps=2)
+    assert table["thz"]["t_avg_s"] < table["ka"]["t_avg_s"] < table["ku"]["t_avg_s"]
+    # restoring the seed's own initial parameters reproduces the table
+    env = harness.build_environment(cfg, 1)
+    agent = harness.make_policy("grant", env, cfg, 1)
+    ckpt = str(tmp_path / "init.ckpt.json")
+    save_checkpoint(ckpt, agent.parameters())
+    assert compare_bands(cfg, seed=1, checkpoint=ckpt, steps=2) == table

@@ -8,36 +8,9 @@ from hypothesis import strategies as st
 from terasec.thz_link import (AbsorptionProfile, ArrayConfig, BandPlan,
                               LinkBudgetParams, LinkDomainError, band_preset,
                               link_gain, link_rate, noise_power, path_gain,
-                              sinr, steering_vector)
+                              sinr)
 
 C_M_S = 299792458.0
-
-
-# -- steering vectors ---------------------------------------------------------
-
-def test_steering_single_element():
-    a = ArrayConfig(m_x=1, m_y=1)
-    v = steering_vector(0.3, 1.1, a, 0.002)
-    assert v.shape == (1,)
-    assert abs(v[0] - 1.0) < 1e-12
-
-
-def test_steering_two_element_phases():
-    # 2x1 array, half-wavelength spacing, phi=0, theta=pi/2:
-    # phases are {0, pi} by direct evaluation of the planar-array law
-    a = ArrayConfig(m_x=2, m_y=1, d0_wavelengths=0.5)
-    v = steering_vector(0.0, math.pi / 2.0, a, 0.002)
-    phases = np.angle(v * math.sqrt(2.0))
-    assert abs(phases[0]) < 1e-12
-    assert abs(abs(phases[1]) - math.pi) < 1e-9
-
-
-@settings(max_examples=50, deadline=None)
-@given(phi=st.floats(-math.pi, math.pi), theta=st.floats(0.0, math.pi))
-def test_steering_unit_norm(phi, theta):
-    a = ArrayConfig()
-    v = steering_vector(phi, theta, a, 0.0022)
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 # -- path gain ---------------------------------------------------------------
