@@ -56,17 +56,20 @@ class Tensor:
         """Reverse-mode sweep from this tensor; accumulates into .grad."""
         if not self.requires_grad:
             raise GraphStateError("backward on a tensor with no recorded graph")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # iterative post-order: a recursive closure is a reference cycle that
+        # keeps the whole graph alive until the cyclic collector runs
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         if seed is None:
             if self.data.size != 1:
                 raise GraphStateError("implicit seed requires a scalar output")

@@ -26,7 +26,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     raw = json.loads(json.dumps(cfg.raw))
     if getattr(args, "policy", None):
         raw["policy"] = args.policy
-    if getattr(args, "steps", None):
+    if getattr(args, "steps", None) is not None:
         raw["train"]["steps"] = args.steps
     if getattr(args, "out", None):
         raw["output_dir"] = args.out
@@ -112,31 +112,26 @@ def cmd_dump_topology(args) -> int:
 
 def cmd_linkbudget(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    d_km = args.distance_km
-    tx = np.array([0.0, 0.0, 0.0])
-    rx = np.array([d_km, 0.0, 0.0])
-    lines = [f"# config_hash={cfg.config_hash()} distance_km={d_km}"
+    tx, rx = np.zeros(3), np.array([args.distance_km, 0.0, 0.0])
+    lines = [f"# config_hash={cfg.config_hash()} distance_km={args.distance_km}"
              f" p_max_w={cfg.budget.p_max_w} subarrays={cfg.array.s_max}",
              "band,subband,center_ghz,bandwidth_ghz,noise_w,sinr_db,rate_gbps"]
     for name in harness.BAND_NAMES:
         band = band_preset(name, "offloading")
-        sigma2 = noise_power(cfg.budget.noise_temperature_k, band.bandwidth_hz)
         k = band.n_subbands
-        p_per = cfg.budget.p_max_w / k
-        gammas = np.zeros(k)
+        sigma2 = noise_power(cfg.budget.noise_temperature_k, band.bandwidth_hz)
+        h2 = link_gain(cfg.array.s_max, cfg.array.rx_subarrays_per_isl, cfg.array,
+                       path_gain(band.centers_hz, tx, rx),
+                       gain_interpretation=cfg.budget.gain_interpretation,
+                       element_gain_scale=band.element_gain_scale)
+        gammas = sinr(cfg.budget.p_max_w / k, h2, cfg.budget.interference_mean_w,
+                      sigma2)
+        rates = link_rate(np.ones((k, 1)), gammas[:, None], band.bandwidth_hz)
         for ki, f in enumerate(band.centers_hz):
-            alpha2 = path_gain(f, tx, rx, None)
-            h2 = link_gain(cfg.array.s_max, cfg.array.rx_subarrays_per_isl,
-                           cfg.array, alpha2,
-                           gain_interpretation=cfg.budget.gain_interpretation,
-                           element_gain_scale=band.element_gain_scale)
-            gammas[ki] = sinr(p_per, h2, cfg.budget.interference_mean_w, sigma2)
-            sub_rate = link_rate(np.ones(1), gammas[ki:ki + 1], band.bandwidth_hz)
             lines.append(f"{name},{ki},{f / 1e9:.6g},{band.bandwidth_hz / 1e9:.6g},"
                          f"{sigma2:.6g},{10 * np.log10(gammas[ki]):.4f},"
-                         f"{sub_rate / 1e9:.6g}")
-        rate = link_rate(np.ones(k), gammas, band.bandwidth_hz)
-        lines.append(f"{name},total,,,,,{rate / 1e9:.6g}")
+                         f"{rates[ki] / 1e9:.6g}")
+        lines.append(f"{name},total,,,,,{rates.sum() / 1e9:.6g}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -2,8 +2,9 @@
 action application and state bookkeeping for the learning agents.
 
 Within one GS access window the GS-connected satellite, the source set and
-all routes are fixed; satellite positions (hence distances, delays and
-SINRs) advance every slot.
+all routes are fixed, so the link tables are built once per window;
+satellite positions (hence distances, delays and SINRs) advance every slot
+and each phase's links are rated in one array pass.
 """
 from __future__ import annotations
 
@@ -124,39 +125,51 @@ class SecWindow:
         self.neighbor_order = {
             s: sorted(nb.flat(n_sp) for nb in
                       constellation.isl_neighbors(SatId.from_flat(s, n_sp)))
-            for s in self.sources
-        }
-        self.servers = sorted({s for s in self.sources}
-                              | {n for s in self.sources
-                                 for n in self.neighbor_order[s]})
+            for s in self.sources}
+        self.servers = sorted(set(self.sources).union(*self.neighbor_order.values()))
 
-        # frozen routing tree and per-server routes (hop node pairs only;
-        # distances are re-evaluated per step)
+        # frozen routing tree and per-server routes (hop node pairs only)
         tree = constellation.shortest_path_tree(self.gs_sat, self.t0, routing_eta)
         self.route_hops = {}
         for server in self.servers:
             route = constellation.route_to_gs(
                 SatId.from_flat(server, n_sp), self.gs_sat,
                 eta=routing_eta, t=self.t0, tree=tree)
-            hops = [(a.flat(n_sp), b.flat(n_sp))
-                    for a, b in zip(route.hops[:-1], route.hops[1:])]
-            hops.append((self.gs_flat, GS_NODE))
-            self.route_hops[server] = hops
+            self.route_hops[server] = [
+                (a.flat(n_sp), b.flat(n_sp)) for a, b in
+                zip(route.hops[:-1], route.hops[1:])] + [(self.gs_flat, GS_NODE)]
 
-        self.outcome_transmitters = sorted({tx for hops in self.route_hops.values()
-                                            for tx, _ in hops})
-        self.next_hop = {}
-        for hops in self.route_hops.values():
-            for tx, rx in hops:
-                self.next_hop[tx] = rx
+        next_hop = {tx: rx for hops in self.route_hops.values() for tx, rx in hops}
+        self.outcome_transmitters = sorted(next_hop)
 
-        self._build_involved()
+        self.involved, self.node_index, self.adjacency = prune_involved(
+            self.sources, self.neighbor_order, self.route_hops, self.gs_flat)
         self.counts = generate_counts(traffic_cfg, len(self.sources), max(steps, 1))
         self.step_idx = 0
+
+        # frozen link tables: per phase, the links and their [2, links] end
+        # rows into _positions(t) (GS_NODE indexes the GS in its last row);
+        # each route as outcome-link indices; and the (link, node row, ISL
+        # direction) cell of every rated link that has a SINR feature
         self._offload_link_list = [(s, n) for s in self.sources
                                    for n in self.neighbor_order[s]]
-        self._outcome_link_list = [(tx, self.next_hop[tx])
+        self._outcome_link_list = [(tx, next_hop[tx])
                                    for tx in self.outcome_transmitters]
+        self._to_ends, self._ot_ends = (
+            np.array(links, dtype=int).reshape(-1, 2).T
+            for links in (self._offload_link_list, self._outcome_link_list))
+        outcome_link = {link: i for i, link in enumerate(self._outcome_link_list)}
+        self._route_links = {server: [outcome_link[hop] for hop in hops]
+                             for server, hops in self.route_hops.items()}
+        self._sinr_cells = []
+        for links in (self._offload_link_list, self._outcome_link_list):
+            cells = []
+            for i, (tx, rx) in enumerate(links):
+                nbrs = sorted(nb.flat(n_sp) for nb in
+                              constellation.isl_neighbors(SatId.from_flat(tx, n_sp)))
+                if rx in nbrs:   # the GS downlink has no ISL direction
+                    cells.append((i, self.node_index[tx], nbrs.index(rx)))
+            self._sinr_cells.append(np.array(cells, dtype=int).reshape(-1, 3).T)
         # previous-slot SINR features, seeded by the near-full reference allocation
         self._init_prev_state()
 
@@ -191,24 +204,17 @@ class SecWindow:
                 blocked.add(nb.flat(n_sp))
         return sorted(chosen)
 
-    def _build_involved(self):
-        self.involved, self.node_index, self.adjacency = prune_involved(
-            self.sources, self.neighbor_order, self.route_hops, self.gs_flat)
-
     def _init_prev_state(self):
-        n = len(self.involved)
-        self._sinr_to_db = np.zeros((n, 4))
-        self._sinr_ot_db = np.zeros((n, 4))
         # expected inflow before any action: everything is computed locally
-        self._expected_outcome = np.zeros(n)
+        self._expected_outcome = np.zeros(len(self.involved))
         mean_bytes = self.traffic_cfg.mean_bytes_per_slot
         for s in self.sources:
             self._expected_outcome[self.node_index[s]] = (
                 self.compute.outcome_ratio * mean_bytes)
         bundle = self.reference_bundle()
         alloc_to, alloc_ot = self._quantize_allocations(bundle)
-        pos = self.c.positions_at(self.t0)
-        _, _, gammas_to, gammas_ot = self._rates(alloc_to, alloc_ot, pos, self.t0)
+        _, _, gammas_to, gammas_ot = self._rates(alloc_to, alloc_ot,
+                                                 self._positions(self.t0))
         self._record_sinrs(gammas_to, gammas_ot)
 
     # -- per-step geometry ---------------------------------------------------
@@ -216,10 +222,9 @@ class SecWindow:
     def time_at(self, step: int) -> float:
         return self.t0 + step * self.traffic_cfg.slot_duration_s
 
-    def _node_pos(self, pos: np.ndarray, node: int, t: float) -> np.ndarray:
-        if node == GS_NODE:
-            return self.c.gs_position(self.gs, t)
-        return pos[node]
+    def _positions(self, t: float) -> np.ndarray:
+        """[n_sats + 1, 3] positions at t; the last row is the GS (GS_NODE)."""
+        return np.vstack([self.c.positions_at(t), self.c.gs_position(self.gs, t)])
 
     # -- allocations and rates -------------------------------------------------
 
@@ -235,77 +240,62 @@ class SecWindow:
             for j, nbr in enumerate(self.neighbor_order[src]):
                 alloc_to[(src, nbr)] = LinkAlloc(int(subs[j]), power[j].copy())
         alloc_ot = {}
-        for i, tx in enumerate(self.outcome_transmitters):
+        for i, link in enumerate(self._outcome_link_list):
             subs = sec_sim.quantize_subarrays(
                 np.array([bundle.ot_subarray[i]]), s_max)
             power = sec_sim.quantize_power(bundle.ot_power[i], p_max)
-            alloc_ot[(tx, self.next_hop[tx])] = LinkAlloc(int(subs[0]), power)
+            alloc_ot[link] = LinkAlloc(int(subs[0]), power)
         return alloc_to, alloc_ot
 
-    def _link_gammas(self, alloc: LinkAlloc, band: BandPlan,
-                     tx_pos: np.ndarray, rx_pos: np.ndarray,
-                     to_ground: bool) -> np.ndarray:
-        sigma2 = thz_link.noise_power(self.budget.noise_temperature_k,
-                                      band.bandwidth_hz)
-        gammas = np.zeros(band.n_subbands)
-        for ki, f in enumerate(band.centers_hz):
-            p = alloc.power_w[ki]
-            if p <= 0.0:
-                continue
-            profile = band.absorption if to_ground else None
-            alpha2 = thz_link.path_gain(f, tx_pos, rx_pos, profile)
+    def _rates(self, alloc_to: dict, alloc_ot: dict, pos: np.ndarray,
+               band_to: BandPlan | None = None, band_ot: BandPlan | None = None):
+        """Rates and per-sub-band SINRs of both phases at `pos` (from
+        _positions), one thz_link chain call per phase over a [links x
+        sub-bands] grid.  Returns (rates_to, rates_ot, gammas_to, gammas_ot):
+        rates keyed by link, gammas as arrays in link-list order."""
+        out = []
+        for allocs, links, ends, band in (
+                (alloc_to, self._offload_link_list, self._to_ends,
+                 band_to or self.band_to),
+                (alloc_ot, self._outcome_link_list, self._ot_ends,
+                 band_ot or self.band_ot)):
+            alpha2 = thz_link.path_gain(band.centers_hz,
+                                        pos[ends[0], None], pos[ends[1], None])
+            for i in np.flatnonzero(ends[1] == GS_NODE):
+                # molecular absorption on the GS downlink only
+                alpha2[i] *= thz_link.absorption_factor(
+                    pos[ends[0, i]], pos[GS_NODE], band.absorption)
+            link_allocs = [allocs[link] for link in links]
+            power = np.array([a.power_w for a in link_allocs])
             h2 = thz_link.link_gain(
-                alloc.subarrays, self.array_cfg.rx_subarrays_per_isl,
-                self.array_cfg, alpha2,
+                np.array([[a.subarrays] for a in link_allocs]),
+                self.array_cfg.rx_subarrays_per_isl, self.array_cfg, alpha2,
                 gain_interpretation=self.budget.gain_interpretation,
                 element_gain_scale=band.element_gain_scale)
-            gammas[ki] = thz_link.sinr(p, h2, self.budget.interference_mean_w,
-                                       sigma2)
-        return gammas
-
-    def _rates(self, alloc_to: dict, alloc_ot: dict, pos: np.ndarray, t: float,
-               band_to: BandPlan | None = None, band_ot: BandPlan | None = None):
-        band_to = band_to or self.band_to
-        band_ot = band_ot or self.band_ot
-        rates_to, rates_ot = {}, {}
-        gammas_to, gammas_ot = {}, {}
-        for (tx, rx), alloc in alloc_to.items():
-            g = self._link_gammas(alloc, band_to, pos[tx], pos[rx], False)
-            gammas_to[(tx, rx)] = g
-            rates_to[(tx, rx)] = thz_link.link_rate(alloc.psi, g,
-                                                    band_to.bandwidth_hz)
-        for (tx, rx), alloc in alloc_ot.items():
-            rx_pos = self._node_pos(pos, rx, t)
-            g = self._link_gammas(alloc, band_ot, pos[tx], rx_pos, rx == GS_NODE)
-            gammas_ot[(tx, rx)] = g
-            rates_ot[(tx, rx)] = thz_link.link_rate(alloc.psi, g,
-                                                    band_ot.bandwidth_hz)
+            sigma2 = thz_link.noise_power(self.budget.noise_temperature_k,
+                                          band.bandwidth_hz)
+            gammas = thz_link.sinr(power, h2, self.budget.interference_mean_w,
+                                   sigma2)
+            rates = thz_link.link_rate(power > 0.0, gammas, band.bandwidth_hz)
+            out.append((dict(zip(links, rates.tolist())), gammas))
+        (rates_to, gammas_to), (rates_ot, gammas_ot) = out
         return rates_to, rates_ot, gammas_to, gammas_ot
 
-    def _mean_db(self, gammas: np.ndarray) -> float:
-        active = gammas[gammas > 0.0]
-        if active.size == 0:
-            return 0.0
-        return float(np.mean(10.0 * np.log10(active)))
-
-    def _record_sinrs(self, gammas_to: dict, gammas_ot: dict):
-        """Next-slot SINR features from the per-link gammas of a rated slot."""
-        n = len(self.involved)
-        self._sinr_to_db = np.zeros((n, 4))
-        self._sinr_ot_db = np.zeros((n, 4))
-        n_sp = self.c.cfg.sats_per_plane
-        for (tx, rx), g in gammas_to.items():
-            row = self.node_index[tx]
-            slot = self.neighbor_order[tx].index(rx)
-            self._sinr_to_db[row, slot] = self._mean_db(g)
-        for (tx, rx), g in gammas_ot.items():
-            if rx == GS_NODE:
-                continue  # the GS downlink has no ISL direction slot
-            row = self.node_index[tx]
-            nbrs = sorted(nb.flat(n_sp) for nb in
-                          self.c.isl_neighbors(SatId.from_flat(tx, n_sp)))
-            if rx in nbrs:
-                self._sinr_ot_db[row, nbrs.index(rx)] = self._mean_db(g)
+    def _record_sinrs(self, gammas_to: np.ndarray, gammas_ot: np.ndarray):
+        """Next-slot SINR features: each rated ISL's mean SINR in dB over its
+        active sub-bands (0 when none is active) in its feature cell."""
+        tables = []
+        for gammas, (links, rows, cols) in zip((gammas_to, gammas_ot),
+                                               self._sinr_cells):
+            g = gammas[links]
+            active = g > 0.0
+            n_active = active.sum(axis=1)
+            db_sum = np.sum(10.0 * np.log10(np.where(active, g, 1.0)), axis=1)
+            table = np.zeros((len(self.involved), 4))
+            table[rows, cols] = np.divide(db_sum, n_active, where=n_active > 0,
+                                          out=np.zeros_like(db_sum))
+            tables.append(table)
+        self._sinr_to_db, self._sinr_ot_db = tables
 
     # -- reference (near-full) action ------------------------------------------
 
@@ -355,32 +345,24 @@ class SecWindow:
              advance: bool = True,
              allocations: tuple | None = None):
         """Apply one slot of actions; returns (SlotOutcome, assignment, allocs)."""
-        t = self.time_at(self.step_idx)
-        pos = self.c.positions_at(t)
-        if allocations is None:
-            alloc_to, alloc_ot = self._quantize_allocations(bundle)
-        else:
-            alloc_to, alloc_ot = allocations
+        pos = self._positions(self.time_at(self.step_idx))
+        alloc_to, alloc_ot = allocations or self._quantize_allocations(bundle)
         counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
         tasks_self, tasks_to = {}, {}
         for i, src in enumerate(self.sources):
-            kept, to = sec_sim.quantize_offload(bundle.offload[i],
-                                                int(counts[i]),
-                                                self.neighbor_order[src])
-            tasks_self[src] = kept
-            tasks_to[src] = to
+            tasks_self[src], tasks_to[src] = sec_sim.quantize_offload(
+                bundle.offload[i], int(counts[i]), self.neighbor_order[src])
         assignment = OffloadAssignment(tasks_self=tasks_self, tasks_to=tasks_to)
 
         rates_to, rates_ot, gammas_to, gammas_ot = self._rates(
-            alloc_to, alloc_ot, pos, t, band_to, band_ot)
-        offload_dist = {(s, nb): float(np.linalg.norm(pos[s] - pos[nb]))
-                        for s, nb in self._offload_link_list}
-        routes = {}
-        for server, hops in self.route_hops.items():
-            routes[server] = [
-                (tx, rx, float(np.linalg.norm(
-                    pos[tx] - self._node_pos(pos, rx, t))))
-                for tx, rx in hops]
+            alloc_to, alloc_ot, pos, band_to, band_ot)
+        # one distance array per phase; vecdot keeps np.linalg.norm's bits
+        d_to, d_ot = (np.sqrt(np.vecdot(v, v)).tolist()
+                      for v in (np.subtract(*pos[self._to_ends]),
+                                np.subtract(*pos[self._ot_ends])))
+        offload_dist = dict(zip(self._offload_link_list, d_to))
+        routes = {server: [(*self._outcome_link_list[i], d_ot[i]) for i in idx]
+                  for server, idx in self._route_links.items()}
         outcome = sec_sim.simulate_slot(
             assignment=assignment, neighbor_order=self.neighbor_order,
             routes=routes, offload_dist_km=offload_dist,

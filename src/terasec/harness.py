@@ -111,6 +111,9 @@ class ExperimentConfig:
             if merged["band"][phase] not in BAND_NAMES:
                 raise ConfigError(
                     f"config section 'band': unknown band {merged['band'][phase]!r}")
+        if not isinstance(merged["n_sources"], int) or merged["n_sources"] < 1:
+            raise ConfigError("config section 'n_sources': must be an integer >= 1, "
+                              f"got {merged['n_sources']!r}")
         sel = merged["source_selection"]
         if sel.get("method", "random_nonadjacent") != "random_nonadjacent":
             raise ConfigError(

@@ -3,7 +3,9 @@ multi-sub-band Shannon capacity.
 
 The beamformer is abstracted as an ideal aligned beam: the full transmit and
 receive array gains are applied and the combiner noise term is folded into
-the thermal noise power.  All functions are pure.
+the thermal noise power.  All functions are pure; path_gain, link_gain, sinr
+and link_rate take broadcast arrays, so one chain call rates a whole
+[links x sub-bands] grid.
 """
 from __future__ import annotations
 
@@ -122,9 +124,10 @@ def band_preset(name: str, phase: str, g0_per_km: float | None = None) -> BandPl
                     absorption=absorption, element_gain_scale=ratio**2)
 
 
-def absorption_factor(f_hz: float, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
+def absorption_factor(tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
                       profile: AbsorptionProfile, n_segments: int = 64) -> float:
-    """exp(-integral of g_abs along the path); trapezoidal quadrature."""
+    """exp(-integral of g_abs along one path); trapezoidal quadrature.
+    g_abs has no frequency dependence: one factor serves every sub-band."""
     p0 = np.asarray(tx_pos_km, dtype=float)
     p1 = np.asarray(rx_pos_km, dtype=float)
     alts = np.linalg.norm(
@@ -138,23 +141,32 @@ def absorption_factor(f_hz: float, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
     return math.exp(-integral)
 
 
-def path_gain(f_hz: float, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
-              profile: AbsorptionProfile | None = None) -> float:
-    """Line-of-sight power path gain |alpha|^2 including molecular absorption."""
-    d_km = float(np.linalg.norm(np.asarray(rx_pos_km, float) - np.asarray(tx_pos_km, float)))
-    if d_km <= 0.0:
+def path_gain(f_hz, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
+              profile: AbsorptionProfile | None = None):
+    """Line-of-sight power path gain |alpha|^2 including molecular absorption.
+
+    Positions are [..., 3] and broadcast; f_hz broadcasts against the
+    distances.  An absorption profile applies to a single path.
+    """
+    v = np.asarray(rx_pos_km, float) - np.asarray(tx_pos_km, float)
+    d_km = np.sqrt(np.vecdot(v, v))          # bit-identical to np.linalg.norm
+    if np.any(d_km <= 0.0):
         raise LinkDomainError("path gain undefined for zero distance")
-    spreading = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * f_hz * d_km * 1e3)) ** 2
+    # float_power rounds as libm pow does (Python's float ** 2); an ndarray
+    # ** 2 is a plain square, which differs in the last bit on some values
+    spreading = np.float_power(
+        SPEED_OF_LIGHT_M_S / (4.0 * math.pi * np.asarray(f_hz) * d_km * 1e3), 2)
     if profile is None:
         return spreading
-    return spreading * absorption_factor(f_hz, tx_pos_km, rx_pos_km, profile)
+    return spreading * absorption_factor(tx_pos_km, rx_pos_km, profile)
 
 
-def link_gain(s_tx: int, s_rx: int, a: ArrayConfig, alpha2: float,
+def link_gain(s_tx, s_rx: int, a: ArrayConfig, alpha2,
               gain_interpretation: str = "amplitude",
-              element_gain_scale: float = 1.0) -> float:
-    """Effective beamformed power gain |h|^2 under ideal beam alignment."""
-    if s_tx < 1 or s_rx < 1:
+              element_gain_scale: float = 1.0):
+    """Effective beamformed power gain |h|^2 under ideal beam alignment;
+    the transmit sub-array counts broadcast against alpha2."""
+    if np.any(s_tx < 1) or s_rx < 1:
         raise LinkDomainError("at least one sub-array per link end")
     g_lin = a.element_gain_linear() * element_gain_scale
     g = g_lin**2 if gain_interpretation == "amplitude" else g_lin
@@ -162,10 +174,10 @@ def link_gain(s_tx: int, s_rx: int, a: ArrayConfig, alpha2: float,
     return (s_tx * m) * (s_rx * m) * g * g * alpha2
 
 
-def sinr(p_w: float, h2: float, interference_w: float, noise_w: float) -> float:
+def sinr(p_w, h2, interference_w: float, noise_w: float):
     if noise_w <= 0:
         raise LinkDomainError("noise power must be positive")
-    if p_w < 0 or interference_w < 0:
+    if np.any(p_w < 0) or interference_w < 0:
         raise LinkDomainError("power and interference must be nonnegative")
     return p_w * h2 / (interference_w + noise_w)
 
@@ -174,8 +186,8 @@ def noise_power(t_sys_k: float, bandwidth_hz: float) -> float:
     return BOLTZMANN_J_K * t_sys_k * bandwidth_hz
 
 
-def link_rate(psi: np.ndarray, gamma: np.ndarray, bandwidth_hz: float) -> float:
-    """Aggregate Shannon capacity over the active sub-bands, bit/s."""
+def link_rate(psi, gamma, bandwidth_hz: float):
+    """Aggregate Shannon capacity over the active sub-bands (last axis), bit/s."""
     psi = np.asarray(psi, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    return float(np.sum(psi * bandwidth_hz * np.log2(1.0 + gamma)))
+    return np.sum(psi * bandwidth_hz * np.log2(1.0 + gamma), axis=-1)

@@ -31,6 +31,10 @@ class TrafficConfig:
             raise TrafficConfigError("hurst must be in (0, 1)")
         if self.relative_std < 0:
             raise TrafficConfigError("relative_std must be nonnegative")
+        if self.slot_duration_s <= 0:
+            raise TrafficConfigError("slot_duration_s must be positive")
+        if self.task_size_bytes < 1:
+            raise TrafficConfigError("task_size_bytes must be at least 1")
 
     @property
     def mean_bytes_per_slot(self) -> float:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
                            TrainingError, bound_logits, encode_state,
                            explore_group, logit_bias, safe_init, td_target)
 from terasec.autodiff import Adam, Tensor, mse, normalized_adjacency
+from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, prune_involved
+
+from conftest import make_env
 
 
 # -- logit bounding -----------------------------------------------------------
@@ -343,3 +347,17 @@ def test_prune_involved_minimal():
     assert involved == [7]
     assert node_index == {7: 0}
     assert np.array_equal(adj, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
+def test_training_leaves_no_cyclic_garbage(cls):
+    """Each step's autodiff graph is freed by reference counting alone, so
+    no step graph waits in memory for the cyclic collector."""
+    agent = cls(make_env(seed=1, steps=3), TrainConfig(seed=1, steps=2))
+    gc.collect()
+    gc.disable()
+    try:
+        agent.run_training()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

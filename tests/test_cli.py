@@ -138,15 +138,29 @@ def test_exit_io_error(tmp_path, capsys):
     ("train", "steps", 0),
     ("train", "noise_std", -1.0),
     ("traffic", "hurst", 1.5),
+    ("traffic", "task_size_bytes", 0),
+    ("traffic", "slot_duration_s", 0.0),
     ("constellation", "planes", 0),
     ("ground_station", "min_elevation_deg", 0.0),
+    ("n_sources", None, 0),
+    ("n_sources", None, 2.5),
+    ("n_sources", None, "ten"),
 ])
 def test_exit_config_error_before_any_output(tmp_path, capsys, section,
                                              field, value):
-    cfg = write_cfg(tmp_path, {section: {field: value}})
+    cfg = write_cfg(tmp_path, {section: {field: value} if field else value})
     out = tmp_path / "runs"
     assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"'{section}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "compare-bands"])
+def test_steps_zero_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "runs"
+    assert main([command, "--config", write_cfg(tmp_path), "--steps", "0",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "'train'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -161,3 +161,68 @@ def test_band_preset_errors():
         band_preset("thz", "sideways")
     with pytest.raises(LinkDomainError):
         BandPlan(phase="offloading", centers_hz=())
+
+
+# -- array calls against per-element scalar calls ------------------------------
+
+def random_links(rng, n):
+    """n random satellite pairs around a 550 km shell."""
+    def shell(size):
+        v = rng.normal(size=(size, 3))
+        return 6921.0 * v / np.linalg.norm(v, axis=1, keepdims=True)
+    return shell(n), shell(n)
+
+
+def test_path_gain_array_equals_scalar_calls():
+    rng = np.random.default_rng(7)
+    tx, rx = random_links(rng, 200)
+    f = np.array(band_preset("thz", "outcome").centers_hz)
+    got = path_gain(f, tx[:, None], rx[:, None])
+    assert got.shape == (200, f.size)
+    for i in range(200):
+        d = float(np.linalg.norm(rx[i] - tx[i]))
+        for k, fk in enumerate(f.tolist()):
+            assert got[i, k] == path_gain(fk, tx[i], rx[i])
+            # the Python-float formula, libm pow included
+            assert got[i, k] == (C_M_S / (4.0 * math.pi * fk * d * 1e3)) ** 2
+
+
+def test_path_gain_ground_link_array_equals_scalar_calls():
+    profile = AbsorptionProfile(g0_per_km=0.05)
+    sat = np.array([6921.0, 0.0, 0.0])
+    for gs in (np.array([6371.0, 0.0, 0.0]), np.array([6300.0, 1000.0, 0.0])):
+        f = np.array(band_preset("thz", "outcome").centers_hz)
+        got = path_gain(f, sat, gs, profile)
+        want = [path_gain(fk, sat, gs, profile) for fk in f.tolist()]
+        assert np.array_equal(got, want)
+        assert np.all(got < path_gain(f, sat, gs))
+
+
+def test_link_chain_arrays_equal_scalar_calls():
+    rng = np.random.default_rng(8)
+    a, sigma2 = ArrayConfig(), noise_power(290.0, 2e9)
+    alpha2 = 10.0 ** rng.uniform(-22.0, -19.0, size=(50, 5))
+    s_tx = rng.integers(1, 65, size=(50, 1))
+    power = rng.uniform(0.0, 2.0, size=(50, 5)) * (rng.random((50, 5)) > 0.3)
+    h2 = link_gain(s_tx, 1, a, alpha2, element_gain_scale=0.3)
+    gamma = sinr(power, h2, 1e-13, sigma2)
+    rate = link_rate(power > 0.0, gamma, 2e9)
+    assert rate.shape == (50,)
+    for i in range(50):
+        for k in range(5):
+            h = link_gain(int(s_tx[i, 0]), 1, a, float(alpha2[i, k]),
+                          element_gain_scale=0.3)
+            assert h2[i, k] == h
+            assert gamma[i, k] == sinr(float(power[i, k]), h, 1e-13, sigma2)
+        assert rate[i] == link_rate(power[i] > 0.0, gamma[i], 2e9)
+
+
+def test_array_domain_errors_anywhere():
+    tx = np.zeros((3, 3))
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    with pytest.raises(LinkDomainError):
+        path_gain(np.array([135e9, 137e9]), tx[:, None], rx[:, None])
+    with pytest.raises(LinkDomainError):
+        link_gain(np.array([[4], [0], [2]]), 1, ArrayConfig(), np.ones((3, 5)))
+    with pytest.raises(LinkDomainError):
+        sinr(np.array([1.0, -1e-9, 0.0]), np.ones(3), 0.0, 1.0)
