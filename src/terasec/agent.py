@@ -54,10 +54,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise TrainingError("kappa must be in [0, 1]")
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise TrainingError("learning rates must be positive")
-        if self.steps < 1 or self.decay_every_steps < 1:
-            raise TrainingError("steps and decay_every_steps must be >= 1")
+        if min(self.actor_lr, self.critic_lr, self.actor_lr_decay) <= 0:
+            raise TrainingError("learning rates and their decay must be positive")
+        if min(self.steps, self.decay_every_steps, self.hidden_width) < 1:
+            raise TrainingError(
+                "steps, decay_every_steps and hidden_width must be >= 1")
         if self.noise_std < 0:
             raise TrainingError("noise_std must be nonnegative")
 
@@ -80,36 +81,11 @@ SKIP_LR_SCALE = 10.0
 
 @dataclass
 class PhaseState:
-    """Pruned graph state for one phase: per-node features and adjacency."""
+    """Pruned graph state for one phase: per-node features and the
+    normalized adjacency, which both phases of a window share."""
 
     features: np.ndarray
     a_norm: np.ndarray
-    nodes: list
-    node_index: dict
-
-
-def encode_state(snapshot, phase: str, planes: int, sats_per_plane: int,
-                 mean_demand_bytes: float) -> PhaseState:
-    """Normalize a raw snapshot into the per-node feature matrix."""
-    plane_norm = snapshot.planes / max(planes - 1, 1)
-    slot_norm = snapshot.slots / max(sats_per_plane - 1, 1)
-    if phase == "offloading":
-        l_e = snapshot.expected_offload_bytes / mean_demand_bytes
-        sinr = snapshot.sinr_to_db / SINR_DB_SCALE
-        cols = [plane_norm, slot_norm, l_e, sinr[:, 0], sinr[:, 1], sinr[:, 2],
-                sinr[:, 3], snapshot.phi_off, snapshot.phi_gs]
-    elif phase == "outcome":
-        l_e = snapshot.expected_outcome_bytes / mean_demand_bytes
-        sinr = snapshot.sinr_ot_db / SINR_DB_SCALE
-        cols = [plane_norm, slot_norm, l_e, sinr[:, 0], sinr[:, 1], sinr[:, 2],
-                sinr[:, 3], snapshot.phi_gs]
-    else:
-        raise TrainingError(f"unknown phase {phase!r}")
-    features = np.stack(cols, axis=1)
-    return PhaseState(features=features,
-                      a_norm=normalized_adjacency(snapshot.adjacency),
-                      nodes=list(snapshot.nodes),
-                      node_index=dict(snapshot.node_index))
 
 
 # -- networks ----------------------------------------------------------------
@@ -297,16 +273,32 @@ class GrantAgent:
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         self.source_rows = [env.node_index[s] for s in env.sources]
         self.tx_rows = [env.node_index[t] for t in env.outcome_transmitters]
+        # the window's graph is frozen: normalize it and lay out the static
+        # feature columns once; encode fills the per-slot ones
+        c = env.c.cfg
+        self.mean_bytes = env.traffic_cfg.mean_bytes_per_slot
+        zero = np.zeros(len(env.involved))
+        self.static_features = np.stack(
+            [env.node_plane / max(c.planes - 1, 1),
+             env.node_slot / max(c.sats_per_plane - 1, 1),
+             env.expected_offload_bytes / self.mean_bytes,
+             zero, zero, zero, zero, env.phi_off, env.phi_gs], axis=1)
+        self.a_norm = normalized_adjacency(env.adjacency)
+        self.a_norm.setflags(write=False)
         return np.random.default_rng(cfg.seed)
 
     # -- state and actions --------------------------------------------------
 
     def encode(self, snapshot):
-        c = self.env.c.cfg
-        mean = self.env.traffic_cfg.mean_bytes_per_slot
-        s_to = encode_state(snapshot, "offloading", c.planes, c.sats_per_plane, mean)
-        s_ot = encode_state(snapshot, "outcome", c.planes, c.sats_per_plane, mean)
-        return s_to, s_ot
+        """Both phases' states: the snapshot's SINRs (columns 3-6) and, for
+        the outcome phase, expected outcome load (column 2) written over the
+        window's static columns."""
+        f_to = self.static_features.copy()
+        f_to[:, 3:7] = snapshot.sinr_to_db / SINR_DB_SCALE
+        f_ot = np.delete(self.static_features, 7, axis=1)  # no phi_off
+        f_ot[:, 2] = snapshot.expected_outcome_bytes / self.mean_bytes
+        f_ot[:, 3:7] = snapshot.sinr_ot_db / SINR_DB_SCALE
+        return PhaseState(f_to, self.a_norm), PhaseState(f_ot, self.a_norm)
 
     def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
         offload, subarray, power = self.actor_to.forward(s_to, self.source_rows)
@@ -380,7 +372,7 @@ class GrantAgent:
             raise TrainingError("incomplete transition")
         s_to, s_ot = states
         ns_to, ns_ot = next_states
-        n = len(s_to.nodes)
+        n = s_to.features.shape[0]
 
         # bootstrapped target under the current deterministic policy; the
         # critic regresses rewards in REWARD_SCALE units

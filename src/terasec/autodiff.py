@@ -6,6 +6,7 @@ JSON checkpoint format.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -403,6 +404,19 @@ class Adam:
 # -- checkpoints --------------------------------------------------------------
 
 
+def write_json(path, obj, **dump_kwargs):
+    """json.dump obj to a temporary file beside path, then rename it into
+    place, so a failed write never leaves path half-written."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, **dump_kwargs)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(path, params, meta=None):
     blob = {
         "format": CHECKPOINT_FORMAT,
@@ -412,8 +426,7 @@ def save_checkpoint(path, params, meta=None):
             for p in params
         },
     }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    write_json(path, blob)
 
 
 def load_checkpoint(path, params):

@@ -9,7 +9,7 @@ import numpy as np
 from .agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, GrantAgent,
                     TrainConfig, bound_logits, logit_bias)
 from .autodiff import Adam, Dense, Tensor, concat_cols
-from .env import ActionBundle, SecWindow
+from .env import SecWindow
 
 
 class ReconfigurationError(RuntimeError):
@@ -18,24 +18,17 @@ class ReconfigurationError(RuntimeError):
 
 
 class UniformPolicy:
-    """Uniform offloading (1/5 each way) with each resource budget split
-    equally across its used components, zero slack."""
+    """Uniform offloading (1/5 each way) with the reference bundle's
+    resource split: each budget shared equally, zero slack."""
 
     def __init__(self, env: SecWindow):
         self.env = env
-        self.k = env.band_to.n_subbands
 
     def act(self, snapshot=None):
         """(bundle, None, None): a stateless policy has no ratios or states."""
-        n_src = len(self.env.sources)
-        n_tx = len(self.env.outcome_transmitters)
-        k = self.k
-        return ActionBundle(
-            offload=np.full((n_src, 5), 0.2),
-            to_subarrays=np.full((n_src, 4), 0.25),
-            to_power=np.full((n_src, 4, k), 1.0 / (4 * k)),
-            ot_subarray=np.ones(n_tx),
-            ot_power=np.full((n_tx, k), 1.0 / k)), None, None
+        bundle = self.env.reference_bundle()
+        bundle.offload = np.full_like(bundle.offload, 0.2)
+        return bundle, None, None
 
 
 class FullResourcePolicy:
@@ -168,7 +161,7 @@ class MaddpgFcAgent(GrantAgent):
         self.critic_opt = Adam(self.critic_params, cfg.critic_lr)
 
     def encode(self, snapshot):
-        if len(snapshot.nodes) != self.n_nodes:
+        if len(snapshot.expected_outcome_bytes) != self.n_nodes:
             raise ReconfigurationError(
                 "involved set changed mid-window; dense networks are "
                 "fixed-width")

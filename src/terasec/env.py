@@ -2,7 +2,8 @@
 action application and state bookkeeping for the learning agents.
 
 Within one GS access window the GS-connected satellite, the source set and
-all routes are fixed, so the link tables are built once per window;
+all routes are fixed, so the link tables, the involved node set and its
+static observables are built once per window;
 satellite positions (hence distances, delays and SINRs) advance every slot
 and each phase's links are rated in one array pass.
 """
@@ -30,27 +31,15 @@ def prune_involved(sources, neighbor_order, route_hops, gs_flat):
     any offload or outcome route (undirected); the GS itself is not a node.
     Returns (sorted node list, node -> row map, adjacency matrix).
     """
-    nodes = set(sources) | {gs_flat}
-    for s in sources:
-        nodes.update(neighbor_order[s])
-    for hops in route_hops.values():
-        for tx, rx in hops:
-            nodes.add(tx)
-            if rx != GS_NODE:
-                nodes.add(rx)
-    involved = sorted(nodes)
+    edges = [(s, nb) for s in sources for nb in neighbor_order[s]]
+    edges += [hop for hops in route_hops.values() for hop in hops]
+    involved = sorted({gs_flat, *sources, *(n for e in edges for n in e)}
+                      - {GS_NODE})
     node_index = {n: i for i, n in enumerate(involved)}
     adj = np.zeros((len(involved), len(involved)))
-    for s in sources:
-        for nb in neighbor_order[s]:
-            adj[node_index[s], node_index[nb]] = 1.0
-            adj[node_index[nb], node_index[s]] = 1.0
-    for hops in route_hops.values():
-        for tx, rx in hops:
-            if rx == GS_NODE:
-                continue
-            adj[node_index[tx], node_index[rx]] = 1.0
-            adj[node_index[rx], node_index[tx]] = 1.0
+    for a, b in edges:
+        if b != GS_NODE:
+            adj[node_index[a], node_index[b]] = adj[node_index[b], node_index[a]] = 1.0
     return involved, node_index, adj
 
 
@@ -71,17 +60,8 @@ class ActionBundle:
 
 @dataclass
 class Snapshot:
-    """Raw observables handed to the state encoders."""
+    """Per-slot observables; the static per-node ones are SecWindow attributes."""
 
-    step: int
-    nodes: list               # involved flat indices, ascending
-    node_index: dict          # flat -> row
-    adjacency: np.ndarray     # binary symmetric over involved nodes
-    planes: np.ndarray        # per node
-    slots: np.ndarray
-    phi_off: np.ndarray
-    phi_gs: np.ndarray
-    expected_offload_bytes: np.ndarray
     expected_outcome_bytes: np.ndarray
     sinr_to_db: np.ndarray    # [n, 4] previous-slot SINR per ISL direction
     sinr_ot_db: np.ndarray
@@ -144,6 +124,21 @@ class SecWindow:
 
         self.involved, self.node_index, self.adjacency = prune_involved(
             self.sources, self.neighbor_order, self.route_hops, self.gs_flat)
+        # static per-node observables, read-only so encoders may share them
+        nodes = np.array(self.involved)
+        self.node_plane, self.node_slot = (
+            a.astype(float) for a in np.divmod(nodes, n_sp))
+        self.phi_off = np.isin(nodes, self.sources).astype(float)
+        self.phi_gs = (nodes == self.gs_flat).astype(float)
+        self.expected_offload_bytes = (self.phi_off
+                                       * traffic_cfg.mean_bytes_per_slot)
+        for a in (self.adjacency, self.node_plane, self.node_slot,
+                  self.phi_off, self.phi_gs, self.expected_offload_bytes):
+            a.setflags(write=False)
+        # [n_src, 5] rows receiving each source's offload shares (self first)
+        self._offload_rows = np.array(
+            [[self.node_index[n] for n in [s, *self.neighbor_order[s]]]
+             for s in self.sources], dtype=int).reshape(-1, 5)
         self.counts = generate_counts(traffic_cfg, len(self.sources), max(steps, 1))
         self.step_idx = 0
 
@@ -170,8 +165,14 @@ class SecWindow:
                 if rx in nbrs:   # the GS downlink has no ISL direction
                     cells.append((i, self.node_index[tx], nbrs.index(rx)))
             self._sinr_cells.append(np.array(cells, dtype=int).reshape(-1, 3).T)
-        # previous-slot SINR features, seeded by the near-full reference allocation
-        self._init_prev_state()
+        # previous-slot state, seeded by the near-full reference action: all
+        # tasks local, budgets nearly saturated
+        bundle = self.reference_bundle()
+        self._expected_outcome = self._expected_outcome_inflow(bundle.offload)
+        alloc_to, alloc_ot = self._quantize_allocations(bundle)
+        _, _, gammas_to, gammas_ot = self._rates(alloc_to, alloc_ot,
+                                                 self._positions(self.t0))
+        self._record_sinrs(gammas_to, gammas_ot)
 
     # -- construction helpers ----------------------------------------------
 
@@ -204,18 +205,16 @@ class SecWindow:
                 blocked.add(nb.flat(n_sp))
         return sorted(chosen)
 
-    def _init_prev_state(self):
-        # expected inflow before any action: everything is computed locally
-        self._expected_outcome = np.zeros(len(self.involved))
-        mean_bytes = self.traffic_cfg.mean_bytes_per_slot
-        for s in self.sources:
-            self._expected_outcome[self.node_index[s]] = (
-                self.compute.outcome_ratio * mean_bytes)
-        bundle = self.reference_bundle()
-        alloc_to, alloc_ot = self._quantize_allocations(bundle)
-        _, _, gammas_to, gammas_ot = self._rates(alloc_to, alloc_ot,
-                                                 self._positions(self.t0))
-        self._record_sinrs(gammas_to, gammas_ot)
+    def _expected_outcome_inflow(self, offload: np.ndarray) -> np.ndarray:
+        """Expected outcome bytes per involved node when each source splits
+        one slot of mean demand by its offload shares ([n_src, 5])."""
+        inflow = np.zeros(len(self.involved))
+        per_slot = (self.compute.outcome_ratio
+                    * self.traffic_cfg.mean_bytes_per_slot)
+        # unbuffered, in row-major order: a node shared by two sources sums
+        # their shares in source order
+        np.add.at(inflow, self._offload_rows, per_slot * offload)
+        return inflow
 
     # -- per-step geometry ---------------------------------------------------
 
@@ -317,27 +316,9 @@ class SecWindow:
     # -- snapshot and step -------------------------------------------------------
 
     def snapshot(self) -> Snapshot:
-        n = len(self.involved)
-        n_sp = self.c.cfg.sats_per_plane
-        planes = np.array([node // n_sp for node in self.involved], dtype=float)
-        slots = np.array([node % n_sp for node in self.involved], dtype=float)
-        phi_off = np.zeros(n)
-        for s in self.sources:
-            phi_off[self.node_index[s]] = 1.0
-        phi_gs = np.zeros(n)
-        phi_gs[self.node_index[self.gs_flat]] = 1.0
-        expected_off = np.zeros(n)
-        mean_bytes = self.traffic_cfg.mean_bytes_per_slot
-        for s in self.sources:
-            expected_off[self.node_index[s]] = mean_bytes
-        return Snapshot(
-            step=self.step_idx, nodes=list(self.involved),
-            node_index=dict(self.node_index), adjacency=self.adjacency.copy(),
-            planes=planes, slots=slots, phi_off=phi_off, phi_gs=phi_gs,
-            expected_offload_bytes=expected_off,
-            expected_outcome_bytes=self._expected_outcome.copy(),
-            sinr_to_db=self._sinr_to_db.copy(),
-            sinr_ot_db=self._sinr_ot_db.copy())
+        return Snapshot(expected_outcome_bytes=self._expected_outcome.copy(),
+                        sinr_to_db=self._sinr_to_db.copy(),
+                        sinr_ot_db=self._sinr_ot_db.copy())
 
     def step(self, bundle: ActionBundle,
              band_to: BandPlan | None = None,
@@ -376,14 +357,7 @@ class SecWindow:
         if advance:
             # next-slot state: realized SINRs and expected outcome inflow
             self._record_sinrs(gammas_to, gammas_ot)
-            mean_bytes = self.traffic_cfg.mean_bytes_per_slot
-            self._expected_outcome = np.zeros(len(self.involved))
-            for i, src in enumerate(self.sources):
-                ratios = bundle.offload[i]
-                self._expected_outcome[self.node_index[src]] += (
-                    self.compute.outcome_ratio * mean_bytes * ratios[0])
-                for j, nbr in enumerate(self.neighbor_order[src]):
-                    self._expected_outcome[self.node_index[nbr]] += (
-                        self.compute.outcome_ratio * mean_bytes * ratios[j + 1])
+            self._expected_outcome = self._expected_outcome_inflow(
+                bundle.offload)
             self.step_idx += 1
         return outcome, assignment, (alloc_to, alloc_ot)

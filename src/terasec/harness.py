@@ -7,16 +7,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 
 import numpy as np
 
 from .agent import GrantAgent, TrainConfig, TrainingError
-from .autodiff import save_checkpoint, load_checkpoint
+from .autodiff import load_checkpoint, save_checkpoint, write_json
 from .baselines import (FullResourcePolicy, MaddpgFcAgent, UniformPolicy,
                         rollout_policy)
-from .constellation import GroundStation, WalkerConfig, build_walker
+from .constellation import (GroundStation, VisibilityError, WalkerConfig,
+                            build_walker)
 from .env import SecWindow
 from .sec_sim import ComputeParams, RewardParams
 from .thz_link import ArrayConfig, LinkBudgetParams, band_preset
@@ -64,6 +66,30 @@ def _build_section(section: str, cls, values: dict):
         raise ConfigError(f"config section {section!r}: {exc}") from None
 
 
+def _overlay(merged: dict, raw: dict, section: str | None = None) -> None:
+    """Write raw over the defaults in merged, table by table.  A value keeps
+    its default's kind: an int field takes an int, a float field a finite
+    int or float, a str field a str; a bool is never a number."""
+    for key, value in raw.items():
+        where = (f"config section {section!r} field {key!r}" if section
+                 else f"config section {key!r}")
+        if key not in merged:
+            raise ConfigError(f"unknown {where}")
+        default = merged[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be a table")
+            _overlay(default, value, f"{section}.{key}" if section else key)
+            continue
+        kind = (int, float) if isinstance(default, float) else type(default)
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or isinstance(value, float) and not math.isfinite(value)):
+            noun = {int: "an integer", float: "a finite number",
+                    str: "a string"}[type(default)]
+            raise ConfigError(f"{where} must be {noun}, got {value!r}")
+        merged[key] = value
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """Validated experiment configuration assembled from the nested dict."""
@@ -88,22 +114,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         merged = default_config()
-        for section, value in raw.items():
-            if section not in merged:
-                raise ConfigError(f"unknown config section {section!r}")
-            if isinstance(merged[section], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {section!r} must be a table")
-                for key, sub in value.items():
-                    if key not in merged[section]:
-                        raise ConfigError(
-                            f"config section {section!r}: unknown field {key!r}")
-                    if isinstance(merged[section][key], dict):
-                        merged[section][key] = {**merged[section][key], **sub}
-                    else:
-                        merged[section][key] = sub
-            else:
-                merged[section] = value
+        _overlay(merged, raw)
         policy = merged["policy"]
         if policy not in POLICY_NAMES:
             raise ConfigError(f"config section 'policy': unknown policy {policy!r}")
@@ -111,13 +122,19 @@ class ExperimentConfig:
             if merged["band"][phase] not in BAND_NAMES:
                 raise ConfigError(
                     f"config section 'band': unknown band {merged['band'][phase]!r}")
-        if not isinstance(merged["n_sources"], int) or merged["n_sources"] < 1:
-            raise ConfigError("config section 'n_sources': must be an integer >= 1, "
+        if merged["n_sources"] < 1:
+            raise ConfigError("config section 'n_sources': must be >= 1, "
                               f"got {merged['n_sources']!r}")
+        if merged["routing_eta"] < 0:
+            raise ConfigError("config section 'routing_eta': must be >= 0, "
+                              f"got {merged['routing_eta']!r}")
+        if merged["constellation"]["planes"] < 3:
+            raise ConfigError("config section 'constellation': planes must be "
+                              ">= 3 for the 4-ISL topology")
         sel = merged["source_selection"]
-        if sel.get("method", "random_nonadjacent") != "random_nonadjacent":
+        if sel["method"] != "random_nonadjacent":
             raise ConfigError(
-                f"config section 'source_selection': unknown method {sel.get('method')!r}")
+                f"config section 'source_selection': unknown method {sel['method']!r}")
         return cls(
             raw=merged,
             walker=_build_section("constellation", WalkerConfig,
@@ -135,10 +152,10 @@ class ExperimentConfig:
             reward=_build_section("reward", RewardParams, merged["reward"]),
             train=_build_section("train", TrainConfig, merged["train"]),
             policy=policy,
-            n_sources=int(merged["n_sources"]),
-            source_seed=int(sel.get("seed", 0)),
+            n_sources=merged["n_sources"],
+            source_seed=sel["seed"],
             routing_eta=float(merged["routing_eta"]),
-            output_dir=str(merged["output_dir"]),
+            output_dir=merged["output_dir"],
         )
 
     def config_hash(self) -> str:
@@ -169,13 +186,17 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
     """
     constellation = build_walker(cfg.walker)
     traffic = dataclasses.replace(cfg.traffic, seed=seed)
-    return SecWindow(
-        constellation, cfg.ground_station, traffic, cfg.array, cfg.budget,
-        band_preset(cfg.band_to_name, "offloading"),
-        band_preset(cfg.band_ot_name, "outcome"),
-        cfg.compute, cfg.reward,
-        n_sources=cfg.n_sources, steps=cfg.train.steps,
-        source_seed=cfg.source_seed + seed, routing_eta=cfg.routing_eta)
+    try:
+        return SecWindow(
+            constellation, cfg.ground_station, traffic, cfg.array, cfg.budget,
+            band_preset(cfg.band_to_name, "offloading"),
+            band_preset(cfg.band_ot_name, "outcome"),
+            cfg.compute, cfg.reward,
+            n_sources=cfg.n_sources, steps=cfg.train.steps,
+            source_seed=cfg.source_seed + seed, routing_eta=cfg.routing_eta)
+    except VisibilityError as exc:
+        raise ConfigError("config sections 'constellation' and "
+                          f"'ground_station': {exc}") from None
 
 
 def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
@@ -324,8 +345,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
             converged_u=u, converged_t_avg_ms=t_avg_ms,
             converged_t_max_ms=t_max_ms, wall_clock_per_step_s=wall,
             parameter_count=n_params)
-        with open(base + "_summary.json", "w") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
+        write_json(base + "_summary.json", summary.to_dict(), indent=2)
         summaries.append(summary)
         if on_progress is not None:
             on_progress(summary)
@@ -340,9 +360,8 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
         "converged_t_avg_ms_mean": float(ts.mean()),
         "converged_t_avg_ms_std": float(ts.std()),
     }
-    with open(os.path.join(cfg.output_dir,
-                           f"{cfg.policy}_aggregate.json"), "w") as fh:
-        json.dump(aggregate, fh, indent=2)
+    write_json(os.path.join(cfg.output_dir, f"{cfg.policy}_aggregate.json"),
+               aggregate, indent=2)
     return summaries, aggregate
 
 

@@ -33,6 +33,12 @@ class ArrayConfig:
     s_max: int = 64                      # max transmitting sub-arrays
     rx_subarrays_per_isl: int = 1
 
+    def __post_init__(self):
+        # a source pre-allocates one sub-array to each of its 4 ISLs
+        if min(self.m_x, self.m_y, self.rx_subarrays_per_isl) < 1 or self.s_max < 4:
+            raise LinkDomainError("m_x, m_y, rx_subarrays_per_isl must be >= 1"
+                                  " and s_max >= 4")
+
     def element_gain_linear(self) -> float:
         return 10.0 ** (self.element_gain_dbi / 10.0)
 

@@ -147,8 +147,7 @@ def test_criterion_2_gradient_correctness():
 def _phase_state(rng, n, n_feats, a_norm):
     from terasec.agent import PhaseState
     return PhaseState(features=rng.standard_normal((n, n_feats)),
-                      a_norm=a_norm, nodes=list(range(n)),
-                      node_index={i: i for i in range(n)})
+                      a_norm=a_norm)
 
 
 def sum_proj(outputs, projections):

@@ -6,8 +6,8 @@ import pytest
 
 from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
                            OutcomeActor, PhaseState, TrainConfig,
-                           TrainingError, bound_logits, encode_state,
-                           explore_group, logit_bias, safe_init, td_target)
+                           TrainingError, bound_logits, explore_group,
+                           logit_bias, safe_init, td_target)
 from terasec.autodiff import Adam, Tensor, mse, normalized_adjacency
 from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, prune_involved
@@ -31,14 +31,14 @@ def test_bound_logits_limits_and_bias_roundtrip():
 # -- state encoding -----------------------------------------------------------
 
 def test_encode_state_shapes_and_flags(small_env):
-    snap = small_env.snapshot()
-    c = small_env.c.cfg
-    mean = small_env.traffic_cfg.mean_bytes_per_slot
-    n = len(snap.nodes)
-    s_to = encode_state(snap, "offloading", c.planes, c.sats_per_plane, mean)
-    s_ot = encode_state(snap, "outcome", c.planes, c.sats_per_plane, mean)
+    s_to, s_ot = GrantAgent(small_env, TrainConfig()).encode(
+        small_env.snapshot())
+    n = len(small_env.involved)
     assert s_to.features.shape == (n, 9)
     assert s_ot.features.shape == (n, 8)
+    # both phases share one read-only normalized adjacency
+    assert s_to.a_norm is s_ot.a_norm
+    assert s_to.a_norm.shape == (n, n) and not s_to.a_norm.flags.writeable
     # normalized plane/slot indices stay in [0, 1]
     assert np.all(s_to.features[:, :2] >= 0.0)
     assert np.all(s_to.features[:, :2] <= 1.0)
@@ -48,12 +48,79 @@ def test_encode_state_shapes_and_flags(small_env):
     assert int(phi_off.sum()) == len(small_env.sources)
     phi_gs = s_to.features[:, 8]
     assert int(phi_gs.sum()) == 1
-    assert snap.nodes[int(np.argmax(phi_gs))] == small_env.gs_flat
+    assert small_env.involved[int(np.argmax(phi_gs))] == small_env.gs_flat
+    assert np.array_equal(s_ot.features[:, 7], phi_gs)
     # expected offload demand normalizes to 1 at the sources
     demand = s_to.features[:, 2]
     assert np.allclose(np.sort(np.unique(demand)), [0.0, 1.0])
-    with pytest.raises(TrainingError):
-        encode_state(snap, "sideways", c.planes, c.sats_per_plane, mean)
+
+
+# -- the per-slot observation path the window-frozen one replaced -----------
+
+def reference_snapshot(env):
+    """Every observable rebuilt from the window, as each slot once did."""
+    n = len(env.involved)
+    n_sp = env.c.cfg.sats_per_plane
+    phi_off = np.zeros(n)
+    expected_off = np.zeros(n)
+    for s in env.sources:
+        phi_off[env.node_index[s]] = 1.0
+        expected_off[env.node_index[s]] = env.traffic_cfg.mean_bytes_per_slot
+    phi_gs = np.zeros(n)
+    phi_gs[env.node_index[env.gs_flat]] = 1.0
+    return {
+        "adjacency": np.array(env.adjacency),
+        "planes": np.array([v // n_sp for v in env.involved], dtype=float),
+        "slots": np.array([v % n_sp for v in env.involved], dtype=float),
+        "phi_off": phi_off, "phi_gs": phi_gs,
+        "expected_offload_bytes": expected_off,
+        "expected_outcome_bytes": env._expected_outcome.copy(),
+        "sinr_to_db": env._sinr_to_db.copy(),
+        "sinr_ot_db": env._sinr_ot_db.copy()}
+
+
+def reference_encode_state(snap, phase, planes, sats_per_plane, mean_bytes):
+    """(features, a_norm) for one phase, the adjacency normalized anew."""
+    plane_norm = snap["planes"] / max(planes - 1, 1)
+    slot_norm = snap["slots"] / max(sats_per_plane - 1, 1)
+    if phase == "offloading":
+        l_e = snap["expected_offload_bytes"] / mean_bytes
+        sinr = snap["sinr_to_db"] / 60.0
+        flags = [snap["phi_off"], snap["phi_gs"]]
+    else:
+        l_e = snap["expected_outcome_bytes"] / mean_bytes
+        sinr = snap["sinr_ot_db"] / 60.0
+        flags = [snap["phi_gs"]]
+    cols = [plane_norm, slot_norm, l_e, sinr[:, 0], sinr[:, 1], sinr[:, 2],
+            sinr[:, 3], *flags]
+    return np.stack(cols, axis=1), normalized_adjacency(snap["adjacency"])
+
+
+@pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_encode_equals_the_per_slot_rebuild(cls, seed):
+    """Every state a training run encodes equals the per-slot rebuild."""
+    env = make_env(seed=seed, steps=3)
+    agent = cls(env, TrainConfig(seed=seed, steps=3))
+    c = env.c.cfg
+    mean = env.traffic_cfg.mean_bytes_per_slot
+    encode = agent.encode
+    checked = []
+
+    def checked_encode(snapshot):
+        states = encode(snapshot)
+        ref = reference_snapshot(env)
+        for state, phase in zip(states, ("offloading", "outcome")):
+            features, a_norm = reference_encode_state(
+                ref, phase, c.planes, c.sats_per_plane, mean)
+            assert np.array_equal(state.features, features)
+            assert np.array_equal(state.a_norm, a_norm)
+        checked.append(env.step_idx)
+        return states
+
+    agent.encode = checked_encode
+    agent.run_training()
+    assert checked == [0, 1, 2, 3]
 
 
 # -- safe initialization ------------------------------------------------------
@@ -150,6 +217,10 @@ def test_train_config_validation():
         TrainConfig(actor_lr=0.0)
     with pytest.raises(TrainingError):
         TrainConfig(critic_lr=-1.0)
+    with pytest.raises(TrainingError):
+        TrainConfig(actor_lr_decay=0.0)
+    with pytest.raises(TrainingError):
+        TrainConfig(hidden_width=0)
 
 
 # -- permutation structure ----------------------------------------------------
@@ -159,17 +230,12 @@ def _ring_state(rng, n, n_feats):
     for i in range(n):
         a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
     feats = rng.standard_normal((n, n_feats))
-    return PhaseState(features=feats, a_norm=normalized_adjacency(a),
-                      nodes=list(range(n)), node_index={i: i for i in range(n)})
+    return PhaseState(features=feats, a_norm=normalized_adjacency(a))
 
 
 def _permute_state(state, perm):
-    inv = np.argsort(perm)
     return PhaseState(features=state.features[perm],
-                      a_norm=state.a_norm[np.ix_(perm, perm)],
-                      nodes=[state.nodes[i] for i in perm],
-                      node_index={n: int(inv[i])
-                                  for i, n in enumerate(state.nodes)})
+                      a_norm=state.a_norm[np.ix_(perm, perm)])
 
 
 def test_offload_actor_permutation_equivariance():
@@ -193,15 +259,13 @@ def test_critic_permutation_invariance():
     n = 6
     s_to = _ring_state(rng, n, 9)
     s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      a_norm=s_to.a_norm, nodes=s_to.nodes,
-                      node_index=s_to.node_index)
+                      a_norm=s_to.a_norm)
     act_to = rng.random((n, 5 + 4 + 4 * k))
     act_ot = rng.random((n, 1 + k))
     q = critic.forward(s_to, s_ot, Tensor(act_to), Tensor(act_ot)).data.item()
     perm = rng.permutation(n)
     p_to = _permute_state(s_to, perm)
-    p_ot = PhaseState(features=s_ot.features[perm], a_norm=p_to.a_norm,
-                      nodes=p_to.nodes, node_index=p_to.node_index)
+    p_ot = PhaseState(features=s_ot.features[perm], a_norm=p_to.a_norm)
     q_p = (critic.forward(p_to, p_ot, Tensor(act_to[perm]),
                                Tensor(act_ot[perm])).data)
     assert abs(q - q_p) < 1e-10
@@ -214,8 +278,7 @@ def test_critic_usage_slope_prior():
     n = 4
     s_to = _ring_state(rng, n, 9)
     s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      a_norm=s_to.a_norm, nodes=s_to.nodes,
-                      node_index=s_to.node_index)
+                      a_norm=s_to.a_norm)
     zero_to = Tensor(np.zeros((n, 5 + 4 * k + 4)))
     zero_ot = Tensor(np.zeros((n, 1 + k)))
 
@@ -251,8 +314,7 @@ def test_critic_converges_to_geometric_fixed_point():
     n = 5
     s_to = _ring_state(rng, n, 9)
     s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      a_norm=s_to.a_norm, nodes=s_to.nodes,
-                      node_index=s_to.node_index)
+                      a_norm=s_to.a_norm)
     a_to = Tensor(rng.random((n, 5 + 4 + 4 * k)))
     a_ot = Tensor(rng.random((n, 1 + k)))
     params = critic.parameters()
@@ -280,7 +342,7 @@ def test_actor_step_increases_q(small_env):
     agent = GrantAgent(small_env, TrainConfig(actor_lr=1e-7, noise_std=0.0))
     snap = small_env.snapshot()
     s_to, s_ot = agent.encode(snap)
-    n = len(s_to.nodes)
+    n = s_to.features.shape[0]
 
     def q_pi():
         tensors = agent.actor_tensors(s_to, s_ot)

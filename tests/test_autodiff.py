@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
                               GraphStateError, Parameter, Tensor, concat_cols,
                               load_checkpoint, mse,
                               normalized_adjacency, save_checkpoint,
-                              xavier_uniform)
+                              write_json, xavier_uniform)
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -271,3 +272,24 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(good, [Parameter(np.zeros((2, 2)), "y")])
     with pytest.raises(DimensionError):
         load_checkpoint(good, [Parameter(np.zeros((3, 2)), "x")])
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: save_checkpoint(path, [Parameter(np.ones((2, 2)), "w")]),
+    lambda path: write_json(path, {"converged_u": 0.5}, indent=2),
+], ids=["checkpoint", "summary"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, write):
+    existing = str(tmp_path / "old.json")
+    write(existing)
+    before = open(existing, "rb").read()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"format": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    for path in (existing, str(tmp_path / "new.json")):
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+    assert open(existing, "rb").read() == before
+    assert os.listdir(tmp_path) == ["old.json"]

@@ -145,6 +145,14 @@ def test_exit_io_error(tmp_path, capsys):
     ("n_sources", None, 0),
     ("n_sources", None, 2.5),
     ("n_sources", None, "ten"),
+    ("n_sources", None, True),
+    ("routing_eta", None, -1),
+    ("routing_eta", None, float("nan")),
+    ("routing_eta", None, "x"),
+    ("routing_eta", None, True),
+    ("source_selection", "seed", "x"),
+    ("constellation", "planes", 2),
+    ("train", "hidden_width", 0),
 ])
 def test_exit_config_error_before_any_output(tmp_path, capsys, section,
                                              field, value):

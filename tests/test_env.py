@@ -147,3 +147,53 @@ def test_next_slot_sinrs_reuse_the_slot_rating(seed):
         assert np.array_equal(reused.sinr_ot_db, env._sinr_ot_db)
         assert np.any(reused.sinr_to_db != 0.0)
         assert np.any(reused.sinr_ot_db != 0.0)
+
+
+# -- the per-source loops the inflow helper replaced, kept as the reference ---
+
+def reference_expected_outcome(env, offload):
+    """Expected outcome inflow as the advancing step's loop summed it."""
+    mean_bytes = env.traffic_cfg.mean_bytes_per_slot
+    out = np.zeros(len(env.involved))
+    for i, src in enumerate(env.sources):
+        ratios = offload[i]
+        out[env.node_index[src]] += (
+            env.compute.outcome_ratio * mean_bytes * ratios[0])
+        for j, nbr in enumerate(env.neighbor_order[src]):
+            out[env.node_index[nbr]] += (
+                env.compute.outcome_ratio * mean_bytes * ratios[j + 1])
+    return out
+
+
+def reference_initial_outcome(env):
+    """Expected outcome inflow before any action, as the window set it."""
+    out = np.zeros(len(env.involved))
+    for s in env.sources:
+        out[env.node_index[s]] = (env.compute.outcome_ratio
+                                  * env.traffic_cfg.mean_bytes_per_slot)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_expected_outcome_inflow_equals_the_per_source_loops(seed):
+    env = make_env(seed=seed, steps=2, n_sources=50)
+    # some nodes neighbor two sources, so the summation order is exercised
+    assert len(env.servers) < 5 * len(env.sources)
+    initial = env._expected_outcome_inflow(env.reference_bundle().offload)
+    assert np.array_equal(initial, reference_initial_outcome(env))
+    assert np.array_equal(env.snapshot().expected_outcome_bytes, initial)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        bundle = random_bundle(env, rng)
+        assert np.array_equal(env._expected_outcome_inflow(bundle.offload),
+                              reference_expected_outcome(env, bundle.offload))
+    env.step(bundle)
+    assert np.array_equal(env.snapshot().expected_outcome_bytes,
+                          reference_expected_outcome(env, bundle.offload))
+
+
+def test_static_observables_are_read_only(small_env):
+    for name in ("adjacency", "node_plane", "node_slot", "phi_off", "phi_gs",
+                 "expected_offload_bytes"):
+        with pytest.raises(ValueError):
+            getattr(small_env, name)[0] = 1.0

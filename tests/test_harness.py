@@ -3,13 +3,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terasec import harness
 from terasec.autodiff import save_checkpoint
+from terasec.baselines import rollout_policy
 from terasec.env import ActionBundle
 from terasec.harness import (CONVERGED_WINDOW, ConfigError, ExperimentConfig,
                              compare_bands, default_config, load_config,
-                             run_experiment, summarize_metrics)
+                             restored_policy, run_experiment,
+                             summarize_metrics)
 
 
 # -- configuration ------------------------------------------------------------
@@ -29,6 +32,10 @@ def test_unknown_section_and_field_errors():
         ExperimentConfig.from_dict({"traffic": {"nope": 1}})
     with pytest.raises(ConfigError, match="must be a table"):
         ExperimentConfig.from_dict({"traffic": 5})
+    with pytest.raises(ConfigError, match="'link.array' field 'nope'"):
+        ExperimentConfig.from_dict({"link": {"array": {"nope": 1}}})
+    with pytest.raises(ConfigError, match="must be a table"):
+        ExperimentConfig.from_dict({"link": {"array": 5}})
     with pytest.raises(ConfigError, match="unknown policy"):
         ExperimentConfig.from_dict({"policy": "dqn"})
     with pytest.raises(ConfigError, match="unknown band"):
@@ -65,6 +72,33 @@ def test_load_config_errors(tmp_path):
     assert cfg.policy == "uniform"
     assert cfg.train.steps == 3
     assert load_config(None).policy == "grant"
+
+
+def _leaf_paths(table, prefix=()):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(sorted(_leaf_paths(default_config()))),
+       value=st.sampled_from([-1, 0, float("nan"), float("inf"), "x", True]))
+def test_one_bad_field_runs_or_is_a_config_error(path, value):
+    """A default config with one field set to an adversarial value either
+    runs or is rejected as a config error, never failing another way."""
+    raw = default_config()
+    raw["policy"], raw["train"]["steps"] = "uniform", 2
+    table = raw
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] = value
+    try:
+        env, policy = restored_policy(ExperimentConfig.from_dict(raw), 1)
+    except ConfigError:
+        return
+    assert len(rollout_policy(env, policy, 2)) == 2
 
 
 # -- metric summaries ---------------------------------------------------------
