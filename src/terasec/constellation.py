@@ -243,6 +243,9 @@ class Constellation:
         """
         if self.cfg.planes < 3:
             raise TopologyError("routing requires the 4-ISL topology")
+        # a negative weight keeps Dijkstra from ever settling
+        if not (math.isfinite(eta) and eta >= 0):
+            raise ValueError(f"eta must be a finite number >= 0, got {eta!r}")
         pos = self.positions_at(t)
         d_ref = self.intra_plane_chord_km()
         n_sp = self.cfg.sats_per_plane

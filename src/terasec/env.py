@@ -15,12 +15,16 @@ import numpy as np
 
 from . import sec_sim, thz_link
 from .constellation import Constellation, GroundStation, SatId, VisibilityError
-from .sec_sim import ComputeParams, LinkAlloc, OffloadAssignment, RewardParams
+from .sec_sim import ComputeParams, RewardParams
 from .thz_link import ArrayConfig, BandPlan, LinkBudgetParams
 from .traffic import TrafficConfig, generate_counts
 
-#: pseudo node id for the ground station in link dictionaries
+#: pseudo node id for the ground station in link tables
 GS_NODE = -1
+
+
+class SourceSelectionError(RuntimeError):
+    """The requested number of nonadjacent sources does not fit the shell."""
 
 
 def prune_involved(sources, neighbor_order, route_hops, gs_flat):
@@ -135,10 +139,12 @@ class SecWindow:
         for a in (self.adjacency, self.node_plane, self.node_slot,
                   self.phi_off, self.phi_gs, self.expected_offload_bytes):
             a.setflags(write=False)
-        # [n_src, 5] rows receiving each source's offload shares (self first)
-        self._offload_rows = np.array(
-            [[self.node_index[n] for n in [s, *self.neighbor_order[s]]]
-             for s in self.sources], dtype=int).reshape(-1, 5)
+        # [n_src, 5] servers of each source's offload shares (self first),
+        # as flat ids and as involved-node rows
+        self._server_table = np.array(
+            [[s, *self.neighbor_order[s]] for s in self.sources],
+            dtype=int).reshape(-1, 5)
+        self._offload_rows = np.searchsorted(nodes, self._server_table)
         self.counts = generate_counts(traffic_cfg, len(self.sources), max(steps, 1))
         self.step_idx = 0
 
@@ -191,11 +197,12 @@ class SecWindow:
         n_sp = self.c.cfg.sats_per_plane
         chosen = []
         blocked = {self.gs_flat}
-        attempts = 0
         while len(chosen) < n_sources:
-            attempts += 1
-            if attempts > 100000:
-                raise RuntimeError("could not select nonadjacent sources")
+            if len(blocked) == self.c.n_sats:
+                raise SourceSelectionError(
+                    f"{n_sources} requested, but only {len(chosen)} "
+                    f"nonadjacent sources fit in this draw: every other "
+                    f"satellite neighbors one or is the GS-connected one")
             cand = int(rng.integers(self.c.n_sats))
             if cand in blocked:
                 continue
@@ -228,46 +235,43 @@ class SecWindow:
     # -- allocations and rates -------------------------------------------------
 
     def _quantize_allocations(self, bundle: ActionBundle):
+        """Quantized (alloc_to, alloc_ot), each (subarrays [tx, links],
+        power_w [tx, links, K]) with rows in env.sources order (4 links each,
+        in neighbor order) and env.outcome_transmitters order (1 link each);
+        flattened, the links are in link-list order."""
         s_max = self.array_cfg.s_max
         p_max = self.budget.p_max_w
+        n_src = len(self.sources)
         k = self.band_to.n_subbands
-        alloc_to = {}
-        for i, src in enumerate(self.sources):
-            subs = sec_sim.quantize_subarrays(bundle.to_subarrays[i], s_max)
-            power = sec_sim.quantize_power(bundle.to_power[i].ravel(), p_max)
-            power = power.reshape(4, k)
-            for j, nbr in enumerate(self.neighbor_order[src]):
-                alloc_to[(src, nbr)] = LinkAlloc(int(subs[j]), power[j].copy())
-        alloc_ot = {}
-        for i, link in enumerate(self._outcome_link_list):
-            subs = sec_sim.quantize_subarrays(
-                np.array([bundle.ot_subarray[i]]), s_max)
-            power = sec_sim.quantize_power(bundle.ot_power[i], p_max)
-            alloc_ot[link] = LinkAlloc(int(subs[0]), power)
+        # one budget per source over its 4 links x K sub-bands
+        power_to = sec_sim.quantize_power(
+            bundle.to_power.reshape(n_src, 4 * k), p_max).reshape(n_src, 4, k)
+        alloc_to = (sec_sim.quantize_subarrays(bundle.to_subarrays, s_max),
+                    power_to)
+        alloc_ot = (sec_sim.quantize_subarrays(bundle.ot_subarray[:, None],
+                                               s_max),
+                    sec_sim.quantize_power(bundle.ot_power, p_max)[:, None])
         return alloc_to, alloc_ot
 
-    def _rates(self, alloc_to: dict, alloc_ot: dict, pos: np.ndarray,
+    def _rates(self, alloc_to: tuple, alloc_ot: tuple, pos: np.ndarray,
                band_to: BandPlan | None = None, band_ot: BandPlan | None = None):
         """Rates and per-sub-band SINRs of both phases at `pos` (from
         _positions), one thz_link chain call per phase over a [links x
-        sub-bands] grid.  Returns (rates_to, rates_ot, gammas_to, gammas_ot):
-        rates keyed by link, gammas as arrays in link-list order."""
+        sub-bands] grid.  Returns (rates_to, rates_ot, gammas_to, gammas_ot)
+        as arrays in link-list order."""
         out = []
-        for allocs, links, ends, band in (
-                (alloc_to, self._offload_link_list, self._to_ends,
-                 band_to or self.band_to),
-                (alloc_ot, self._outcome_link_list, self._ot_ends,
-                 band_ot or self.band_ot)):
+        for (subarrays, power), ends, band in (
+                (alloc_to, self._to_ends, band_to or self.band_to),
+                (alloc_ot, self._ot_ends, band_ot or self.band_ot)):
             alpha2 = thz_link.path_gain(band.centers_hz,
                                         pos[ends[0], None], pos[ends[1], None])
             for i in np.flatnonzero(ends[1] == GS_NODE):
                 # molecular absorption on the GS downlink only
                 alpha2[i] *= thz_link.absorption_factor(
                     pos[ends[0, i]], pos[GS_NODE], band.absorption)
-            link_allocs = [allocs[link] for link in links]
-            power = np.array([a.power_w for a in link_allocs])
+            power = power.reshape(-1, power.shape[-1])
             h2 = thz_link.link_gain(
-                np.array([[a.subarrays] for a in link_allocs]),
+                subarrays.reshape(-1, 1),
                 self.array_cfg.rx_subarrays_per_isl, self.array_cfg, alpha2,
                 gain_interpretation=self.budget.gain_interpretation,
                 element_gain_scale=band.element_gain_scale)
@@ -276,7 +280,7 @@ class SecWindow:
             gammas = thz_link.sinr(power, h2, self.budget.interference_mean_w,
                                    sigma2)
             rates = thz_link.link_rate(power > 0.0, gammas, band.bandwidth_hz)
-            out.append((dict(zip(links, rates.tolist())), gammas))
+            out.append((rates, gammas))
         (rates_to, gammas_to), (rates_ot, gammas_ot) = out
         return rates_to, rates_ot, gammas_to, gammas_ot
 
@@ -325,34 +329,29 @@ class SecWindow:
              band_ot: BandPlan | None = None,
              advance: bool = True,
              allocations: tuple | None = None):
-        """Apply one slot of actions; returns (SlotOutcome, assignment, allocs)."""
+        """Apply one slot of actions; returns (SlotOutcome, task table,
+        (alloc_to, alloc_ot)), the task table in env.sources x server-table
+        order."""
         pos = self._positions(self.time_at(self.step_idx))
         alloc_to, alloc_ot = allocations or self._quantize_allocations(bundle)
         counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
-        tasks_self, tasks_to = {}, {}
-        for i, src in enumerate(self.sources):
-            tasks_self[src], tasks_to[src] = sec_sim.quantize_offload(
-                bundle.offload[i], int(counts[i]), self.neighbor_order[src])
-        assignment = OffloadAssignment(tasks_self=tasks_self, tasks_to=tasks_to)
-
+        tasks = sec_sim.quantize_offload(bundle.offload, counts)
         rates_to, rates_ot, gammas_to, gammas_ot = self._rates(
             alloc_to, alloc_ot, pos, band_to, band_ot)
         # one distance array per phase; vecdot keeps np.linalg.norm's bits
-        d_to, d_ot = (np.sqrt(np.vecdot(v, v)).tolist()
+        d_to, d_ot = (np.sqrt(np.vecdot(v, v))
                       for v in (np.subtract(*pos[self._to_ends]),
                                 np.subtract(*pos[self._ot_ends])))
-        offload_dist = dict(zip(self._offload_link_list, d_to))
-        routes = {server: [(*self._outcome_link_list[i], d_ot[i]) for i in idx]
-                  for server, idx in self._route_links.items()}
+        n_src = len(self.sources)
         outcome = sec_sim.simulate_slot(
-            assignment=assignment, neighbor_order=self.neighbor_order,
-            routes=routes, offload_dist_km=offload_dist,
-            rates_to=rates_to, rates_ot=rates_ot,
+            tasks=tasks, servers=self._server_table,
+            rates_to=rates_to.reshape(n_src, -1),
+            dist_to_km=d_to.reshape(n_src, -1),
+            routes=self._route_links, rates_ot=rates_ot, dist_ot_km=d_ot,
             alloc_to=alloc_to, alloc_ot=alloc_ot,
             compute=self.compute, task_size_bytes=self.traffic_cfg.task_size_bytes,
             reward_params=self.reward_params, p_max_w=self.budget.p_max_w,
-            s_max=self.array_cfg.s_max,
-            outcome_transmitters=self.outcome_transmitters)
+            s_max=self.array_cfg.s_max)
 
         if advance:
             # next-slot state: realized SINRs and expected outcome inflow
@@ -360,4 +359,4 @@ class SecWindow:
             self._expected_outcome = self._expected_outcome_inflow(
                 bundle.offload)
             self.step_idx += 1
-        return outcome, assignment, (alloc_to, alloc_ot)
+        return outcome, tasks, (alloc_to, alloc_ot)

@@ -19,7 +19,7 @@ from .baselines import (FullResourcePolicy, MaddpgFcAgent, UniformPolicy,
                         rollout_policy)
 from .constellation import (GroundStation, VisibilityError, WalkerConfig,
                             build_walker)
-from .env import SecWindow
+from .env import SecWindow, SourceSelectionError
 from .sec_sim import ComputeParams, RewardParams
 from .thz_link import ArrayConfig, LinkBudgetParams, band_preset
 from .traffic import TrafficConfig
@@ -197,6 +197,8 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
     except VisibilityError as exc:
         raise ConfigError("config sections 'constellation' and "
                           f"'ground_station': {exc}") from None
+    except SourceSelectionError as exc:
+        raise ConfigError(f"config section 'n_sources': {exc}") from None
 
 
 def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
@@ -285,12 +287,13 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
     for learning policies) and a summary JSON into cfg.output_dir.  A failure
     mid-run leaves the partial CSV terminated by a '# FAILED' marker row.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
     chash = cfg.config_hash()
     summaries = []
     for seed in seeds:
         env = build_environment(cfg, seed)
         policy = make_policy(cfg.policy, env, cfg, seed)
+        # after the set-up, so a config it rejects leaves no output behind
+        os.makedirs(cfg.output_dir, exist_ok=True)
         learning = isinstance(policy, GrantAgent)
         base = os.path.join(cfg.output_dir, f"{cfg.policy}_seed{seed}")
         metrics_path = base + "_metrics.csv"

@@ -47,29 +47,10 @@ class RewardParams:
     def __post_init__(self):
         if not self.w_above >= self.w_below > 0:
             raise ValueError("penalty weights must satisfy w_above >= w_below > 0")
-
-
-@dataclass
-class LinkAlloc:
-    """Per-link allocation: integer sub-array count and per-sub-band power (W)."""
-
-    subarrays: int
-    power_w: np.ndarray
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.power_w > 0.0
-
-
-@dataclass
-class OffloadAssignment:
-    """Integer task split per source: kept locally plus per ISL neighbor."""
-
-    tasks_self: dict          # src -> int
-    tasks_to: dict            # src -> {neighbor: int}
-
-    def total(self, src: int) -> int:
-        return self.tasks_self[src] + sum(self.tasks_to[src].values())
+        if not self.latency_threshold_s > 0:
+            raise ValueError("latency_threshold_s must be positive")
+        if not self.chi1 >= 0:
+            raise ValueError("chi1 must be nonnegative")
 
 
 @dataclass
@@ -78,12 +59,11 @@ class SlotOutcome:
     overall_delay: dict       # src -> seconds (max over its paths)
     t_avg: float
     t_max: float
-    usage_per_sat: dict       # (sat, phase) -> (U_P, U_S, U)
     u_power: float
     u_subarray: float
     u_total: float
     reward: float
-    queue_backlog_bytes: dict  # (tx, rx) -> total bytes that waited on the link
+    queue_backlog_bytes: dict  # outcome link -> total bytes that waited on it
     unreachable: bool         # a required link had zero rate with pending data
     power_w_mean: float
     subarrays_mean: float
@@ -91,231 +71,216 @@ class SlotOutcome:
 
 # -- quantization ----------------------------------------------------------
 
-def quantize_offload(ratios: np.ndarray, n_tasks: int,
-                     neighbor_order: list) -> tuple:
-    """Split n_tasks into (kept, {neighbor: count}) from a 5-point simplex.
+def quantize_offload(ratios: np.ndarray, n_tasks: np.ndarray) -> np.ndarray:
+    """Split each row's n_tasks by its simplex row ([rows, 1 + m]).
 
-    ratios[0] is the self share; ratios[1:] follow neighbor_order.  Each
-    neighbor receives min(remaining, ceil(ratio * n_tasks)); the source keeps
-    the remainder, so conservation holds exactly.
+    Column 0 is the kept share; columns 1.. each receive, in order,
+    min(remaining, ceil(ratio * n_tasks)), and the source keeps the
+    remainder, so every row conserves its tasks exactly.  Returns the int
+    task table, shaped like `ratios`.
     """
     ratios = np.asarray(ratios, dtype=float)
-    if ratios.shape != (len(neighbor_order) + 1,):
-        raise ActionError("offload ratio vector has wrong length")
-    if np.any(ratios < -1e-9) or abs(float(ratios.sum()) - 1.0) > 1e-6:
+    n_tasks = np.asarray(n_tasks)
+    if ratios.ndim != 2 or n_tasks.shape != ratios.shape[:1]:
+        raise ActionError("offload ratios need one row per task count")
+    # a NaN anywhere in a row fails the comparison, so it is rejected
+    off_simplex = ~(np.abs(ratios.sum(axis=1) - 1.0) <= 1e-6)
+    if np.any(ratios < -1e-9) or np.any(off_simplex):
         raise ActionError("offload ratios must lie on the simplex")
-    if n_tasks < 0:
+    if np.any(n_tasks < 0):
         raise ActionError("task count must be nonnegative")
-    remaining = int(n_tasks)
-    to = {}
-    for j, nbr in enumerate(neighbor_order):
-        take = min(remaining, math.ceil(ratios[j + 1] * n_tasks))
-        to[nbr] = int(take)
-        remaining -= take
-    return remaining, to
+    tasks = np.empty(ratios.shape, dtype=np.int64)
+    remaining = n_tasks.astype(np.int64)
+    for j in range(1, ratios.shape[1]):
+        tasks[:, j] = np.minimum(remaining, np.ceil(ratios[:, j] * n_tasks))
+        remaining = remaining - tasks[:, j]
+    tasks[:, 0] = remaining
+    return tasks
 
 
 def quantize_subarrays(ratios: np.ndarray, s_max: int) -> np.ndarray:
-    """Integer sub-array counts: 1 pre-allocated per active link plus
-    floor(ratio * remaining budget).  Total never exceeds s_max."""
+    """Integer sub-array counts per row of links: 1 pre-allocated per active
+    link plus floor(ratio * remaining budget).  No row exceeds s_max."""
     ratios = np.asarray(ratios, dtype=float)
-    n_links = ratios.size
+    n_links = ratios.shape[-1]
     if n_links > s_max:
         raise ActionError("more active links than available sub-arrays")
-    if float(ratios.sum()) > 1.0 + 1e-6 or np.any(ratios < -1e-9):
+    if not np.all(ratios.sum(axis=-1) <= 1.0 + 1e-6) or np.any(ratios < -1e-9):
         raise ActionError("sub-array ratios must be nonnegative with sum <= 1")
     rest = s_max - n_links
     return (1 + np.floor(np.clip(ratios, 0.0, None) * rest)).astype(int)
 
 
 def quantize_power(ratios: np.ndarray, p_max_w: float) -> np.ndarray:
-    """Per-(link, sub-band) transmit power from budget ratios."""
+    """Per-(link, sub-band) transmit power from budget ratios; each row
+    (last axis) spends at most one budget."""
     ratios = np.asarray(ratios, dtype=float)
-    if float(ratios.sum()) > 1.0 + 1e-6 or np.any(ratios < -1e-9):
+    if not np.all(ratios.sum(axis=-1) <= 1.0 + 1e-6) or np.any(ratios < -1e-9):
         raise ActionError("power ratios must be nonnegative with sum <= 1")
     return np.clip(ratios, 0.0, None) * p_max_w
 
 
 # -- elementary delays -----------------------------------------------------
 
-def computation_delay(l_bytes: float, p: ComputeParams) -> float:
+def computation_delay(l_bytes, p: ComputeParams):
     return l_bytes * p.cycles_per_byte / p.cpu_rate_hz
 
 
-def outcome_size(l_bytes: float, p: ComputeParams) -> int:
-    return int(math.ceil(p.outcome_ratio * l_bytes))
+def outcome_size(l_bytes, p: ComputeParams):
+    return np.ceil(p.outcome_ratio * np.asarray(l_bytes)).astype(np.int64)
 
 
-def propagation_delay(distance_km: float) -> float:
+def propagation_delay(distance_km):
     return distance_km / SPEED_OF_LIGHT_KM_S
 
 
 # -- the slot --------------------------------------------------------------
 
-def simulate_slot(assignment: OffloadAssignment,
-                  neighbor_order: dict,
+def simulate_slot(tasks: np.ndarray,
+                  servers: np.ndarray,
+                  rates_to: np.ndarray,
+                  dist_to_km: np.ndarray,
                   routes: dict,
-                  offload_dist_km: dict,
-                  rates_to: dict,
-                  rates_ot: dict,
-                  alloc_to: dict,
-                  alloc_ot: dict,
+                  rates_ot: np.ndarray,
+                  dist_ot_km: np.ndarray,
+                  alloc_to: tuple,
+                  alloc_ot: tuple,
                   compute: ComputeParams,
                   task_size_bytes: int,
                   reward_params: RewardParams,
                   p_max_w: float,
-                  s_max: int,
-                  outcome_transmitters: list | None = None) -> SlotOutcome:
+                  s_max: int) -> SlotOutcome:
     """Simulate one slot.
 
-    assignment      integer task split per source
-    neighbor_order  src -> ordered ISL neighbor list (ascending flat index)
-    routes          server -> list of (tx, rx, distance_km) hops to the GS
-    offload_dist_km (src, nbr) -> km
-    rates_to/ot     (tx, rx) -> bit/s for the two phases
-    alloc_to/ot     (tx, rx) -> LinkAlloc for the two phases
+    tasks           [n_src, 1 + m] int task table from quantize_offload
+    servers         [n_src, 1 + m] flat ids of the servers of those columns;
+                    column 0 is the source itself
+    rates_to        [n_src, m] bit/s of each offload hop (columns 1..)
+    dist_to_km      [n_src, m] km of each offload hop
+    routes          server -> outcome-link indices of its route to the GS
+    rates_ot        [links] bit/s of each outcome link
+    dist_ot_km      [links] km of each outcome link
+    alloc_to/ot     per phase (subarrays, power_w); see resource_usage
 
     Per-path delay = offload hop (transmission + propagation) + computation
     at the server + the server's outcome flow traversal of its route, with
     FIFO contention on shared links (arrival order, ties by ascending server
-    flat index).
+    flat index).  Rows are reported in the order given.
     """
-    sources = sorted(assignment.tasks_self)
-    unreachable = False
+    if tasks.shape != servers.shape:
+        raise ActionError("task table does not match the server table")
+    # a path carries tasks; a source that offloads nothing keeps its local
+    # path, even an empty one
+    has_path = tasks > 0
+    has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0
+    unreachable = bool(np.any(has_path[:, 1:] & (rates_to <= 0.0)))
 
     # offload hop delays and per-server input bytes
-    offload_delay = {}                 # (src, server) -> seconds
-    server_bytes = {}                  # server -> input bytes
-    for src in sources:
-        kept = assignment.tasks_self[src] * task_size_bytes
-        if kept > 0 or assignment.tasks_self[src] == assignment.total(src):
-            server_bytes[src] = server_bytes.get(src, 0) + kept
-            offload_delay[(src, src)] = 0.0
-        for nbr in neighbor_order[src]:
-            n_tasks = assignment.tasks_to[src].get(nbr, 0)
-            if n_tasks <= 0:
-                continue
-            data = n_tasks * task_size_bytes
-            rate = rates_to.get((src, nbr), 0.0)
-            if rate <= 0.0:
-                delay = math.inf
-                unreachable = True
-            else:
-                delay = data / rate + propagation_delay(offload_dist_km[(src, nbr)])
-            offload_delay[(src, nbr)] = delay
-            server_bytes[nbr] = server_bytes.get(nbr, 0) + data
+    data = tasks * task_size_bytes
+    offload_delay = np.zeros(tasks.shape)
+    hop = np.full(rates_to.shape, math.inf)
+    np.divide(data[:, 1:], rates_to, out=hop, where=rates_to > 0.0)
+    offload_delay[:, 1:] = hop + propagation_delay(dist_to_km)
+    # each table cell as an index into the distinct servers `ids`
+    ids, srv = np.unique(servers, return_inverse=True)
+    srv = srv.reshape(servers.shape)
+    server_bytes = np.zeros(len(ids), dtype=np.int64)
+    np.add.at(server_bytes, srv[has_path], data[has_path])
+    arrival = np.zeros(len(ids))
+    np.maximum.at(arrival, srv[has_path], offload_delay[has_path])
 
-    # computation and outcome flows
-    flows = {}                         # server -> (release_time, outcome_bytes)
-    for server in sorted(server_bytes):
-        l_in = server_bytes[server]
-        if l_in <= 0:
-            continue
-        t_cp = computation_delay(l_in, compute)
-        arrivals = [offload_delay[(s, server)] for s in sources
-                    if (s, server) in offload_delay]
-        release = max(arrivals) + t_cp if arrivals else t_cp
-        flows[server] = (release, outcome_size(l_in, compute))
+    # computation, then the outcome flows of servers that received data
+    t_cp = computation_delay(server_bytes, compute)
+    release = arrival + t_cp
+    live = server_bytes > 0
+    # server -> (release time, outcome bytes)
+    flows = dict(zip(ids[live].tolist(), zip(
+        release[live].tolist(),
+        outcome_size(server_bytes[live], compute).tolist())))
 
     # FIFO event simulation over the outcome routes
+    link_rate = rates_ot.tolist()
+    link_prop = propagation_delay(dist_ot_km).tolist()
     link_free = {}
     backlog = {}
     outcome_span = {}                  # server -> route traversal time (or inf)
     heap = []
-    for server, (release, bytes_) in sorted(flows.items()):
-        if bytes_ <= 0:
-            outcome_span[server] = 0.0
-            continue
-        heapq.heappush(heap, (release, server, 0))
+    for server, (r, _) in flows.items():
+        if math.isinf(r):              # an unreachable offload hop feeds it
+            outcome_span[server] = math.inf
+        else:
+            heap.append((r, server, 0))
+    heapq.heapify(heap)
     while heap:
         t_arr, server, hop_idx = heapq.heappop(heap)
-        hops = routes[server]
-        if hop_idx >= len(hops):
+        route = routes[server]
+        if hop_idx >= len(route):
             outcome_span[server] = t_arr - flows[server][0]
             continue
-        tx, rx, dist = hops[hop_idx]
-        rate = rates_ot.get((tx, rx), 0.0)
-        bytes_ = flows[server][1]
+        link = route[hop_idx]
+        rate = link_rate[link]
         if rate <= 0.0:
             unreachable = True
             outcome_span[server] = math.inf
             continue
-        start = max(t_arr, link_free.get((tx, rx), 0.0))
+        bytes_ = flows[server][1]
+        start = max(t_arr, link_free.get(link, 0.0))
         if start > t_arr:
-            backlog[(tx, rx)] = backlog.get((tx, rx), 0.0) + bytes_
+            backlog[link] = backlog.get(link, 0.0) + bytes_
         done = start + bytes_ / rate
-        link_free[(tx, rx)] = done
-        heapq.heappush(heap, (done + propagation_delay(dist), server, hop_idx + 1))
-
-    for server, (release, bytes_) in flows.items():
-        if bytes_ > 0 and server not in outcome_span:
-            outcome_span[server] = math.inf
+        link_free[link] = done
+        heapq.heappush(heap, (done + link_prop[link], server, hop_idx + 1))
 
     # per-path and per-source delays
-    path_delays = {}
-    overall = {}
-    for src in sources:
-        worst = 0.0
-        for server in sorted(server_bytes):
-            key = (src, server)
-            if key not in offload_delay:
-                continue
-            t_cp = computation_delay(server_bytes[server], compute)
-            span = outcome_span.get(server, 0.0)
-            delay = offload_delay[key] + t_cp + span
-            path_delays[key] = delay
-            worst = max(worst, delay)
-        overall[src] = worst
-    capped = [min(overall[s], DELAY_CAP_S) for s in sources]
-    t_avg = float(np.mean(capped)) if capped else 0.0
-    t_max = float(np.max(capped)) if capped else 0.0
+    span = np.array([outcome_span.get(server, 0.0) for server in ids.tolist()])
+    delay = offload_delay + t_cp[srv] + span[srv]
+    rows, cols = np.nonzero(has_path)
+    path_delays = dict(zip(zip(servers[rows, 0].tolist(),
+                               servers[rows, cols].tolist()),
+                           delay[rows, cols].tolist()))
+    worst = np.max(np.where(has_path, delay, 0.0), axis=1)
+    overall = dict(zip(servers[:, 0].tolist(), worst.tolist()))
+    capped = np.minimum(worst, DELAY_CAP_S)
+    t_avg = float(np.mean(capped)) if capped.size else 0.0
+    t_max = float(np.max(capped)) if capped.size else 0.0
 
-    usage = resource_usage(alloc_to, alloc_ot, p_max_w, s_max,
-                           outcome_transmitters=outcome_transmitters)
-    usage_per_sat, u_p, u_s, u_tot, p_mean, s_mean = usage
+    u_p, u_s, u_tot, p_mean, s_mean = resource_usage(alloc_to, alloc_ot,
+                                                     p_max_w, s_max)
     r = reward(u_tot, t_avg, reward_params)
     return SlotOutcome(
         path_delays=path_delays, overall_delay=overall, t_avg=t_avg, t_max=t_max,
-        usage_per_sat=usage_per_sat, u_power=u_p, u_subarray=u_s, u_total=u_tot,
+        u_power=u_p, u_subarray=u_s, u_total=u_tot,
         reward=r, queue_backlog_bytes=backlog, unreachable=unreachable,
         power_w_mean=p_mean, subarrays_mean=s_mean)
 
 
-def resource_usage(alloc_to: dict, alloc_ot: dict, p_max_w: float, s_max: int,
-                   outcome_transmitters: list | None = None) -> tuple:
-    """Per-(satellite, phase) power/sub-array usage ratios and network means.
+def resource_usage(alloc_to: tuple, alloc_ot: tuple, p_max_w: float,
+                   s_max: int) -> tuple:
+    """Power/sub-array usage ratios averaged over transmitting satellites.
 
-    The network mean averages over the transmitting satellites of both
-    phases; satellites that only receive are excluded.
+    Each phase's allocation is (subarrays [tx, links], power_w [tx, links,
+    K]) with one row per transmitting satellite; a row of zeros is an idle
+    transmitter and counts in the means.  Satellites that only receive have
+    no row.  Returns (U_P, U_S, U, mean power W, mean sub-arrays) over the
+    offloading rows followed by the outcome rows.
     """
-    per_sat = {}
-    powers = []
-    subarrays = []
-    for phase, alloc in (("offloading", alloc_to), ("outcome", alloc_ot)):
-        by_tx = {}
-        for (tx, _rx), la in alloc.items():
-            by_tx.setdefault(tx, []).append(la)
-        for tx in sorted(by_tx):
-            p_used = sum(float(np.sum(la.power_w[la.psi])) for la in by_tx[tx])
-            s_used = sum(la.subarrays for la in by_tx[tx])
-            u_p = p_used / p_max_w
-            u_s = s_used / s_max
-            per_sat[(tx, phase)] = (u_p, u_s, 0.5 * (u_p + u_s))
-            powers.append(p_used)
-            subarrays.append(s_used)
-    if outcome_transmitters is not None:
-        # transmitters with a route but no allocation this slot count as idle
-        for tx in outcome_transmitters:
-            if (tx, "outcome") not in per_sat:
-                per_sat[(tx, "outcome")] = (0.0, 0.0, 0.0)
-                powers.append(0.0)
-                subarrays.append(0)
-    if not per_sat:
-        return {}, 0.0, 0.0, 0.0, 0.0, 0.0
-    u_p = float(np.mean([v[0] for v in per_sat.values()]))
-    u_s = float(np.mean([v[1] for v in per_sat.values()]))
-    u = float(np.mean([v[2] for v in per_sat.values()]))
-    return per_sat, u_p, u_s, u, float(np.mean(powers)), float(np.mean(subarrays))
+    power_used, subarrays_used = [], []
+    for subarrays, power in (alloc_to, alloc_ot):
+        # per link over its active sub-bands, then per transmitter over its
+        # links; with fewer than 8 terms numpy sums sequentially, as the
+        # per-link loop this replaced did
+        link_w = np.sum(np.where(power > 0.0, power, 0.0), axis=-1)
+        power_used.append(np.sum(link_w, axis=-1))
+        subarrays_used.append(np.sum(subarrays, axis=-1, dtype=np.int64))
+    p_used = np.concatenate(power_used)
+    s_used = np.concatenate(subarrays_used)
+    if not p_used.size:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    u_p = p_used / p_max_w
+    u_s = s_used / s_max
+    return (float(np.mean(u_p)), float(np.mean(u_s)),
+            float(np.mean(0.5 * (u_p + u_s))), float(np.mean(p_used)),
+            float(np.mean(s_used)))
 
 
 def reward(u_total: float, t_avg: float, rp: RewardParams) -> float:

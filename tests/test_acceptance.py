@@ -41,51 +41,47 @@ def test_criterion_1_constraint_soundness():
 
     def checked_step(bundle, **kw):
         idx = env.step_idx
-        outcome, assignment, (alloc_to, alloc_ot) = orig_step(bundle, **kw)
+        outcome, tasks, allocs = orig_step(bundle, **kw)
+        (subs_to, power_to), (subs_ot, power_ot) = allocs
         for i, src in enumerate(env.sources):
-            if assignment.total(src) != int(env.counts[i, idx]):
+            if tasks[i].sum() != int(env.counts[i, idx]):
                 violations.append(f"task conservation src {src} step {idx}")
-            if any(v < 0 for v in assignment.tasks_to[src].values()):
+            if np.any(tasks[i] < 0):
                 violations.append(f"negative task count src {src}")
-            power = sum(alloc_to[(src, n)].power_w.sum()
-                        for n in env.neighbor_order[src])
-            subs = sum(alloc_to[(src, n)].subarrays
-                       for n in env.neighbor_order[src])
-            if power > p_max + 1e-9 or np.any(
-                    [np.any(alloc_to[(src, n)].power_w < 0)
-                     for n in env.neighbor_order[src]]):
+            if power_to[i].sum() > p_max + 1e-9 or np.any(power_to[i] < 0):
                 violations.append(f"offload power src {src} step {idx}")
-            if subs > s_max:
+            if subs_to[i].sum() > s_max:
                 violations.append(f"offload subarrays src {src} step {idx}")
-        for link, alloc in alloc_ot.items():
-            if alloc.power_w.sum() > p_max + 1e-9 or np.any(alloc.power_w < 0):
+        for link, subs, power in zip(env._outcome_link_list, subs_ot, power_ot):
+            if power.sum() > p_max + 1e-9 or np.any(power < 0):
                 violations.append(f"outcome power {link} step {idx}")
-            if alloc.subarrays > s_max:
+            if subs.sum() > s_max:
                 violations.append(f"outcome subarrays {link} step {idx}")
-        return outcome, assignment, (alloc_to, alloc_ot)
+        return outcome, tasks, allocs
 
     env.step = checked_step
     agent = GrantAgent(env, TrainConfig(seed=1))
     agent.run_training()
 
+    # the draws of one fuzzed action after another, quantized row-wise
     rng = np.random.default_rng(0)
-    nbrs = [11, 12, 13, 14]
-    fuzz_bad = 0
-    for _ in range(100_000):
-        r5 = random_simplex(rng, 5)
-        n_tasks = int(rng.integers(0, 400))
-        kept, to = quantize_offload(r5, n_tasks, nbrs)
-        if kept + sum(to.values()) != n_tasks or kept < 0 or \
-                any(v < 0 for v in to.values()):
-            fuzz_bad += 1
-        r5b = random_simplex(rng, 5)
-        subs = quantize_subarrays(r5b[:4], s_max)
-        if subs.sum() > s_max or np.any(subs < 1):
-            fuzz_bad += 1
-        r21 = random_simplex(rng, 21)
-        power = quantize_power(r21[:20], p_max)
-        if power.sum() > p_max + 1e-9 or np.any(power < 0):
-            fuzz_bad += 1
+    n_fuzz = 100_000
+    r5, n_tasks = np.empty((n_fuzz, 5)), np.empty(n_fuzz, dtype=int)
+    r5b, r21 = np.empty((n_fuzz, 5)), np.empty((n_fuzz, 21))
+    for i in range(n_fuzz):
+        r5[i] = random_simplex(rng, 5)
+        n_tasks[i] = rng.integers(0, 400)
+        r5b[i] = random_simplex(rng, 5)
+        r21[i] = random_simplex(rng, 21)
+    tasks = quantize_offload(r5, n_tasks)
+    subs = quantize_subarrays(r5b[:, :4], s_max)
+    power = quantize_power(r21[:, :20], p_max)
+    fuzz_bad = int(np.sum((tasks.sum(axis=1) != n_tasks)
+                          | np.any(tasks < 0, axis=1)))
+    fuzz_bad += int(np.sum((subs.sum(axis=1) > s_max)
+                           | np.any(subs < 1, axis=1)))
+    fuzz_bad += int(np.sum((power.sum(axis=1) > p_max + 1e-9)
+                           | np.any(power < 0, axis=1)))
     ok = not violations and fuzz_bad == 0
     report(1, ok, f"390 training steps + 100000 fuzzed actions: "
                   f"{len(violations)} step violations, {fuzz_bad} fuzz "

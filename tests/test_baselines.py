@@ -27,18 +27,18 @@ def test_uniform_bundle_values(small_env):
 def test_uniform_quantizes_to_equal_split(small_env):
     env = small_env
     b, _, _ = UniformPolicy(env).act()
-    outcome, _, (alloc_to, alloc_ot) = env.step(b, advance=False)
+    outcome, _, ((subs_to, power_to), (subs_ot, power_ot)) = env.step(
+        b, advance=False)
     s_max = env.array_cfg.s_max
     p_max = env.budget.p_max_w
-    for (src, _nbr), alloc in alloc_to.items():
-        assert alloc.subarrays == s_max // 4  # 16 each across 4 links
-    for i, src in enumerate(env.sources):
-        total = sum(alloc_to[(src, n)].power_w.sum()
-                    for n in env.neighbor_order[src])
+    assert subs_to.shape == (len(env.sources), 4)
+    assert np.all(subs_to == s_max // 4)  # 16 each across 4 links
+    for total in power_to.sum(axis=(1, 2)):
         assert abs(total - p_max) < 1e-9
-    for alloc in alloc_ot.values():
-        assert alloc.subarrays == s_max
-        assert abs(alloc.power_w.sum() - p_max) < 1e-9
+    assert subs_ot.shape == (len(env.outcome_transmitters), 1)
+    assert np.all(subs_ot == s_max)
+    for total in power_ot.sum(axis=(1, 2)):
+        assert abs(total - p_max) < 1e-9
     # zero slack saturates both budgets exactly
     assert abs(outcome.u_total - 1.0) < 1e-12
 
@@ -47,11 +47,11 @@ def test_full_resource_policy(small_env):
     env = small_env
     b, _, _ = FullResourcePolicy(env).act()
     assert np.allclose(b.offload[:, 0], 1.0)
-    outcome, assignment, _ = env.step(b, advance=False)
+    outcome, tasks, _ = env.step(b, advance=False)
     assert outcome.u_total > 0.95
     # every task stays local
-    assert all(sum(to.values()) == 0 for to in assignment.tasks_to.values())
-    assert all(assignment.tasks_self[s] >= 0 for s in env.sources)
+    assert np.all(tasks[:, 1:] == 0)
+    assert np.all(tasks[:, 0] >= 0)
 
 
 def test_rollout_policy_records():

@@ -153,6 +153,10 @@ def test_exit_io_error(tmp_path, capsys):
     ("source_selection", "seed", "x"),
     ("constellation", "planes", 2),
     ("train", "hidden_width", 0),
+    ("reward", "latency_threshold_s", 0.0),
+    ("reward", "chi1", -1.0),
+    # more nonadjacent sources than the default 72 x 22 shell can hold
+    ("n_sources", None, 72 * 22),
 ])
 def test_exit_config_error_before_any_output(tmp_path, capsys, section,
                                              field, value):

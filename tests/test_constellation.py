@@ -183,6 +183,13 @@ def test_route_eta_zero_matches_bfs(default_constellation):
         assert route.n_hops == _bfs_distance(c, src_flat, gs_sat.flat(n_sp))
 
 
+@pytest.mark.parametrize("eta", [-1.0, math.nan, math.inf])
+def test_shortest_path_tree_rejects_bad_eta(default_constellation, eta):
+    # raised before the search: with a negative weight it never settles
+    with pytest.raises(ValueError):
+        default_constellation.shortest_path_tree(SatId(0, 0), 0.0, eta=eta)
+
+
 def test_route_never_revisits(default_constellation):
     c = default_constellation
     n_sp = c.cfg.sats_per_plane

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import slot_reference as ref
 from terasec import sec_sim
 from terasec.baselines import UniformPolicy
 from terasec.constellation import SatId
@@ -45,6 +48,16 @@ def reference_rates(env, alloc_to, alloc_ot, t, band_to, band_ot):
         rates.append(r)
         all_gammas.append(np.array(g))
     return rates[0], rates[1], all_gammas[0], all_gammas[1]
+
+
+def link_allocs(env, alloc_to, alloc_ot):
+    """Array allocations as the (tx, rx) -> LinkAlloc dicts they replaced."""
+    out = []
+    for links, (subarrays, power) in ((env._offload_link_list, alloc_to),
+                                      (env._outcome_link_list, alloc_ot)):
+        out.append({link: ref.LinkAlloc(int(s), p) for link, s, p in zip(
+            links, subarrays.ravel(), power.reshape(-1, power.shape[-1]))})
+    return out
 
 
 def reference_sinr_features(env, gammas_to, gammas_ot):
@@ -102,12 +115,15 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
     for _ in range(3):
         t = env.time_at(env.step_idx)
         alloc_to, alloc_ot = env._quantize_allocations(random_bundle(env, rng))
-        ref = reference_rates(env, alloc_to, alloc_ot, t, b_to, b_ot)
+        want = reference_rates(env, *link_allocs(env, alloc_to, alloc_ot), t,
+                               b_to, b_ot)
         got = env._rates(alloc_to, alloc_ot, env._positions(t), b_to, b_ot)
-        assert got[0] == ref[0] and got[1] == ref[1]
-        assert list(got[0]) == list(ref[0]) and list(got[1]) == list(ref[1])
-        assert np.array_equal(got[2], ref[2]) and np.array_equal(got[3], ref[3])
-        assert np.any(ref[2] == 0.0) and np.any(ref[3] == 0.0)
+        assert list(want[0]) == env._offload_link_list
+        assert list(want[1]) == env._outcome_link_list
+        assert got[0].tolist() == list(want[0].values())
+        assert got[1].tolist() == list(want[1].values())
+        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        assert np.any(want[2] == 0.0) and np.any(want[3] == 0.0)
 
         # an advancing step: distances per hop and the next-slot features
         bundle = random_bundle(env, rng)
@@ -117,15 +133,18 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         def node_pos(node):
             return env.c.gs_position(env.gs, t) if node == GS_NODE else pos[node]
 
-        assert seen["offload_dist_km"] == {
-            (s, nb): float(np.linalg.norm(pos[s] - pos[nb]))
-            for s, nb in env._offload_link_list}
-        assert seen["routes"] == {
-            server: [(tx, rx, float(np.linalg.norm(pos[tx] - node_pos(rx))))
-                     for tx, rx in hops]
-            for server, hops in env.route_hops.items()}
-        _, _, g_to, g_ot = reference_rates(env, seen["alloc_to"],
-                                           seen["alloc_ot"], t, b_to, b_ot)
+        assert seen["dist_to_km"].shape == (len(env.sources), 4)
+        assert seen["dist_to_km"].ravel().tolist() == [
+            float(np.linalg.norm(pos[s] - pos[nb]))
+            for s, nb in env._offload_link_list]
+        assert seen["dist_ot_km"].tolist() == [
+            float(np.linalg.norm(pos[tx] - node_pos(rx)))
+            for tx, rx in env._outcome_link_list]
+        assert {server: [env._outcome_link_list[i] for i in links]
+                for server, links in seen["routes"].items()} == env.route_hops
+        _, _, g_to, g_ot = reference_rates(
+            env, *link_allocs(env, seen["alloc_to"], seen["alloc_ot"]), t,
+            b_to, b_ot)
         sinr_to, sinr_ot = reference_sinr_features(env, g_to, g_ot)
         assert np.array_equal(env._sinr_to_db, sinr_to)
         assert np.array_equal(env._sinr_ot_db, sinr_ot)
@@ -147,6 +166,131 @@ def test_next_slot_sinrs_reuse_the_slot_rating(seed):
         assert np.array_equal(reused.sinr_ot_db, env._sinr_ot_db)
         assert np.any(reused.sinr_to_db != 0.0)
         assert np.any(reused.sinr_ot_db != 0.0)
+
+
+# -- the dict-keyed slot path the array path replaced, kept as the reference --
+
+def reference_slot(env, bundle, band_to, band_ot):
+    """One slot through the per-source quantizer calls, the per-link
+    LinkAllocs and the (tx, rx)-keyed tables, at the env's current step.
+    Returns (SlotOutcome, OffloadAssignment, alloc_to, alloc_ot)."""
+    t = env.time_at(env.step_idx)
+    counts = env.counts[:, min(env.step_idx, env.counts.shape[1] - 1)]
+    s_max, p_max = env.array_cfg.s_max, env.budget.p_max_w
+    k = env.band_to.n_subbands
+    alloc_to, tasks_self, tasks_to = {}, {}, {}
+    for i, src in enumerate(env.sources):
+        subs = ref.quantize_subarrays(bundle.to_subarrays[i], s_max)
+        power = ref.quantize_power(bundle.to_power[i].ravel(), p_max)
+        power = power.reshape(4, k)
+        for j, nbr in enumerate(env.neighbor_order[src]):
+            alloc_to[(src, nbr)] = ref.LinkAlloc(int(subs[j]), power[j].copy())
+        tasks_self[src], tasks_to[src] = ref.quantize_offload(
+            bundle.offload[i], int(counts[i]), env.neighbor_order[src])
+    alloc_ot = {}
+    for i, link in enumerate(env._outcome_link_list):
+        subs = ref.quantize_subarrays(np.array([bundle.ot_subarray[i]]), s_max)
+        power = ref.quantize_power(bundle.ot_power[i], p_max)
+        alloc_ot[link] = ref.LinkAlloc(int(subs[0]), power)
+    assignment = ref.OffloadAssignment(tasks_self=tasks_self, tasks_to=tasks_to)
+
+    rates_to, rates_ot, _, _ = reference_rates(env, alloc_to, alloc_ot, t,
+                                               band_to, band_ot)
+    pos = env.c.positions_at(t)
+
+    def node_pos(node):
+        return env.c.gs_position(env.gs, t) if node == GS_NODE else pos[node]
+
+    offload_dist = {(s, nb): float(np.linalg.norm(pos[s] - pos[nb]))
+                    for s, nb in env._offload_link_list}
+    routes = {server: [(tx, rx, float(np.linalg.norm(pos[tx] - node_pos(rx))))
+                       for tx, rx in hops]
+              for server, hops in env.route_hops.items()}
+    outcome = ref.simulate_slot(
+        assignment=assignment, neighbor_order=env.neighbor_order,
+        routes=routes, offload_dist_km=offload_dist,
+        rates_to=rates_to, rates_ot=rates_ot,
+        alloc_to=alloc_to, alloc_ot=alloc_ot,
+        compute=env.compute, task_size_bytes=env.traffic_cfg.task_size_bytes,
+        reward_params=env.reward_params, p_max_w=env.budget.p_max_w,
+        s_max=env.array_cfg.s_max,
+        outcome_transmitters=env.outcome_transmitters)
+    return outcome, assignment, alloc_to, alloc_ot
+
+
+def harsh_bundle(env, rng, dead_links):
+    """random_bundle with some all-local offload rows and, when dead_links,
+    whole zero-power offload and outcome links."""
+    bundle = random_bundle(env, rng)
+    bundle.offload[rng.random(len(env.sources)) < 0.2] = [1.0, 0, 0, 0, 0]
+    if dead_links:
+        bundle.to_power[rng.random(bundle.to_power.shape[:2]) < 0.2] = 0.0
+        bundle.ot_power[rng.random(len(bundle.ot_power)) < 0.1] = 0.0
+    return bundle
+
+
+SLOT_FIELDS = ("t_avg", "t_max", "reward", "u_total", "u_power", "u_subarray",
+               "power_w_mean", "subarrays_mean", "unreachable")
+
+
+@pytest.mark.parametrize("bands", [("thz", "thz"), ("ka", "ku"), ("ku", "ka")])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_array_slot_equals_the_dict_path(seed, bands):
+    env = make_env(seed=seed, steps=4)
+    b_to = band_preset(bands[0], "offloading")
+    b_ot = band_preset(bands[1], "outcome")
+    rng = np.random.default_rng(seed)
+    reachable, offload_inf = set(), False
+    for step in range(4):
+        # zero-task rows, at least one per slot
+        idle = rng.random(len(env.sources)) < 0.2
+        idle[step] = True
+        env.counts[idle, env.step_idx] = 0
+        bundle = harsh_bundle(env, rng, dead_links=step % 2 == 1)
+        want, assignment, want_to, want_ot = reference_slot(env, bundle,
+                                                            b_to, b_ot)
+        got, tasks, (alloc_to, alloc_ot) = env.step(bundle, band_to=b_to,
+                                                    band_ot=b_ot)
+        # the row-wise quantizers equal the per-row calls
+        assert np.array_equal(tasks, [
+            [assignment.tasks_self[s],
+             *(assignment.tasks_to[s][n] for n in env.neighbor_order[s])]
+            for s in env.sources])
+        for (subarrays, power), want_links in ((alloc_to, want_to),
+                                               (alloc_ot, want_ot)):
+            links = list(want_links.values())
+            assert np.array_equal(subarrays.ravel(),
+                                  [a.subarrays for a in links])
+            assert np.array_equal(power.reshape(len(links), -1),
+                                  [a.power_w for a in links])
+        for name in SLOT_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.overall_delay == want.overall_delay
+        assert list(got.overall_delay) == list(want.overall_delay)
+        assert got.path_delays == want.path_delays
+        assert {env._outcome_link_list[i]: b for i, b in
+                got.queue_backlog_bytes.items()} == want.queue_backlog_bytes
+        assert np.any(tasks == 0) and np.any(tasks.sum(axis=1) == 0)
+        reachable.add(not got.unreachable)
+        offload_inf |= any(math.isinf(d) for (src, server), d in
+                           got.path_delays.items() if src != server)
+    assert reachable == {True, False} and offload_inf
+
+
+def test_resource_usage_sums_as_the_per_link_loop():
+    """Single-transmitter draws with powers over 20 decades, so that any
+    other summation order over sub-bands or links shows in U_P."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        power = 10.0 ** rng.uniform(-20, 1, size=(1, 4, 5))
+        power[rng.random(power.shape) < 0.3] = 0.0
+        subarrays = rng.integers(1, 17, size=(1, 4))
+        alloc_to = (subarrays, power)
+        no_alloc = (np.zeros((0, 1), dtype=int), np.zeros((0, 1, 5)))
+        want = ref.resource_usage(
+            {(0, j): ref.LinkAlloc(int(subarrays[0, j]), power[0, j])
+             for j in range(4)}, {}, 10.0, 64)
+        assert sec_sim.resource_usage(alloc_to, no_alloc, 10.0, 64) == want[1:]
 
 
 # -- the per-source loops the inflow helper replaced, kept as the reference ---

@@ -6,52 +6,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terasec.sec_sim import (ActionError, ComputeParams, DELAY_CAP_S,
-                             LinkAlloc, OffloadAssignment, RewardParams,
-                             computation_delay, outcome_size,
+                             RewardParams, computation_delay, outcome_size,
                              propagation_delay, quantize_offload,
                              quantize_power, quantize_subarrays, reward,
                              resource_usage, simulate_slot)
 
 C_KM_S = 299792.458
-GS = -1
 
 
 # -- quantizers ---------------------------------------------------------------
 
 def test_offload_all_self():
-    kept, to = quantize_offload(np.array([1, 0, 0, 0, 0.0]), 122, [4, 7, 9, 12])
-    assert kept == 122
-    assert all(v == 0 for v in to.values())
+    tasks = quantize_offload(np.array([[1, 0, 0, 0, 0.0]]), np.array([122]))
+    assert tasks.tolist() == [[122, 0, 0, 0, 0]]
 
 
 def test_offload_uniform_oracle():
     # ceil(0.2 * 122) = 25 per neighbor, remainder 22 kept
-    kept, to = quantize_offload(np.full(5, 0.2), 122, [4, 7, 9, 12])
-    assert [to[n] for n in (4, 7, 9, 12)] == [25, 25, 25, 25]
-    assert kept == 22
+    tasks = quantize_offload(np.full((1, 5), 0.2), np.array([122]))
+    assert tasks.tolist() == [[22, 25, 25, 25, 25]]
 
 
 def test_offload_zero_tasks():
-    kept, to = quantize_offload(np.full(5, 0.2), 0, [1, 2, 3, 4])
-    assert kept == 0 and all(v == 0 for v in to.values())
+    tasks = quantize_offload(np.full((1, 5), 0.2), np.array([0]))
+    assert tasks.tolist() == [[0, 0, 0, 0, 0]]
 
 
 def test_offload_conservation_never_negative():
     rng = np.random.default_rng(0)
+    ratios, n = [], []
     for _ in range(200):
         x = rng.exponential(size=5)
-        ratios = x / x.sum()
-        n = int(rng.integers(0, 400))
-        kept, to = quantize_offload(ratios, n, [1, 2, 3, 4])
-        assert kept >= 0 and all(v >= 0 for v in to.values())
-        assert kept + sum(to.values()) == n
+        ratios.append(x / x.sum())
+        n.append(int(rng.integers(0, 400)))
+    tasks = quantize_offload(np.array(ratios), np.array(n))
+    assert np.all(tasks >= 0)
+    assert tasks.sum(axis=1).tolist() == n
 
 
 def test_offload_simplex_error():
     with pytest.raises(ActionError):
-        quantize_offload(np.array([0.5, 0.5, 0.5, 0, 0.0]), 10, [1, 2, 3, 4])
+        quantize_offload(np.array([[0.2] * 5, [0.5, 0.5, 0.5, 0, 0.0]]),
+                         np.array([10, 10]))
     with pytest.raises(ActionError):
-        quantize_offload(np.full(4, 0.25), 10, [1, 2, 3, 4])
+        quantize_offload(np.array([[math.nan, 0.5, 0.5, 0, 0]]), np.array([10]))
+    with pytest.raises(ActionError):      # one ratio row per task count
+        quantize_offload(np.full((1, 5), 0.2), np.array([10, 10]))
+    with pytest.raises(ActionError):      # one task column per server
+        _slot(quantize_offload(np.full((1, 4), 0.25), np.array([10])),
+              servers=[[0, 1, 2, 3, 4]], routes={})
 
 
 def test_subarrays_equal_split_oracle():
@@ -80,6 +83,10 @@ def test_subarrays_errors():
         quantize_subarrays(np.full(4, 0.3), 64)       # sum > 1
     with pytest.raises(ActionError):
         quantize_subarrays(np.zeros(65), 64)          # more links than budget
+    with pytest.raises(ActionError):                  # each row has a budget
+        quantize_subarrays(np.array([[0.25] * 4, [0.3] * 4]), 64)
+    with pytest.raises(ActionError):
+        quantize_subarrays(np.array([0.25, math.nan]), 64)
 
 
 def test_power_quantizer():
@@ -87,6 +94,12 @@ def test_power_quantizer():
     assert np.allclose(out, [5.0, 2.5, 0.0])
     with pytest.raises(ActionError):
         quantize_power(np.array([0.9, 0.2]), 10.0)
+    rows = quantize_power(np.array([[0.5, 0.5], [0.0, 0.25]]), 10.0)
+    assert rows.tolist() == [[5.0, 5.0], [0.0, 2.5]]
+    with pytest.raises(ActionError):
+        quantize_power(np.array([[0.5, 0.5], [0.9, 0.2]]), 10.0)
+    with pytest.raises(ActionError):
+        quantize_power(np.array([0.5, math.nan]), 10.0)
 
 
 # -- elementary delays -------------------------------------------------------
@@ -142,43 +155,50 @@ def test_reward_monotone_and_slope_ratio():
 
 
 def test_reward_params_validation():
-    with pytest.raises(ValueError):
-        RewardParams(w_below=50.0, w_above=10.0)
+    for bad in (dict(w_below=50.0, w_above=10.0), dict(latency_threshold_s=0.0),
+                dict(latency_threshold_s=-1.0), dict(chi1=-1.0)):
+        with pytest.raises(ValueError):
+            RewardParams(**bad)
 
 
 # -- resource usage ----------------------------------------------------------
 
 def _alloc(subs, powers):
-    return LinkAlloc(subs, np.asarray(powers, dtype=float))
+    """One phase: subarrays [tx, links] and power [tx, links, K]."""
+    return np.array(subs, dtype=int), np.array(powers, dtype=float)
+
+
+#: a phase with no transmitters
+NO_ALLOC = _alloc(np.zeros((0, 1)), np.zeros((0, 1, 1)))
 
 
 def test_resource_usage_saturation():
-    alloc = {(0, 1): _alloc(64, [10.0])}
-    _, u_p, u_s, u, _, _ = resource_usage(alloc, {}, 10.0, 64)
+    alloc = _alloc([[64]], [[[10.0]]])
+    u_p, u_s, u, _, _ = resource_usage(alloc, NO_ALLOC, 10.0, 64)
     assert u_p == u_s == u == 1.0
 
 
 def test_resource_usage_minimum_oracle():
-    alloc = {(0, 1): _alloc(1, [0.0])}
-    _, u_p, u_s, u, _, _ = resource_usage(alloc, {}, 10.0, 64)
+    alloc = _alloc([[1]], [[[0.0]]])
+    u_p, u_s, u, _, _ = resource_usage(alloc, NO_ALLOC, 10.0, 64)
     assert u_p == 0.0
     assert abs(u_s - 1.0 / 64.0) < 1e-15
     assert abs(u - 0.5 / 64.0) < 1e-15
 
 
 def test_resource_usage_power_linearity():
-    a1 = {(0, 1): _alloc(4, [4.0, 2.0])}
-    a2 = {(0, 1): _alloc(4, [2.0, 1.0])}
-    _, up1, _, _, _, _ = resource_usage(a1, {}, 10.0, 64)
-    _, up2, _, _, _, _ = resource_usage(a2, {}, 10.0, 64)
+    a1 = _alloc([[4]], [[[4.0, 2.0]]])
+    a2 = _alloc([[4]], [[[2.0, 1.0]]])
+    up1, _, _, _, _ = resource_usage(a1, NO_ALLOC, 10.0, 64)
+    up2, _, _, _, _ = resource_usage(a2, NO_ALLOC, 10.0, 64)
     assert abs(up1 / up2 - 2.0) < 1e-12
 
 
 def test_resource_usage_idle_transmitters_counted():
-    alloc_ot = {(3, GS): _alloc(32, [5.0])}
-    _, u_p, u_s, _, _, _ = resource_usage({}, alloc_ot, 10.0, 64,
-                                          outcome_transmitters=[3, 8])
-    # satellite 8 has a route but no allocation: counts as zero usage
+    # satellite 8 has a route but nothing allocated: its all-zero row
+    # counts as zero usage in the mean
+    alloc_ot = _alloc([[32], [0]], [[[5.0]], [[0.0]]])
+    u_p, u_s, _, _, _ = resource_usage(NO_ALLOC, alloc_ot, 10.0, 64)
     assert abs(u_p - 0.25) < 1e-12
     assert abs(u_s - 0.25) < 1e-12
 
@@ -190,23 +210,25 @@ RP = RewardParams()
 TASK_B = 2500
 
 
-def _slot(assignment, neighbor_order, routes, offload_dist, rates_to, rates_ot,
-          transmitters=None):
+def _slot(tasks, servers, routes, rates_to=None, dist_to=None, rates_ot=(),
+          dist_ot=()):
+    """Outcome links are indices into rates_ot/dist_ot; offload hops are the
+    server columns 1.. of each row."""
+    tasks = np.asarray(tasks)
+    hops = (tasks.shape[0], tasks.shape[1] - 1)
     return simulate_slot(
-        assignment=assignment, neighbor_order=neighbor_order, routes=routes,
-        offload_dist_km=offload_dist, rates_to=rates_to, rates_ot=rates_ot,
-        alloc_to={}, alloc_ot={}, compute=COMPUTE, task_size_bytes=TASK_B,
-        reward_params=RP, p_max_w=10.0, s_max=64,
-        outcome_transmitters=transmitters)
+        tasks=tasks, servers=np.asarray(servers),
+        rates_to=np.zeros(hops) if rates_to is None else np.asarray(rates_to),
+        dist_to_km=np.zeros(hops) if dist_to is None else np.asarray(dist_to),
+        routes=routes, rates_ot=np.asarray(rates_ot, dtype=float),
+        dist_ot_km=np.asarray(dist_ot, dtype=float),
+        alloc_to=NO_ALLOC, alloc_ot=NO_ALLOC, compute=COMPUTE,
+        task_size_bytes=TASK_B, reward_params=RP, p_max_w=10.0, s_max=64)
 
 
 def test_slot_single_path_closed_form():
     n, rate, d = 10, 1e9, 1969.9
-    out = _slot(
-        OffloadAssignment(tasks_self={0: n}, tasks_to={0: {}}),
-        neighbor_order={0: []},
-        routes={0: [(0, GS, d)]},
-        offload_dist={}, rates_to={}, rates_ot={(0, GS): rate})
+    out = _slot([[n]], [[0]], routes={0: [0]}, rates_ot=[rate], dist_ot=[d])
     l_in = n * TASK_B
     t_cp = l_in * COMPUTE.cycles_per_byte / COMPUTE.cpu_rate_hz
     l_out = math.ceil(COMPUTE.outcome_ratio * l_in)
@@ -218,11 +240,7 @@ def test_slot_single_path_closed_form():
 
 def test_slot_self_compute_only():
     n = 40
-    out = _slot(
-        OffloadAssignment(tasks_self={0: n}, tasks_to={0: {}}),
-        neighbor_order={0: []},
-        routes={0: []},
-        offload_dist={}, rates_to={}, rates_ot={})
+    out = _slot([[n]], [[0]], routes={0: []})
     t_cp = n * TASK_B * COMPUTE.cycles_per_byte / COMPUTE.cpu_rate_hz
     assert abs(out.overall_delay[0] - t_cp) < 1e-9
 
@@ -231,34 +249,32 @@ def test_slot_shared_fifo_relay():
     # two equal flows merge at relay 9; the second in tie-break order waits
     # exactly one service time extra on the shared link
     n, rate, d1, d2 = 8, 5e8, 1200.0, 900.0
-    out = _slot(
-        OffloadAssignment(tasks_self={1: n, 2: n}, tasks_to={1: {}, 2: {}}),
-        neighbor_order={1: [], 2: []},
-        routes={1: [(1, 9, d1), (9, GS, d2)],
-                2: [(2, 9, d1), (9, GS, d2)]},
-        offload_dist={},
-        rates_to={},
-        rates_ot={(1, 9): rate, (2, 9): rate, (9, GS): rate})
+    # outcome links: 0 = (1, 9), 1 = (2, 9), 2 = (9, GS)
+    out = _slot([[n], [n]], [[1], [2]],
+                routes={1: [0, 2], 2: [1, 2]},
+                rates_ot=[rate, rate, rate], dist_ot=[d1, d1, d2])
     l_out = math.ceil(COMPUTE.outcome_ratio * n * TASK_B)
     service = l_out / rate
     assert abs((out.overall_delay[2] - out.overall_delay[1]) - service) < 1e-9
-    assert abs(out.queue_backlog_bytes[(9, GS)] - l_out) < 1e-9
+    assert abs(out.queue_backlog_bytes[2] - l_out) < 1e-9
     # first flow's closed form: compute + 2 transmissions + 2 propagations
     t_cp = n * TASK_B * COMPUTE.cycles_per_byte / COMPUTE.cpu_rate_hz
     expected1 = t_cp + 2 * service + (d1 + d2) / C_KM_S
     assert abs(out.overall_delay[1] - expected1) < 1e-9
 
 
+def _offload_hop_slot(n, m, r_to, r_ot, d05, d5g):
+    """Source 0 sends m of its n tasks to neighbor 5 and keeps the rest;
+    outcome links 0 = (0, GS), 1 = (5, GS)."""
+    return _slot([[n - m, m]], [[0, 5]], routes={0: [0], 5: [1]},
+                 rates_to=[[r_to]], dist_to=[[d05]],
+                 rates_ot=[r_ot, r_ot], dist_ot=[d5g, d5g])
+
+
 def test_slot_offload_hop_closed_form():
     # source 0 sends m tasks to neighbor 5 and keeps the rest locally
     n, m, r_to, r_ot, d05, d5g = 10, 4, 2e9, 1e9, 1969.9, 603.8
-    out = _slot(
-        OffloadAssignment(tasks_self={0: n - m}, tasks_to={0: {5: m}}),
-        neighbor_order={0: [5]},
-        routes={0: [(0, GS, d5g)], 5: [(5, GS, d5g)]},
-        offload_dist={(0, 5): d05},
-        rates_to={(0, 5): r_to},
-        rates_ot={(0, GS): r_ot, (5, GS): r_ot})
+    out = _offload_hop_slot(n, m, r_to, r_ot, d05, d5g)
     z, q, beta = COMPUTE.cycles_per_byte, COMPUTE.cpu_rate_hz, COMPUTE.outcome_ratio
     # path through the neighbor
     data = m * TASK_B
@@ -274,12 +290,20 @@ def test_slot_offload_hop_closed_form():
     assert abs(out.overall_delay[0] - max(expect_0, expect_5)) < 1e-9
 
 
+def test_slot_unreachable_offload_hop_is_inf():
+    # the same topology with a zero-rate offload hop: the path through the
+    # neighbor never delivers, so the source's delay is inf, capped in T_avg
+    out = _offload_hop_slot(10, 4, 0.0, 1e9, 1969.9, 603.8)
+    assert out.unreachable
+    assert out.path_delays[(0, 5)] == math.inf
+    assert out.overall_delay[0] == math.inf
+    assert out.t_avg == DELAY_CAP_S
+    assert not any(math.isnan(d) for d in out.path_delays.values())
+
+
 def test_slot_zero_rate_unreachable_capped():
-    out = _slot(
-        OffloadAssignment(tasks_self={0: 5}, tasks_to={0: {}}),
-        neighbor_order={0: []},
-        routes={0: [(0, GS, 1000.0)]},
-        offload_dist={}, rates_to={}, rates_ot={})     # no rate on the link
+    out = _slot([[5]], [[0]], routes={0: [0]},
+                rates_ot=[0.0], dist_ot=[1000.0])     # no rate on the link
     assert out.unreachable
     assert math.isinf(out.overall_delay[0])
     assert out.t_avg == DELAY_CAP_S                    # capped in the reward path
@@ -287,15 +311,10 @@ def test_slot_zero_rate_unreachable_capped():
 
 
 def test_slot_determinism():
-    args = dict(
-        assignment=OffloadAssignment(tasks_self={1: 3, 2: 7},
-                                     tasks_to={1: {}, 2: {}}),
-        neighbor_order={1: [], 2: []},
-        routes={1: [(1, 9, 800.0), (9, GS, 700.0)],
-                2: [(2, 9, 850.0), (9, GS, 700.0)]},
-        offload_dist={},
-        rates_to={},
-        rates_ot={(1, 9): 1e9, (2, 9): 1e9, (9, GS): 7e8})
+    # outcome links: 0 = (1, 9), 1 = (2, 9), 2 = (9, GS)
+    args = dict(tasks=[[3], [7]], servers=[[1], [2]],
+                routes={1: [0, 2], 2: [1, 2]},
+                rates_ot=[1e9, 1e9, 7e8], dist_ot=[800.0, 850.0, 700.0])
     a = _slot(**args)
     b = _slot(**args)
     assert a.overall_delay == b.overall_delay
@@ -306,10 +325,6 @@ def test_slot_determinism():
 @given(r=st.floats(1e6, 1e10), boost=st.floats(1.0, 100.0))
 def test_slot_delay_monotone_in_rate(r, boost):
     def run(rate):
-        return _slot(
-            OffloadAssignment(tasks_self={0: 12}, tasks_to={0: {}}),
-            neighbor_order={0: []},
-            routes={0: [(0, GS, 1000.0)]},
-            offload_dist={}, rates_to={},
-            rates_ot={(0, GS): rate}).overall_delay[0]
+        return _slot([[12]], [[0]], routes={0: [0]}, rates_ot=[rate],
+                     dist_ot=[1000.0]).overall_delay[0]
     assert run(r * boost) <= run(r) + 1e-12
