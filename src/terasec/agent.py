@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Adam, Dense, GcnLayer, Tensor, concat_cols, mse,
-                       normalized_adjacency)
+from .autodiff import (Adam, Dense, GcnLayer, NeighborTable, Tensor,
+                       concat_cols, mse, neighbor_table, normalized_adjacency)
 from .env import ActionBundle, SecWindow
 
 SINR_DB_SCALE = 60.0
@@ -82,10 +82,11 @@ SKIP_LR_SCALE = 10.0
 @dataclass
 class PhaseState:
     """Pruned graph state for one phase: per-node features and the
-    normalized adjacency, which both phases of a window share."""
+    normalized adjacency as a neighbor table, which both phases of a window
+    share."""
 
     features: np.ndarray
-    a_norm: np.ndarray
+    table: NeighborTable
 
 
 # -- networks ----------------------------------------------------------------
@@ -104,8 +105,8 @@ class OffloadActor:
                                 "actor_to.head_power", 0.1)
 
     def forward(self, state: PhaseState, source_rows):
-        emb = self.gcn2(self.gcn1(Tensor(state.features), state.a_norm),
-                        state.a_norm)
+        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
+                        state.table)
         src = emb.gather_rows(source_rows)
         offload = bound_logits(self.head_offload(src)).softmax_rows()
         subarray = bound_logits(self.head_subarray(src)).softmax_rows()  # 4 used + slack
@@ -130,8 +131,8 @@ class OutcomeActor:
                                 "actor_ot.head_power", 0.1)
 
     def forward(self, state: PhaseState, tx_rows):
-        emb = self.gcn2(self.gcn1(Tensor(state.features), state.a_norm),
-                        state.a_norm)
+        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
+                        state.table)
         tx = emb.gather_rows(tx_rows)
         subarray = bound_logits(self.head_subarray(tx)).sigmoid()
         power = bound_logits(self.head_power(tx)).softmax_rows()  # K used + slack
@@ -186,7 +187,7 @@ class CentralCritic:
                 action_to: Tensor, action_ot: Tensor):
         feats = concat_cols([Tensor(state_to.features),
                              Tensor(state_ot.features), action_to, action_ot])
-        h = self.gcn2(self.gcn1(feats, state_to.a_norm), state_to.a_norm)
+        h = self.gcn2(self.gcn1(feats, state_to.table), state_to.table)
         pooled = h.mean_rows()
         h = self.dense1(pooled).tanh()
         h = self.dense2(h).tanh()
@@ -216,16 +217,19 @@ def safe_init(actor_to: OffloadActor, actor_ot: OutcomeActor) -> None:
 
 def explore_group(ratios: np.ndarray, noise_std: float,
                   rng: np.random.Generator) -> np.ndarray:
-    """Zero-sum Gaussian perturbation of one ratio group; the noise is
-    withdrawn entirely if it would drive any component negative."""
-    g = rng.standard_normal(ratios.size)
+    """Zero-sum Gaussian perturbation of each row of a ratio group ([rows,
+    size], or one 1-D row), scaled by the row's largest ratio; a row's noise
+    is withdrawn entirely if it would drive any component negative."""
+    g = rng.standard_normal(ratios.shape)
     if noise_std <= 0.0:
         return ratios.copy()
-    noise = (g - g.mean()) * (noise_std * float(np.max(ratios)))
-    out = ratios + noise
-    if np.any(out < 0.0):
-        return ratios.copy()
-    return out
+    rows = np.atleast_2d(ratios)
+    g = g.reshape(rows.shape)
+    noise = ((g - g.mean(axis=1, keepdims=True))
+             * (noise_std * rows.max(axis=1, keepdims=True)))
+    out = rows + noise
+    out = np.where(np.any(out < 0.0, axis=1, keepdims=True), rows, out)
+    return out.reshape(ratios.shape)
 
 
 def td_target(reward: float, q_next: float, kappa: float) -> float:
@@ -273,8 +277,9 @@ class GrantAgent:
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         self.source_rows = [env.node_index[s] for s in env.sources]
         self.tx_rows = [env.node_index[t] for t in env.outcome_transmitters]
-        # the window's graph is frozen: normalize it and lay out the static
-        # feature columns once; encode fills the per-slot ones
+        # the window's graph is frozen: normalize it into a neighbor table
+        # and lay out the static feature columns once; encode fills the
+        # per-slot ones
         c = env.c.cfg
         self.mean_bytes = env.traffic_cfg.mean_bytes_per_slot
         zero = np.zeros(len(env.involved))
@@ -283,8 +288,7 @@ class GrantAgent:
              env.node_slot / max(c.sats_per_plane - 1, 1),
              env.expected_offload_bytes / self.mean_bytes,
              zero, zero, zero, zero, env.phi_off, env.phi_gs], axis=1)
-        self.a_norm = normalized_adjacency(env.adjacency)
-        self.a_norm.setflags(write=False)
+        self.table = neighbor_table(normalized_adjacency(env.adjacency))
         return np.random.default_rng(cfg.seed)
 
     # -- state and actions --------------------------------------------------
@@ -298,7 +302,7 @@ class GrantAgent:
         f_ot = np.delete(self.static_features, 7, axis=1)  # no phi_off
         f_ot[:, 2] = snapshot.expected_outcome_bytes / self.mean_bytes
         f_ot[:, 3:7] = snapshot.sinr_ot_db / SINR_DB_SCALE
-        return PhaseState(f_to, self.a_norm), PhaseState(f_ot, self.a_norm)
+        return PhaseState(f_to, self.table), PhaseState(f_ot, self.table)
 
     def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
         offload, subarray, power = self.actor_to.forward(s_to, self.source_rows)
@@ -322,14 +326,13 @@ class GrantAgent:
         offload, subarray, power, ot_sub, ot_power = ratios
         std = self.cfg.noise_std
         rng = self.noise_rng
-        offload = np.stack([explore_group(r, std, rng) for r in offload])
-        subarray = np.stack([explore_group(r, std, rng) for r in subarray])
-        power = np.stack([explore_group(r, std, rng) for r in power])
+        offload = explore_group(offload, std, rng)
+        subarray = explore_group(subarray, std, rng)
+        power = explore_group(power, std, rng)
         # the sub-array scalar explores as the pair (s, 1 - s)
-        pairs = np.stack([explore_group(np.array([s, 1.0 - s]), std, rng)
-                          for s in ot_sub[:, 0]])
-        ot_sub = pairs[:, :1]
-        ot_power = np.stack([explore_group(r, std, rng) for r in ot_power])
+        s = ot_sub[:, 0]
+        ot_sub = explore_group(np.column_stack([s, 1.0 - s]), std, rng)[:, :1]
+        ot_power = explore_group(ot_power, std, rng)
         return offload, subarray, power, ot_sub, ot_power
 
     def to_bundle(self, ratios) -> ActionBundle:

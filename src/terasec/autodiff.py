@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,6 +309,59 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return d_inv_sqrt[:, None] * a_tilde * d_inv_sqrt[None, :]
 
 
+class NeighborTable(NamedTuple):
+    """A symmetric propagation matrix as padded per-row neighbor lists: row i
+    holds weight[i, k] at column idx[i, k].  Rows narrower than the widest
+    are padded with their own index at weight 0."""
+
+    idx: np.ndarray      # [n, w] int
+    weight: np.ndarray   # [n, w] float64
+
+
+def neighbor_table(a_norm: np.ndarray) -> NeighborTable:
+    """Read-only neighbor table of an exactly symmetric matrix, each row's
+    nonzeros in ascending column order."""
+    a = np.asarray(a_norm, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
+        raise DimensionError("propagation matrix must be square and exactly "
+                             "symmetric")
+    n = a.shape[0]
+    rows, cols = np.nonzero(a)
+    counts = np.bincount(rows, minlength=n)
+    # position of each nonzero within its row: nonzero() is row-major
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.repeat(np.arange(n)[:, None], counts.max(initial=1), axis=1)
+    weight = np.zeros(idx.shape)
+    idx[rows, pos] = cols
+    weight[rows, pos] = a[rows, cols]
+    idx.setflags(write=False)
+    weight.setflags(write=False)
+    return NeighborTable(idx, weight)
+
+
+def _neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
+    """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order."""
+    idx, weight = table
+    out = weight[:, :1] * x[idx[:, 0]]
+    for k in range(1, idx.shape[1]):
+        out += weight[:, k:k + 1] * x[idx[:, k]]
+    return out
+
+
+def propagate(x, table: NeighborTable) -> Tensor:
+    """A_norm @ x for the matrix the table holds.  A_norm is symmetric, so
+    the gradient propagates through the same table."""
+    x = _as_tensor(x)
+    if x.shape[0] != table.idx.shape[0]:
+        raise DimensionError("feature row count must match the graph size")
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(_neighbor_sum(g, table))
+
+    return Tensor._make(_neighbor_sum(x.data, table), (x,), backward)
+
+
 # -- parameters, layers, optimizer -------------------------------------------
 
 
@@ -347,7 +401,8 @@ _ACTIVATIONS = {
 
 
 class GcnLayer:
-    """F' = activation(A_norm @ F @ W); A_norm is a per-call constant."""
+    """F' = activation(A_norm @ F @ W); A_norm is a per-call constant given
+    as a NeighborTable."""
 
     def __init__(self, rng, d_in, d_out, name, activation="tanh"):
         if activation not in _ACTIVATIONS:
@@ -355,11 +410,8 @@ class GcnLayer:
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
         self.activation = activation
 
-    def __call__(self, features: Tensor, a_norm: np.ndarray) -> Tensor:
-        if features.shape[0] != a_norm.shape[0]:
-            raise DimensionError("feature row count must match the graph size")
-        agg = Tensor(a_norm) @ features
-        return _ACTIVATIONS[self.activation](agg @ self.w)
+    def __call__(self, features: Tensor, table: NeighborTable) -> Tensor:
+        return _ACTIVATIONS[self.activation](propagate(features, table) @ self.w)
 
     def parameters(self):
         return [self.w]

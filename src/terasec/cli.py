@@ -86,8 +86,9 @@ def cmd_compare_bands(args) -> int:
     table = harness.compare_bands(cfg, seed, checkpoint=args.checkpoint,
                                   steps=args.steps)
     thz = table["thz"]["t_avg_s"]
-    for name, row in table.items():
-        row["t_avg_vs_thz"] = row["t_avg_s"] / thz if thz > 0 else float("inf")
+    for row in table.values():
+        known = thz and row["t_avg_s"] is not None
+        row["t_avg_vs_thz"] = row["t_avg_s"] / thz if known else None
     print(json.dumps({"config_hash": cfg.config_hash(), "seed": seed,
                       "bands": table}, indent=2))
     return EXIT_OK

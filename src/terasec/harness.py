@@ -387,19 +387,26 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
                          band_preset(name, "outcome")) for name in bands}
     delays = {name: [] for name in bands}
     maxima = {name: [] for name in bands}
+    unreachable = dict.fromkeys(bands, 0)
     for _ in range(steps):
         bundle, _, _ = policy.act(env.snapshot())
         allocations = env._quantize_allocations(bundle)
         for name, (b_to, b_ot) in band_plans.items():
             outcome, _, _ = env.step(bundle, band_to=b_to, band_ot=b_ot,
                                      advance=False, allocations=allocations)
-            finite = [d for d in outcome.overall_delay.values()]
-            delays[name].append(float(np.mean(finite)))
-            maxima[name].append(float(np.max(finite)))
+            overall = list(outcome.overall_delay.values())
+            finite = [d for d in overall if np.isfinite(d)]
+            unreachable[name] += len(finite) < len(overall)
+            if finite:
+                delays[name].append(float(np.mean(finite)))
+                maxima[name].append(float(np.max(finite)))
         # advance once on the configured reference band
         env.step(bundle, advance=True, allocations=allocations)
     table = {}
     for name in bands:
-        table[name] = {"t_avg_s": float(np.mean(delays[name])),
-                       "t_max_s": float(np.max(maxima[name]))}
+        # a band with no finite path delay in any slot has no mean to report
+        table[name] = {
+            "t_avg_s": float(np.mean(delays[name])) if delays[name] else None,
+            "t_max_s": float(np.max(maxima[name])) if maxima[name] else None,
+            "unreachable_slots": unreachable[name]}
     return table

@@ -11,7 +11,8 @@ import pytest
 
 from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
                            OutcomeActor, TrainConfig, explore_group)
-from terasec.autodiff import Dense, GcnLayer, Tensor, normalized_adjacency
+from terasec.autodiff import (Dense, GcnLayer, Tensor, neighbor_table,
+                              normalized_adjacency)
 from terasec.baselines import MaddpgFcAgent
 from terasec.constellation import SatId, WalkerConfig, build_walker
 from terasec.harness import ExperimentConfig, compare_bands, run_experiment
@@ -96,7 +97,7 @@ def test_criterion_2_gradient_correctness():
     adj = np.zeros((n, n))
     for i in range(n):
         adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-    a_norm = normalized_adjacency(adj)
+    table = neighbor_table(normalized_adjacency(adj))
 
     def make_proj(cols):
         v = Tensor(rng.standard_normal((cols, 1)))
@@ -112,18 +113,18 @@ def test_criterion_2_gradient_correctness():
         gcn = GcnLayer(rng, 4, 3, f"g{i}", "tanh")
         feats = rng.standard_normal((n, 4))
         proj3b = make_proj(3)
-        check_gradient(lambda: proj3b(gcn(Tensor(feats), a_norm)),
+        check_gradient(lambda: proj3b(gcn(Tensor(feats), table)),
                        gcn.parameters())
 
         actor_to = OffloadActor(np.random.default_rng(100 + i), k, width)
-        s_to = _phase_state(rng, n, 9, a_norm)
+        s_to = _phase_state(rng, n, 9, table)
         projs_to = [make_proj(5), make_proj(5), make_proj(4 * k + 1)]
         check_gradient(
             lambda: sum_proj(actor_to.forward(s_to, [0, 2]), projs_to),
             actor_to.parameters(), rtol=1e-4)
 
         actor_ot = OutcomeActor(np.random.default_rng(200 + i), k, width)
-        s_ot = _phase_state(rng, n, 8, a_norm)
+        s_ot = _phase_state(rng, n, 8, table)
         projs_ot = [make_proj(1), make_proj(k + 1)]
         check_gradient(
             lambda: sum_proj(actor_ot.forward(s_ot, [1, 3]), projs_ot),
@@ -140,10 +141,9 @@ def test_criterion_2_gradient_correctness():
                     f"central finite differences (eps=1e-5, rel err < 1e-4)")
 
 
-def _phase_state(rng, n, n_feats, a_norm):
+def _phase_state(rng, n, n_feats, table):
     from terasec.agent import PhaseState
-    return PhaseState(features=rng.standard_normal((n, n_feats)),
-                      a_norm=a_norm)
+    return PhaseState(features=rng.standard_normal((n, n_feats)), table=table)
 
 
 def sum_proj(outputs, projections):

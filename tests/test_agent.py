@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 
@@ -8,11 +9,14 @@ from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
                            OutcomeActor, PhaseState, TrainConfig,
                            TrainingError, bound_logits, explore_group,
                            logit_bias, safe_init, td_target)
-from terasec.autodiff import Adam, Tensor, mse, normalized_adjacency
+from terasec.autodiff import (Adam, GcnLayer, Tensor, mse, neighbor_table,
+                              normalized_adjacency)
 from terasec.baselines import MaddpgFcAgent
-from terasec.env import GS_NODE, prune_involved
+from terasec.env import GS_NODE, SecWindow, prune_involved
+from terasec.harness import _metrics_row
 
-from conftest import make_env
+from conftest import make_env, random_simplex
+from gcn_reference import dense_gcn_call, dense_matrix, permuted_table
 
 
 # -- logit bounding -----------------------------------------------------------
@@ -36,9 +40,12 @@ def test_encode_state_shapes_and_flags(small_env):
     n = len(small_env.involved)
     assert s_to.features.shape == (n, 9)
     assert s_ot.features.shape == (n, 8)
-    # both phases share one read-only normalized adjacency
-    assert s_to.a_norm is s_ot.a_norm
-    assert s_to.a_norm.shape == (n, n) and not s_to.a_norm.flags.writeable
+    # both phases share one read-only neighbor table of the normalized
+    # adjacency, at most 4 ISLs plus the self-loop wide
+    assert s_to.table is s_ot.table
+    for part in s_to.table:
+        assert part.shape[0] == n and part.shape[1] <= 5
+        assert not part.flags.writeable
     # normalized plane/slot indices stay in [0, 1]
     assert np.all(s_to.features[:, :2] >= 0.0)
     assert np.all(s_to.features[:, :2] <= 1.0)
@@ -114,7 +121,7 @@ def test_encode_equals_the_per_slot_rebuild(cls, seed):
             features, a_norm = reference_encode_state(
                 ref, phase, c.planes, c.sats_per_plane, mean)
             assert np.array_equal(state.features, features)
-            assert np.array_equal(state.a_norm, a_norm)
+            assert np.array_equal(dense_matrix(state.table), a_norm)
         checked.append(env.step_idx)
         return states
 
@@ -189,6 +196,72 @@ def test_explore_group_zero_std_identity():
     assert np.array_equal(explore_group(r, 0.0, rng), r)
 
 
+def reference_explore_group(ratios, noise_std, rng):
+    """explore_group as it was: one 1-D ratio group per call."""
+    g = rng.standard_normal(ratios.size)
+    if noise_std <= 0.0:
+        return ratios.copy()
+    noise = (g - g.mean()) * (noise_std * float(np.max(ratios)))
+    out = ratios + noise
+    if np.any(out < 0.0):
+        return ratios.copy()
+    return out
+
+
+def reference_explore(agent, ratios):
+    """GrantAgent.explore as it was: one draw per row."""
+    offload, subarray, power, ot_sub, ot_power = ratios
+    std, rng = agent.cfg.noise_std, agent.noise_rng
+
+    def rows(group):
+        return np.stack([reference_explore_group(r, std, rng) for r in group])
+
+    offload, subarray, power = rows(offload), rows(subarray), rows(power)
+    pairs = rows([np.array([s, 1.0 - s]) for s in ot_sub[:, 0]])
+    return offload, subarray, power, pairs[:, :1], rows(ot_power)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("width", [2, 5, 6, 21, 26])
+def test_batched_explore_group_equals_the_per_row_loop(width):
+    """Values, signs of zero and the generator's next draw all match."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n_rows = int(rng.integers(1, 401))
+        ratios = np.stack([random_simplex(rng, width) for _ in range(n_rows)])
+        ratios[::7] = 0.0
+        ratios[::7, 0] = 1.0          # corner rows: noise mostly withdrawn
+        ratios[3::11, -1] = 0.0       # exact zeros inside spread rows
+        for std in (0.3, 0.0):
+            batch_rng = np.random.default_rng(1000 + seed)
+            loop_rng = np.random.default_rng(1000 + seed)
+            got = explore_group(ratios, std, batch_rng)
+            want = np.stack([reference_explore_group(r, std, loop_rng)
+                             for r in ratios])
+            assert _same_bits(got, want)
+            assert batch_rng.standard_normal() == loop_rng.standard_normal()
+
+
+def test_agent_explore_equals_the_per_row_loop(small_env):
+    agent = GrantAgent(small_env, TrainConfig(noise_std=0.3, seed=4))
+    _, ratios, _ = agent.act(small_env.snapshot())
+    ratios = list(ratios)
+    ratios[3] = ratios[3].copy()
+    ratios[3][::2] = 1.0              # (1, 0) pairs withdraw most noise
+    reference = copy.deepcopy(agent)
+    for _ in range(3):
+        got = agent.explore(ratios)
+        want = reference_explore(reference, ratios)
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+    assert (agent.noise_rng.standard_normal()
+            == reference.noise_rng.standard_normal())
+
+
 def test_agent_explore_shapes_and_budgets(small_env):
     agent = GrantAgent(small_env, TrainConfig(noise_std=0.3))
     _, ratios, _ = agent.act(small_env.snapshot())
@@ -230,12 +303,13 @@ def _ring_state(rng, n, n_feats):
     for i in range(n):
         a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
     feats = rng.standard_normal((n, n_feats))
-    return PhaseState(features=feats, a_norm=normalized_adjacency(a))
+    return PhaseState(features=feats,
+                      table=neighbor_table(normalized_adjacency(a)))
 
 
 def _permute_state(state, perm):
     return PhaseState(features=state.features[perm],
-                      a_norm=state.a_norm[np.ix_(perm, perm)])
+                      table=permuted_table(state.table, perm))
 
 
 def test_offload_actor_permutation_equivariance():
@@ -259,13 +333,13 @@ def test_critic_permutation_invariance():
     n = 6
     s_to = _ring_state(rng, n, 9)
     s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      a_norm=s_to.a_norm)
+                      table=s_to.table)
     act_to = rng.random((n, 5 + 4 + 4 * k))
     act_ot = rng.random((n, 1 + k))
     q = critic.forward(s_to, s_ot, Tensor(act_to), Tensor(act_ot)).data.item()
     perm = rng.permutation(n)
     p_to = _permute_state(s_to, perm)
-    p_ot = PhaseState(features=s_ot.features[perm], a_norm=p_to.a_norm)
+    p_ot = PhaseState(features=s_ot.features[perm], table=p_to.table)
     q_p = (critic.forward(p_to, p_ot, Tensor(act_to[perm]),
                                Tensor(act_ot[perm])).data)
     assert abs(q - q_p) < 1e-10
@@ -278,7 +352,7 @@ def test_critic_usage_slope_prior():
     n = 4
     s_to = _ring_state(rng, n, 9)
     s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      a_norm=s_to.a_norm)
+                      table=s_to.table)
     zero_to = Tensor(np.zeros((n, 5 + 4 * k + 4)))
     zero_ot = Tensor(np.zeros((n, 1 + k)))
 
@@ -314,7 +388,7 @@ def test_critic_converges_to_geometric_fixed_point():
     n = 5
     s_to = _ring_state(rng, n, 9)
     s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      a_norm=s_to.a_norm)
+                      table=s_to.table)
     a_to = Tensor(rng.random((n, 5 + 4 + 4 * k)))
     a_ot = Tensor(rng.random((n, 1 + k)))
     params = critic.parameters()
@@ -423,3 +497,70 @@ def test_training_leaves_no_cyclic_garbage(cls):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the dense propagation path the neighbor table replaced ------------------
+
+#: relative bound on a parameter's drift from the dense GCN path after a few
+#: training steps; only the summation order of A_norm @ F differs
+DENSE_PATH_PARAM_RTOL = 1e-8
+
+
+def _train(seed, steps, dense, monkeypatch):
+    agent = GrantAgent(make_env(seed=seed, steps=steps),
+                       TrainConfig(seed=seed, steps=steps))
+    rows = []
+    with monkeypatch.context() as m:
+        if dense:
+            m.setattr(GcnLayer, "__call__", dense_gcn_call)
+        agent.run_training(on_step=lambda _, rec: rows.append(
+            _metrics_row(rec["step"], rec["outcome"])))
+    return rows, agent.parameters()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_training_matches_the_dense_gcn_path(seed, monkeypatch):
+    rows, params = _train(seed, 4, False, monkeypatch)
+    dense_rows, dense_params = _train(seed, 4, True, monkeypatch)
+    assert rows == dense_rows
+    for p, q in zip(params, dense_params):
+        assert p.name == q.name
+        assert np.all(np.abs(p.data - q.data)
+                      <= DENSE_PATH_PARAM_RTOL * np.abs(q.data)), p.name
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from obj through terasec objects, lists,
+    tuples and dicts; the window (SecWindow) is not the agent's own state."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, SecWindow):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif type(obj).__module__.startswith("terasec"):
+        children = list(getattr(obj, "__dict__", {}).values())
+        children += [getattr(obj, name) for cls in type(obj).__mro__
+                     for name in getattr(cls, "__slots__", ())
+                     if hasattr(obj, name)]
+    else:
+        return
+    for child in children:
+        yield from _arrays(child, seen)
+
+
+def test_no_dense_graph_matrix_is_kept():
+    """Neither the agent nor its encoded states hold an n x n array."""
+    env = make_env(seed=1, steps=3)
+    agent = GrantAgent(env, TrainConfig(seed=1, steps=2))
+    agent.run_training()
+    states = agent.encode(env.snapshot())
+    n = len(env.involved)
+    sizes = [a.size for a in _arrays((agent, states))]
+    assert len(sizes) > len(agent.parameters())
+    assert max(sizes) < n * n

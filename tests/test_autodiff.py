@@ -6,9 +6,11 @@ import pytest
 
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
                               GraphStateError, Parameter, Tensor, concat_cols,
-                              load_checkpoint, mse,
-                              normalized_adjacency, save_checkpoint,
+                              load_checkpoint, mse, neighbor_table,
+                              normalized_adjacency, propagate, save_checkpoint,
                               write_json, xavier_uniform)
+
+from conftest import make_env
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -40,7 +42,23 @@ def check_gradient(build, params, rtol=1e-4):
         assert np.max(np.abs(got - num) / denom) < rtol, p.name
 
 
+def path_adjacency(n):
+    a = np.zeros((n, n))
+    for i in range(n - 1):
+        a[i, i + 1] = a[i + 1, i] = 1.0
+    return a
+
+
+def ring_adjacency(n):
+    a = path_adjacency(n)
+    a[0, n - 1] = a[n - 1, 0] = 1.0
+    return a
+
+
 # -- op-level gradient checks -------------------------------------------------
+
+#: a 4-node path: end rows are narrower than inner rows, so padding is used
+PATH4 = neighbor_table(normalized_adjacency(path_adjacency(4)))
 
 OPS = {
     "matmul": lambda a, b: (a @ b).sum(),
@@ -58,6 +76,7 @@ OPS = {
     "slice": lambda a, b: (a @ b).slice_cols(1, 3).sum(),
     "concat": lambda a, b: concat_cols([a @ b, (a @ b).tanh()]).sum(),
     "mse": lambda a, b: mse(a @ b, Tensor(np.ones((4, 3)))),
+    "propagate": lambda a, b: propagate((a @ b).tanh(), PATH4).tanh().sum(),
 }
 
 
@@ -155,14 +174,83 @@ def test_normalized_adjacency_asymmetric_error():
         normalized_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+# -- neighbor-table propagation -----------------------------------------------
+
+def _isolated_node_adjacency():
+    a = ring_adjacency(5)
+    b = np.zeros((6, 6))
+    b[1:, 1:] = a        # node 0 has no edges
+    return b
+
+
+def _env_adjacency(seed, n_sources):
+    return make_env(seed=seed, steps=1, n_sources=n_sources).adjacency
+
+
+GRAPHS = {
+    "ring": lambda: ring_adjacency(7),
+    "path": lambda: path_adjacency(6),
+    "isolated": _isolated_node_adjacency,
+    **{f"env_seed{seed}_src{n_src}": (lambda s=seed, m=n_src:
+                                      _env_adjacency(s, m))
+       for seed in (1, 2, 3) for n_src in (10, 200)},
+}
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_propagate_equals_the_dense_product(graph):
+    """Forward is a_norm @ x and backward a_norm.T @ g, to 1e-12 relative
+    to the sum of the terms' magnitudes (|a_norm| @ |x|): a row whose terms
+    cancel has no element-wise relative bound in any summation order."""
+    a_norm = normalized_adjacency(GRAPHS[graph]())
+    table = neighbor_table(a_norm)
+    n = a_norm.shape[0]
+    rng = np.random.default_rng(n)
+    x = Parameter(rng.standard_normal((n, 7)), "x")
+    g = rng.standard_normal((n, 7))
+    out = propagate(x, table)
+    scale = np.abs(a_norm) @ np.abs(x.data)
+    assert np.all(np.abs(out.data - a_norm @ x.data) <= 1e-12 * scale)
+    out.backward(g)
+    scale = np.abs(a_norm.T) @ np.abs(g)
+    assert np.all(np.abs(x.grad - a_norm.T @ g) <= 1e-12 * scale)
+    # every row's nonzeros are in the table; padding points at the row
+    nnz = np.count_nonzero(a_norm, axis=1)
+    assert table.idx.shape == table.weight.shape == (n, nnz.max())
+    padding = table.weight == 0.0
+    assert np.array_equal(padding.sum(axis=1), nnz.max() - nnz)
+    assert np.all(table.idx[padding]
+                  == np.nonzero(padding)[0])
+
+
+def test_neighbor_table_rejects_asymmetric_matrices():
+    a_norm = normalized_adjacency(ring_adjacency(5))
+    skewed = a_norm.copy()
+    skewed[0, 1] = np.nextafter(skewed[0, 1], 1.0)   # asymmetric by one ulp
+    for bad in (skewed, a_norm[:, :4], np.ones(5)):
+        with pytest.raises(DimensionError):
+            neighbor_table(bad)
+
+
+def test_propagate_rejects_a_row_count_mismatch():
+    table = neighbor_table(normalized_adjacency(ring_adjacency(5)))
+    for rows in (4, 6):
+        with pytest.raises(DimensionError):
+            propagate(Tensor(np.ones((rows, 3))), table)
+    layer = GcnLayer(np.random.default_rng(0), 3, 2, "g")
+    with pytest.raises(DimensionError):
+        layer(Tensor(np.ones((4, 3))), table)
+
+
 # -- layers -------------------------------------------------------------------
 
 def test_gcn_layer_gradient():
     rng = np.random.default_rng(5)
     layer = GcnLayer(rng, 3, 2, "g", "tanh")
-    a_norm = normalized_adjacency(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]))
+    table = neighbor_table(normalized_adjacency(
+        np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]])))
     feats = rng.standard_normal((3, 3))
-    check_gradient(lambda: layer(Tensor(feats), a_norm).sum(),
+    check_gradient(lambda: layer(Tensor(feats), table).sum(),
                    layer.parameters())
 
 

@@ -86,6 +86,24 @@ def test_compare_bands_cli(tmp_path, capsys):
     assert bands["ku"]["t_avg_vs_thz"] > bands["ka"]["t_avg_vs_thz"]
 
 
+def test_compare_bands_cli_prints_strict_json(tmp_path, capsys,
+                                              monkeypatch):
+    """A band with no finite delay has no ratio; nothing prints as
+    Infinity or NaN."""
+    table = {"thz": {"t_avg_s": None, "t_max_s": None, "unreachable_slots": 1},
+             "ka": {"t_avg_s": 2.0, "t_max_s": 3.0, "unreachable_slots": 0}}
+    monkeypatch.setattr(harness, "compare_bands", lambda *a, **k: table)
+    code = main(["compare-bands", "--config", write_cfg(tmp_path)])
+    assert code == EXIT_OK
+
+    def strict(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=strict)
+    assert [row["t_avg_vs_thz"] for row in report["bands"].values()] == [
+        None, None]
+
+
 def test_dump_topology(tmp_path, capsys):
     out_csv = str(tmp_path / "topology.csv")
     code = main(["dump-topology", "--out", out_csv])

@@ -232,6 +232,7 @@ def test_compare_bands_ordering(tmp_path):
     for row in table.values():
         assert row["t_avg_s"] > 0.0
         assert row["t_max_s"] >= row["t_avg_s"]
+        assert row["unreachable_slots"] == 0
     assert table["thz"]["t_avg_s"] < table["ka"]["t_avg_s"] < table["ku"]["t_avg_s"]
 
 
@@ -248,6 +249,65 @@ def test_compare_bands_reference_band_matches_plain_run(tmp_path):
         outcome, _, _ = env.step(policy.act(env.snapshot())[0])
         raw.append(float(np.mean(list(outcome.overall_delay.values()))))
     assert abs(table["thz"]["t_avg_s"] - np.mean(raw)) < 1e-12
+
+
+def _zero_power_compare_bands(tmp_path, monkeypatch, zero):
+    """compare_bands on the uniform policy, with zero(bundle, slot) applied
+    to each slot's bundle before it is replayed."""
+    cfg = ExperimentConfig.from_dict({
+        "policy": "uniform", "train": {"steps": 4},
+        "output_dir": str(tmp_path)})
+    restored = harness.restored_policy
+    acted = []
+
+    class ZeroPower:
+        def __init__(self, policy):
+            self.policy = policy
+
+        def act(self, snapshot=None):
+            bundle, ratios, states = self.policy.act(snapshot)
+            zero(bundle, len(acted))
+            acted.append(bundle)
+            return bundle, ratios, states
+
+    def zero_power_policy(*args):
+        env, policy = restored(*args)
+        return env, ZeroPower(policy)
+
+    monkeypatch.setattr(harness, "restored_policy", zero_power_policy)
+    table = compare_bands(cfg, seed=1, steps=4)
+    assert len(acted) == 4
+    json.dumps(table, allow_nan=False)   # no NaN or inf reaches the table
+    return table
+
+
+def test_compare_bands_counts_unreachable_slots(tmp_path, monkeypatch):
+    """A slot with an unreachable path is counted, and the band's delays
+    come from the finite path delays alone."""
+
+    def first_source_silent(bundle, slot):
+        # every other slot, the first source's offloaded tasks never arrive
+        if slot % 2 == 0:
+            bundle.to_power[0] = 0.0
+
+    table = _zero_power_compare_bands(tmp_path, monkeypatch,
+                                      first_source_silent)
+    for row in table.values():
+        assert row["unreachable_slots"] == 2
+        assert np.isfinite(row["t_avg_s"]) and np.isfinite(row["t_max_s"])
+        assert 0.0 < row["t_avg_s"] <= row["t_max_s"]
+    assert table["thz"]["t_avg_s"] < table["ka"]["t_avg_s"] < table["ku"]["t_avg_s"]
+
+
+def test_compare_bands_with_no_finite_delay(tmp_path, monkeypatch):
+    def silent(bundle, slot):
+        bundle.to_power[:] = 0.0
+        bundle.ot_power[:] = 0.0
+
+    table = _zero_power_compare_bands(tmp_path, monkeypatch, silent)
+    for row in table.values():
+        assert row == {"t_avg_s": None, "t_max_s": None,
+                       "unreachable_slots": 4}
 
 
 def test_compare_bands_checkpoint_restriction(tmp_path):
