@@ -84,14 +84,10 @@ class GroundStation:
 
 @dataclass(frozen=True)
 class Route:
-    """Hop sequence from a source satellite to the GS-connected satellite.
-
-    ``hops`` starts at the source and ends at the GS-connected satellite;
-    ``hop_distances_km`` has one entry per edge (len(hops) - 1 entries).
-    """
+    """Hop sequence, as flat satellite indices, from a source satellite to the
+    GS-connected satellite (both included)."""
 
     hops: tuple
-    hop_distances_km: tuple
 
     @property
     def n_hops(self) -> int:
@@ -99,7 +95,13 @@ class Route:
 
 
 class Constellation:
-    """Walker-Delta shell: positions, ISL neighbors, GS access, routing."""
+    """Walker-Delta shell: positions, ISL neighbors, GS access, routing.
+
+    ``neighbors`` is the read-only ``[n_sats, 4]`` ISL graph over flat
+    indices (``plane * sats_per_plane + slot``), columns slot+1, slot-1,
+    plane+1, plane-1; it is None below 3 planes, where the inter-plane
+    neighbors are not defined.
+    """
 
     def __init__(self, cfg: WalkerConfig):
         self.cfg = cfg
@@ -117,7 +119,33 @@ class Constellation:
         slots = np.tile(np.arange(cfg.sats_per_plane), cfg.planes)
         self._base_anomaly = slots * self._phase_step + planes * self._plane_phase
         self._raan_flat = self._raan[planes]
-        self._neighbor_cache = {}
+        self.neighbors = (self._neighbor_table(planes, slots)
+                          if cfg.planes >= 3 else None)
+
+    def _neighbor_table(self, planes: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The 4-ISL graph: 2 intra-plane and 2 inter-plane (closest phasing).
+
+        Slot j of the next plane leads slot j of this one by F/P slot
+        spacings (by (1 - P) * F / P from the last plane to plane 0), so the
+        closest slot in the next plane is j + k for one shift k per plane
+        pair: the integer nearest to minus that lead, modulo S.  On an exact
+        half-slot tie (F = P/2 mod P) the smaller forward shift wins, which
+        keeps k one shift; the plane-1 column is the inverse of the plane+1
+        column, so the graph is symmetric and 4-regular.
+        """
+        n_p, n_s = self.cfg.planes, self.cfg.sats_per_plane
+        plane_step = np.where(np.arange(n_p) == n_p - 1, 1 - n_p, 1)
+        low, rem = np.divmod(-plane_step * self.cfg.phasing_factor, n_p)
+        shift = np.where(2 * rem == n_p,
+                         np.minimum(low % n_s, (low + 1) % n_s),
+                         (low + (2 * rem > n_p)) % n_s)
+        up, down = (planes + 1) % n_p, (planes - 1) % n_p
+        table = np.stack([planes * n_s + (slots + 1) % n_s,
+                          planes * n_s + (slots - 1) % n_s,
+                          up * n_s + (slots + shift[planes]) % n_s,
+                          down * n_s + (slots - shift[down]) % n_s], axis=1)
+        table.setflags(write=False)
+        return table
 
     # -- geometry ---------------------------------------------------------
 
@@ -140,59 +168,33 @@ class Constellation:
         z = sin_u * sin_i
         return self.orbit_radius_km * np.stack([x, y, z], axis=1)
 
-    def position_at(self, sat: SatId, t: float) -> np.ndarray:
-        self._check_id(sat)
-        return self.positions_at(t)[sat.flat(self.cfg.sats_per_plane)]
-
-    def distance_km(self, a: SatId, b: SatId, t: float) -> float:
-        pos = self.positions_at(t)
-        s = self.cfg.sats_per_plane
-        return float(np.linalg.norm(pos[a.flat(s)] - pos[b.flat(s)]))
-
     # -- ISL topology -----------------------------------------------------
 
-    def isl_neighbors(self, sat: SatId) -> list:
-        """The 4 ISL neighbors: 2 intra-plane and 2 inter-plane (closest phasing)."""
-        self._check_id(sat)
-        if self.cfg.planes < 3:
+    def _isl_table(self) -> np.ndarray:
+        if self.neighbors is None:
             raise TopologyError("inter-plane ISLs require at least 3 planes")
-        key = (sat.plane, sat.slot)
-        cached = self._neighbor_cache.get(key)
-        if cached is not None:
-            return list(cached)
-        p, s = sat.plane, sat.slot
-        n_s = self.cfg.sats_per_plane
-        out = [SatId(p, (s + 1) % n_s), SatId(p, (s - 1) % n_s)]
-        my_anom = s * self._phase_step + p * self._plane_phase
-        for dp in (1, -1):
-            q = (p + dp) % self.cfg.planes
-            best_slot, best_diff = 0, float("inf")
-            for s2 in range(n_s):
-                anom = s2 * self._phase_step + q * self._plane_phase
-                diff = abs(math.remainder(anom - my_anom, 2.0 * math.pi))
-                # deterministic tie-break: lower slot index wins
-                if diff < best_diff - 1e-12:
-                    best_slot, best_diff = s2, diff
-            out.append(SatId(q, best_slot))
-        self._neighbor_cache[key] = tuple(out)
-        return out
+        return self.neighbors
+
+    def isl_neighbors(self, sat: SatId) -> list:
+        """The 4 ISL neighbors of sat, in the ``neighbors`` column order."""
+        self._check_id(sat)
+        n_sp = self.cfg.sats_per_plane
+        return [SatId.from_flat(j, n_sp)
+                for j in self._isl_table()[sat.flat(n_sp)].tolist()]
 
     def isl_edges(self, t: float | None = None) -> list:
         """All undirected ISL edges as (flat_a, flat_b, distance_km), a < b."""
         if t is None:
             t = self.cfg.epoch_s
+        table = self._isl_table()
         pos = self.positions_at(t)
-        n_sp = self.cfg.sats_per_plane
-        edges = set()
-        for idx in range(self.n_sats):
-            sat = SatId.from_flat(idx, n_sp)
-            for nb in self.isl_neighbors(sat):
-                j = nb.flat(n_sp)
-                edges.add((min(idx, j), max(idx, j)))
-        out = []
-        for a, b in sorted(edges):
-            out.append((a, b, float(np.linalg.norm(pos[a] - pos[b]))))
-        return out
+        own = np.repeat(np.arange(self.n_sats), table.shape[1])
+        pairs = np.unique(np.sort(np.stack([own, table.ravel()], axis=1), axis=1),
+                          axis=0)
+        v = pos[pairs[:, 0]] - pos[pairs[:, 1]]
+        # vecdot keeps np.linalg.norm's bits
+        dist = np.sqrt(np.vecdot(v, v))
+        return [(a, b, d) for (a, b), d in zip(pairs.tolist(), dist.tolist())]
 
     # -- ground station ---------------------------------------------------
 
@@ -205,18 +207,8 @@ class Constellation:
              math.cos(lat) * math.sin(lon),
              math.sin(lat)])
 
-    def elevation_deg(self, sat: SatId, gs: GroundStation, t: float) -> float:
-        gs_pos = self.gs_position(gs, t)
-        up = gs_pos / np.linalg.norm(gs_pos)
-        v = self.position_at(sat, t) - gs_pos
-        return math.degrees(math.asin(float(np.dot(v, up)) / float(np.linalg.norm(v))))
-
-    def gs_access_satellite(self, gs: GroundStation, t: float,
-                            previous: SatId | None = None) -> SatId:
-        """Sticky GS access: keep `previous` while visible, else nearest visible."""
-        if previous is not None:
-            if self.elevation_deg(previous, gs, t) >= gs.min_elevation_deg:
-                return previous
+    def gs_access_satellite(self, gs: GroundStation, t: float) -> int:
+        """Flat index of the nearest satellite above the GS's minimum elevation."""
         gs_pos = self.gs_position(gs, t)
         up = gs_pos / np.linalg.norm(gs_pos)
         pos = self.positions_at(t)
@@ -227,38 +219,30 @@ class Constellation:
         if visible.size == 0:
             raise VisibilityError(f"no satellite above {gs.min_elevation_deg} deg at t={t}")
         # minimum slant range, ties broken by flat index (argmin picks first)
-        best = visible[int(np.argmin(slant[visible]))]
-        return SatId.from_flat(int(best), self.cfg.sats_per_plane)
+        return int(visible[int(np.argmin(slant[visible]))])
 
     # -- routing ----------------------------------------------------------
 
-    def shortest_path_tree(self, gs_sat: SatId, t: float,
+    def shortest_path_tree(self, gs_sat: int, t: float,
                            eta: float = 0.5) -> tuple:
-        """Dijkstra tree rooted at gs_sat under w(i,j) = 1 + eta*d(i,j)/d_ref.
+        """Dijkstra tree rooted at flat index gs_sat under
+        w(i,j) = 1 + eta*d(i,j)/d_ref.
 
         Returns (dist, parent) arrays over flat indices; parent[root] = -1.
         Parent choice is deterministic: among optimal predecessors the lowest
         flat index wins, which makes every hop sequence lexicographically
         minimal.
         """
-        if self.cfg.planes < 3:
-            raise TopologyError("routing requires the 4-ISL topology")
+        table = self._isl_table()
         # a negative weight keeps Dijkstra from ever settling
         if not (math.isfinite(eta) and eta >= 0):
             raise ValueError(f"eta must be a finite number >= 0, got {eta!r}")
         pos = self.positions_at(t)
-        d_ref = self.intra_plane_chord_km()
-        n_sp = self.cfg.sats_per_plane
-        nbrs = []
-        for idx in range(self.n_sats):
-            sat = SatId.from_flat(idx, n_sp)
-            row = []
-            for nb in self.isl_neighbors(sat):
-                j = nb.flat(n_sp)
-                w = 1.0 + eta * float(np.linalg.norm(pos[idx] - pos[j])) / d_ref
-                row.append((j, w))
-            nbrs.append(row)
-        root = gs_sat.flat(n_sp)
+        v = pos[:, None, :] - pos[table]
+        weights = 1.0 + eta * np.sqrt(np.vecdot(v, v)) / self.intra_plane_chord_km()
+        nbrs = [list(zip(js, ws))
+                for js, ws in zip(table.tolist(), weights.tolist())]
+        root = gs_sat
         dist = np.full(self.n_sats, np.inf)
         dist[root] = 0.0
         heap = [(0.0, root)]
@@ -285,31 +269,25 @@ class Constellation:
             parent[idx] = best
         return dist, parent
 
-    def route_to_gs(self, src: SatId, gs_sat: SatId, eta: float = 0.5,
+    def route_to_gs(self, src: int, gs_sat: int, eta: float = 0.5,
                     t: float | None = None,
                     tree: tuple | None = None) -> Route:
-        """Shortest route from src to the GS-connected satellite."""
-        self._check_id(src)
-        self._check_id(gs_sat)
-        if t is None:
-            t = self.cfg.epoch_s
+        """Shortest route from flat index src to the GS-connected satellite:
+        the parent walk of `tree`, or of a fresh shortest-path tree."""
+        for sat in (src, gs_sat):
+            if not 0 <= sat < self.n_sats:
+                raise ConfigurationError(f"invalid satellite index {sat}")
         if tree is None:
-            tree = self.shortest_path_tree(gs_sat, t, eta)
+            tree = self.shortest_path_tree(
+                gs_sat, self.cfg.epoch_s if t is None else t, eta)
         _, parent = tree
-        n_sp = self.cfg.sats_per_plane
-        pos = self.positions_at(t)
         hops = [src]
-        dists = []
-        cur = src.flat(n_sp)
-        root = gs_sat.flat(n_sp)
-        while cur != root:
-            nxt = int(parent[cur])
+        while hops[-1] != gs_sat:
+            nxt = int(parent[hops[-1]])
             if nxt < 0:
                 raise RoutingError(f"no route from {src} to {gs_sat}")
-            dists.append(float(np.linalg.norm(pos[cur] - pos[nxt])))
-            hops.append(SatId.from_flat(nxt, n_sp))
-            cur = nxt
-        return Route(hops=tuple(hops), hop_distances_km=tuple(dists))
+            hops.append(nxt)
+        return Route(hops=tuple(hops))
 
 
 def build_walker(cfg: WalkerConfig) -> Constellation:

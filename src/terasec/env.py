@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sec_sim, thz_link
-from .constellation import Constellation, GroundStation, SatId, VisibilityError
+from .constellation import Constellation, GroundStation, VisibilityError
 from .sec_sim import ComputeParams, RewardParams
 from .thz_link import ArrayConfig, BandPlan, LinkBudgetParams
 from .traffic import TrafficConfig, generate_counts
@@ -35,15 +35,14 @@ def prune_involved(sources, neighbor_order, route_hops, gs_flat):
     any offload or outcome route (undirected); the GS itself is not a node.
     Returns (sorted node list, node -> row map, adjacency matrix).
     """
-    edges = [(s, nb) for s in sources for nb in neighbor_order[s]]
-    edges += [hop for hops in route_hops.values() for hop in hops]
-    involved = sorted({gs_flat, *sources, *(n for e in edges for n in e)}
-                      - {GS_NODE})
+    edges = np.array([(s, nb) for s in sources for nb in neighbor_order[s]]
+                     + [hop for hops in route_hops.values() for hop in hops],
+                     dtype=int).reshape(-1, 2)
+    involved = sorted({gs_flat, *sources, *edges.ravel().tolist()} - {GS_NODE})
     node_index = {n: i for i, n in enumerate(involved)}
+    a, b = np.searchsorted(involved, edges[edges[:, 1] != GS_NODE].T)
     adj = np.zeros((len(involved), len(involved)))
-    for a, b in edges:
-        if b != GS_NODE:
-            adj[node_index[a], node_index[b]] = adj[node_index[b], node_index[a]] = 1.0
+    adj[a, b] = adj[b, a] = 1.0
     return involved, node_index, adj
 
 
@@ -102,26 +101,23 @@ class SecWindow:
         n_sp = constellation.cfg.sats_per_plane
 
         self.t0 = self._find_window_start()
-        self.gs_sat = constellation.gs_access_satellite(gs, self.t0)
-        self.gs_flat = self.gs_sat.flat(n_sp)
+        self.gs_flat = constellation.gs_access_satellite(gs, self.t0)
+        # frozen routing tree (this also rejects a shell with no ISL graph)
+        tree = constellation.shortest_path_tree(self.gs_flat, self.t0, routing_eta)
 
         self.sources = self._select_sources(n_sources, source_seed)
-        self.neighbor_order = {
-            s: sorted(nb.flat(n_sp) for nb in
-                      constellation.isl_neighbors(SatId.from_flat(s, n_sp)))
-            for s in self.sources}
+        # each satellite's ISL neighbors in ascending flat order
+        sorted_neighbors = np.sort(constellation.neighbors, axis=1)
+        self.neighbor_order = dict(zip(
+            self.sources, sorted_neighbors[self.sources].tolist()))
         self.servers = sorted(set(self.sources).union(*self.neighbor_order.values()))
 
-        # frozen routing tree and per-server routes (hop node pairs only)
-        tree = constellation.shortest_path_tree(self.gs_sat, self.t0, routing_eta)
+        # per-server routes (hop node pairs only)
         self.route_hops = {}
         for server in self.servers:
-            route = constellation.route_to_gs(
-                SatId.from_flat(server, n_sp), self.gs_sat,
-                eta=routing_eta, t=self.t0, tree=tree)
-            self.route_hops[server] = [
-                (a.flat(n_sp), b.flat(n_sp)) for a, b in
-                zip(route.hops[:-1], route.hops[1:])] + [(self.gs_flat, GS_NODE)]
+            hops = constellation.route_to_gs(server, self.gs_flat, tree=tree).hops
+            self.route_hops[server] = [*zip(hops[:-1], hops[1:]),
+                                       (self.gs_flat, GS_NODE)]
 
         next_hop = {tx: rx for hops in self.route_hops.values() for tx, rx in hops}
         self.outcome_transmitters = sorted(next_hop)
@@ -141,9 +137,8 @@ class SecWindow:
             a.setflags(write=False)
         # [n_src, 5] servers of each source's offload shares (self first),
         # as flat ids and as involved-node rows
-        self._server_table = np.array(
-            [[s, *self.neighbor_order[s]] for s in self.sources],
-            dtype=int).reshape(-1, 5)
+        self._server_table = np.column_stack(
+            [self.sources, sorted_neighbors[self.sources]])
         self._offload_rows = np.searchsorted(nodes, self._server_table)
         self.counts = generate_counts(traffic_cfg, len(self.sources), max(steps, 1))
         self.step_idx = 0
@@ -163,14 +158,11 @@ class SecWindow:
         self._route_links = {server: [outcome_link[hop] for hop in hops]
                              for server, hops in self.route_hops.items()}
         self._sinr_cells = []
-        for links in (self._offload_link_list, self._outcome_link_list):
-            cells = []
-            for i, (tx, rx) in enumerate(links):
-                nbrs = sorted(nb.flat(n_sp) for nb in
-                              constellation.isl_neighbors(SatId.from_flat(tx, n_sp)))
-                if rx in nbrs:   # the GS downlink has no ISL direction
-                    cells.append((i, self.node_index[tx], nbrs.index(rx)))
-            self._sinr_cells.append(np.array(cells, dtype=int).reshape(-1, 3).T)
+        for tx, rx in (self._to_ends, self._ot_ends):
+            # the GS downlink has no ISL direction, so it matches no column
+            links, cols = np.nonzero(sorted_neighbors[tx] == rx[:, None])
+            self._sinr_cells.append(np.stack(
+                [links, np.searchsorted(nodes, tx[links]), cols]))
         # previous-slot state, seeded by the near-full reference action: all
         # tasks local, budgets nearly saturated
         bundle = self.reference_bundle()
@@ -194,7 +186,6 @@ class SecWindow:
 
     def _select_sources(self, n_sources, seed):
         rng = np.random.default_rng(seed)
-        n_sp = self.c.cfg.sats_per_plane
         chosen = []
         blocked = {self.gs_flat}
         while len(chosen) < n_sources:
@@ -208,8 +199,7 @@ class SecWindow:
                 continue
             chosen.append(cand)
             blocked.add(cand)
-            for nb in self.c.isl_neighbors(SatId.from_flat(cand, n_sp)):
-                blocked.add(nb.flat(n_sp))
+            blocked.update(self.c.neighbors[cand].tolist())
         return sorted(chosen)
 
     def _expected_outcome_inflow(self, offload: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ from terasec.thz_link import ArrayConfig, LinkBudgetParams, band_preset
 from terasec.traffic import TrafficConfig
 
 
-def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10) -> SecWindow:
+def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
+             walker: WalkerConfig = WalkerConfig()) -> SecWindow:
     """Default-scenario window used across the test suite."""
-    c = build_walker(WalkerConfig())
+    c = build_walker(walker)
     return SecWindow(
         c, GroundStation(), TrafficConfig(seed=seed),
         ArrayConfig(), LinkBudgetParams(),

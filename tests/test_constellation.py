@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topology_reference as ref
 from terasec.constellation import (ConfigurationError, GroundStation, SatId,
                                    SIDEREAL_RATE_RAD_S, TopologyError,
                                    VisibilityError, WalkerConfig, build_walker)
@@ -36,8 +37,9 @@ def test_orbital_periodicity(default_constellation):
     c = default_constellation
     # independent Kepler period for a 6921 km circular orbit
     period = 2.0 * math.pi * math.sqrt(R_ORBIT**3 / 398600.4418)
-    p0 = c.position_at(SatId(3, 7), 100.0)
-    p1 = c.position_at(SatId(3, 7), 100.0 + period)
+    idx = SatId(3, 7).flat(c.cfg.sats_per_plane)
+    p0 = c.positions_at(100.0)[idx]
+    p1 = c.positions_at(100.0 + period)[idx]
     assert np.linalg.norm(p0 - p1) < 1e-6
 
 
@@ -45,7 +47,8 @@ def test_intra_plane_chord_oracle(default_constellation):
     # closed-form chord between adjacent satellites on a 6921 km circle
     expected = 2.0 * R_ORBIT * math.sin(math.pi / 22.0)
     assert abs(expected - 1969.9) < 0.1  # sanity on the oracle itself
-    d = default_constellation.distance_km(SatId(5, 0), SatId(5, 1), 321.5)
+    pos = default_constellation.positions_at(321.5)
+    d = float(np.linalg.norm(pos[SatId(5, 0).flat(22)] - pos[SatId(5, 1).flat(22)]))
     assert abs(d - expected) < 1e-9
 
 
@@ -101,8 +104,13 @@ def test_isl_symmetry_and_regularity(default_constellation):
 
 def test_isl_requires_three_planes():
     c = build_walker(WalkerConfig(planes=2, sats_per_plane=4))
+    assert c.neighbors is None
     with pytest.raises(TopologyError):
         c.isl_neighbors(SatId(0, 0))
+    with pytest.raises(TopologyError):
+        c.isl_edges()
+    with pytest.raises(TopologyError):
+        c.shortest_path_tree(0, 0.0)
 
 
 def test_gs_sidereal_rotation(default_constellation):
@@ -116,26 +124,6 @@ def test_gs_sidereal_rotation(default_constellation):
     assert np.linalg.norm(p0 - c.gs_position(gs, day / 4)) > 1000.0
 
 
-def test_gs_access_sticky(default_constellation):
-    c = default_constellation
-    gs = GroundStation()
-    t = 0.0
-    while True:
-        try:
-            first = c.gs_access_satellite(gs, t)
-            break
-        except VisibilityError:
-            t += 10.0
-    # while `first` stays visible, it is returned even if no longer closest
-    t2 = t
-    while c.elevation_deg(first, gs, t2) >= gs.min_elevation_deg:
-        assert c.gs_access_satellite(gs, t2, previous=first) == first
-        t2 += 5.0
-        if t2 > t + 2000.0:
-            break
-    assert t2 > t  # the window is nonempty
-
-
 def test_gs_no_visibility_error():
     c = build_walker(WalkerConfig())
     gs = GroundStation(min_elevation_deg=89.9)
@@ -145,10 +133,11 @@ def test_gs_no_visibility_error():
 
 def test_route_identity_and_neighbor(default_constellation):
     c = default_constellation
-    gs_sat = SatId(10, 3)
+    n_sp = c.cfg.sats_per_plane
+    gs_sat = SatId(10, 3).flat(n_sp)
     r = c.route_to_gs(gs_sat, gs_sat)
     assert r.n_hops == 0
-    nb = c.isl_neighbors(gs_sat)[0]
+    nb = c.isl_neighbors(SatId(10, 3))[0].flat(n_sp)
     r1 = c.route_to_gs(nb, gs_sat)
     assert r1.n_hops == 1
     assert r1.hops == (nb, gs_sat)
@@ -174,34 +163,32 @@ def test_route_eta_zero_matches_bfs(default_constellation):
     c = default_constellation
     rng = np.random.default_rng(0)
     n_sp = c.cfg.sats_per_plane
-    gs_sat = SatId(0, 0)
+    gs_sat = SatId(0, 0).flat(n_sp)
     tree = c.shortest_path_tree(gs_sat, 0.0, eta=0.0)
     for _ in range(20):
         src_flat = int(rng.integers(c.n_sats))
-        route = c.route_to_gs(SatId.from_flat(src_flat, n_sp), gs_sat,
-                              eta=0.0, t=0.0, tree=tree)
-        assert route.n_hops == _bfs_distance(c, src_flat, gs_sat.flat(n_sp))
+        route = c.route_to_gs(src_flat, gs_sat, eta=0.0, t=0.0, tree=tree)
+        assert route.n_hops == _bfs_distance(c, src_flat, gs_sat)
 
 
 @pytest.mark.parametrize("eta", [-1.0, math.nan, math.inf])
 def test_shortest_path_tree_rejects_bad_eta(default_constellation, eta):
     # raised before the search: with a negative weight it never settles
     with pytest.raises(ValueError):
-        default_constellation.shortest_path_tree(SatId(0, 0), 0.0, eta=eta)
+        default_constellation.shortest_path_tree(0, 0.0, eta=eta)
 
 
 def test_route_never_revisits(default_constellation):
     c = default_constellation
     n_sp = c.cfg.sats_per_plane
-    gs_sat = SatId(7, 11)
+    gs_sat = SatId(7, 11).flat(n_sp)
     tree = c.shortest_path_tree(gs_sat, 50.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        src = SatId.from_flat(int(rng.integers(c.n_sats)), n_sp)
+        src = int(rng.integers(c.n_sats))
         route = c.route_to_gs(src, gs_sat, t=50.0, tree=tree)
         assert len(set(route.hops)) == len(route.hops)
         assert route.hops[-1] == gs_sat
-        assert len(route.hop_distances_km) == route.n_hops
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,5 +196,94 @@ def test_route_never_revisits(default_constellation):
        t=st.floats(0.0, 1e5, allow_nan=False))
 def test_position_on_sphere_property(plane, slot, t):
     c = build_walker(WalkerConfig())
-    p = c.position_at(SatId(plane, slot), t)
+    p = c.positions_at(t)[SatId(plane, slot).flat(c.cfg.sats_per_plane)]
     assert abs(np.linalg.norm(p) - R_ORBIT) < 1e-6
+
+
+# -- the neighbor table against the per-satellite code it replaced ------------
+
+#: (planes, sats_per_plane, phasing_factor) shells with no half-slot phasing
+#: tie, where the table must equal the phasing scan
+UNTIED_SHELLS = [(72, 22, 0), (72, 22, 1), (5, 7, 17), (40, 11, 39), (3, 3, 2)]
+
+#: the shells with F = P/2, where the inter-plane offset is exactly half a
+#: slot spacing
+HALF_SLOT_SHELLS = [(p, s, p // 2) for p in (4, 6, 8, 10, 12, 72)
+                    for s in (3, 4, 11, 22)]
+
+
+def _shell_id(shell):
+    return "P{}S{}F{}".format(*shell)
+
+
+def _shell(planes, sats_per_plane, phasing_factor):
+    return build_walker(WalkerConfig(planes=planes, sats_per_plane=sats_per_plane,
+                                     phasing_factor=phasing_factor))
+
+
+@pytest.mark.parametrize("shell", UNTIED_SHELLS, ids=_shell_id)
+def test_neighbor_table_equals_the_phasing_scan(shell):
+    c = _shell(*shell)
+    assert np.array_equal(c.neighbors, ref.neighbor_table(c))
+    n_sp = c.cfg.sats_per_plane
+    for idx in (0, c.n_sats // 2, c.n_sats - 1):
+        assert [nb.flat(n_sp) for nb in c.isl_neighbors(
+            SatId.from_flat(idx, n_sp))] == ref.isl_neighbors(c, idx)
+
+
+@pytest.mark.parametrize("shell", [(72, 22, 0), (5, 7, 17), (3, 3, 2)],
+                         ids=_shell_id)
+def test_isl_edges_equal_the_edge_loop(shell):
+    c = _shell(*shell)
+    for t in (0.0, 1234.5):
+        assert c.isl_edges(t) == ref.isl_edges(c, t)
+
+
+# 0.3 is not a power of two, so a reordered weight formula rounds differently
+@pytest.mark.parametrize("eta", [0.0, 0.5, 2.0, 0.3])
+def test_shortest_path_tree_equals_the_per_satellite_build(default_constellation,
+                                                           eta):
+    c = default_constellation
+    for root, t in ((SatId(7, 11).flat(22), 50.0), (1000, 4321.0)):
+        dist, parent = c.shortest_path_tree(root, t, eta)
+        want_dist, want_parent = ref.shortest_path_tree(c, root, t, eta)
+        assert np.array_equal(dist, want_dist)
+        assert np.array_equal(parent, want_parent)
+
+
+def test_routes_equal_the_reference_walk(default_constellation):
+    c = default_constellation
+    root = SatId(30, 4).flat(22)
+    tree = c.shortest_path_tree(root, 75.0)
+    _, want_parent = ref.shortest_path_tree(c, root, 75.0, 0.5)
+    rng = np.random.default_rng(5)
+    for src in rng.integers(c.n_sats, size=50).tolist():
+        assert (c.route_to_gs(src, root, tree=tree).hops
+                == ref.route(want_parent, src, root))
+    assert c.route_to_gs(src, root, t=75.0).hops == ref.route(want_parent, src,
+                                                              root)
+
+
+@pytest.mark.parametrize("shell", HALF_SLOT_SHELLS, ids=_shell_id)
+def test_half_slot_phasing_is_symmetric(shell):
+    c = _shell(*shell)
+    n_sp = c.cfg.sats_per_plane
+    nbrs = np.array([[nb.flat(n_sp) for nb in
+                      c.isl_neighbors(SatId.from_flat(idx, n_sp))]
+                     for idx in range(c.n_sats)])
+    # 4-regular: 4 distinct neighbors, none of them the satellite itself
+    assert all(len(set(row)) == 4 for row in nbrs.tolist())
+    assert not np.any(nbrs == np.arange(c.n_sats)[:, None])
+    # symmetric: every neighbor lists the satellite back
+    assert np.all(np.any(nbrs[nbrs] == np.arange(c.n_sats)[:, None, None],
+                         axis=2))
+    # connected
+    seen = np.zeros(c.n_sats, dtype=bool)
+    seen[0] = True
+    while True:
+        grown = seen.copy()
+        grown[nbrs[seen].ravel()] = True
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    assert seen.all()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import slot_reference as ref
+import topology_reference as topo
 from terasec import sec_sim
 from terasec.baselines import UniformPolicy
-from terasec.constellation import SatId
+from terasec.constellation import Constellation, SatId, WalkerConfig
 from terasec.env import GS_NODE, ActionBundle
 from terasec.thz_link import (band_preset, link_gain, link_rate, noise_power,
                               path_gain, sinr)
@@ -341,3 +342,58 @@ def test_static_observables_are_read_only(small_env):
                  "expected_offload_bytes"):
         with pytest.raises(ValueError):
             getattr(small_env, name)[0] = 1.0
+
+
+# -- window set-up against the per-satellite topology code --------------------
+
+@pytest.mark.parametrize("n_sources,seed", [(10, 1), (50, 2), (200, 1)])
+def test_window_setup_equals_the_per_satellite_reference(n_sources, seed):
+    env = make_env(seed=seed, steps=2, n_sources=n_sources)
+    c = env.c
+    assert env.sources == topo.select_sources(c, env.gs_flat, n_sources, seed)
+    assert env.neighbor_order == {s: sorted(topo.isl_neighbors(c, s))
+                                  for s in env.sources}
+    _, parent = topo.shortest_path_tree(c, env.gs_flat, env.t0, env.routing_eta)
+    for server, hops in env.route_hops.items():
+        route = topo.route(parent, server, env.gs_flat)
+        assert hops == [*zip(route[:-1], route[1:]), (env.gs_flat, GS_NODE)]
+    involved, node_index, adj = topo.prune_involved(
+        env.sources, env.neighbor_order, env.route_hops, env.gs_flat)
+    assert env.involved == involved and env.node_index == node_index
+    assert np.array_equal(env.adjacency, adj)
+
+
+def test_window_setup_reads_positions_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    positions_at = Constellation.positions_at
+
+    def counted(self, t):
+        calls.append(t)
+        return positions_at(self, t)
+
+    monkeypatch.setattr(Constellation, "positions_at", counted)
+    counts = []
+    for n_sources in (10, 200):
+        calls.clear()
+        env = make_env(seed=1, steps=2, n_sources=n_sources)
+        counts.append(len(calls))
+    # no per-server or per-hop geometry: the count does not grow with sources
+    assert counts[0] == counts[1]
+    with pytest.raises(ValueError):
+        env.c.neighbors[0, 0] = 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sources_are_nonadjacent_at_half_slot_phasing(seed):
+    # F = P/2 puts the next plane exactly half a slot ahead
+    env = make_env(seed=seed, steps=2, n_sources=50,
+                   walker=WalkerConfig(phasing_factor=36))
+    n_sp = env.c.cfg.sats_per_plane
+    sources = set(env.sources)
+    neighbors = {s: {nb.flat(n_sp) for nb in
+                     env.c.isl_neighbors(SatId.from_flat(s, n_sp))}
+                 for s in env.sources}
+    for a in env.sources:
+        for b in env.sources:
+            assert b not in neighbors[a] and a not in neighbors[b], (a, b)
+    assert env.gs_flat not in sources
