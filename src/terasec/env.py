@@ -145,8 +145,8 @@ class SecWindow:
 
         # frozen link tables: per phase, the links and their [2, links] end
         # rows into _positions(t) (GS_NODE indexes the GS in its last row);
-        # each route as outcome-link indices; and the (link, node row, ISL
-        # direction) cell of every rated link that has a SINR feature
+        # the routes as one tree over the outcome links; and the (link, node
+        # row, ISL direction) cell of every rated link that has a SINR feature
         self._offload_link_list = [(s, n) for s in self.sources
                                    for n in self.neighbor_order[s]]
         self._outcome_link_list = [(tx, next_hop[tx])
@@ -154,9 +154,12 @@ class SecWindow:
         self._to_ends, self._ot_ends = (
             np.array(links, dtype=int).reshape(-1, 2).T
             for links in (self._offload_link_list, self._outcome_link_list))
-        outcome_link = {link: i for i, link in enumerate(self._outcome_link_list)}
-        self._route_links = {server: [outcome_link[hop] for hop in hops]
-                             for server, hops in self.route_hops.items()}
+        # outcome link i is the i-th transmitter's (ascending flat id), so a
+        # link's next link is its receiver's (-1 into the GS) and a server's
+        # first link is its own
+        tx, rx = self._ot_ends
+        self._next_link = np.where(rx == GS_NODE, -1, np.searchsorted(tx, rx))
+        self._first_link = np.searchsorted(tx, self._server_table)
         self._sinr_cells = []
         for tx, rx in (self._to_ends, self._ot_ends):
             # the GS downlink has no ISL direction, so it matches no column
@@ -337,7 +340,8 @@ class SecWindow:
             tasks=tasks, servers=self._server_table,
             rates_to=rates_to.reshape(n_src, -1),
             dist_to_km=d_to.reshape(n_src, -1),
-            routes=self._route_links, rates_ot=rates_ot, dist_ot_km=d_ot,
+            first_link=self._first_link, next_link=self._next_link,
+            rates_ot=rates_ot, dist_ot_km=d_ot,
             alloc_to=alloc_to, alloc_ot=alloc_ot,
             compute=self.compute, task_size_bytes=self.traffic_cfg.task_size_bytes,
             reward_params=self.reward_params, p_max_w=self.budget.p_max_w,

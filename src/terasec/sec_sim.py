@@ -2,12 +2,12 @@
 FIFO queueing delays along all paths, resource-usage ratios and the reward.
 
 The simulator is a pure function of its inputs: identical arguments yield a
-bit-identical SlotOutcome.  Satellites are referred to by flat index here;
-translation from SatId happens in the environment layer.
+bit-identical SlotOutcome.  Satellites are flat indices and links are
+positions in the outcome link list; the outcome routes arrive as one frozen
+tree over those links (each link's next link toward the GS).
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -136,11 +136,100 @@ def propagation_delay(distance_km):
 
 # -- the slot --------------------------------------------------------------
 
+def route_tree_order(next_link: np.ndarray) -> np.ndarray:
+    """Outcome links ordered so that each comes before the link it feeds.
+
+    next_link[i] is the link after link i on every route through it, -1
+    when link i reaches the GS.  Links are sorted by descending hop count
+    to the GS, found by pointer doubling.  Raises ActionError for an index
+    out of range or a cycle (a self-loop included).
+    """
+    next_link = np.asarray(next_link)
+    n = next_link.size
+    if next_link.ndim != 1 or np.any((next_link < -1) | (next_link >= n)):
+        raise ActionError("next_link entries must be -1 or a link index")
+    # the GS is node n, its own parent; hops[i] counts links from i to parent[i]
+    parent = np.append(np.where(next_link < 0, n, next_link), n)
+    hops = np.append(np.ones(n, dtype=np.int64), 0)
+    for _ in range(n.bit_length()):
+        hops = hops + hops[parent]
+        parent = parent[parent]
+    if np.any(parent != n):
+        raise ActionError("next_link has a cycle")
+    return np.argsort(-hops[:n], kind="stable")
+
+
+def outcome_spans(release: np.ndarray, out_bytes: np.ndarray,
+                  first_link: np.ndarray, next_link: np.ndarray,
+                  order: np.ndarray, rates_ot: np.ndarray,
+                  dist_ot_km: np.ndarray) -> tuple:
+    """FIFO traversal of the outcome route tree, one flow per server.
+
+    Server k sends out_bytes[k] bytes, released at release[k], from
+    first_link[k] (-1: an empty route) along next_link to the GS; a server
+    with no bytes sends nothing.  Every link serves its arrivals in arrival
+    order, ties by ascending server k, and passes each on after its
+    transmission and propagation delays.  `order` is route_tree_order(
+    next_link), so a link's arrivals are all known when it is served.
+
+    Returns (span [servers]: release to GS arrival, inf for a flow released
+    at inf or stopped by a zero-rate link; backlog: link -> bytes that
+    waited on it; unreachable: a flow reached a zero-rate link).
+    """
+    release = release.tolist()
+    out_bytes = out_bytes.tolist()
+    next_link = next_link.tolist()
+    link_rate = rates_ot.tolist()
+    link_prop = propagation_delay(dist_ot_km).tolist()
+    span = [0.0] * len(release)
+    # link -> [(arrival time, server)]; the extra last list is the GS, which
+    # next_link's -1 indexes
+    arrivals = [[] for _ in range(len(next_link) + 1)]
+    for k, link in enumerate(first_link.tolist()):
+        if out_bytes[k] <= 0:
+            continue
+        if math.isinf(release[k]):         # an unreachable offload hop feeds it
+            span[k] = math.inf
+        else:
+            arrivals[link].append((release[k], k))
+    backlog = {}
+    unreachable = False
+    for link in order.tolist():
+        # every feeder is served by now; dropping the served list keeps one
+        # pending arrival per flow alive
+        queue, arrivals[link] = arrivals[link], None
+        if not queue:
+            continue
+        rate = link_rate[link]
+        if rate <= 0.0:
+            unreachable = True
+            for _, k in queue:
+                span[k] = math.inf
+            continue
+        queue.sort()
+        prop = link_prop[link]
+        after = arrivals[next_link[link]]
+        free = 0.0
+        for t, k in queue:
+            # service starts at max(t, free); a flow that finds the link
+            # busy waits, and its bytes count as backlog
+            if free > t:
+                backlog[link] = backlog.get(link, 0.0) + out_bytes[k]
+            else:
+                free = t
+            free += out_bytes[k] / rate
+            after.append((free + prop, k))
+    for t, k in arrivals[-1]:
+        span[k] = t - release[k]
+    return np.array(span), backlog, unreachable
+
+
 def simulate_slot(tasks: np.ndarray,
                   servers: np.ndarray,
                   rates_to: np.ndarray,
                   dist_to_km: np.ndarray,
-                  routes: dict,
+                  first_link: np.ndarray,
+                  next_link: np.ndarray,
                   rates_ot: np.ndarray,
                   dist_ot_km: np.ndarray,
                   alloc_to: tuple,
@@ -157,7 +246,10 @@ def simulate_slot(tasks: np.ndarray,
                     column 0 is the source itself
     rates_to        [n_src, m] bit/s of each offload hop (columns 1..)
     dist_to_km      [n_src, m] km of each offload hop
-    routes          server -> outcome-link indices of its route to the GS
+    first_link      [n_src, 1 + m] first outcome link of each server's
+                    route to the GS (-1: an empty route)
+    next_link       [links] the outcome link after each one on its route,
+                    -1 at a link into the GS (see route_tree_order)
     rates_ot        [links] bit/s of each outcome link
     dist_ot_km      [links] km of each outcome link
     alloc_to/ot     per phase (subarrays, power_w); see resource_usage
@@ -167,8 +259,12 @@ def simulate_slot(tasks: np.ndarray,
     FIFO contention on shared links (arrival order, ties by ascending server
     flat index).  Rows are reported in the order given.
     """
-    if tasks.shape != servers.shape:
+    if tasks.shape != servers.shape or first_link.shape != servers.shape:
         raise ActionError("task table does not match the server table")
+    if (next_link.shape != rates_ot.shape
+            or np.any((first_link < -1) | (first_link >= len(next_link)))):
+        raise ActionError("outcome links do not match the link table")
+    order = route_tree_order(next_link)
     # a path carries tasks; a source that offloads nothing keeps its local
     # path, even an empty one
     has_path = tasks > 0
@@ -184,6 +280,10 @@ def simulate_slot(tasks: np.ndarray,
     # each table cell as an index into the distinct servers `ids`
     ids, srv = np.unique(servers, return_inverse=True)
     srv = srv.reshape(servers.shape)
+    first = np.full(len(ids), -1)
+    first[srv] = first_link
+    if not np.array_equal(first[srv], first_link):
+        raise ActionError("a server has more than one first outcome link")
     server_bytes = np.zeros(len(ids), dtype=np.int64)
     np.add.at(server_bytes, srv[has_path], data[has_path])
     arrival = np.zeros(len(ids))
@@ -191,48 +291,12 @@ def simulate_slot(tasks: np.ndarray,
 
     # computation, then the outcome flows of servers that received data
     t_cp = computation_delay(server_bytes, compute)
-    release = arrival + t_cp
-    live = server_bytes > 0
-    # server -> (release time, outcome bytes)
-    flows = dict(zip(ids[live].tolist(), zip(
-        release[live].tolist(),
-        outcome_size(server_bytes[live], compute).tolist())))
-
-    # FIFO event simulation over the outcome routes
-    link_rate = rates_ot.tolist()
-    link_prop = propagation_delay(dist_ot_km).tolist()
-    link_free = {}
-    backlog = {}
-    outcome_span = {}                  # server -> route traversal time (or inf)
-    heap = []
-    for server, (r, _) in flows.items():
-        if math.isinf(r):              # an unreachable offload hop feeds it
-            outcome_span[server] = math.inf
-        else:
-            heap.append((r, server, 0))
-    heapq.heapify(heap)
-    while heap:
-        t_arr, server, hop_idx = heapq.heappop(heap)
-        route = routes[server]
-        if hop_idx >= len(route):
-            outcome_span[server] = t_arr - flows[server][0]
-            continue
-        link = route[hop_idx]
-        rate = link_rate[link]
-        if rate <= 0.0:
-            unreachable = True
-            outcome_span[server] = math.inf
-            continue
-        bytes_ = flows[server][1]
-        start = max(t_arr, link_free.get(link, 0.0))
-        if start > t_arr:
-            backlog[link] = backlog.get(link, 0.0) + bytes_
-        done = start + bytes_ / rate
-        link_free[link] = done
-        heapq.heappush(heap, (done + link_prop[link], server, hop_idx + 1))
+    span, backlog, cut = outcome_spans(
+        arrival + t_cp, outcome_size(server_bytes, compute), first, next_link,
+        order, rates_ot, dist_ot_km)
+    unreachable |= cut
 
     # per-path and per-source delays
-    span = np.array([outcome_span.get(server, 0.0) for server in ids.tolist()])
     delay = offload_delay + t_cp[srv] + span[srv]
     rows, cols = np.nonzero(has_path)
     path_delays = dict(zip(zip(servers[rows, 0].tolist(),

@@ -49,30 +49,35 @@ def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
 
 def fgn(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Standardized fractional Gaussian noise of length n (unit variance)."""
+    return _fgn_rows(hurst, n, 1, rng)[0]
+
+
+def _fgn_rows(hurst: float, n: int, rows: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """[rows, n] independent fgn draws, the random stream consumed row by
+    row as `rows` calls of fgn would, with one FFT for all rows."""
     if not 0.0 < hurst < 1.0:
         raise TrafficConfigError("hurst must be in (0, 1)")
     if n == 1:
-        return rng.standard_normal(1)
+        return rng.standard_normal((rows, 1))
     r = _fgn_autocovariance(hurst, n)
     # circulant embedding of the covariance; eigenvalues are nonnegative for fGn
     row = np.concatenate([r, r[-2:0:-1]])
     lam = np.fft.fft(row).real
     lam = np.clip(lam, 0.0, None)
     m = row.size
-    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    x = np.fft.fft(np.sqrt(lam / (2.0 * m)) * w)
+    # per row: m real parts, then m imaginary parts
+    z = rng.standard_normal((rows, 2, m))
+    w = z[:, 0] + 1j * z[:, 1]
+    x = np.fft.fft(np.sqrt(lam / (2.0 * m)) * w, axis=-1)
     # the real part carries half the circulant covariance
-    return np.sqrt(2.0) * x.real[:n]
+    return np.sqrt(2.0) * x.real[:, :n]
 
 
 def generate_counts(cfg: TrafficConfig, sources: int, steps: int) -> np.ndarray:
     """Nonnegative integer task counts, shape [sources, steps]."""
     if steps < 1:
         raise TrafficConfigError("steps must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
-    counts = np.empty((sources, steps), dtype=np.int64)
-    for i in range(sources):
-        x = fgn(cfg.hurst, steps, rng)
-        raw = cfg.mean_tasks_per_slot * (1.0 + cfg.relative_std * x)
-        counts[i] = np.round(np.maximum(0.0, raw)).astype(np.int64)
-    return counts
+    x = _fgn_rows(cfg.hurst, steps, sources, np.random.default_rng(cfg.seed))
+    raw = cfg.mean_tasks_per_slot * (1.0 + cfg.relative_std * x)
+    return np.round(np.maximum(0.0, raw)).astype(np.int64)

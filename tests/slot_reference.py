@@ -1,10 +1,12 @@
 """The dict-keyed slot path that the array path in terasec.sec_sim replaced,
-kept as the reference for the differential tests.
+and the heap FIFO that its route-tree pass replaced, kept as the references
+for the differential tests.
 
 Per-link LinkAlloc records, a dict-of-dicts OffloadAssignment, per-source
 quantizer calls and (tx, rx)-keyed rate and distance tables.  The code is
 as it was, with one fix: a path through a server that an unreachable
-offload hop feeds has delay inf, not NaN.
+offload hop feeds has delay inf, not NaN.  The heap FIFO at the end is the
+array path's outcome-flow block as it was, on per-server route lists.
 """
 import heapq
 import math
@@ -289,3 +291,73 @@ def resource_usage(alloc_to: dict, alloc_ot: dict, p_max_w: float, s_max: int,
     u_s = float(np.mean([v[1] for v in per_sat.values()]))
     u = float(np.mean([v[2] for v in per_sat.values()]))
     return per_sat, u_p, u_s, u, float(np.mean(powers)), float(np.mean(subarrays))
+
+
+# -- the heap FIFO that the route-tree pass in terasec.sec_sim replaced ----
+
+def route_tree(routes: dict, n_links: int) -> tuple:
+    """The tree form of a {key: [outcome links]} route table: (first, next_link)
+    with first[key] the route's first link (-1 when empty) and next_link[i]
+    the link after link i (-1 after a route's last link).  The routes must
+    agree on the link after every link they share."""
+    after = {}
+    for links in routes.values():
+        for a, b in zip(links, [*links[1:], -1]):
+            assert after.setdefault(a, b) == b, "routes disagree after a link"
+    next_link = np.full(n_links, -1)
+    next_link[list(after)] = list(after.values())
+    return {key: links[0] if links else -1 for key, links in routes.items()}, next_link
+
+
+def tree_routes(first: dict, next_link) -> dict:
+    """The route table of a tree: key -> outcome links from first[key] on."""
+    routes = {}
+    for key, link in first.items():
+        routes[key] = []
+        while link >= 0:
+            routes[key].append(link)
+            link = int(next_link[link])
+    return routes
+
+
+def heap_outcome_spans(release, out_bytes, routes, rates_ot, dist_ot_km):
+    """Outcome flows by one event heap over all links, as simulate_slot ran
+    them: server k (flows in ascending k) sends out_bytes[k] > 0 bytes from
+    release[k] along routes[k].  Returns (span [servers], backlog,
+    unreachable), as terasec.sec_sim.outcome_spans does."""
+    flows = {k: (r, b) for k, (r, b) in
+             enumerate(zip(release.tolist(), out_bytes.tolist())) if b > 0}
+    unreachable = False
+    link_rate = rates_ot.tolist()
+    link_prop = (np.asarray(dist_ot_km) / SPEED_OF_LIGHT_KM_S).tolist()
+    link_free = {}
+    backlog = {}
+    outcome_span = {}                  # server -> route traversal time (or inf)
+    heap = []
+    for server, (r, _) in flows.items():
+        if math.isinf(r):              # an unreachable offload hop feeds it
+            outcome_span[server] = math.inf
+        else:
+            heap.append((r, server, 0))
+    heapq.heapify(heap)
+    while heap:
+        t_arr, server, hop_idx = heapq.heappop(heap)
+        route = routes[server]
+        if hop_idx >= len(route):
+            outcome_span[server] = t_arr - flows[server][0]
+            continue
+        link = route[hop_idx]
+        rate = link_rate[link]
+        if rate <= 0.0:
+            unreachable = True
+            outcome_span[server] = math.inf
+            continue
+        bytes_ = flows[server][1]
+        start = max(t_arr, link_free.get(link, 0.0))
+        if start > t_arr:
+            backlog[link] = backlog.get(link, 0.0) + bytes_
+        done = start + bytes_ / rate
+        link_free[link] = done
+        heapq.heappush(heap, (done + link_prop[link], server, hop_idx + 1))
+    span = np.array([outcome_span.get(k, 0.0) for k in range(len(release))])
+    return span, backlog, unreachable

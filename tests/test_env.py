@@ -141,8 +141,11 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         assert seen["dist_ot_km"].tolist() == [
             float(np.linalg.norm(pos[tx] - node_pos(rx)))
             for tx, rx in env._outcome_link_list]
+        first = dict(zip(env._server_table.ravel().tolist(),
+                         seen["first_link"].ravel().tolist()))
         assert {server: [env._outcome_link_list[i] for i in links]
-                for server, links in seen["routes"].items()} == env.route_hops
+                for server, links in ref.tree_routes(
+                    first, seen["next_link"]).items()} == env.route_hops
         _, _, g_to, g_ot = reference_rates(
             env, *link_allocs(env, seen["alloc_to"], seen["alloc_ot"]), t,
             b_to, b_ot)

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from terasec.sec_sim import (ActionError, ComputeParams, DELAY_CAP_S,
                              RewardParams, computation_delay, outcome_size,
-                             propagation_delay, quantize_offload,
-                             quantize_power, quantize_subarrays, reward,
-                             resource_usage, simulate_slot)
+                             outcome_spans, propagation_delay,
+                             quantize_offload, quantize_power,
+                             quantize_subarrays, reward, resource_usage,
+                             route_tree_order, simulate_slot)
+
+from slot_reference import heap_outcome_spans, route_tree, tree_routes
 
 C_KM_S = 299792.458
 
@@ -211,16 +214,24 @@ TASK_B = 2500
 
 
 def _slot(tasks, servers, routes, rates_to=None, dist_to=None, rates_ot=(),
-          dist_ot=()):
+          dist_ot=(), next_link=None):
     """Outcome links are indices into rates_ot/dist_ot; offload hops are the
-    server columns 1.. of each row."""
+    server columns 1.. of each row.  `routes` (server -> its outcome links)
+    becomes the route tree simulate_slot takes; `next_link` replaces the
+    tree's."""
     tasks = np.asarray(tasks)
+    servers = np.asarray(servers)
     hops = (tasks.shape[0], tasks.shape[1] - 1)
+    first, tree = route_tree(routes, len(rates_ot))
+    first_link = np.array([first.get(s, -1) for s in servers.ravel().tolist()],
+                          dtype=int).reshape(servers.shape)
     return simulate_slot(
-        tasks=tasks, servers=np.asarray(servers),
+        tasks=tasks, servers=servers,
         rates_to=np.zeros(hops) if rates_to is None else np.asarray(rates_to),
         dist_to_km=np.zeros(hops) if dist_to is None else np.asarray(dist_to),
-        routes=routes, rates_ot=np.asarray(rates_ot, dtype=float),
+        first_link=first_link,
+        next_link=tree if next_link is None else np.asarray(next_link),
+        rates_ot=np.asarray(rates_ot, dtype=float),
         dist_ot_km=np.asarray(dist_ot, dtype=float),
         alloc_to=NO_ALLOC, alloc_ot=NO_ALLOC, compute=COMPUTE,
         task_size_bytes=TASK_B, reward_params=RP, p_max_w=10.0, s_max=64)
@@ -328,3 +339,90 @@ def test_slot_delay_monotone_in_rate(r, boost):
         return _slot([[12]], [[0]], routes={0: [0]}, rates_ot=[rate],
                      dist_ot=[1000.0]).overall_delay[0]
     assert run(r * boost) <= run(r) + 1e-12
+
+
+# -- the outcome route tree ---------------------------------------------------
+
+@pytest.mark.parametrize("next_link", [[1, 0, -1],      # 0 -> 1 -> 0
+                                       [-1, 1],         # self-loop
+                                       [3, -1, -1],     # past the last link
+                                       [-2, -1, -1]])   # below -1
+def test_bad_route_tree_is_rejected(next_link):
+    n = len(next_link)
+    with pytest.raises(ActionError):
+        route_tree_order(np.array(next_link))
+    with pytest.raises(ActionError):
+        _slot([[5]], [[0]], routes={0: [n - 1]}, rates_ot=[1e9] * n,
+              dist_ot=[1000.0] * n, next_link=next_link)
+
+
+@pytest.mark.parametrize("first_link", [[[2, 1], [1, 2]],    # past the end
+                                        [[-2, 1], [1, -2]],  # below -1
+                                        [[0, 1], [0, 0]]])   # two for server 1
+def test_bad_first_link_is_rejected(first_link):
+    # servers 0 and 1 offload to each other; [[0, 1], [1, 0]] is valid
+    with pytest.raises(ActionError):
+        simulate_slot(
+            tasks=np.array([[5, 0], [5, 0]]), servers=np.array([[0, 1], [1, 0]]),
+            rates_to=np.ones((2, 1)), dist_to_km=np.ones((2, 1)),
+            first_link=np.array(first_link), next_link=np.array([-1, -1]),
+            rates_ot=np.ones(2), dist_ot_km=np.ones(2), alloc_to=NO_ALLOC,
+            alloc_ot=NO_ALLOC, compute=COMPUTE, task_size_bytes=TASK_B,
+            reward_params=RP, p_max_w=10.0, s_max=64)
+
+
+def test_route_tree_order_feeds_forward():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 7, 64, 300):
+        next_link = np.array([-1 if i == 0 else int(rng.integers(i))
+                              for i in range(n)], dtype=int)
+        perm = rng.permutation(n)
+        tree = np.full(n, -1)
+        tree[perm] = np.where(next_link < 0, -1, perm[next_link])
+        position = np.empty(n, dtype=int)
+        position[route_tree_order(tree)] = np.arange(n)
+        fed = tree >= 0
+        assert np.all(position[fed] < position[tree[fed]])
+
+
+def _random_tree_case(rng):
+    """A random outcome route forest of 1-60 links over few distinct rates,
+    distances, releases and sizes, so that arrivals tie at merges; some
+    links have no rate, some releases are inf, some routes are empty."""
+    n_links = int(rng.integers(1, 61))
+    feeds = [-1 if i == 0 or rng.random() < 0.1 else int(rng.integers(i))
+             for i in range(n_links)]
+    perm = rng.permutation(n_links)       # depth says nothing of link index
+    next_link = np.full(n_links, -1)
+    next_link[perm] = [-1 if f < 0 else perm[f] for f in feeds]
+    n_servers = int(rng.integers(1, 2 * n_links + 2))
+    first_link = rng.integers(-1, n_links, n_servers)
+    release = rng.choice([0.0, 1e-3, 1e-3, 2e-3, math.inf], n_servers)
+    out_bytes = rng.choice([0, 1000, 1000, 1000, 2500], n_servers)
+    rates_ot = rng.choice([0.0, 1e6, 1e6, 1e6, 4e6], n_links)
+    dist_ot = rng.choice([0.0, 300.0, 300.0, 1200.0], n_links)
+    return release, out_bytes, first_link, next_link, rates_ot, dist_ot
+
+
+def test_route_tree_pass_equals_the_heap():
+    rng = np.random.default_rng(9)
+    # exact tie at the merge into link 0: server 1's feeder (link 1) is
+    # served before server 0's (link 2), but server 0 goes first
+    cases = [(np.zeros(2), np.array([1000, 1000]), np.array([2, 1]),
+              np.array([-1, 0, 0]), np.full(3, 1e6), np.full(3, 300.0))]
+    cases += [_random_tree_case(rng) for _ in range(300)]
+    seen = dict(unreachable=0, inf_release=0, empty_route=0, backlog=0)
+    for release, out_bytes, first_link, next_link, rates_ot, dist_ot in cases:
+        routes = tree_routes(dict(enumerate(first_link.tolist())), next_link)
+        want = heap_outcome_spans(release, out_bytes, routes, rates_ot, dist_ot)
+        got = outcome_spans(release, out_bytes, first_link, next_link,
+                            route_tree_order(next_link), rates_ot, dist_ot)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        flows = out_bytes > 0
+        seen["unreachable"] += want[2]
+        seen["inf_release"] += bool(np.any(flows & np.isinf(release)))
+        seen["empty_route"] += bool(np.any(flows & (first_link < 0)))
+        seen["backlog"] += bool(want[1])
+    assert min(seen.values()) >= 20, seen

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from terasec.traffic import (TrafficConfig, TrafficConfigError, fgn,
-                             generate_counts)
+from terasec.traffic import (TrafficConfig, TrafficConfigError,
+                             _fgn_autocovariance, fgn, generate_counts)
 
 
 def lag1_autocorr(x: np.ndarray) -> float:
@@ -87,3 +87,32 @@ def test_invalid_config_errors():
 def test_mean_bytes_per_slot():
     cfg = TrafficConfig()
     assert cfg.mean_bytes_per_slot == 122.0 * 2500
+
+
+def reference_counts(cfg: TrafficConfig, sources: int, steps: int):
+    """The per-source loop generate_counts replaced: one fgn draw, with its
+    own circulant eigenvalues and FFT, per source."""
+    rng = np.random.default_rng(cfg.seed)
+    counts = np.empty((sources, steps), dtype=np.int64)
+    for i in range(sources):
+        if steps == 1:
+            x = rng.standard_normal(1)
+        else:
+            r = _fgn_autocovariance(cfg.hurst, steps)
+            row = np.concatenate([r, r[-2:0:-1]])
+            lam = np.clip(np.fft.fft(row).real, 0.0, None)
+            m = row.size
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            x = np.sqrt(2.0) * np.fft.fft(np.sqrt(lam / (2.0 * m)) * w).real[:steps]
+        raw = cfg.mean_tasks_per_slot * (1.0 + cfg.relative_std * x)
+        counts[i] = np.round(np.maximum(0.0, raw)).astype(np.int64)
+    return counts
+
+
+@pytest.mark.parametrize("sources,steps", [(10, 60), (200, 8), (50, 12),
+                                           (500, 390), (3, 1), (4, 2), (0, 5)])
+def test_batched_counts_equal_the_per_source_loop(sources, steps):
+    cfg = TrafficConfig(seed=sources + steps)
+    got = generate_counts(cfg, sources, steps)
+    assert got.shape == (sources, steps)
+    assert np.array_equal(got, reference_counts(cfg, sources, steps))
