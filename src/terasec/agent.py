@@ -236,6 +236,11 @@ def td_target(reward: float, q_next: float, kappa: float) -> float:
     return reward + kappa * q_next
 
 
+def _require_finite(what: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise TrainingError(f"non-finite {what}: {value}")
+
+
 def zero_grads(params):
     for p in params:
         p.grad = None
@@ -369,8 +374,15 @@ class GrantAgent:
 
     # -- training -------------------------------------------------------------
 
-    def train_step(self, states, exec_ratios, reward, next_states):
-        """One TD step; returns (critic_loss, q_value) for the executed action."""
+    def train_step(self, states, exec_ratios, reward, next_states,
+                   policy_tensors=None):
+        """One TD step; returns (critic_loss, q_value) for the executed action.
+
+        `policy_tensors` is actor_tensors(*states) under the current actor
+        parameters, if the caller already has it; it is recomputed if not.
+        Raises TrainingError, before the optimizer step that would apply it,
+        on a non-finite TD target, critic loss or Q(s, pi(s)).
+        """
         if states is None or next_states is None or exec_ratios is None:
             raise TrainingError("incomplete transition")
         s_to, s_ot = states
@@ -383,23 +395,34 @@ class GrantAgent:
         na_to, na_ot = self._action_node_tensors(next_tensors, n)
         q_next = self.q_value(ns_to, ns_ot, na_to, na_ot).data.item()
         y = td_target(reward / REWARD_SCALE, q_next, self.cfg.kappa)
+        _require_finite("TD target", y)
 
         # critic descent on the TD error for the executed (noisy) action
         zero_grads(self.actor_params + self.critic_params)
         a_to, a_ot = self._action_node_constants(exec_ratios, n)
         q = self.q_value(s_to, s_ot, a_to, a_ot)
         loss = mse(q, Tensor(np.array([[y]])))
+        critic_loss = loss.data.item()
+        _require_finite("critic loss", critic_loss)
         loss.backward()
         self.critic_opt.step()
-        critic_loss = loss.data.item()
         q_val = q.data.item() * REWARD_SCALE
 
-        # actor ascent on Q(s, pi(s)) with the critic frozen
+        # actor ascent on Q(s, pi(s)) with the critic frozen: its weights
+        # build no gradients in this forward and backward pass
         zero_grads(self.actor_params + self.critic_params)
-        tensors = self.actor_tensors(s_to, s_ot)
-        pa_to, pa_ot = self._action_node_tensors(tensors, n)
-        q_pi = self.q_value(s_to, s_ot, pa_to, pa_ot)
-        q_pi.backward()
+        if policy_tensors is None:
+            policy_tensors = self.actor_tensors(s_to, s_ot)
+        pa_to, pa_ot = self._action_node_tensors(policy_tensors, n)
+        for p in self.critic_params:
+            p.requires_grad = False
+        try:
+            q_pi = self.q_value(s_to, s_ot, pa_to, pa_ot)
+            _require_finite("Q(s, pi(s))", q_pi.data.item())
+            q_pi.backward()
+        finally:
+            for p in self.critic_params:
+                p.requires_grad = True
         self.actor_opt.step(maximize=True)
         zero_grads(self.actor_params + self.critic_params)
         return critic_loss, q_val
@@ -418,7 +441,7 @@ class GrantAgent:
             outcome, _, _ = env.step(bundle)
             next_states = self.encode(env.snapshot())
             critic_loss, q_val = self.train_step(states, noisy, outcome.reward,
-                                                 next_states)
+                                                 next_states, tensors)
             if (step + 1) % self.cfg.decay_every_steps == 0:
                 self.actor_opt.lr *= self.cfg.actor_lr_decay
             record = {"step": step, "outcome": outcome,

@@ -51,8 +51,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one pass with the bits of a zero buffer plus g (-0.0 -> +0.0)
+            self.grad = np.broadcast_to(g, self.data.shape) + 0.0
+        else:
+            self.grad += g
 
     def backward(self, seed=None):
         """Reverse-mode sweep from this tensor; accumulates into .grad."""
@@ -366,10 +368,12 @@ def propagate(x, table: NeighborTable) -> Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor."""
+    """A named trainable tensor, held C-contiguous so Adam can update it
+    through a flat view."""
 
     def __init__(self, data, name):
         super().__init__(data, requires_grad=True)
+        self.data = np.ascontiguousarray(self.data)
         self.name = name
 
     __slots__ = ("name",)
@@ -417,11 +421,19 @@ class GcnLayer:
         return [self.w]
 
 
+#: elements per Adam block: the block and the two scratch buffers stay in
+#: cache while each update pass runs over them
+ADAM_BLOCK = 16384
+
+
 class Adam:
     """Adam with bias correction; ascent is descent on the negated objective.
 
     `lr_scales` optionally gives each parameter its own multiplier on the
-    shared learning rate.
+    shared learning rate.  The update runs in place, ADAM_BLOCK elements at a
+    time, with the operation order of
+    m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
+    p -= (lr*scale) * (m/c1) / (sqrt(v/c2) + eps).
     """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -435,22 +447,51 @@ class Adam:
             raise DimensionError("lr_scales must match the parameter count")
         self.lr_scales = list(lr_scales)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self, maximize=False):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        c1 = 1 - b1**self.step_count
+        c2 = 1 - b2**self.step_count
+        buf_a, buf_b = self._scratch
         for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if maximize:
-                g = -g
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g**2
-            m_hat = self.m[i] / (1 - b1**self.step_count)
-            v_hat = self.v[i] / (1 - b2**self.step_count)
-            p.data -= (self.lr * self.lr_scales[i] * m_hat
-                       / (np.sqrt(v_hat) + self.eps))
+            lr = self.lr * self.lr_scales[i]
+            # the flat views must alias: a reshaped copy would drop the update
+            if not p.data.flags.c_contiguous:
+                raise DimensionError(
+                    f"Adam needs C-contiguous data for {p.name!r}")
+            data = p.data.reshape(-1)
+            m, v = self.m[i].reshape(-1), self.v[i].reshape(-1)
+            if p.grad is None:
+                g = None
+            elif np.shape(p.grad) != p.data.shape:
+                raise DimensionError(f"gradient shape mismatch for {p.name!r}")
+            else:
+                g = np.asarray(p.grad, dtype=np.float64).reshape(-1)
+            for lo in range(0, data.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, data.size)
+                pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
+                gb = 0.0 if g is None else g[lo:hi]
+                ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
+                if maximize:
+                    gb = np.negative(gb, out=tb)
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1 - b1, out=ta)
+                np.add(mb, ta, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, gb, out=ta)
+                np.multiply(ta, 1 - b2, out=ta)
+                np.add(vb, ta, out=vb)
+                np.divide(vb, c2, out=ta)
+                np.sqrt(ta, out=ta)
+                np.add(ta, eps, out=ta)
+                np.divide(mb, c1, out=tb)
+                np.multiply(tb, lr, out=tb)
+                np.divide(tb, ta, out=tb)
+                np.subtract(pb, tb, out=pb)
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -469,7 +510,15 @@ def write_json(path, obj, **dump_kwargs):
             os.remove(tmp)
 
 
+def _check_finite(name, data):
+    if not np.isfinite(data).all():
+        raise ValueError(f"tensor {name!r} holds non-finite values")
+
+
 def save_checkpoint(path, params, meta=None):
+    """Write params by name; refuses (writing nothing) if any is non-finite."""
+    for p in params:
+        _check_finite(p.name, p.data)
     blob = {
         "format": CHECKPOINT_FORMAT,
         "meta": meta or {},
@@ -482,12 +531,14 @@ def save_checkpoint(path, params, meta=None):
 
 
 def load_checkpoint(path, params):
-    """Load tensors by name into the given parameters (shapes must match)."""
+    """Load tensors by name into the given parameters (shapes must match,
+    values must be finite); a rejected checkpoint changes no parameter."""
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {blob.get('format')!r}")
     tensors = blob["tensors"]
+    loaded = []
     for p in params:
         if p.name not in tensors:
             raise KeyError(f"checkpoint is missing tensor {p.name!r}")
@@ -495,5 +546,8 @@ def load_checkpoint(path, params):
         data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         if data.shape != p.data.shape:
             raise DimensionError(f"shape mismatch for {p.name!r}")
+        _check_finite(p.name, data)
+        loaded.append(data)
+    for p, data in zip(params, loaded):
         p.data = data
     return blob.get("meta", {})

@@ -17,6 +17,7 @@ from terasec.harness import _metrics_row
 
 from conftest import make_env, random_simplex
 from gcn_reference import dense_gcn_call, dense_matrix, permuted_table
+from train_reference import reference_run_training
 
 
 # -- logit bounding -----------------------------------------------------------
@@ -436,6 +437,105 @@ def test_train_step_rejects_incomplete_transition(small_env):
     agent = GrantAgent(small_env, TrainConfig())
     with pytest.raises(TrainingError):
         agent.train_step(None, None, -1.0, None)
+
+
+def _transition(agent, env):
+    states = agent.encode(env.snapshot())
+    _, ratios, _ = agent.act(env.snapshot(), explore=True)
+    return states, ratios
+
+
+def test_train_step_rejects_a_nan_reward_before_any_update(small_env):
+    agent = GrantAgent(small_env, TrainConfig(seed=1))
+    states, ratios = _transition(agent, small_env)
+    before = [p.data.copy() for p in agent.parameters()]
+    with pytest.raises(TrainingError, match="TD target"):
+        agent.train_step(states, ratios, float("nan"), states)
+    for p, b in zip(agent.parameters(), before):
+        assert np.array_equal(p.data, b), p.name
+
+
+def _frozen_call(agent):
+    """True inside train_step's actor-ascent pass."""
+    return not any(p.requires_grad for p in agent.critic_params)
+
+
+def test_train_step_rejects_a_nan_policy_value_before_the_actor_step(
+        small_env, monkeypatch):
+    agent = GrantAgent(small_env, TrainConfig(seed=1))
+    states, ratios = _transition(agent, small_env)
+    q_value = agent.q_value
+
+    def nan_q_pi(*args):
+        q = q_value(*args)
+        return q * float("nan") if _frozen_call(agent) else q
+
+    monkeypatch.setattr(agent, "q_value", nan_q_pi)
+    before = [p.data.copy() for p in agent.actor_params]
+    with pytest.raises(TrainingError, match="pi"):
+        agent.train_step(states, ratios, -50.0, states)
+    for p, b in zip(agent.actor_params, before):
+        assert np.array_equal(p.data, b), p.name
+    assert all(p.requires_grad for p in agent.critic_params)
+
+
+def test_train_step_restores_the_critic_when_the_policy_value_raises(
+        small_env, monkeypatch):
+    agent = GrantAgent(small_env, TrainConfig(seed=1))
+    states, ratios = _transition(agent, small_env)
+    q_value = agent.q_value
+
+    def failing_q_pi(*args):
+        if _frozen_call(agent):
+            raise RuntimeError("q_pi")
+        return q_value(*args)
+
+    monkeypatch.setattr(agent, "q_value", failing_q_pi)
+    with pytest.raises(RuntimeError, match="q_pi"):
+        agent.train_step(states, ratios, -50.0, states)
+    assert all(p.requires_grad for p in agent.critic_params)
+
+
+def _lean_agent(cls, steps):
+    cfg = TrainConfig(seed=1, steps=steps)
+    if cls is MaddpgFcAgent:
+        return cls(make_env(seed=1, steps=steps + 1), cfg, actor_width=16,
+                   critic_width=32)
+    return cls(make_env(seed=1, steps=steps + 1), cfg)
+
+
+@pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
+def test_lean_training_equals_the_reference_step(cls, monkeypatch):
+    """The reused policy forward and the frozen critic change no bit of the
+    parameters or the (critic_loss, q_value) history."""
+    steps = 4
+    ref = _lean_agent(cls, steps)
+    ref_history = reference_run_training(ref)
+
+    agent = _lean_agent(cls, steps)
+    forwards, critic_grads = [], []
+    actor_tensors, actor_step = agent.actor_tensors, agent.actor_opt.step
+
+    def spy_forward(*states):
+        forwards.append(states)
+        return actor_tensors(*states)
+
+    def spy_step(**kwargs):
+        critic_grads.extend(p.grad for p in agent.critic_params)
+        return actor_step(**kwargs)
+
+    monkeypatch.setattr(agent, "actor_tensors", spy_forward)
+    monkeypatch.setattr(agent.actor_opt, "step", spy_step)
+    history = [(r["critic_loss"], r["q_value"]) for r in agent.run_training()]
+
+    assert np.array_equal(history, ref_history)
+    for p, q in zip(agent.parameters(), ref.parameters()):
+        assert p.name == q.name
+        assert np.array_equal(p.data, q.data), p.name
+    assert len(forwards) == 2 * steps
+    assert len(critic_grads) == steps * len(agent.critic_params)
+    assert all(g is None for g in critic_grads)
+    assert all(p.requires_grad for p in agent.critic_params)
 
 
 # -- sizing -------------------------------------------------------------------

@@ -1,16 +1,18 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
+from terasec.autodiff import (ADAM_BLOCK, Adam, Dense, DimensionError, GcnLayer,
                               GraphStateError, Parameter, Tensor, concat_cols,
                               load_checkpoint, mse, neighbor_table,
                               normalized_adjacency, propagate, save_checkpoint,
                               write_json, xavier_uniform)
 
 from conftest import make_env
+from optim_reference import ReferenceAdam, reference_first_grad
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -332,6 +334,98 @@ def test_adam_converges_on_quadratic():
     assert abs(p.data[0, 0] - 1.5) < 1e-3
 
 
+def _same_bits(a, b):
+    """Equal shapes and float64 bit patterns (signed zeros and NaNs too)."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+#: (shape, memory order) of each parameter of the differential Adam test
+ADAM_CASES = [((1, 1), "C"), ((1, ADAM_BLOCK - 1), "C"), ((ADAM_BLOCK, 1), "C"),
+              ((1, ADAM_BLOCK + 1), "C"), ((2 * ADAM_BLOCK + 7, 1), "C"),
+              ((3, ADAM_BLOCK // 2 + 5), "F")]
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_adam_equals_the_reference_step(maximize):
+    """Five in-place blocked steps equal today's whole-array Adam bit for
+    bit, with mixed lr scales, an F-ordered input, a missing gradient,
+    signed zeros and NaN gradients."""
+    rng = np.random.default_rng(11)
+    inits = [np.asarray(rng.standard_normal(shape), order=order)
+             for shape, order in ADAM_CASES]
+    params = [Parameter(x.copy(order="K"), f"p{i}")
+              for i, x in enumerate(inits)]
+    ref = [Tensor(x.copy(order="K"), requires_grad=True) for x in inits]
+    assert not ref[-1].data.flags.c_contiguous
+    scales = [1.0, 0.1, 10.0, 0.02, 1.0, 0.5]
+    opt = Adam(params, lr=0.03, lr_scales=scales)
+    ref_opt = ReferenceAdam(ref, lr=0.03, lr_scales=scales)
+    for step in range(5):
+        for i, (p, r) in enumerate(zip(params, ref)):
+            g = rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-6, 3)
+            g.flat[::3] = 0.0
+            g.flat[1::7] = -0.0
+            if i == 1:
+                g.flat[::5] = np.nan
+            if i == 2 and step == 1:
+                g = None
+            p.grad = None if g is None else g.copy()
+            r.grad = None if g is None else g.copy()
+        opt.step(maximize=maximize)
+        ref_opt.step(maximize=maximize)
+        for i, (p, r) in enumerate(zip(params, ref)):
+            assert _same_bits(p.data, r.data), (step, i)
+            assert _same_bits(opt.m[i], ref_opt.m[i]), (step, i)
+            assert _same_bits(opt.v[i], ref_opt.v[i]), (step, i)
+
+
+def test_adam_step_allocates_no_parameter_sized_buffer():
+    rng = np.random.default_rng(12)
+    p = Parameter(rng.standard_normal((1000, 1000)), "big")
+    opt = Adam([p], lr=0.01)
+    p.grad = rng.standard_normal(p.data.shape)
+    view = p.data
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes // 20
+    assert p.data is view
+
+
+def test_adam_rejects_a_parameter_it_cannot_update_in_place():
+    p = Parameter(np.ones((3, 4)), "p")
+    opt = Adam([p], lr=0.01)
+    p.data = np.asfortranarray(np.ones((3, 4)))
+    with pytest.raises(DimensionError, match="C-contiguous"):
+        opt.step()
+    p.data = np.ones((3, 4))
+    p.grad = np.ones((4, 3))
+    with pytest.raises(DimensionError, match="gradient shape"):
+        opt.step()
+
+
+@pytest.mark.parametrize("g_shape", [(3, 4), (1, 4), (3, 1)])
+def test_first_gradient_equals_a_zero_buffer_plus_g(g_shape):
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal(g_shape)
+    g.flat[0] = -0.0
+    g.flat[-1] = 0.0
+    if g.size > 2:
+        g.flat[1] = np.nan
+        g.flat[2] = -np.inf
+    t = Tensor(np.ones((3, 4)), requires_grad=True)
+    t._accumulate(g)
+    want = reference_first_grad(t.data, g)
+    assert _same_bits(t.grad, want)
+    assert not np.signbit(t.grad.flat[0])
+    assert not np.shares_memory(t.grad, g)
+
+
 # -- checkpoints --------------------------------------------------------------
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -360,6 +454,33 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(good, [Parameter(np.zeros((2, 2)), "y")])
     with pytest.raises(DimensionError):
         load_checkpoint(good, [Parameter(np.zeros((3, 2)), "x")])
+
+
+def test_load_checkpoint_rejects_non_finite_values(tmp_path):
+    path = os.path.join(tmp_path, "nan.json")
+    save_checkpoint(path, [Parameter(np.ones((2, 2)), "a"),
+                           Parameter(np.ones((1, 3)), "layer.w")])
+    with open(path) as fh:
+        blob = json.load(fh)
+    blob["tensors"]["layer.w"]["data"][1] = float("nan")
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    params = [Parameter(np.zeros((2, 2)), "a"),
+              Parameter(np.zeros((1, 3)), "layer.w")]
+    with pytest.raises(ValueError, match="'layer.w'"):
+        load_checkpoint(path, params)
+    assert all(not p.data.any() for p in params)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_non_finite_values(tmp_path, bad):
+    w = np.ones((2, 2))
+    w[1, 0] = bad
+    path = str(tmp_path / "ck.json")
+    with pytest.raises(ValueError, match="'layer.w'"):
+        save_checkpoint(path, [Parameter(np.ones((1, 2)), "layer.b"),
+                               Parameter(w, "layer.w")])
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("write", [

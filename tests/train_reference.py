@@ -1,0 +1,57 @@
+"""The TD step and training loop that GrantAgent's lean versions replaced,
+kept as the reference for the differential tests: the actor-ascent pass
+recomputes the policy forward and builds gradients for the frozen critic.
+"""
+import numpy as np
+
+from terasec.agent import REWARD_SCALE, td_target, zero_grads
+from terasec.autodiff import Tensor, mse
+
+
+def reference_train_step(agent, states, exec_ratios, reward, next_states):
+    """One TD step; returns (critic_loss, q_value) for the executed action."""
+    s_to, s_ot = states
+    ns_to, ns_ot = next_states
+    n = s_to.features.shape[0]
+
+    next_tensors = agent.actor_tensors(ns_to, ns_ot)
+    na_to, na_ot = agent._action_node_tensors(next_tensors, n)
+    q_next = agent.q_value(ns_to, ns_ot, na_to, na_ot).data.item()
+    y = td_target(reward / REWARD_SCALE, q_next, agent.cfg.kappa)
+
+    zero_grads(agent.actor_params + agent.critic_params)
+    a_to, a_ot = agent._action_node_constants(exec_ratios, n)
+    q = agent.q_value(s_to, s_ot, a_to, a_ot)
+    loss = mse(q, Tensor(np.array([[y]])))
+    loss.backward()
+    agent.critic_opt.step()
+    critic_loss = loss.data.item()
+    q_val = q.data.item() * REWARD_SCALE
+
+    zero_grads(agent.actor_params + agent.critic_params)
+    tensors = agent.actor_tensors(s_to, s_ot)
+    pa_to, pa_ot = agent._action_node_tensors(tensors, n)
+    q_pi = agent.q_value(s_to, s_ot, pa_to, pa_ot)
+    q_pi.backward()
+    agent.actor_opt.step(maximize=True)
+    zero_grads(agent.actor_params + agent.critic_params)
+    return critic_loss, q_val
+
+
+def reference_run_training(agent):
+    """agent.run_training's loop over reference_train_step; returns the
+    (critic_loss, q_value) history."""
+    env = agent.env
+    history = []
+    states = agent.encode(env.snapshot())
+    for step in range(agent.cfg.steps):
+        ratios = agent._ratios_from_tensors(agent.actor_tensors(*states))
+        noisy = agent.explore(ratios) if agent.cfg.noise_std > 0 else ratios
+        outcome, _, _ = env.step(agent.to_bundle(noisy))
+        next_states = agent.encode(env.snapshot())
+        history.append(reference_train_step(agent, states, noisy,
+                                            outcome.reward, next_states))
+        if (step + 1) % agent.cfg.decay_every_steps == 0:
+            agent.actor_opt.lr *= agent.cfg.actor_lr_decay
+        states = next_states
+    return history
