@@ -375,15 +375,16 @@ class GrantAgent:
     # -- training -------------------------------------------------------------
 
     def train_step(self, states, exec_ratios, reward, next_states,
-                   policy_tensors=None):
+                   policy_tensors):
         """One TD step; returns (critic_loss, q_value) for the executed action.
 
         `policy_tensors` is actor_tensors(*states) under the current actor
-        parameters, if the caller already has it; it is recomputed if not.
+        parameters: the acting forward, reused for the actor-ascent pass.
         Raises TrainingError, before the optimizer step that would apply it,
         on a non-finite TD target, critic loss or Q(s, pi(s)).
         """
-        if states is None or next_states is None or exec_ratios is None:
+        if (states is None or next_states is None or exec_ratios is None
+                or policy_tensors is None):
             raise TrainingError("incomplete transition")
         s_to, s_ot = states
         ns_to, ns_ot = next_states
@@ -411,8 +412,6 @@ class GrantAgent:
         # actor ascent on Q(s, pi(s)) with the critic frozen: its weights
         # build no gradients in this forward and backward pass
         zero_grads(self.actor_params + self.critic_params)
-        if policy_tensors is None:
-            policy_tensors = self.actor_tensors(s_to, s_ot)
         pa_to, pa_ot = self._action_node_tensors(policy_tensors, n)
         for p in self.critic_params:
             p.requires_grad = False

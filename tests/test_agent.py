@@ -436,21 +436,21 @@ def test_actor_step_increases_q(small_env):
 def test_train_step_rejects_incomplete_transition(small_env):
     agent = GrantAgent(small_env, TrainConfig())
     with pytest.raises(TrainingError):
-        agent.train_step(None, None, -1.0, None)
+        agent.train_step(None, None, -1.0, None, None)
 
 
 def _transition(agent, env):
     states = agent.encode(env.snapshot())
     _, ratios, _ = agent.act(env.snapshot(), explore=True)
-    return states, ratios
+    return states, ratios, agent.actor_tensors(*states)
 
 
 def test_train_step_rejects_a_nan_reward_before_any_update(small_env):
     agent = GrantAgent(small_env, TrainConfig(seed=1))
-    states, ratios = _transition(agent, small_env)
+    states, ratios, tensors = _transition(agent, small_env)
     before = [p.data.copy() for p in agent.parameters()]
     with pytest.raises(TrainingError, match="TD target"):
-        agent.train_step(states, ratios, float("nan"), states)
+        agent.train_step(states, ratios, float("nan"), states, tensors)
     for p, b in zip(agent.parameters(), before):
         assert np.array_equal(p.data, b), p.name
 
@@ -463,7 +463,7 @@ def _frozen_call(agent):
 def test_train_step_rejects_a_nan_policy_value_before_the_actor_step(
         small_env, monkeypatch):
     agent = GrantAgent(small_env, TrainConfig(seed=1))
-    states, ratios = _transition(agent, small_env)
+    states, ratios, tensors = _transition(agent, small_env)
     q_value = agent.q_value
 
     def nan_q_pi(*args):
@@ -473,7 +473,7 @@ def test_train_step_rejects_a_nan_policy_value_before_the_actor_step(
     monkeypatch.setattr(agent, "q_value", nan_q_pi)
     before = [p.data.copy() for p in agent.actor_params]
     with pytest.raises(TrainingError, match="pi"):
-        agent.train_step(states, ratios, -50.0, states)
+        agent.train_step(states, ratios, -50.0, states, tensors)
     for p, b in zip(agent.actor_params, before):
         assert np.array_equal(p.data, b), p.name
     assert all(p.requires_grad for p in agent.critic_params)
@@ -482,7 +482,7 @@ def test_train_step_rejects_a_nan_policy_value_before_the_actor_step(
 def test_train_step_restores_the_critic_when_the_policy_value_raises(
         small_env, monkeypatch):
     agent = GrantAgent(small_env, TrainConfig(seed=1))
-    states, ratios = _transition(agent, small_env)
+    states, ratios, tensors = _transition(agent, small_env)
     q_value = agent.q_value
 
     def failing_q_pi(*args):
@@ -492,7 +492,7 @@ def test_train_step_restores_the_critic_when_the_policy_value_raises(
 
     monkeypatch.setattr(agent, "q_value", failing_q_pi)
     with pytest.raises(RuntimeError, match="q_pi"):
-        agent.train_step(states, ratios, -50.0, states)
+        agent.train_step(states, ratios, -50.0, states, tensors)
     assert all(p.requires_grad for p in agent.critic_params)
 
 
