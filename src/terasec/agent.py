@@ -97,8 +97,8 @@ class OffloadActor:
 
     def __init__(self, rng, k_subbands, width=128):
         self.k = k_subbands
-        self.gcn1 = GcnLayer(rng, OFFLOAD_FEATURES, width, "actor_to.gcn1", "tanh")
-        self.gcn2 = GcnLayer(rng, width, width, "actor_to.gcn2", "tanh")
+        self.gcn1 = GcnLayer(rng, OFFLOAD_FEATURES, width, "actor_to.gcn1")
+        self.gcn2 = GcnLayer(rng, width, width, "actor_to.gcn2")
         self.head_offload = Dense(rng, width, 5, "actor_to.head_offload", 0.1)
         self.head_subarray = Dense(rng, width, 5, "actor_to.head_subarray", 0.1)
         self.head_power = Dense(rng, width, 4 * k_subbands + 1,
@@ -124,8 +124,8 @@ class OutcomeActor:
 
     def __init__(self, rng, k_subbands, width=128):
         self.k = k_subbands
-        self.gcn1 = GcnLayer(rng, OUTCOME_FEATURES, width, "actor_ot.gcn1", "tanh")
-        self.gcn2 = GcnLayer(rng, width, width, "actor_ot.gcn2", "tanh")
+        self.gcn1 = GcnLayer(rng, OUTCOME_FEATURES, width, "actor_ot.gcn1")
+        self.gcn2 = GcnLayer(rng, width, width, "actor_ot.gcn2")
         self.head_subarray = Dense(rng, width, 1, "actor_ot.head_subarray", 0.1)
         self.head_power = Dense(rng, width, k_subbands + 1,
                                 "actor_ot.head_power", 0.1)
@@ -166,8 +166,8 @@ class CentralCritic:
         d_in = (OFFLOAD_FEATURES + OUTCOME_FEATURES
                 + (5 + 4 + 4 * k_subbands) + (1 + k_subbands))
         self.d_in = d_in
-        self.gcn1 = GcnLayer(rng, d_in, width, "critic.gcn1", "tanh")
-        self.gcn2 = GcnLayer(rng, width, width, "critic.gcn2", "tanh")
+        self.gcn1 = GcnLayer(rng, d_in, width, "critic.gcn1")
+        self.gcn2 = GcnLayer(rng, width, width, "critic.gcn2")
         self.dense1 = Dense(rng, width, width, "critic.dense1")
         self.dense2 = Dense(rng, width, width, "critic.dense2")
         self.out = Dense(rng, width, 1, "critic.out")

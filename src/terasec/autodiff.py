@@ -1,5 +1,5 @@
 """Minimal reverse-mode autodiff on float64 matrices, with the layers needed
-by the actors and critic: dense, graph convolution, activations, softmax
+by the actors and critic: dense, graph convolution, tanh and sigmoid, softmax
 heads, mean pooling and squared-error loss, plus the Adam optimizer and a
 JSON checkpoint format.
 """
@@ -22,10 +22,25 @@ class DimensionError(ValueError):
     pass
 
 
+class DeadInputError(RuntimeError):
+    """An input column that meets a weight row outside the parameter's live
+    rows is nonzero: that row would need a gradient it never gets."""
+
+
+#: no dead rows: every row of a tensor is live
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.setflags(write=False)
+
+
 class Tensor:
     """A 2-D float64 tensor participating in a recorded computation graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    #: the rows gradients reach and the rows they skip; a Parameter narrows
+    #: them with set_live_rows
+    live_rows = slice(None)
+    dead_rows = _NO_ROWS
 
     def __init__(self, data, requires_grad=False):
         self.data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -37,6 +52,11 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def grad_shape(self):
+        """Shape of .grad: the live rows of data."""
+        return (self.data.shape[0] - self.dead_rows.size, *self.data.shape[1:])
 
     # -- graph bookkeeping -------------------------------------------------
 
@@ -52,7 +72,7 @@ class Tensor:
     def _accumulate(self, g):
         if self.grad is None:
             # one pass with the bits of a zero buffer plus g (-0.0 -> +0.0)
-            self.grad = np.broadcast_to(g, self.data.shape) + 0.0
+            self.grad = np.broadcast_to(g, self.grad_shape) + 0.0
         else:
             self.grad += g
 
@@ -90,12 +110,15 @@ class Tensor:
         if self.shape[1] != other.shape[0]:
             raise DimensionError(f"matmul shapes {self.shape} x {other.shape}")
         a, b = self, other
+        if b.dead_rows.size:
+            _check_dead_inputs(a.data, b)
 
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
             if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+                # live weight rows only: the dead ones meet zero inputs
+                b._accumulate(a.data[:, b.live_rows].T @ g)
 
         return Tensor._make(a.data @ b.data, (a, b), backward)
 
@@ -134,16 +157,6 @@ class Tensor:
         return Tensor._make(a.data * s, (a,), backward)
 
     __rmul__ = __mul__
-
-    def relu(self):
-        a = self
-        mask = a.data > 0.0
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
-
-        return Tensor._make(a.data * mask, (a,), backward)
 
     def tanh(self):
         a = self
@@ -248,6 +261,17 @@ class Tensor:
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _check_dead_inputs(x, w):
+    """Raise DeadInputError if an input column that meets one of w's dead
+    rows is not exactly zero (-0.0 counts as zero)."""
+    hit = np.any(x[:, w.dead_rows] != 0.0, axis=0)
+    if hit.any():
+        col = int(w.dead_rows[np.argmax(hit)])
+        raise DeadInputError(
+            f"input column {col} of {w.name!r} is nonzero, but its weight "
+            f"row is not live")
 
 
 def _unbroadcast(g, shape):
@@ -369,14 +393,38 @@ def propagate(x, table: NeighborTable) -> Tensor:
 
 class Parameter(Tensor):
     """A named trainable tensor, held C-contiguous so Adam can update it
-    through a flat view."""
+    through a flat view.
+
+    Every row is live unless set_live_rows narrows them.  .grad then holds
+    the live rows only, in order, and a matmul whose input meets a dead row
+    with a nonzero column raises DeadInputError.  A dead row's gradient would
+    be +-0 at every step, which leaves Adam's moments at +0 and the row
+    unchanged, so skipping it changes no bit.
+    """
+
+    __slots__ = ("name", "live_rows", "dead_rows")
 
     def __init__(self, data, name):
         super().__init__(data, requires_grad=True)
         self.data = np.ascontiguousarray(self.data)
         self.name = name
+        self.live_rows = slice(None)
+        self.dead_rows = _NO_ROWS
 
-    __slots__ = ("name",)
+    def set_live_rows(self, rows):
+        """Make only `rows` (ascending, unique) live.  For a one-row input,
+        each live gradient element is a single product, so it has the bits
+        of the full-width gradient's element."""
+        rows = np.asarray(rows, dtype=np.intp)
+        n = self.data.shape[0]
+        if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or (
+                rows.size and (rows[0] < 0 or rows[-1] >= n)):
+            raise DimensionError(f"live rows of {self.name!r} must be "
+                                 f"ascending, unique and within {n} rows")
+        dead = np.ones(n, dtype=bool)
+        dead[rows] = False
+        self.live_rows = rows
+        self.dead_rows = np.flatnonzero(dead)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -397,41 +445,55 @@ class Dense:
         return [self.w, self.b]
 
 
-_ACTIVATIONS = {
-    "relu": lambda t: t.relu(),
-    "tanh": lambda t: t.tanh(),
-    "identity": lambda t: t,
-}
-
-
 class GcnLayer:
-    """F' = activation(A_norm @ F @ W); A_norm is a per-call constant given
-    as a NeighborTable."""
+    """F' = tanh(A_norm @ F @ W); A_norm is a per-call constant given as a
+    NeighborTable."""
 
-    def __init__(self, rng, d_in, d_out, name, activation="tanh"):
-        if activation not in _ACTIVATIONS:
-            raise DimensionError(f"unknown activation {activation!r}")
+    def __init__(self, rng, d_in, d_out, name):
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
-        self.activation = activation
 
     def __call__(self, features: Tensor, table: NeighborTable) -> Tensor:
-        return _ACTIVATIONS[self.activation](propagate(features, table) @ self.w)
+        return (propagate(features, table) @ self.w).tanh()
 
     def parameters(self):
         return [self.w]
 
 
-#: elements per Adam block: the block and the two scratch buffers stay in
-#: cache while each update pass runs over them
+#: elements per Adam block: the block and the scratch buffers stay in cache
+#: while each update pass runs over them
 ADAM_BLOCK = 16384
+
+
+def _adam_blocks(p):
+    """A parameter's live rows as Adam blocks of at most ADAM_BLOCK elements:
+    (lo, hi, src), [lo, hi) a range of the flat live-row arrays (moments and
+    gradient) and src either the flat data slice it updates, where the
+    block's rows are adjacent, or the data rows to gather and scatter back."""
+    n_rows, cols = p.data.shape
+    rows = np.arange(n_rows)[p.live_rows]
+    per = max(1, ADAM_BLOCK // cols)
+    blocks = []
+    for r in range(0, rows.size, per):
+        idx = rows[r:r + per]
+        lo, size = r * cols, idx.size * cols
+        if idx[-1] - idx[0] == idx.size - 1:
+            # adjacent rows: flat data slices, split where a row outgrows a block
+            shift = idx[0] * cols - lo
+            for a in range(lo, lo + size, ADAM_BLOCK):
+                b = min(a + ADAM_BLOCK, lo + size)
+                blocks.append((a, b, slice(a + shift, b + shift)))
+        else:
+            blocks.append((lo, lo + size, idx))
+    return blocks
 
 
 class Adam:
     """Adam with bias correction; ascent is descent on the negated objective.
 
     `lr_scales` optionally gives each parameter its own multiplier on the
-    shared learning rate.  The update runs in place, ADAM_BLOCK elements at a
-    time, with the operation order of
+    shared learning rate.  Moments are kept for each parameter's live rows
+    only, and only those rows are updated.  The update runs in place, at most
+    ADAM_BLOCK elements at a time, with the operation order of
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
     p -= (lr*scale) * (m/c1) / (sqrt(v/c2) + eps).
     """
@@ -447,16 +509,17 @@ class Adam:
             raise DimensionError("lr_scales must match the parameter count")
         self.lr_scales = list(lr_scales)
         self.step_count = 0
-        self.m = [np.zeros(p.data.shape) for p in self.params]
-        self.v = [np.zeros(p.data.shape) for p in self.params]
-        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
+        self.m = [np.zeros(p.grad_shape) for p in self.params]
+        self.v = [np.zeros(p.grad_shape) for p in self.params]
+        self._blocks = [_adam_blocks(p) for p in self.params]
+        self._scratch = tuple(np.empty(ADAM_BLOCK) for _ in range(3))
 
     def step(self, maximize=False):
         self.step_count += 1
         b1, b2, eps = self.beta1, self.beta2, self.eps
         c1 = 1 - b1**self.step_count
         c2 = 1 - b2**self.step_count
-        buf_a, buf_b = self._scratch
+        buf_a, buf_b, buf_p = self._scratch
         for i, p in enumerate(self.params):
             lr = self.lr * self.lr_scales[i]
             # the flat views must alias: a reshaped copy would drop the update
@@ -467,13 +530,19 @@ class Adam:
             m, v = self.m[i].reshape(-1), self.v[i].reshape(-1)
             if p.grad is None:
                 g = None
-            elif np.shape(p.grad) != p.data.shape:
+            elif np.shape(p.grad) != self.m[i].shape:
                 raise DimensionError(f"gradient shape mismatch for {p.name!r}")
             else:
                 g = np.asarray(p.grad, dtype=np.float64).reshape(-1)
-            for lo in range(0, data.size, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, data.size)
-                pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
+            for lo, hi, src in self._blocks[i]:
+                gathered = type(src) is not slice
+                if gathered:
+                    pb = np.take(p.data, src, axis=0, mode="clip",
+                                 out=buf_p[:hi - lo].reshape(src.size, -1))
+                    pb = pb.reshape(-1)
+                else:
+                    pb = data[src]
+                mb, vb = m[lo:hi], v[lo:hi]
                 gb = 0.0 if g is None else g[lo:hi]
                 ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
                 if maximize:
@@ -492,6 +561,8 @@ class Adam:
                 np.multiply(tb, lr, out=tb)
                 np.divide(tb, ta, out=tb)
                 np.subtract(pb, tb, out=pb)
+                if gathered:
+                    p.data[src] = pb.reshape(src.size, -1)
 
 
 # -- checkpoints --------------------------------------------------------------

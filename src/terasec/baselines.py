@@ -9,7 +9,7 @@ import numpy as np
 from .agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, GrantAgent,
                     TrainConfig, bound_logits, logit_bias)
 from .autodiff import Adam, Dense, Tensor, concat_cols
-from .env import SecWindow
+from .env import SecWindow, Snapshot
 
 
 class ReconfigurationError(RuntimeError):
@@ -147,6 +147,7 @@ class MaddpgFcAgent(GrantAgent):
         d_act = (5 + 4 + 4 * self.k) + (1 + self.k)
         self.critic = _FlatCritic(rng, self.n_nodes * (d_state + d_act),
                                   critic_width)
+        self.critic.fc1.w.set_live_rows(self._live_critic_inputs())
         for a in self.actors_to:
             a.head_offload.b.data[0, 0] = logit_bias(2.0)
             a.head_subarray.b.data[0, -1] = logit_bias(-4.0)
@@ -176,10 +177,34 @@ class MaddpgFcAgent(GrantAgent):
         return tuple(concat_cols(rows).reshape(len(rows), rows[0].shape[1])
                      for rows in (*zip(*to), *zip(*ot)))
 
-    def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
+    def _critic_input(self, s_to, s_ot, act_to, act_ot) -> Tensor:
         feats = concat_cols([Tensor(s_to.features), Tensor(s_ot.features),
                              act_to, act_ot])
-        return self.critic.forward(feats.reshape(1, feats.data.size))
+        return feats.reshape(1, feats.data.size)
+
+    def _live_critic_inputs(self) -> np.ndarray:
+        """The critic input columns that can be nonzero in this window, from
+        its tables alone: nonzero static features, SINRs at the rated cells,
+        expected outcome inflow at servers, and actions at sources and
+        outcome transmitters.  They are the nonzeros of the critic input for
+        a snapshot and actions of ones in exactly those places."""
+        env, n = self.env, self.n_nodes
+        sinr = [np.zeros((n, 4)), np.zeros((n, 4))]
+        for table, (_, rows, cols) in zip(sinr, env._sinr_cells):
+            table[rows, cols] = 1.0
+        inflow = np.zeros(n)
+        inflow[env._offload_rows] = 1.0
+        states = self.encode(Snapshot(inflow, *sinr))
+        n_src, n_tx = len(self.source_rows), len(self.tx_rows)
+        ones = (np.ones((n_src, 5)), np.ones((n_src, 4)),
+                np.ones((n_src, 4 * self.k)), np.ones((n_tx, 1)),
+                np.ones((n_tx, self.k)))
+        actions = self._action_node_constants(ones, n)
+        return np.flatnonzero(self._critic_input(*states, *actions).data)
+
+    def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
+        return self.critic.forward(self._critic_input(s_to, s_ot, act_to,
+                                                      act_ot))
 
     # inherited unchanged; bound in this class's own namespace because the
     # benchmark's tracer (bench/spans.py) patches each class's __dict__

@@ -9,13 +9,15 @@ from terasec.traffic import TrafficConfig
 
 
 def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
-             walker: WalkerConfig = WalkerConfig()) -> SecWindow:
-    """Default-scenario window used across the test suite."""
+             walker: WalkerConfig = WalkerConfig(),
+             bands: tuple = ("thz", "thz")) -> SecWindow:
+    """Default-scenario window used across the test suite; `bands` names the
+    offloading and outcome bands."""
     c = build_walker(walker)
     return SecWindow(
         c, GroundStation(), TrafficConfig(seed=seed),
         ArrayConfig(), LinkBudgetParams(),
-        band_preset("thz", "offloading"), band_preset("thz", "outcome"),
+        band_preset(bands[0], "offloading"), band_preset(bands[1], "outcome"),
         ComputeParams(), RewardParams(),
         n_sources=n_sources, steps=steps, source_seed=seed)
 

@@ -4,8 +4,8 @@ the propagation matrix as an n x n array and `Tensor(a_norm) @ features`.
 """
 import numpy as np
 
-from terasec.autodiff import (_ACTIVATIONS, DimensionError, NeighborTable,
-                              Tensor, neighbor_table)
+from terasec.autodiff import (DimensionError, NeighborTable, Tensor,
+                              neighbor_table)
 
 
 def dense_matrix(table: NeighborTable) -> np.ndarray:
@@ -28,4 +28,4 @@ def dense_gcn_call(layer, features: Tensor, table: NeighborTable) -> Tensor:
     if features.shape[0] != a_norm.shape[0]:
         raise DimensionError("feature row count must match the graph size")
     agg = Tensor(a_norm) @ features
-    return _ACTIVATIONS[layer.activation](agg @ layer.w)
+    return (agg @ layer.w).tanh()

@@ -110,7 +110,7 @@ def test_criterion_2_gradient_correctness():
         proj3 = make_proj(3)
         check_gradient(lambda: proj3(dense(Tensor(x))), dense.parameters())
 
-        gcn = GcnLayer(rng, 4, 3, f"g{i}", "tanh")
+        gcn = GcnLayer(rng, 4, 3, f"g{i}")
         feats = rng.standard_normal((n, 4))
         proj3b = make_proj(3)
         check_gradient(lambda: proj3b(gcn(Tensor(feats), table)),

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from terasec.agent import GrantAgent, TrainConfig
+from terasec.autodiff import DeadInputError
 from terasec.baselines import (FullResourcePolicy, MaddpgFcAgent,
                                ReconfigurationError, UniformPolicy,
                                rollout_policy)
+from terasec.harness import ExperimentConfig, build_environment
 
 from conftest import make_env
+from train_reference import full_width, reference_run_training
 
 
 def test_uniform_bundle_values(small_env):
@@ -105,3 +110,117 @@ def test_maddpg_rejects_reconfiguration(small_env):
     other = make_env(seed=2, steps=2, n_sources=8)
     with pytest.raises(ReconfigurationError):
         agent.encode(other.snapshot())
+
+
+# -- the flat critic's live input rows ---------------------------------------
+
+def _observed_inputs(agent):
+    """Train the agent; returns (live-row mask, mask of the critic input
+    columns seen nonzero in any critic forward)."""
+    w = agent.critic.fc1.w
+    seen = np.zeros(w.data.shape[0], dtype=bool)
+    forward = agent.critic.forward
+
+    def spy(flat):
+        seen[:] |= flat.data[0] != 0.0
+        return forward(flat)
+
+    agent.critic.forward = spy
+    agent.run_training()
+    live = np.zeros_like(seen)
+    live[w.live_rows] = True
+    return live, seen
+
+
+@pytest.mark.parametrize("bands", [("thz", "thz"), ("ka", "ku")])
+@pytest.mark.parametrize("n_sources", [10, 50])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_observed_critic_input_is_live(seed, n_sources, bands):
+    steps = 6
+    env = make_env(seed=seed, steps=steps + 1, n_sources=n_sources,
+                   bands=bands)
+    agent = MaddpgFcAgent(env, TrainConfig(seed=seed, steps=steps),
+                          actor_width=8, critic_width=8)
+    live, seen = _observed_inputs(agent)
+    assert not np.any(seen & ~live), np.flatnonzero(seen & ~live)[:10]
+    assert live.sum() < 0.5 * live.size
+
+
+def test_live_critic_inputs_equal_the_observed_ones_at_the_bench_window():
+    """The dense_maddpg_s10 benchmark window at seed 1: 3,594 of 15,132
+    input columns are live, and every one of them is seen nonzero."""
+    steps = 8
+    cfg = ExperimentConfig.from_dict({
+        "policy": "maddpg_fc", "n_sources": 10, "train": {"steps": steps},
+        "source_selection": {"seed": 999_999}})
+    agent = MaddpgFcAgent(build_environment(cfg, 1),
+                          TrainConfig(seed=1, steps=steps), actor_width=16,
+                          critic_width=16)
+    live, seen = _observed_inputs(agent)
+    assert live.size == 15_132
+    assert live.sum() == 3_594
+    assert np.array_equal(seen, live)
+
+
+def test_a_nonzero_dead_input_raises_before_any_optimizer_step(monkeypatch):
+    env = make_env(seed=1, steps=4)
+    agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=3), actor_width=8,
+                          critic_width=8)
+    row = int(np.flatnonzero(env.node_plane == 0)[0])
+    col = row * (agent.critic.fc1.w.data.shape[0] // agent.n_nodes)
+    assert col in agent.critic.fc1.w.dead_rows
+    encode = agent.encode
+
+    def leaky_encode(snapshot):
+        s_to, s_ot = encode(snapshot)
+        s_to.features[row, 0] = 0.5   # a plane-0 node's plane feature
+        return s_to, s_ot
+
+    monkeypatch.setattr(agent, "encode", leaky_encode)
+    before = [p.data.copy() for p in agent.parameters()]
+    with pytest.raises(DeadInputError, match=f"column {col} "):
+        agent.run_training()
+    assert agent.critic_opt.step_count == agent.actor_opt.step_count == 0
+    for p, data in zip(agent.parameters(), before):
+        assert np.array_equal(p.data, data), p.name
+
+
+def test_row_sparse_training_equals_the_full_width_reference():
+    """Live-row gradients and Adam change no bit against the full-width
+    fc1 gradient and whole-array Adam: parameters and history."""
+    steps = 4
+
+    def agent():
+        return MaddpgFcAgent(make_env(seed=1, steps=steps + 1),
+                             TrainConfig(seed=1, steps=steps), actor_width=16,
+                             critic_width=32)
+
+    ref = full_width(agent())
+    assert ref.critic.fc1.w.dead_rows.size == 0
+    ref_history = reference_run_training(ref)
+    lean = agent()
+    assert lean.critic.fc1.w.dead_rows.size > 0
+    history = [(r["critic_loss"], r["q_value"]) for r in lean.run_training()]
+    assert np.array_equal(history, ref_history)
+    for p, q in zip(lean.parameters(), ref.parameters()):
+        assert p.name == q.name
+        assert np.array_equal(p.data, q.data), p.name
+
+
+def test_train_step_allocates_nothing_the_size_of_the_critic_fc1():
+    env = make_env(seed=1, steps=3)
+    agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=2), actor_width=16,
+                          critic_width=256)
+    states = agent.encode(env.snapshot())
+    tensors = agent.actor_tensors(*states)
+    ratios = agent._ratios_from_tensors(tensors)
+    outcome, _, _ = env.step(agent.to_bundle(ratios))
+    next_states = agent.encode(env.snapshot())
+    tracemalloc.start()
+    try:
+        agent.train_step(states, ratios, outcome.reward, next_states, tensors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert agent.critic_opt.step_count == 1
+    assert peak < agent.critic.fc1.w.data.nbytes

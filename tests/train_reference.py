@@ -1,11 +1,26 @@
 """The TD step and training loop that GrantAgent's lean versions replaced,
 kept as the reference for the differential tests: the actor-ascent pass
 recomputes the policy forward and builds gradients for the frozen critic.
+`full_width` turns an agent back to whole-array arithmetic: every weight row
+gets its gradient and ReferenceAdam updates every row.
 """
 import numpy as np
 
+from optim_reference import ReferenceAdam
 from terasec.agent import REWARD_SCALE, td_target, zero_grads
 from terasec.autodiff import Tensor, mse
+
+
+def full_width(agent):
+    """Make every parameter row live again, as a fresh parameter's are, and
+    swap the agent's optimizers for ReferenceAdam at the same settings."""
+    for p in agent.parameters():
+        p.live_rows, p.dead_rows = Tensor.live_rows, Tensor.dead_rows
+    for name in ("actor_opt", "critic_opt"):
+        opt = getattr(agent, name)
+        setattr(agent, name, ReferenceAdam(opt.params, opt.lr, opt.beta1,
+                                           opt.beta2, opt.eps, opt.lr_scales))
+    return agent
 
 
 def reference_train_step(agent, states, exec_ratios, reward, next_states):
