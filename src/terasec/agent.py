@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Adam, Dense, GcnLayer, NeighborTable, Tensor,
-                       concat_cols, mse, neighbor_table, normalized_adjacency)
+                       concat_cols, mse, normalized_adjacency)
 from .env import ActionBundle, SecWindow
 
 SINR_DB_SCALE = 60.0
@@ -81,9 +81,9 @@ SKIP_LR_SCALE = 10.0
 
 @dataclass
 class PhaseState:
-    """Pruned graph state for one phase: per-node features and the
-    normalized adjacency as a neighbor table, which both phases of a window
-    share."""
+    """Pruned graph state for one phase: per-node features and the neighbor
+    table of the normalized adjacency, built once per window from the
+    involved edges and shared by both phases."""
 
     features: np.ndarray
     table: NeighborTable
@@ -293,7 +293,7 @@ class GrantAgent:
              env.node_slot / max(c.sats_per_plane - 1, 1),
              env.expected_offload_bytes / self.mean_bytes,
              zero, zero, zero, zero, env.phi_off, env.phi_gs], axis=1)
-        self.table = neighbor_table(normalized_adjacency(env.adjacency))
+        self.table = normalized_adjacency(len(env.involved), env.edges)
         return np.random.default_rng(cfg.seed)
 
     # -- state and actions --------------------------------------------------

@@ -22,6 +22,14 @@ class DimensionError(ValueError):
     pass
 
 
+class CheckpointMismatchError(DimensionError):
+    """A checkpoint lacks a tensor or has it in another shape (.meta: its meta)."""
+
+    def __init__(self, message, meta):
+        super().__init__(message)
+        self.meta = meta
+
+
 class DeadInputError(RuntimeError):
     """An input column that meets a weight row outside the parameter's live
     rows is nonzero: that row would need a gradient it never gets."""
@@ -324,17 +332,6 @@ def mse(pred, target):
 # -- graph utilities ---------------------------------------------------------
 
 
-def normalized_adjacency(a: np.ndarray) -> np.ndarray:
-    """Symmetric normalization D^{-1/2} (A + I) D^{-1/2} of a binary
-    symmetric adjacency with zero diagonal."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T):
-        raise DimensionError("adjacency must be square and symmetric")
-    a_tilde = a + np.eye(a.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return d_inv_sqrt[:, None] * a_tilde * d_inv_sqrt[None, :]
-
-
 class NeighborTable(NamedTuple):
     """A symmetric propagation matrix as padded per-row neighbor lists: row i
     holds weight[i, k] at column idx[i, k].  Rows narrower than the widest
@@ -344,22 +341,28 @@ class NeighborTable(NamedTuple):
     weight: np.ndarray   # [n, w] float64
 
 
-def neighbor_table(a_norm: np.ndarray) -> NeighborTable:
-    """Read-only neighbor table of an exactly symmetric matrix, each row's
-    nonzeros in ascending column order."""
-    a = np.asarray(a_norm, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
-        raise DimensionError("propagation matrix must be square and exactly "
-                             "symmetric")
-    n = a.shape[0]
-    rows, cols = np.nonzero(a)
-    counts = np.bincount(rows, minlength=n)
-    # position of each nonzero within its row: nonzero() is row-major
-    pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.repeat(np.arange(n)[:, None], counts.max(initial=1), axis=1)
+def normalized_adjacency(n: int, edges) -> NeighborTable:
+    """Read-only neighbor table, rows in column order, of D^{-1/2} (A + I)
+    D^{-1/2} for nodes 0..n-1 and undirected [E, 2] edges (repeats allowed).
+    Degrees are exact integers and weights d_i * d_j: the dense path's bits."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise DimensionError(f"edges must be [E, 2], got shape {edges.shape}")
+    a, b = edges.T
+    if np.any((np.minimum(a, b) < 0) | (np.maximum(a, b) >= n) | (a == b)):
+        raise DimensionError(f"an edge must join two nodes of [0, {n})")
+    # keys i * n + j of both directions and the self-loops, row-major and
+    # deduplicated by sort (np.unique would import numpy.ma during set-up)
+    keys = np.sort(np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
+    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
+    deg = np.bincount(rows, minlength=n)
+    d = 1.0 / np.sqrt(deg)
+    # position of each entry within its row: the keys are row-major
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    idx = np.repeat(np.arange(n)[:, None], deg.max(initial=1), axis=1)
     weight = np.zeros(idx.shape)
     idx[rows, pos] = cols
-    weight[rows, pos] = a[rows, cols]
+    weight[rows, pos] = d[rows] * d[cols]
     idx.setflags(write=False)
     weight.setflags(write=False)
     return NeighborTable(idx, weight)
@@ -608,17 +611,17 @@ def load_checkpoint(path, params):
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {blob.get('format')!r}")
-    tensors = blob["tensors"]
+    tensors, meta = blob["tensors"], blob.get("meta", {})
     loaded = []
     for p in params:
         if p.name not in tensors:
-            raise KeyError(f"checkpoint is missing tensor {p.name!r}")
+            raise CheckpointMismatchError(f"no tensor {p.name!r}", meta)
         entry = tensors[p.name]
         data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         if data.shape != p.data.shape:
-            raise DimensionError(f"shape mismatch for {p.name!r}")
+            raise CheckpointMismatchError(f"shape mismatch for {p.name!r}", meta)
         _check_finite(p.name, data)
         loaded.append(data)
     for p, data in zip(params, loaded):
         p.data = data
-    return blob.get("meta", {})
+    return meta

@@ -89,10 +89,6 @@ class Route:
 
     hops: tuple
 
-    @property
-    def n_hops(self) -> int:
-        return len(self.hops) - 1
-
 
 class Constellation:
     """Walker-Delta shell: positions, ISL neighbors, GS access, routing.

@@ -28,22 +28,20 @@ class SourceSelectionError(RuntimeError):
 
 
 def prune_involved(sources, neighbor_order, route_hops, gs_flat):
-    """Involved node set and induced adjacency for the learning agents.
+    """Involved node set and its edges for the learning agents.
 
     Nodes: sources, their ISL neighbors, every route hop and the
-    GS-connected satellite.  A_{ij} = 1 iff i and j are adjacent hops in
-    any offload or outcome route (undirected); the GS itself is not a node.
-    Returns (sorted node list, node -> row map, adjacency matrix).
+    GS-connected satellite.  i and j share an (undirected) edge iff they are
+    adjacent hops in any offload or outcome route; the GS is not a node.
+    Returns (sorted node list, node -> row map, [E, 2] row-pair edges).
     """
     edges = np.array([(s, nb) for s in sources for nb in neighbor_order[s]]
                      + [hop for hops in route_hops.values() for hop in hops],
                      dtype=int).reshape(-1, 2)
     involved = sorted({gs_flat, *sources, *edges.ravel().tolist()} - {GS_NODE})
     node_index = {n: i for i, n in enumerate(involved)}
-    a, b = np.searchsorted(involved, edges[edges[:, 1] != GS_NODE].T)
-    adj = np.zeros((len(involved), len(involved)))
-    adj[a, b] = adj[b, a] = 1.0
-    return involved, node_index, adj
+    return (involved, node_index,
+            np.searchsorted(involved, edges[edges[:, 1] != GS_NODE]))
 
 
 @dataclass
@@ -122,7 +120,7 @@ class SecWindow:
         next_hop = {tx: rx for hops in self.route_hops.values() for tx, rx in hops}
         self.outcome_transmitters = sorted(next_hop)
 
-        self.involved, self.node_index, self.adjacency = prune_involved(
+        self.involved, self.node_index, self.edges = prune_involved(
             self.sources, self.neighbor_order, self.route_hops, self.gs_flat)
         # static per-node observables, read-only so encoders may share them
         nodes = np.array(self.involved)
@@ -132,7 +130,7 @@ class SecWindow:
         self.phi_gs = (nodes == self.gs_flat).astype(float)
         self.expected_offload_bytes = (self.phi_off
                                        * traffic_cfg.mean_bytes_per_slot)
-        for a in (self.adjacency, self.node_plane, self.node_slot,
+        for a in (self.edges, self.node_plane, self.node_slot,
                   self.phi_off, self.phi_gs, self.expected_offload_bytes):
             a.setflags(write=False)
         # [n_src, 5] servers of each source's offload shares (self first),

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 from .agent import GrantAgent, TrainConfig, TrainingError
-from .autodiff import load_checkpoint, save_checkpoint, write_json
+from .autodiff import (CheckpointMismatchError, load_checkpoint,
+                       save_checkpoint, write_json)
 from .baselines import (FullResourcePolicy, MaddpgFcAgent, UniformPolicy,
                         rollout_policy)
 from .constellation import (GroundStation, VisibilityError, WalkerConfig,
@@ -217,14 +218,20 @@ def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
 def restored_policy(cfg: ExperimentConfig, seed: int,
                     checkpoint: str | None = None):
     """(env, policy) for one seed, with learner parameters optionally loaded
-    from a checkpoint."""
+    from a checkpoint (a ConfigError if they do not fit its tensors)."""
     env = build_environment(cfg, seed)
     policy = make_policy(cfg.policy, env, cfg, seed)
     if checkpoint is not None:
         if not isinstance(policy, GrantAgent):
             raise ConfigError(
                 f"policy {cfg.policy!r} has no parameters to restore")
-        load_checkpoint(checkpoint, policy.parameters())
+        try:
+            load_checkpoint(checkpoint, policy.parameters())
+        except CheckpointMismatchError as exc:
+            raise ConfigError(
+                f"checkpoint {checkpoint!r} (policy {exc.meta.get('policy')!r}, "
+                f"seed {exc.meta.get('seed')}) does not fit policy "
+                f"{cfg.policy!r} at seed {seed}: {exc}") from None
     return env, policy
 
 

@@ -47,15 +47,10 @@ def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
     return 0.5 * (np.abs(k + 1) ** h2 - 2.0 * np.abs(k) ** h2 + np.abs(k - 1) ** h2)
 
 
-def fgn(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Standardized fractional Gaussian noise of length n (unit variance)."""
-    return _fgn_rows(hurst, n, 1, rng)[0]
-
-
-def _fgn_rows(hurst: float, n: int, rows: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """[rows, n] independent fgn draws, the random stream consumed row by
-    row as `rows` calls of fgn would, with one FFT for all rows."""
+def fgn_rows(hurst: float, n: int, rows: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """[rows, n] independent draws of standardized (unit-variance) fractional
+    Gaussian noise, the random stream consumed row by row, one FFT for all."""
     if not 0.0 < hurst < 1.0:
         raise TrafficConfigError("hurst must be in (0, 1)")
     if n == 1:
@@ -78,6 +73,6 @@ def generate_counts(cfg: TrafficConfig, sources: int, steps: int) -> np.ndarray:
     """Nonnegative integer task counts, shape [sources, steps]."""
     if steps < 1:
         raise TrafficConfigError("steps must be >= 1")
-    x = _fgn_rows(cfg.hurst, steps, sources, np.random.default_rng(cfg.seed))
+    x = fgn_rows(cfg.hurst, steps, sources, np.random.default_rng(cfg.seed))
     raw = cfg.mean_tasks_per_slot * (1.0 + cfg.relative_std * x)
     return np.round(np.maximum(0.0, raw)).astype(np.int64)

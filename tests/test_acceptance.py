@@ -11,14 +11,13 @@ import pytest
 
 from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
                            OutcomeActor, TrainConfig, explore_group)
-from terasec.autodiff import (Dense, GcnLayer, Tensor, neighbor_table,
-                              normalized_adjacency)
+from terasec.autodiff import Dense, GcnLayer, Tensor, normalized_adjacency
 from terasec.baselines import MaddpgFcAgent
 from terasec.constellation import SatId, WalkerConfig, build_walker
 from terasec.harness import ExperimentConfig, compare_bands, run_experiment
 from terasec.sec_sim import (quantize_offload, quantize_power,
                              quantize_subarrays)
-from terasec.traffic import TrafficConfig, fgn, generate_counts
+from terasec.traffic import TrafficConfig, fgn_rows, generate_counts
 
 from conftest import make_env, random_simplex
 from test_autodiff import check_gradient
@@ -94,10 +93,7 @@ def test_criterion_1_constraint_soundness():
 def test_criterion_2_gradient_correctness():
     rng = np.random.default_rng(1)
     n, k, width = 5, 1, 4
-    adj = np.zeros((n, n))
-    for i in range(n):
-        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-    table = neighbor_table(normalized_adjacency(adj))
+    table = normalized_adjacency(n, [(i, (i + 1) % n) for i in range(n)])
 
     def make_proj(cols):
         v = Tensor(rng.standard_normal((cols, 1)))
@@ -285,8 +281,8 @@ def test_criterion_9_traffic_statistics():
         x = x - x.mean()
         return float(np.sum(x[:-1] * x[1:]) / np.sum(x * x))
 
-    rho_half = rho1(fgn(0.5, 10_000, np.random.default_rng(1)))
-    rho_08 = rho1(fgn(0.8, 10_000, np.random.default_rng(1)))
+    rho_half = rho1(fgn_rows(0.5, 10_000, 1, np.random.default_rng(1))[0])
+    rho_08 = rho1(fgn_rows(0.8, 10_000, 1, np.random.default_rng(1))[0])
     ok = mean_err < 0.05 and abs(rho_half) < 0.05 and rho_08 > 0.0
     report(9, ok,
            f"10000 samples: mean error {mean_err * 100:.2f}% (need < 5%), "

@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
                            OutcomeActor, PhaseState, TrainConfig,
                            TrainingError, bound_logits, explore_group,
                            logit_bias, safe_init, td_target)
-from terasec.autodiff import (Adam, GcnLayer, Tensor, mse, neighbor_table,
+from terasec.autodiff import (Adam, GcnLayer, Tensor, mse,
                               normalized_adjacency)
 from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, SecWindow, prune_involved
 from terasec.harness import _metrics_row
 
 from conftest import make_env, random_simplex
-from gcn_reference import dense_gcn_call, dense_matrix, permuted_table
+import gcn_reference
+from gcn_reference import (dense_adjacency, dense_gcn_call, dense_matrix,
+                           permuted_table)
 from train_reference import reference_run_training
 
 
@@ -63,6 +66,22 @@ def test_encode_state_shapes_and_flags(small_env):
     assert np.allclose(np.sort(np.unique(demand)), [0.0, 1.0])
 
 
+def test_window_and_agent_set_up_allocate_no_n_by_n_matrix():
+    """The graph goes from the involved edges to the neighbor table with no
+    dense matrix: building a 500-source window and its agent peaks below
+    one n x n float64 array (the dense path peaked at about 4 of them)."""
+    tracemalloc.start()
+    try:
+        env = make_env(seed=1, steps=1, n_sources=500)
+        GrantAgent(env, TrainConfig(seed=1, steps=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(env.involved)
+    assert n > 1500
+    assert peak < n * n * 8
+
+
 # -- the per-slot observation path the window-frozen one replaced -----------
 
 def reference_snapshot(env):
@@ -77,7 +96,7 @@ def reference_snapshot(env):
     phi_gs = np.zeros(n)
     phi_gs[env.node_index[env.gs_flat]] = 1.0
     return {
-        "adjacency": np.array(env.adjacency),
+        "adjacency": dense_adjacency(n, env.edges),
         "planes": np.array([v // n_sp for v in env.involved], dtype=float),
         "slots": np.array([v % n_sp for v in env.involved], dtype=float),
         "phi_off": phi_off, "phi_gs": phi_gs,
@@ -101,7 +120,8 @@ def reference_encode_state(snap, phase, planes, sats_per_plane, mean_bytes):
         flags = [snap["phi_gs"]]
     cols = [plane_norm, slot_norm, l_e, sinr[:, 0], sinr[:, 1], sinr[:, 2],
             sinr[:, 3], *flags]
-    return np.stack(cols, axis=1), normalized_adjacency(snap["adjacency"])
+    return (np.stack(cols, axis=1),
+            gcn_reference.normalized_adjacency(snap["adjacency"]))
 
 
 @pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
@@ -300,12 +320,9 @@ def test_train_config_validation():
 # -- permutation structure ----------------------------------------------------
 
 def _ring_state(rng, n, n_feats):
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    edges = [(i, (i + 1) % n) for i in range(n)]
     feats = rng.standard_normal((n, n_feats))
-    return PhaseState(features=feats,
-                      table=neighbor_table(normalized_adjacency(a)))
+    return PhaseState(features=feats, table=normalized_adjacency(n, edges))
 
 
 def _permute_state(state, perm):
@@ -564,8 +581,9 @@ def test_prune_involved_toy():
     sources = [10]
     neighbor_order = {10: [2, 11, 30, 40]}
     route_hops = {10: ((10, 5),), 2: ((2, 10), (10, 5)), 5: ((5, GS_NODE),)}
-    involved, node_index, adj = prune_involved(sources, neighbor_order,
-                                               route_hops, 5)
+    involved, node_index, edges = prune_involved(sources, neighbor_order,
+                                                 route_hops, 5)
+    adj = dense_adjacency(len(involved), edges)
     assert involved == [2, 5, 10, 11, 30, 40]
     assert node_index[10] == involved.index(10)
     assert adj.shape == (6, 6)
@@ -579,10 +597,10 @@ def test_prune_involved_toy():
 
 
 def test_prune_involved_minimal():
-    involved, node_index, adj = prune_involved([], {}, {}, 7)
+    involved, node_index, edges = prune_involved([], {}, {}, 7)
     assert involved == [7]
     assert node_index == {7: 0}
-    assert np.array_equal(adj, np.zeros((1, 1)))
+    assert np.array_equal(dense_adjacency(1, edges), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])

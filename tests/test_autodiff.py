@@ -5,13 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from terasec.autodiff import (ADAM_BLOCK, Adam, DeadInputError, Dense,
-                              DimensionError, GcnLayer, GraphStateError,
-                              Parameter, Tensor, concat_cols, load_checkpoint,
-                              mse, neighbor_table, normalized_adjacency,
+from terasec.autodiff import (ADAM_BLOCK, Adam, CheckpointMismatchError,
+                              DeadInputError, Dense, DimensionError, GcnLayer,
+                              GraphStateError, Parameter, Tensor, concat_cols,
+                              load_checkpoint, mse, normalized_adjacency,
                               propagate, save_checkpoint, write_json,
                               xavier_uniform)
+from terasec.constellation import WalkerConfig
 
+import gcn_reference as ref
 from conftest import make_env
 from optim_reference import ReferenceAdam, reference_first_grad
 
@@ -45,23 +47,18 @@ def check_gradient(build, params, rtol=1e-4):
         assert np.max(np.abs(got - num) / denom) < rtol, p.name
 
 
-def path_adjacency(n):
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = 1.0
-    return a
+def path_edges(n):
+    return np.array([(i, i + 1) for i in range(n - 1)]).reshape(-1, 2)
 
 
-def ring_adjacency(n):
-    a = path_adjacency(n)
-    a[0, n - 1] = a[n - 1, 0] = 1.0
-    return a
+def ring_edges(n):
+    return np.array([(i, (i + 1) % n) for i in range(n)])
 
 
 # -- op-level gradient checks -------------------------------------------------
 
 #: a 4-node path: end rows are narrower than inner rows, so padding is used
-PATH4 = neighbor_table(normalized_adjacency(path_adjacency(4)))
+PATH4 = normalized_adjacency(4, path_edges(4))
 
 OPS = {
     "matmul": lambda a, b: (a @ b).sum(),
@@ -144,17 +141,15 @@ def test_softmax_shift_invariance_and_simplex():
 # -- normalized adjacency -----------------------------------------------------
 
 def test_normalized_adjacency_oracles():
-    assert np.allclose(normalized_adjacency(np.zeros((1, 1))), [[1.0]])
-    two = normalized_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    one = ref.dense_matrix(normalized_adjacency(1, np.zeros((0, 2), int)))
+    assert np.allclose(one, [[1.0]])
+    two = ref.dense_matrix(normalized_adjacency(2, [[0, 1]]))
     assert np.allclose(two, 0.5)
 
 
 def test_normalized_adjacency_ring_row_sums():
     for n in (4, 7, 12):
-        a = np.zeros((n, n))
-        for i in range(n):
-            a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
-        norm = normalized_adjacency(a)
+        norm = ref.dense_matrix(normalized_adjacency(n, ring_edges(n)))
         assert np.allclose(norm.sum(axis=1), 1.0)
         assert np.allclose(norm, norm.T)
 
@@ -164,37 +159,73 @@ def test_normalized_adjacency_spectral_radius():
     for _ in range(5):
         n = 6
         a = (rng.random((n, n)) < 0.4).astype(float)
-        a = np.triu(a, 1)
-        a = a + a.T
-        norm = normalized_adjacency(a)
+        norm = ref.dense_matrix(normalized_adjacency(
+            n, np.argwhere(np.triu(a, 1))))
         eig = np.max(np.abs(np.linalg.eigvalsh(norm)))
         assert eig <= 1.0 + 1e-9
 
 
 def test_normalized_adjacency_asymmetric_error():
+    """The dense reference rejects an asymmetric matrix; an edge list has
+    no direction, so the src normalization cannot be given one."""
     with pytest.raises(DimensionError):
-        normalized_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        ref.normalized_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _same_table(a, b):
+    return (np.array_equal(a.idx, b.idx)
+            and a.weight.tobytes() == b.weight.tobytes())
+
+
+@pytest.mark.parametrize("phasing", [0, 36])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_sources", [1, 10, 50, 200, 500])
+def test_normalized_adjacency_equals_the_dense_path(n_sources, seed, phasing):
+    """The window's table has the dense normalization's exact bits."""
+    env = make_env(seed=seed, steps=1, n_sources=n_sources,
+                   walker=WalkerConfig(phasing_factor=phasing))
+    n = len(env.involved)
+    dense = ref.neighbor_table(ref.normalized_adjacency(
+        ref.dense_adjacency(n, env.edges)))
+    assert _same_table(normalized_adjacency(n, env.edges), dense)
+
+
+def test_normalized_adjacency_ignores_repeated_edges():
+    edges = np.array([(0, 1), (1, 2), (3, 4), (2, 0)])
+    table = normalized_adjacency(5, edges)
+    assert _same_table(table, ref.neighbor_table(ref.normalized_adjacency(
+        ref.dense_adjacency(5, edges))))
+    repeated = np.concatenate([edges, edges[::-1, ::-1], edges[:2]])
+    assert _same_table(normalized_adjacency(5, repeated), table)
+
+
+@pytest.mark.parametrize("edges", [[(0, 5)], [(-1, 2)], [(1, 2), (3, 3)],
+                                   [(0, 1, 2)], [0, 1]],
+                         ids=["past_n", "negative", "self_loop", "three_cols",
+                              "flat"])
+def test_normalized_adjacency_rejects_bad_edges(edges):
+    with pytest.raises(DimensionError):
+        normalized_adjacency(5, edges)
 
 
 # -- neighbor-table propagation -----------------------------------------------
 
-def _isolated_node_adjacency():
-    a = ring_adjacency(5)
-    b = np.zeros((6, 6))
-    b[1:, 1:] = a        # node 0 has no edges
-    return b
+def _isolated_node_edges():
+    return 6, ring_edges(5) + 1      # node 0 has no edges
 
 
-def _env_adjacency(seed, n_sources):
-    return make_env(seed=seed, steps=1, n_sources=n_sources).adjacency
+def _env_edges(seed, n_sources):
+    env = make_env(seed=seed, steps=1, n_sources=n_sources)
+    return len(env.involved), env.edges
 
 
+#: (n, edges) per graph
 GRAPHS = {
-    "ring": lambda: ring_adjacency(7),
-    "path": lambda: path_adjacency(6),
-    "isolated": _isolated_node_adjacency,
+    "ring": lambda: (7, ring_edges(7)),
+    "path": lambda: (6, path_edges(6)),
+    "isolated": _isolated_node_edges,
     **{f"env_seed{seed}_src{n_src}": (lambda s=seed, m=n_src:
-                                      _env_adjacency(s, m))
+                                      _env_edges(s, m))
        for seed in (1, 2, 3) for n_src in (10, 200)},
 }
 
@@ -204,9 +235,9 @@ def test_propagate_equals_the_dense_product(graph):
     """Forward is a_norm @ x and backward a_norm.T @ g, to 1e-12 relative
     to the sum of the terms' magnitudes (|a_norm| @ |x|): a row whose terms
     cancel has no element-wise relative bound in any summation order."""
-    a_norm = normalized_adjacency(GRAPHS[graph]())
-    table = neighbor_table(a_norm)
-    n = a_norm.shape[0]
+    n, edges = GRAPHS[graph]()
+    a_norm = ref.normalized_adjacency(ref.dense_adjacency(n, edges))
+    table = normalized_adjacency(n, edges)
     rng = np.random.default_rng(n)
     x = Parameter(rng.standard_normal((n, 7)), "x")
     g = rng.standard_normal((n, 7))
@@ -226,16 +257,18 @@ def test_propagate_equals_the_dense_product(graph):
 
 
 def test_neighbor_table_rejects_asymmetric_matrices():
-    a_norm = normalized_adjacency(ring_adjacency(5))
+    """The dense reference scan; the src table is built from edges and
+    scans no matrix."""
+    a_norm = ref.normalized_adjacency(ref.dense_adjacency(5, ring_edges(5)))
     skewed = a_norm.copy()
     skewed[0, 1] = np.nextafter(skewed[0, 1], 1.0)   # asymmetric by one ulp
     for bad in (skewed, a_norm[:, :4], np.ones(5)):
         with pytest.raises(DimensionError):
-            neighbor_table(bad)
+            ref.neighbor_table(bad)
 
 
 def test_propagate_rejects_a_row_count_mismatch():
-    table = neighbor_table(normalized_adjacency(ring_adjacency(5)))
+    table = normalized_adjacency(5, ring_edges(5))
     for rows in (4, 6):
         with pytest.raises(DimensionError):
             propagate(Tensor(np.ones((rows, 3))), table)
@@ -249,8 +282,7 @@ def test_propagate_rejects_a_row_count_mismatch():
 def test_gcn_layer_gradient():
     rng = np.random.default_rng(5)
     layer = GcnLayer(rng, 3, 2, "g")
-    table = neighbor_table(normalized_adjacency(
-        np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]])))
+    table = normalized_adjacency(3, [(0, 1), (1, 2)])
     feats = rng.standard_normal((3, 3))
     check_gradient(lambda: layer(Tensor(feats), table).sum(),
                    layer.parameters())
@@ -570,9 +602,9 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(path, [])
     good = os.path.join(tmp_path, "good.json")
     save_checkpoint(good, [Parameter(np.zeros((2, 2)), "x")])
-    with pytest.raises(KeyError):
+    with pytest.raises(CheckpointMismatchError, match="no tensor 'y'"):
         load_checkpoint(good, [Parameter(np.zeros((2, 2)), "y")])
-    with pytest.raises(DimensionError):
+    with pytest.raises(CheckpointMismatchError, match="shape mismatch"):
         load_checkpoint(good, [Parameter(np.zeros((3, 2)), "x")])
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from terasec import harness
+from terasec.autodiff import save_checkpoint
 from terasec.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main)
 
 
@@ -148,6 +149,45 @@ def test_exit_io_error(tmp_path, capsys):
                  "--checkpoint", str(tmp_path / "missing.ckpt.json")])
     assert code == EXIT_IO
     assert "io error" in capsys.readouterr().err
+
+
+def _saved_checkpoint(tmp_path, cfg_path, seed):
+    """A checkpoint of the configured policy's fresh parameters at `seed`,
+    with the meta a training run writes."""
+    cfg = harness.load_config(cfg_path)
+    _, policy = harness.restored_policy(cfg, seed)
+    path = str(tmp_path / f"{cfg.policy}_seed{seed}_step50.ckpt.json")
+    save_checkpoint(path, policy.parameters(),
+                    meta={"config_hash": cfg.config_hash(), "seed": seed,
+                          "policy": cfg.policy, "step": 50})
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "compare-bands"])
+def test_a_dense_checkpoint_for_another_seed_is_a_config_error(
+        tmp_path, capsys, command):
+    """The dense baseline's parameters belong to its seed's window."""
+    cfg = write_cfg(tmp_path, {"policy": "maddpg_fc", "n_sources": 1,
+                               "train": {"steps": 1, "hidden_width": 8}})
+    ckpt = _saved_checkpoint(tmp_path, cfg, seed=1)
+    args = [command, "--config", cfg, "--steps", "1", "--checkpoint", ckpt]
+    assert main([*args, "--seed", "2"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+    assert "'maddpg_fc', seed 1)" in captured.err
+    assert "policy 'maddpg_fc' at seed 2" in captured.err
+    assert main([*args, "--seed", "1"]) == EXIT_OK
+
+
+def test_a_grant_checkpoint_evaluates_at_another_seed(tmp_path, capsys):
+    """GRANT's parameters do not depend on the window."""
+    cfg = write_cfg(tmp_path, {"policy": "grant", "n_sources": 1,
+                               "train": {"steps": 1, "hidden_width": 8}})
+    ckpt = _saved_checkpoint(tmp_path, cfg, seed=1)
+    assert main(["eval", "--config", cfg, "--steps", "1", "--seed", "2",
+                 "--checkpoint", ckpt]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["seed"] == 2
 
 
 @pytest.mark.parametrize("section,field,value", [

@@ -13,6 +13,7 @@ from terasec.thz_link import (band_preset, link_gain, link_rate, noise_power,
                               path_gain, sinr)
 
 from conftest import make_env, random_simplex
+from gcn_reference import dense_adjacency
 
 
 # -- the per-link loop the array pass replaced, kept as the reference ---------
@@ -341,7 +342,7 @@ def test_expected_outcome_inflow_equals_the_per_source_loops(seed):
 
 
 def test_static_observables_are_read_only(small_env):
-    for name in ("adjacency", "node_plane", "node_slot", "phi_off", "phi_gs",
+    for name in ("edges", "node_plane", "node_slot", "phi_off", "phi_gs",
                  "expected_offload_bytes"):
         with pytest.raises(ValueError):
             getattr(small_env, name)[0] = 1.0
@@ -363,7 +364,7 @@ def test_window_setup_equals_the_per_satellite_reference(n_sources, seed):
     involved, node_index, adj = topo.prune_involved(
         env.sources, env.neighbor_order, env.route_hops, env.gs_flat)
     assert env.involved == involved and env.node_index == node_index
-    assert np.array_equal(env.adjacency, adj)
+    assert np.array_equal(dense_adjacency(len(involved), env.edges), adj)
 
 
 def test_window_setup_reads_positions_a_fixed_number_of_times(monkeypatch):

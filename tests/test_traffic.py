@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from terasec.traffic import (TrafficConfig, TrafficConfigError,
-                             _fgn_autocovariance, fgn, generate_counts)
+                             _fgn_autocovariance, fgn_rows, generate_counts)
 
 
 def lag1_autocorr(x: np.ndarray) -> float:
@@ -40,20 +40,20 @@ def test_empirical_mean_within_5pct():
 
 def test_fgn_unit_variance():
     rng = np.random.default_rng(0)
-    x = fgn(0.8, 10_000, rng)
+    x = fgn_rows(0.8, 10_000, 1, rng)[0]
     assert abs(x.std() - 1.0) < 0.1
     assert abs(x.mean()) < 0.05
 
 
 def test_hurst_half_is_uncorrelated():
     rng = np.random.default_rng(1)
-    x = fgn(0.5, 10_000, rng)
+    x = fgn_rows(0.5, 10_000, 1, rng)[0]
     assert abs(lag1_autocorr(x)) < 0.05
 
 
 def test_hurst_08_long_range_dependent():
     rng = np.random.default_rng(1)
-    x = fgn(0.8, 10_000, rng)
+    x = fgn_rows(0.8, 10_000, 1, rng)[0]
     rho1 = lag1_autocorr(x)
     assert rho1 > 0.0
     # theoretical fGn lag-1 autocorrelation: 2^(2H-1) - 1 ~ 0.516 at H=0.8
@@ -65,7 +65,7 @@ def test_counts_formula_matches_generator():
     cfg = TrafficConfig(seed=5)
     counts = generate_counts(cfg, 1, 64)
     rng = np.random.default_rng(5)
-    x = fgn(cfg.hurst, 64, rng)
+    x = fgn_rows(cfg.hurst, 64, 1, rng)[0]
     expected = np.round(np.maximum(
         0.0, cfg.mean_tasks_per_slot * (1.0 + cfg.relative_std * x)))
     assert np.array_equal(counts[0], expected.astype(np.int64))
@@ -81,7 +81,7 @@ def test_invalid_config_errors():
     with pytest.raises(TrafficConfigError):
         generate_counts(TrafficConfig(), 1, 0)
     with pytest.raises(TrafficConfigError):
-        fgn(0.0, 10, np.random.default_rng(0))
+        fgn_rows(0.0, 10, 1, np.random.default_rng(0))
 
 
 def test_mean_bytes_per_slot():
@@ -90,7 +90,7 @@ def test_mean_bytes_per_slot():
 
 
 def reference_counts(cfg: TrafficConfig, sources: int, steps: int):
-    """The per-source loop generate_counts replaced: one fgn draw, with its
+    """The per-source loop generate_counts replaced: one fGn draw, with its
     own circulant eigenvalues and FFT, per source."""
     rng = np.random.default_rng(cfg.seed)
     counts = np.empty((sources, steps), dtype=np.int64)
