@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff on float64 matrices, with the layers needed
-by the actors and critic: dense, graph convolution, tanh and sigmoid, softmax
-heads, mean pooling and squared-error loss, plus the Adam optimizer and a
-JSON checkpoint format.
+by the actors and critic: dense (also stacked, one weight matrix per input
+row), graph convolution, tanh and sigmoid, softmax heads, mean pooling and
+squared-error loss, plus the Adam optimizer and a JSON checkpoint format.
 """
 from __future__ import annotations
 
@@ -41,7 +41,8 @@ _NO_ROWS.setflags(write=False)
 
 
 class Tensor:
-    """A 2-D float64 tensor participating in a recorded computation graph."""
+    """A float64 tensor participating in a recorded computation graph: a
+    [rows, cols] matrix, or a [B, d, o] stack of weight matrices."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -77,10 +78,13 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        """Add g to .grad.  owned: g is a fresh product no one else holds, so
+        the first gradient may take it over in place."""
         if self.grad is None:
-            # one pass with the bits of a zero buffer plus g (-0.0 -> +0.0)
-            self.grad = np.broadcast_to(g, self.grad_shape) + 0.0
+            # the bits of a zero buffer plus g (-0.0 -> +0.0)
+            self.grad = (np.add(g, 0.0, out=g) if owned
+                         else np.broadcast_to(g, self.grad_shape) + 0.0)
         else:
             self.grad += g
 
@@ -123,12 +127,33 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(g @ b.data.T)
+                a._accumulate(g @ b.data.T, owned=True)
             if b.requires_grad:
                 # live weight rows only: the dead ones meet zero inputs
-                b._accumulate(a.data[:, b.live_rows].T @ g)
+                b._accumulate(a.data[:, b.live_rows].T @ g, owned=True)
 
         return Tensor._make(a.data @ b.data, (a, b), backward)
+
+    def rowwise_matmul(self, w):
+        """Row i of this [B, d] tensor times its own matrix w[i] of a
+        [B, d, o] stack: [B, o], each row with the bits of x[i:i+1] @ w[i]."""
+        a = self
+        if (w.data.ndim != 3 or a.shape != w.shape[:2]
+                or w.dead_rows.size):
+            raise DimensionError(f"rowwise matmul shapes {a.shape} x {w.shape}"
+                                 " (every matrix of the stack live)")
+
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(np.matmul(g[:, None, :],
+                                        w.data.transpose(0, 2, 1))[:, 0, :],
+                              owned=True)
+            if w.requires_grad:
+                w._accumulate(np.matmul(a.data[:, :, None], g[:, None, :]),
+                              owned=True)
+
+        return Tensor._make(np.matmul(a.data[:, None, :], w.data)[:, 0, :],
+                            (a, w), backward)
 
     def __add__(self, other):
         other = _as_tensor(other)
@@ -396,7 +421,8 @@ def propagate(x, table: NeighborTable) -> Tensor:
 
 class Parameter(Tensor):
     """A named trainable tensor, held C-contiguous so Adam can update it
-    through a flat view.
+    through a flat view.  Its rows are its first axis: a matrix's rows, or
+    the matrices of a [B, d, o] stack.
 
     Every row is live unless set_live_rows narrows them.  .grad then holds
     the live rows only, in order, and a matmul whose input meets a dead row
@@ -448,6 +474,21 @@ class Dense:
         return [self.w, self.b]
 
 
+class StackedDense:
+    """B private dense layers in one: row i of a [B, d] input meets its own
+    weights w[i] ([B, d, o], stacked from `ws`) and bias b[i] ([B, o])."""
+
+    def __init__(self, ws, name):
+        self.w = Parameter(ws, f"{name}.w")
+        self.b = Parameter(np.zeros((ws.shape[0], ws.shape[2])), f"{name}.b")
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return x.rowwise_matmul(self.w) + self.b
+
+    def parameters(self):
+        return [self.w, self.b]
+
+
 class GcnLayer:
     """F' = tanh(A_norm @ F @ W); A_norm is a per-call constant given as a
     NeighborTable."""
@@ -468,11 +509,12 @@ ADAM_BLOCK = 16384
 
 
 def _adam_blocks(p):
-    """A parameter's live rows as Adam blocks of at most ADAM_BLOCK elements:
-    (lo, hi, src), [lo, hi) a range of the flat live-row arrays (moments and
-    gradient) and src either the flat data slice it updates, where the
-    block's rows are adjacent, or the data rows to gather and scatter back."""
-    n_rows, cols = p.data.shape
+    """A parameter's live rows (its first axis; the other axes are its
+    columns) as Adam blocks of at most ADAM_BLOCK elements: (lo, hi, src),
+    [lo, hi) a range of the flat live-row arrays (moments and gradient) and
+    src either the flat data slice it updates, where the block's rows are
+    adjacent, or the data rows to gather and scatter back."""
+    n_rows, cols = p.data.shape[0], int(np.prod(p.data.shape[1:]))
     rows = np.arange(n_rows)[p.live_rows]
     per = max(1, ADAM_BLOCK // cols)
     blocks = []
@@ -540,7 +582,8 @@ class Adam:
             for lo, hi, src in self._blocks[i]:
                 gathered = type(src) is not slice
                 if gathered:
-                    pb = np.take(p.data, src, axis=0, mode="clip",
+                    rows = p.data.reshape(len(p.data), -1)
+                    pb = np.take(rows, src, axis=0, mode="clip",
                                  out=buf_p[:hi - lo].reshape(src.size, -1))
                     pb = pb.reshape(-1)
                 else:
@@ -565,7 +608,7 @@ class Adam:
                 np.divide(tb, ta, out=tb)
                 np.subtract(pb, tb, out=pb)
                 if gathered:
-                    p.data[src] = pb.reshape(src.size, -1)
+                    rows[src] = pb.reshape(src.size, -1)
 
 
 # -- checkpoints --------------------------------------------------------------

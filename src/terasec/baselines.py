@@ -1,6 +1,7 @@
 """Benchmark policies: stateless uniform and full-resource heuristics, and a
 dense multi-agent actor-critic (private fully-connected actors per acting
-satellite, one flat fully-connected critic over all involved satellites).
+satellite, stacked so one forward serves them all, and one flat
+fully-connected critic over all involved satellites).
 """
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import numpy as np
 
 from .agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, GrantAgent,
                     TrainConfig, bound_logits, logit_bias)
-from .autodiff import Adam, Dense, Tensor, concat_cols
+from .autodiff import (Adam, Dense, StackedDense, Tensor, concat_cols,
+                       xavier_uniform)
 from .env import SecWindow, Snapshot
 
 
@@ -56,52 +58,31 @@ def rollout_policy(env: SecWindow, policy, steps: int):
 # -- dense multi-agent actor-critic -------------------------------------------
 
 
-class _DenseTrunk:
-    def __init__(self, rng, d_in, width, name):
-        self.fc1 = Dense(rng, d_in, width, f"{name}.fc1")
-        self.fc2 = Dense(rng, width, width, f"{name}.fc2")
+class _PrivateActors:
+    """One phase's private dense actors as stacked layers, actor i owning
+    row i of each: a tanh trunk (fc1, fc2) and linear heads (name, width).
+    Each actor's matrices are drawn in turn, layer by layer, as separate
+    actors would draw them."""
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(self.fc1(x).tanh()).tanh()
+    def __init__(self, rng, n, d_in, width, heads, name):
+        dims = [("fc1", d_in, width, 1.0), ("fc2", width, width, 1.0),
+                *((head, width, d_out, 0.1) for head, d_out in heads)]
+        ws = [np.empty((n, d, o)) for _, d, o, _ in dims]
+        for i in range(n):
+            for w, (_, d, o, scale) in zip(ws, dims):
+                w[i] = xavier_uniform(rng, d, o, scale)
+        self.fc1, self.fc2, *self.heads = (
+            StackedDense(w, f"{name}.{key}") for w, (key, *_) in zip(ws, dims))
 
-    def parameters(self):
-        return self.fc1.parameters() + self.fc2.parameters()
-
-
-class _PrivateOffloadActor:
-    """One source satellite's dense actor with the shared head layout."""
-
-    def __init__(self, rng, k, width, name):
-        self.trunk = _DenseTrunk(rng, OFFLOAD_FEATURES, width, name)
-        self.head_offload = Dense(rng, width, 5, f"{name}.head_offload", 0.1)
-        self.head_subarray = Dense(rng, width, 5, f"{name}.head_subarray", 0.1)
-        self.head_power = Dense(rng, width, 4 * k + 1, f"{name}.head_power", 0.1)
-
-    def forward(self, x: Tensor):
-        h = self.trunk(x)
-        return (bound_logits(self.head_offload(h)).softmax_rows(),
-                bound_logits(self.head_subarray(h)).softmax_rows(),
-                bound_logits(self.head_power(h)).softmax_rows())
+    def __call__(self, x: Tensor):
+        """Each head's bounded logits, one row per actor, for the actors'
+        stacked states x."""
+        h = self.fc2(self.fc1(x).tanh()).tanh()
+        return [bound_logits(head(h)) for head in self.heads]
 
     def parameters(self):
-        return (self.trunk.parameters() + self.head_offload.parameters()
-                + self.head_subarray.parameters() + self.head_power.parameters())
-
-
-class _PrivateOutcomeActor:
-    def __init__(self, rng, k, width, name):
-        self.trunk = _DenseTrunk(rng, OUTCOME_FEATURES, width, name)
-        self.head_subarray = Dense(rng, width, 1, f"{name}.head_subarray", 0.1)
-        self.head_power = Dense(rng, width, k + 1, f"{name}.head_power", 0.1)
-
-    def forward(self, x: Tensor):
-        h = self.trunk(x)
-        return (bound_logits(self.head_subarray(h)).sigmoid(),
-                bound_logits(self.head_power(h)).softmax_rows())
-
-    def parameters(self):
-        return (self.trunk.parameters() + self.head_subarray.parameters()
-                + self.head_power.parameters())
+        return [p for layer in (self.fc1, self.fc2, *self.heads)
+                for p in layer.parameters()]
 
 
 class _FlatCritic:
@@ -129,34 +110,36 @@ class MaddpgFcAgent(GrantAgent):
 
     Same heads, quantizers, safe initialization, exploration and TD update
     as the GCN agent, but every acting satellite owns its own dense
-    parameters and the critic consumes one flat vector, so the parameter
-    count scales with the involved-set size.
+    parameters (one row of each phase's stacked layers) and the critic
+    consumes one flat vector, so the parameter count scales with the
+    involved-set size.
     """
 
     def __init__(self, env: SecWindow, cfg: TrainConfig,
                  actor_width: int = 128, critic_width: int = 1024):
         rng = self._bind(env, cfg)
         self.n_nodes = len(env.involved)
-        self.actors_to = [
-            _PrivateOffloadActor(rng, self.k, actor_width, f"actor_to{i}")
-            for i in range(len(env.sources))]
-        self.actors_ot = [
-            _PrivateOutcomeActor(rng, self.k, actor_width, f"actor_ot{i}")
-            for i in range(len(env.outcome_transmitters))]
+        self.actors_to = _PrivateActors(
+            rng, len(env.sources), OFFLOAD_FEATURES, actor_width,
+            [("head_offload", 5), ("head_subarray", 5),
+             ("head_power", 4 * self.k + 1)], "actor_to")
+        self.actors_ot = _PrivateActors(
+            rng, len(env.outcome_transmitters), OUTCOME_FEATURES, actor_width,
+            [("head_subarray", 1), ("head_power", self.k + 1)], "actor_ot")
         d_state = OFFLOAD_FEATURES + OUTCOME_FEATURES
         d_act = (5 + 4 + 4 * self.k) + (1 + self.k)
         self.critic = _FlatCritic(rng, self.n_nodes * (d_state + d_act),
                                   critic_width)
         self.critic.fc1.w.set_live_rows(self._live_critic_inputs())
-        for a in self.actors_to:
-            a.head_offload.b.data[0, 0] = logit_bias(2.0)
-            a.head_subarray.b.data[0, -1] = logit_bias(-4.0)
-            a.head_power.b.data[0, -1] = logit_bias(-4.0)
-        for a in self.actors_ot:
-            a.head_subarray.b.data[:] = logit_bias(4.0)
-            a.head_power.b.data[0, -1] = logit_bias(-4.0)
-        self.actor_params = [p for a in self.actors_to + self.actors_ot
-                             for p in a.parameters()]
+        offload, subarray, power = self.actors_to.heads
+        offload.b.data[:, 0] = logit_bias(2.0)
+        subarray.b.data[:, -1] = logit_bias(-4.0)
+        power.b.data[:, -1] = logit_bias(-4.0)
+        subarray, power = self.actors_ot.heads
+        subarray.b.data[:] = logit_bias(4.0)
+        power.b.data[:, -1] = logit_bias(-4.0)
+        self.actor_params = (self.actors_to.parameters()
+                             + self.actors_ot.parameters())
         self.critic_params = self.critic.parameters()
         self.actor_opt = Adam(self.actor_params, cfg.actor_lr)
         self.critic_opt = Adam(self.critic_params, cfg.critic_lr)
@@ -169,13 +152,10 @@ class MaddpgFcAgent(GrantAgent):
         return super().encode(snapshot)
 
     def actor_tensors(self, s_to, s_ot):
-        to = [a.forward(Tensor(s_to.features[row:row + 1]))
-              for a, row in zip(self.actors_to, self.source_rows)]
-        ot = [a.forward(Tensor(s_ot.features[row:row + 1]))
-              for a, row in zip(self.actors_ot, self.tx_rows)]
-        # one row per satellite: [1, n*cols] reshaped row-major to [n, cols]
-        return tuple(concat_cols(rows).reshape(len(rows), rows[0].shape[1])
-                     for rows in (*zip(*to), *zip(*ot)))
+        offload, subarray, power = (z.softmax_rows() for z in self.actors_to(
+            Tensor(s_to.features[self.source_rows])))
+        ot_sub, ot_power = self.actors_ot(Tensor(s_ot.features[self.tx_rows]))
+        return offload, subarray, power, ot_sub.sigmoid(), ot_power.softmax_rows()
 
     def _critic_input(self, s_to, s_ot, act_to, act_ot) -> Tensor:
         feats = concat_cols([Tensor(s_to.features), Tensor(s_ot.features),

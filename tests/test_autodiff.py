@@ -7,10 +7,10 @@ import pytest
 
 from terasec.autodiff import (ADAM_BLOCK, Adam, CheckpointMismatchError,
                               DeadInputError, Dense, DimensionError, GcnLayer,
-                              GraphStateError, Parameter, Tensor, concat_cols,
-                              load_checkpoint, mse, normalized_adjacency,
-                              propagate, save_checkpoint, write_json,
-                              xavier_uniform)
+                              GraphStateError, Parameter, StackedDense, Tensor,
+                              concat_cols, load_checkpoint, mse,
+                              normalized_adjacency, propagate, save_checkpoint,
+                              write_json, xavier_uniform)
 from terasec.constellation import WalkerConfig
 
 import gcn_reference as ref
@@ -297,6 +297,60 @@ def test_dense_gradient_and_shapes():
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
 
 
+def test_rowwise_matmul_gradient():
+    """Finite differences in both arguments, through a stacked dense layer
+    and a plain rowwise product."""
+    rng = np.random.default_rng(7)
+    layer = StackedDense(rng.standard_normal((4, 5, 3)) * 0.7, "s")
+    x = Parameter(rng.standard_normal((4, 5)) * 0.7, "x")
+    w = Parameter(rng.standard_normal((4, 3, 2)) * 0.7, "w")
+    check_gradient(
+        lambda: layer(x).tanh().rowwise_matmul(w).softmax_rows().sigmoid().sum(),
+        [x, w, *layer.parameters()])
+
+
+#: (d, o) of every private actor layer of the dense baseline
+ACTOR_SHAPES = [(9, 128), (8, 128), (128, 128), (128, 1), (128, 5), (128, 17)]
+
+
+@pytest.mark.parametrize("d,o", ACTOR_SHAPES)
+def test_rowwise_matmul_equals_the_per_row_product(d, o):
+    """Output, input gradient and weight gradient have the bits of
+    x[i:i+1] @ w[i] and its backward, row by row."""
+    rng = np.random.default_rng(d * 1000 + o)
+    b = 7
+    x = rng.standard_normal((b, d))
+    x[1, ::3] = 0.0
+    x[2, ::5] = -0.0
+    w = rng.standard_normal((b, d, o)) * 0.1
+    g = rng.standard_normal((b, o))
+    g[3, ::2] = -0.0
+    xt = Tensor(x.copy(), requires_grad=True)
+    wt = Parameter(w.copy(), "w")
+    out = xt.rowwise_matmul(wt)
+    out.backward(g)
+    for i in range(b):
+        xi = Tensor(x[i:i + 1].copy(), requires_grad=True)
+        wi = Parameter(w[i].copy(), "wi")
+        yi = xi @ wi
+        yi.backward(g[i:i + 1])
+        assert _same_bits(out.data[i:i + 1], yi.data), i
+        assert _same_bits(xt.grad[i:i + 1], xi.grad), i
+        assert _same_bits(wt.grad[i], wi.grad), i
+
+
+def test_rowwise_matmul_rejects_mismatched_shapes_and_dead_rows():
+    x = Tensor(np.ones((3, 4)))
+    for shape in ((2, 4, 5), (3, 5, 5), (4, 5)):
+        with pytest.raises(DimensionError, match="rowwise matmul shapes"):
+            x.rowwise_matmul(Parameter(np.ones(shape), "w"))
+    w = Parameter(np.ones((3, 4, 5)), "w")
+    x.rowwise_matmul(w)
+    w.set_live_rows([0, 2])
+    with pytest.raises(DimensionError, match="rowwise matmul shapes"):
+        x.rowwise_matmul(w)
+
+
 def test_xavier_bounds():
     rng = np.random.default_rng(7)
     w = xavier_uniform(rng, 50, 30)
@@ -450,6 +504,10 @@ ROW_SPARSE_CASES = [
     ((3000, 7), sorted(set(range(0, 3000, 3)) | set(range(2300, 2400)))),
     ((5, 3), []),
     ((50, 333), list(range(50))),
+    # [B, d, o] stacks: gathered rows of 1,152 columns, and rows wider than a
+    # block split at its boundaries
+    ((40, 9, 128), [0, 2, 3, 4, 9, 20, 21, 22, 23, 30, 39]),
+    ((5, 130, 130), [0, 1, 2, 4]),
 ]
 
 
@@ -468,7 +526,7 @@ def test_row_sparse_adam_equals_the_reference_step(maximize):
         params.append(p)
         ref.append(Tensor(x.copy(), requires_grad=True))
         inits.append(x)
-    scales = [1.0, 0.1, 10.0, 0.02, 0.5]
+    scales = [1.0, 0.1, 10.0, 0.02, 0.5, 0.1, 1.0]
     opt = Adam(params, lr=0.03, lr_scales=scales)
     ref_opt = ReferenceAdam(ref, lr=0.03, lr_scales=scales)
     for step in range(5):
@@ -576,6 +634,41 @@ def test_first_gradient_equals_a_zero_buffer_plus_g(g_shape):
     assert _same_bits(t.grad, want)
     assert not np.signbit(t.grad.flat[0])
     assert not np.shares_memory(t.grad, g)
+
+
+def test_an_owned_first_gradient_is_taken_over_in_place():
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((3, 4))
+    g.flat[:3] = [-0.0, np.nan, -np.inf]
+    want = reference_first_grad(np.ones((3, 4)), g)
+    t = Tensor(np.ones((3, 4)), requires_grad=True)
+    t._accumulate(g, owned=True)
+    assert t.grad is g
+    assert _same_bits(t.grad, want)
+    t._accumulate(np.ones((3, 4)), owned=True)
+    assert _same_bits(t.grad, want + 1.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_matmul_first_gradients_equal_a_zero_buffer_plus_the_product(stacked):
+    """The products a matmul takes over as first gradients keep the bits of
+    a zero buffer plus the product, NaN included."""
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((1, 6))
+    x[0, :2] = [0.0, -0.0]
+    w = rng.standard_normal((6, 4))
+    g = rng.standard_normal((1, 4))
+    g[0, :2] = [-0.0, np.nan]
+    xt = Tensor(x, requires_grad=True)
+    if stacked:
+        wt = Parameter(w[None], "w")
+        xt.rowwise_matmul(wt).backward(g)
+    else:
+        wt = Parameter(w, "w")
+        (xt @ wt).backward(g)
+    assert _same_bits(wt.grad, reference_first_grad(wt.data, (x.T @ g)
+                                                    .reshape(wt.shape)))
+    assert _same_bits(xt.grad, reference_first_grad(x, g @ w.T))
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from terasec.agent import GrantAgent, TrainConfig
-from terasec.autodiff import DeadInputError
+from terasec.autodiff import DeadInputError, Tensor
 from terasec.baselines import (FullResourcePolicy, MaddpgFcAgent,
                                ReconfigurationError, UniformPolicy,
                                rollout_policy)
 from terasec.harness import ExperimentConfig, build_environment
 
 from conftest import make_env
+from maddpg_reference import PerActorMaddpgAgent, stacked_slice
+from optim_reference import reference_first_grad
 from train_reference import full_width, reference_run_training
 
 
@@ -207,7 +209,12 @@ def test_row_sparse_training_equals_the_full_width_reference():
         assert np.array_equal(p.data, q.data), p.name
 
 
-def test_train_step_allocates_nothing_the_size_of_the_critic_fc1():
+def test_train_step_allocates_nothing_the_size_of_the_critic_fc1(monkeypatch):
+    """Nothing the size of the full fc1 weight is allocated, and the first
+    gradient of a matmul weight is its product, taken over in place: one
+    train_step peaks below 1.5 live fc1 gradients (a copy beside the product
+    would take it past two), and every first gradient still has the bits of
+    a zero buffer plus the product."""
     env = make_env(seed=1, steps=3)
     agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=2), actor_width=16,
                           critic_width=256)
@@ -216,6 +223,8 @@ def test_train_step_allocates_nothing_the_size_of_the_critic_fc1():
     ratios = agent._ratios_from_tensors(tensors)
     outcome, _, _ = env.step(agent.to_bundle(ratios))
     next_states = agent.encode(env.snapshot())
+    w = agent.critic.fc1.w
+    grad_nbytes = w.live_rows.size * w.data.shape[1] * 8
     tracemalloc.start()
     try:
         agent.train_step(states, ratios, outcome.reward, next_states, tensors)
@@ -223,4 +232,100 @@ def test_train_step_allocates_nothing_the_size_of_the_critic_fc1():
     finally:
         tracemalloc.stop()
     assert agent.critic_opt.step_count == 1
-    assert peak < agent.critic.fc1.w.data.nbytes
+    assert peak < w.data.nbytes
+    assert peak < 1.5 * grad_nbytes, (peak, grad_nbytes)
+
+    firsts = []
+    accumulate = Tensor._accumulate
+
+    def spy(self, g, owned=False):
+        want = (None if self.grad is not None
+                else reference_first_grad(np.zeros(self.grad_shape), g))
+        accumulate(self, g, owned)
+        if want is not None:
+            firsts.append((self, want, self.grad.copy()))
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    agent.train_step(next_states, ratios, outcome.reward, next_states,
+                     agent.actor_tensors(*next_states))
+    assert any(t is w for t, _, _ in firsts)
+    for _, want, got in firsts:
+        assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+
+# -- stacked private actors against the per-actor reference ----------------
+
+@pytest.mark.parametrize("n_sources", [1, 10])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_actors_equal_the_per_actor_reference(seed, n_sources):
+    """Row i of every stacked actor layer is actor i of the per-actor
+    baseline: initial weights, actor outputs, and after 4 training steps the
+    parameters and the (critic_loss, q_value) history, bit for bit."""
+    steps = 4
+
+    def build(cls):
+        env = make_env(seed=seed, steps=steps + 1, n_sources=n_sources)
+        return cls(env, TrainConfig(seed=seed, steps=steps), critic_width=32)
+
+    ref, agent = build(PerActorMaddpgAgent), build(MaddpgFcAgent)
+    assert len(ref.actors_to) == agent.actors_to.fc1.w.shape[0] == n_sources
+    assert ref.parameter_count() == agent.parameter_count()
+    for p in ref.parameters():
+        assert np.array_equal(p.data, stacked_slice(agent.parameters(),
+                                                    p.name)), p.name
+    states = agent.encode(agent.env.snapshot())
+    for r, t in zip(ref.actor_tensors(*states), agent.actor_tensors(*states)):
+        assert np.array_equal(r.data, t.data)
+    ref_history = [(r["critic_loss"], r["q_value"]) for r in ref.run_training()]
+    history = [(r["critic_loss"], r["q_value"]) for r in agent.run_training()]
+    assert np.array_equal(history, ref_history)
+    for p in ref.parameters():
+        assert np.array_equal(p.data, stacked_slice(agent.parameters(),
+                                                    p.name)), p.name
+
+
+def test_actor_graph_size_does_not_grow_with_the_actor_count(monkeypatch):
+    """One actor_tensors records as many tensors at 1 source as at 10."""
+    made = []
+    make = Tensor._make
+
+    def counting(data, parents, backward):
+        made.append(1)
+        return make(data, parents, backward)
+
+    counts = []
+    for n_sources in (1, 10):
+        env = make_env(seed=1, steps=2, n_sources=n_sources)
+        agent = MaddpgFcAgent(env, TrainConfig(seed=1), actor_width=8,
+                              critic_width=8)
+        states = agent.encode(env.snapshot())
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
+        made.clear()
+        agent.actor_tensors(*states)
+        counts.append(len(made))
+        monkeypatch.undo()
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_checkpoint_holds_one_stacked_tensor_per_layer(small_env):
+    agent = MaddpgFcAgent(small_env, TrainConfig(), actor_width=16,
+                          critic_width=8)
+    shapes = {p.name: p.data.shape for p in agent.actor_params}
+    n_src, n_tx = len(small_env.sources), len(small_env.outcome_transmitters)
+    k = agent.k
+    assert shapes == {
+        "actor_to.fc1.w": (n_src, 9, 16), "actor_to.fc1.b": (n_src, 16),
+        "actor_to.fc2.w": (n_src, 16, 16), "actor_to.fc2.b": (n_src, 16),
+        "actor_to.head_offload.w": (n_src, 16, 5),
+        "actor_to.head_offload.b": (n_src, 5),
+        "actor_to.head_subarray.w": (n_src, 16, 5),
+        "actor_to.head_subarray.b": (n_src, 5),
+        "actor_to.head_power.w": (n_src, 16, 4 * k + 1),
+        "actor_to.head_power.b": (n_src, 4 * k + 1),
+        "actor_ot.fc1.w": (n_tx, 8, 16), "actor_ot.fc1.b": (n_tx, 16),
+        "actor_ot.fc2.w": (n_tx, 16, 16), "actor_ot.fc2.b": (n_tx, 16),
+        "actor_ot.head_subarray.w": (n_tx, 16, 1),
+        "actor_ot.head_subarray.b": (n_tx, 1),
+        "actor_ot.head_power.w": (n_tx, 16, k + 1),
+        "actor_ot.head_power.b": (n_tx, k + 1),
+    }

@@ -8,6 +8,8 @@ from terasec import harness
 from terasec.autodiff import save_checkpoint
 from terasec.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main)
 
+from maddpg_reference import PerActorMaddpgAgent
+
 
 def write_cfg(tmp_path, extra=None):
     cfg = {"policy": "uniform", "train": {"steps": 3}}
@@ -178,6 +180,26 @@ def test_a_dense_checkpoint_for_another_seed_is_a_config_error(
     assert "'maddpg_fc', seed 1)" in captured.err
     assert "policy 'maddpg_fc' at seed 2" in captured.err
     assert main([*args, "--seed", "1"]) == EXIT_OK
+
+
+def test_a_per_actor_dense_checkpoint_is_a_config_error(tmp_path, capsys):
+    """A checkpoint of the per-actor dense baseline (one `actor_to{i}.*`
+    tensor set per actor) does not fit the stacked actors."""
+    cfg_path = write_cfg(tmp_path, {"policy": "maddpg_fc", "n_sources": 1,
+                                    "train": {"steps": 1, "hidden_width": 8}})
+    cfg = harness.load_config(cfg_path)
+    env, _ = harness.restored_policy(cfg, 1)
+    old = PerActorMaddpgAgent(env, cfg.train)
+    ckpt = str(tmp_path / "maddpg_fc_seed1_step50.ckpt.json")
+    save_checkpoint(ckpt, old.parameters(),
+                    meta={"config_hash": cfg.config_hash(), "seed": 1,
+                          "policy": "maddpg_fc", "step": 50})
+    assert main(["eval", "--config", cfg_path, "--steps", "1", "--seed", "1",
+                 "--checkpoint", ckpt]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+    assert "no tensor 'actor_to.fc1.w'" in captured.err
 
 
 def test_a_grant_checkpoint_evaluates_at_another_seed(tmp_path, capsys):
