@@ -1,17 +1,20 @@
 """Minimal reverse-mode autodiff on float64 matrices, with the layers needed
 by the actors and critic: dense (also stacked, one weight matrix per input
 row), graph convolution, tanh and sigmoid, softmax heads, mean pooling and
-squared-error loss, plus the Adam optimizer and a JSON checkpoint format.
+squared-error loss, plus the Adam optimizer and an .npz checkpoint format.
 """
 from __future__ import annotations
 
 import json
 import os
+import zipfile
 from typing import NamedTuple
 
 import numpy as np
 
-CHECKPOINT_FORMAT = "terasec-params-v1"
+CHECKPOINT_FORMAT = "terasec-params-v2"
+#: how a checkpoint in the JSON format before CHECKPOINT_FORMAT begins
+_V1_HEAD = b'{"format": "terasec-params-v1"'
 
 
 class GraphStateError(RuntimeError):
@@ -614,17 +617,22 @@ class Adam:
 # -- checkpoints --------------------------------------------------------------
 
 
-def write_json(path, obj, **dump_kwargs):
-    """json.dump obj to a temporary file beside path, then rename it into
+def _write_atomically(path, mode, write):
+    """write(fh) into a temporary file beside path, then rename it into
     place, so a failed write never leaves path half-written."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, **dump_kwargs)
+        with open(tmp, mode) as fh:
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json(path, obj, **dump_kwargs):
+    """json.dump obj to path through a temporary file (_write_atomically)."""
+    _write_atomically(path, "w", lambda fh: json.dump(obj, fh, **dump_kwargs))
 
 
 def _check_finite(name, data):
@@ -633,34 +641,50 @@ def _check_finite(name, data):
 
 
 def save_checkpoint(path, params, meta=None):
-    """Write params by name; refuses (writing nothing) if any is non-finite."""
+    """Write params to path as an uncompressed .npz archive: each tensor as a
+    float64 array 'tensor/<name>', the 'format' tag and the 'meta' dict as a
+    JSON string.  Refuses, writing nothing, if a tensor is non-finite or two
+    parameters share a name."""
+    arrays = {"format": np.array(CHECKPOINT_FORMAT),
+              "meta": np.array(json.dumps(meta or {}))}
     for p in params:
         _check_finite(p.name, p.data)
-    blob = {
-        "format": CHECKPOINT_FORMAT,
-        "meta": meta or {},
-        "tensors": {
-            p.name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-            for p in params
-        },
-    }
-    write_json(path, blob)
+        if (key := f"tensor/{p.name}") in arrays:
+            raise ValueError(f"two parameters are named {p.name!r}")
+        arrays[key] = p.data
+    _write_atomically(path, "wb", lambda fh: np.savez(fh, **arrays))
 
 
 def load_checkpoint(path, params):
-    """Load tensors by name into the given parameters (shapes must match,
-    values must be finite); a rejected checkpoint changes no parameter."""
-    with open(path) as fh:
-        blob = json.load(fh)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {blob.get('format')!r}")
-    tensors, meta = blob["tensors"], blob.get("meta", {})
+    """Load the tensors save_checkpoint wrote into the given parameters by
+    name (float64, same shapes, finite values); a rejected checkpoint changes
+    no parameter.  A file in another format is a ValueError."""
+    not_v2 = f"not a {CHECKPOINT_FORMAT} .npz archive"
+    with open(path, "rb") as fh:
+        if fh.read(len(_V1_HEAD)) == _V1_HEAD:
+            raise ValueError(f"{not_v2}: the old JSON format terasec-params-v1")
+        fh.seek(0)
+        entries, key = {}, None
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a bare .npy array")
+            with archive:
+                for key in archive.files:
+                    entries[key] = archive[key]
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            at = "" if key is None else f" (entry {key!r})"
+            raise ValueError(f"{not_v2}{at}: {exc}") from None
+    if str(entries.get("format")) != CHECKPOINT_FORMAT or "meta" not in entries:
+        raise ValueError(f"{not_v2}: no format tag or no meta")
+    meta = json.loads(str(entries["meta"]))
     loaded = []
     for p in params:
-        if p.name not in tensors:
+        data = entries.get(f"tensor/{p.name}")
+        if data is None:
             raise CheckpointMismatchError(f"no tensor {p.name!r}", meta)
-        entry = tensors[p.name]
-        data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        if not isinstance(data, np.ndarray) or data.dtype != np.float64:
+            raise ValueError(f"tensor {p.name!r} is not a float64 array")
         if data.shape != p.data.shape:
             raise CheckpointMismatchError(f"shape mismatch for {p.name!r}", meta)
         _check_finite(p.name, data)

@@ -218,7 +218,7 @@ def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
 def restored_policy(cfg: ExperimentConfig, seed: int,
                     checkpoint: str | None = None):
     """(env, policy) for one seed, with learner parameters optionally loaded
-    from a checkpoint (a ConfigError if they do not fit its tensors)."""
+    from a checkpoint (a ConfigError if it is no checkpoint or does not fit)."""
     env = build_environment(cfg, seed)
     policy = make_policy(cfg.policy, env, cfg, seed)
     if checkpoint is not None:
@@ -232,6 +232,8 @@ def restored_policy(cfg: ExperimentConfig, seed: int,
                 f"checkpoint {checkpoint!r} (policy {exc.meta.get('policy')!r}, "
                 f"seed {exc.meta.get('seed')}) does not fit policy "
                 f"{cfg.policy!r} at seed {seed}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {checkpoint!r}: {exc}") from None
     return env, policy
 
 
@@ -326,7 +328,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
                     lfh.write(_loss_row(record) + "\n")
                     if steps_done % CHECKPOINT_EVERY == 0:
                         save_checkpoint(
-                            f"{base}_step{steps_done}.ckpt.json",
+                            f"{base}_step{steps_done}.ckpt.npz",
                             agent.parameters(),
                             meta={"config_hash": chash, "seed": seed,
                                   "policy": cfg.policy, "step": steps_done})

@@ -677,8 +677,10 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     params = [Parameter(rng.standard_normal((3, 4)), "layer.w"),
               Parameter(rng.standard_normal((1, 4)), "layer.b")]
-    path = os.path.join(tmp_path, "ck.json")
+    # a path without the .npz suffix: np.savez given a str would append one
+    path = os.path.join(tmp_path, "ck.ckpt")
     save_checkpoint(path, params, meta={"note": 1})
+    assert os.listdir(tmp_path) == ["ck.ckpt"]
     fresh = [Parameter(np.zeros((3, 4)), "layer.w"),
              Parameter(np.zeros((1, 4)), "layer.b")]
     meta = load_checkpoint(path, fresh)
@@ -691,9 +693,9 @@ def test_checkpoint_errors(tmp_path):
     path = os.path.join(tmp_path, "bad.json")
     with open(path, "w") as fh:
         fh.write('{"format": "other"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a terasec-params-v2 .npz archive"):
         load_checkpoint(path, [])
-    good = os.path.join(tmp_path, "good.json")
+    good = os.path.join(tmp_path, "good.npz")
     save_checkpoint(good, [Parameter(np.zeros((2, 2)), "x")])
     with pytest.raises(CheckpointMismatchError, match="no tensor 'y'"):
         load_checkpoint(good, [Parameter(np.zeros((2, 2)), "y")])
@@ -701,18 +703,47 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(good, [Parameter(np.zeros((3, 2)), "x")])
 
 
+def _rewrite_archive(path, **changes):
+    """Rewrite the checkpoint archive at path with some entries replaced,
+    or dropped where the change is None."""
+    with np.load(path) as archive:
+        entries = {key: archive[key] for key in archive.files}
+    entries.update(changes)
+    np.savez(path, **{k: v for k, v in entries.items() if v is not None})
+
+
 def test_load_checkpoint_rejects_non_finite_values(tmp_path):
-    path = os.path.join(tmp_path, "nan.json")
+    path = os.path.join(tmp_path, "nan.npz")
     save_checkpoint(path, [Parameter(np.ones((2, 2)), "a"),
                            Parameter(np.ones((1, 3)), "layer.w")])
-    with open(path) as fh:
-        blob = json.load(fh)
-    blob["tensors"]["layer.w"]["data"][1] = float("nan")
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    _rewrite_archive(path, **{"tensor/layer.w": np.array([[1.0, np.nan, 1.0]])})
     params = [Parameter(np.zeros((2, 2)), "a"),
               Parameter(np.zeros((1, 3)), "layer.w")]
     with pytest.raises(ValueError, match="'layer.w'"):
+        load_checkpoint(path, params)
+    assert all(not p.data.any() for p in params)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"tensor/layer.w": np.ones((1, 3), dtype=np.float32)},
+     "tensor 'layer.w' is not a float64 array"),
+    ({"tensor/layer.w": np.ones((1, 3)).astype(">f8")},
+     "tensor 'layer.w' is not a float64 array"),
+    ({"tensor/layer.w": np.array([[1.0, None, 1.0]], dtype=object)},
+     "entry 'tensor/layer.w'.*allow_pickle=False"),
+    ({"format": None}, "no format tag or no meta"),
+    ({"format": np.array("terasec-params-v1")}, "no format tag or no meta"),
+    ({"meta": None}, "no format tag or no meta"),
+], ids=["float32", "big-endian", "object", "no-format", "other-format",
+        "no-meta"])
+def test_load_checkpoint_rejects_a_malformed_archive(tmp_path, changes, message):
+    path = os.path.join(tmp_path, "ck.npz")
+    save_checkpoint(path, [Parameter(np.ones((2, 2)), "a"),
+                           Parameter(np.ones((1, 3)), "layer.w")])
+    _rewrite_archive(path, **changes)
+    params = [Parameter(np.zeros((2, 2)), "a"),
+              Parameter(np.zeros((1, 3)), "layer.w")]
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path, params)
     assert all(not p.data.any() for p in params)
 
@@ -721,27 +752,55 @@ def test_load_checkpoint_rejects_non_finite_values(tmp_path):
 def test_save_checkpoint_refuses_non_finite_values(tmp_path, bad):
     w = np.ones((2, 2))
     w[1, 0] = bad
-    path = str(tmp_path / "ck.json")
+    path = str(tmp_path / "ck.npz")
     with pytest.raises(ValueError, match="'layer.w'"):
         save_checkpoint(path, [Parameter(np.ones((1, 2)), "layer.b"),
                                Parameter(w, "layer.w")])
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("write", [
-    lambda path: save_checkpoint(path, [Parameter(np.ones((2, 2)), "w")]),
-    lambda path: write_json(path, {"converged_u": 0.5}, indent=2),
-], ids=["checkpoint", "summary"])
-def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, write):
-    existing = str(tmp_path / "old.json")
-    write(existing)
-    before = open(existing, "rb").read()
+def test_save_checkpoint_refuses_two_parameters_of_one_name(tmp_path):
+    path = str(tmp_path / "ck.npz")
+    with pytest.raises(ValueError, match="two parameters are named 'layer.w'"):
+        save_checkpoint(path, [Parameter(np.ones((2, 2)), "layer.w"),
+                               Parameter(np.ones((1, 2)), "layer.b"),
+                               Parameter(np.zeros((2, 2)), "layer.w")])
+    assert os.listdir(tmp_path) == []
 
+
+def _fail_in_json_dump(monkeypatch):
     def failing_dump(obj, fh, **kwargs):
         fh.write('{"format": ')
         raise OSError("disk full")
 
     monkeypatch.setattr(json, "dump", failing_dump)
+
+
+def _fail_in_a_tensor_member(monkeypatch):
+    """The archive's 0-d format and meta members are written whole, then the
+    first tensor member breaks off after its magic string."""
+    write_array = np.lib.format.write_array
+
+    def failing_write_array(fp, array, *args, **kwargs):
+        if array.ndim:
+            fp.write(b"\x93NUMPY")
+            raise OSError("disk full")
+        write_array(fp, array, *args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", failing_write_array)
+
+
+@pytest.mark.parametrize("write,fail", [
+    (lambda path: save_checkpoint(path, [Parameter(np.ones((2, 2)), "w")]),
+     _fail_in_a_tensor_member),
+    (lambda path: write_json(path, {"converged_u": 0.5}, indent=2),
+     _fail_in_json_dump),
+], ids=["checkpoint", "summary"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, write, fail):
+    existing = str(tmp_path / "old.json")
+    write(existing)
+    before = open(existing, "rb").read()
+    fail(monkeypatch)
     for path in (existing, str(tmp_path / "new.json")):
         with pytest.raises(OSError, match="disk full"):
             write(path)

@@ -8,6 +8,7 @@ from terasec import harness
 from terasec.autodiff import save_checkpoint
 from terasec.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main)
 
+import checkpoint_reference as json_ckpt
 from maddpg_reference import PerActorMaddpgAgent
 
 
@@ -148,7 +149,7 @@ def test_exit_config_error(tmp_path, capsys):
 def test_exit_io_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"policy": "grant", "train": {"steps": 1}})
     code = main(["eval", "--config", cfg, "--steps", "1",
-                 "--checkpoint", str(tmp_path / "missing.ckpt.json")])
+                 "--checkpoint", str(tmp_path / "missing.ckpt.npz")])
     assert code == EXIT_IO
     assert "io error" in capsys.readouterr().err
 
@@ -158,7 +159,7 @@ def _saved_checkpoint(tmp_path, cfg_path, seed):
     with the meta a training run writes."""
     cfg = harness.load_config(cfg_path)
     _, policy = harness.restored_policy(cfg, seed)
-    path = str(tmp_path / f"{cfg.policy}_seed{seed}_step50.ckpt.json")
+    path = str(tmp_path / f"{cfg.policy}_seed{seed}_step50.ckpt.npz")
     save_checkpoint(path, policy.parameters(),
                     meta={"config_hash": cfg.config_hash(), "seed": seed,
                           "policy": cfg.policy, "step": 50})
@@ -190,7 +191,7 @@ def test_a_per_actor_dense_checkpoint_is_a_config_error(tmp_path, capsys):
     cfg = harness.load_config(cfg_path)
     env, _ = harness.restored_policy(cfg, 1)
     old = PerActorMaddpgAgent(env, cfg.train)
-    ckpt = str(tmp_path / "maddpg_fc_seed1_step50.ckpt.json")
+    ckpt = str(tmp_path / "maddpg_fc_seed1_step50.ckpt.npz")
     save_checkpoint(ckpt, old.parameters(),
                     meta={"config_hash": cfg.config_hash(), "seed": 1,
                           "policy": "maddpg_fc", "step": 50})
@@ -210,6 +211,89 @@ def test_a_grant_checkpoint_evaluates_at_another_seed(tmp_path, capsys):
     assert main(["eval", "--config", cfg, "--steps", "1", "--seed", "2",
                  "--checkpoint", ckpt]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["seed"] == 2
+
+
+def _garbage(path, _):
+    with open(path, "w") as fh:
+        fh.write("not a checkpoint\n")
+
+
+def _empty(path, _):
+    open(path, "w").close()
+
+
+def _bare_array(path, params):
+    np.save(path, params[0].data)
+
+
+def _truncated(path, params):
+    save_checkpoint(path, params)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+def _untagged(path, params):
+    np.savez(path, meta=np.array("{}"),
+             **{f"tensor/{p.name}": p.data for p in params})
+
+
+def _old_json(path, params):
+    json_ckpt.save_checkpoint(path, params)
+
+
+@pytest.mark.parametrize("make,name,message", [
+    (_garbage, "x.ckpt.npz", "terasec-params-v2 .npz archive"),
+    (_empty, "x.ckpt.npz", "terasec-params-v2 .npz archive"),
+    (_bare_array, "x.npy", "terasec-params-v2 .npz archive: a bare .npy array"),
+    (_truncated, "x.ckpt.npz", "terasec-params-v2 .npz archive: File is not a zip"),
+    (_untagged, "x.npz", "no format tag"),
+    (_old_json, "x.ckpt.json", "old JSON format terasec-params-v1"),
+], ids=["not-a-zip", "empty", "bare-npy", "truncated", "untagged",
+        "old-json"])
+def test_a_file_that_is_no_checkpoint_is_a_config_error(
+        tmp_path, capsys, make, name, message):
+    cfg_path = write_cfg(tmp_path, {"policy": "grant", "n_sources": 1,
+                                    "train": {"steps": 1, "hidden_width": 8}})
+    _, policy = harness.restored_policy(harness.load_config(cfg_path), 1)
+    path = str(tmp_path / name)
+    make(path, policy.parameters())
+    assert main(["eval", "--config", cfg_path, "--steps", "1",
+                 "--checkpoint", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: checkpoint {path!r}: ")
+    assert message in captured.err
+
+
+def test_a_training_run_checkpoint_restores_for_eval(tmp_path, monkeypatch,
+                                                     capsys):
+    """A 50-step run writes one archive, holding the agent's parameters after
+    step 50, and eval restores it."""
+    out = tmp_path / "runs"
+    cfg_path = write_cfg(tmp_path, {"policy": "grant", "n_sources": 1,
+                                    "train": {"steps": 50, "hidden_width": 8}})
+    agents = []
+    make_policy = harness.make_policy
+
+    def keep_policy(*args):
+        agents.append(make_policy(*args))
+        return agents[-1]
+
+    monkeypatch.setattr(harness, "make_policy", keep_policy)
+    assert main(["train", "--config", cfg_path, "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    assert [f for f in os.listdir(out) if ".ckpt" in f] == [
+        "grant_seed1_step50.ckpt.npz"]
+    ckpt = str(out / "grant_seed1_step50.ckpt.npz")
+    with np.load(ckpt, allow_pickle=False) as archive:
+        for p in agents[0].parameters():
+            assert np.array_equal(archive[f"tensor/{p.name}"], p.data), p.name
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--steps", "1", "--seed", "1",
+                 "--checkpoint", ckpt]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["steps"] == 1
 
 
 @pytest.mark.parametrize("section,field,value", [

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from terasec import harness
-from terasec.autodiff import save_checkpoint
-from terasec.baselines import rollout_policy
+from terasec.agent import GrantAgent, TrainConfig
+from terasec.autodiff import Parameter, load_checkpoint, save_checkpoint
+from terasec.baselines import MaddpgFcAgent, rollout_policy
 from terasec.env import ActionBundle
 from terasec.harness import (CONVERGED_WINDOW, ConfigError, ExperimentConfig,
                              compare_bands, default_config, load_config,
                              restored_policy, run_experiment,
                              summarize_metrics)
+
+import checkpoint_reference as json_ckpt
+from conftest import make_env
 
 
 # -- configuration ------------------------------------------------------------
@@ -176,8 +180,8 @@ def test_run_experiment_learning_outputs(tmp_path):
     assert len(lines) == 2 + 3
     for row in lines[2:]:
         assert len(row.split(",")) == 4
-    # no checkpoint before CHECKPOINT_EVERY steps
-    assert not [f for f in os.listdir(str(tmp_path)) if f.endswith(".ckpt.json")]
+    # no checkpoint, of any suffix, before CHECKPOINT_EVERY steps
+    assert not [f for f in os.listdir(str(tmp_path)) if ".ckpt" in f]
 
 
 def test_run_experiment_failure_marker(tmp_path, monkeypatch):
@@ -327,6 +331,51 @@ def test_compare_bands_grant_checkpoint(tmp_path):
     # restoring the seed's own initial parameters reproduces the table
     env = harness.build_environment(cfg, 1)
     agent = harness.make_policy("grant", env, cfg, 1)
-    ckpt = str(tmp_path / "init.ckpt.json")
+    ckpt = str(tmp_path / "init.ckpt.npz")
     save_checkpoint(ckpt, agent.parameters())
     assert compare_bands(cfg, seed=1, checkpoint=ckpt, steps=2) == table
+
+
+def _trained_agent(policy, seed):
+    """A GRANT agent at 10 sources or a width-8 dense baseline at 1 source,
+    after two training steps."""
+    train = TrainConfig(steps=2, seed=seed)
+    if policy == "grant":
+        agent = GrantAgent(make_env(seed=seed, steps=3), train)
+    else:
+        agent = MaddpgFcAgent(make_env(seed=seed, steps=3, n_sources=1), train,
+                              actor_width=8, critic_width=8)
+    agent.run_training()
+    return agent
+
+
+@pytest.mark.parametrize("policy,seed", [
+    ("grant", 1), ("grant", 2), ("grant", 3), ("maddpg_fc", 1)])
+def test_the_archive_holds_the_bits_of_the_json_checkpoint(tmp_path, policy,
+                                                           seed):
+    """Trained parameters saved as an .npz archive and in the JSON format it
+    replaced: each tensor has the bits of the JSON round-trip, and the meta
+    and the parameters loaded back are equal."""
+    params = _trained_agent(policy, seed).parameters()
+    meta = {"config_hash": "0123456789ab", "seed": seed, "policy": policy,
+            "step": 2}
+    npz, js = str(tmp_path / "ck.ckpt.npz"), str(tmp_path / "ck.ckpt.json")
+    save_checkpoint(npz, params, meta=meta)
+    json_ckpt.save_checkpoint(js, params, meta=meta)
+
+    from_json = [Parameter(np.zeros(p.shape), p.name) for p in params]
+    assert json_ckpt.load_checkpoint(js, from_json) == meta
+    with np.load(npz, allow_pickle=False) as archive:
+        assert json.loads(str(archive["meta"])) == meta
+        assert sorted(archive.files) == sorted(
+            ["format", "meta"] + [f"tensor/{p.name}" for p in params])
+        for p in from_json:
+            data = archive[f"tensor/{p.name}"]
+            assert data.dtype == p.data.dtype == np.float64
+            assert data.shape == p.data.shape
+            assert data.tobytes() == p.data.tobytes(), p.name
+
+    from_npz = [Parameter(np.zeros(p.shape), p.name) for p in params]
+    assert load_checkpoint(npz, from_npz) == meta
+    for a, b in zip(from_json, from_npz):
+        assert a.data.tobytes() == b.data.tobytes(), a.name
