@@ -92,55 +92,47 @@ class PhaseState:
 # -- networks ----------------------------------------------------------------
 
 
-class OffloadActor:
-    """Shared GCN stack with offload / sub-array / power heads per source."""
+def head_specs(k_subbands):
+    """Both phases' actor heads as (name, width, activation), shared by the
+    GCN and the dense agent; each resource share head has one slack column."""
+    return ([("head_offload", 5, Tensor.softmax_rows),
+             ("head_subarray", 5, Tensor.softmax_rows),
+             ("head_power", 4 * k_subbands + 1, Tensor.softmax_rows)],
+            [("head_subarray", 1, Tensor.sigmoid),
+             ("head_power", k_subbands + 1, Tensor.softmax_rows)])
 
-    def __init__(self, rng, k_subbands, width=128):
-        self.k = k_subbands
-        self.gcn1 = GcnLayer(rng, OFFLOAD_FEATURES, width, "actor_to.gcn1")
-        self.gcn2 = GcnLayer(rng, width, width, "actor_to.gcn2")
-        self.head_offload = Dense(rng, width, 5, "actor_to.head_offload", 0.1)
-        self.head_subarray = Dense(rng, width, 5, "actor_to.head_subarray", 0.1)
-        self.head_power = Dense(rng, width, 4 * k_subbands + 1,
-                                "actor_to.head_power", 0.1)
 
-    def forward(self, state: PhaseState, source_rows):
+def read_heads(x: Tensor, heads, spec):
+    """Each head's activated bounded logits for the trunk output x."""
+    return [act(bound_logits(head(x))) for head, (*_, act) in zip(heads, spec)]
+
+
+class GcnActor:
+    """One phase's actor: a shared GCN stack read out at the acting rows
+    through the phase's heads."""
+
+    def __init__(self, rng, d_in, width, spec, name):
+        self.spec = spec
+        self.gcn1 = GcnLayer(rng, d_in, width, f"{name}.gcn1")
+        self.gcn2 = GcnLayer(rng, width, width, f"{name}.gcn2")
+        self.heads = [Dense(rng, width, d_out, f"{name}.{key}", 0.1)
+                      for key, d_out, _ in spec]
+
+    def forward(self, state: PhaseState, rows):
         emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
                         state.table)
-        src = emb.gather_rows(source_rows)
-        offload = bound_logits(self.head_offload(src)).softmax_rows()
-        subarray = bound_logits(self.head_subarray(src)).softmax_rows()  # 4 used + slack
-        power = bound_logits(self.head_power(src)).softmax_rows()        # 4K used + slack
-        return offload, subarray, power
+        return read_heads(emb.gather_rows(rows), self.heads, self.spec)
 
     def parameters(self):
-        return (self.gcn1.parameters() + self.gcn2.parameters()
-                + self.head_offload.parameters() + self.head_subarray.parameters()
-                + self.head_power.parameters())
+        return [p for layer in (self.gcn1, self.gcn2, *self.heads)
+                for p in layer.parameters()]
 
 
-class OutcomeActor:
-    """Shared GCN stack with sub-array scalar and power heads per transmitter."""
-
-    def __init__(self, rng, k_subbands, width=128):
-        self.k = k_subbands
-        self.gcn1 = GcnLayer(rng, OUTCOME_FEATURES, width, "actor_ot.gcn1")
-        self.gcn2 = GcnLayer(rng, width, width, "actor_ot.gcn2")
-        self.head_subarray = Dense(rng, width, 1, "actor_ot.head_subarray", 0.1)
-        self.head_power = Dense(rng, width, k_subbands + 1,
-                                "actor_ot.head_power", 0.1)
-
-    def forward(self, state: PhaseState, tx_rows):
-        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
-                        state.table)
-        tx = emb.gather_rows(tx_rows)
-        subarray = bound_logits(self.head_subarray(tx)).sigmoid()
-        power = bound_logits(self.head_power(tx)).softmax_rows()  # K used + slack
-        return subarray, power
-
-    def parameters(self):
-        return (self.gcn1.parameters() + self.gcn2.parameters()
-                + self.head_subarray.parameters() + self.head_power.parameters())
+def critic_input(state_to: PhaseState, state_ot: PhaseState,
+                 action_to: Tensor, action_ot: Tensor) -> Tensor:
+    """Per-node critic input: both phases' features, then their actions."""
+    return concat_cols([Tensor(state_to.features), Tensor(state_ot.features),
+                        action_to, action_ot])
 
 
 class CentralCritic:
@@ -185,8 +177,7 @@ class CentralCritic:
 
     def forward(self, state_to: PhaseState, state_ot: PhaseState,
                 action_to: Tensor, action_ot: Tensor):
-        feats = concat_cols([Tensor(state_to.features),
-                             Tensor(state_ot.features), action_to, action_ot])
+        feats = critic_input(state_to, state_ot, action_to, action_ot)
         h = self.gcn2(self.gcn1(feats, state_to.table), state_to.table)
         pooled = h.mean_rows()
         h = self.dense1(pooled).tanh()
@@ -199,20 +190,19 @@ class CentralCritic:
                 + self.out.parameters() + self.skip.parameters())
 
 
-def safe_init(actor_to: OffloadActor, actor_ot: OutcomeActor) -> None:
+def safe_init(heads_to, heads_ot) -> None:
     """Bias output heads so the initial policy spends nearly all resources
     and keeps tasks mostly local: slack logits at -4, self-offload logit +2,
     outcome sub-array sigmoid logit +4.  Biases are set in pre-bound space
-    so the bounded logits hit the targets exactly at zero input."""
-    actor_to.head_offload.b.data[:] = 0.0
-    actor_to.head_offload.b.data[0, 0] = logit_bias(2.0)
-    actor_to.head_subarray.b.data[:] = 0.0
-    actor_to.head_subarray.b.data[0, -1] = logit_bias(-4.0)
-    actor_to.head_power.b.data[:] = 0.0
-    actor_to.head_power.b.data[0, -1] = logit_bias(-4.0)
-    actor_ot.head_subarray.b.data[:] = logit_bias(4.0)
-    actor_ot.head_power.b.data[:] = 0.0
-    actor_ot.head_power.b.data[0, -1] = logit_bias(-4.0)
+    so the bounded logits hit the targets exactly at zero input; b[:, col]
+    sets a Dense head's bias and every row of a stacked head's alike."""
+    offload, subarray, power = heads_to
+    offload.b.data[:, 0] = logit_bias(2.0)
+    subarray.b.data[:, -1] = logit_bias(-4.0)
+    power.b.data[:, -1] = logit_bias(-4.0)
+    subarray, power = heads_ot
+    subarray.b.data[:] = logit_bias(4.0)
+    power.b.data[:, -1] = logit_bias(-4.0)
 
 
 def explore_group(ratios: np.ndarray, noise_std: float,
@@ -236,7 +226,8 @@ def td_target(reward: float, q_next: float, kappa: float) -> float:
     return reward + kappa * q_next
 
 
-def _require_finite(what: str, value: float) -> None:
+def require_finite(what: str, value: float) -> None:
+    """Raise TrainingError naming `what` if value is NaN or infinite."""
     if not np.isfinite(value):
         raise TrainingError(f"non-finite {what}: {value}")
 
@@ -259,10 +250,13 @@ class GrantAgent:
 
     def __init__(self, env: SecWindow, cfg: TrainConfig):
         rng = self._bind(env, cfg)
-        self.actor_to = OffloadActor(rng, self.k, cfg.hidden_width)
-        self.actor_ot = OutcomeActor(rng, self.k, cfg.hidden_width)
+        spec_to, spec_ot = head_specs(self.k)
+        self.actor_to = GcnActor(rng, OFFLOAD_FEATURES, cfg.hidden_width,
+                                 spec_to, "actor_to")
+        self.actor_ot = GcnActor(rng, OUTCOME_FEATURES, cfg.hidden_width,
+                                 spec_ot, "actor_ot")
         self.critic = CentralCritic(rng, self.k, cfg.hidden_width)
-        safe_init(self.actor_to, self.actor_ot)
+        safe_init(self.actor_to.heads, self.actor_ot.heads)
         self.actor_params = self.actor_to.parameters() + self.actor_ot.parameters()
         self.critic_params = self.critic.parameters()
         self.actor_opt = Adam(self.actor_params, cfg.actor_lr,
@@ -310,14 +304,13 @@ class GrantAgent:
         return PhaseState(f_to, self.table), PhaseState(f_ot, self.table)
 
     def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
-        offload, subarray, power = self.actor_to.forward(s_to, self.source_rows)
-        ot_sub, ot_power = self.actor_ot.forward(s_ot, self.tx_rows)
-        return offload, subarray, power, ot_sub, ot_power
+        """(offload, subarray, power, ot_sub, ot_power): the activated heads
+        at the sources and the outcome transmitters."""
+        return (*self.actor_to.forward(s_to, self.source_rows),
+                *self.actor_ot.forward(s_ot, self.tx_rows))
 
     def _ratios_from_tensors(self, tensors):
-        offload, subarray, power, ot_sub, ot_power = tensors
-        return (offload.data.copy(), subarray.data.copy(), power.data.copy(),
-                ot_sub.data.copy(), ot_power.data.copy())
+        return tuple(t.data.copy() for t in tensors)
 
     def act(self, snapshot, explore: bool = False):
         """The policy protocol: (ActionBundle, ratios, encoded states)."""
@@ -351,23 +344,14 @@ class GrantAgent:
             ot_power=ot_power[:, :self.k])
 
     def _action_node_tensors(self, tensors, n_nodes):
-        """Zero-padded per-node action matrices for the critic input."""
+        """Zero-padded per-node action matrices for the critic input, from
+        actor tensors or, for an executed action, constant Tensors."""
         offload, subarray, power, ot_sub, ot_power = tensors
         act_to = concat_cols([offload, subarray.slice_cols(0, 4),
                               power.slice_cols(0, 4 * self.k)])
         act_ot = concat_cols([ot_sub, ot_power.slice_cols(0, self.k)])
         return (act_to.scatter_rows(self.source_rows, n_nodes),
                 act_ot.scatter_rows(self.tx_rows, n_nodes))
-
-    def _action_node_constants(self, ratios, n_nodes):
-        offload, subarray, power, ot_sub, ot_power = ratios
-        act_to = np.zeros((n_nodes, 5 + 4 + 4 * self.k))
-        act_to[self.source_rows] = np.concatenate(
-            [offload, subarray[:, :4], power[:, :4 * self.k]], axis=1)
-        act_ot = np.zeros((n_nodes, 1 + self.k))
-        act_ot[self.tx_rows] = np.concatenate(
-            [ot_sub, ot_power[:, :self.k]], axis=1)
-        return Tensor(act_to), Tensor(act_ot)
 
     def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
         return self.critic.forward(s_to, s_ot, act_to, act_ot)
@@ -396,15 +380,16 @@ class GrantAgent:
         na_to, na_ot = self._action_node_tensors(next_tensors, n)
         q_next = self.q_value(ns_to, ns_ot, na_to, na_ot).data.item()
         y = td_target(reward / REWARD_SCALE, q_next, self.cfg.kappa)
-        _require_finite("TD target", y)
+        require_finite("TD target", y)
 
         # critic descent on the TD error for the executed (noisy) action
         zero_grads(self.actor_params + self.critic_params)
-        a_to, a_ot = self._action_node_constants(exec_ratios, n)
+        a_to, a_ot = self._action_node_tensors(
+            [Tensor(r) for r in exec_ratios], n)
         q = self.q_value(s_to, s_ot, a_to, a_ot)
         loss = mse(q, Tensor(np.array([[y]])))
         critic_loss = loss.data.item()
-        _require_finite("critic loss", critic_loss)
+        require_finite("critic loss", critic_loss)
         loss.backward()
         self.critic_opt.step()
         q_val = q.data.item() * REWARD_SCALE
@@ -417,7 +402,7 @@ class GrantAgent:
             p.requires_grad = False
         try:
             q_pi = self.q_value(s_to, s_ot, pa_to, pa_ot)
-            _require_finite("Q(s, pi(s))", q_pi.data.item())
+            require_finite("Q(s, pi(s))", q_pi.data.item())
             q_pi.backward()
         finally:
             for p in self.critic_params:

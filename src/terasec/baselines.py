@@ -8,9 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from .agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, GrantAgent,
-                    TrainConfig, bound_logits, logit_bias)
-from .autodiff import (Adam, Dense, StackedDense, Tensor, concat_cols,
-                       xavier_uniform)
+                    PhaseState, TrainConfig, critic_input, head_specs,
+                    read_heads, safe_init)
+from .autodiff import Adam, Dense, StackedDense, Tensor, xavier_uniform
 from .env import SecWindow, Snapshot
 
 
@@ -60,13 +60,14 @@ def rollout_policy(env: SecWindow, policy, steps: int):
 
 class _PrivateActors:
     """One phase's private dense actors as stacked layers, actor i owning
-    row i of each: a tanh trunk (fc1, fc2) and linear heads (name, width).
-    Each actor's matrices are drawn in turn, layer by layer, as separate
-    actors would draw them."""
+    row i of each: a tanh trunk (fc1, fc2) and the phase's heads.  Each
+    actor's matrices are drawn in turn, layer by layer, as separate actors
+    would draw them."""
 
-    def __init__(self, rng, n, d_in, width, heads, name):
+    def __init__(self, rng, n, d_in, width, spec, name):
+        self.spec = spec
         dims = [("fc1", d_in, width, 1.0), ("fc2", width, width, 1.0),
-                *((head, width, d_out, 0.1) for head, d_out in heads)]
+                *((head, width, d_out, 0.1) for head, d_out, _ in spec)]
         ws = [np.empty((n, d, o)) for _, d, o, _ in dims]
         for i in range(n):
             for w, (_, d, o, scale) in zip(ws, dims):
@@ -74,11 +75,10 @@ class _PrivateActors:
         self.fc1, self.fc2, *self.heads = (
             StackedDense(w, f"{name}.{key}") for w, (key, *_) in zip(ws, dims))
 
-    def __call__(self, x: Tensor):
-        """Each head's bounded logits, one row per actor, for the actors'
-        stacked states x."""
-        h = self.fc2(self.fc1(x).tanh()).tanh()
-        return [bound_logits(head(h)) for head in self.heads]
+    def forward(self, state: PhaseState, rows):
+        """Actor i reads row rows[i] of the state."""
+        h = self.fc1(Tensor(state.features[rows])).tanh()
+        return read_heads(self.fc2(h).tanh(), self.heads, self.spec)
 
     def parameters(self):
         return [p for layer in (self.fc1, self.fc2, *self.heads)
@@ -95,8 +95,10 @@ class _FlatCritic:
         self.out = Dense(rng, width, 1, f"{name}.out")
         self.out.w.data[:] = 0.0
 
-    def forward(self, flat: Tensor) -> Tensor:
-        h = self.fc1(flat).tanh()
+    def forward(self, state_to: PhaseState, state_ot: PhaseState,
+                action_to: Tensor, action_ot: Tensor) -> Tensor:
+        feats = critic_input(state_to, state_ot, action_to, action_ot)
+        h = self.fc1(feats.reshape(1, feats.data.size)).tanh()
         h = self.fc2(h).tanh()
         return self.out(h)
 
@@ -112,34 +114,28 @@ class MaddpgFcAgent(GrantAgent):
     as the GCN agent, but every acting satellite owns its own dense
     parameters (one row of each phase's stacked layers) and the critic
     consumes one flat vector, so the parameter count scales with the
-    involved-set size.
+    involved-set size.  The actors are train.hidden_width wide, the critic
+    critic_width.
     """
 
     def __init__(self, env: SecWindow, cfg: TrainConfig,
-                 actor_width: int = 128, critic_width: int = 1024):
+                 critic_width: int = 1024):
         rng = self._bind(env, cfg)
         self.n_nodes = len(env.involved)
-        self.actors_to = _PrivateActors(
-            rng, len(env.sources), OFFLOAD_FEATURES, actor_width,
-            [("head_offload", 5), ("head_subarray", 5),
-             ("head_power", 4 * self.k + 1)], "actor_to")
-        self.actors_ot = _PrivateActors(
-            rng, len(env.outcome_transmitters), OUTCOME_FEATURES, actor_width,
-            [("head_subarray", 1), ("head_power", self.k + 1)], "actor_ot")
+        spec_to, spec_ot = head_specs(self.k)
+        self.actor_to = _PrivateActors(rng, len(env.sources), OFFLOAD_FEATURES,
+                                       cfg.hidden_width, spec_to, "actor_to")
+        self.actor_ot = _PrivateActors(rng, len(env.outcome_transmitters),
+                                       OUTCOME_FEATURES, cfg.hidden_width,
+                                       spec_ot, "actor_ot")
         d_state = OFFLOAD_FEATURES + OUTCOME_FEATURES
         d_act = (5 + 4 + 4 * self.k) + (1 + self.k)
         self.critic = _FlatCritic(rng, self.n_nodes * (d_state + d_act),
                                   critic_width)
         self.critic.fc1.w.set_live_rows(self._live_critic_inputs())
-        offload, subarray, power = self.actors_to.heads
-        offload.b.data[:, 0] = logit_bias(2.0)
-        subarray.b.data[:, -1] = logit_bias(-4.0)
-        power.b.data[:, -1] = logit_bias(-4.0)
-        subarray, power = self.actors_ot.heads
-        subarray.b.data[:] = logit_bias(4.0)
-        power.b.data[:, -1] = logit_bias(-4.0)
-        self.actor_params = (self.actors_to.parameters()
-                             + self.actors_ot.parameters())
+        safe_init(self.actor_to.heads, self.actor_ot.heads)
+        self.actor_params = (self.actor_to.parameters()
+                             + self.actor_ot.parameters())
         self.critic_params = self.critic.parameters()
         self.actor_opt = Adam(self.actor_params, cfg.actor_lr)
         self.critic_opt = Adam(self.critic_params, cfg.critic_lr)
@@ -150,17 +146,6 @@ class MaddpgFcAgent(GrantAgent):
                 "involved set changed mid-window; dense networks are "
                 "fixed-width")
         return super().encode(snapshot)
-
-    def actor_tensors(self, s_to, s_ot):
-        offload, subarray, power = (z.softmax_rows() for z in self.actors_to(
-            Tensor(s_to.features[self.source_rows])))
-        ot_sub, ot_power = self.actors_ot(Tensor(s_ot.features[self.tx_rows]))
-        return offload, subarray, power, ot_sub.sigmoid(), ot_power.softmax_rows()
-
-    def _critic_input(self, s_to, s_ot, act_to, act_ot) -> Tensor:
-        feats = concat_cols([Tensor(s_to.features), Tensor(s_ot.features),
-                             act_to, act_ot])
-        return feats.reshape(1, feats.data.size)
 
     def _live_critic_inputs(self) -> np.ndarray:
         """The critic input columns that can be nonzero in this window, from
@@ -176,18 +161,16 @@ class MaddpgFcAgent(GrantAgent):
         inflow[env._offload_rows] = 1.0
         states = self.encode(Snapshot(inflow, *sinr))
         n_src, n_tx = len(self.source_rows), len(self.tx_rows)
-        ones = (np.ones((n_src, 5)), np.ones((n_src, 4)),
-                np.ones((n_src, 4 * self.k)), np.ones((n_tx, 1)),
-                np.ones((n_tx, self.k)))
-        actions = self._action_node_constants(ones, n)
-        return np.flatnonzero(self._critic_input(*states, *actions).data)
-
-    def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
-        return self.critic.forward(self._critic_input(s_to, s_ot, act_to,
-                                                      act_ot))
+        ones = [Tensor(np.ones(shape)) for shape in (
+            (n_src, 5), (n_src, 4), (n_src, 4 * self.k), (n_tx, 1),
+            (n_tx, self.k))]
+        actions = self._action_node_tensors(ones, n)
+        return np.flatnonzero(critic_input(*states, *actions).data)
 
     # inherited unchanged; bound in this class's own namespace because the
     # benchmark's tracer (bench/spans.py) patches each class's __dict__
+    actor_tensors = GrantAgent.actor_tensors
+    q_value = GrantAgent.q_value
     explore = GrantAgent.explore
     train_step = GrantAgent.train_step
     run_training = GrantAgent.run_training

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from . import harness
+from .agent import require_finite
 from .constellation import build_walker
 from .harness import ConfigError, ExperimentConfig, load_config
 from .thz_link import band_preset, link_rate, noise_power, path_gain, link_gain, sinr
@@ -71,12 +72,13 @@ def cmd_eval(args) -> int:
     env, policy = harness.restored_policy(cfg, seed, args.checkpoint)
     steps = args.steps or min(cfg.train.steps, 50)
     rows = [r["outcome"] for r in harness.rollout_policy(env, policy, steps)]
-    u = float(np.mean([o.u_total for o in rows]))
-    t_avg = float(np.mean([o.t_avg for o in rows]))
-    t_max = float(np.max([o.t_max for o in rows]))
+    numbers = {"U": float(np.mean([o.u_total for o in rows])),
+               "T_avg_ms": float(np.mean([o.t_avg for o in rows])) * 1e3,
+               "T_max_ms": float(np.max([o.t_max for o in rows])) * 1e3}
+    for name, value in numbers.items():
+        require_finite(name, value)
     print(json.dumps({"policy": cfg.policy, "seed": seed, "steps": steps,
-                      "U": u, "T_avg_ms": t_avg * 1e3, "T_max_ms": t_max * 1e3,
-                      "config_hash": cfg.config_hash()}, indent=2))
+                      **numbers, "config_hash": cfg.config_hash()}, indent=2))
     return EXIT_OK
 
 

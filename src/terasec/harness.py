@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .agent import GrantAgent, TrainConfig, TrainingError
+from .agent import GrantAgent, TrainConfig, TrainingError, require_finite
 from .autodiff import (CheckpointMismatchError, load_checkpoint,
                        save_checkpoint, write_json)
 from .baselines import (FullResourcePolicy, MaddpgFcAgent, UniformPolicy,
@@ -244,16 +244,24 @@ def _fmt(x: float) -> str:
     return f"{float(x):.10g}"
 
 
+def _csv_row(header: str, step: int, values) -> str:
+    """One CSV row; a non-finite value raises TrainingError naming its
+    column instead of being written."""
+    for name, value in zip(header.split(",")[1:], values):
+        require_finite(name, value)
+    return ",".join([str(step)] + [_fmt(v) for v in values])
+
+
 def _metrics_row(step: int, outcome) -> str:
-    return ",".join([str(step), _fmt(outcome.u_total), _fmt(outcome.u_power),
-                     _fmt(outcome.u_subarray), _fmt(outcome.t_avg * 1e3),
-                     _fmt(outcome.t_max * 1e3), _fmt(outcome.reward),
-                     _fmt(outcome.power_w_mean), _fmt(outcome.subarrays_mean)])
+    return _csv_row(METRICS_HEADER, step, [
+        outcome.u_total, outcome.u_power, outcome.u_subarray,
+        outcome.t_avg * 1e3, outcome.t_max * 1e3, outcome.reward,
+        outcome.power_w_mean, outcome.subarrays_mean])
 
 
 def _loss_row(record: dict) -> str:
-    return ",".join([str(record["step"]), _fmt(record["critic_loss"]),
-                     _fmt(record["q_value"]), _fmt(record["actor_lr"])])
+    return _csv_row(LOSS_HEADER, record["step"], [
+        record["critic_loss"], record["q_value"], record["actor_lr"]])
 
 
 @dataclasses.dataclass

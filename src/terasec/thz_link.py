@@ -176,7 +176,9 @@ def link_gain(s_tx, s_rx: int, a: ArrayConfig, alpha2,
         raise LinkDomainError("at least one sub-array per link end")
     g_lin = a.element_gain_linear() * element_gain_scale
     g = g_lin**2 if gain_interpretation == "amplitude" else g_lin
-    m = a.m_x * a.m_y
+    # float64: an int64 product of element counts wraps at large arrays;
+    # below 2**53 the float product has the integer product's bits
+    m = float(a.m_x * a.m_y)
     return (s_tx * m) * (s_rx * m) * g * g * alpha2
 
 

@@ -1,12 +1,21 @@
-"""The dense graph-convolution path that the neighbor-table path in
-terasec.autodiff replaced, kept as the reference for the differential tests:
-the adjacency and the propagation matrix as n x n arrays, the dense
-normalization and its scan into a neighbor table, and
-`Tensor(a_norm) @ features`.
+"""Code that terasec replaced, kept as the reference for the differential
+tests.
+
+The dense graph-convolution path that the neighbor-table path in
+terasec.autodiff replaced: the adjacency and the propagation matrix as
+n x n arrays, the dense normalization and its scan into a neighbor table,
+and `Tensor(a_norm) @ features`.
+
+The per-phase GCN actors that terasec.agent.GcnActor replaced, each with its
+own hard-coded heads, their safe_init, and a GrantAgent built on them.
 """
 import numpy as np
 
-from terasec.autodiff import DimensionError, NeighborTable, Tensor
+from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, SKIP_LR_SCALE,
+                           CentralCritic, GrantAgent, PhaseState,
+                           _actor_lr_scale, bound_logits, logit_bias)
+from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
+                              NeighborTable, Tensor)
 
 
 def dense_adjacency(n: int, edges) -> np.ndarray:
@@ -71,3 +80,95 @@ def dense_gcn_call(layer, features: Tensor, table: NeighborTable) -> Tensor:
         raise DimensionError("feature row count must match the graph size")
     agg = Tensor(a_norm) @ features
     return (agg @ layer.w).tanh()
+
+
+class OffloadActor:
+    """Shared GCN stack with offload / sub-array / power heads per source."""
+
+    def __init__(self, rng, k_subbands, width=128):
+        self.k = k_subbands
+        self.gcn1 = GcnLayer(rng, OFFLOAD_FEATURES, width, "actor_to.gcn1")
+        self.gcn2 = GcnLayer(rng, width, width, "actor_to.gcn2")
+        self.head_offload = Dense(rng, width, 5, "actor_to.head_offload", 0.1)
+        self.head_subarray = Dense(rng, width, 5, "actor_to.head_subarray", 0.1)
+        self.head_power = Dense(rng, width, 4 * k_subbands + 1,
+                                "actor_to.head_power", 0.1)
+
+    def forward(self, state: PhaseState, source_rows):
+        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
+                        state.table)
+        src = emb.gather_rows(source_rows)
+        offload = bound_logits(self.head_offload(src)).softmax_rows()
+        subarray = bound_logits(self.head_subarray(src)).softmax_rows()  # 4 used + slack
+        power = bound_logits(self.head_power(src)).softmax_rows()        # 4K used + slack
+        return offload, subarray, power
+
+    def parameters(self):
+        return (self.gcn1.parameters() + self.gcn2.parameters()
+                + self.head_offload.parameters() + self.head_subarray.parameters()
+                + self.head_power.parameters())
+
+
+class OutcomeActor:
+    """Shared GCN stack with sub-array scalar and power heads per transmitter."""
+
+    def __init__(self, rng, k_subbands, width=128):
+        self.k = k_subbands
+        self.gcn1 = GcnLayer(rng, OUTCOME_FEATURES, width, "actor_ot.gcn1")
+        self.gcn2 = GcnLayer(rng, width, width, "actor_ot.gcn2")
+        self.head_subarray = Dense(rng, width, 1, "actor_ot.head_subarray", 0.1)
+        self.head_power = Dense(rng, width, k_subbands + 1,
+                                "actor_ot.head_power", 0.1)
+
+    def forward(self, state: PhaseState, tx_rows):
+        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
+                        state.table)
+        tx = emb.gather_rows(tx_rows)
+        subarray = bound_logits(self.head_subarray(tx)).sigmoid()
+        power = bound_logits(self.head_power(tx)).softmax_rows()  # K used + slack
+        return subarray, power
+
+    def parameters(self):
+        return (self.gcn1.parameters() + self.gcn2.parameters()
+                + self.head_subarray.parameters() + self.head_power.parameters())
+
+
+def safe_init(actor_to: OffloadActor, actor_ot: OutcomeActor) -> None:
+    """Bias output heads so the initial policy spends nearly all resources
+    and keeps tasks mostly local: slack logits at -4, self-offload logit +2,
+    outcome sub-array sigmoid logit +4.  Biases are set in pre-bound space
+    so the bounded logits hit the targets exactly at zero input."""
+    actor_to.head_offload.b.data[:] = 0.0
+    actor_to.head_offload.b.data[0, 0] = logit_bias(2.0)
+    actor_to.head_subarray.b.data[:] = 0.0
+    actor_to.head_subarray.b.data[0, -1] = logit_bias(-4.0)
+    actor_to.head_power.b.data[:] = 0.0
+    actor_to.head_power.b.data[0, -1] = logit_bias(-4.0)
+    actor_ot.head_subarray.b.data[:] = logit_bias(4.0)
+    actor_ot.head_power.b.data[:] = 0.0
+    actor_ot.head_power.b.data[0, -1] = logit_bias(-4.0)
+
+
+class PerPhaseGrantAgent(GrantAgent):
+    """GrantAgent on OffloadActor, OutcomeActor and their safe_init."""
+
+    def __init__(self, env, cfg):
+        rng = self._bind(env, cfg)
+        self.actor_to = OffloadActor(rng, self.k, cfg.hidden_width)
+        self.actor_ot = OutcomeActor(rng, self.k, cfg.hidden_width)
+        self.critic = CentralCritic(rng, self.k, cfg.hidden_width)
+        safe_init(self.actor_to, self.actor_ot)
+        self.actor_params = self.actor_to.parameters() + self.actor_ot.parameters()
+        self.critic_params = self.critic.parameters()
+        self.actor_opt = Adam(self.actor_params, cfg.actor_lr,
+                              lr_scales=[_actor_lr_scale(p)
+                                         for p in self.actor_params])
+        self.critic_opt = Adam(self.critic_params, cfg.critic_lr,
+                               lr_scales=[SKIP_LR_SCALE if "skip" in p.name
+                                          else 1.0
+                                          for p in self.critic_params])
+
+    def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
+        offload, subarray, power = self.actor_to.forward(s_to, self.source_rows)
+        ot_sub, ot_power = self.actor_ot.forward(s_ot, self.tx_rows)
+        return offload, subarray, power, ot_sub, ot_power

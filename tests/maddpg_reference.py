@@ -1,7 +1,8 @@
 """The dense MADDPG baseline's per-actor networks, which the stacked private
 actors of terasec.baselines replaced, kept as the reference for the
-differential tests: one Python-level forward per acting satellite, and each
-actor's parameters named `actor_to{i}.*` / `actor_ot{i}.*`.
+differential tests: one Python-level forward per acting satellite, each
+actor's parameters named `actor_to{i}.*` / `actor_ot{i}.*`, its safe-init
+biases set head by head, and the critic fed a flat input built outside it.
 """
 import re
 
@@ -64,7 +65,8 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
     """MaddpgFcAgent with a list of private actor objects per phase."""
 
     def __init__(self, env: SecWindow, cfg: TrainConfig,
-                 actor_width: int = 128, critic_width: int = 1024):
+                 critic_width: int = 1024):
+        actor_width = cfg.hidden_width
         rng = self._bind(env, cfg)
         self.n_nodes = len(env.involved)
         self.actors_to = [
@@ -99,6 +101,13 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
         # one row per satellite: [1, n*cols] reshaped row-major to [n, cols]
         return tuple(concat_cols(rows).reshape(len(rows), rows[0].shape[1])
                      for rows in (*zip(*to), *zip(*ot)))
+
+    def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
+        feats = concat_cols([Tensor(s_to.features), Tensor(s_ot.features),
+                             act_to, act_ot])
+        c = self.critic
+        h = c.fc1(feats.reshape(1, feats.data.size)).tanh()
+        return c.out(c.fc2(h).tanh())
 
 
 def stacked_slice(stacked_params, name):

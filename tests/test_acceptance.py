@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
-                           OutcomeActor, TrainConfig, explore_group)
+from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
+                           GcnActor, GrantAgent, TrainConfig, explore_group,
+                           head_specs)
 from terasec.autodiff import Dense, GcnLayer, Tensor, normalized_adjacency
 from terasec.baselines import MaddpgFcAgent
 from terasec.constellation import SatId, WalkerConfig, build_walker
@@ -112,14 +113,17 @@ def test_criterion_2_gradient_correctness():
         check_gradient(lambda: proj3b(gcn(Tensor(feats), table)),
                        gcn.parameters())
 
-        actor_to = OffloadActor(np.random.default_rng(100 + i), k, width)
+        spec_to, spec_ot = head_specs(k)
+        actor_to = GcnActor(np.random.default_rng(100 + i), OFFLOAD_FEATURES,
+                            width, spec_to, "actor_to")
         s_to = _phase_state(rng, n, 9, table)
         projs_to = [make_proj(5), make_proj(5), make_proj(4 * k + 1)]
         check_gradient(
             lambda: sum_proj(actor_to.forward(s_to, [0, 2]), projs_to),
             actor_to.parameters(), rtol=1e-4)
 
-        actor_ot = OutcomeActor(np.random.default_rng(200 + i), k, width)
+        actor_ot = GcnActor(np.random.default_rng(200 + i), OUTCOME_FEATURES,
+                            width, spec_ot, "actor_ot")
         s_ot = _phase_state(rng, n, 8, table)
         projs_ot = [make_proj(1), make_proj(k + 1)]
         check_gradient(

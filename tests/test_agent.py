@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from terasec.agent import (CentralCritic, GrantAgent, OffloadActor,
-                           OutcomeActor, PhaseState, TrainConfig,
+from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
+                           GcnActor, GrantAgent, PhaseState, TrainConfig,
                            TrainingError, bound_logits, explore_group,
-                           logit_bias, safe_init, td_target)
+                           head_specs, logit_bias, safe_init, td_target)
 from terasec.autodiff import (Adam, GcnLayer, Tensor, mse,
                               normalized_adjacency)
 from terasec.baselines import MaddpgFcAgent
@@ -18,9 +18,9 @@ from terasec.harness import _metrics_row
 
 from conftest import make_env, random_simplex
 import gcn_reference
-from gcn_reference import (dense_adjacency, dense_gcn_call, dense_matrix,
-                           permuted_table)
-from train_reference import reference_run_training
+from gcn_reference import (PerPhaseGrantAgent, dense_adjacency,
+                           dense_gcn_call, dense_matrix, permuted_table)
+from train_reference import reference_run_training, reference_train_step
 
 
 # -- logit bounding -----------------------------------------------------------
@@ -155,21 +155,22 @@ def test_encode_equals_the_per_slot_rebuild(cls, seed):
 
 def test_safe_init_zero_input_oracles():
     rng = np.random.default_rng(0)
-    actor_to = OffloadActor(rng, 5, width=8)
-    actor_ot = OutcomeActor(rng, 5, width=8)
-    safe_init(actor_to, actor_ot)
+    spec_to, spec_ot = head_specs(5)
+    actor_to = GcnActor(rng, OFFLOAD_FEATURES, 8, spec_to, "actor_to")
+    actor_ot = GcnActor(rng, OUTCOME_FEATURES, 8, spec_ot, "actor_ot")
+    safe_init(actor_to.heads, actor_ot.heads)
     # with zero embeddings the heads output exactly their biases
     e2, e4 = math.exp(2.0), math.exp(-4.0)
     self_share = e2 / (e2 + 4.0)
     slack5 = e4 / (4.0 + e4)
     zero = Tensor(np.zeros((1, 8)))
-    off = bound_logits(actor_to.head_offload(zero)).softmax_rows().data
+    off = bound_logits(actor_to.heads[0](zero)).softmax_rows().data
     assert abs(off[0, 0] - self_share) < 1e-12
-    sub = bound_logits(actor_to.head_subarray(zero)).softmax_rows().data
+    sub = bound_logits(actor_to.heads[1](zero)).softmax_rows().data
     assert abs(sub[0, -1] - slack5) < 1e-12
-    pw = bound_logits(actor_to.head_power(zero)).softmax_rows().data
+    pw = bound_logits(actor_to.heads[2](zero)).softmax_rows().data
     assert abs(pw[0, -1] - e4 / (20.0 + e4)) < 1e-12
-    ot_sub = bound_logits(actor_ot.head_subarray(zero)).sigmoid().data
+    ot_sub = bound_logits(actor_ot.heads[0](zero)).sigmoid().data
     assert abs(ot_sub[0, 0] - 1.0 / (1.0 + e4)) < 1e-12
 
 
@@ -332,7 +333,8 @@ def _permute_state(state, perm):
 
 def test_offload_actor_permutation_equivariance():
     rng = np.random.default_rng(4)
-    actor = OffloadActor(np.random.default_rng(0), 2, width=8)
+    actor = GcnActor(np.random.default_rng(0), OFFLOAD_FEATURES, 8,
+                     head_specs(2)[0], "actor_to")
     state = _ring_state(rng, 7, 9)
     perm = rng.permutation(7)
     permuted = _permute_state(state, perm)
@@ -514,11 +516,11 @@ def test_train_step_restores_the_critic_when_the_policy_value_raises(
 
 
 def _lean_agent(cls, steps):
-    cfg = TrainConfig(seed=1, steps=steps)
+    env = make_env(seed=1, steps=steps + 1)
     if cls is MaddpgFcAgent:
-        return cls(make_env(seed=1, steps=steps + 1), cfg, actor_width=16,
+        return cls(env, TrainConfig(seed=1, steps=steps, hidden_width=16),
                    critic_width=32)
-    return cls(make_env(seed=1, steps=steps + 1), cfg)
+    return cls(env, TrainConfig(seed=1, steps=steps))
 
 
 @pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
@@ -553,6 +555,44 @@ def test_lean_training_equals_the_reference_step(cls, monkeypatch):
     assert len(critic_grads) == steps * len(agent.critic_params)
     assert all(g is None for g in critic_grads)
     assert all(p.requires_grad for p in agent.critic_params)
+
+
+# -- one actor class against the per-phase reference -------------------------
+
+@pytest.mark.parametrize("width", [8, 128])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_gcn_actors_equal_the_per_phase_reference(seed, width):
+    """GcnActor over the shared head spec, the shared safe_init, and the
+    executed action laid out through _action_node_tensors change no bit
+    against OffloadActor, OutcomeActor, their safe_init and
+    action_node_constants: parameter names, initial parameters, the actor
+    forward, and one TD step on an explored action."""
+    cfg = TrainConfig(seed=seed, steps=1, hidden_width=width)
+    ref, agent = (cls(make_env(seed=seed, steps=2), cfg)
+                  for cls in (PerPhaseGrantAgent, GrantAgent))
+
+    def bits(params):
+        return [(p.name, p.data.shape, p.data.tobytes()) for p in params]
+
+    assert bits(agent.parameters()) == bits(ref.parameters())
+    def transition(a):
+        """(states, explored ratios, reward, next states, policy tensors)."""
+        states = a.encode(a.env.snapshot())
+        tensors = a.actor_tensors(*states)
+        noisy = a.explore(a._ratios_from_tensors(tensors))
+        outcome, _, _ = a.env.step(a.to_bundle(noisy))
+        next_states = a.encode(a.env.snapshot())
+        return states, noisy, outcome.reward, next_states, tensors
+
+    ref_step, step = transition(ref), transition(agent)
+    assert len(step[4]) == len(ref_step[4]) == 5
+    for t, r in zip(step[4], ref_step[4]):
+        assert t.data.tobytes() == r.data.tobytes()
+    for x, y in zip(step[1], ref_step[1]):
+        assert x.tobytes() == y.tobytes()
+    assert step[2] == ref_step[2]
+    assert agent.train_step(*step) == reference_train_step(ref, *ref_step[:4])
+    assert bits(agent.parameters()) == bits(ref.parameters())
 
 
 # -- sizing -------------------------------------------------------------------

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from terasec.agent import GrantAgent, TrainConfig
+from terasec.agent import GrantAgent, TrainConfig, critic_input
 from terasec.autodiff import DeadInputError, Tensor
 from terasec.baselines import (FullResourcePolicy, MaddpgFcAgent,
                                ReconfigurationError, UniformPolicy,
                                rollout_policy)
-from terasec.harness import ExperimentConfig, build_environment
+from terasec.harness import (ExperimentConfig, build_environment,
+                             make_policy)
 
 from conftest import make_env
 from maddpg_reference import PerActorMaddpgAgent, stacked_slice
@@ -123,9 +124,9 @@ def _observed_inputs(agent):
     seen = np.zeros(w.data.shape[0], dtype=bool)
     forward = agent.critic.forward
 
-    def spy(flat):
-        seen[:] |= flat.data[0] != 0.0
-        return forward(flat)
+    def spy(*inputs):
+        seen[:] |= critic_input(*inputs).data.ravel() != 0.0
+        return forward(*inputs)
 
     agent.critic.forward = spy
     agent.run_training()
@@ -141,8 +142,8 @@ def test_every_observed_critic_input_is_live(seed, n_sources, bands):
     steps = 6
     env = make_env(seed=seed, steps=steps + 1, n_sources=n_sources,
                    bands=bands)
-    agent = MaddpgFcAgent(env, TrainConfig(seed=seed, steps=steps),
-                          actor_width=8, critic_width=8)
+    agent = MaddpgFcAgent(env, TrainConfig(seed=seed, steps=steps,
+                                           hidden_width=8), critic_width=8)
     live, seen = _observed_inputs(agent)
     assert not np.any(seen & ~live), np.flatnonzero(seen & ~live)[:10]
     assert live.sum() < 0.5 * live.size
@@ -156,7 +157,7 @@ def test_live_critic_inputs_equal_the_observed_ones_at_the_bench_window():
         "policy": "maddpg_fc", "n_sources": 10, "train": {"steps": steps},
         "source_selection": {"seed": 999_999}})
     agent = MaddpgFcAgent(build_environment(cfg, 1),
-                          TrainConfig(seed=1, steps=steps), actor_width=16,
+                          TrainConfig(seed=1, steps=steps, hidden_width=16),
                           critic_width=16)
     live, seen = _observed_inputs(agent)
     assert live.size == 15_132
@@ -166,7 +167,7 @@ def test_live_critic_inputs_equal_the_observed_ones_at_the_bench_window():
 
 def test_a_nonzero_dead_input_raises_before_any_optimizer_step(monkeypatch):
     env = make_env(seed=1, steps=4)
-    agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=3), actor_width=8,
+    agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=3, hidden_width=8),
                           critic_width=8)
     row = int(np.flatnonzero(env.node_plane == 0)[0])
     col = row * (agent.critic.fc1.w.data.shape[0] // agent.n_nodes)
@@ -194,7 +195,7 @@ def test_row_sparse_training_equals_the_full_width_reference():
 
     def agent():
         return MaddpgFcAgent(make_env(seed=1, steps=steps + 1),
-                             TrainConfig(seed=1, steps=steps), actor_width=16,
+                             TrainConfig(seed=1, steps=steps, hidden_width=16),
                              critic_width=32)
 
     ref = full_width(agent())
@@ -216,7 +217,7 @@ def test_train_step_allocates_nothing_the_size_of_the_critic_fc1(monkeypatch):
     would take it past two), and every first gradient still has the bits of
     a zero buffer plus the product."""
     env = make_env(seed=1, steps=3)
-    agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=2), actor_width=16,
+    agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=2, hidden_width=16),
                           critic_width=256)
     states = agent.encode(env.snapshot())
     tensors = agent.actor_tensors(*states)
@@ -268,7 +269,7 @@ def test_stacked_actors_equal_the_per_actor_reference(seed, n_sources):
         return cls(env, TrainConfig(seed=seed, steps=steps), critic_width=32)
 
     ref, agent = build(PerActorMaddpgAgent), build(MaddpgFcAgent)
-    assert len(ref.actors_to) == agent.actors_to.fc1.w.shape[0] == n_sources
+    assert len(ref.actors_to) == agent.actor_to.fc1.w.shape[0] == n_sources
     assert ref.parameter_count() == agent.parameter_count()
     for p in ref.parameters():
         assert np.array_equal(p.data, stacked_slice(agent.parameters(),
@@ -296,7 +297,7 @@ def test_actor_graph_size_does_not_grow_with_the_actor_count(monkeypatch):
     counts = []
     for n_sources in (1, 10):
         env = make_env(seed=1, steps=2, n_sources=n_sources)
-        agent = MaddpgFcAgent(env, TrainConfig(seed=1), actor_width=8,
+        agent = MaddpgFcAgent(env, TrainConfig(seed=1, hidden_width=8),
                               critic_width=8)
         states = agent.encode(env.snapshot())
         monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
@@ -308,7 +309,7 @@ def test_actor_graph_size_does_not_grow_with_the_actor_count(monkeypatch):
 
 
 def test_a_checkpoint_holds_one_stacked_tensor_per_layer(small_env):
-    agent = MaddpgFcAgent(small_env, TrainConfig(), actor_width=16,
+    agent = MaddpgFcAgent(small_env, TrainConfig(hidden_width=16),
                           critic_width=8)
     shapes = {p.name: p.data.shape for p in agent.actor_params}
     n_src, n_tx = len(small_env.sources), len(small_env.outcome_transmitters)
@@ -329,3 +330,18 @@ def test_a_checkpoint_holds_one_stacked_tensor_per_layer(small_env):
         "actor_ot.head_power.w": (n_tx, 16, k + 1),
         "actor_ot.head_power.b": (n_tx, k + 1),
     }
+
+
+def test_the_dense_actor_width_follows_hidden_width():
+    """make_policy builds maddpg_fc actors train.hidden_width wide and the
+    critic 1024 wide, so the default network keeps its size."""
+    def build(train):
+        cfg = ExperimentConfig.from_dict({"policy": "maddpg_fc",
+                                          "n_sources": 1, "train": train})
+        return make_policy("maddpg_fc", build_environment(cfg, 1), cfg, 1)
+
+    narrow = build({"steps": 1, "hidden_width": 8})
+    assert narrow.actor_to.fc1.w.shape == (1, 9, 8)
+    assert narrow.actor_ot.fc2.w.shape[1:] == (8, 8)
+    assert narrow.critic.fc2.w.shape == (1024, 1024)
+    assert build({"steps": 1}).parameter_count() == 2_509_740

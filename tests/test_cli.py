@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -348,6 +350,61 @@ def test_exit_runtime_error(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path)
     assert main(["eval", "--config", cfg]) == EXIT_RUNTIME
     assert "runtime error" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON number {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_huge_array_trains_and_evaluates_to_finite_numbers(tmp_path,
+                                                              capsys):
+    """At m_x = 10**9 an int64 element-count product once wrapped and made
+    every delay NaN; now each metrics row and the eval report are finite."""
+    cfg = write_cfg(tmp_path, {"train": {"steps": 2},
+                               "link": {"array": {"m_x": 10**9}}})
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    rows = (out / "uniform_seed1_metrics.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2
+    assert np.all(np.isfinite([[float(v) for v in row.split(",")]
+                               for row in rows]))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--seed", "1"]) == EXIT_OK
+    report = _strict_json(capsys.readouterr().out)
+    assert report["T_avg_ms"] > 0.0 and report["T_max_ms"] > 0.0
+
+
+def _nan_rollout(env, policy, steps):
+    """rollout_policy whose third slot comes out NaN."""
+    for step in range(steps):
+        outcome, _, _ = env.step(policy.act(env.snapshot())[0])
+        if step == 2:
+            outcome = dataclasses.replace(outcome, t_avg=math.nan)
+        yield {"step": step, "outcome": outcome, "critic_loss": 0.0,
+               "q_value": 0.0, "actor_lr": 0.0}
+
+
+def test_a_non_finite_outcome_fails_the_run_instead_of_being_written(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "rollout_policy", _nan_rollout)
+    cfg = write_cfg(tmp_path, {"train": {"steps": 4}})
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--seed", "1",
+                 "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "non-finite T_avg_ms" in captured.err
+    text = (out / "uniform_seed1_metrics.csv").read_text()
+    assert "nan" not in text.lower()
+    assert text.splitlines()[-1] == "# FAILED step=2 error=TrainingError"
+    assert sorted(os.listdir(out)) == ["uniform_seed1_metrics.csv"]
+
+    assert main(["eval", "--config", cfg, "--seed", "1"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "non-finite T_avg_ms" in captured.err
+    assert captured.out == ""
 
 
 def test_exit_bad_arguments():

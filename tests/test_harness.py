@@ -339,12 +339,13 @@ def test_compare_bands_grant_checkpoint(tmp_path):
 def _trained_agent(policy, seed):
     """A GRANT agent at 10 sources or a width-8 dense baseline at 1 source,
     after two training steps."""
-    train = TrainConfig(steps=2, seed=seed)
     if policy == "grant":
-        agent = GrantAgent(make_env(seed=seed, steps=3), train)
+        agent = GrantAgent(make_env(seed=seed, steps=3),
+                           TrainConfig(steps=2, seed=seed))
     else:
-        agent = MaddpgFcAgent(make_env(seed=seed, steps=3, n_sources=1), train,
-                              actor_width=8, critic_width=8)
+        agent = MaddpgFcAgent(make_env(seed=seed, steps=3, n_sources=1),
+                              TrainConfig(steps=2, seed=seed, hidden_width=8),
+                              critic_width=8)
     agent.run_training()
     return agent
 

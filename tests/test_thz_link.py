@@ -85,6 +85,24 @@ def test_link_gain_power_interpretation():
     assert abs(amp / pow_ - 100.0) < 1e-9   # (10*10) extra in amplitude mode
 
 
+def test_link_gain_does_not_wrap_at_a_huge_array():
+    """The element-count product is taken in float64: positive and equal to
+    the float formula at m_x = 10**9, where an int64 product wraps, and
+    bit-equal to the integer product at the default array."""
+    s_tx = np.array([4, 64])
+    big = ArrayConfig(m_x=10**9)
+    g = big.element_gain_linear() ** 2
+    gain = link_gain(s_tx, 1, big, 1e-20)
+    assert np.all(gain > 0.0)
+    np.testing.assert_allclose(gain, s_tx * 4e9 * 4e9 * g * g * 1e-20,
+                               rtol=1e-12)
+    a = ArrayConfig()
+    m = a.m_x * a.m_y
+    g = a.element_gain_linear() ** 2
+    want = (s_tx * m) * (1 * m) * g * g * 1e-20
+    assert link_gain(s_tx, 1, a, 1e-20).tobytes() == want.tobytes()
+
+
 # -- sinr and noise ----------------------------------------------------------
 
 def test_noise_power_oracle():

@@ -1,6 +1,8 @@
 """The TD step and training loop that GrantAgent's lean versions replaced,
 kept as the reference for the differential tests: the actor-ascent pass
-recomputes the policy forward and builds gradients for the frozen critic.
+recomputes the policy forward and builds gradients for the frozen critic,
+and the executed action is laid out for the critic in numpy
+(action_node_constants) rather than through _action_node_tensors.
 `full_width` turns an agent back to whole-array arithmetic: every weight row
 gets its gradient and ReferenceAdam updates every row.
 """
@@ -23,6 +25,19 @@ def full_width(agent):
     return agent
 
 
+def action_node_constants(agent, ratios, n_nodes):
+    """Zero-padded per-node matrices of executed action ratios, as constant
+    Tensors."""
+    offload, subarray, power, ot_sub, ot_power = ratios
+    act_to = np.zeros((n_nodes, 5 + 4 + 4 * agent.k))
+    act_to[agent.source_rows] = np.concatenate(
+        [offload, subarray[:, :4], power[:, :4 * agent.k]], axis=1)
+    act_ot = np.zeros((n_nodes, 1 + agent.k))
+    act_ot[agent.tx_rows] = np.concatenate(
+        [ot_sub, ot_power[:, :agent.k]], axis=1)
+    return Tensor(act_to), Tensor(act_ot)
+
+
 def reference_train_step(agent, states, exec_ratios, reward, next_states):
     """One TD step; returns (critic_loss, q_value) for the executed action."""
     s_to, s_ot = states
@@ -35,7 +50,7 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
     y = td_target(reward / REWARD_SCALE, q_next, agent.cfg.kappa)
 
     zero_grads(agent.actor_params + agent.critic_params)
-    a_to, a_ot = agent._action_node_constants(exec_ratios, n)
+    a_to, a_ot = action_node_constants(agent, exec_ratios, n)
     q = agent.q_value(s_to, s_ot, a_to, a_ot)
     loss = mse(q, Tensor(np.array([[y]])))
     loss.backward()
