@@ -275,7 +275,8 @@ class GrantAgent:
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         self.source_rows = [env.node_index[s] for s in env.sources]
-        self.tx_rows = [env.node_index[t] for t in env.outcome_transmitters]
+        # every involved node transmits its outcome link
+        self.tx_rows = np.arange(len(env.involved))
         # the window's graph is frozen: normalize it into a neighbor table
         # and lay out the static feature columns once; encode fills the
         # per-slot ones
@@ -305,19 +306,17 @@ class GrantAgent:
 
     def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
         """(offload, subarray, power, ot_sub, ot_power): the activated heads
-        at the sources and the outcome transmitters."""
+        at the sources and at every involved node's outcome link."""
         return (*self.actor_to.forward(s_to, self.source_rows),
                 *self.actor_ot.forward(s_ot, self.tx_rows))
 
     def _ratios_from_tensors(self, tensors):
         return tuple(t.data.copy() for t in tensors)
 
-    def act(self, snapshot, explore: bool = False):
+    def act(self, snapshot):
         """The policy protocol: (ActionBundle, ratios, encoded states)."""
         s_to, s_ot = self.encode(snapshot)
         ratios = self._ratios_from_tensors(self.actor_tensors(s_to, s_ot))
-        if explore:
-            ratios = self.explore(ratios)
         return self.to_bundle(ratios), ratios, (s_to, s_ot)
 
     def explore(self, ratios):

@@ -125,7 +125,7 @@ class MaddpgFcAgent(GrantAgent):
         spec_to, spec_ot = head_specs(self.k)
         self.actor_to = _PrivateActors(rng, len(env.sources), OFFLOAD_FEATURES,
                                        cfg.hidden_width, spec_to, "actor_to")
-        self.actor_ot = _PrivateActors(rng, len(env.outcome_transmitters),
+        self.actor_ot = _PrivateActors(rng, len(env.involved),
                                        OUTCOME_FEATURES, cfg.hidden_width,
                                        spec_ot, "actor_ot")
         d_state = OFFLOAD_FEATURES + OUTCOME_FEATURES
@@ -150,9 +150,10 @@ class MaddpgFcAgent(GrantAgent):
     def _live_critic_inputs(self) -> np.ndarray:
         """The critic input columns that can be nonzero in this window, from
         its tables alone: nonzero static features, SINRs at the rated cells,
-        expected outcome inflow at servers, and actions at sources and
-        outcome transmitters.  They are the nonzeros of the critic input for
-        a snapshot and actions of ones in exactly those places."""
+        expected outcome inflow at servers, and actions at sources and at
+        every node (each transmits its outcome link).  They are the nonzeros
+        of the critic input for a snapshot and actions of ones in exactly
+        those places."""
         env, n = self.env, self.n_nodes
         sinr = [np.zeros((n, 4)), np.zeros((n, 4))]
         for table, (_, rows, cols) in zip(sinr, env._sinr_cells):

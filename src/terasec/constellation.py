@@ -82,14 +82,6 @@ class GroundStation:
             raise ConfigurationError("min_elevation_deg must be in (0, 90)")
 
 
-@dataclass(frozen=True)
-class Route:
-    """Hop sequence, as flat satellite indices, from a source satellite to the
-    GS-connected satellite (both included)."""
-
-    hops: tuple
-
-
 class Constellation:
     """Walker-Delta shell: positions, ISL neighbors, GS access, routing.
 
@@ -264,26 +256,6 @@ class Constellation:
                     best, best_cost = j, cost
             parent[idx] = best
         return dist, parent
-
-    def route_to_gs(self, src: int, gs_sat: int, eta: float = 0.5,
-                    t: float | None = None,
-                    tree: tuple | None = None) -> Route:
-        """Shortest route from flat index src to the GS-connected satellite:
-        the parent walk of `tree`, or of a fresh shortest-path tree."""
-        for sat in (src, gs_sat):
-            if not 0 <= sat < self.n_sats:
-                raise ConfigurationError(f"invalid satellite index {sat}")
-        if tree is None:
-            tree = self.shortest_path_tree(
-                gs_sat, self.cfg.epoch_s if t is None else t, eta)
-        _, parent = tree
-        hops = [src]
-        while hops[-1] != gs_sat:
-            nxt = int(parent[hops[-1]])
-            if nxt < 0:
-                raise RoutingError(f"no route from {src} to {gs_sat}")
-            hops.append(nxt)
-        return Route(hops=tuple(hops))
 
 
 def build_walker(cfg: WalkerConfig) -> Constellation:

@@ -1,9 +1,10 @@
-"""Frozen-window environment: source selection, route freezing, per-slot
-action application and state bookkeeping for the learning agents.
+"""Frozen-window environment: source selection, the routing tree's link
+tables, per-slot action application and state bookkeeping for the learning
+agents.
 
 Within one GS access window the GS-connected satellite, the source set and
-all routes are fixed, so the link tables, the involved node set and its
-static observables are built once per window;
+the routing tree are fixed, so the link tables, the involved node set and
+its static observables are built once per window;
 satellite positions (hence distances, delays and SINRs) advance every slot
 and each phase's links are rated in one array pass.
 """
@@ -27,29 +28,25 @@ class SourceSelectionError(RuntimeError):
     """The requested number of nonadjacent sources does not fit the shell."""
 
 
-def prune_involved(sources, neighbor_order, route_hops, gs_flat):
-    """Involved node set and its edges for the learning agents.
-
-    Nodes: sources, their ISL neighbors, every route hop and the
-    GS-connected satellite.  i and j share an (undirected) edge iff they are
-    adjacent hops in any offload or outcome route; the GS is not a node.
-    Returns (sorted node list, node -> row map, [E, 2] row-pair edges).
-    """
-    edges = np.array([(s, nb) for s in sources for nb in neighbor_order[s]]
-                     + [hop for hops in route_hops.values() for hop in hops],
-                     dtype=int).reshape(-1, 2)
-    involved = sorted({gs_flat, *sources, *edges.ravel().tolist()} - {GS_NODE})
-    node_index = {n: i for i, n in enumerate(involved)}
-    return (involved, node_index,
-            np.searchsorted(involved, edges[edges[:, 1] != GS_NODE]))
+def tree_closure(parent: np.ndarray, servers) -> np.ndarray:
+    """The servers and all of their ancestors in a routing tree's `parent`
+    array (GS_NODE above the root), in ascending flat id."""
+    inside = np.zeros(len(parent), dtype=bool)
+    frontier = np.ravel(servers)
+    while frontier.size:
+        inside[frontier] = True
+        frontier = parent[frontier]
+        frontier = frontier[frontier != GS_NODE]
+        frontier = frontier[~inside[frontier]]
+    return np.flatnonzero(inside)
 
 
 @dataclass
 class ActionBundle:
     """Continuous post-softmax ratios for one slot, before quantization.
 
-    Row order follows env.sources for the offloading phase and
-    env.outcome_transmitters for the outcome phase.
+    Row order follows env.sources for the offloading phase and env.involved
+    (each node's link to its routing-tree parent) for the outcome phase.
     """
 
     offload: np.ndarray       # [n_src, 5]; column 0 = self share
@@ -101,63 +98,52 @@ class SecWindow:
         self.t0 = self._find_window_start()
         self.gs_flat = constellation.gs_access_satellite(gs, self.t0)
         # frozen routing tree (this also rejects a shell with no ISL graph)
-        tree = constellation.shortest_path_tree(self.gs_flat, self.t0, routing_eta)
+        _, parent = constellation.shortest_path_tree(self.gs_flat, self.t0,
+                                                     routing_eta)
 
         self.sources = self._select_sources(n_sources, source_seed)
-        # each satellite's ISL neighbors in ascending flat order
+        # [n_src, 5] servers of each source's offload shares: itself, then
+        # its ISL neighbors in ascending flat order
         sorted_neighbors = np.sort(constellation.neighbors, axis=1)
-        self.neighbor_order = dict(zip(
-            self.sources, sorted_neighbors[self.sources].tolist()))
-        self.servers = sorted(set(self.sources).union(*self.neighbor_order.values()))
-
-        # per-server routes (hop node pairs only)
-        self.route_hops = {}
-        for server in self.servers:
-            hops = constellation.route_to_gs(server, self.gs_flat, tree=tree).hops
-            self.route_hops[server] = [*zip(hops[:-1], hops[1:]),
-                                       (self.gs_flat, GS_NODE)]
-
-        next_hop = {tx: rx for hops in self.route_hops.values() for tx, rx in hops}
-        self.outcome_transmitters = sorted(next_hop)
-
-        self.involved, self.node_index, self.edges = prune_involved(
-            self.sources, self.neighbor_order, self.route_hops, self.gs_flat)
+        self._server_table = np.column_stack(
+            [self.sources, sorted_neighbors[self.sources]])
+        # the involved nodes: the servers and their routing-tree ancestors
+        self.involved = nodes = tree_closure(parent, self._server_table)
+        self.node_index = {n: i for i, n in enumerate(nodes.tolist())}
         # static per-node observables, read-only so encoders may share them
-        nodes = np.array(self.involved)
         self.node_plane, self.node_slot = (
             a.astype(float) for a in np.divmod(nodes, n_sp))
-        self.phi_off = np.isin(nodes, self.sources).astype(float)
+        is_source = np.isin(nodes, self.sources)
+        self.phi_off = is_source.astype(float)
         self.phi_gs = (nodes == self.gs_flat).astype(float)
         self.expected_offload_bytes = (self.phi_off
                                        * traffic_cfg.mean_bytes_per_slot)
-        for a in (self.edges, self.node_plane, self.node_slot,
-                  self.phi_off, self.phi_gs, self.expected_offload_bytes):
-            a.setflags(write=False)
-        # [n_src, 5] servers of each source's offload shares (self first),
-        # as flat ids and as involved-node rows
-        self._server_table = np.column_stack(
-            [self.sources, sorted_neighbors[self.sources]])
-        self._offload_rows = np.searchsorted(nodes, self._server_table)
         self.counts = generate_counts(traffic_cfg, len(self.sources), max(steps, 1))
         self.step_idx = 0
 
-        # frozen link tables: per phase, the links and their [2, links] end
-        # rows into _positions(t) (GS_NODE indexes the GS in its last row);
-        # the routes as one tree over the outcome links; and the (link, node
-        # row, ISL direction) cell of every rated link that has a SINR feature
-        self._offload_link_list = [(s, n) for s in self.sources
-                                   for n in self.neighbor_order[s]]
-        self._outcome_link_list = [(tx, next_hop[tx])
-                                   for tx in self.outcome_transmitters]
-        self._to_ends, self._ot_ends = (
-            np.array(links, dtype=int).reshape(-1, 2).T
-            for links in (self._offload_link_list, self._outcome_link_list))
-        # outcome link i is the i-th transmitter's (ascending flat id), so a
-        # link's next link is its receiver's (-1 into the GS) and a server's
-        # first link is its own
-        tx, rx = self._ot_ends
-        self._next_link = np.where(rx == GS_NODE, -1, np.searchsorted(tx, rx))
-        self._first_link = np.searchsorted(tx, self._server_table)
+        # frozen link tables: per phase, the links' [2, links] end rows into
+        # _positions(t) (GS_NODE indexes the GS in its last row).  Offload
+        # link 4i + j is source i's to its j-th neighbor; outcome link i is
+        # node i's to its tree parent, so a link's next link is its
+        # receiver's (-1 into the GS) and a server's first link is its own
+        self._to_ends = np.stack([np.repeat(self.sources, 4),
+                                  self._server_table[:, 1:].ravel()])
+        self._ot_ends = np.stack([nodes, parent[nodes]])
+        self._offload_rows = np.searchsorted(nodes, self._server_table)
+        rx = self._ot_ends[1]
+        self._next_link = np.where(rx == GS_NODE, -1, np.searchsorted(nodes, rx))
+        # the graph's edges as node-row pairs, each offload ISL and each tree
+        # ISL once: every ISL at a source is an offload ISL, so the tree
+        # adds those between two other nodes
+        up = self._next_link
+        tree = np.flatnonzero((up != -1) & ~is_source & ~is_source[up])
+        self.edges = np.concatenate([np.searchsorted(nodes, self._to_ends).T,
+                                     np.column_stack([tree, up[tree]])])
+        for a in (self.involved, self.edges, self.node_plane, self.node_slot,
+                  self.phi_off, self.phi_gs, self.expected_offload_bytes):
+            a.setflags(write=False)
+        # the (link, node row, ISL direction) cell of every rated link that
+        # has a SINR feature
         self._sinr_cells = []
         for tx, rx in (self._to_ends, self._ot_ends):
             # the GS downlink has no ISL direction, so it matches no column
@@ -228,8 +214,8 @@ class SecWindow:
     def _quantize_allocations(self, bundle: ActionBundle):
         """Quantized (alloc_to, alloc_ot), each (subarrays [tx, links],
         power_w [tx, links, K]) with rows in env.sources order (4 links each,
-        in neighbor order) and env.outcome_transmitters order (1 link each);
-        flattened, the links are in link-list order."""
+        in neighbor order) and env.involved order (1 link each, to the
+        node's tree parent); flattened, the links are in link-table order."""
         s_max = self.array_cfg.s_max
         p_max = self.budget.p_max_w
         n_src = len(self.sources)
@@ -249,7 +235,7 @@ class SecWindow:
         """Rates and per-sub-band SINRs of both phases at `pos` (from
         _positions), one thz_link chain call per phase over a [links x
         sub-bands] grid.  Returns (rates_to, rates_ot, gammas_to, gammas_ot)
-        as arrays in link-list order."""
+        as arrays in link-table order."""
         out = []
         for (subarrays, power), ends, band in (
                 (alloc_to, self._to_ends, band_to or self.band_to),
@@ -296,7 +282,7 @@ class SecWindow:
     def reference_bundle(self) -> ActionBundle:
         """Full-resource reference: all tasks local, budgets nearly saturated."""
         n_src = len(self.sources)
-        n_tx = len(self.outcome_transmitters)
+        n_tx = len(self.involved)
         k = self.band_to.n_subbands
         offload = np.zeros((n_src, 5))
         offload[:, 0] = 1.0
@@ -338,7 +324,7 @@ class SecWindow:
             tasks=tasks, servers=self._server_table,
             rates_to=rates_to.reshape(n_src, -1),
             dist_to_km=d_to.reshape(n_src, -1),
-            first_link=self._first_link, next_link=self._next_link,
+            first_link=self._offload_rows, next_link=self._next_link,
             rates_ot=rates_ot, dist_ot_km=d_ot,
             alloc_to=alloc_to, alloc_ot=alloc_ot,
             compute=self.compute, task_size_bytes=self.traffic_cfg.task_size_bytes,

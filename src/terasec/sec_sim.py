@@ -3,7 +3,7 @@ FIFO queueing delays along all paths, resource-usage ratios and the reward.
 
 The simulator is a pure function of its inputs: identical arguments yield a
 bit-identical SlotOutcome.  Satellites are flat indices and links are
-positions in the outcome link list; the outcome routes arrive as one frozen
+positions in the outcome link table; the outcome routes arrive as one frozen
 tree over those links (each link's next link toward the GS).
 """
 from __future__ import annotations

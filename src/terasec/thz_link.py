@@ -38,6 +38,19 @@ class ArrayConfig:
         if min(self.m_x, self.m_y, self.rx_subarrays_per_isl) < 1 or self.s_max < 4:
             raise LinkDomainError("m_x, m_y, rx_subarrays_per_isl must be >= 1"
                                   " and s_max >= 4")
+        # the beamformed gain of full arrays at both ends must be a float:
+        # an infinite one makes infinite SINR features and NaN actions
+        m = float(self.m_x * self.m_y)
+        try:
+            full = (self.element_gain_linear() ** 4 * (self.s_max * m)
+                    * (self.rx_subarrays_per_isl * m))
+        except OverflowError:
+            full = math.inf
+        if not math.isfinite(full):
+            raise LinkDomainError(
+                "the beamformed gain of full arrays overflows a float: "
+                f"element_gain_dbi={self.element_gain_dbi!r}, m_x={self.m_x}, "
+                f"m_y={self.m_y}, s_max={self.s_max}")
 
     def element_gain_linear(self) -> float:
         return 10.0 ** (self.element_gain_dbi / 10.0)
@@ -147,12 +160,12 @@ def absorption_factor(tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
     return math.exp(-integral)
 
 
-def path_gain(f_hz, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
-              profile: AbsorptionProfile | None = None):
-    """Line-of-sight power path gain |alpha|^2 including molecular absorption.
+def path_gain(f_hz, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray):
+    """Line-of-sight free-space power path gain |alpha|^2; molecular
+    absorption is absorption_factor's.
 
     Positions are [..., 3] and broadcast; f_hz broadcasts against the
-    distances.  An absorption profile applies to a single path.
+    distances.
     """
     v = np.asarray(rx_pos_km, float) - np.asarray(tx_pos_km, float)
     d_km = np.sqrt(np.vecdot(v, v))          # bit-identical to np.linalg.norm
@@ -160,11 +173,8 @@ def path_gain(f_hz, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
         raise LinkDomainError("path gain undefined for zero distance")
     # float_power rounds as libm pow does (Python's float ** 2); an ndarray
     # ** 2 is a plain square, which differs in the last bit on some values
-    spreading = np.float_power(
+    return np.float_power(
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * np.asarray(f_hz) * d_km * 1e3), 2)
-    if profile is None:
-        return spreading
-    return spreading * absorption_factor(tx_pos_km, rx_pos_km, profile)
 
 
 def link_gain(s_tx, s_rx: int, a: ArrayConfig, alpha2,

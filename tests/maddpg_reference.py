@@ -74,7 +74,7 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
             for i in range(len(env.sources))]
         self.actors_ot = [
             _PrivateOutcomeActor(rng, self.k, actor_width, f"actor_ot{i}")
-            for i in range(len(env.outcome_transmitters))]
+            for i in range(len(env.involved))]
         d_state = OFFLOAD_FEATURES + OUTCOME_FEATURES
         d_act = (5 + 4 + 4 * self.k) + (1 + self.k)
         self.critic = _FlatCritic(rng, self.n_nodes * (d_state + d_act),

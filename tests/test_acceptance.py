@@ -23,6 +23,7 @@ from terasec.traffic import TrafficConfig, fgn_rows, generate_counts
 from conftest import make_env, random_simplex
 from test_autodiff import check_gradient
 import test_sec_sim
+import topology_reference as topo
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -38,6 +39,7 @@ def test_criterion_1_constraint_soundness():
     s_max = env.array_cfg.s_max
     violations = []
 
+    outcome_links = topo.window_views(env).outcome_links
     orig_step = env.step
 
     def checked_step(bundle, **kw):
@@ -53,7 +55,7 @@ def test_criterion_1_constraint_soundness():
                 violations.append(f"offload power src {src} step {idx}")
             if subs_to[i].sum() > s_max:
                 violations.append(f"offload subarrays src {src} step {idx}")
-        for link, subs, power in zip(env._outcome_link_list, subs_ot, power_ot):
+        for link, subs, power in zip(outcome_links, subs_ot, power_ot):
             if power.sum() > p_max + 1e-9 or np.any(power < 0):
                 violations.append(f"outcome power {link} step {idx}")
             if subs.sum() > s_max:

@@ -13,7 +13,7 @@ from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
 from terasec.autodiff import (Adam, GcnLayer, Tensor, mse,
                               normalized_adjacency)
 from terasec.baselines import MaddpgFcAgent
-from terasec.env import GS_NODE, SecWindow, prune_involved
+from terasec.env import GS_NODE, SecWindow, tree_closure
 from terasec.harness import _metrics_row
 
 from conftest import make_env, random_simplex
@@ -460,7 +460,7 @@ def test_train_step_rejects_incomplete_transition(small_env):
 
 def _transition(agent, env):
     states = agent.encode(env.snapshot())
-    _, ratios, _ = agent.act(env.snapshot(), explore=True)
+    ratios = agent.explore(agent.act(env.snapshot())[1])
     return states, ratios, agent.actor_tensors(*states)
 
 
@@ -608,39 +608,33 @@ def test_determinism_same_seed(small_env):
     a = GrantAgent(small_env, TrainConfig(seed=9))
     b = GrantAgent(small_env, TrainConfig(seed=9))
     snap = small_env.snapshot()
-    ba, ra, _ = a.act(snap, explore=True)
-    bb, rb, _ = b.act(snap, explore=True)
+    ra = a.explore(a.act(snap)[1])
+    rb = b.explore(b.act(snap)[1])
     for x, y in zip(ra, rb):
         assert np.array_equal(x, y)
-    assert np.array_equal(ba.offload, bb.offload)
+    assert np.array_equal(a.to_bundle(ra).offload, b.to_bundle(rb).offload)
 
 
-# -- involved-set pruning -----------------------------------------------------
+# -- involved set -------------------------------------------------------------
 
-def test_prune_involved_toy():
-    sources = [10]
-    neighbor_order = {10: [2, 11, 30, 40]}
-    route_hops = {10: ((10, 5),), 2: ((2, 10), (10, 5)), 5: ((5, GS_NODE),)}
-    involved, node_index, edges = prune_involved(sources, neighbor_order,
-                                                 route_hops, 5)
-    adj = dense_adjacency(len(involved), edges)
-    assert involved == [2, 5, 10, 11, 30, 40]
-    assert node_index[10] == involved.index(10)
-    assert adj.shape == (6, 6)
-    assert np.array_equal(adj, adj.T)
-    # source-neighbor and route-hop edges exist; GS pseudo node adds none
-    for nbr in (2, 11, 30, 40):
-        assert adj[node_index[10], node_index[nbr]] == 1.0
-    assert adj[node_index[10], node_index[5]] == 1.0
-    assert adj[node_index[2], node_index[10]] == 1.0
-    assert adj[node_index[11], node_index[30]] == 0.0
+def test_tree_closure_toy():
+    # root 5; 2 and 11 hang off 10, 30 and 41 off 31, 40 off 41, and every
+    # other node off the root
+    parent = np.full(50, 5)
+    parent[5] = GS_NODE
+    parent[[2, 11, 30, 40, 41]] = [10, 10, 31, 41, 31]
+    # the server rows of two sources, 10 and 3, that share the server 2
+    involved = tree_closure(parent, np.array([[10, 2, 11, 30, 40],
+                                              [3, 2, 4, 6, 7]]))
+    assert involved.tolist() == [2, 3, 4, 5, 6, 7, 10, 11, 30, 31, 40, 41]
+    assert tree_closure(parent, [[40]]).tolist() == [5, 31, 40, 41]
 
 
-def test_prune_involved_minimal():
-    involved, node_index, edges = prune_involved([], {}, {}, 7)
-    assert involved == [7]
-    assert node_index == {7: 0}
-    assert np.array_equal(dense_adjacency(1, edges), np.zeros((1, 1)))
+def test_tree_closure_minimal():
+    parent = np.full(8, 7)
+    parent[7] = GS_NODE
+    assert tree_closure(parent, [[7]]).tolist() == [7]
+    assert tree_closure(parent, np.zeros((0, 5), dtype=int)).tolist() == []
 
 
 @pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])

@@ -43,7 +43,7 @@ def test_uniform_quantizes_to_equal_split(small_env):
     assert np.all(subs_to == s_max // 4)  # 16 each across 4 links
     for total in power_to.sum(axis=(1, 2)):
         assert abs(total - p_max) < 1e-9
-    assert subs_ot.shape == (len(env.outcome_transmitters), 1)
+    assert subs_ot.shape == (len(env.involved), 1)
     assert np.all(subs_ot == s_max)
     for total in power_ot.sum(axis=(1, 2)):
         assert abs(total - p_max) < 1e-9
@@ -102,8 +102,8 @@ def test_maddpg_same_seed_determinism(small_env):
     a = MaddpgFcAgent(small_env, TrainConfig(seed=4))
     b = MaddpgFcAgent(small_env, TrainConfig(seed=4))
     snap = small_env.snapshot()
-    ra = a.act(snap, explore=True)[1]
-    rb = b.act(snap, explore=True)[1]
+    ra = a.explore(a.act(snap)[1])
+    rb = b.explore(b.act(snap)[1])
     for x, y in zip(ra, rb):
         assert np.array_equal(x, y)
 
@@ -312,7 +312,7 @@ def test_a_checkpoint_holds_one_stacked_tensor_per_layer(small_env):
     agent = MaddpgFcAgent(small_env, TrainConfig(hidden_width=16),
                           critic_width=8)
     shapes = {p.name: p.data.shape for p in agent.actor_params}
-    n_src, n_tx = len(small_env.sources), len(small_env.outcome_transmitters)
+    n_src, n_tx = len(small_env.sources), len(small_env.involved)
     k = agent.k
     assert shapes == {
         "actor_to.fc1.w": (n_src, 9, 16), "actor_to.fc1.b": (n_src, 16),

@@ -352,6 +352,21 @@ def test_exit_runtime_error(tmp_path, capsys, monkeypatch):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gain_dbi", [1e12, 1000])
+def test_an_overflowing_array_gain_exits_2_before_any_output(tmp_path, capsys,
+                                                            gain_dbi):
+    """1e12 dBi once overflowed in the link budget; 1000 dBi once made
+    infinite SINR features and NaN actions at step 0, after the metrics CSV
+    had been opened."""
+    cfg = write_cfg(tmp_path,
+                    {"link": {"array": {"element_gain_dbi": gain_dbi}}})
+    out = tmp_path / "runs"
+    for command in ("train", "eval", "compare-bands"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "'link.array'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"non-finite JSON number {constant}")

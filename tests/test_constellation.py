@@ -135,12 +135,11 @@ def test_route_identity_and_neighbor(default_constellation):
     c = default_constellation
     n_sp = c.cfg.sats_per_plane
     gs_sat = SatId(10, 3).flat(n_sp)
-    r = c.route_to_gs(gs_sat, gs_sat)
-    assert len(r.hops) - 1 == 0
+    _, parent = c.shortest_path_tree(gs_sat, c.cfg.epoch_s)
+    assert parent[gs_sat] == -1
+    assert ref.route(parent, gs_sat, gs_sat) == (gs_sat,)
     nb = c.isl_neighbors(SatId(10, 3))[0].flat(n_sp)
-    r1 = c.route_to_gs(nb, gs_sat)
-    assert len(r1.hops) - 1 == 1
-    assert r1.hops == (nb, gs_sat)
+    assert ref.route(parent, nb, gs_sat) == (nb, gs_sat)
 
 
 def _bfs_distance(c, src_flat, dst_flat):
@@ -164,11 +163,11 @@ def test_route_eta_zero_matches_bfs(default_constellation):
     rng = np.random.default_rng(0)
     n_sp = c.cfg.sats_per_plane
     gs_sat = SatId(0, 0).flat(n_sp)
-    tree = c.shortest_path_tree(gs_sat, 0.0, eta=0.0)
+    _, parent = c.shortest_path_tree(gs_sat, 0.0, eta=0.0)
     for _ in range(20):
         src_flat = int(rng.integers(c.n_sats))
-        route = c.route_to_gs(src_flat, gs_sat, eta=0.0, t=0.0, tree=tree)
-        assert len(route.hops) - 1 == _bfs_distance(c, src_flat, gs_sat)
+        hops = ref.route(parent, src_flat, gs_sat)
+        assert len(hops) - 1 == _bfs_distance(c, src_flat, gs_sat)
 
 
 @pytest.mark.parametrize("eta", [-1.0, math.nan, math.inf])
@@ -182,13 +181,13 @@ def test_route_never_revisits(default_constellation):
     c = default_constellation
     n_sp = c.cfg.sats_per_plane
     gs_sat = SatId(7, 11).flat(n_sp)
-    tree = c.shortest_path_tree(gs_sat, 50.0)
+    _, parent = c.shortest_path_tree(gs_sat, 50.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
         src = int(rng.integers(c.n_sats))
-        route = c.route_to_gs(src, gs_sat, t=50.0, tree=tree)
-        assert len(set(route.hops)) == len(route.hops)
-        assert route.hops[-1] == gs_sat
+        hops = ref.route(parent, src, gs_sat)
+        assert len(set(hops)) == len(hops)
+        assert hops[-1] == gs_sat
 
 
 @settings(max_examples=25, deadline=None)
@@ -254,14 +253,15 @@ def test_shortest_path_tree_equals_the_per_satellite_build(default_constellation
 def test_routes_equal_the_reference_walk(default_constellation):
     c = default_constellation
     root = SatId(30, 4).flat(22)
-    tree = c.shortest_path_tree(root, 75.0)
+    _, parent = c.shortest_path_tree(root, 75.0)
     _, want_parent = ref.shortest_path_tree(c, root, 75.0, 0.5)
     rng = np.random.default_rng(5)
     for src in rng.integers(c.n_sats, size=50).tolist():
-        assert (c.route_to_gs(src, root, tree=tree).hops
-                == ref.route(want_parent, src, root))
-    assert c.route_to_gs(src, root, t=75.0).hops == ref.route(want_parent, src,
-                                                              root)
+        hops = ref.route(parent, src, root)
+        assert hops == ref.route(want_parent, src, root)
+        # every hop is an ISL
+        assert all(b in ref.isl_neighbors(c, a)
+                   for a, b in zip(hops[:-1], hops[1:]))
 
 
 @pytest.mark.parametrize("shell", HALF_SLOT_SHELLS, ids=_shell_id)

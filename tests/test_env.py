@@ -9,8 +9,9 @@ from terasec import sec_sim
 from terasec.baselines import UniformPolicy
 from terasec.constellation import Constellation, SatId, WalkerConfig
 from terasec.env import GS_NODE, ActionBundle
-from terasec.thz_link import (band_preset, link_gain, link_rate, noise_power,
-                              path_gain, sinr)
+from terasec.autodiff import normalized_adjacency
+from terasec.thz_link import (absorption_factor, band_preset, link_gain,
+                              link_rate, noise_power, path_gain, sinr)
 
 from conftest import make_env, random_simplex
 from gcn_reference import dense_adjacency
@@ -32,8 +33,9 @@ def reference_rates(env, alloc_to, alloc_ot, t, band_to, band_ot):
             p = alloc.power_w[k]
             if p <= 0.0:
                 continue
-            alpha2 = path_gain(f, tx_pos, rx_pos,
-                               band.absorption if to_ground else None)
+            alpha2 = path_gain(f, tx_pos, rx_pos)
+            if to_ground:
+                alpha2 *= absorption_factor(tx_pos, rx_pos, band.absorption)
             h2 = link_gain(alloc.subarrays, env.array_cfg.rx_subarrays_per_isl,
                            env.array_cfg, alpha2,
                            gain_interpretation=env.budget.gain_interpretation,
@@ -54,9 +56,10 @@ def reference_rates(env, alloc_to, alloc_ot, t, band_to, band_ot):
 
 def link_allocs(env, alloc_to, alloc_ot):
     """Array allocations as the (tx, rx) -> LinkAlloc dicts they replaced."""
+    views = topo.window_views(env)
     out = []
-    for links, (subarrays, power) in ((env._offload_link_list, alloc_to),
-                                      (env._outcome_link_list, alloc_ot)):
+    for links, (subarrays, power) in ((views.offload_links, alloc_to),
+                                      (views.outcome_links, alloc_ot)):
         out.append({link: ref.LinkAlloc(int(s), p) for link, s, p in zip(
             links, subarrays.ravel(), power.reshape(-1, power.shape[-1]))})
     return out
@@ -65,9 +68,10 @@ def link_allocs(env, alloc_to, alloc_ot):
 def reference_sinr_features(env, gammas_to, gammas_ot):
     """Mean active-sub-band SINR (dB) per (node row, ISL direction)."""
     n_sp = env.c.cfg.sats_per_plane
+    views = topo.window_views(env)
     tables = []
-    for links, gammas in ((env._offload_link_list, gammas_to),
-                          (env._outcome_link_list, gammas_ot)):
+    for links, gammas in ((views.offload_links, gammas_to),
+                          (views.outcome_links, gammas_ot)):
         table = np.zeros((len(env.involved), 4))
         for (tx, rx), g in zip(links, gammas):
             nbrs = sorted(nb.flat(n_sp) for nb in
@@ -82,7 +86,7 @@ def reference_sinr_features(env, gammas_to, gammas_ot):
 
 def random_bundle(env, rng):
     """Random feasible ratios with about a third of the power entries zero."""
-    n_src, n_tx = len(env.sources), len(env.outcome_transmitters)
+    n_src, n_tx = len(env.sources), len(env.involved)
     k = env.band_to.n_subbands
 
     def sparse_simplex(shape):
@@ -103,6 +107,7 @@ def random_bundle(env, rng):
                                         (2, ("ku", "ka"))])
 def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
     env = make_env(seed=seed, steps=4)
+    views = topo.window_views(env)
     b_to = band_preset(bands[0], "offloading")
     b_ot = band_preset(bands[1], "outcome")
     rng = np.random.default_rng(seed)
@@ -120,8 +125,8 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         want = reference_rates(env, *link_allocs(env, alloc_to, alloc_ot), t,
                                b_to, b_ot)
         got = env._rates(alloc_to, alloc_ot, env._positions(t), b_to, b_ot)
-        assert list(want[0]) == env._offload_link_list
-        assert list(want[1]) == env._outcome_link_list
+        assert list(want[0]) == views.offload_links
+        assert list(want[1]) == views.outcome_links
         assert got[0].tolist() == list(want[0].values())
         assert got[1].tolist() == list(want[1].values())
         assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
@@ -138,15 +143,15 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         assert seen["dist_to_km"].shape == (len(env.sources), 4)
         assert seen["dist_to_km"].ravel().tolist() == [
             float(np.linalg.norm(pos[s] - pos[nb]))
-            for s, nb in env._offload_link_list]
+            for s, nb in views.offload_links]
         assert seen["dist_ot_km"].tolist() == [
             float(np.linalg.norm(pos[tx] - node_pos(rx)))
-            for tx, rx in env._outcome_link_list]
+            for tx, rx in views.outcome_links]
         first = dict(zip(env._server_table.ravel().tolist(),
                          seen["first_link"].ravel().tolist()))
-        assert {server: [env._outcome_link_list[i] for i in links]
+        assert {server: [views.outcome_links[i] for i in links]
                 for server, links in ref.tree_routes(
-                    first, seen["next_link"]).items()} == env.route_hops
+                    first, seen["next_link"]).items()} == views.route_hops
         _, _, g_to, g_ot = reference_rates(
             env, *link_allocs(env, seen["alloc_to"], seen["alloc_ot"]), t,
             b_to, b_ot)
@@ -179,6 +184,7 @@ def reference_slot(env, bundle, band_to, band_ot):
     """One slot through the per-source quantizer calls, the per-link
     LinkAllocs and the (tx, rx)-keyed tables, at the env's current step.
     Returns (SlotOutcome, OffloadAssignment, alloc_to, alloc_ot)."""
+    views = topo.window_views(env)
     t = env.time_at(env.step_idx)
     counts = env.counts[:, min(env.step_idx, env.counts.shape[1] - 1)]
     s_max, p_max = env.array_cfg.s_max, env.budget.p_max_w
@@ -188,12 +194,12 @@ def reference_slot(env, bundle, band_to, band_ot):
         subs = ref.quantize_subarrays(bundle.to_subarrays[i], s_max)
         power = ref.quantize_power(bundle.to_power[i].ravel(), p_max)
         power = power.reshape(4, k)
-        for j, nbr in enumerate(env.neighbor_order[src]):
+        for j, nbr in enumerate(views.neighbor_order[src]):
             alloc_to[(src, nbr)] = ref.LinkAlloc(int(subs[j]), power[j].copy())
         tasks_self[src], tasks_to[src] = ref.quantize_offload(
-            bundle.offload[i], int(counts[i]), env.neighbor_order[src])
+            bundle.offload[i], int(counts[i]), views.neighbor_order[src])
     alloc_ot = {}
-    for i, link in enumerate(env._outcome_link_list):
+    for i, link in enumerate(views.outcome_links):
         subs = ref.quantize_subarrays(np.array([bundle.ot_subarray[i]]), s_max)
         power = ref.quantize_power(bundle.ot_power[i], p_max)
         alloc_ot[link] = ref.LinkAlloc(int(subs[0]), power)
@@ -207,19 +213,19 @@ def reference_slot(env, bundle, band_to, band_ot):
         return env.c.gs_position(env.gs, t) if node == GS_NODE else pos[node]
 
     offload_dist = {(s, nb): float(np.linalg.norm(pos[s] - pos[nb]))
-                    for s, nb in env._offload_link_list}
+                    for s, nb in views.offload_links}
     routes = {server: [(tx, rx, float(np.linalg.norm(pos[tx] - node_pos(rx))))
                        for tx, rx in hops]
-              for server, hops in env.route_hops.items()}
+              for server, hops in views.route_hops.items()}
     outcome = ref.simulate_slot(
-        assignment=assignment, neighbor_order=env.neighbor_order,
+        assignment=assignment, neighbor_order=views.neighbor_order,
         routes=routes, offload_dist_km=offload_dist,
         rates_to=rates_to, rates_ot=rates_ot,
         alloc_to=alloc_to, alloc_ot=alloc_ot,
         compute=env.compute, task_size_bytes=env.traffic_cfg.task_size_bytes,
         reward_params=env.reward_params, p_max_w=env.budget.p_max_w,
         s_max=env.array_cfg.s_max,
-        outcome_transmitters=env.outcome_transmitters)
+        outcome_transmitters=views.outcome_transmitters)
     return outcome, assignment, alloc_to, alloc_ot
 
 
@@ -242,6 +248,7 @@ SLOT_FIELDS = ("t_avg", "t_max", "reward", "u_total", "u_power", "u_subarray",
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_array_slot_equals_the_dict_path(seed, bands):
     env = make_env(seed=seed, steps=4)
+    views = topo.window_views(env)
     b_to = band_preset(bands[0], "offloading")
     b_ot = band_preset(bands[1], "outcome")
     rng = np.random.default_rng(seed)
@@ -259,7 +266,7 @@ def test_array_slot_equals_the_dict_path(seed, bands):
         # the row-wise quantizers equal the per-row calls
         assert np.array_equal(tasks, [
             [assignment.tasks_self[s],
-             *(assignment.tasks_to[s][n] for n in env.neighbor_order[s])]
+             *(assignment.tasks_to[s][n] for n in views.neighbor_order[s])]
             for s in env.sources])
         for (subarrays, power), want_links in ((alloc_to, want_to),
                                                (alloc_ot, want_ot)):
@@ -273,7 +280,7 @@ def test_array_slot_equals_the_dict_path(seed, bands):
         assert got.overall_delay == want.overall_delay
         assert list(got.overall_delay) == list(want.overall_delay)
         assert got.path_delays == want.path_delays
-        assert {env._outcome_link_list[i]: b for i, b in
+        assert {views.outcome_links[i]: b for i, b in
                 got.queue_backlog_bytes.items()} == want.queue_backlog_bytes
         assert np.any(tasks == 0) and np.any(tasks.sum(axis=1) == 0)
         reachable.add(not got.unreachable)
@@ -303,12 +310,13 @@ def test_resource_usage_sums_as_the_per_link_loop():
 def reference_expected_outcome(env, offload):
     """Expected outcome inflow as the advancing step's loop summed it."""
     mean_bytes = env.traffic_cfg.mean_bytes_per_slot
+    neighbor_order = topo.window_views(env).neighbor_order
     out = np.zeros(len(env.involved))
     for i, src in enumerate(env.sources):
         ratios = offload[i]
         out[env.node_index[src]] += (
             env.compute.outcome_ratio * mean_bytes * ratios[0])
-        for j, nbr in enumerate(env.neighbor_order[src]):
+        for j, nbr in enumerate(neighbor_order[src]):
             out[env.node_index[nbr]] += (
                 env.compute.outcome_ratio * mean_bytes * ratios[j + 1])
     return out
@@ -327,7 +335,7 @@ def reference_initial_outcome(env):
 def test_expected_outcome_inflow_equals_the_per_source_loops(seed):
     env = make_env(seed=seed, steps=2, n_sources=50)
     # some nodes neighbor two sources, so the summation order is exercised
-    assert len(env.servers) < 5 * len(env.sources)
+    assert len(topo.window_views(env).servers) < 5 * len(env.sources)
     initial = env._expected_outcome_inflow(env.reference_bundle().offload)
     assert np.array_equal(initial, reference_initial_outcome(env))
     assert np.array_equal(env.snapshot().expected_outcome_bytes, initial)
@@ -342,7 +350,7 @@ def test_expected_outcome_inflow_equals_the_per_source_loops(seed):
 
 
 def test_static_observables_are_read_only(small_env):
-    for name in ("edges", "node_plane", "node_slot", "phi_off", "phi_gs",
+    for name in ("involved", "edges", "node_plane", "node_slot", "phi_off", "phi_gs",
                  "expected_offload_bytes"):
         with pytest.raises(ValueError):
             getattr(small_env, name)[0] = 1.0
@@ -350,21 +358,51 @@ def test_static_observables_are_read_only(small_env):
 
 # -- window set-up against the per-satellite topology code --------------------
 
-@pytest.mark.parametrize("n_sources,seed", [(10, 1), (50, 2), (200, 1)])
+WINDOWS = [(10, 1), (50, 2), (200, 1)]
+
+
+@pytest.mark.parametrize("n_sources,seed", WINDOWS)
 def test_window_setup_equals_the_per_satellite_reference(n_sources, seed):
+    """The tables built from the routing tree's parent array equal those of
+    one route walk per server over the per-satellite topology code."""
     env = make_env(seed=seed, steps=2, n_sources=n_sources)
-    c = env.c
-    assert env.sources == topo.select_sources(c, env.gs_flat, n_sources, seed)
-    assert env.neighbor_order == {s: sorted(topo.isl_neighbors(c, s))
-                                  for s in env.sources}
-    _, parent = topo.shortest_path_tree(c, env.gs_flat, env.t0, env.routing_eta)
-    for server, hops in env.route_hops.items():
-        route = topo.route(parent, server, env.gs_flat)
-        assert hops == [*zip(route[:-1], route[1:]), (env.gs_flat, GS_NODE)]
-    involved, node_index, adj = topo.prune_involved(
-        env.sources, env.neighbor_order, env.route_hops, env.gs_flat)
-    assert env.involved == involved and env.node_index == node_index
-    assert np.array_equal(dense_adjacency(len(involved), env.edges), adj)
+    want = topo.window_reference(env.c, env.gs_flat, env.t0, env.routing_eta,
+                                 n_sources, seed)
+    got = topo.window_views(env)
+    for name in ("sources", "neighbor_order", "servers", "route_hops",
+                 "outcome_transmitters", "offload_links", "outcome_links"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert env.sources == want.sources
+    assert env.involved.tolist() == want.involved
+    assert env.node_index == want.node_index
+    assert want.outcome_transmitters == want.involved
+    for got_table, want_table in (
+            (env._to_ends, want.to_ends), (env._ot_ends, want.ot_ends),
+            (env._next_link, want.next_link),
+            (env._offload_rows, want.first_link),
+            *zip(env._sinr_cells, want.sinr_cells)):
+        assert np.array_equal(got_table, want_table)
+    n = len(want.involved)
+    assert np.array_equal(dense_adjacency(n, env.edges), want.adj)
+    got_norm = normalized_adjacency(n, env.edges)
+    want_norm = normalized_adjacency(n, np.argwhere(want.adj))
+    assert np.array_equal(got_norm.idx, want_norm.idx)
+    assert got_norm.weight.tobytes() == want_norm.weight.tobytes()
+
+
+@pytest.mark.parametrize("n_sources,seed", WINDOWS)
+def test_edges_list_each_isl_once(n_sources, seed):
+    """The edges are the offload ISLs and the tree ISLs, and no unordered
+    pair repeats."""
+    env = make_env(seed=seed, steps=2, n_sources=n_sources)
+    views = topo.window_views(env)
+    row = env.node_index
+    want = {frozenset((row[a], row[b]))
+            for a, b in views.offload_links + views.outcome_links
+            if b != GS_NODE}
+    got = [frozenset(pair) for pair in env.edges.tolist()]
+    assert len(set(got)) == len(got) == len(want)
+    assert set(got) == want
 
 
 def test_window_setup_reads_positions_a_fixed_number_of_times(monkeypatch):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terasec.thz_link import (AbsorptionProfile, ArrayConfig, BandPlan,
-                              LinkBudgetParams, LinkDomainError, band_preset,
-                              link_gain, link_rate, noise_power, path_gain,
-                              sinr)
+                              LinkBudgetParams, LinkDomainError,
+                              absorption_factor, band_preset, link_gain,
+                              link_rate, noise_power, path_gain, sinr)
 
 C_M_S = 299792458.0
 
@@ -20,14 +20,14 @@ def test_path_gain_oracle_135ghz():
     f, d_km = 135e9, 1969.9
     expected = (C_M_S / (4.0 * math.pi * f * d_km * 1e3)) ** 2
     assert abs(expected / 8.05e-21 - 1.0) < 0.01
-    got = path_gain(f, np.zeros(3), np.array([d_km, 0.0, 0.0]), None)
+    got = path_gain(f, np.zeros(3), np.array([d_km, 0.0, 0.0]))
     assert abs(got / expected - 1.0) < 1e-12
 
 
 def test_path_gain_inverse_square():
     f = 135e9
-    g1 = path_gain(f, np.zeros(3), np.array([1000.0, 0.0, 0.0]), None)
-    g2 = path_gain(f, np.zeros(3), np.array([2000.0, 0.0, 0.0]), None)
+    g1 = path_gain(f, np.zeros(3), np.array([1000.0, 0.0, 0.0]))
+    g2 = path_gain(f, np.zeros(3), np.array([2000.0, 0.0, 0.0]))
     assert abs(g1 / g2 - 4.0) < 1e-12
 
 
@@ -37,21 +37,22 @@ def test_path_gain_isl_above_atmosphere():
     p0 = np.array([6921.0, 0.0, 0.0])
     ang = 2.0 * math.pi / 22.0
     p1 = 6921.0 * np.array([math.cos(ang), math.sin(ang), 0.0])
-    with_abs = path_gain(135e9, p0, p1, profile)
-    without = path_gain(135e9, p0, p1, None)
-    assert with_abs == without
+    without = path_gain(135e9, p0, p1)
+    assert absorption_factor(p0, p1, profile) == 1.0
+    assert without * absorption_factor(p0, p1, profile) == without
 
 
 def test_path_gain_ground_path_attenuates():
     profile = AbsorptionProfile(g0_per_km=0.05)
     p0 = np.array([6921.0, 0.0, 0.0])      # satellite
     p1 = np.array([6371.0, 0.0, 0.0])      # ground
-    assert path_gain(215e9, p0, p1, profile) < path_gain(215e9, p0, p1, None)
+    without = path_gain(215e9, p0, p1)
+    assert without * absorption_factor(p0, p1, profile) < without
 
 
 def test_path_gain_zero_distance_error():
     with pytest.raises(LinkDomainError):
-        path_gain(135e9, np.zeros(3), np.zeros(3), None)
+        path_gain(135e9, np.zeros(3), np.zeros(3))
 
 
 # -- link gain ---------------------------------------------------------------
@@ -83,6 +84,21 @@ def test_link_gain_power_interpretation():
     amp = link_gain(2, 1, a, 1.0, gain_interpretation="amplitude")
     pow_ = link_gain(2, 1, a, 1.0, gain_interpretation="power")
     assert abs(amp / pow_ - 100.0) < 1e-9   # (10*10) extra in amplitude mode
+
+
+@pytest.mark.parametrize("fields", [
+    {"element_gain_dbi": 1e12}, {"element_gain_dbi": 1000.0},
+    {"element_gain_dbi": math.nan}, {"m_x": 10**160},
+    # 10**76.9 per element: its fourth power times 64 * 16 * 16 overflows
+    {"element_gain_dbi": 769.0}])
+def test_array_config_rejects_an_overflowing_full_array_gain(fields):
+    with pytest.raises(LinkDomainError):
+        ArrayConfig(**fields)
+
+
+def test_array_config_accepts_a_large_finite_full_array_gain():
+    a = ArrayConfig(element_gain_dbi=760.0)
+    assert math.isfinite(a.element_gain_linear() ** 4 * (64 * 16) * 16)
 
 
 def test_link_gain_does_not_wrap_at_a_huge_array():
@@ -164,7 +180,7 @@ def test_band_rate_ordering_same_allocation():
         sigma2 = noise_power(budget.noise_temperature_k, band.bandwidth_hz)
         gammas = []
         for f in band.centers_hz:
-            h2 = link_gain(16, 1, a, path_gain(f, tx, rx, None),
+            h2 = link_gain(16, 1, a, path_gain(f, tx, rx),
                            element_gain_scale=band.element_gain_scale)
             gammas.append(sinr(2.0, h2, 0.0, sigma2))
         rates[name] = link_rate(np.ones(band.n_subbands), gammas,
@@ -210,8 +226,9 @@ def test_path_gain_ground_link_array_equals_scalar_calls():
     sat = np.array([6921.0, 0.0, 0.0])
     for gs in (np.array([6371.0, 0.0, 0.0]), np.array([6300.0, 1000.0, 0.0])):
         f = np.array(band_preset("thz", "outcome").centers_hz)
-        got = path_gain(f, sat, gs, profile)
-        want = [path_gain(fk, sat, gs, profile) for fk in f.tolist()]
+        got = path_gain(f, sat, gs) * absorption_factor(sat, gs, profile)
+        want = [path_gain(fk, sat, gs) * absorption_factor(sat, gs, profile)
+                for fk in f.tolist()]
         assert np.array_equal(got, want)
         assert np.all(got < path_gain(f, sat, gs))
 

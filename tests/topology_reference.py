@@ -4,14 +4,21 @@ as the reference for differential tests.
 ``isl_neighbors`` is the phasing scan (closest inter-plane phasing, lower
 slot index wins a tie), ``isl_edges`` the per-satellite edge loop, and
 ``shortest_path_tree`` the Dijkstra tree over a per-satellite weight build;
-``route`` walks a parent array.  All work on flat satellite indices.
+``route`` walks a parent array.  ``window_reference`` builds an access
+window's topology by one route walk per server, as the window once did, and
+``window_views`` reads the same dict and list views off a window's arrays.
+All work on flat satellite indices.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
+
+#: pseudo node id for the ground station in link lists
+GS_NODE = -1
 
 
 def isl_neighbors(c, idx: int) -> list:
@@ -109,7 +116,7 @@ def select_sources(c, gs_flat: int, n_sources: int, seed: int) -> list:
     return sorted(chosen)
 
 
-def prune_involved(sources, neighbor_order, route_hops, gs_flat, gs_node=-1):
+def prune_involved(sources, neighbor_order, route_hops, gs_flat, gs_node=GS_NODE):
     """Involved node list, node -> row map and adjacency, edge by edge."""
     edges = [(s, nb) for s in sources for nb in neighbor_order[s]]
     edges += [hop for hops in route_hops.values() for hop in hops]
@@ -121,3 +128,64 @@ def prune_involved(sources, neighbor_order, route_hops, gs_flat, gs_node=-1):
         if b != gs_node:
             adj[node_index[a], node_index[b]] = adj[node_index[b], node_index[a]] = 1.0
     return involved, node_index, adj
+
+
+def window_reference(c, gs_flat: int, t0: float, eta: float, n_sources: int,
+                     seed: int) -> SimpleNamespace:
+    """A window's topology from one route walk per server: the dict and
+    list views, the involved set and adjacency, and the link tables and
+    SINR cells as the window's arrays hold them."""
+    sources = select_sources(c, gs_flat, n_sources, seed)
+    neighbor_order = {s: sorted(isl_neighbors(c, s)) for s in sources}
+    servers = sorted(set(sources).union(*neighbor_order.values()))
+    _, parent = shortest_path_tree(c, gs_flat, t0, eta)
+    route_hops = {}
+    for server in servers:
+        hops = route(parent, server, gs_flat)
+        route_hops[server] = [*zip(hops[:-1], hops[1:]), (gs_flat, GS_NODE)]
+    next_hop = {tx: rx for hops in route_hops.values() for tx, rx in hops}
+    transmitters = sorted(next_hop)
+    involved, node_index, adj = prune_involved(sources, neighbor_order,
+                                               route_hops, gs_flat)
+    offload_links = [(s, nb) for s in sources for nb in neighbor_order[s]]
+    outcome_links = [(tx, next_hop[tx]) for tx in transmitters]
+    sinr_cells = []
+    for links in (offload_links, outcome_links):
+        cells = [(i, node_index[tx], sorted(isl_neighbors(c, tx)).index(rx))
+                 for i, (tx, rx) in enumerate(links)
+                 if rx in isl_neighbors(c, tx)]
+        sinr_cells.append(np.array(cells, dtype=int).reshape(-1, 3).T)
+    return SimpleNamespace(
+        sources=sources, neighbor_order=neighbor_order, servers=servers,
+        route_hops=route_hops, outcome_transmitters=transmitters,
+        offload_links=offload_links, outcome_links=outcome_links,
+        involved=involved, node_index=node_index, adj=adj,
+        to_ends=np.array(offload_links).T, ot_ends=np.array(outcome_links).T,
+        next_link=np.array([-1 if rx == GS_NODE else transmitters.index(rx)
+                            for _, rx in outcome_links]),
+        first_link=np.array([[transmitters.index(n)
+                              for n in (s, *neighbor_order[s])]
+                             for s in sources]),
+        sinr_cells=sinr_cells)
+
+
+def window_views(env) -> SimpleNamespace:
+    """The dict and list views of window_reference, read off the window's
+    server table and link tables: outcome link i is transmitted by node i,
+    and a server's route follows next links from its first link."""
+    server_table = env._server_table.tolist()
+    neighbor_order = {row[0]: row[1:] for row in server_table}
+    offload_links = list(zip(*env._to_ends.tolist()))
+    outcome_links = list(zip(*env._ot_ends.tolist()))
+    route_hops = {}
+    for server, link in zip(np.ravel(server_table).tolist(),
+                            env._offload_rows.ravel().tolist()):
+        route_hops[server] = []
+        while link >= 0:
+            route_hops[server].append(outcome_links[link])
+            link = int(env._next_link[link])
+    return SimpleNamespace(
+        sources=list(neighbor_order), neighbor_order=neighbor_order,
+        servers=sorted(route_hops), route_hops=route_hops,
+        outcome_transmitters=[tx for tx, _ in outcome_links],
+        offload_links=offload_links, outcome_links=outcome_links)
