@@ -26,13 +26,18 @@ LOGIT_BOUND = 8.0
 REWARD_SCALE = 100.0
 
 
-def bound_logits(z: Tensor, bound: float = LOGIT_BOUND) -> Tensor:
-    return (z * (1.0 / bound)).tanh() * bound if bound > 0 else z
+def bound_logits(z: Tensor) -> Tensor:
+    return (z * (1.0 / LOGIT_BOUND)).tanh() * LOGIT_BOUND
 
 
-def logit_bias(target: float, bound: float = LOGIT_BOUND) -> float:
+def logit_bias(target: float) -> float:
     """Pre-tanh bias whose bounded output equals the target logit."""
-    return bound * float(np.arctanh(target / bound))
+    return LOGIT_BOUND * float(np.arctanh(target / LOGIT_BOUND))
+
+
+#: the dense baseline stacks one [width, width] float64 matrix per acting
+#: satellite, 2 MiB each at this width
+MAX_HIDDEN_WIDTH = 512
 
 
 class TrainingError(RuntimeError):
@@ -59,6 +64,8 @@ class TrainConfig:
         if min(self.steps, self.decay_every_steps, self.hidden_width) < 1:
             raise TrainingError(
                 "steps, decay_every_steps and hidden_width must be >= 1")
+        if self.hidden_width > MAX_HIDDEN_WIDTH:
+            raise TrainingError(f"hidden_width must be <= {MAX_HIDDEN_WIDTH}")
         if self.noise_std < 0:
             raise TrainingError("noise_std must be nonnegative")
 

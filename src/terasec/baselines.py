@@ -45,14 +45,12 @@ class FullResourcePolicy:
 
 
 def rollout_policy(env: SecWindow, policy, steps: int):
-    """Act and step without learning; history records match the trained
-    agents'."""
-    history = []
+    """Act and step without learning, yielding each step's history record
+    as soon as it is stepped; the records match the trained agents'."""
     for step in range(steps):
         outcome, _, _ = env.step(policy.act(env.snapshot())[0])
-        history.append({"step": step, "outcome": outcome,
-                        "critic_loss": 0.0, "q_value": 0.0, "actor_lr": 0.0})
-    return history
+        yield {"step": step, "outcome": outcome,
+               "critic_loss": 0.0, "q_value": 0.0, "actor_lr": 0.0}
 
 
 # -- dense multi-agent actor-critic -------------------------------------------

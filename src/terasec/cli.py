@@ -115,7 +115,6 @@ def cmd_dump_topology(args) -> int:
 
 def cmd_linkbudget(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    tx, rx = np.zeros(3), np.array([args.distance_km, 0.0, 0.0])
     lines = [f"# config_hash={cfg.config_hash()} distance_km={args.distance_km}"
              f" p_max_w={cfg.budget.p_max_w} subarrays={cfg.array.s_max}",
              "band,subband,center_ghz,bandwidth_ghz,noise_w,sinr_db,rate_gbps"]
@@ -124,7 +123,7 @@ def cmd_linkbudget(args) -> int:
         k = band.n_subbands
         sigma2 = noise_power(cfg.budget.noise_temperature_k, band.bandwidth_hz)
         h2 = link_gain(cfg.array.s_max, cfg.array.rx_subarrays_per_isl, cfg.array,
-                       path_gain(band.centers_hz, tx, rx),
+                       path_gain(band.centers_hz, args.distance_km),
                        gain_interpretation=cfg.budget.gain_interpretation,
                        element_gain_scale=band.element_gain_scale)
         gammas = sinr(cfg.budget.p_max_w / k, h2, cfg.budget.interference_mean_w,

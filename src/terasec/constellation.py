@@ -49,6 +49,11 @@ class SatId:
         return SatId(idx // sats_per_plane, idx % sats_per_plane)
 
 
+#: bounds planes x sats_per_plane: the [n_sats, 4] ISL and [n_sats, 3] position
+#: tables (8 and 6 MiB here) and the per-satellite Dijkstra grow with it
+MAX_SATELLITES = 2**18
+
+
 @dataclass(frozen=True)
 class WalkerConfig:
     planes: int = 72
@@ -63,6 +68,9 @@ class WalkerConfig:
             raise ConfigurationError("planes must be >= 1")
         if self.sats_per_plane < 3:
             raise ConfigurationError("sats_per_plane must be >= 3")
+        if self.planes * self.sats_per_plane > MAX_SATELLITES:
+            raise ConfigurationError(
+                f"planes x sats_per_plane must be <= {MAX_SATELLITES}")
         if not 0.0 <= self.inclination_deg <= 90.0:
             raise ConfigurationError("inclination_deg must be in [0, 90]")
         if self.altitude_km <= 0:

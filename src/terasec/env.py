@@ -6,7 +6,7 @@ Within one GS access window the GS-connected satellite, the source set and
 the routing tree are fixed, so the link tables, the involved node set and
 its static observables are built once per window;
 satellite positions (hence distances, delays and SINRs) advance every slot
-and each phase's links are rated in one array pass.
+and each phase's links are rated in one array pass from one distance each.
 """
 from __future__ import annotations
 
@@ -105,10 +105,10 @@ class SecWindow:
         # [n_src, 5] servers of each source's offload shares: itself, then
         # its ISL neighbors in ascending flat order
         sorted_neighbors = np.sort(constellation.neighbors, axis=1)
-        self._server_table = np.column_stack(
-            [self.sources, sorted_neighbors[self.sources]])
+        servers = np.column_stack([self.sources,
+                                   sorted_neighbors[self.sources]])
         # the involved nodes: the servers and their routing-tree ancestors
-        self.involved = nodes = tree_closure(parent, self._server_table)
+        self.involved = nodes = tree_closure(parent, servers)
         self.node_index = {n: i for i, n in enumerate(nodes.tolist())}
         # static per-node observables, read-only so encoders may share them
         self.node_plane, self.node_slot = (
@@ -127,9 +127,9 @@ class SecWindow:
         # node i's to its tree parent, so a link's next link is its
         # receiver's (-1 into the GS) and a server's first link is its own
         self._to_ends = np.stack([np.repeat(self.sources, 4),
-                                  self._server_table[:, 1:].ravel()])
+                                  servers[:, 1:].ravel()])
         self._ot_ends = np.stack([nodes, parent[nodes]])
-        self._offload_rows = np.searchsorted(nodes, self._server_table)
+        self._offload_rows = np.searchsorted(nodes, servers)
         rx = self._ot_ends[1]
         self._next_link = np.where(rx == GS_NODE, -1, np.searchsorted(nodes, rx))
         # the graph's edges as node-row pairs, each offload ISL and each tree
@@ -155,8 +155,9 @@ class SecWindow:
         bundle = self.reference_bundle()
         self._expected_outcome = self._expected_outcome_inflow(bundle.offload)
         alloc_to, alloc_ot = self._quantize_allocations(bundle)
-        _, _, gammas_to, gammas_ot = self._rates(alloc_to, alloc_ot,
-                                                 self._positions(self.t0))
+        pos = self._positions(self.t0)
+        _, _, gammas_to = self._rate_phase(alloc_to, self._to_ends, band_to, pos)
+        _, _, gammas_ot = self._rate_phase(alloc_ot, self._ot_ends, band_ot, pos)
         self._record_sinrs(gammas_to, gammas_ot)
 
     # -- construction helpers ----------------------------------------------
@@ -230,36 +231,31 @@ class SecWindow:
                     sec_sim.quantize_power(bundle.ot_power, p_max)[:, None])
         return alloc_to, alloc_ot
 
-    def _rates(self, alloc_to: tuple, alloc_ot: tuple, pos: np.ndarray,
-               band_to: BandPlan | None = None, band_ot: BandPlan | None = None):
-        """Rates and per-sub-band SINRs of both phases at `pos` (from
-        _positions), one thz_link chain call per phase over a [links x
-        sub-bands] grid.  Returns (rates_to, rates_ot, gammas_to, gammas_ot)
-        as arrays in link-table order."""
-        out = []
-        for (subarrays, power), ends, band in (
-                (alloc_to, self._to_ends, band_to or self.band_to),
-                (alloc_ot, self._ot_ends, band_ot or self.band_ot)):
-            alpha2 = thz_link.path_gain(band.centers_hz,
-                                        pos[ends[0], None], pos[ends[1], None])
-            for i in np.flatnonzero(ends[1] == GS_NODE):
-                # molecular absorption on the GS downlink only
-                alpha2[i] *= thz_link.absorption_factor(
-                    pos[ends[0, i]], pos[GS_NODE], band.absorption)
-            power = power.reshape(-1, power.shape[-1])
-            h2 = thz_link.link_gain(
-                subarrays.reshape(-1, 1),
-                self.array_cfg.rx_subarrays_per_isl, self.array_cfg, alpha2,
-                gain_interpretation=self.budget.gain_interpretation,
-                element_gain_scale=band.element_gain_scale)
-            sigma2 = thz_link.noise_power(self.budget.noise_temperature_k,
-                                          band.bandwidth_hz)
-            gammas = thz_link.sinr(power, h2, self.budget.interference_mean_w,
-                                   sigma2)
-            rates = thz_link.link_rate(power > 0.0, gammas, band.bandwidth_hz)
-            out.append((rates, gammas))
-        (rates_to, gammas_to), (rates_ot, gammas_ot) = out
-        return rates_to, rates_ot, gammas_to, gammas_ot
+    def _rate_phase(self, alloc: tuple, ends: np.ndarray, band: BandPlan,
+                    pos: np.ndarray):
+        """One phase's links at `pos` (from _positions), rated by one
+        thz_link chain call over a [links x sub-bands] grid.  Returns
+        (d_km, rates, gammas) as arrays in link-table order."""
+        subarrays, power = alloc
+        v = np.subtract(*pos[ends])
+        d_km = np.sqrt(np.vecdot(v, v))     # bit-identical to np.linalg.norm
+        alpha2 = thz_link.path_gain(band.centers_hz, d_km[:, None])
+        for i in np.flatnonzero(ends[1] == GS_NODE):
+            # molecular absorption on the GS downlink only
+            alpha2[i] *= thz_link.absorption_factor(
+                pos[ends[0, i]], pos[GS_NODE], band.absorption)
+        power = power.reshape(-1, power.shape[-1])
+        h2 = thz_link.link_gain(
+            subarrays.reshape(-1, 1),
+            self.array_cfg.rx_subarrays_per_isl, self.array_cfg, alpha2,
+            gain_interpretation=self.budget.gain_interpretation,
+            element_gain_scale=band.element_gain_scale)
+        sigma2 = thz_link.noise_power(self.budget.noise_temperature_k,
+                                      band.bandwidth_hz)
+        gammas = thz_link.sinr(power, h2, self.budget.interference_mean_w,
+                               sigma2)
+        rates = thz_link.link_rate(power > 0.0, gammas, band.bandwidth_hz)
+        return d_km, rates, gammas
 
     def _record_sinrs(self, gammas_to: np.ndarray, gammas_ot: np.ndarray):
         """Next-slot SINR features: each rated ISL's mean SINR in dB over its
@@ -307,24 +303,21 @@ class SecWindow:
              advance: bool = True,
              allocations: tuple | None = None):
         """Apply one slot of actions; returns (SlotOutcome, task table,
-        (alloc_to, alloc_ot)), the task table in env.sources x server-table
-        order."""
+        (alloc_to, alloc_ot)), the task table in env.sources x server order
+        (the source itself, then its ISL neighbors in ascending flat order)."""
         pos = self._positions(self.time_at(self.step_idx))
         alloc_to, alloc_ot = allocations or self._quantize_allocations(bundle)
         counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
         tasks = sec_sim.quantize_offload(bundle.offload, counts)
-        rates_to, rates_ot, gammas_to, gammas_ot = self._rates(
-            alloc_to, alloc_ot, pos, band_to, band_ot)
-        # one distance array per phase; vecdot keeps np.linalg.norm's bits
-        d_to, d_ot = (np.sqrt(np.vecdot(v, v))
-                      for v in (np.subtract(*pos[self._to_ends]),
-                                np.subtract(*pos[self._ot_ends])))
+        d_to, rates_to, gammas_to = self._rate_phase(
+            alloc_to, self._to_ends, band_to or self.band_to, pos)
+        d_ot, rates_ot, gammas_ot = self._rate_phase(
+            alloc_ot, self._ot_ends, band_ot or self.band_ot, pos)
         n_src = len(self.sources)
         outcome = sec_sim.simulate_slot(
-            tasks=tasks, servers=self._server_table,
+            tasks=tasks, rows=self._offload_rows, nodes=self.involved,
             rates_to=rates_to.reshape(n_src, -1),
-            dist_to_km=d_to.reshape(n_src, -1),
-            first_link=self._offload_rows, next_link=self._next_link,
+            dist_to_km=d_to.reshape(n_src, -1), next_link=self._next_link,
             rates_ot=rates_ot, dist_ot_km=d_ot,
             alloc_to=alloc_to, alloc_ot=alloc_ot,
             compute=self.compute, task_size_bytes=self.traffic_cfg.task_size_bytes,

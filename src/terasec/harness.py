@@ -30,6 +30,10 @@ LOSS_HEADER = "step,critic_loss,q_value,actor_lr"
 CHECKPOINT_EVERY = 50
 CONVERGED_WINDOW = 50
 
+#: a run draws its [n_sources, steps] traffic matrix whole, at about 130
+#: bytes per task count while drawn: about 260 MB at this many counts
+MAX_TASK_COUNTS = 2 * 10**6
+
 POLICY_NAMES = ("grant", "maddpg_fc", "uniform", "full")
 BAND_NAMES = ("thz", "ka", "ku")
 
@@ -126,6 +130,9 @@ class ExperimentConfig:
         if merged["n_sources"] < 1:
             raise ConfigError("config section 'n_sources': must be >= 1, "
                               f"got {merged['n_sources']!r}")
+        if merged["n_sources"] * merged["train"]["steps"] > MAX_TASK_COUNTS:
+            raise ConfigError("config sections 'n_sources' and 'train': "
+                              f"n_sources x steps must be <= {MAX_TASK_COUNTS}")
         if merged["routing_eta"] < 0:
             raise ConfigError("config section 'routing_eta': must be >= 0, "
                               f"got {merged['routing_eta']!r}")

@@ -2,9 +2,10 @@
 FIFO queueing delays along all paths, resource-usage ratios and the reward.
 
 The simulator is a pure function of its inputs: identical arguments yield a
-bit-identical SlotOutcome.  Satellites are flat indices and links are
-positions in the outcome link table; the outcome routes arrive as one frozen
-tree over those links (each link's next link toward the GS).
+bit-identical SlotOutcome.  Satellites are node rows, and node row i is also
+outcome link i, the node's link toward the GS; the outcome routes arrive as
+one frozen tree over those links (each link's next link toward the GS).  A
+server's outcome flow enters at its own row's link.
 """
 from __future__ import annotations
 
@@ -160,38 +161,36 @@ def route_tree_order(next_link: np.ndarray) -> np.ndarray:
 
 
 def outcome_spans(release: np.ndarray, out_bytes: np.ndarray,
-                  first_link: np.ndarray, next_link: np.ndarray,
-                  order: np.ndarray, rates_ot: np.ndarray,
-                  dist_ot_km: np.ndarray) -> tuple:
-    """FIFO traversal of the outcome route tree, one flow per server.
+                  next_link: np.ndarray, order: np.ndarray,
+                  rates_ot: np.ndarray, dist_ot_km: np.ndarray) -> tuple:
+    """FIFO traversal of the outcome route tree, one flow per link.
 
-    Server k sends out_bytes[k] bytes, released at release[k], from
-    first_link[k] (-1: an empty route) along next_link to the GS; a server
-    with no bytes sends nothing.  Every link serves its arrivals in arrival
-    order, ties by ascending server k, and passes each on after its
-    transmission and propagation delays.  `order` is route_tree_order(
-    next_link), so a link's arrivals are all known when it is served.
+    Flow k sends out_bytes[k] bytes, released at release[k], from link k
+    along next_link to the GS; a flow with no bytes sends nothing.  Every
+    link serves its arrivals in arrival order, ties by ascending flow k, and
+    passes each on after its transmission and propagation delays.  `order`
+    is route_tree_order(next_link), so a link's arrivals are all known when
+    it is served.
 
-    Returns (span [servers]: release to GS arrival, inf for a flow released
+    Returns (span [links]: release to GS arrival, inf for a flow released
     at inf or stopped by a zero-rate link; backlog: link -> bytes that
     waited on it; unreachable: a flow reached a zero-rate link).
     """
+    flows = np.flatnonzero(out_bytes > 0).tolist()
     release = release.tolist()
     out_bytes = out_bytes.tolist()
     next_link = next_link.tolist()
     link_rate = rates_ot.tolist()
     link_prop = propagation_delay(dist_ot_km).tolist()
     span = [0.0] * len(release)
-    # link -> [(arrival time, server)]; the extra last list is the GS, which
+    # link -> [(arrival time, flow)]; the extra last list is the GS, which
     # next_link's -1 indexes
     arrivals = [[] for _ in range(len(next_link) + 1)]
-    for k, link in enumerate(first_link.tolist()):
-        if out_bytes[k] <= 0:
-            continue
+    for k in flows:
         if math.isinf(release[k]):         # an unreachable offload hop feeds it
             span[k] = math.inf
         else:
-            arrivals[link].append((release[k], k))
+            arrivals[k].append((release[k], k))
     backlog = {}
     unreachable = False
     for link in order.tolist():
@@ -225,10 +224,10 @@ def outcome_spans(release: np.ndarray, out_bytes: np.ndarray,
 
 
 def simulate_slot(tasks: np.ndarray,
-                  servers: np.ndarray,
+                  rows: np.ndarray,
+                  nodes: np.ndarray,
                   rates_to: np.ndarray,
                   dist_to_km: np.ndarray,
-                  first_link: np.ndarray,
                   next_link: np.ndarray,
                   rates_ot: np.ndarray,
                   dist_ot_km: np.ndarray,
@@ -242,12 +241,12 @@ def simulate_slot(tasks: np.ndarray,
     """Simulate one slot.
 
     tasks           [n_src, 1 + m] int task table from quantize_offload
-    servers         [n_src, 1 + m] flat ids of the servers of those columns;
-                    column 0 is the source itself
+    rows            [n_src, 1 + m] node rows of the servers of those
+                    columns, column 0 the source itself; a server's row is
+                    also its first outcome link
+    nodes           [links] flat id of each node row
     rates_to        [n_src, m] bit/s of each offload hop (columns 1..)
     dist_to_km      [n_src, m] km of each offload hop
-    first_link      [n_src, 1 + m] first outcome link of each server's
-                    route to the GS (-1: an empty route)
     next_link       [links] the outcome link after each one on its route,
                     -1 at a link into the GS (see route_tree_order)
     rates_ot        [links] bit/s of each outcome link
@@ -256,13 +255,13 @@ def simulate_slot(tasks: np.ndarray,
 
     Per-path delay = offload hop (transmission + propagation) + computation
     at the server + the server's outcome flow traversal of its route, with
-    FIFO contention on shared links (arrival order, ties by ascending server
-    flat index).  Rows are reported in the order given.
+    FIFO contention on shared links (arrival order, ties by ascending node
+    row).  Rows are reported in the order given, keyed by flat id.
     """
-    if tasks.shape != servers.shape or first_link.shape != servers.shape:
-        raise ActionError("task table does not match the server table")
-    if (next_link.shape != rates_ot.shape
-            or np.any((first_link < -1) | (first_link >= len(next_link)))):
+    n_links = len(next_link)
+    if tasks.shape != rows.shape or np.any((rows < 0) | (rows >= n_links)):
+        raise ActionError("server rows do not match the task or link table")
+    if next_link.shape != rates_ot.shape or nodes.shape != rates_ot.shape:
         raise ActionError("outcome links do not match the link table")
     order = route_tree_order(next_link)
     # a path carries tasks; a source that offloads nothing keeps its local
@@ -271,37 +270,31 @@ def simulate_slot(tasks: np.ndarray,
     has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0
     unreachable = bool(np.any(has_path[:, 1:] & (rates_to <= 0.0)))
 
-    # offload hop delays and per-server input bytes
+    # offload hop delays and per-row input bytes
     data = tasks * task_size_bytes
     offload_delay = np.zeros(tasks.shape)
     hop = np.full(rates_to.shape, math.inf)
     np.divide(data[:, 1:], rates_to, out=hop, where=rates_to > 0.0)
     offload_delay[:, 1:] = hop + propagation_delay(dist_to_km)
-    # each table cell as an index into the distinct servers `ids`
-    ids, srv = np.unique(servers, return_inverse=True)
-    srv = srv.reshape(servers.shape)
-    first = np.full(len(ids), -1)
-    first[srv] = first_link
-    if not np.array_equal(first[srv], first_link):
-        raise ActionError("a server has more than one first outcome link")
-    server_bytes = np.zeros(len(ids), dtype=np.int64)
-    np.add.at(server_bytes, srv[has_path], data[has_path])
-    arrival = np.zeros(len(ids))
-    np.maximum.at(arrival, srv[has_path], offload_delay[has_path])
+    server_bytes = np.zeros(n_links, dtype=np.int64)
+    np.add.at(server_bytes, rows[has_path], data[has_path])
+    arrival = np.zeros(n_links)
+    np.maximum.at(arrival, rows[has_path], offload_delay[has_path])
 
     # computation, then the outcome flows of servers that received data
     t_cp = computation_delay(server_bytes, compute)
     span, backlog, cut = outcome_spans(
-        arrival + t_cp, outcome_size(server_bytes, compute), first, next_link,
+        arrival + t_cp, outcome_size(server_bytes, compute), next_link,
         order, rates_ot, dist_ot_km)
     unreachable |= cut
 
     # per-path and per-source delays
-    delay = offload_delay + t_cp[srv] + span[srv]
-    rows, cols = np.nonzero(has_path)
-    path_delays = dict(zip(zip(servers[rows, 0].tolist(),
-                               servers[rows, cols].tolist()),
-                           delay[rows, cols].tolist()))
+    delay = offload_delay + t_cp[rows] + span[rows]
+    servers = nodes[rows]
+    src, col = np.nonzero(has_path)
+    path_delays = dict(zip(zip(servers[src, 0].tolist(),
+                               servers[src, col].tolist()),
+                           delay[src, col].tolist()))
     worst = np.max(np.where(has_path, delay, 0.0), axis=1)
     overall = dict(zip(servers[:, 0].tolist(), worst.tolist()))
     capped = np.minimum(worst, DELAY_CAP_S)

@@ -5,7 +5,7 @@ The beamformer is abstracted as an ideal aligned beam: the full transmit and
 receive array gains are applied and the combiner noise term is folded into
 the thermal noise power.  All functions are pure; path_gain, link_gain, sinr
 and link_rate take broadcast arrays, so one chain call rates a whole
-[links x sub-bands] grid.
+[links x sub-bands] grid from the links' distances.
 """
 from __future__ import annotations
 
@@ -116,9 +116,11 @@ _THZ_OFFLOAD_CENTERS = tuple(1e9 * f for f in (131.0, 133.0, 135.0, 137.0, 139.0
 _THZ_OUTCOME_CENTERS = tuple(1e9 * f for f in (211.0, 213.0, 215.0, 217.0, 219.0))
 _LOW_BAND_CENTERS = {"ka": (30e9, 35e9), "ku": (14e9, 16e9)}
 _DEFAULT_G0 = {"thz": 0.05, "ka": 0.005, "ku": 0.002}
+#: trapezoidal segments along a path for the absorption integral
+_ABSORPTION_SEGMENTS = 64
 
 
-def band_preset(name: str, phase: str, g0_per_km: float | None = None) -> BandPlan:
+def band_preset(name: str, phase: str) -> BandPlan:
     """Band plan for `name` in {thz, ka, ku} and phase in {offloading, outcome}.
 
     Low-frequency bands keep the THz fractional bandwidth and the effective
@@ -128,9 +130,7 @@ def band_preset(name: str, phase: str, g0_per_km: float | None = None) -> BandPl
         raise LinkDomainError(f"unknown phase {phase!r}")
     thz_centers = _THZ_OFFLOAD_CENTERS if phase == "offloading" else _THZ_OUTCOME_CENTERS
     thz_mid = thz_centers[len(thz_centers) // 2]
-    if g0_per_km is None:
-        g0_per_km = _DEFAULT_G0.get(name, 0.0)
-    absorption = AbsorptionProfile(g0_per_km=g0_per_km)
+    absorption = AbsorptionProfile(g0_per_km=_DEFAULT_G0.get(name, 0.0))
     if name == "thz":
         return BandPlan(phase=phase, centers_hz=thz_centers, bandwidth_hz=2e9,
                         absorption=absorption, element_gain_scale=1.0)
@@ -144,33 +144,27 @@ def band_preset(name: str, phase: str, g0_per_km: float | None = None) -> BandPl
 
 
 def absorption_factor(tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
-                      profile: AbsorptionProfile, n_segments: int = 64) -> float:
+                      profile: AbsorptionProfile) -> float:
     """exp(-integral of g_abs along one path); trapezoidal quadrature.
     g_abs has no frequency dependence: one factor serves every sub-band."""
     p0 = np.asarray(tx_pos_km, dtype=float)
     p1 = np.asarray(rx_pos_km, dtype=float)
-    alts = np.linalg.norm(
-        p0[None, :] + np.linspace(0.0, 1.0, n_segments + 1)[:, None] * (p1 - p0)[None, :],
-        axis=1) - EARTH_RADIUS_KM
+    s = np.linspace(0.0, 1.0, _ABSORPTION_SEGMENTS + 1)[:, None]
+    alts = np.linalg.norm(p0 + s * (p1 - p0), axis=1) - EARTH_RADIUS_KM
     if np.min(alts) >= profile.ceiling_km or profile.g0_per_km == 0.0:
         return 1.0
     g = np.array([profile.coefficient(h) for h in alts])
     length = float(np.linalg.norm(p1 - p0))
-    integral = float(np.trapezoid(g, dx=length / n_segments))
+    integral = float(np.trapezoid(g, dx=length / _ABSORPTION_SEGMENTS))
     return math.exp(-integral)
 
 
-def path_gain(f_hz, tx_pos_km: np.ndarray, rx_pos_km: np.ndarray):
-    """Line-of-sight free-space power path gain |alpha|^2; molecular
-    absorption is absorption_factor's.
-
-    Positions are [..., 3] and broadcast; f_hz broadcasts against the
-    distances.
-    """
-    v = np.asarray(rx_pos_km, float) - np.asarray(tx_pos_km, float)
-    d_km = np.sqrt(np.vecdot(v, v))          # bit-identical to np.linalg.norm
+def path_gain(f_hz, d_km):
+    """Line-of-sight free-space power path gain |alpha|^2 over d_km; molecular
+    absorption is absorption_factor's.  f_hz broadcasts against d_km."""
+    d_km = np.asarray(d_km, float)
     if np.any(d_km <= 0.0):
-        raise LinkDomainError("path gain undefined for zero distance")
+        raise LinkDomainError("path gain needs a positive distance")
     # float_power rounds as libm pow does (Python's float ** 2); an ndarray
     # ** 2 is a plain square, which differs in the last bit on some values
     return np.float_power(

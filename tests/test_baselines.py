@@ -64,7 +64,7 @@ def test_full_resource_policy(small_env):
 
 def test_rollout_policy_records():
     env = make_env(seed=3, steps=4, n_sources=10)
-    history = rollout_policy(env, UniformPolicy(env), 4)
+    history = list(rollout_policy(env, UniformPolicy(env), 4))
     assert len(history) == 4
     for i, rec in enumerate(history):
         assert rec["step"] == i

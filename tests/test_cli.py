@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from terasec import harness
 from terasec.autodiff import save_checkpoint
 from terasec.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main)
+from terasec.thz_link import band_preset
 
 import checkpoint_reference as json_ckpt
 from maddpg_reference import PerActorMaddpgAgent
@@ -137,6 +141,36 @@ def test_linkbudget(capsys):
             totals[fields[0]] = float(fields[-1])
     assert set(totals) == {"thz", "ka", "ku"}
     assert totals["thz"] > totals["ka"] > totals["ku"] > 0.0
+
+
+@pytest.mark.parametrize("distance_km", [1969.9, 500.0])
+def test_linkbudget_rows_match_the_closed_form(capsys, distance_km):
+    """Each row's SINR and rate, at print precision, from Friis spreading,
+    full 4x4 arrays (64 transmit sub-arrays, 1 receive sub-array, 10 dBi
+    elements in the amplitude reading, so each end's element gain counts
+    twice) and Shannon capacity, with 10 W split evenly over the sub-bands."""
+    assert main(["linkbudget", "--distance-km", str(distance_km)]) == EXIT_OK
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[2:]]
+    for name in ("thz", "ka", "ku"):
+        band = band_preset(name, "offloading")
+        total = 0.0
+        for ki, f_hz in enumerate(band.centers_hz):
+            g_elem = 10.0 * band.element_gain_scale
+            alpha2 = (299792458.0 / (4 * math.pi * f_hz * distance_km * 1e3)) ** 2
+            h2 = (64 * 16) * (1 * 16) * g_elem ** 4 * alpha2
+            sigma2 = 1.380649e-23 * 290.0 * band.bandwidth_hz
+            gamma = (10.0 / band.n_subbands) * h2 / sigma2
+            rate = band.bandwidth_hz * math.log2(1.0 + gamma)
+            total += rate
+            row = rows.pop(0)
+            assert row[:2] == [name, str(ki)]
+            assert float(row[5]) == pytest.approx(10 * math.log10(gamma),
+                                                  abs=1e-4)
+            assert float(row[6]) == pytest.approx(rate / 1e9, rel=1e-5)
+        row = rows.pop(0)
+        assert row[:2] == [name, "total"]
+        assert float(row[6]) == pytest.approx(total / 1e9, rel=1e-5)
+    assert rows == []
 
 
 # -- exit codes ---------------------------------------------------------------
@@ -330,6 +364,27 @@ def test_exit_config_error_before_any_output(tmp_path, capsys, section,
     out = tmp_path / "runs"
     assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"'{section}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_huge_constellation_exits_2_under_a_memory_limit(tmp_path):
+    """10**9 satellites per plane once asked for a 536 GiB table; now the
+    config is refused before any allocation, even under a 2 GiB limit."""
+    cfg = write_cfg(tmp_path,
+                    {"constellation": {"sats_per_plane": 10**9}})
+    out = tmp_path / "runs"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "terasec.cli", "train", "--config", cfg,
+         "--out", str(out)], env=env, preexec_fn=limit_memory,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "'constellation'" in proc.stderr
     assert not out.exists()
 
 

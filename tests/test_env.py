@@ -33,7 +33,7 @@ def reference_rates(env, alloc_to, alloc_ot, t, band_to, band_ot):
             p = alloc.power_w[k]
             if p <= 0.0:
                 continue
-            alpha2 = path_gain(f, tx_pos, rx_pos)
+            alpha2 = path_gain(f, np.linalg.norm(rx_pos - tx_pos))
             if to_ground:
                 alpha2 *= absorption_factor(tx_pos, rx_pos, band.absorption)
             h2 = link_gain(alloc.subarrays, env.array_cfg.rx_subarrays_per_isl,
@@ -124,12 +124,14 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         alloc_to, alloc_ot = env._quantize_allocations(random_bundle(env, rng))
         want = reference_rates(env, *link_allocs(env, alloc_to, alloc_ot), t,
                                b_to, b_ot)
-        got = env._rates(alloc_to, alloc_ot, env._positions(t), b_to, b_ot)
+        pos = env._positions(t)
+        _, rates_to, g_to = env._rate_phase(alloc_to, env._to_ends, b_to, pos)
+        _, rates_ot, g_ot = env._rate_phase(alloc_ot, env._ot_ends, b_ot, pos)
         assert list(want[0]) == views.offload_links
         assert list(want[1]) == views.outcome_links
-        assert got[0].tolist() == list(want[0].values())
-        assert got[1].tolist() == list(want[1].values())
-        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        assert rates_to.tolist() == list(want[0].values())
+        assert rates_ot.tolist() == list(want[1].values())
+        assert np.array_equal(g_to, want[2]) and np.array_equal(g_ot, want[3])
         assert np.any(want[2] == 0.0) and np.any(want[3] == 0.0)
 
         # an advancing step: distances per hop and the next-slot features
@@ -147,8 +149,10 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         assert seen["dist_ot_km"].tolist() == [
             float(np.linalg.norm(pos[tx] - node_pos(rx)))
             for tx, rx in views.outcome_links]
-        first = dict(zip(env._server_table.ravel().tolist(),
-                         seen["first_link"].ravel().tolist()))
+        servers = env.involved[env._offload_rows]
+        assert np.array_equal(seen["nodes"][seen["rows"]], servers)
+        first = dict(zip(servers.ravel().tolist(),
+                         seen["rows"].ravel().tolist()))
         assert {server: [views.outcome_links[i] for i in links]
                 for server, links in ref.tree_routes(
                     first, seen["next_link"]).items()} == views.route_hops
@@ -170,7 +174,8 @@ def test_next_slot_sinrs_reuse_the_slot_rating(seed):
         pos = env._positions(env.time_at(env.step_idx))
         _, _, (alloc_to, alloc_ot) = env.step(policy.act()[0])
         reused = env.snapshot()
-        _, _, g_to, g_ot = env._rates(alloc_to, alloc_ot, pos)
+        _, _, g_to = env._rate_phase(alloc_to, env._to_ends, env.band_to, pos)
+        _, _, g_ot = env._rate_phase(alloc_ot, env._ot_ends, env.band_ot, pos)
         env._record_sinrs(g_to, g_ot)
         assert np.array_equal(reused.sinr_to_db, env._sinr_to_db)
         assert np.array_equal(reused.sinr_ot_db, env._sinr_ot_db)

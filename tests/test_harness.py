@@ -9,7 +9,7 @@ from terasec import harness
 from terasec.agent import GrantAgent, TrainConfig
 from terasec.autodiff import Parameter, load_checkpoint, save_checkpoint
 from terasec.baselines import MaddpgFcAgent, rollout_policy
-from terasec.env import ActionBundle
+from terasec.env import ActionBundle, SecWindow
 from terasec.harness import (CONVERGED_WINDOW, ConfigError, ExperimentConfig,
                              compare_bands, default_config, load_config,
                              restored_policy, run_experiment,
@@ -102,7 +102,29 @@ def test_one_bad_field_runs_or_is_a_config_error(path, value):
         env, policy = restored_policy(ExperimentConfig.from_dict(raw), 1)
     except ConfigError:
         return
-    assert len(rollout_policy(env, policy, 2)) == 2
+    assert len(list(rollout_policy(env, policy, 2))) == 2
+
+
+@pytest.mark.parametrize("raw,section", [
+    ({"constellation": {"planes": 10**9}}, "'constellation'"),
+    ({"constellation": {"sats_per_plane": 10**9}}, "'constellation'"),
+    ({"constellation": {"planes": 512, "sats_per_plane": 513}},
+     "'constellation'"),
+    ({"train": {"hidden_width": 10**9}}, "'train'"),
+    ({"train": {"hidden_width": 513}}, "'train'"),
+    ({"train": {"steps": 10**9}}, "'train'"),
+    ({"n_sources": 200, "train": {"steps": 10**4 + 1}}, "'train'")])
+def test_sizes_past_their_memory_bound_are_config_errors(raw, section):
+    with pytest.raises(ConfigError, match=section):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_sizes_at_their_memory_bound_are_accepted():
+    cfg = ExperimentConfig.from_dict({
+        "constellation": {"planes": 512, "sats_per_plane": 512},
+        "n_sources": 200, "train": {"steps": 10**4, "hidden_width": 512}})
+    assert cfg.walker.planes * cfg.walker.sats_per_plane == 2**18
+    assert cfg.n_sources * cfg.train.steps == harness.MAX_TASK_COUNTS
 
 
 # -- metric summaries ---------------------------------------------------------
@@ -185,6 +207,7 @@ def test_run_experiment_learning_outputs(tmp_path):
 
 
 def test_run_experiment_failure_marker(tmp_path, monkeypatch):
+    """A rollout that fails at step 2 keeps the rows of steps 0 and 1."""
     cfg = ExperimentConfig.from_dict({
         "policy": "uniform", "train": {"steps": 5},
         "output_dir": str(tmp_path)})
@@ -192,21 +215,21 @@ def test_run_experiment_failure_marker(tmp_path, monkeypatch):
     class Boom(RuntimeError):
         pass
 
-    def exploding_rollout(env, policy, steps):
-        for step in range(steps):
-            if step == 2:
-                raise Boom("mid-run failure")
-            outcome, _, _ = env.step(policy.act(env.snapshot())[0])
-            yield {"step": step, "outcome": outcome, "critic_loss": 0.0,
-                   "q_value": 0.0, "actor_lr": 0.0}
+    step = SecWindow.step
 
-    monkeypatch.setattr(harness, "rollout_policy", exploding_rollout)
+    def exploding_step(env, *args, **kwargs):
+        if env.step_idx == 2:
+            raise Boom("mid-run failure")
+        return step(env, *args, **kwargs)
+
+    monkeypatch.setattr(SecWindow, "step", exploding_step)
     with pytest.raises(Boom):
         run_experiment(cfg, [1])
     lines = open(os.path.join(
         str(tmp_path), "uniform_seed1_metrics.csv")).read().splitlines()
     assert lines[-1] == "# FAILED step=2 error=Boom"
     assert len(lines) == 2 + 2 + 1  # header, columns, 2 rows, marker
+    assert [line.split(",")[0] for line in lines[2:4]] == ["0", "1"]
 
 
 # -- the policy protocol ------------------------------------------------------
@@ -218,7 +241,7 @@ def test_every_policy_acts_and_rolls_out(name):
     action = policy.act(env.snapshot())
     assert isinstance(action, tuple) and len(action) == 3
     assert isinstance(action[0], ActionBundle)
-    history = harness.rollout_policy(env, policy, 2)
+    history = list(harness.rollout_policy(env, policy, 2))
     assert [rec["step"] for rec in history] == [0, 1]
     for rec in history:
         assert np.isfinite(rec["outcome"].reward)

@@ -57,7 +57,8 @@ def test_offload_simplex_error():
         quantize_offload(np.full((1, 5), 0.2), np.array([10, 10]))
     with pytest.raises(ActionError):      # one task column per server
         _slot(quantize_offload(np.full((1, 4), 0.25), np.array([10])),
-              servers=[[0, 1, 2, 3, 4]], routes={})
+              servers=[[0, 1, 2, 3, 4]], routes={s: [s] for s in range(5)},
+              rates_ot=[1e9] * 5, dist_ot=[1000.0] * 5)
 
 
 def test_subarrays_equal_split_oracle():
@@ -217,19 +218,19 @@ def _slot(tasks, servers, routes, rates_to=None, dist_to=None, rates_ot=(),
           dist_ot=(), next_link=None):
     """Outcome links are indices into rates_ot/dist_ot; offload hops are the
     server columns 1.. of each row.  `routes` (server -> its outcome links)
-    becomes the route tree simulate_slot takes; `next_link` replaces the
-    tree's."""
+    becomes the route tree simulate_slot takes, each server's node row being
+    its route's first link (a row that only relays has node id -1);
+    `next_link` replaces the tree's."""
     tasks = np.asarray(tasks)
-    servers = np.asarray(servers)
     hops = (tasks.shape[0], tasks.shape[1] - 1)
     first, tree = route_tree(routes, len(rates_ot))
-    first_link = np.array([first.get(s, -1) for s in servers.ravel().tolist()],
-                          dtype=int).reshape(servers.shape)
+    nodes = np.full(len(rates_ot), -1)
+    nodes[list(first.values())] = list(first)
     return simulate_slot(
-        tasks=tasks, servers=servers,
+        tasks=tasks, rows=np.array([[first[s] for s in row] for row in servers]),
+        nodes=nodes,
         rates_to=np.zeros(hops) if rates_to is None else np.asarray(rates_to),
         dist_to_km=np.zeros(hops) if dist_to is None else np.asarray(dist_to),
-        first_link=first_link,
         next_link=tree if next_link is None else np.asarray(next_link),
         rates_ot=np.asarray(rates_ot, dtype=float),
         dist_ot_km=np.asarray(dist_ot, dtype=float),
@@ -250,8 +251,10 @@ def test_slot_single_path_closed_form():
 
 
 def test_slot_self_compute_only():
+    # an infinitely fast link of zero length adds nothing to the delay
     n = 40
-    out = _slot([[n]], [[0]], routes={0: []})
+    out = _slot([[n]], [[0]], routes={0: [0]}, rates_ot=[math.inf],
+                dist_ot=[0.0])
     t_cp = n * TASK_B * COMPUTE.cycles_per_byte / COMPUTE.cpu_rate_hz
     assert abs(out.overall_delay[0] - t_cp) < 1e-9
 
@@ -299,6 +302,25 @@ def test_slot_offload_hop_closed_form():
     expect_0 = kept * z / q + math.ceil(beta * kept) / r_ot + d5g / C_KM_S
     assert abs(out.path_delays[(0, 0)] - expect_0) < 1e-9
     assert abs(out.overall_delay[0] - max(expect_0, expect_5)) < 1e-9
+
+
+def test_slot_server_shared_by_two_sources_closed_form():
+    # sources 0 and 2 send all their tasks to their common neighbor 1, which
+    # computes both inputs as one outcome flow
+    n0, n2, r_to, r_ot, d01, d21, d1g = 6, 10, 2e9, 1e9, 1500.0, 900.0, 700.0
+    out = _slot([[0, n0], [0, n2]], [[0, 1], [2, 1]],
+                routes={0: [0], 1: [1], 2: [2]},
+                rates_to=[[r_to], [r_to]], dist_to=[[d01], [d21]],
+                rates_ot=[r_ot] * 3, dist_ot=[d1g] * 3)
+    z, q, beta = COMPUTE.cycles_per_byte, COMPUTE.cpu_rate_hz, COMPUTE.outcome_ratio
+    off0 = n0 * TASK_B / r_to + d01 / C_KM_S
+    off2 = n2 * TASK_B / r_to + d21 / C_KM_S
+    l_in = (n0 + n2) * TASK_B
+    t_cp = l_in * z / q
+    span = math.ceil(beta * l_in) / r_ot + d1g / C_KM_S
+    assert abs(out.path_delays[(0, 1)] - (off0 + t_cp + span)) < 1e-9
+    assert abs(out.path_delays[(2, 1)] - (off2 + t_cp + span)) < 1e-9
+    assert set(out.path_delays) == {(0, 1), (2, 1)}
 
 
 def test_slot_unreachable_offload_hop_is_inf():
@@ -358,14 +380,17 @@ def test_bad_route_tree_is_rejected(next_link):
 
 @pytest.mark.parametrize("first_link", [[[2, 1], [1, 2]],    # past the end
                                         [[-2, 1], [1, -2]],  # below -1
-                                        [[0, 1], [0, 0]]])   # two for server 1
+                                        [[0, -1], [1, 0]]])  # an empty route
 def test_bad_first_link_is_rejected(first_link):
-    # servers 0 and 1 offload to each other; [[0, 1], [1, 0]] is valid
+    """A server's row is its first outcome link, so a row out of the link
+    table's range is rejected; [[0, 1], [1, 0]] is valid (servers 0 and 1
+    offload to each other)."""
     with pytest.raises(ActionError):
         simulate_slot(
-            tasks=np.array([[5, 0], [5, 0]]), servers=np.array([[0, 1], [1, 0]]),
+            tasks=np.array([[5, 0], [5, 0]]), rows=np.array(first_link),
+            nodes=np.array([0, 1]),
             rates_to=np.ones((2, 1)), dist_to_km=np.ones((2, 1)),
-            first_link=np.array(first_link), next_link=np.array([-1, -1]),
+            next_link=np.array([-1, -1]),
             rates_ot=np.ones(2), dist_ot_km=np.ones(2), alloc_to=NO_ALLOC,
             alloc_ot=NO_ALLOC, compute=COMPUTE, task_size_bytes=TASK_B,
             reward_params=RP, p_max_w=10.0, s_max=64)
@@ -388,34 +413,34 @@ def test_route_tree_order_feeds_forward():
 def _random_tree_case(rng):
     """A random outcome route forest of 1-60 links over few distinct rates,
     distances, releases and sizes, so that arrivals tie at merges; some
-    links have no rate, some releases are inf, some routes are empty."""
+    links have no rate, some releases are inf.  Flow k enters at link k."""
     n_links = int(rng.integers(1, 61))
     feeds = [-1 if i == 0 or rng.random() < 0.1 else int(rng.integers(i))
              for i in range(n_links)]
     perm = rng.permutation(n_links)       # depth says nothing of link index
     next_link = np.full(n_links, -1)
     next_link[perm] = [-1 if f < 0 else perm[f] for f in feeds]
-    n_servers = int(rng.integers(1, 2 * n_links + 2))
-    first_link = rng.integers(-1, n_links, n_servers)
-    release = rng.choice([0.0, 1e-3, 1e-3, 2e-3, math.inf], n_servers)
-    out_bytes = rng.choice([0, 1000, 1000, 1000, 2500], n_servers)
+    release = rng.choice([0.0, 1e-3, 1e-3, 2e-3, math.inf], n_links)
+    out_bytes = rng.choice([0, 1000, 1000, 1000, 2500], n_links)
     rates_ot = rng.choice([0.0, 1e6, 1e6, 1e6, 4e6], n_links)
     dist_ot = rng.choice([0.0, 300.0, 300.0, 1200.0], n_links)
-    return release, out_bytes, first_link, next_link, rates_ot, dist_ot
+    return release, out_bytes, next_link, rates_ot, dist_ot
 
 
 def test_route_tree_pass_equals_the_heap():
     rng = np.random.default_rng(9)
-    # exact tie at the merge into link 0: server 1's feeder (link 1) is
-    # served before server 0's (link 2), but server 0 goes first
-    cases = [(np.zeros(2), np.array([1000, 1000]), np.array([2, 1]),
-              np.array([-1, 0, 0]), np.full(3, 1e6), np.full(3, 300.0))]
+    # exact tie at the merge into link 0: flow 1 (links 1, 3) and flow 2,
+    # released one hop later (link 2); flow 2's feeder is served before
+    # flow 1's (link 3), but flow 1 goes first
+    cases = [(np.array([0.0, 0.0, 1e-3 + propagation_delay(300.0), 0.0]),
+              np.array([0, 1000, 1000, 0]), np.array([-1, 3, 0, 0]),
+              np.full(4, 1e6), np.full(4, 300.0))]
     cases += [_random_tree_case(rng) for _ in range(300)]
-    seen = dict(unreachable=0, inf_release=0, empty_route=0, backlog=0)
-    for release, out_bytes, first_link, next_link, rates_ot, dist_ot in cases:
-        routes = tree_routes(dict(enumerate(first_link.tolist())), next_link)
+    seen = dict(unreachable=0, inf_release=0, backlog=0)
+    for release, out_bytes, next_link, rates_ot, dist_ot in cases:
+        routes = tree_routes({k: k for k in range(len(next_link))}, next_link)
         want = heap_outcome_spans(release, out_bytes, routes, rates_ot, dist_ot)
-        got = outcome_spans(release, out_bytes, first_link, next_link,
+        got = outcome_spans(release, out_bytes, next_link,
                             route_tree_order(next_link), rates_ot, dist_ot)
         assert got[0].tolist() == want[0].tolist()
         assert got[1] == want[1]
@@ -423,6 +448,5 @@ def test_route_tree_pass_equals_the_heap():
         flows = out_bytes > 0
         seen["unreachable"] += want[2]
         seen["inf_release"] += bool(np.any(flows & np.isinf(release)))
-        seen["empty_route"] += bool(np.any(flows & (first_link < 0)))
         seen["backlog"] += bool(want[1])
     assert min(seen.values()) >= 20, seen

@@ -171,9 +171,10 @@ def window_reference(c, gs_flat: int, t0: float, eta: float, n_sources: int,
 
 def window_views(env) -> SimpleNamespace:
     """The dict and list views of window_reference, read off the window's
-    server table and link tables: outcome link i is transmitted by node i,
-    and a server's route follows next links from its first link."""
-    server_table = env._server_table.tolist()
+    server rows and link tables: outcome link i is transmitted by node i,
+    and a server's route follows next links from its first link, its own
+    row."""
+    server_table = env.involved[env._offload_rows].tolist()
     neighbor_order = {row[0]: row[1:] for row in server_table}
     offload_links = list(zip(*env._to_ends.tolist()))
     outcome_links = list(zip(*env._ot_ends.tolist()))
