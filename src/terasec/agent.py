@@ -116,7 +116,8 @@ def read_heads(x: Tensor, heads, spec):
 
 class GcnActor:
     """One phase's actor: a shared GCN stack read out at the acting rows
-    through the phase's heads."""
+    (every row for rows=None) through the phase's heads; its last layer is
+    computed at those rows only."""
 
     def __init__(self, rng, d_in, width, spec, name):
         self.spec = spec
@@ -125,10 +126,10 @@ class GcnActor:
         self.heads = [Dense(rng, width, d_out, f"{name}.{key}", 0.1)
                       for key, d_out, _ in spec]
 
-    def forward(self, state: PhaseState, rows):
+    def forward(self, state: PhaseState, rows=None):
         emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
-                        state.table)
-        return read_heads(emb.gather_rows(rows), self.heads, self.spec)
+                        state.table, rows)
+        return read_heads(emb, self.heads, self.spec)
 
     def parameters(self):
         return [p for layer in (self.gcn1, self.gcn2, *self.heads)
@@ -315,7 +316,7 @@ class GrantAgent:
         """(offload, subarray, power, ot_sub, ot_power): the activated heads
         at the sources and at every involved node's outcome link."""
         return (*self.actor_to.forward(s_to, self.source_rows),
-                *self.actor_ot.forward(s_ot, self.tx_rows))
+                *self.actor_ot.forward(s_ot))
 
     def _ratios_from_tensors(self, tensors):
         return tuple(t.data.copy() for t in tensors)

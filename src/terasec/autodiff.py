@@ -200,7 +200,10 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(g * (1.0 - out_data**2))
+                # g * (1 - out**2), in one buffer
+                d = np.square(out_data)
+                np.subtract(1.0, d, out=d)
+                a._accumulate(np.multiply(g, d, out=d), owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -248,18 +251,6 @@ class Tensor:
                 a._accumulate(g.reshape(orig))
 
         return Tensor._make(a.data.reshape(rows, cols), (a,), backward)
-
-    def gather_rows(self, idx):
-        a = self
-        idx = np.asarray(idx, dtype=int)
-
-        def backward(g):
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                np.add.at(buf, idx, g)
-                a._accumulate(buf)
-
-        return Tensor._make(a.data[idx], (a,), backward)
 
     def scatter_rows(self, idx, n_rows):
         """Place this tensor's rows at positions idx of a zero [n_rows, d]."""
@@ -396,27 +387,70 @@ def normalized_adjacency(n: int, edges) -> NeighborTable:
     return NeighborTable(idx, weight)
 
 
+#: elements per neighbor-sum row block: the block's output rows and its one
+#: term buffer stay in cache while each neighbor's terms are added
+NEIGHBOR_BLOCK = 32768
+
+
 def _neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
-    """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order."""
+    """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order, in row
+    blocks of at most NEIGHBOR_BLOCK elements; each block takes its terms
+    into one reused buffer."""
     idx, weight = table
-    out = weight[:, :1] * x[idx[:, 0]]
-    for k in range(1, idx.shape[1]):
-        out += weight[:, k:k + 1] * x[idx[:, k]]
+    n, d = idx.shape[0], x.shape[1]
+    out = np.empty((n, d))
+    per = max(1, NEIGHBOR_BLOCK // d)
+    term = np.empty((min(per, n), d))
+    for lo in range(0, n, per):
+        o, ix, wt = out[lo:lo + per], idx[lo:lo + per], weight[lo:lo + per]
+        t = term[:len(o)]
+        np.take(x, ix[:, 0], axis=0, out=t, mode="clip")
+        np.multiply(wt[:, :1], t, out=o)
+        for k in range(1, ix.shape[1]):
+            np.take(x, ix[:, k], axis=0, out=t, mode="clip")
+            np.multiply(wt[:, k:k + 1], t, out=t)
+            np.add(o, t, out=o)
     return out
 
 
-def propagate(x, table: NeighborTable) -> Tensor:
-    """A_norm @ x for the matrix the table holds.  A_norm is symmetric, so
-    the gradient propagates through the same table."""
+def _row_subset(rows, n: int) -> np.ndarray:
+    """rows as an index array of unique rows of an n-row table."""
+    rows = np.asarray(rows, dtype=np.intp)
+    ordered = np.sort(rows.reshape(-1))
+    if rows.ndim != 1 or np.any(np.diff(ordered) <= 0) or (
+            rows.size and (ordered[0] < 0 or ordered[-1] >= n)):
+        raise DimensionError(f"rows must be unique rows of the {n}-row graph")
+    return rows
+
+
+def _pad_rows(v: np.ndarray, rows, n: int) -> np.ndarray:
+    """v's rows at positions rows of an n-row zero matrix."""
+    out = np.zeros((n, v.shape[1]))
+    out[rows] = v
+    return out
+
+
+def propagate(x, table: NeighborTable, rows=None) -> Tensor:
+    """(A_norm @ x)[rows] for the matrix the table holds, computed for those
+    rows only; rows=None reads every row.  A_norm is symmetric, so the
+    gradient propagates through the same table, zero-padded to every row
+    first."""
     x = _as_tensor(x)
-    if x.shape[0] != table.idx.shape[0]:
+    n = table.idx.shape[0]
+    if x.shape[0] != n:
         raise DimensionError("feature row count must match the graph size")
+    read = table
+    if rows is not None:
+        rows = _row_subset(rows, n)
+        read = NeighborTable(table.idx[rows], table.weight[rows])
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_neighbor_sum(g, table))
+            if rows is not None:
+                g = _pad_rows(g, rows, n)
+            x._accumulate(_neighbor_sum(g, table), owned=True)
 
-    return Tensor._make(_neighbor_sum(x.data, table), (x,), backward)
+    return Tensor._make(_neighbor_sum(x.data, read), (x,), backward)
 
 
 # -- parameters, layers, optimizer -------------------------------------------
@@ -492,15 +526,35 @@ class StackedDense:
         return [self.w, self.b]
 
 
+def _rows_matmul(a: Tensor, w: Parameter, rows, n: int) -> Tensor:
+    """a @ w for an input a that holds the rows `rows` of an n-row matrix.
+    The weight gradient is formed at full height, zero outside those rows:
+    BLAS then splits its sum over rows as it does for the full input, so
+    the gradient has the bits of the full product's."""
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ w.data.T, owned=True)
+        if w.requires_grad:
+            w._accumulate(_pad_rows(a.data, rows, n).T @ _pad_rows(g, rows, n),
+                          owned=True)
+
+    return Tensor._make(a.data @ w.data, (a, w), backward)
+
+
 class GcnLayer:
     """F' = tanh(A_norm @ F @ W); A_norm is a per-call constant given as a
-    NeighborTable."""
+    NeighborTable.  Given rows, the layer computes F'[rows] only."""
 
     def __init__(self, rng, d_in, d_out, name):
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
 
-    def __call__(self, features: Tensor, table: NeighborTable) -> Tensor:
-        return (propagate(features, table) @ self.w).tanh()
+    def __call__(self, features: Tensor, table: NeighborTable,
+                 rows=None) -> Tensor:
+        agg = propagate(features, table, rows)
+        if rows is None:
+            return (agg @ self.w).tanh()
+        return _rows_matmul(agg, self.w, rows, table.idx.shape[0]).tanh()
 
     def parameters(self):
         return [self.w]

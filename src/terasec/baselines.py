@@ -19,6 +19,16 @@ class ReconfigurationError(RuntimeError):
     networks cannot absorb."""
 
 
+class ActorSizeError(ValueError):
+    """The stacked private actors would not fit in memory."""
+
+
+#: the outcome phase's stacked fc2 holds one [width, width] float64 matrix
+#: per involved node, its gradient and Adam's two moments three more arrays
+#: of its size; set-up refuses a window whose fc2 would exceed this
+MAX_STACKED_LAYER_BYTES = 2**30
+
+
 class UniformPolicy:
     """Uniform offloading (1/5 each way) with the reference bundle's
     resource split: each budget shared equally, zero slack."""
@@ -73,9 +83,10 @@ class _PrivateActors:
         self.fc1, self.fc2, *self.heads = (
             StackedDense(w, f"{name}.{key}") for w, (key, *_) in zip(ws, dims))
 
-    def forward(self, state: PhaseState, rows):
-        """Actor i reads row rows[i] of the state."""
-        h = self.fc1(Tensor(state.features[rows])).tanh()
+    def forward(self, state: PhaseState, rows=None):
+        """Actor i reads row rows[i] of the state (row i for rows=None)."""
+        feats = state.features if rows is None else state.features[rows]
+        h = self.fc1(Tensor(feats)).tanh()
         return read_heads(self.fc2(h).tanh(), self.heads, self.spec)
 
     def parameters(self):
@@ -118,6 +129,13 @@ class MaddpgFcAgent(GrantAgent):
 
     def __init__(self, env: SecWindow, cfg: TrainConfig,
                  critic_width: int = 1024):
+        layer_bytes = len(env.involved) * cfg.hidden_width**2 * 8
+        if layer_bytes > MAX_STACKED_LAYER_BYTES:
+            raise ActorSizeError(
+                f"{len(env.involved)} involved nodes x hidden_width "
+                f"{cfg.hidden_width}^2 stack {layer_bytes / 2**30:.2f} GiB of "
+                f"private actor weights in one layer, over the "
+                f"{MAX_STACKED_LAYER_BYTES / 2**30:g} GiB bound")
         rng = self._bind(env, cfg)
         self.n_nodes = len(env.involved)
         spec_to, spec_ot = head_specs(self.k)

@@ -113,6 +113,18 @@ def cmd_dump_topology(args) -> int:
     return EXIT_OK
 
 
+def _distance_km(text: str) -> float:
+    """argparse type of --distance-km: a finite distance above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive distance in km, got {text!r}")
+    return value
+
+
 def cmd_linkbudget(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     lines = [f"# config_hash={cfg.config_hash()} distance_km={args.distance_km}"
@@ -178,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linkbudget",
                        help="single-link budget table per band")
     common(p, policy=False)
-    p.add_argument("--distance-km", type=float, default=1969.9)
+    p.add_argument("--distance-km", type=_distance_km, default=1969.9)
     p.set_defaults(func=cmd_linkbudget)
     return parser
 

@@ -16,8 +16,8 @@ import numpy as np
 from .agent import GrantAgent, TrainConfig, TrainingError, require_finite
 from .autodiff import (CheckpointMismatchError, load_checkpoint,
                        save_checkpoint, write_json)
-from .baselines import (FullResourcePolicy, MaddpgFcAgent, UniformPolicy,
-                        rollout_policy)
+from .baselines import (ActorSizeError, FullResourcePolicy, MaddpgFcAgent,
+                        UniformPolicy, rollout_policy)
 from .constellation import (GroundStation, VisibilityError, WalkerConfig,
                             build_walker)
 from .env import SecWindow, SourceSelectionError
@@ -214,7 +214,11 @@ def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
     if name == "grant":
         return GrantAgent(env, train)
     if name == "maddpg_fc":
-        return MaddpgFcAgent(env, train)
+        try:
+            return MaddpgFcAgent(env, train)
+        except ActorSizeError as exc:
+            raise ConfigError(
+                f"config sections 'n_sources' and 'train': {exc}") from None
     if name == "uniform":
         return UniformPolicy(env)
     if name == "full":

@@ -7,7 +7,12 @@ n x n arrays, the dense normalization and its scan into a neighbor table,
 and `Tensor(a_norm) @ features`.
 
 The per-phase GCN actors that terasec.agent.GcnActor replaced, each with its
-own hard-coded heads, their safe_init, and a GrantAgent built on them.
+own hard-coded heads, their safe_init, and a GrantAgent built on them.  They
+compute the last GCN layer at every node and gather the acting rows from it
+with `gather_rows`, the op GcnLayer's `rows` argument replaced.
+
+The neighbor sum's first form, one k-loop over whole columns, which the
+row-blocked terasec.autodiff._neighbor_sum replaced.
 """
 import numpy as np
 
@@ -16,6 +21,29 @@ from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, SKIP_LR_SCALE,
                            _actor_lr_scale, bound_logits, logit_bias)
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
                               NeighborTable, Tensor)
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Rows idx of a (repeats allowed); the gradient is scattered back."""
+    idx = np.asarray(idx, dtype=int)
+
+    def backward(g):
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            np.add.at(buf, idx, g)
+            a._accumulate(buf, owned=True)
+
+    return Tensor._make(a.data[idx], (a,), backward)
+
+
+def neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
+    """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order over whole
+    columns."""
+    idx, weight = table
+    out = weight[:, :1] * x[idx[:, 0]]
+    for k in range(1, idx.shape[1]):
+        out += weight[:, k:k + 1] * x[idx[:, k]]
+    return out
 
 
 def dense_adjacency(n: int, edges) -> np.ndarray:
@@ -73,13 +101,16 @@ def permuted_table(table: NeighborTable, perm) -> NeighborTable:
     return neighbor_table(a[np.ix_(perm, perm)])
 
 
-def dense_gcn_call(layer, features: Tensor, table: NeighborTable) -> Tensor:
-    """GcnLayer.__call__ as it was: a dense n x n product."""
+def dense_gcn_call(layer, features: Tensor, table: NeighborTable,
+                   rows=None) -> Tensor:
+    """GcnLayer.__call__ as it was: a dense n x n product, with the given
+    rows gathered from it."""
     a_norm = dense_matrix(table)
     if features.shape[0] != a_norm.shape[0]:
         raise DimensionError("feature row count must match the graph size")
     agg = Tensor(a_norm) @ features
-    return (agg @ layer.w).tanh()
+    out = (agg @ layer.w).tanh()
+    return out if rows is None else gather_rows(out, rows)
 
 
 class OffloadActor:
@@ -97,7 +128,7 @@ class OffloadActor:
     def forward(self, state: PhaseState, source_rows):
         emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
                         state.table)
-        src = emb.gather_rows(source_rows)
+        src = gather_rows(emb, source_rows)
         offload = bound_logits(self.head_offload(src)).softmax_rows()
         subarray = bound_logits(self.head_subarray(src)).softmax_rows()  # 4 used + slack
         power = bound_logits(self.head_power(src)).softmax_rows()        # 4K used + slack
@@ -123,7 +154,7 @@ class OutcomeActor:
     def forward(self, state: PhaseState, tx_rows):
         emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
                         state.table)
-        tx = emb.gather_rows(tx_rows)
+        tx = gather_rows(emb, tx_rows)
         subarray = bound_logits(self.head_subarray(tx)).sigmoid()
         power = bound_logits(self.head_power(tx)).softmax_rows()  # K used + slack
         return subarray, power

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from terasec import autodiff
 from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
                            GcnActor, GrantAgent, PhaseState, TrainConfig,
                            TrainingError, bound_logits, explore_group,
@@ -567,8 +568,20 @@ def test_gcn_actors_equal_the_per_phase_reference(seed, width):
     against OffloadActor, OutcomeActor, their safe_init and
     action_node_constants: parameter names, initial parameters, the actor
     forward, and one TD step on an explored action."""
+    _check_against_the_per_phase_reference(seed, width, 10)
+
+
+def test_gcn_actors_equal_the_per_phase_reference_at_200_sources():
+    """At about 1,400 nodes, where BLAS splits the weight gradient's sum
+    over rows into blocks, the offloading actor's last layer computed at
+    the sources alone still has the bits of the reference's full-height
+    layer and gather."""
+    _check_against_the_per_phase_reference(1, 128, 200)
+
+
+def _check_against_the_per_phase_reference(seed, width, n_sources):
     cfg = TrainConfig(seed=seed, steps=1, hidden_width=width)
-    ref, agent = (cls(make_env(seed=seed, steps=2), cfg)
+    ref, agent = (cls(make_env(seed=seed, steps=2, n_sources=n_sources), cfg)
                   for cls in (PerPhaseGrantAgent, GrantAgent))
 
     def bits(params):
@@ -593,6 +606,51 @@ def test_gcn_actors_equal_the_per_phase_reference(seed, width):
     assert step[2] == ref_step[2]
     assert agent.train_step(*step) == reference_train_step(ref, *ref_step[:4])
     assert bits(agent.parameters()) == bits(ref.parameters())
+
+
+# -- rows computed per training step ----------------------------------------
+
+def test_the_offloading_actor_computes_its_last_layer_at_the_sources(
+        monkeypatch):
+    """Every hidden-width neighbor sum of one training step on a 50-source
+    window: the offloading actor's second layer reads the sources only, in
+    both of its forwards, and no step sums more hidden-width rows than
+    those two forwards plus nine full-height sums: the outcome actor's two
+    forwards and one backward, the critic's three forwards and two
+    backwards, and the offloading actor's zero-padded backward."""
+    env = make_env(seed=1, steps=2, n_sources=50)
+    agent = GrantAgent(env, TrainConfig(seed=1, steps=1))
+    n, n_src = len(env.involved), len(env.sources)
+    width = agent.cfg.hidden_width
+    assert n_src < n
+    calls, layer = [], []
+    neighbor_sum = autodiff._neighbor_sum
+
+    def spy(x, table):
+        out = neighbor_sum(x, table)
+        calls.append((tuple(layer), out.shape))
+        return out
+
+    class Tagged:
+        """actor_to.gcn2, tagging the neighbor sums of its forward."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __call__(self, *args):
+            layer.append("actor_to.gcn2")
+            try:
+                return self.inner(*args)
+            finally:
+                layer.pop()
+
+    monkeypatch.setattr(autodiff, "_neighbor_sum", spy)
+    monkeypatch.setattr(agent.actor_to, "gcn2", Tagged(agent.actor_to.gcn2))
+    agent.run_training()
+    tagged = [shape for tags, shape in calls if tags]
+    assert tagged == [(n_src, width)] * 2
+    wide = [rows for _, (rows, cols) in calls if cols == width]
+    assert sum(wide) <= 2 * n_src + 9 * n
 
 
 # -- sizing -------------------------------------------------------------------

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from terasec.autodiff import (ADAM_BLOCK, Adam, CheckpointMismatchError,
-                              DeadInputError, Dense, DimensionError, GcnLayer,
-                              GraphStateError, Parameter, StackedDense, Tensor,
+from terasec.autodiff import (ADAM_BLOCK, NEIGHBOR_BLOCK, Adam,
+                              CheckpointMismatchError, DeadInputError, Dense,
+                              DimensionError, GcnLayer, GraphStateError,
+                              Parameter, StackedDense, Tensor, _neighbor_sum,
                               concat_cols, load_checkpoint, mse,
                               normalized_adjacency, propagate, save_checkpoint,
                               write_json, xavier_uniform)
@@ -70,12 +71,14 @@ OPS = {
     "softmax": lambda a, b: ((a @ b).softmax_rows() @ Tensor(np.arange(3.0).reshape(3, 1))).sum(),
     "mean_rows": lambda a, b: (a @ b).mean_rows().tanh().sum(),
     "reshape": lambda a, b: (a @ b).reshape(1, 12).tanh().sum(),
-    "gather": lambda a, b: (a @ b).gather_rows([0, 2, 2]).sum(),
+    "gather": lambda a, b: ref.gather_rows(a @ b, [0, 2, 2]).sum(),
     "scatter": lambda a, b: (a @ b).scatter_rows([1, 3, 0, 5], 6).tanh().sum(),
     "slice": lambda a, b: (a @ b).slice_cols(1, 3).sum(),
     "concat": lambda a, b: concat_cols([a @ b, (a @ b).tanh()]).sum(),
     "mse": lambda a, b: mse(a @ b, Tensor(np.ones((4, 3)))),
     "propagate": lambda a, b: propagate((a @ b).tanh(), PATH4).tanh().sum(),
+    "propagate_rows": lambda a, b: propagate((a @ b).tanh(), PATH4,
+                                             [3, 0]).tanh().sum(),
 }
 
 
@@ -265,6 +268,104 @@ def test_neighbor_table_rejects_asymmetric_matrices():
     for bad in (skewed, a_norm[:, :4], np.ones(5)):
         with pytest.raises(DimensionError):
             ref.neighbor_table(bad)
+
+
+def _random_table(rng, n, isolated):
+    """A random graph's table on n nodes of which the last `isolated` have
+    no edge: their rows hold the self-loop alone and padding."""
+    linked = n - isolated
+    edges = rng.integers(0, max(linked, 1), size=(3 * linked, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return normalized_adjacency(n, edges)
+
+
+def _signed_features(rng, n, d):
+    """Random features with whole rows of -0.0 and +0.0, so a row whose
+    terms are all zeros has a sign to keep."""
+    x = rng.standard_normal((n, d))
+    x[rng.random(n) < 0.2] = -0.0
+    x[rng.random(n) < 0.1] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("isolated", [0, 5, "all"])
+@pytest.mark.parametrize("width", [1, 9, 52, 128])
+def test_blocked_neighbor_sum_has_the_bits_of_the_k_loop(width, isolated):
+    """The row-blocked kernel against the whole-column k-loop it replaced,
+    below one block and over a partial last block; with isolated nodes,
+    and with no edge at all (a table one neighbor wide)."""
+    rng = np.random.default_rng(width)
+    per = NEIGHBOR_BLOCK // width
+    for n in (per // 2, 2 * per + 7):
+        table = _random_table(rng, n, n if isolated == "all" else isolated)
+        if isolated == "all":
+            assert table.idx.shape == (n, 1)
+        else:
+            assert np.any(table.weight == 0.0)    # padded rows
+        x = _signed_features(rng, n, width)
+        x[table.idx[0]] = -0.0        # every term of row 0 is -0.0
+        got, want = _neighbor_sum(x, table), ref.neighbor_sum(x, table)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.any(np.signbit(want) & (want == 0.0))
+
+
+@pytest.mark.parametrize("graph", ["isolated", "env_seed1_src200"])
+def test_propagate_at_rows_has_the_bits_of_a_gather(graph):
+    """propagate(x, table, rows) forward and backward against the full
+    propagation followed by a gather of those rows."""
+    n, edges = GRAPHS[graph]()
+    table = normalized_adjacency(n, edges)
+    rng = np.random.default_rng(n)
+    rows = rng.permutation(n)[:max(1, n // 7)]
+    data = _signed_features(rng, n, 128)
+    g = _signed_features(rng, rows.size, 128)
+    x, x_ref = Parameter(data, "x"), Parameter(data.copy(), "x")
+    out = propagate(x, table, rows)
+    out_ref = ref.gather_rows(propagate(x_ref, table), rows)
+    assert out.data.tobytes() == out_ref.data.tobytes()
+    out.backward(g)
+    out_ref.backward(g)
+    assert x.grad.tobytes() == x_ref.grad.tobytes()
+
+
+@pytest.mark.parametrize("rows", [[0, 3, 0], [5], [-1], [[0, 1]]],
+                         ids=["repeated", "past_n", "negative", "nested"])
+def test_propagate_rejects_rows_outside_the_graph(rows):
+    table = normalized_adjacency(5, ring_edges(5))
+    with pytest.raises(DimensionError):
+        propagate(Tensor(np.ones((5, 3))), table, rows)
+
+
+def test_a_gcn_layer_at_rows_has_the_bits_of_the_full_layer():
+    """At 1,400 nodes BLAS splits the weight gradient's sum over rows into
+    blocks, so a product over the 200 rows alone would sum in another
+    order; the restricted layer's forward, weight gradient and input
+    gradient keep the full layer's bits."""
+    n = 1400
+    rng = np.random.default_rng(3)
+    table = _random_table(rng, n, 10)
+    rows = rng.permutation(n)[:200]
+    feats = rng.standard_normal((n, 128))
+    g = rng.standard_normal((rows.size, 128))
+    grads = []
+    for restricted in (True, False):
+        layer = GcnLayer(np.random.default_rng(4), 128, 128, "g")
+        x = Parameter(feats.copy(), "x")
+        out = (layer(x, table, rows) if restricted
+               else ref.gather_rows(layer(x, table), rows))
+        out.backward(g)
+        grads.append((out.data.tobytes(), layer.w.grad.tobytes(),
+                      x.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
+def test_gcn_layer_gradient_at_rows():
+    rng = np.random.default_rng(6)
+    layer = GcnLayer(rng, 3, 2, "g")
+    feats = Parameter(rng.standard_normal((4, 3)), "feats")
+    check_gradient(lambda: layer(feats, PATH4, [2, 0]).tanh().sum(),
+                   [feats, *layer.parameters()])
 
 
 def test_propagate_rejects_a_row_count_mismatch():

@@ -173,6 +173,17 @@ def test_linkbudget_rows_match_the_closed_form(capsys, distance_km):
     assert rows == []
 
 
+@pytest.mark.parametrize("distance_km", ["0", "-1000", "nan", "inf"])
+def test_linkbudget_rejects_a_distance_that_is_not_positive_and_finite(
+        capsys, distance_km):
+    with pytest.raises(SystemExit) as exc:
+        main(["linkbudget", "--distance-km", distance_km])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--distance-km" in captured.err
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_exit_config_error(tmp_path, capsys):
@@ -367,24 +378,45 @@ def test_exit_config_error_before_any_output(tmp_path, capsys, section,
     assert not out.exists()
 
 
-def test_a_huge_constellation_exits_2_under_a_memory_limit(tmp_path):
-    """10**9 satellites per plane once asked for a 536 GiB table; now the
-    config is refused before any allocation, even under a 2 GiB limit."""
-    cfg = write_cfg(tmp_path,
-                    {"constellation": {"sats_per_plane": 10**9}})
-    out = tmp_path / "runs"
+def _train_under_2_gib(cfg, out):
+    """`terasec train` on cfg in a subprocess whose address space is
+    limited to 2 GiB."""
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "terasec.cli", "train", "--config", cfg,
          "--out", str(out)], env=env, preexec_fn=limit_memory,
         capture_output=True, text=True, timeout=120)
+
+
+def test_a_huge_constellation_exits_2_under_a_memory_limit(tmp_path):
+    """10**9 satellites per plane once asked for a 536 GiB table; now the
+    config is refused before any allocation, even under a 2 GiB limit."""
+    cfg = write_cfg(tmp_path,
+                    {"constellation": {"sats_per_plane": 10**9}})
+    out = tmp_path / "runs"
+    proc = _train_under_2_gib(cfg, out)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "'constellation'" in proc.stderr
+    assert not out.exists()
+
+
+def test_dense_actors_too_large_for_memory_exit_2_under_a_memory_limit(
+        tmp_path):
+    """maddpg_fc at 200 sources (about 1,400 involved nodes) and width 512
+    would stack 2.7 GiB of actor weights in one layer; the window's node
+    count refuses it before any actor is built, under a 2 GiB limit."""
+    cfg = write_cfg(tmp_path, {"policy": "maddpg_fc", "n_sources": 200,
+                               "train": {"steps": 2, "hidden_width": 512}})
+    out = tmp_path / "runs"
+    proc = _train_under_2_gib(cfg, out)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "'n_sources' and 'train'" in proc.stderr
+    assert proc.stdout == ""
     assert not out.exists()
 
 
