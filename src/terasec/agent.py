@@ -219,8 +219,6 @@ def explore_group(ratios: np.ndarray, noise_std: float,
     size], or one 1-D row), scaled by the row's largest ratio; a row's noise
     is withdrawn entirely if it would drive any component negative."""
     g = rng.standard_normal(ratios.shape)
-    if noise_std <= 0.0:
-        return ratios.copy()
     rows = np.atleast_2d(ratios)
     g = g.reshape(rows.shape)
     noise = ((g - g.mean(axis=1, keepdims=True))
@@ -283,8 +281,6 @@ class GrantAgent:
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         self.source_rows = [env.node_index[s] for s in env.sources]
-        # every involved node transmits its outcome link
-        self.tx_rows = np.arange(len(env.involved))
         # the window's graph is frozen: normalize it into a neighbor table
         # and lay out the static feature columns once; encode fills the
         # per-slot ones
@@ -351,14 +347,13 @@ class GrantAgent:
             ot_power=ot_power[:, :self.k])
 
     def _action_node_tensors(self, tensors, n_nodes):
-        """Zero-padded per-node action matrices for the critic input, from
-        actor tensors or, for an executed action, constant Tensors."""
+        """The critic's per-node action matrices (offloading zero-padded from
+        the sources), from actor tensors or executed constant Tensors."""
         offload, subarray, power, ot_sub, ot_power = tensors
         act_to = concat_cols([offload, subarray.slice_cols(0, 4),
                               power.slice_cols(0, 4 * self.k)])
         act_ot = concat_cols([ot_sub, ot_power.slice_cols(0, self.k)])
-        return (act_to.scatter_rows(self.source_rows, n_nodes),
-                act_ot.scatter_rows(self.tx_rows, n_nodes))
+        return act_to.scatter_rows(self.source_rows, n_nodes), act_ot
 
     def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
         return self.critic.forward(s_to, s_ot, act_to, act_ot)
@@ -427,7 +422,7 @@ class GrantAgent:
         for step in range(self.cfg.steps):
             tensors = self.actor_tensors(*states)
             ratios = self._ratios_from_tensors(tensors)
-            noisy = self.explore(ratios) if self.cfg.noise_std > 0 else ratios
+            noisy = self.explore(ratios)
             bundle = self.to_bundle(noisy)
             outcome, _, _ = env.step(bundle)
             next_states = self.encode(env.snapshot())

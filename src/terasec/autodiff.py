@@ -170,18 +170,6 @@ class Tensor:
 
         return Tensor._make(a.data + b.data, (a, b), backward)
 
-    def __sub__(self, other):
-        other = _as_tensor(other)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
-
-        return Tensor._make(a.data - b.data, (a, b), backward)
-
     def __mul__(self, scalar):
         s = float(scalar)
         a = self
@@ -256,14 +244,12 @@ class Tensor:
         """Place this tensor's rows at positions idx of a zero [n_rows, d]."""
         a = self
         idx = np.asarray(idx, dtype=int)
-        data = np.zeros((n_rows, a.shape[1]))
-        data[idx] = a.data
 
         def backward(g):
             if a.requires_grad:
                 a._accumulate(g[idx])
 
-        return Tensor._make(data, (a,), backward)
+        return Tensor._make(_pad_rows(a.data, idx, n_rows), (a,), backward)
 
     def slice_cols(self, start, stop):
         a = self
@@ -331,7 +317,7 @@ def concat_cols(tensors):
 
 
 def mse(pred, target):
-    """Mean squared error over all entries; returns a scalar tensor."""
+    """Mean squared error against a constant target; a scalar tensor."""
     pred = _as_tensor(pred)
     target = _as_tensor(target)
     if pred.shape != target.shape:
@@ -342,10 +328,8 @@ def mse(pred, target):
     def backward(g):
         if pred.requires_grad:
             pred._accumulate(2.0 * diff / n * np.asarray(g).item())
-        if target.requires_grad:
-            target._accumulate(-2.0 * diff / n * np.asarray(g).item())
 
-    return Tensor._make(np.array([[np.mean(diff**2)]]), (pred, target), backward)
+    return Tensor._make(np.array([[np.mean(diff**2)]]), (pred,), backward)
 
 
 # -- graph utilities ---------------------------------------------------------

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,9 +35,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _dump_traffic(cfg: ExperimentConfig, seed: int, out_dir: str) -> str:
-    env = harness.build_environment(cfg, seed)
-    path = f"{out_dir}/traffic_seed{seed}.csv"
+def _dump_traffic(cfg: ExperimentConfig, seed: int, env) -> None:
+    path = f"{cfg.output_dir}/traffic_seed{seed}.csv"
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg.config_hash()} seed={seed}\n")
         fh.write("source," + ",".join(f"slot{j}"
@@ -44,19 +44,15 @@ def _dump_traffic(cfg: ExperimentConfig, seed: int, out_dir: str) -> str:
         for i, src in enumerate(env.sources):
             fh.write(str(src) + "," + ",".join(str(int(c))
                                                for c in env.counts[i]) + "\n")
-    return path
+    print("traffic:", path)
 
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    seeds = args.seed or [0]
-    if args.dump_traffic:
-        import os
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        for seed in seeds:
-            print("traffic:", _dump_traffic(cfg, seed, cfg.output_dir))
     summaries, aggregate = harness.run_experiment(
-        cfg, seeds,
+        cfg, args.seed or [0],
+        on_setup=functools.partial(_dump_traffic, cfg) if args.dump_traffic
+        else None,
         on_progress=lambda s: print(
             f"seed {s.seed}: U={s.converged_u:.3f} "
             f"T_avg={s.converged_t_avg_ms:.1f}ms "
@@ -113,6 +109,14 @@ def cmd_dump_topology(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _distance_km(text: str) -> float:
     """argparse type of --distance-km: a finite distance above zero."""
     try:
@@ -158,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, policy=True):
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--seed", type=int, action="append",
+        p.add_argument("--seed", type=_seed, action="append",
                        help="run seed (repeatable)")
         p.add_argument("--steps", type=int, help="override training steps")
         p.add_argument("--out", help="override output directory")

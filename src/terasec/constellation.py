@@ -22,10 +22,6 @@ class ConfigurationError(ValueError):
     """Invalid constellation or ground-station configuration."""
 
 
-class TopologyError(RuntimeError):
-    """ISL topology cannot be derived (e.g. fewer than 3 planes)."""
-
-
 class VisibilityError(RuntimeError):
     """No satellite above the minimum elevation angle."""
 
@@ -53,6 +49,10 @@ class SatId:
 #: tables (8 and 6 MiB here) and the per-satellite Dijkstra grow with it
 MAX_SATELLITES = 2**18
 
+#: bounds altitude_km: beyond Earth's Hill sphere (about 1.5 million km) a
+#: satellite is not in Earth orbit; the orbit radius cubed stays finite
+MAX_ALTITUDE_KM = 1.5e6
+
 
 @dataclass(frozen=True)
 class WalkerConfig:
@@ -64,8 +64,9 @@ class WalkerConfig:
     epoch_s: float = 0.0
 
     def __post_init__(self):
-        if self.planes < 1:
-            raise ConfigurationError("planes must be >= 1")
+        if self.planes < 3:
+            raise ConfigurationError(
+                "planes must be >= 3 for the 4-ISL topology")
         if self.sats_per_plane < 3:
             raise ConfigurationError("sats_per_plane must be >= 3")
         if self.planes * self.sats_per_plane > MAX_SATELLITES:
@@ -73,8 +74,13 @@ class WalkerConfig:
                 f"planes x sats_per_plane must be <= {MAX_SATELLITES}")
         if not 0.0 <= self.inclination_deg <= 90.0:
             raise ConfigurationError("inclination_deg must be in [0, 90]")
-        if self.altitude_km <= 0:
-            raise ConfigurationError("altitude_km must be > 0")
+        if not 0 < self.altitude_km <= MAX_ALTITUDE_KM:
+            raise ConfigurationError(
+                f"altitude_km must be in (0, {MAX_ALTITUDE_KM:g}]")
+        # the plane phase 2 pi F / (P S) repeats with period P S
+        if abs(self.phasing_factor) >= self.planes * self.sats_per_plane:
+            raise ConfigurationError(
+                "|phasing_factor| must be < planes x sats_per_plane")
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,7 @@ class Constellation:
 
     ``neighbors`` is the read-only ``[n_sats, 4]`` ISL graph over flat
     indices (``plane * sats_per_plane + slot``), columns slot+1, slot-1,
-    plane+1, plane-1; it is None below 3 planes, where the inter-plane
-    neighbors are not defined.
+    plane+1, plane-1.
     """
 
     def __init__(self, cfg: WalkerConfig):
@@ -115,8 +120,7 @@ class Constellation:
         slots = np.tile(np.arange(cfg.sats_per_plane), cfg.planes)
         self._base_anomaly = slots * self._phase_step + planes * self._plane_phase
         self._raan_flat = self._raan[planes]
-        self.neighbors = (self._neighbor_table(planes, slots)
-                          if cfg.planes >= 3 else None)
+        self.neighbors = self._neighbor_table(planes, slots)
 
     def _neighbor_table(self, planes: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """The 4-ISL graph: 2 intra-plane and 2 inter-plane (closest phasing).
@@ -166,23 +170,16 @@ class Constellation:
 
     # -- ISL topology -----------------------------------------------------
 
-    def _isl_table(self) -> np.ndarray:
-        if self.neighbors is None:
-            raise TopologyError("inter-plane ISLs require at least 3 planes")
-        return self.neighbors
-
     def isl_neighbors(self, sat: SatId) -> list:
         """The 4 ISL neighbors of sat, in the ``neighbors`` column order."""
         self._check_id(sat)
         n_sp = self.cfg.sats_per_plane
         return [SatId.from_flat(j, n_sp)
-                for j in self._isl_table()[sat.flat(n_sp)].tolist()]
+                for j in self.neighbors[sat.flat(n_sp)].tolist()]
 
-    def isl_edges(self, t: float | None = None) -> list:
+    def isl_edges(self, t: float) -> list:
         """All undirected ISL edges as (flat_a, flat_b, distance_km), a < b."""
-        if t is None:
-            t = self.cfg.epoch_s
-        table = self._isl_table()
+        table = self.neighbors
         pos = self.positions_at(t)
         own = np.repeat(np.arange(self.n_sats), table.shape[1])
         pairs = np.unique(np.sort(np.stack([own, table.ravel()], axis=1), axis=1),
@@ -229,7 +226,7 @@ class Constellation:
         flat index wins, which makes every hop sequence lexicographically
         minimal.
         """
-        table = self._isl_table()
+        table = self.neighbors
         # a negative weight keeps Dijkstra from ever settling
         if not (math.isfinite(eta) and eta >= 0):
             raise ValueError(f"eta must be a finite number >= 0, got {eta!r}")

@@ -97,7 +97,7 @@ class SecWindow:
 
         self.t0 = self._find_window_start()
         self.gs_flat = constellation.gs_access_satellite(gs, self.t0)
-        # frozen routing tree (this also rejects a shell with no ISL graph)
+        # frozen routing tree
         _, parent = constellation.shortest_path_tree(self.gs_flat, self.t0,
                                                      routing_eta)
 

@@ -23,7 +23,7 @@ from .constellation import (GroundStation, VisibilityError, WalkerConfig,
 from .env import SecWindow, SourceSelectionError
 from .sec_sim import ComputeParams, RewardParams
 from .thz_link import ArrayConfig, LinkBudgetParams, band_preset
-from .traffic import TrafficConfig
+from .traffic import TrafficConfig, TrafficConfigError
 
 METRICS_HEADER = "step,U,U_P,U_S,T_avg_ms,T_max_ms,reward,power_W_mean,subarrays_mean"
 LOSS_HEADER = "step,critic_loss,q_value,actor_lr"
@@ -136,9 +136,6 @@ class ExperimentConfig:
         if merged["routing_eta"] < 0:
             raise ConfigError("config section 'routing_eta': must be >= 0, "
                               f"got {merged['routing_eta']!r}")
-        if merged["constellation"]["planes"] < 3:
-            raise ConfigError("config section 'constellation': planes must be "
-                              ">= 3 for the 4-ISL topology")
         sel = merged["source_selection"]
         if sel["method"] != "random_nonadjacent":
             raise ConfigError(
@@ -192,6 +189,10 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
     The run seed drives traffic, source selection and network init so that
     each seed is an independent scenario reproducible from (config, seed).
     """
+    if min(seed, cfg.source_seed + seed) < 0:
+        raise ConfigError("config section 'source_selection': the run seed and "
+                          f"seed + run seed must be >= 0, got {cfg.source_seed}"
+                          f" + {seed}")
     constellation = build_walker(cfg.walker)
     traffic = dataclasses.replace(cfg.traffic, seed=seed)
     try:
@@ -207,6 +208,8 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
                           f"'ground_station': {exc}") from None
     except SourceSelectionError as exc:
         raise ConfigError(f"config section 'n_sources': {exc}") from None
+    except TrafficConfigError as exc:
+        raise ConfigError(f"config section 'traffic': {exc}") from None
 
 
 def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
@@ -308,12 +311,15 @@ def summarize_metrics(metrics_csv: str, window: int = CONVERGED_WINDOW):
             float(tail[:, 5].mean()))
 
 
-def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
+def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
+                   on_setup=None):
     """Run the configured policy once per seed; returns (summaries, aggregate).
 
     Each seed writes a metrics CSV (plus loss CSV and periodic checkpoints
     for learning policies) and a summary JSON into cfg.output_dir.  A failure
     mid-run leaves the partial CSV terminated by a '# FAILED' marker row.
+    on_setup(seed, env) runs once the seed's set-up has succeeded and the
+    output directory exists.
     """
     chash = cfg.config_hash()
     summaries = []
@@ -322,6 +328,8 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None):
         policy = make_policy(cfg.policy, env, cfg, seed)
         # after the set-up, so a config it rejects leaves no output behind
         os.makedirs(cfg.output_dir, exist_ok=True)
+        if on_setup is not None:
+            on_setup(seed, env)
         learning = isinstance(policy, GrantAgent)
         base = os.path.join(cfg.output_dir, f"{cfg.policy}_seed{seed}")
         metrics_path = base + "_metrics.csv"

@@ -77,7 +77,6 @@ class AbsorptionProfile:
 class BandPlan:
     """Sub-band layout for one transmission phase."""
 
-    phase: str                                  # "offloading" | "outcome"
     centers_hz: tuple
     bandwidth_hz: float = 2e9
     absorption: AbsorptionProfile = field(default_factory=AbsorptionProfile)
@@ -132,14 +131,14 @@ def band_preset(name: str, phase: str) -> BandPlan:
     thz_mid = thz_centers[len(thz_centers) // 2]
     absorption = AbsorptionProfile(g0_per_km=_DEFAULT_G0.get(name, 0.0))
     if name == "thz":
-        return BandPlan(phase=phase, centers_hz=thz_centers, bandwidth_hz=2e9,
+        return BandPlan(centers_hz=thz_centers, bandwidth_hz=2e9,
                         absorption=absorption, element_gain_scale=1.0)
     if name not in _LOW_BAND_CENTERS:
         raise LinkDomainError(f"unknown band {name!r}")
     mid = _LOW_BAND_CENTERS[name][0 if phase == "offloading" else 1]
     ratio = mid / thz_mid
     centers = tuple(f * ratio for f in thz_centers)
-    return BandPlan(phase=phase, centers_hz=centers, bandwidth_hz=2e9 * ratio,
+    return BandPlan(centers_hz=centers, bandwidth_hz=2e9 * ratio,
                     absorption=absorption, element_gain_scale=ratio**2)
 
 

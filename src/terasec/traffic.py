@@ -15,6 +15,16 @@ class TrafficConfigError(ValueError):
     pass
 
 
+#: bounds slot_duration_s: over the longest run, slot times stay far inside
+#: the float64 precision of the orbit phases positions_at takes from them
+MAX_SLOT_DURATION_S = 86400.0
+
+#: bounds one slot's task bytes over all sources, so also each task count:
+#: the counts are cast to int64 and simulate_slot sums each server's bytes
+#: in int64, which float64 holds exactly below this bound
+MAX_SLOT_BYTES = 2**53
+
+
 @dataclass(frozen=True)
 class TrafficConfig:
     mean_tasks_per_slot: float = 122.0
@@ -31,10 +41,11 @@ class TrafficConfig:
             raise TrafficConfigError("hurst must be in (0, 1)")
         if self.relative_std < 0:
             raise TrafficConfigError("relative_std must be nonnegative")
-        if self.slot_duration_s <= 0:
-            raise TrafficConfigError("slot_duration_s must be positive")
-        if self.task_size_bytes < 1:
-            raise TrafficConfigError("task_size_bytes must be at least 1")
+        if not 0 < self.slot_duration_s <= MAX_SLOT_DURATION_S:
+            raise TrafficConfigError(
+                f"slot_duration_s must be in (0, {MAX_SLOT_DURATION_S:g}]")
+        if not 1 <= self.task_size_bytes <= MAX_SLOT_BYTES:
+            raise TrafficConfigError("task_size_bytes must be in [1, 2**53]")
 
     @property
     def mean_bytes_per_slot(self) -> float:
@@ -75,4 +86,9 @@ def generate_counts(cfg: TrafficConfig, sources: int, steps: int) -> np.ndarray:
         raise TrafficConfigError("steps must be >= 1")
     x = fgn_rows(cfg.hurst, steps, sources, np.random.default_rng(cfg.seed))
     raw = cfg.mean_tasks_per_slot * (1.0 + cfg.relative_std * x)
-    return np.round(np.maximum(0.0, raw)).astype(np.int64)
+    counts = np.round(np.maximum(0.0, raw))
+    # NaN fails the comparison and is refused too
+    if not np.all(counts.sum(axis=0) * cfg.task_size_bytes <= MAX_SLOT_BYTES):
+        raise TrafficConfigError(
+            "a slot's task bytes over all sources must be <= 2**53")
+    return counts.astype(np.int64)

@@ -201,5 +201,6 @@ class PerPhaseGrantAgent(GrantAgent):
 
     def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
         offload, subarray, power = self.actor_to.forward(s_to, self.source_rows)
-        ot_sub, ot_power = self.actor_ot.forward(s_ot, self.tx_rows)
+        ot_sub, ot_power = self.actor_ot.forward(
+            s_ot, np.arange(len(self.env.involved)))
         return offload, subarray, power, ot_sub, ot_power

@@ -97,7 +97,7 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
         to = [a.forward(Tensor(s_to.features[row:row + 1]))
               for a, row in zip(self.actors_to, self.source_rows)]
         ot = [a.forward(Tensor(s_ot.features[row:row + 1]))
-              for a, row in zip(self.actors_ot, self.tx_rows)]
+              for a, row in zip(self.actors_ot, range(self.n_nodes))]
         # one row per satellite: [1, n*cols] reshaped row-major to [n, cols]
         return tuple(concat_cols(rows).reshape(len(rows), rows[0].shape[1])
                      for rows in (*zip(*to), *zip(*ot)))

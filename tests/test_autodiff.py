@@ -64,7 +64,6 @@ PATH4 = normalized_adjacency(4, path_edges(4))
 OPS = {
     "matmul": lambda a, b: (a @ b).sum(),
     "add": lambda a, b: (a @ b + a @ b).sum(),
-    "sub": lambda a, b: (a @ b - b.mean_rows()).sum(),
     "scalar_mul": lambda a, b: ((a @ b) * 0.37).sum(),
     "tanh": lambda a, b: (a @ b).tanh().sum(),
     "sigmoid": lambda a, b: (a @ b).sigmoid().sum(),

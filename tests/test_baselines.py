@@ -6,8 +6,7 @@ import pytest
 from terasec.agent import GrantAgent, TrainConfig, critic_input
 from terasec.autodiff import DeadInputError, Tensor
 from terasec.baselines import (FullResourcePolicy, MaddpgFcAgent,
-                               ReconfigurationError, UniformPolicy,
-                               rollout_policy)
+                               UniformPolicy, rollout_policy)
 from terasec.harness import (ExperimentConfig, build_environment,
                              make_policy)
 
@@ -111,7 +110,9 @@ def test_maddpg_same_seed_determinism(small_env):
 def test_maddpg_rejects_reconfiguration(small_env):
     agent = MaddpgFcAgent(small_env, TrainConfig())
     other = make_env(seed=2, steps=2, n_sources=8)
-    with pytest.raises(ReconfigurationError):
+    # the window's tables are fixed-width: another window's snapshot does
+    # not fit them
+    with pytest.raises(ValueError, match="could not broadcast"):
         agent.encode(other.snapshot())
 
 

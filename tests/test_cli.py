@@ -368,13 +368,56 @@ def test_a_training_run_checkpoint_restores_for_eval(tmp_path, monkeypatch,
     ("reward", "chi1", -1.0),
     # more nonadjacent sources than the default 72 x 22 shell can hold
     ("n_sources", None, 72 * 22),
+    # tasks x task_size_bytes once wrapped in int64 into negative delays
+    ("traffic", "task_size_bytes", 2**62),
+    # task counts once wrapped in their int64 cast
+    ("traffic", "mean_tasks_per_slot", 1e300),
+    ("traffic", "relative_std", 1e300),
+    # the orbit radius cubed once overflowed
+    ("constellation", "altitude_km", 1e300),
+    # satellite positions once lost all precision, so two coincided
+    ("constellation", "phasing_factor", 2**62),
+    ("traffic", "slot_duration_s", 1e300),
+    # a negative source-selection seed at run seed 0
+    ("source_selection", "seed", -1),
 ])
 def test_exit_config_error_before_any_output(tmp_path, capsys, section,
                                              field, value):
     cfg = write_cfg(tmp_path, {section: {field: value} if field else value})
     out = tmp_path / "runs"
     assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert f"'{section}'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{section}'" in captured.err
+    assert not out.exists()
+
+
+def test_a_negative_run_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", write_cfg(tmp_path), "--seed", "-1",
+              "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    # the dense actors are refused once the window is built
+    {"policy": "maddpg_fc", "n_sources": 200,
+     "train": {"steps": 2, "hidden_width": 512}},
+    # the window refuses the sources
+    {"n_sources": 5000},
+], ids=["dense_actors", "sources"])
+def test_dump_traffic_writes_nothing_for_a_config_the_setup_rejects(
+        tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path, extra)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--dump-traffic",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
     assert not out.exists()
 
 

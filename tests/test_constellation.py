@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topology_reference as ref
-from terasec.constellation import (ConfigurationError, GroundStation, SatId,
-                                   SIDEREAL_RATE_RAD_S, TopologyError,
+from terasec.constellation import (MAX_ALTITUDE_KM, ConfigurationError,
+                                   GroundStation, SatId,
+                                   SIDEREAL_RATE_RAD_S,
                                    VisibilityError, WalkerConfig, build_walker)
 
 R_ORBIT = 6371.0 + 550.0
@@ -24,9 +25,8 @@ def test_orbit_radius(default_constellation):
 
 
 def test_single_plane_equal_spacing():
-    c = build_walker(WalkerConfig(planes=1, sats_per_plane=4))
-    pos = c.positions_at(0.0)
-    assert pos.shape == (4, 3)
+    c = build_walker(WalkerConfig(planes=3, sats_per_plane=4))
+    pos = c.positions_at(0.0)[:4]   # plane 0
     # four satellites 90 degrees apart: consecutive dot products are zero
     for i in range(4):
         a, b = pos[i], pos[(i + 1) % 4]
@@ -61,6 +61,19 @@ def test_invalid_config_errors():
         build_walker(WalkerConfig(inclination_deg=120.0))
     with pytest.raises(ConfigurationError):
         build_walker(WalkerConfig(altitude_km=-1.0))
+    with pytest.raises(ConfigurationError, match="altitude_km"):
+        WalkerConfig(altitude_km=MAX_ALTITUDE_KM * 2)
+    assert WalkerConfig(altitude_km=MAX_ALTITUDE_KM)
+
+
+def test_phasing_factor_is_bounded_by_its_period():
+    """|F| < P x S keeps every factor of a distinct plane phase, negative
+    ones included."""
+    for f in (-34, -1, 0, 17, 34):
+        WalkerConfig(planes=5, sats_per_plane=7, phasing_factor=f)
+    for f in (-35, 35, 2**62):
+        with pytest.raises(ConfigurationError, match="phasing_factor"):
+            WalkerConfig(planes=5, sats_per_plane=7, phasing_factor=f)
 
 
 def test_isl_neighbors_ring(default_constellation):
@@ -103,14 +116,9 @@ def test_isl_symmetry_and_regularity(default_constellation):
 
 
 def test_isl_requires_three_planes():
-    c = build_walker(WalkerConfig(planes=2, sats_per_plane=4))
-    assert c.neighbors is None
-    with pytest.raises(TopologyError):
-        c.isl_neighbors(SatId(0, 0))
-    with pytest.raises(TopologyError):
-        c.isl_edges()
-    with pytest.raises(TopologyError):
-        c.shortest_path_tree(0, 0.0)
+    for planes in (1, 2):
+        with pytest.raises(ConfigurationError, match="planes must be >= 3"):
+            WalkerConfig(planes=planes, sats_per_plane=4)
 
 
 def test_gs_sidereal_rotation(default_constellation):

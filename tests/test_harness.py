@@ -88,10 +88,12 @@ def _leaf_paths(table, prefix=()):
 
 @settings(max_examples=200, deadline=None)
 @given(path=st.sampled_from(sorted(_leaf_paths(default_config()))),
-       value=st.sampled_from([-1, 0, float("nan"), float("inf"), "x", True]))
+       value=st.sampled_from([-1, 0, float("nan"), float("inf"), "x", True,
+                              2**62, 1e300, -1e300]))
 def test_one_bad_field_runs_or_is_a_config_error(path, value):
     """A default config with one field set to an adversarial value either
-    runs or is rejected as a config error, never failing another way."""
+    runs to finite outcomes in their ranges or is rejected as a config
+    error, never failing another way."""
     raw = default_config()
     raw["policy"], raw["train"]["steps"] = "uniform", 2
     table = raw
@@ -102,7 +104,14 @@ def test_one_bad_field_runs_or_is_a_config_error(path, value):
         env, policy = restored_policy(ExperimentConfig.from_dict(raw), 1)
     except ConfigError:
         return
-    assert len(list(rollout_policy(env, policy, 2))) == 2
+    records = list(rollout_policy(env, policy, 2))
+    assert len(records) == 2
+    for o in (r["outcome"] for r in records):
+        assert np.all(np.isfinite([
+            o.t_avg, o.t_max, o.reward, o.u_total, o.u_power, o.u_subarray,
+            o.power_w_mean, o.subarrays_mean]))
+        assert o.t_avg >= 0 and o.t_max >= 0 and o.reward <= 0
+        assert 0 <= o.u_total <= 1
 
 
 @pytest.mark.parametrize("raw,section", [
@@ -117,6 +126,14 @@ def test_one_bad_field_runs_or_is_a_config_error(path, value):
 def test_sizes_past_their_memory_bound_are_config_errors(raw, section):
     with pytest.raises(ConfigError, match=section):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("source_seed,seed", [(-1, 0), (5, -1), (-3, 2)])
+def test_negative_seeds_are_config_errors(source_seed, seed):
+    cfg = ExperimentConfig.from_dict(
+        {"source_selection": {"seed": source_seed}})
+    with pytest.raises(ConfigError, match="'source_selection'"):
+        harness.build_environment(cfg, seed)
 
 
 def test_sizes_at_their_memory_bound_are_accepted():

@@ -193,7 +193,7 @@ def test_band_preset_errors():
     with pytest.raises(LinkDomainError):
         band_preset("thz", "sideways")
     with pytest.raises(LinkDomainError):
-        BandPlan(phase="offloading", centers_hz=())
+        BandPlan(centers_hz=())
 
 
 # -- array calls against per-element scalar calls ------------------------------

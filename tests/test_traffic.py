@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from terasec.traffic import (TrafficConfig, TrafficConfigError,
+from terasec.traffic import (MAX_SLOT_BYTES, MAX_SLOT_DURATION_S,
+                             TrafficConfig, TrafficConfigError,
                              _fgn_autocovariance, fgn_rows, generate_counts)
 
 
@@ -82,6 +83,25 @@ def test_invalid_config_errors():
         generate_counts(TrafficConfig(), 1, 0)
     with pytest.raises(TrafficConfigError):
         fgn_rows(0.0, 10, 1, np.random.default_rng(0))
+
+
+def test_slot_bytes_past_their_bound_are_refused():
+    """One slot's bytes over all sources are bounded before the int64 cast;
+    at the bound the counts are drawn as before."""
+    cfg = TrafficConfig(relative_std=0.0, mean_tasks_per_slot=2.0,
+                        task_size_bytes=MAX_SLOT_BYTES // 4)
+    assert np.array_equal(generate_counts(cfg, 2, 3), np.full((2, 3), 2))
+    with pytest.raises(TrafficConfigError, match="task bytes"):
+        generate_counts(cfg, 3, 3)
+    for cfg in (TrafficConfig(mean_tasks_per_slot=1e300),
+                TrafficConfig(relative_std=1e300)):
+        with pytest.raises(TrafficConfigError, match="task bytes"):
+            generate_counts(cfg, 2, 4)
+    with pytest.raises(TrafficConfigError, match="task_size_bytes"):
+        TrafficConfig(task_size_bytes=MAX_SLOT_BYTES + 1)
+    assert TrafficConfig(slot_duration_s=MAX_SLOT_DURATION_S)
+    with pytest.raises(TrafficConfigError, match="slot_duration_s"):
+        TrafficConfig(slot_duration_s=MAX_SLOT_DURATION_S * 2)
 
 
 def test_mean_bytes_per_slot():

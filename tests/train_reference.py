@@ -33,7 +33,7 @@ def action_node_constants(agent, ratios, n_nodes):
     act_to[agent.source_rows] = np.concatenate(
         [offload, subarray[:, :4], power[:, :4 * agent.k]], axis=1)
     act_ot = np.zeros((n_nodes, 1 + agent.k))
-    act_ot[agent.tx_rows] = np.concatenate(
+    act_ot[np.arange(n_nodes)] = np.concatenate(
         [ot_sub, ot_power[:, :agent.k]], axis=1)
     return Tensor(act_to), Tensor(act_ot)
 
