@@ -1,0 +1,15 @@
+"""The learner's outputs keep the bits pinned in learner_pin.json (see
+learner_pin.py, which also re-pins)."""
+from learner_pin import build_id, differences, load_pin, outputs
+
+
+def test_learner_outputs_match_the_pin(tmp_path):
+    pin = load_pin()
+    exact = build_id() == pin["build"]
+    if not exact:
+        print(f"\nlearner pin: this build {build_id()} is not the pin's "
+              f"{pin['build']}; comparing rows, tensor samples and eval "
+              f"numbers at rel {pin['tolerance']['rel']}, "
+              f"abs {pin['tolerance']['abs']}")
+    bad = differences(pin, outputs(str(tmp_path)), exact)
+    assert not bad, "\n".join(bad[:20])
