@@ -47,7 +47,8 @@ class Tensor:
     """A float64 tensor participating in a recorded computation graph: a
     [rows, cols] matrix, or a [B, d, o] stack of weight matrices."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp",
+                 "_owned")
 
     #: the rows gradients reach and the rows they skip; a Parameter narrows
     #: them with set_live_rows
@@ -59,7 +60,8 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
-        self._backward = None
+        self._vjp = None
+        self._owned = False
 
     @property
     def shape(self):
@@ -73,12 +75,17 @@ class Tensor:
     # -- graph bookkeeping -------------------------------------------------
 
     @staticmethod
-    def _make(data, parents, backward):
+    def _make(data, parents, vjp, owned=False):
+        """An op's output.  vjp(g) returns one gradient per parent, None for
+        a parent that needs none; owned: each is a fresh product that
+        _accumulate may take over.  The graph is recorded only when some
+        parent needs a gradient."""
         out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
+        if any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._parents = parents
-            out._backward = backward
+            out._vjp = vjp
+            out._owned = owned
         return out
 
     def _accumulate(self, g, owned=False):
@@ -92,7 +99,8 @@ class Tensor:
             self.grad += g
 
     def backward(self, seed=None):
-        """Reverse-mode sweep from this tensor; accumulates into .grad."""
+        """Reverse-mode sweep from this tensor: each op's gradient for a
+        parent that requires one at this time is added into its .grad."""
         if not self.requires_grad:
             raise GraphStateError("backward on a tensor with no recorded graph")
         # iterative post-order: a recursive closure is a reference cycle that
@@ -115,161 +123,116 @@ class Tensor:
             seed = np.ones_like(self.data)
         self._accumulate(np.asarray(seed, dtype=np.float64).reshape(self.data.shape))
         for t in reversed(topo):
-            if t._backward is not None:
-                t._backward(t.grad)
+            if t._vjp is not None:
+                for p, g in zip(t._parents, t._vjp(t.grad)):
+                    if g is not None and p.requires_grad:
+                        p._accumulate(g, t._owned)
 
     # -- operations ----------------------------------------------------------
 
     def __matmul__(self, other):
-        other = _as_tensor(other)
-        if self.shape[1] != other.shape[0]:
-            raise DimensionError(f"matmul shapes {self.shape} x {other.shape}")
-        a, b = self, other
+        a, b = self, _as_tensor(other)
+        if a.shape[1] != b.shape[0]:
+            raise DimensionError(f"matmul shapes {a.shape} x {b.shape}")
         if b.dead_rows.size:
             _check_dead_inputs(a.data, b)
 
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T, owned=True)
-            if b.requires_grad:
-                # live weight rows only: the dead ones meet zero inputs
-                b._accumulate(a.data[:, b.live_rows].T @ g, owned=True)
+        def vjp(g):
+            # live weight rows only: the dead ones meet zero inputs
+            return (g @ b.data.T if a.requires_grad else None,
+                    a.data[:, b.live_rows].T @ g if b.requires_grad else None)
 
-        return Tensor._make(a.data @ b.data, (a, b), backward)
+        return Tensor._make(a.data @ b.data, (a, b), vjp, owned=True)
 
     def rowwise_matmul(self, w):
         """Row i of this [B, d] tensor times its own matrix w[i] of a
         [B, d, o] stack: [B, o], each row with the bits of x[i:i+1] @ w[i]."""
-        a = self
-        if (w.data.ndim != 3 or a.shape != w.shape[:2]
+        if (w.data.ndim != 3 or self.shape != w.shape[:2]
                 or w.dead_rows.size):
-            raise DimensionError(f"rowwise matmul shapes {a.shape} x {w.shape}"
-                                 " (every matrix of the stack live)")
+            raise DimensionError(f"rowwise matmul shapes {self.shape} x "
+                                 f"{w.shape} (every matrix of the stack live)")
 
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.matmul(g[:, None, :],
-                                        w.data.transpose(0, 2, 1))[:, 0, :],
-                              owned=True)
-            if w.requires_grad:
-                w._accumulate(np.matmul(a.data[:, :, None], g[:, None, :]),
-                              owned=True)
+        def vjp(g):
+            return (np.matmul(g[:, None, :], w.data.transpose(0, 2, 1))[:, 0, :]
+                    if self.requires_grad else None,
+                    np.matmul(self.data[:, :, None], g[:, None, :])
+                    if w.requires_grad else None)
 
-        return Tensor._make(np.matmul(a.data[:, None, :], w.data)[:, 0, :],
-                            (a, w), backward)
+        return Tensor._make(np.matmul(self.data[:, None, :], w.data)[:, 0, :],
+                            (self, w), vjp, owned=True)
 
     def __add__(self, other):
-        other = _as_tensor(other)
-        a, b = self, other
+        a, b = self, _as_tensor(other)
 
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+        def vjp(g):
+            return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-        return Tensor._make(a.data + b.data, (a, b), backward)
+        return Tensor._make(a.data + b.data, (a, b), vjp)
 
     def __mul__(self, scalar):
         s = float(scalar)
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * s)
-
-        return Tensor._make(a.data * s, (a,), backward)
+        return Tensor._make(self.data * s, (self,), lambda g: (g * s,))
 
     __rmul__ = __mul__
 
     def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
+        out_data = np.tanh(self.data)
 
-        def backward(g):
-            if a.requires_grad:
-                # g * (1 - out**2), in one buffer
-                d = np.square(out_data)
-                np.subtract(1.0, d, out=d)
-                a._accumulate(np.multiply(g, d, out=d), owned=True)
+        def vjp(g):
+            # g * (1 - out**2), in one buffer
+            d = np.square(out_data)
+            np.subtract(1.0, d, out=d)
+            return (np.multiply(g, d, out=d),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), vjp, owned=True)
 
     def sigmoid(self):
-        a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (a,), backward)
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        return Tensor._make(out_data, (self,),
+                            lambda g: (g * out_data * (1.0 - out_data),))
 
     def softmax_rows(self):
         """Numerically stable row-wise softmax."""
-        a = self
-        z = a.data - a.data.max(axis=1, keepdims=True)
+        z = self.data - self.data.max(axis=1, keepdims=True)
         e = np.exp(z)
         out_data = e / e.sum(axis=1, keepdims=True)
 
-        def backward(g):
-            if a.requires_grad:
-                dot = np.sum(g * out_data, axis=1, keepdims=True)
-                a._accumulate(out_data * (g - dot))
+        def vjp(g):
+            dot = np.sum(g * out_data, axis=1, keepdims=True)
+            return (out_data * (g - dot),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), vjp)
 
     def mean_rows(self):
         """Mean over rows: [n, d] -> [1, d]."""
-        a = self
-        n = a.shape[0]
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.repeat(g, n, axis=0) / n)
-
-        return Tensor._make(a.data.mean(axis=0, keepdims=True), (a,), backward)
+        n = self.shape[0]
+        return Tensor._make(self.data.mean(axis=0, keepdims=True), (self,),
+                            lambda g: (np.repeat(g, n, axis=0) / n,))
 
     def reshape(self, rows, cols):
-        a = self
-        orig = a.shape
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(orig))
-
-        return Tensor._make(a.data.reshape(rows, cols), (a,), backward)
+        orig = self.shape
+        return Tensor._make(self.data.reshape(rows, cols), (self,),
+                            lambda g: (g.reshape(orig),))
 
     def scatter_rows(self, idx, n_rows):
         """Place this tensor's rows at positions idx of a zero [n_rows, d]."""
-        a = self
         idx = np.asarray(idx, dtype=int)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g[idx])
-
-        return Tensor._make(_pad_rows(a.data, idx, n_rows), (a,), backward)
+        return Tensor._make(_pad_rows(self.data, idx, n_rows), (self,),
+                            lambda g: (g[idx],))
 
     def slice_cols(self, start, stop):
-        a = self
+        def vjp(g):
+            buf = np.zeros_like(self.data)
+            buf[:, start:stop] = g
+            return (buf,)
 
-        def backward(g):
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                buf[:, start:stop] = g
-                a._accumulate(buf)
-
-        return Tensor._make(a.data[:, start:stop], (a,), backward)
+        return Tensor._make(self.data[:, start:stop], (self,), vjp)
 
     def sum(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.full_like(a.data, np.asarray(g).item()))
-
-        return Tensor._make(np.array([[a.data.sum()]]), (a,), backward)
+        return Tensor._make(
+            np.array([[self.data.sum()]]), (self,),
+            lambda g: (np.full_like(self.data, np.asarray(g).item()),))
 
 
 def _as_tensor(x):
@@ -288,14 +251,11 @@ def _check_dead_inputs(x, w):
 
 
 def _unbroadcast(g, shape):
-    if g.shape == shape:
-        return g
-    out = g
     if shape[0] == 1 and g.shape[0] > 1:
-        out = out.sum(axis=0, keepdims=True)
+        g = g.sum(axis=0, keepdims=True)
     if shape[1] == 1 and g.shape[1] > 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
+        g = g.sum(axis=1, keepdims=True)
+    return g
 
 
 def concat_cols(tensors):
@@ -306,14 +266,9 @@ def concat_cols(tensors):
         raise DimensionError("concat_cols requires matching row counts")
     widths = [t.shape[1] for t in tensors]
     offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[:, lo:hi])
-
     data = np.concatenate([t.data for t in tensors], axis=1)
-    return Tensor._make(data, tuple(tensors), backward)
+    return Tensor._make(data, tuple(tensors), lambda g: [
+        g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def mse(pred, target):
@@ -324,12 +279,8 @@ def mse(pred, target):
         raise DimensionError("mse shape mismatch")
     diff = pred.data - target.data
     n = diff.size
-
-    def backward(g):
-        if pred.requires_grad:
-            pred._accumulate(2.0 * diff / n * np.asarray(g).item())
-
-    return Tensor._make(np.array([[np.mean(diff**2)]]), (pred,), backward)
+    return Tensor._make(np.array([[np.mean(diff**2)]]), (pred,),
+                        lambda g: (2.0 * diff / n * np.asarray(g).item(),))
 
 
 # -- graph utilities ---------------------------------------------------------
@@ -428,13 +379,12 @@ def propagate(x, table: NeighborTable, rows=None) -> Tensor:
         rows = _row_subset(rows, n)
         read = NeighborTable(table.idx[rows], table.weight[rows])
 
-    def backward(g):
-        if x.requires_grad:
-            if rows is not None:
-                g = _pad_rows(g, rows, n)
-            x._accumulate(_neighbor_sum(g, table), owned=True)
+    def vjp(g):
+        if rows is not None:
+            g = _pad_rows(g, rows, n)
+        return (_neighbor_sum(g, table),)
 
-    return Tensor._make(_neighbor_sum(x.data, read), (x,), backward)
+    return Tensor._make(_neighbor_sum(x.data, read), (x,), vjp, owned=True)
 
 
 # -- parameters, layers, optimizer -------------------------------------------
@@ -516,14 +466,12 @@ def _rows_matmul(a: Tensor, w: Parameter, rows, n: int) -> Tensor:
     BLAS then splits its sum over rows as it does for the full input, so
     the gradient has the bits of the full product's."""
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ w.data.T, owned=True)
-        if w.requires_grad:
-            w._accumulate(_pad_rows(a.data, rows, n).T @ _pad_rows(g, rows, n),
-                          owned=True)
+    def vjp(g):
+        return (g @ w.data.T if a.requires_grad else None,
+                _pad_rows(a.data, rows, n).T @ _pad_rows(g, rows, n)
+                if w.requires_grad else None)
 
-    return Tensor._make(a.data @ w.data, (a, w), backward)
+    return Tensor._make(a.data @ w.data, (a, w), vjp, owned=True)
 
 
 class GcnLayer:

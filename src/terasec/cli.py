@@ -1,13 +1,15 @@
 """Command-line interface: train/evaluate policies, compare bands, and dump
 topology, traffic and link-budget diagnostics.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 runtime error,
+130 stopped by SIGINT, 143 stopped by SIGTERM.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import signal
 import sys
 
 import numpy as np
@@ -22,6 +24,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_RUNTIME = 4
+
+
+def _terminate(signum, frame):
+    """SIGTERM: stop as on SIGINT, wherever the program is."""
+    raise KeyboardInterrupt(signal.SIGTERM)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -201,8 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
+    except KeyboardInterrupt as exc:
+        stop = signal.Signals(exc.args[0]) if exc.args else signal.SIGINT
+        print(f"stopped by {stop.name}", file=sys.stderr)
+        return 128 + stop
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -212,6 +224,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

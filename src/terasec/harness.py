@@ -4,11 +4,13 @@ comparison by allocation replay.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
-import math
 import os
+import signal
+import sys
 import time
 
 import numpy as np
@@ -29,6 +31,9 @@ METRICS_HEADER = "step,U,U_P,U_S,T_avg_ms,T_max_ms,reward,power_W_mean,subarrays
 LOSS_HEADER = "step,critic_loss,q_value,actor_lr"
 CHECKPOINT_EVERY = 50
 CONVERGED_WINDOW = 50
+
+#: held back while a step's rows are written, so both CSVs end on one step
+ROW_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 #: a run draws its [n_sources, steps] traffic matrix whole, at about 130
 #: bytes per task count while drawn: about 260 MB at this many counts
@@ -73,8 +78,9 @@ def _build_section(section: str, cls, values: dict):
 
 def _overlay(merged: dict, raw: dict, section: str | None = None) -> None:
     """Write raw over the defaults in merged, table by table.  A value keeps
-    its default's kind: an int field takes an int, a float field a finite
-    int or float, a str field a str; a bool is never a number."""
+    its default's kind: an int field takes an int, a float field an int or
+    float finite as a float (an int compares exactly, with no overflow), a
+    str field a str; a bool is never a number.  Values are stored as given."""
     for key, value in raw.items():
         where = (f"config section {section!r} field {key!r}" if section
                  else f"config section {key!r}")
@@ -88,7 +94,8 @@ def _overlay(merged: dict, raw: dict, section: str | None = None) -> None:
             continue
         kind = (int, float) if isinstance(default, float) else type(default)
         if (isinstance(value, bool) or not isinstance(value, kind)
-                or isinstance(value, float) and not math.isfinite(value)):
+                or isinstance(default, float)
+                and not abs(value) <= sys.float_info.max):
             noun = {int: "an integer", float: "a finite number",
                     str: "a string"}[type(default)]
             raise ConfigError(f"{where} must be {noun}, got {value!r}")
@@ -176,7 +183,7 @@ def load_config(path: str | None) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an int of too many digits
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -316,8 +323,9 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
     """Run the configured policy once per seed; returns (summaries, aggregate).
 
     Each seed writes a metrics CSV (plus loss CSV and periodic checkpoints
-    for learning policies) and a summary JSON into cfg.output_dir.  A failure
-    mid-run leaves the partial CSV terminated by a '# FAILED' marker row.
+    for learning policies) and a summary JSON into cfg.output_dir, flushing
+    the CSVs at every checkpoint.  A failure or stop mid-run ends the CSVs,
+    on the same step, with a '# FAILED' marker row and writes no summary.
     on_setup(seed, env) runs once the seed's set-up has succeeded and the
     output directory exists.
     """
@@ -338,27 +346,35 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                   f" band_to={cfg.band_to_name} band_ot={cfg.band_ot_name}")
         n_params = policy.parameter_count() if learning else 0
 
-        with open(metrics_path, "w") as mfh:
-            mfh.write(header + "\n" + METRICS_HEADER + "\n")
-            lfh = open(loss_path, "w") if loss_path else None
-            if lfh:
-                lfh.write(header + "\n" + LOSS_HEADER + "\n")
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w"))
+                     for path in (metrics_path, loss_path) if path]
+            for fh, columns in zip(files, (METRICS_HEADER, LOSS_HEADER)):
+                fh.write(header + "\n" + columns + "\n")
             t_start = time.perf_counter()
             steps_done = 0
 
             def on_step(agent, record):
                 nonlocal steps_done
                 step = record["step"]
-                mfh.write(_metrics_row(step, record["outcome"]) + "\n")
-                steps_done = step + 1
-                if lfh:
-                    lfh.write(_loss_row(record) + "\n")
-                    if steps_done % CHECKPOINT_EVERY == 0:
-                        save_checkpoint(
-                            f"{base}_step{steps_done}.ckpt.npz",
-                            agent.parameters(),
-                            meta={"config_hash": chash, "seed": seed,
-                                  "policy": cfg.policy, "step": steps_done})
+                rows = [_metrics_row(step, record["outcome"])]
+                if learning:
+                    rows.append(_loss_row(record))
+                held = signal.pthread_sigmask(signal.SIG_BLOCK, ROW_SIGNALS)
+                try:
+                    for fh, row in zip(files, rows):
+                        fh.write(row + "\n")
+                    steps_done = step + 1
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                if learning and steps_done % CHECKPOINT_EVERY == 0:
+                    save_checkpoint(
+                        f"{base}_step{steps_done}.ckpt.npz",
+                        agent.parameters(),
+                        meta={"config_hash": chash, "seed": seed,
+                              "policy": cfg.policy, "step": steps_done})
+                    for fh in files:
+                        fh.flush()
 
             try:
                 if learning:
@@ -366,15 +382,11 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                 else:
                     for record in rollout_policy(env, policy, cfg.train.steps):
                         on_step(policy, record)
-            except Exception as exc:
-                marker = f"# FAILED step={steps_done} error={type(exc).__name__}"
-                mfh.write(marker + "\n")
-                if lfh:
-                    lfh.write(marker + "\n")
-                    lfh.close()
+            except BaseException as exc:
+                for fh in files:
+                    fh.write(f"# FAILED step={steps_done} "
+                             f"error={type(exc).__name__}\n")
                 raise
-            if lfh:
-                lfh.close()
         wall = (time.perf_counter() - t_start) / max(steps_done, 1)
 
         u, t_avg_ms, t_max_ms = summarize_metrics(metrics_path)

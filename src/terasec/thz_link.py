@@ -40,8 +40,8 @@ class ArrayConfig:
                                   " and s_max >= 4")
         # the beamformed gain of full arrays at both ends must be a float:
         # an infinite one makes infinite SINR features and NaN actions
-        m = float(self.m_x * self.m_y)
         try:
+            m = float(self.m_x * self.m_y)
             full = (self.element_gain_linear() ** 4 * (self.s_max * m)
                     * (self.rx_subarrays_per_isl * m))
         except OverflowError:

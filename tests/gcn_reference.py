@@ -27,13 +27,12 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     """Rows idx of a (repeats allowed); the gradient is scattered back."""
     idx = np.asarray(idx, dtype=int)
 
-    def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            a._accumulate(buf, owned=True)
+    def vjp(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return (buf,)
 
-    return Tensor._make(a.data[idx], (a,), backward)
+    return Tensor._make(a.data[idx], (a,), vjp, owned=True)
 
 
 def neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:

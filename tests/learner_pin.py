@@ -20,7 +20,6 @@ import io
 import json
 import os
 import platform
-import sys
 import tempfile
 
 import numpy as np
@@ -184,4 +183,3 @@ def repin() -> None:
 
 if __name__ == "__main__":
     repin()
-    sys.exit(0)

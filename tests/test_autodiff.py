@@ -109,6 +109,49 @@ def test_backward_requires_recorded_graph():
         (p @ Tensor(np.ones((2, 2)))).backward()   # non-scalar implicit seed
 
 
+#: an op that meets x at two parent slots: the graph, and the gradients of
+#: the two slots for a seed g
+TWICE = {
+    "add": (lambda x: x + x, lambda x, g: (g, g)),
+    "matmul": (lambda x: x @ x, lambda x, g: (g @ x.T, x.T @ g)),
+    "concat": (lambda x: concat_cols([x, x]),
+               lambda x, g: (g[:, :3], g[:, 3:])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWICE))
+def test_a_parent_met_twice_gets_the_sum_of_both_gradients(name):
+    """The first gradient is a zero buffer plus the first slot's, and the
+    second slot's is added to it."""
+    build, slots = TWICE[name]
+    rng = np.random.default_rng(21)
+    data = rng.standard_normal((3, 3))
+    x = Tensor(data, requires_grad=True)
+    out = build(x)
+    g = rng.standard_normal(out.shape)
+    g[0, 0] = -0.0
+    out.backward(g)
+    first, second = slots(data, g)
+    want = reference_first_grad(data, first)
+    want += second
+    assert _same_bits(x.grad, want)
+
+
+def test_a_parent_that_stops_requiring_a_gradient_gets_none():
+    """requires_grad is read at backward time: a parent switched off after
+    the forward pass gets no gradient, and the others get theirs."""
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    w = Parameter(rng.standard_normal((4, 3)), "w")
+    out = (x @ w).tanh().sum() + x.sum()
+    x.requires_grad = False
+    out.backward()
+    assert x.grad is None
+    want = Parameter(w.data.copy(), "w")
+    (Tensor(x.data) @ want).tanh().sum().backward()
+    assert _same_bits(w.grad, want.grad)
+
+
 def test_determinism():
     rng = np.random.default_rng(0)
     w = rng.standard_normal((6, 4))

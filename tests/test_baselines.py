@@ -291,9 +291,9 @@ def test_actor_graph_size_does_not_grow_with_the_actor_count(monkeypatch):
     made = []
     make = Tensor._make
 
-    def counting(data, parents, backward):
+    def counting(data, parents, vjp, owned=False):
         made.append(1)
-        return make(data, parents, backward)
+        return make(data, parents, vjp, owned)
 
     counts = []
     for n_sources in (1, 10):

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -380,6 +382,10 @@ def test_a_training_run_checkpoint_restores_for_eval(tmp_path, monkeypatch,
     ("traffic", "slot_duration_s", 1e300),
     # a negative source-selection seed at run seed 0
     ("source_selection", "seed", -1),
+    # an int too large for a float once overflowed after the output
+    # directory was made
+    pytest.param("compute", "cycles_per_byte", 10**400,
+                 id="compute-cycles_per_byte-10**400"),
 ])
 def test_exit_config_error_before_any_output(tmp_path, capsys, section,
                                              field, value):
@@ -461,6 +467,53 @@ def test_dense_actors_too_large_for_memory_exit_2_under_a_memory_limit(
     assert "'n_sources' and 'train'" in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_a_stopped_run_ends_both_csvs_on_the_same_step(tmp_path):
+    """`terasec train` stopped by SIGINT or SIGTERM once its metrics CSV
+    holds 50 rows exits 130 or 143 with one line on stderr; both CSVs hold
+    whole rows of the same steps and end in the '# FAILED' marker, and no
+    summary is written."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    runs = {}
+    try:
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            out = tmp_path / sig.name
+            runs[sig] = out, subprocess.Popen(
+                [sys.executable, "-m", "terasec.cli", "train", "--steps",
+                 "1000", "--seed", "1", "--out", str(out)], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 120
+        for sig, (out, proc) in runs.items():
+            metrics = out / "grant_seed1_metrics.csv"
+            while not (metrics.exists()
+                       and metrics.read_text().count("\n") >= 2 + 50):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(sig)
+        for sig, (out, proc) in runs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == {signal.SIGINT: 130,
+                                       signal.SIGTERM: 143}[sig], err
+            assert err == f"stopped by {sig.name}\n"
+            assert not any(f.endswith("_summary.json") for f in os.listdir(out))
+            steps = []
+            for name, width in (("metrics", 9), ("loss", 4)):
+                lines = (out / f"grant_seed1_{name}.csv").read_text().split("\n")
+                rows, marker = lines[2:-2], lines[-2]
+                assert lines[-1] == ""
+                assert all(len(row.split(",")) == width for row in rows)
+                assert marker == (f"# FAILED step={len(rows)} "
+                                  "error=KeyboardInterrupt")
+                steps.append([int(row.split(",")[0]) for row in rows])
+            assert steps[0] == steps[1] == list(range(len(steps[0])))
+            assert len(steps[0]) >= 50
+    finally:
+        for _, proc in runs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "compare-bands"])

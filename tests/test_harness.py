@@ -66,6 +66,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+    # more digits than Python converts to an int
+    bad.write_text('{"n_sources": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(bad))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="root must be"):
@@ -89,7 +93,7 @@ def _leaf_paths(table, prefix=()):
 @settings(max_examples=200, deadline=None)
 @given(path=st.sampled_from(sorted(_leaf_paths(default_config()))),
        value=st.sampled_from([-1, 0, float("nan"), float("inf"), "x", True,
-                              2**62, 1e300, -1e300]))
+                              2**62, 1e300, -1e300, 10**400]))
 def test_one_bad_field_runs_or_is_a_config_error(path, value):
     """A default config with one field set to an adversarial value either
     runs to finite outcomes in their ranges or is rejected as a config

@@ -90,7 +90,9 @@ def test_link_gain_power_interpretation():
     {"element_gain_dbi": 1e12}, {"element_gain_dbi": 1000.0},
     {"element_gain_dbi": math.nan}, {"m_x": 10**160},
     # 10**76.9 per element: its fourth power times 64 * 16 * 16 overflows
-    {"element_gain_dbi": 769.0}])
+    {"element_gain_dbi": 769.0},
+    # m_x * m_y itself too large for a float
+    {"m_x": 10**400}, {"m_y": 10**400}])
 def test_array_config_rejects_an_overflowing_full_array_gain(fields):
     with pytest.raises(LinkDomainError):
         ArrayConfig(**fields)
