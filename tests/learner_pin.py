@@ -1,5 +1,6 @@
 """The learner's output bits, pinned: what a short `grant` and `maddpg_fc`
-run write and what `eval` prints from the `grant` step-50 checkpoint.
+run write, what `eval` prints from the `grant` step-50 checkpoint and what
+`compare-bands` prints for `uniform` and from that checkpoint.
 
     PYTHONPATH=src python tests/learner_pin.py      # re-pin learner_pin.json
 
@@ -82,17 +83,42 @@ def _cli(*argv) -> str:
     return out.getvalue()
 
 
+def _printed(*argv) -> dict:
+    """A command's printed JSON without config_hash, nested keys joined by
+    dots."""
+    def flat(tree, prefix=""):
+        for key, value in tree.items():
+            if isinstance(value, dict):
+                yield from flat(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key, value
+    printed = dict(flat(json.loads(_cli(*argv))))
+    del printed["config_hash"]
+    return printed
+
+
 def outputs(out_dir) -> dict:
     """Run `grant` at 10 sources for 55 steps (crossing the step-50
-    checkpoint), `maddpg_fc` at 10 sources for 3 steps and `eval` of the
-    `grant` step-50 checkpoint; return their pinned outputs."""
+    checkpoint), `maddpg_fc` at 10 sources for 3 steps, `eval` and a 5-slot
+    `compare-bands` of the `grant` step-50 checkpoint, and a 3-slot
+    `compare-bands` of `uniform` at 50 sources; return their pinned outputs."""
     for policy, steps in (("grant", 55), ("maddpg_fc", 3)):
         _cli("train", "--policy", policy, "--steps", str(steps),
              "--seed", "1", "--out", out_dir)
     ckpt = os.path.join(out_dir, "grant_seed1_step50.ckpt.npz")
-    evaluated = json.loads(_cli("eval", "--policy", "grant", "--seed", "1",
-                                "--checkpoint", ckpt, "--out", out_dir))
-    del evaluated["config_hash"]
+    config = os.path.join(out_dir, "s50.json")
+    with open(config, "w") as fh:
+        json.dump({"n_sources": 50}, fh)
+    restored = ("--policy", "grant", "--seed", "1", "--checkpoint", ckpt,
+                "--out", out_dir)
+    printed = {
+        "eval": _printed("eval", *restored),
+        "compare_bands_grant_s10": _printed("compare-bands", *restored,
+                                            "--steps", "5"),
+        "compare_bands_uniform_s50": _printed(
+            "compare-bands", "--config", config, "--policy", "uniform",
+            "--seed", "1", "--steps", "3", "--out", out_dir),
+    }
     with np.load(ckpt) as archive:
         tensors = {key: _tensor(archive[key]) for key in archive.files
                    if key.startswith("tensor/")}
@@ -101,7 +127,7 @@ def outputs(out_dir) -> dict:
             "grant_seed1_metrics.csv", "grant_seed1_loss.csv",
             "maddpg_fc_seed1_metrics.csv", "maddpg_fc_seed1_loss.csv")},
         "tensors": tensors,
-        "eval": evaluated,
+        "printed": printed,
     }
 
 
@@ -153,19 +179,19 @@ def differences(pin: dict, got: dict, exact: bool) -> list:
         else:
             bad += _close([want["abs_sum"], *want["sample"]],
                           [have["abs_sum"], *have["sample"]], name)
-    keys = sorted(pin["eval"])
-    if sorted(got["eval"]) != keys:
-        bad.append("eval: the printed keys differ")
-    elif exact:
-        bad += [f"eval {k}: {got['eval'][k]!r}, pinned {pin['eval'][k]!r}"
-                for k in keys if got["eval"][k] != pin["eval"][k]]
-    else:
-        numbers = [k for k in keys if isinstance(pin["eval"][k], float)]
-        bad += [f"eval {k}: {got['eval'][k]!r}, pinned {pin['eval'][k]!r}"
-                for k in keys if k not in numbers
-                and got["eval"][k] != pin["eval"][k]]
-        bad += _close([pin["eval"][k] for k in numbers],
-                      [got["eval"][k] for k in numbers], "eval")
+    if sorted(pin["printed"]) != sorted(got["printed"]):
+        return bad + ["the pinned commands differ by name"]
+    for command, want in pin["printed"].items():
+        have = got["printed"][command]
+        if sorted(have) != sorted(want):
+            bad.append(f"{command}: the printed keys differ")
+            continue
+        # exact: every value; else the floats at the tolerance, the rest exact
+        close = [] if exact else [k for k in want if isinstance(want[k], float)]
+        bad += [f"{command} {k}: {have[k]!r}, pinned {want[k]!r}"
+                for k in sorted(want) if k not in close and have[k] != want[k]]
+        bad += _close([want[k] for k in close], [have[k] for k in close],
+                      command)
     return bad
 
 
@@ -178,7 +204,8 @@ def repin() -> None:
         json.dump(pin, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"pinned {len(pin['csv'])} CSVs, {len(pin['tensors'])} checkpoint "
-          f"tensors and the eval JSON on {pin['build']} -> {PIN_PATH}")
+          f"tensors and {len(pin['printed'])} printed JSONs on {pin['build']}"
+          f" -> {PIN_PATH}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ def test_learner_outputs_match_the_pin(tmp_path):
     exact = build_id() == pin["build"]
     if not exact:
         print(f"\nlearner pin: this build {build_id()} is not the pin's "
-              f"{pin['build']}; comparing rows, tensor samples and eval "
+              f"{pin['build']}; comparing rows, tensor samples and printed "
               f"numbers at rel {pin['tolerance']['rel']}, "
               f"abs {pin['tolerance']['abs']}")
     bad = differences(pin, outputs(str(tmp_path)), exact)
