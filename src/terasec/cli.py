@@ -54,8 +54,7 @@ def _dump_traffic(cfg: ExperimentConfig, seed: int, env) -> None:
     print("traffic:", path)
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_train(cfg: ExperimentConfig, args) -> int:
     summaries, aggregate = harness.run_experiment(
         cfg, args.seed or [0],
         on_setup=functools.partial(_dump_traffic, cfg) if args.dump_traffic
@@ -69,8 +68,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_eval(cfg: ExperimentConfig, args) -> int:
     seed = (args.seed or [0])[0]
     env, policy = harness.restored_policy(cfg, seed, args.checkpoint)
     steps = args.steps or min(cfg.train.steps, 50)
@@ -85,8 +83,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare_bands(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_compare_bands(cfg: ExperimentConfig, args) -> int:
     seed = (args.seed or [0])[0]
     table = harness.compare_bands(cfg, seed, checkpoint=args.checkpoint,
                                   steps=args.steps)
@@ -99,9 +96,8 @@ def cmd_compare_bands(args) -> int:
     return EXIT_OK
 
 
-def cmd_dump_topology(args) -> int:
+def cmd_dump_topology(cfg: ExperimentConfig, args) -> int:
     """Emit the full ISL edge list as CSV: sat_a,sat_b,distance_km."""
-    cfg = _apply_overrides(load_config(args.config), args)
     t = cfg.walker.epoch_s
     edges = build_walker(cfg.walker).isl_edges(t)
     lines = [f"# config_hash={cfg.config_hash()} t={t}", "sat_a,sat_b,distance_km"]
@@ -136,8 +132,7 @@ def _distance_km(text: str) -> float:
     return value
 
 
-def cmd_linkbudget(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_linkbudget(cfg: ExperimentConfig, args) -> int:
     lines = [f"# config_hash={cfg.config_hash()} distance_km={args.distance_km}"
              f" p_max_w={cfg.budget.p_max_w} subarrays={cfg.array.s_max}",
              "band,subband,center_ghz,bandwidth_ghz,noise_w,sinr_db,rate_gbps"]
@@ -207,10 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("eval", "compare-bands") and len(args.seed or ()) > 1:
+        parser.error(f"{args.command} takes one --seed, got {args.seed}")
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        return args.func(args)
+        return args.func(_apply_overrides(load_config(args.config), args), args)
     except KeyboardInterrupt as exc:
         stop = signal.Signals(exc.args[0]) if exc.args else signal.SIGINT
         print(f"stopped by {stop.name}", file=sys.stderr)

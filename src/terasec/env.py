@@ -132,6 +132,7 @@ class SecWindow:
         self._offload_rows = np.searchsorted(nodes, servers)
         rx = self._ot_ends[1]
         self._next_link = np.where(rx == GS_NODE, -1, np.searchsorted(nodes, rx))
+        self._route_order = sec_sim.route_tree_order(self._next_link)
         # the graph's edges as node-row pairs, each offload ISL and each tree
         # ISL once: every ISL at a source is an offload ISL, so the tree
         # adds those between two other nodes
@@ -159,6 +160,7 @@ class SecWindow:
         _, _, gammas_to = self._rate_phase(alloc_to, self._to_ends, band_to, pos)
         _, _, gammas_ot = self._rate_phase(alloc_ot, self._ot_ends, band_ot, pos)
         self._record_sinrs(gammas_to, gammas_ot)
+        self._slot_pos, self._replays = None, {}    # this slot's; see step
 
     # -- construction helpers ----------------------------------------------
 
@@ -297,6 +299,28 @@ class SecWindow:
                         sinr_to_db=self._sinr_to_db.copy(),
                         sinr_ot_db=self._sinr_ot_db.copy())
 
+    def _evaluate(self, bundle: ActionBundle, band_to: BandPlan,
+                  band_ot: BandPlan, allocations: tuple, pos: np.ndarray):
+        """(step's result, (gammas_to, gammas_ot)) of the current slot at
+        `pos`: rates, quantizes and simulates, and changes no state."""
+        alloc_to, alloc_ot = allocations
+        counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
+        tasks = sec_sim.quantize_offload(bundle.offload, counts)
+        d_to, rates_to, gammas_to = self._rate_phase(
+            alloc_to, self._to_ends, band_to, pos)
+        d_ot, rates_ot, gammas_ot = self._rate_phase(
+            alloc_ot, self._ot_ends, band_ot, pos)
+        outcome = sec_sim.simulate_slot(
+            tasks=tasks, rows=self._offload_rows, nodes=self.involved,
+            rates_to=rates_to.reshape(len(tasks), -1),
+            dist_to_km=d_to.reshape(len(tasks), -1), next_link=self._next_link,
+            order=self._route_order, rates_ot=rates_ot, dist_ot_km=d_ot,
+            alloc_to=alloc_to, alloc_ot=alloc_ot,
+            compute=self.compute, task_size_bytes=self.traffic_cfg.task_size_bytes,
+            reward_params=self.reward_params, p_max_w=self.budget.p_max_w,
+            s_max=self.array_cfg.s_max)
+        return (outcome, tasks, allocations), (gammas_to, gammas_ot)
+
     def step(self, bundle: ActionBundle,
              band_to: BandPlan | None = None,
              band_ot: BandPlan | None = None,
@@ -304,30 +328,25 @@ class SecWindow:
              allocations: tuple | None = None):
         """Apply one slot of actions; returns (SlotOutcome, task table,
         (alloc_to, alloc_ot)), the task table in env.sources x server order
-        (the source itself, then its ISL neighbors in ascending flat order)."""
-        pos = self._positions(self.time_at(self.step_idx))
-        alloc_to, alloc_ot = allocations or self._quantize_allocations(bundle)
-        counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
-        tasks = sec_sim.quantize_offload(bundle.offload, counts)
-        d_to, rates_to, gammas_to = self._rate_phase(
-            alloc_to, self._to_ends, band_to or self.band_to, pos)
-        d_ot, rates_ot, gammas_ot = self._rate_phase(
-            alloc_ot, self._ot_ends, band_ot or self.band_ot, pos)
-        n_src = len(self.sources)
-        outcome = sec_sim.simulate_slot(
-            tasks=tasks, rows=self._offload_rows, nodes=self.involved,
-            rates_to=rates_to.reshape(n_src, -1),
-            dist_to_km=d_to.reshape(n_src, -1), next_link=self._next_link,
-            rates_ot=rates_ot, dist_ot_km=d_ot,
-            alloc_to=alloc_to, alloc_ot=alloc_ot,
-            compute=self.compute, task_size_bytes=self.traffic_cfg.task_size_bytes,
-            reward_params=self.reward_params, p_max_w=self.budget.p_max_w,
-            s_max=self.array_cfg.s_max)
-
-        if advance:
-            # next-slot state: realized SINRs and expected outcome inflow
-            self._record_sinrs(gammas_to, gammas_ot)
-            self._expected_outcome = self._expected_outcome_inflow(
-                bundle.offload)
-            self.step_idx += 1
-        return outcome, tasks, (alloc_to, alloc_ot)
+        (the source itself, then its ISL neighbors in ascending flat order).
+        An advancing step returns the very result of this slot's replay
+        (advance=False) on its band pair if that replay had equal offload
+        ratios and allocations."""
+        bands = (band_to or self.band_to, band_ot or self.band_ot)
+        allocations = allocations or self._quantize_allocations(bundle)
+        if self._slot_pos is None:
+            self._slot_pos = self._positions(self.time_at(self.step_idx))
+        inputs = (bundle.offload, *allocations[0], *allocations[1])
+        kept = self._replays.get(bands)
+        reuse = advance and kept and all(map(np.array_equal, kept[0], inputs))
+        result, gammas = kept[1] if reuse else self._evaluate(
+            bundle, *bands, allocations, self._slot_pos)
+        if not advance:
+            self._replays[bands] = ([a.copy() for a in inputs], (result, gammas))
+            return result
+        # next-slot state: realized SINRs and expected outcome inflow
+        self._record_sinrs(*gammas)
+        self._expected_outcome = self._expected_outcome_inflow(bundle.offload)
+        self.step_idx += 1
+        self._slot_pos, self._replays = None, {}
+        return result

@@ -329,6 +329,8 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
     on_setup(seed, env) runs once the seed's set-up has succeeded and the
     output directory exists.
     """
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"a run seed repeats in {list(seeds)}")
     chash = cfg.config_hash()
     summaries = []
     for seed in seeds:
@@ -427,7 +429,8 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
     The policy (optionally restored from a checkpoint) acts on the reference
     band environment; every band then rates the exact same quantized
     allocations.  Latencies are raw path-delay means, uncapped, so slow
-    bands report their true multi-second queueing delays.
+    bands report their true multi-second queueing delays.  Each band pair is
+    evaluated once per slot (the advancing step reuses the matching replay).
     """
     env, policy = restored_policy(cfg, seed, checkpoint)
     steps = steps if steps is not None else min(cfg.train.steps, 20)
@@ -450,11 +453,8 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
                 maxima[name].append(float(np.max(finite)))
         # advance once on the configured reference band
         env.step(bundle, advance=True, allocations=allocations)
-    table = {}
-    for name in bands:
-        # a band with no finite path delay in any slot has no mean to report
-        table[name] = {
-            "t_avg_s": float(np.mean(delays[name])) if delays[name] else None,
-            "t_max_s": float(np.max(maxima[name])) if maxima[name] else None,
-            "unreachable_slots": unreachable[name]}
-    return table
+    # a band with no finite path delay in any slot has no mean to report
+    return {name: {
+        "t_avg_s": float(np.mean(delays[name])) if delays[name] else None,
+        "t_max_s": float(np.max(maxima[name])) if maxima[name] else None,
+        "unreachable_slots": unreachable[name]} for name in bands}

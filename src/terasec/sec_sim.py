@@ -54,7 +54,7 @@ class RewardParams:
             raise ValueError("chi1 must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlotOutcome:
     path_delays: dict         # (src, server) -> seconds (may be inf)
     overall_delay: dict       # src -> seconds (max over its paths)
@@ -229,6 +229,7 @@ def simulate_slot(tasks: np.ndarray,
                   rates_to: np.ndarray,
                   dist_to_km: np.ndarray,
                   next_link: np.ndarray,
+                  order: np.ndarray,
                   rates_ot: np.ndarray,
                   dist_ot_km: np.ndarray,
                   alloc_to: tuple,
@@ -248,7 +249,8 @@ def simulate_slot(tasks: np.ndarray,
     rates_to        [n_src, m] bit/s of each offload hop (columns 1..)
     dist_to_km      [n_src, m] km of each offload hop
     next_link       [links] the outcome link after each one on its route,
-                    -1 at a link into the GS (see route_tree_order)
+                    -1 at a link into the GS
+    order           [links] route_tree_order(next_link)
     rates_ot        [links] bit/s of each outcome link
     dist_ot_km      [links] km of each outcome link
     alloc_to/ot     per phase (subarrays, power_w); see resource_usage
@@ -263,7 +265,13 @@ def simulate_slot(tasks: np.ndarray,
         raise ActionError("server rows do not match the task or link table")
     if next_link.shape != rates_ot.shape or nodes.shape != rates_ot.shape:
         raise ActionError("outcome links do not match the link table")
-    order = route_tree_order(next_link)
+    # each link ranks below its next link; one left out or repeated as the GS
+    rank = np.full(n_links + 1, n_links)
+    if order.shape == (n_links,) and np.all((order >= 0) & (order < n_links)):
+        rank[order] = np.arange(n_links)
+    if (np.any((next_link < -1) | (next_link >= n_links))
+            or np.any(rank[:-1] >= rank[next_link])):
+        raise ActionError("order does not feed the route tree forward")
     # a path carries tasks; a source that offloads nothing keeps its local
     # path, even an empty one
     has_path = tasks > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from terasec.constellation import GroundStation, WalkerConfig, build_walker
+from terasec import sec_sim
 from terasec.env import SecWindow
 from terasec.sec_sim import ComputeParams, RewardParams
 from terasec.thz_link import ArrayConfig, LinkBudgetParams, band_preset
@@ -20,6 +21,20 @@ def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
         band_preset(bands[0], "offloading"), band_preset(bands[1], "outcome"),
         ComputeParams(), RewardParams(),
         n_sources=n_sources, steps=steps, source_seed=seed)
+
+
+def counted_simulations(monkeypatch) -> list:
+    """The keyword arguments of every sec_sim.simulate_slot call from here on
+    (env.py calls it through the module)."""
+    calls = []
+    simulate = sec_sim.simulate_slot
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return simulate(**kwargs)
+
+    monkeypatch.setattr(sec_sim, "simulate_slot", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -410,6 +410,28 @@ def test_a_negative_run_seed_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # train would run seed 1 twice into the same files
+    ["train", "--seed", "1", "--seed", "1"],
+    ["train", "--seed", "1", "--seed", "2", "--seed", "1"],
+    # eval and compare-bands would use the first seed only
+    ["eval", "--seed", "1", "--seed", "2"],
+    ["compare-bands", "--seed", "1", "--seed", "1"],
+])
+def test_a_repeated_or_ignored_seed_exits_2_before_any_output(tmp_path, capsys,
+                                                             argv):
+    out = tmp_path / "runs"
+    try:
+        code = main([*argv, "--config", write_cfg(tmp_path), "--out", str(out)])
+    except SystemExit as exc:               # an argparse usage error
+        code = exc.code
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     # the dense actors are refused once the window is built
     {"policy": "maddpg_fc", "n_sources": 200,

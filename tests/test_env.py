@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ import topology_reference as topo
 from terasec import sec_sim
 from terasec.baselines import UniformPolicy
 from terasec.constellation import Constellation, SatId, WalkerConfig
-from terasec.env import GS_NODE, ActionBundle
+from terasec.env import GS_NODE, ActionBundle, Snapshot
 from terasec.autodiff import normalized_adjacency
 from terasec.thz_link import (absorption_factor, band_preset, link_gain,
                               link_rate, noise_power, path_gain, sinr)
 
-from conftest import make_env, random_simplex
+from conftest import counted_simulations, make_env, random_simplex
 from gcn_reference import dense_adjacency
 
 
@@ -444,3 +445,75 @@ def test_sources_are_nonadjacent_at_half_slot_phasing(seed):
         for b in env.sources:
             assert b not in neighbors[a] and a not in neighbors[b], (a, b)
     assert env.gs_flat not in sources
+
+
+# -- an advancing step reuses the slot's replay on its band pair ----------------
+
+BAND_PAIRS = [(band_preset(name, "offloading"), band_preset(name, "outcome"))
+              for name in ("thz", "ka", "ku")]
+
+
+def assert_same_step(got, want):
+    """Two step results: == on every SlotOutcome field, np.array_equal on the
+    task table and the allocations."""
+    (outcome, tasks, (to, ot)), (w_outcome, w_tasks, (w_to, w_ot)) = got, want
+    for field in dataclasses.fields(outcome):
+        assert getattr(outcome, field.name) == getattr(w_outcome, field.name)
+    assert np.array_equal(tasks, w_tasks)
+    for a, b in zip((*to, *ot), (*w_to, *w_ot)):
+        assert np.array_equal(a, b)
+
+
+def assert_same_snapshot(a, b):
+    for field in dataclasses.fields(Snapshot):
+        assert getattr(a, field.name).tobytes() == getattr(b, field.name).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_an_advancing_step_after_replays_equals_a_plain_step(seed, monkeypatch):
+    """Twin windows: one replays every band pair before it advances, as
+    compare_bands does, the other only advances; their steps and next
+    snapshots agree, and the first evaluates each band pair once."""
+    replayed, plain = make_env(seed=seed, steps=5), make_env(seed=seed, steps=5)
+    rng = np.random.default_rng(seed)
+    calls = counted_simulations(monkeypatch)
+    for slot in range(5):
+        bundle = random_bundle(replayed, rng)
+        allocations = replayed._quantize_allocations(bundle)
+        replays = [replayed.step(bundle, band_to=b_to, band_ot=b_ot,
+                                 advance=False, allocations=allocations)
+                   for b_to, b_ot in BAND_PAIRS]
+        got = replayed.step(bundle, allocations=allocations)
+        assert got[0] is replays[0][0]            # the thz/thz replay's
+        assert len(calls) == 4 * slot + 3
+        assert_same_step(got, plain.step(bundle))
+        assert_same_snapshot(replayed.snapshot(), plain.snapshot())
+        assert replayed._replays == {}
+
+
+@pytest.mark.parametrize("change", ["offload", "allocations", "band", "slot"])
+def test_a_replay_is_not_reused_for_other_inputs(change, monkeypatch):
+    """Offload ratios or allocations changed in place after the replay,
+    another band pair, or the next slot: the advancing step evaluates."""
+    env, plain = make_env(seed=3, steps=4), make_env(seed=3, steps=4)
+    rng = np.random.default_rng(3)
+    bundle = random_bundle(env, rng)
+    allocations = env._quantize_allocations(bundle)
+    b_to, b_ot = BAND_PAIRS[1 if change == "band" else 0]
+    env.step(bundle, band_to=b_to, band_ot=b_ot, advance=False,
+             allocations=allocations)
+    if change == "offload":
+        bundle.offload[0] = bundle.offload[0, ::-1].copy()
+    elif change == "allocations":
+        allocations[1][1][0] *= 0.5
+    calls = counted_simulations(monkeypatch)
+    if change == "slot":
+        # the replay's own slot reuses it; the next slot does not
+        env.step(bundle, allocations=allocations)
+        assert not calls
+        plain.step(bundle, allocations=allocations)
+        calls.clear()
+    got = env.step(bundle, allocations=allocations)
+    assert len(calls) == 1
+    assert_same_step(got, plain.step(bundle, allocations=allocations))
+    assert_same_snapshot(env.snapshot(), plain.snapshot())

@@ -16,7 +16,7 @@ from terasec.harness import (CONVERGED_WINDOW, ConfigError, ExperimentConfig,
                              summarize_metrics)
 
 import checkpoint_reference as json_ckpt
-from conftest import make_env
+from conftest import counted_simulations, make_env
 
 
 # -- configuration ------------------------------------------------------------
@@ -297,6 +297,31 @@ def test_compare_bands_reference_band_matches_plain_run(tmp_path):
         outcome, _, _ = env.step(policy.act(env.snapshot())[0])
         raw.append(float(np.mean(list(outcome.overall_delay.values()))))
     assert abs(table["thz"]["t_avg_s"] - np.mean(raw)) < 1e-12
+
+
+@pytest.mark.parametrize("outcome_band,per_slot", [("thz", 3), ("ka", 4)])
+def test_compare_bands_evaluates_each_band_pair_once_per_slot(
+        tmp_path, monkeypatch, outcome_band, per_slot):
+    """The advancing step reuses the thz/thz replay; a configured ka outcome
+    band matches no replay, so the advancing step evaluates again."""
+    cfg = ExperimentConfig.from_dict({
+        "policy": "uniform", "train": {"steps": 4},
+        "band": {"outcome": outcome_band}, "output_dir": str(tmp_path)})
+    calls = counted_simulations(monkeypatch)
+    compare_bands(cfg, seed=1, steps=3)
+    assert len(calls) == 3 * per_slot
+
+
+def test_a_training_step_evaluates_once_and_keeps_no_replay(tmp_path,
+                                                            monkeypatch):
+    cfg = ExperimentConfig.from_dict({
+        "policy": "grant", "train": {"steps": 2, "hidden_width": 8},
+        "output_dir": str(tmp_path)})
+    windows = []
+    calls = counted_simulations(monkeypatch)
+    run_experiment(cfg, [1], on_setup=lambda seed, env: windows.append(env))
+    assert len(calls) == 2
+    assert windows[0].step_idx == 2 and windows[0]._replays == {}
 
 
 def _zero_power_compare_bands(tmp_path, monkeypatch, zero):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -215,23 +216,25 @@ TASK_B = 2500
 
 
 def _slot(tasks, servers, routes, rates_to=None, dist_to=None, rates_ot=(),
-          dist_ot=(), next_link=None):
+          dist_ot=(), next_link=None, order=None):
     """Outcome links are indices into rates_ot/dist_ot; offload hops are the
     server columns 1.. of each row.  `routes` (server -> its outcome links)
     becomes the route tree simulate_slot takes, each server's node row being
     its route's first link (a row that only relays has node id -1);
-    `next_link` replaces the tree's."""
+    `next_link` replaces the tree's and `order` its route_tree_order."""
     tasks = np.asarray(tasks)
     hops = (tasks.shape[0], tasks.shape[1] - 1)
     first, tree = route_tree(routes, len(rates_ot))
     nodes = np.full(len(rates_ot), -1)
     nodes[list(first.values())] = list(first)
+    next_link = tree if next_link is None else np.asarray(next_link)
     return simulate_slot(
         tasks=tasks, rows=np.array([[first[s] for s in row] for row in servers]),
         nodes=nodes,
         rates_to=np.zeros(hops) if rates_to is None else np.asarray(rates_to),
         dist_to_km=np.zeros(hops) if dist_to is None else np.asarray(dist_to),
-        next_link=tree if next_link is None else np.asarray(next_link),
+        next_link=next_link, order=(route_tree_order(next_link)
+                                    if order is None else np.asarray(order)),
         rates_ot=np.asarray(rates_ot, dtype=float),
         dist_ot_km=np.asarray(dist_ot, dtype=float),
         alloc_to=NO_ALLOC, alloc_ot=NO_ALLOC, compute=COMPUTE,
@@ -373,9 +376,27 @@ def test_bad_route_tree_is_rejected(next_link):
     n = len(next_link)
     with pytest.raises(ActionError):
         route_tree_order(np.array(next_link))
+    # no order of the links feeds a bad tree forward
+    for order in itertools.permutations(range(n)):
+        with pytest.raises(ActionError):
+            _slot([[5]], [[0]], routes={0: [n - 1]}, rates_ot=[1e9] * n,
+                  dist_ot=[1000.0] * n, next_link=next_link, order=order)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2],        # a link after its next
+                                   [2, 2, 0],        # a link repeated
+                                   [2, 1],           # a link left out
+                                   [2, 1, 0, 0],     # one entry too many
+                                   [2, 1, 3],        # past the last link
+                                   [2, 1, -1]])      # below 0
+def test_an_order_that_is_no_route_order_is_rejected(order):
+    """simulate_slot takes the route order with the tree (2 -> 1 -> 0 -> GS)
+    and rejects one that is not a permutation feeding the tree forward."""
+    kwargs = dict(routes={0: [2, 1, 0]}, rates_ot=[1e9] * 3,
+                  dist_ot=[1000.0] * 3)
+    assert _slot([[5]], [[0]], order=[2, 1, 0], **kwargs).t_avg > 0
     with pytest.raises(ActionError):
-        _slot([[5]], [[0]], routes={0: [n - 1]}, rates_ot=[1e9] * n,
-              dist_ot=[1000.0] * n, next_link=next_link)
+        _slot([[5]], [[0]], order=order, **kwargs)
 
 
 @pytest.mark.parametrize("first_link", [[[2, 1], [1, 2]],    # past the end
@@ -390,7 +411,7 @@ def test_bad_first_link_is_rejected(first_link):
             tasks=np.array([[5, 0], [5, 0]]), rows=np.array(first_link),
             nodes=np.array([0, 1]),
             rates_to=np.ones((2, 1)), dist_to_km=np.ones((2, 1)),
-            next_link=np.array([-1, -1]),
+            next_link=np.array([-1, -1]), order=np.arange(2),
             rates_ot=np.ones(2), dist_ot_km=np.ones(2), alloc_to=NO_ALLOC,
             alloc_ot=NO_ALLOC, compute=COMPUTE, task_size_bytes=TASK_B,
             reward_params=RP, p_max_w=10.0, s_max=64)
