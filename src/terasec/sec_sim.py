@@ -265,7 +265,7 @@ def simulate_slot(tasks: np.ndarray,
         raise ActionError("server rows do not match the task or link table")
     if next_link.shape != rates_ot.shape or nodes.shape != rates_ot.shape:
         raise ActionError("outcome links do not match the link table")
-    # each link ranks below its next link; one left out or repeated as the GS
+    # every link below its next; a link left out or repeated ranks as the GS
     rank = np.full(n_links + 1, n_links)
     if order.shape == (n_links,) and np.all((order >= 0) & (order < n_links)):
         rank[order] = np.arange(n_links)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from terasec.constellation import GroundStation, WalkerConfig, build_walker
 from terasec import sec_sim
+from terasec.constellation import GroundStation, WalkerConfig, build_walker
 from terasec.env import SecWindow
 from terasec.sec_sim import ComputeParams, RewardParams
 from terasec.thz_link import ArrayConfig, LinkBudgetParams, band_preset
