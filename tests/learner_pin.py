@@ -1,5 +1,6 @@
 """The learner's output bits, pinned: what a short `grant` and `maddpg_fc`
-run write, what `eval` prints from the `grant` step-50 checkpoint and what
+run write at 10 sources, what `grant` at 200 sources and `uniform` at 50
+write, what `eval` prints from the `grant` step-50 checkpoint and what
 `compare-bands` prints for `uniform` and from that checkpoint.
 
     PYTHONPATH=src python tests/learner_pin.py      # re-pin learner_pin.json
@@ -97,18 +98,29 @@ def _printed(*argv) -> dict:
     return printed
 
 
+def _config(out_dir, n_sources) -> str:
+    path = os.path.join(out_dir, f"s{n_sources}.json")
+    with open(path, "w") as fh:
+        json.dump({"n_sources": n_sources}, fh)
+    return path
+
+
 def outputs(out_dir) -> dict:
     """Run `grant` at 10 sources for 55 steps (crossing the step-50
-    checkpoint), `maddpg_fc` at 10 sources for 3 steps, `eval` and a 5-slot
-    `compare-bands` of the `grant` step-50 checkpoint, and a 3-slot
-    `compare-bands` of `uniform` at 50 sources; return their pinned outputs."""
+    checkpoint), `maddpg_fc` at 10 sources for 3 steps, `grant` at 200
+    sources for 3 steps and `uniform` at 50 sources for 5 steps (each in its
+    own subdirectory), `eval` and a 5-slot `compare-bands` of the `grant`
+    step-50 checkpoint, and a 3-slot `compare-bands` of `uniform` at 50
+    sources; return their pinned outputs."""
     for policy, steps in (("grant", 55), ("maddpg_fc", 3)):
         _cli("train", "--policy", policy, "--steps", str(steps),
              "--seed", "1", "--out", out_dir)
+    config = _config(out_dir, 50)
+    for policy, steps, n_sources in (("grant", 3, 200), ("uniform", 5, 50)):
+        _cli("train", "--config", _config(out_dir, n_sources), "--policy",
+             policy, "--steps", str(steps), "--seed", "1", "--out",
+             os.path.join(out_dir, f"s{n_sources}"))
     ckpt = os.path.join(out_dir, "grant_seed1_step50.ckpt.npz")
-    config = os.path.join(out_dir, "s50.json")
-    with open(config, "w") as fh:
-        json.dump({"n_sources": 50}, fh)
     restored = ("--policy", "grant", "--seed", "1", "--checkpoint", ckpt,
                 "--out", out_dir)
     printed = {
@@ -125,7 +137,9 @@ def outputs(out_dir) -> dict:
     return {
         "csv": {name: _csv(os.path.join(out_dir, name)) for name in (
             "grant_seed1_metrics.csv", "grant_seed1_loss.csv",
-            "maddpg_fc_seed1_metrics.csv", "maddpg_fc_seed1_loss.csv")},
+            "maddpg_fc_seed1_metrics.csv", "maddpg_fc_seed1_loss.csv",
+            "s200/grant_seed1_metrics.csv", "s200/grant_seed1_loss.csv",
+            "s50/uniform_seed1_metrics.csv")},
         "tensors": tensors,
         "printed": printed,
     }
