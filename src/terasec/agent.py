@@ -415,9 +415,10 @@ class GrantAgent:
 
     def run_training(self, on_step=None):
         """Algorithm: act with exploration noise, step the environment, TD-update
-        the critic and ascend both actors; decay the actor lr on schedule."""
+        the critic and ascend both actors; decay the actor lr on schedule.
+        Each step's record goes to on_step(agent, record) alone: its step,
+        outcome, critic_loss, q_value and actor_lr."""
         env = self.env
-        history = []
         states = self.encode(env.snapshot())
         for step in range(self.cfg.steps):
             tensors = self.actor_tensors(*states)
@@ -430,14 +431,11 @@ class GrantAgent:
                                                  next_states, tensors)
             if (step + 1) % self.cfg.decay_every_steps == 0:
                 self.actor_opt.lr *= self.cfg.actor_lr_decay
-            record = {"step": step, "outcome": outcome,
-                      "critic_loss": critic_loss, "q_value": q_val,
-                      "actor_lr": self.actor_opt.lr}
-            history.append(record)
             if on_step is not None:
-                on_step(self, record)
+                on_step(self, {"step": step, "outcome": outcome,
+                               "critic_loss": critic_loss, "q_value": q_val,
+                               "actor_lr": self.actor_opt.lr})
             states = next_states
-        return history
 
     def parameters(self):
         return self.actor_params + self.critic_params

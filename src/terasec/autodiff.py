@@ -532,11 +532,11 @@ class Adam:
     p -= (lr*scale) * (m/c1) / (sqrt(v/c2) + eps).
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 lr_scales=None):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, lr_scales=None):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         if lr_scales is None:
             lr_scales = [1.0] * len(self.params)
         if len(lr_scales) != len(self.params):
@@ -616,9 +616,9 @@ def _write_atomically(path, mode, write):
             os.remove(tmp)
 
 
-def write_json(path, obj, **dump_kwargs):
-    """json.dump obj to path through a temporary file (_write_atomically)."""
-    _write_atomically(path, "w", lambda fh: json.dump(obj, fh, **dump_kwargs))
+def write_json(path, obj):
+    """json.dump obj, indented by 2, to path through _write_atomically."""
+    _write_atomically(path, "w", lambda fh: json.dump(obj, fh, indent=2))
 
 
 def _check_finite(name, data):

@@ -50,12 +50,11 @@ class FullResourcePolicy:
 
 
 def rollout_policy(env: SecWindow, policy, steps: int):
-    """Act and step without learning, yielding each step's history record
-    as soon as it is stepped; the records match the trained agents'."""
+    """Act and step without learning, yielding each step's record, its
+    index and SlotOutcome, as soon as it is stepped."""
     for step in range(steps):
         outcome, _, _ = env.step(policy.act(env.snapshot())[0])
-        yield {"step": step, "outcome": outcome,
-               "critic_loss": 0.0, "q_value": 0.0, "actor_lr": 0.0}
+        yield {"step": step, "outcome": outcome}
 
 
 # -- dense multi-agent actor-critic -------------------------------------------

@@ -6,7 +6,6 @@ immutable after construction; every operation here is a pure function of
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -26,10 +25,6 @@ class VisibilityError(RuntimeError):
     """No satellite above the minimum elevation angle."""
 
 
-class RoutingError(RuntimeError):
-    """No route exists on the ISL graph."""
-
-
 @dataclass(frozen=True)
 class SatId:
     """Satellite identified by (orbital plane, slot within plane)."""
@@ -46,7 +41,7 @@ class SatId:
 
 
 #: bounds planes x sats_per_plane: the [n_sats, 4] ISL and [n_sats, 3] position
-#: tables (8 and 6 MiB here) and the per-satellite Dijkstra grow with it
+#: tables (8 and 6 MiB here) and the routing tree's relaxation grow with it
 MAX_SATELLITES = 2**18
 
 #: bounds altitude_km: beyond Earth's Hill sphere (about 1.5 million km) a
@@ -217,50 +212,38 @@ class Constellation:
     # -- routing ----------------------------------------------------------
 
     def shortest_path_tree(self, gs_sat: int, t: float,
-                           eta: float = 0.5) -> tuple:
-        """Dijkstra tree rooted at flat index gs_sat under
-        w(i,j) = 1 + eta*d(i,j)/d_ref.
+                           eta: float = 0.5) -> np.ndarray:
+        """Parent array (-1 at the root) of the shortest-path tree rooted at
+        flat index gs_sat under w(i,j) = 1 + eta*d(i,j)/d_ref.
 
-        Returns (dist, parent) arrays over flat indices; parent[root] = -1.
-        Parent choice is deterministic: among optimal predecessors the lowest
-        flat index wins, which makes every hop sequence lexicographically
-        minimal.
+        A pass relaxes only the neighbors of the satellites the last pass
+        lowered (the graph is symmetric).  A neighbor replaces the best parent
+        so far when its cost is lower by more than 1e-9, or within 1e-9 with a
+        lower flat index: every hop sequence is lexicographically minimal.
         """
         table = self.neighbors
-        # a negative weight keeps Dijkstra from ever settling
+        # a negative weight would keep lowering distances around a cycle
         if not (math.isfinite(eta) and eta >= 0):
             raise ValueError(f"eta must be a finite number >= 0, got {eta!r}")
         pos = self.positions_at(t)
         v = pos[:, None, :] - pos[table]
         weights = 1.0 + eta * np.sqrt(np.vecdot(v, v)) / self.intra_plane_chord_km()
-        nbrs = [list(zip(js, ws))
-                for js, ws in zip(table.tolist(), weights.tolist())]
-        root = gs_sat
         dist = np.full(self.n_sats, np.inf)
-        dist[root] = 0.0
-        heap = [(0.0, root)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in nbrs[u]:
-                nd = d + w
-                if nd < dist[v] - 1e-12:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        if not np.all(np.isfinite(dist)):
-            raise RoutingError("ISL graph is disconnected")
-        parent = np.full(self.n_sats, -1, dtype=int)
-        for idx in range(self.n_sats):
-            if idx == root:
-                continue
-            best, best_cost = -1, float("inf")
-            for j, w in nbrs[idx]:
-                cost = w + dist[j]
-                if cost < best_cost - 1e-9 or (cost < best_cost + 1e-9 and j < best):
-                    best, best_cost = j, cost
-            parent[idx] = best
-        return dist, parent
+        dist[gs_sat] = 0.0
+        changed = np.array([gs_sat])
+        while changed.size:
+            near = np.unique(table[changed])
+            relaxed = np.min(dist[table[near]] + weights[near], axis=1)
+            lower = relaxed < dist[near]
+            changed = near[lower]
+            dist[changed] = relaxed[lower]
+        cost = dist[table] + weights
+        parent, best = table[:, 0], cost[:, 0]
+        for j, c in zip(table.T[1:], cost.T[1:]):
+            wins = (c < best - 1e-9) | ((c < best + 1e-9) & (j < parent))
+            parent, best = np.where(wins, j, parent), np.where(wins, c, best)
+        parent[gs_sat] = -1
+        return parent
 
 
 def build_walker(cfg: WalkerConfig) -> Constellation:

@@ -98,8 +98,8 @@ class SecWindow:
         self.t0 = self._find_window_start()
         self.gs_flat = constellation.gs_access_satellite(gs, self.t0)
         # frozen routing tree
-        _, parent = constellation.shortest_path_tree(self.gs_flat, self.t0,
-                                                     routing_eta)
+        parent = constellation.shortest_path_tree(self.gs_flat, self.t0,
+                                                  routing_eta)
 
         self.sources = self._select_sources(n_sources, source_seed)
         # [n_src, 5] servers of each source's offload shares: itself, then

@@ -302,8 +302,8 @@ class RunSummary:
         return dataclasses.asdict(self)
 
 
-def summarize_metrics(metrics_csv: str, window: int = CONVERGED_WINDOW):
-    """Converged metrics from the emitted CSV alone (mean of last rows)."""
+def summarize_metrics(metrics_csv: str):
+    """Mean U, T_avg and T_max over the CSV's last CONVERGED_WINDOW rows."""
     rows = []
     with open(metrics_csv) as fh:
         for line in fh:
@@ -313,7 +313,7 @@ def summarize_metrics(metrics_csv: str, window: int = CONVERGED_WINDOW):
             rows.append([float(v) for v in line.split(",")])
     if not rows:
         raise ConfigError(f"metrics file {metrics_csv!r} contains no data rows")
-    tail = np.asarray(rows[-window:])
+    tail = np.asarray(rows[-CONVERGED_WINDOW:])
     return (float(tail[:, 1].mean()), float(tail[:, 4].mean()),
             float(tail[:, 5].mean()))
 
@@ -398,7 +398,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
             converged_u=u, converged_t_avg_ms=t_avg_ms,
             converged_t_max_ms=t_max_ms, wall_clock_per_step_s=wall,
             parameter_count=n_params)
-        write_json(base + "_summary.json", summary.to_dict(), indent=2)
+        write_json(base + "_summary.json", summary.to_dict())
         summaries.append(summary)
         if on_progress is not None:
             on_progress(summary)
@@ -414,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
         "converged_t_avg_ms_std": float(ts.std()),
     }
     write_json(os.path.join(cfg.output_dir, f"{cfg.policy}_aggregate.json"),
-               aggregate, indent=2)
+               aggregate)
     return summaries, aggregate
 
 
@@ -423,7 +423,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
 
 def compare_bands(cfg: ExperimentConfig, seed: int,
                   checkpoint: str | None = None,
-                  bands=BAND_NAMES, steps: int | None = None) -> dict:
+                  steps: int | None = None) -> dict:
     """Replay identical allocations and offload decisions under each band.
 
     The policy (optionally restored from a checkpoint) acts on the reference
@@ -435,10 +435,10 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
     env, policy = restored_policy(cfg, seed, checkpoint)
     steps = steps if steps is not None else min(cfg.train.steps, 20)
     band_plans = {name: (band_preset(name, "offloading"),
-                         band_preset(name, "outcome")) for name in bands}
-    delays = {name: [] for name in bands}
-    maxima = {name: [] for name in bands}
-    unreachable = dict.fromkeys(bands, 0)
+                         band_preset(name, "outcome")) for name in BAND_NAMES}
+    delays = {name: [] for name in BAND_NAMES}
+    maxima = {name: [] for name in BAND_NAMES}
+    unreachable = dict.fromkeys(BAND_NAMES, 0)
     for _ in range(steps):
         bundle, _, _ = policy.act(env.snapshot())
         allocations = env._quantize_allocations(bundle)
@@ -457,4 +457,4 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
     return {name: {
         "t_avg_s": float(np.mean(delays[name])) if delays[name] else None,
         "t_max_s": float(np.max(maxima[name])) if maxima[name] else None,
-        "unreachable_slots": unreachable[name]} for name in bands}
+        "unreachable_slots": unreachable[name]} for name in BAND_NAMES}

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from terasec.autodiff import CheckpointMismatchError, _check_finite, write_json
+from terasec.autodiff import CheckpointMismatchError, _check_finite
 
 CHECKPOINT_FORMAT = "terasec-params-v1"
 
@@ -23,7 +23,9 @@ def save_checkpoint(path, params, meta=None):
             for p in params
         },
     }
-    write_json(path, blob)
+    # compact, as the format was written: the .npz loader knows it by its head
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
 
 
 def load_checkpoint(path, params):

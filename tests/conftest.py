@@ -23,6 +23,15 @@ def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
         n_sources=n_sources, steps=steps, source_seed=seed)
 
 
+def loss_history(agent) -> list:
+    """(critic_loss, q_value) of each step of agent.run_training(), read
+    from the records it passes to on_step."""
+    history = []
+    agent.run_training(on_step=lambda _, record: history.append(
+        (record["critic_loss"], record["q_value"])))
+    return history
+
+
 def counted_simulations(monkeypatch) -> list:
     """The keyword arguments of every sec_sim.simulate_slot call from here on
     (env.py calls it through the module)."""

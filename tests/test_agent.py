@@ -17,7 +17,7 @@ from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, SecWindow, tree_closure
 from terasec.harness import _metrics_row
 
-from conftest import make_env, random_simplex
+from conftest import loss_history, make_env, random_simplex
 import gcn_reference
 from gcn_reference import (PerPhaseGrantAgent, dense_adjacency,
                            dense_gcn_call, dense_matrix, permuted_table)
@@ -546,7 +546,7 @@ def test_lean_training_equals_the_reference_step(cls, monkeypatch):
 
     monkeypatch.setattr(agent, "actor_tensors", spy_forward)
     monkeypatch.setattr(agent.actor_opt, "step", spy_step)
-    history = [(r["critic_loss"], r["q_value"]) for r in agent.run_training()]
+    history = loss_history(agent)
 
     assert np.array_equal(history, ref_history)
     for p, q in zip(agent.parameters(), ref.parameters()):

@@ -936,7 +936,7 @@ def _fail_in_a_tensor_member(monkeypatch):
 @pytest.mark.parametrize("write,fail", [
     (lambda path: save_checkpoint(path, [Parameter(np.ones((2, 2)), "w")]),
      _fail_in_a_tensor_member),
-    (lambda path: write_json(path, {"converged_u": 0.5}, indent=2),
+    (lambda path: write_json(path, {"converged_u": 0.5}),
      _fail_in_json_dump),
 ], ids=["checkpoint", "summary"])
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, write, fail):

@@ -57,15 +57,18 @@ def isl_edges(c, t: float) -> list:
             for a, b in sorted(edges)]
 
 
-def shortest_path_tree(c, root: int, t: float, eta: float) -> tuple:
+def shortest_path_tree(c, root: int, t: float, eta: float,
+                       neighbors=None) -> tuple:
     """(dist, parent) of the Dijkstra tree rooted at `root` under
-    w(i, j) = 1 + eta * d(i, j) / d_ref, weights built per satellite."""
+    w(i, j) = 1 + eta * d(i, j) / d_ref, weights built per satellite over the
+    phasing scan's neighbors, or over the rows of `neighbors` if given."""
     pos = c.positions_at(t)
     d_ref = c.intra_plane_chord_km()
     nbrs = []
     for idx in range(c.n_sats):
         row = []
-        for j in isl_neighbors(c, idx):
+        for j in (isl_neighbors(c, idx) if neighbors is None
+                  else neighbors[idx].tolist()):
             w = 1.0 + eta * float(np.linalg.norm(pos[idx] - pos[j])) / d_ref
             row.append((j, w))
         nbrs.append(row)
