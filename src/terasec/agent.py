@@ -414,10 +414,8 @@ class GrantAgent:
         return critic_loss, q_val
 
     def run_training(self, on_step=None):
-        """Algorithm: act with exploration noise, step the environment, TD-update
-        the critic and ascend both actors; decay the actor lr on schedule.
-        Each step's record goes to on_step(agent, record) alone: its step,
-        outcome, critic_loss, q_value and actor_lr."""
+        """Act with exploration noise, step, TD-update the critic and ascend both
+        actors, decaying the actor lr on schedule; records go to on_step only."""
         env = self.env
         states = self.encode(env.snapshot())
         for step in range(self.cfg.steps):

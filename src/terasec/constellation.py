@@ -232,7 +232,9 @@ class Constellation:
         dist[gs_sat] = 0.0
         changed = np.array([gs_sat])
         while changed.size:
-            near = np.unique(table[changed])
+            # deduplicated by sort (np.unique would import numpy.ma)
+            near = np.sort(table[changed], axis=None)
+            near = near[np.diff(near, prepend=-1) > 0]
             relaxed = np.min(dist[table[near]] + weights[near], axis=1)
             lower = relaxed < dist[near]
             changed = near[lower]
