@@ -86,16 +86,6 @@ OFFLOAD_HEAD_LR_SCALE = 0.02
 SKIP_LR_SCALE = 10.0
 
 
-@dataclass
-class PhaseState:
-    """Pruned graph state for one phase: per-node features and the neighbor
-    table of the normalized adjacency, built once per window from the
-    involved edges and shared by both phases."""
-
-    features: np.ndarray
-    table: NeighborTable
-
-
 # -- networks ----------------------------------------------------------------
 
 
@@ -126,9 +116,8 @@ class GcnActor:
         self.heads = [Dense(rng, width, d_out, f"{name}.{key}", 0.1)
                       for key, d_out, _ in spec]
 
-    def forward(self, state: PhaseState, rows=None):
-        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
-                        state.table, rows)
+    def forward(self, features: np.ndarray, table: NeighborTable, rows=None):
+        emb = self.gcn2(self.gcn1(Tensor(features), table), table, rows)
         return read_heads(emb, self.heads, self.spec)
 
     def parameters(self):
@@ -136,11 +125,10 @@ class GcnActor:
                 for p in layer.parameters()]
 
 
-def critic_input(state_to: PhaseState, state_ot: PhaseState,
+def critic_input(f_to: np.ndarray, f_ot: np.ndarray,
                  action_to: Tensor, action_ot: Tensor) -> Tensor:
     """Per-node critic input: both phases' features, then their actions."""
-    return concat_cols([Tensor(state_to.features), Tensor(state_ot.features),
-                        action_to, action_ot])
+    return concat_cols([Tensor(f_to), Tensor(f_ot), action_to, action_ot])
 
 
 class CentralCritic:
@@ -165,7 +153,6 @@ class CentralCritic:
         self.k = k_subbands
         d_in = (OFFLOAD_FEATURES + OUTCOME_FEATURES
                 + (5 + 4 + 4 * k_subbands) + (1 + k_subbands))
-        self.d_in = d_in
         self.gcn1 = GcnLayer(rng, d_in, width, "critic.gcn1")
         self.gcn2 = GcnLayer(rng, width, width, "critic.gcn2")
         self.dense1 = Dense(rng, width, width, "critic.dense1")
@@ -183,10 +170,10 @@ class CentralCritic:
         sw[state_w + 9 + k4, 0] = -self.SUBARRAY_SLOPE
         sw[state_w + 10 + k4:, 0] = -self.POWER_SLOPE
 
-    def forward(self, state_to: PhaseState, state_ot: PhaseState,
+    def forward(self, f_to: np.ndarray, f_ot: np.ndarray, table: NeighborTable,
                 action_to: Tensor, action_ot: Tensor):
-        feats = critic_input(state_to, state_ot, action_to, action_ot)
-        h = self.gcn2(self.gcn1(feats, state_to.table), state_to.table)
+        feats = critic_input(f_to, f_ot, action_to, action_ot)
+        h = self.gcn2(self.gcn1(feats, table), table)
         pooled = h.mean_rows()
         h = self.dense1(pooled).tanh()
         h = self.dense2(h).tanh()
@@ -298,30 +285,30 @@ class GrantAgent:
     # -- state and actions --------------------------------------------------
 
     def encode(self, snapshot):
-        """Both phases' states: the snapshot's SINRs (columns 3-6) and, for
-        the outcome phase, expected outcome load (column 2) written over the
-        window's static columns."""
+        """Both phases' feature matrices (f_to, f_ot), over self.table: the
+        snapshot's SINRs (columns 3-6) and, for the outcome phase, expected
+        outcome load (column 2) written over the window's static columns."""
         f_to = self.static_features.copy()
         f_to[:, 3:7] = snapshot.sinr_to_db / SINR_DB_SCALE
         f_ot = np.delete(self.static_features, 7, axis=1)  # no phi_off
         f_ot[:, 2] = snapshot.expected_outcome_bytes / self.mean_bytes
         f_ot[:, 3:7] = snapshot.sinr_ot_db / SINR_DB_SCALE
-        return PhaseState(f_to, self.table), PhaseState(f_ot, self.table)
+        return f_to, f_ot
 
-    def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
+    def actor_tensors(self, f_to: np.ndarray, f_ot: np.ndarray):
         """(offload, subarray, power, ot_sub, ot_power): the activated heads
         at the sources and at every involved node's outcome link."""
-        return (*self.actor_to.forward(s_to, self.source_rows),
-                *self.actor_ot.forward(s_ot))
+        return (*self.actor_to.forward(f_to, self.table, self.source_rows),
+                *self.actor_ot.forward(f_ot, self.table))
 
     def _ratios_from_tensors(self, tensors):
         return tuple(t.data.copy() for t in tensors)
 
     def act(self, snapshot):
         """The policy protocol: (ActionBundle, ratios, encoded states)."""
-        s_to, s_ot = self.encode(snapshot)
-        ratios = self._ratios_from_tensors(self.actor_tensors(s_to, s_ot))
-        return self.to_bundle(ratios), ratios, (s_to, s_ot)
+        states = self.encode(snapshot)
+        ratios = self._ratios_from_tensors(self.actor_tensors(*states))
+        return self.to_bundle(ratios), ratios, states
 
     def explore(self, ratios):
         offload, subarray, power, ot_sub, ot_power = ratios
@@ -346,17 +333,18 @@ class GrantAgent:
             ot_subarray=ot_sub[:, 0],
             ot_power=ot_power[:, :self.k])
 
-    def _action_node_tensors(self, tensors, n_nodes):
+    def _action_node_tensors(self, tensors):
         """The critic's per-node action matrices (offloading zero-padded from
         the sources), from actor tensors or executed constant Tensors."""
         offload, subarray, power, ot_sub, ot_power = tensors
         act_to = concat_cols([offload, subarray.slice_cols(0, 4),
                               power.slice_cols(0, 4 * self.k)])
         act_ot = concat_cols([ot_sub, ot_power.slice_cols(0, self.k)])
-        return act_to.scatter_rows(self.source_rows, n_nodes), act_ot
+        return (act_to.scatter_rows(self.source_rows, len(self.env.involved)),
+                act_ot)
 
-    def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
-        return self.critic.forward(s_to, s_ot, act_to, act_ot)
+    def q_value(self, f_to, f_ot, act_to, act_ot) -> Tensor:
+        return self.critic.forward(f_to, f_ot, self.table, act_to, act_ot)
 
     # -- training -------------------------------------------------------------
 
@@ -369,26 +357,19 @@ class GrantAgent:
         Raises TrainingError, before the optimizer step that would apply it,
         on a non-finite TD target, critic loss or Q(s, pi(s)).
         """
-        if (states is None or next_states is None or exec_ratios is None
-                or policy_tensors is None):
-            raise TrainingError("incomplete transition")
-        s_to, s_ot = states
-        ns_to, ns_ot = next_states
-        n = s_to.features.shape[0]
 
         # bootstrapped target under the current deterministic policy; the
         # critic regresses rewards in REWARD_SCALE units
-        next_tensors = self.actor_tensors(ns_to, ns_ot)
-        na_to, na_ot = self._action_node_tensors(next_tensors, n)
-        q_next = self.q_value(ns_to, ns_ot, na_to, na_ot).data.item()
+        next_tensors = self.actor_tensors(*next_states)
+        na_to, na_ot = self._action_node_tensors(next_tensors)
+        q_next = self.q_value(*next_states, na_to, na_ot).data.item()
         y = td_target(reward / REWARD_SCALE, q_next, self.cfg.kappa)
         require_finite("TD target", y)
 
         # critic descent on the TD error for the executed (noisy) action
         zero_grads(self.actor_params + self.critic_params)
-        a_to, a_ot = self._action_node_tensors(
-            [Tensor(r) for r in exec_ratios], n)
-        q = self.q_value(s_to, s_ot, a_to, a_ot)
+        a_to, a_ot = self._action_node_tensors([Tensor(r) for r in exec_ratios])
+        q = self.q_value(*states, a_to, a_ot)
         loss = mse(q, Tensor(np.array([[y]])))
         critic_loss = loss.data.item()
         require_finite("critic loss", critic_loss)
@@ -399,11 +380,11 @@ class GrantAgent:
         # actor ascent on Q(s, pi(s)) with the critic frozen: its weights
         # build no gradients in this forward and backward pass
         zero_grads(self.actor_params + self.critic_params)
-        pa_to, pa_ot = self._action_node_tensors(policy_tensors, n)
+        pa_to, pa_ot = self._action_node_tensors(policy_tensors)
         for p in self.critic_params:
             p.requires_grad = False
         try:
-            q_pi = self.q_value(s_to, s_ot, pa_to, pa_ot)
+            q_pi = self.q_value(*states, pa_to, pa_ot)
             require_finite("Q(s, pi(s))", q_pi.data.item())
             q_pi.backward()
         finally:

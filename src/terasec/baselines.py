@@ -8,8 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, GrantAgent,
-                    PhaseState, TrainConfig, critic_input, head_specs,
-                    read_heads, safe_init)
+                    TrainConfig, critic_input, head_specs, read_heads,
+                    safe_init)
 from .autodiff import Adam, Dense, StackedDense, Tensor, xavier_uniform
 from .env import SecWindow, Snapshot
 
@@ -77,9 +77,9 @@ class _PrivateActors:
         self.fc1, self.fc2, *self.heads = (
             StackedDense(w, f"{name}.{key}") for w, (key, *_) in zip(ws, dims))
 
-    def forward(self, state: PhaseState, rows=None):
-        """Actor i reads row rows[i] of the state (row i for rows=None)."""
-        feats = state.features if rows is None else state.features[rows]
+    def forward(self, features: np.ndarray, table, rows=None):
+        """Actor i reads features row rows[i] (row i for rows=None); no graph."""
+        feats = features if rows is None else features[rows]
         h = self.fc1(Tensor(feats)).tanh()
         return read_heads(self.fc2(h).tanh(), self.heads, self.spec)
 
@@ -98,9 +98,9 @@ class _FlatCritic:
         self.out = Dense(rng, width, 1, f"{name}.out")
         self.out.w.data[:] = 0.0
 
-    def forward(self, state_to: PhaseState, state_ot: PhaseState,
+    def forward(self, f_to: np.ndarray, f_ot: np.ndarray, table,
                 action_to: Tensor, action_ot: Tensor) -> Tensor:
-        feats = critic_input(state_to, state_ot, action_to, action_ot)
+        feats = critic_input(f_to, f_ot, action_to, action_ot)
         h = self.fc1(feats.reshape(1, feats.data.size)).tanh()
         h = self.fc2(h).tanh()
         return self.out(h)
@@ -167,7 +167,7 @@ class MaddpgFcAgent(GrantAgent):
         n_src = len(self.source_rows)
         ones = [Tensor(np.ones(shape)) for shape in (
             (n_src, 5), (n_src, 4), (n_src, 4 * self.k), (n, 1), (n, self.k))]
-        actions = self._action_node_tensors(ones, n)
+        actions = self._action_node_tensors(ones)
         return np.flatnonzero(critic_input(*states, *actions).data)
 
     # inherited unchanged; bound in this class's own namespace because the

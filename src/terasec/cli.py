@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness
 from .agent import require_finite
-from .constellation import build_walker
+from .constellation import Constellation
 from .harness import ConfigError, ExperimentConfig, load_config
 from .thz_link import band_preset, link_rate, noise_power, path_gain, link_gain, sinr
 
@@ -31,15 +31,16 @@ def _terminate(signum, frame):
     raise KeyboardInterrupt(signal.SIGTERM)
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    raw = json.loads(json.dumps(cfg.raw))
+def _overrides(args) -> dict:
+    """--policy, --steps and --out as a config layer over the file's."""
+    layer = {}
     if getattr(args, "policy", None):
-        raw["policy"] = args.policy
-    if getattr(args, "steps", None) is not None:
-        raw["train"]["steps"] = args.steps
-    if getattr(args, "out", None):
-        raw["output_dir"] = args.out
-    return ExperimentConfig.from_dict(raw)
+        layer["policy"] = args.policy
+    if args.steps is not None:
+        layer["train"] = {"steps": args.steps}
+    if args.out:
+        layer["output_dir"] = args.out
+    return layer
 
 
 def _dump_traffic(cfg: ExperimentConfig, seed: int, env) -> None:
@@ -56,7 +57,7 @@ def _dump_traffic(cfg: ExperimentConfig, seed: int, env) -> None:
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
     summaries, aggregate = harness.run_experiment(
-        cfg, args.seed or [0],
+        cfg, args.seed,
         on_setup=functools.partial(_dump_traffic, cfg) if args.dump_traffic
         else None,
         on_progress=lambda s: print(
@@ -69,7 +70,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig, args) -> int:
-    seed = (args.seed or [0])[0]
+    seed = args.seed[0]
     env, policy = harness.restored_policy(cfg, seed, args.checkpoint)
     steps = args.steps or min(cfg.train.steps, 50)
     rows = [r["outcome"] for r in harness.rollout_policy(env, policy, steps)]
@@ -84,7 +85,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_compare_bands(cfg: ExperimentConfig, args) -> int:
-    seed = (args.seed or [0])[0]
+    seed = args.seed[0]
     table = harness.compare_bands(cfg, seed, checkpoint=args.checkpoint,
                                   steps=args.steps)
     thz = table["thz"]["t_avg_s"]
@@ -99,7 +100,7 @@ def cmd_compare_bands(cfg: ExperimentConfig, args) -> int:
 def cmd_dump_topology(cfg: ExperimentConfig, args) -> int:
     """Emit the full ISL edge list as CSV: sat_a,sat_b,distance_km."""
     t = cfg.walker.epoch_s
-    edges = build_walker(cfg.walker).isl_edges(t)
+    edges = Constellation(cfg.walker).isl_edges(t)
     lines = [f"# config_hash={cfg.config_hash()} t={t}", "sat_a,sat_b,distance_km"]
     lines += [f"{a},{b},{d:.6f}" for a, b, d in edges]
     text = "\n".join(lines)
@@ -204,11 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("eval", "compare-bands") and len(args.seed or ()) > 1:
+    args.seed = args.seed or [0]
+    if args.command in ("eval", "compare-bands") and len(args.seed) > 1:
         parser.error(f"{args.command} takes one --seed, got {args.seed}")
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        return args.func(_apply_overrides(load_config(args.config), args), args)
+        return args.func(load_config(args.config, _overrides(args)), args)
     except KeyboardInterrupt as exc:
         stop = signal.Signals(exc.args[0]) if exc.args else signal.SIGINT
         print(f"stopped by {stop.name}", file=sys.stderr)

@@ -25,21 +25,6 @@ class VisibilityError(RuntimeError):
     """No satellite above the minimum elevation angle."""
 
 
-@dataclass(frozen=True)
-class SatId:
-    """Satellite identified by (orbital plane, slot within plane)."""
-
-    plane: int
-    slot: int
-
-    def flat(self, sats_per_plane: int) -> int:
-        return self.plane * sats_per_plane + self.slot
-
-    @staticmethod
-    def from_flat(idx: int, sats_per_plane: int) -> "SatId":
-        return SatId(idx // sats_per_plane, idx % sats_per_plane)
-
-
 #: bounds planes x sats_per_plane: the [n_sats, 4] ISL and [n_sats, 3] position
 #: tables (8 and 6 MiB here) and the routing tree's relaxation grow with it
 MAX_SATELLITES = 2**18
@@ -147,11 +132,6 @@ class Constellation:
     def intra_plane_chord_km(self) -> float:
         return 2.0 * self.orbit_radius_km * math.sin(math.pi / self.cfg.sats_per_plane)
 
-    def _check_id(self, sat: SatId) -> None:
-        if not (0 <= sat.plane < self.cfg.planes
-                and 0 <= sat.slot < self.cfg.sats_per_plane):
-            raise ConfigurationError(f"invalid satellite id {sat}")
-
     def positions_at(self, t: float) -> np.ndarray:
         """ECI positions of all satellites at time t, shape [n_sats, 3] km."""
         u = self._base_anomaly + self.angular_rate * (t - self.cfg.epoch_s)
@@ -165,24 +145,25 @@ class Constellation:
 
     # -- ISL topology -----------------------------------------------------
 
-    def isl_neighbors(self, sat: SatId) -> list:
-        """The 4 ISL neighbors of sat, in the ``neighbors`` column order."""
-        self._check_id(sat)
-        n_sp = self.cfg.sats_per_plane
-        return [SatId.from_flat(j, n_sp)
-                for j in self.neighbors[sat.flat(n_sp)].tolist()]
+    def isl_neighbors(self, sat: int) -> list:
+        """The 4 ISL neighbors of flat index sat, in ``neighbors`` order."""
+        if not 0 <= sat < self.n_sats:
+            raise ConfigurationError(f"invalid satellite id {sat}")
+        return self.neighbors[sat].tolist()
 
     def isl_edges(self, t: float) -> list:
-        """All undirected ISL edges as (flat_a, flat_b, distance_km), a < b."""
-        table = self.neighbors
+        """All undirected ISL edges as (flat_a, flat_b, distance_km), a < b,
+        sorted, each read off its lower end's row of the symmetric table."""
+        own = np.repeat(np.arange(self.n_sats), self.neighbors.shape[1])
+        other = self.neighbors.ravel()
+        lower = own < other
+        order = np.lexsort((other[lower], own[lower]))
+        a, b = own[lower][order], other[lower][order]
         pos = self.positions_at(t)
-        own = np.repeat(np.arange(self.n_sats), table.shape[1])
-        pairs = np.unique(np.sort(np.stack([own, table.ravel()], axis=1), axis=1),
-                          axis=0)
-        v = pos[pairs[:, 0]] - pos[pairs[:, 1]]
+        v = pos[a] - pos[b]
         # vecdot keeps np.linalg.norm's bits
         dist = np.sqrt(np.vecdot(v, v))
-        return [(a, b, d) for (a, b), d in zip(pairs.tolist(), dist.tolist())]
+        return list(zip(a.tolist(), b.tolist(), dist.tolist()))
 
     # -- ground station ---------------------------------------------------
 
@@ -246,8 +227,3 @@ class Constellation:
             parent, best = np.where(wins, j, parent), np.where(wins, c, best)
         parent[gs_sat] = -1
         return parent
-
-
-def build_walker(cfg: WalkerConfig) -> Constellation:
-    """Construct the Walker-Delta shell described by cfg."""
-    return Constellation(cfg)

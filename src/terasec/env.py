@@ -92,7 +92,6 @@ class SecWindow:
         self.compute = compute
         self.reward_params = reward_params
         self.routing_eta = routing_eta
-        self.steps = steps
         n_sp = constellation.cfg.sats_per_plane
 
         self.t0 = self._find_window_start()

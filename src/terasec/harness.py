@@ -4,6 +4,7 @@ comparison by allocation replay.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -20,8 +21,8 @@ from .autodiff import (CheckpointMismatchError, load_checkpoint,
                        save_checkpoint, write_json)
 from .baselines import (ActorSizeError, FullResourcePolicy, MaddpgFcAgent,
                         UniformPolicy, rollout_policy)
-from .constellation import (GroundStation, VisibilityError, WalkerConfig,
-                            build_walker)
+from .constellation import (Constellation, GroundStation, VisibilityError,
+                            WalkerConfig)
 from .env import SecWindow, SourceSelectionError
 from .sec_sim import ComputeParams, RewardParams
 from .thz_link import ArrayConfig, LinkBudgetParams, band_preset
@@ -76,6 +77,15 @@ def _build_section(section: str, cls, values: dict):
         raise ConfigError(f"config section {section!r}: {exc}") from None
 
 
+class _Table(dict):
+    """object_pairs_hook: a JSON object naming its repeated keys for _overlay."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        counts = collections.Counter(key for key, _ in pairs)
+        self.repeated = {key for key, n in counts.items() if n > 1}
+
+
 def _overlay(merged: dict, raw: dict, section: str | None = None) -> None:
     """Write raw over the defaults in merged, table by table.  A value keeps
     its default's kind: an int field takes an int, a float field an int or
@@ -84,6 +94,8 @@ def _overlay(merged: dict, raw: dict, section: str | None = None) -> None:
     for key, value in raw.items():
         where = (f"config section {section!r} field {key!r}" if section
                  else f"config section {key!r}")
+        if key in getattr(raw, "repeated", ()):
+            raise ConfigError(f"{where} is given twice")
         if key not in merged:
             raise ConfigError(f"unknown {where}")
         default = merged[key]
@@ -124,9 +136,11 @@ class ExperimentConfig:
     output_dir: str
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, overrides=None) -> "ExperimentConfig":
+        """Validate raw over the defaults, then overrides (the CLI's) over both."""
         merged = default_config()
         _overlay(merged, raw)
+        _overlay(merged, overrides or {})
         policy = merged["policy"]
         if policy not in POLICY_NAMES:
             raise ConfigError(f"config section 'policy': unknown policy {policy!r}")
@@ -175,19 +189,20 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def load_config(path: str | None) -> ExperimentConfig:
+def load_config(path: str | None, overrides=None) -> ExperimentConfig:
+    """The config file at path (the defaults for None), under overrides."""
     if path is None:
-        return ExperimentConfig.from_dict({})
+        return ExperimentConfig.from_dict({}, overrides)
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_Table)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except ValueError as exc:   # JSONDecodeError, or an int of too many digits
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(raw, overrides)
 
 
 def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
@@ -200,11 +215,11 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
         raise ConfigError("config section 'source_selection': the run seed and "
                           f"seed + run seed must be >= 0, got {cfg.source_seed}"
                           f" + {seed}")
-    constellation = build_walker(cfg.walker)
     traffic = dataclasses.replace(cfg.traffic, seed=seed)
     try:
         return SecWindow(
-            constellation, cfg.ground_station, traffic, cfg.array, cfg.budget,
+            Constellation(cfg.walker), cfg.ground_station, traffic,
+            cfg.array, cfg.budget,
             band_preset(cfg.band_to_name, "offloading"),
             band_preset(cfg.band_ot_name, "outcome"),
             cfg.compute, cfg.reward,
@@ -297,9 +312,6 @@ class RunSummary:
     converged_t_max_ms: float
     wall_clock_per_step_s: float
     parameter_count: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def summarize_metrics(metrics_csv: str):
@@ -398,7 +410,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
             converged_u=u, converged_t_avg_ms=t_avg_ms,
             converged_t_max_ms=t_max_ms, wall_clock_per_step_s=wall,
             parameter_count=n_params)
-        write_json(base + "_summary.json", summary.to_dict())
+        write_json(base + "_summary.json", dataclasses.asdict(summary))
         summaries.append(summary)
         if on_progress is not None:
             on_progress(summary)

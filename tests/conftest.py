@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from terasec import sec_sim
-from terasec.constellation import GroundStation, WalkerConfig, build_walker
+from terasec.constellation import Constellation, GroundStation, WalkerConfig
 from terasec.env import SecWindow
 from terasec.sec_sim import ComputeParams, RewardParams
 from terasec.thz_link import ArrayConfig, LinkBudgetParams, band_preset
@@ -14,7 +14,7 @@ def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
              bands: tuple = ("thz", "thz")) -> SecWindow:
     """Default-scenario window used across the test suite; `bands` names the
     offloading and outcome bands."""
-    c = build_walker(walker)
+    c = Constellation(walker)
     return SecWindow(
         c, GroundStation(), TrafficConfig(seed=seed),
         ArrayConfig(), LinkBudgetParams(),
@@ -48,7 +48,7 @@ def counted_simulations(monkeypatch) -> list:
 
 @pytest.fixture(scope="session")
 def default_constellation():
-    return build_walker(WalkerConfig())
+    return Constellation(WalkerConfig())
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ row-blocked terasec.autodiff._neighbor_sum replaced.
 import numpy as np
 
 from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, SKIP_LR_SCALE,
-                           CentralCritic, GrantAgent, PhaseState,
+                           CentralCritic, GrantAgent,
                            _actor_lr_scale, bound_logits, logit_bias)
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
                               NeighborTable, Tensor)
@@ -124,9 +124,8 @@ class OffloadActor:
         self.head_power = Dense(rng, width, 4 * k_subbands + 1,
                                 "actor_to.head_power", 0.1)
 
-    def forward(self, state: PhaseState, source_rows):
-        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
-                        state.table)
+    def forward(self, features: np.ndarray, table: NeighborTable, source_rows):
+        emb = self.gcn2(self.gcn1(Tensor(features), table), table)
         src = gather_rows(emb, source_rows)
         offload = bound_logits(self.head_offload(src)).softmax_rows()
         subarray = bound_logits(self.head_subarray(src)).softmax_rows()  # 4 used + slack
@@ -150,9 +149,8 @@ class OutcomeActor:
         self.head_power = Dense(rng, width, k_subbands + 1,
                                 "actor_ot.head_power", 0.1)
 
-    def forward(self, state: PhaseState, tx_rows):
-        emb = self.gcn2(self.gcn1(Tensor(state.features), state.table),
-                        state.table)
+    def forward(self, features: np.ndarray, table: NeighborTable, tx_rows):
+        emb = self.gcn2(self.gcn1(Tensor(features), table), table)
         tx = gather_rows(emb, tx_rows)
         subarray = bound_logits(self.head_subarray(tx)).sigmoid()
         power = bound_logits(self.head_power(tx)).softmax_rows()  # K used + slack
@@ -198,8 +196,9 @@ class PerPhaseGrantAgent(GrantAgent):
                                           else 1.0
                                           for p in self.critic_params])
 
-    def actor_tensors(self, s_to: PhaseState, s_ot: PhaseState):
-        offload, subarray, power = self.actor_to.forward(s_to, self.source_rows)
+    def actor_tensors(self, f_to: np.ndarray, f_ot: np.ndarray):
+        offload, subarray, power = self.actor_to.forward(f_to, self.table,
+                                                         self.source_rows)
         ot_sub, ot_power = self.actor_ot.forward(
-            s_ot, np.arange(len(self.env.involved)))
+            f_ot, self.table, np.arange(len(self.env.involved)))
         return offload, subarray, power, ot_sub, ot_power

@@ -93,18 +93,17 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
         self.actor_opt = Adam(self.actor_params, cfg.actor_lr)
         self.critic_opt = Adam(self.critic_params, cfg.critic_lr)
 
-    def actor_tensors(self, s_to, s_ot):
-        to = [a.forward(Tensor(s_to.features[row:row + 1]))
+    def actor_tensors(self, f_to, f_ot):
+        to = [a.forward(Tensor(f_to[row:row + 1]))
               for a, row in zip(self.actors_to, self.source_rows)]
-        ot = [a.forward(Tensor(s_ot.features[row:row + 1]))
+        ot = [a.forward(Tensor(f_ot[row:row + 1]))
               for a, row in zip(self.actors_ot, range(self.n_nodes))]
         # one row per satellite: [1, n*cols] reshaped row-major to [n, cols]
         return tuple(concat_cols(rows).reshape(len(rows), rows[0].shape[1])
                      for rows in (*zip(*to), *zip(*ot)))
 
-    def q_value(self, s_to, s_ot, act_to, act_ot) -> Tensor:
-        feats = concat_cols([Tensor(s_to.features), Tensor(s_ot.features),
-                             act_to, act_ot])
+    def q_value(self, f_to, f_ot, act_to, act_ot) -> Tensor:
+        feats = concat_cols([Tensor(f_to), Tensor(f_ot), act_to, act_ot])
         c = self.critic
         h = c.fc1(feats.reshape(1, feats.data.size)).tanh()
         return c.out(c.fc2(h).tanh())

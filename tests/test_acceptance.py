@@ -14,7 +14,7 @@ from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
                            head_specs)
 from terasec.autodiff import Dense, GcnLayer, Tensor, normalized_adjacency
 from terasec.baselines import MaddpgFcAgent
-from terasec.constellation import SatId, WalkerConfig, build_walker
+from terasec.constellation import Constellation, WalkerConfig
 from terasec.harness import ExperimentConfig, compare_bands, run_experiment
 from terasec.sec_sim import (quantize_offload, quantize_power,
                              quantize_subarrays)
@@ -118,34 +118,29 @@ def test_criterion_2_gradient_correctness():
         spec_to, spec_ot = head_specs(k)
         actor_to = GcnActor(np.random.default_rng(100 + i), OFFLOAD_FEATURES,
                             width, spec_to, "actor_to")
-        s_to = _phase_state(rng, n, 9, table)
+        f_to = rng.standard_normal((n, 9))
         projs_to = [make_proj(5), make_proj(5), make_proj(4 * k + 1)]
         check_gradient(
-            lambda: sum_proj(actor_to.forward(s_to, [0, 2]), projs_to),
+            lambda: sum_proj(actor_to.forward(f_to, table, [0, 2]), projs_to),
             actor_to.parameters(), rtol=1e-4)
 
         actor_ot = GcnActor(np.random.default_rng(200 + i), OUTCOME_FEATURES,
                             width, spec_ot, "actor_ot")
-        s_ot = _phase_state(rng, n, 8, table)
+        f_ot = rng.standard_normal((n, 8))
         projs_ot = [make_proj(1), make_proj(k + 1)]
         check_gradient(
-            lambda: sum_proj(actor_ot.forward(s_ot, [1, 3]), projs_ot),
+            lambda: sum_proj(actor_ot.forward(f_ot, table, [1, 3]), projs_ot),
             actor_ot.parameters(), rtol=1e-4)
 
         critic = CentralCritic(np.random.default_rng(300 + i), k, width)
         a_to = Tensor(rng.random((n, 5 + 4 + 4 * k)))
         a_ot = Tensor(rng.random((n, 1 + k)))
         check_gradient(
-            lambda: critic.forward(s_to, s_ot, a_to, a_ot).sum(),
+            lambda: critic.forward(f_to, f_ot, table, a_to, a_ot).sum(),
             critic.parameters(), rtol=1e-4)
         checked += 5
     report(2, True, f"{checked} random layer/actor/critic instances matched "
                     f"central finite differences (eps=1e-5, rel err < 1e-4)")
-
-
-def _phase_state(rng, n, n_feats, table):
-    from terasec.agent import PhaseState
-    return PhaseState(features=rng.standard_normal((n, n_feats)), table=table)
 
 
 def sum_proj(outputs, projections):
@@ -299,13 +294,11 @@ def test_criterion_9_traffic_statistics():
 # -- criterion 10: topology sanity --------------------------------------------
 
 def test_criterion_10_topology_sanity():
-    c = build_walker(WalkerConfig())
-    n_sp = c.cfg.sats_per_plane
+    c = Constellation(WalkerConfig())
     adj = {}
     regular = True
     for idx in range(c.n_sats):
-        nbrs = {nb.flat(n_sp) for nb in
-                c.isl_neighbors(SatId.from_flat(idx, n_sp))}
+        nbrs = set(c.neighbors[idx].tolist())
         regular &= len(nbrs) == 4
         adj[idx] = nbrs
     seen, frontier = {0}, [0]

@@ -8,7 +8,7 @@ import pytest
 
 from terasec import autodiff
 from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
-                           GcnActor, GrantAgent, PhaseState, TrainConfig,
+                           GcnActor, GrantAgent, TrainConfig,
                            TrainingError, bound_logits, explore_group,
                            head_specs, logit_bias, safe_init, td_target)
 from terasec.autodiff import (Adam, GcnLayer, Tensor, mse,
@@ -40,30 +40,37 @@ def test_bound_logits_limits_and_bias_roundtrip():
 # -- state encoding -----------------------------------------------------------
 
 def test_encode_state_shapes_and_flags(small_env):
-    s_to, s_ot = GrantAgent(small_env, TrainConfig()).encode(
-        small_env.snapshot())
+    agent = GrantAgent(small_env, TrainConfig())
+    f_to, f_ot = agent.encode(small_env.snapshot())
     n = len(small_env.involved)
-    assert s_to.features.shape == (n, 9)
-    assert s_ot.features.shape == (n, 8)
-    # both phases share one read-only neighbor table of the normalized
-    # adjacency, at most 4 ISLs plus the self-loop wide
-    assert s_to.table is s_ot.table
-    for part in s_to.table:
+    assert f_to.shape == (n, 9)
+    assert f_ot.shape == (n, 8)
+    # both phases' actors read the agent's one read-only neighbor table of
+    # the normalized adjacency, at most 4 ISLs plus the self-loop wide
+    tables = []
+    for actor in (agent.actor_to, agent.actor_ot):
+        def spy(features, table, *rows, forward=actor.forward):
+            tables.append(table)
+            return forward(features, table, *rows)
+        actor.forward = spy
+    agent.actor_tensors(f_to, f_ot)
+    assert len(tables) == 2 and tables[0] is tables[1] is agent.table
+    for part in agent.table:
         assert part.shape[0] == n and part.shape[1] <= 5
         assert not part.flags.writeable
     # normalized plane/slot indices stay in [0, 1]
-    assert np.all(s_to.features[:, :2] >= 0.0)
-    assert np.all(s_to.features[:, :2] <= 1.0)
+    assert np.all(f_to[:, :2] >= 0.0)
+    assert np.all(f_to[:, :2] <= 1.0)
     # membership flags are binary and mark exactly the sources / GS satellite
-    phi_off = s_to.features[:, 7]
+    phi_off = f_to[:, 7]
     assert set(np.unique(phi_off)) <= {0.0, 1.0}
     assert int(phi_off.sum()) == len(small_env.sources)
-    phi_gs = s_to.features[:, 8]
+    phi_gs = f_to[:, 8]
     assert int(phi_gs.sum()) == 1
     assert small_env.involved[int(np.argmax(phi_gs))] == small_env.gs_flat
-    assert np.array_equal(s_ot.features[:, 7], phi_gs)
+    assert np.array_equal(f_ot[:, 7], phi_gs)
     # expected offload demand normalizes to 1 at the sources
-    demand = s_to.features[:, 2]
+    demand = f_to[:, 2]
     assert np.allclose(np.sort(np.unique(demand)), [0.0, 1.0])
 
 
@@ -142,8 +149,8 @@ def test_encode_equals_the_per_slot_rebuild(cls, seed):
         for state, phase in zip(states, ("offloading", "outcome")):
             features, a_norm = reference_encode_state(
                 ref, phase, c.planes, c.sats_per_plane, mean)
-            assert np.array_equal(state.features, features)
-            assert np.array_equal(dense_matrix(state.table), a_norm)
+            assert np.array_equal(state, features)
+            assert np.array_equal(dense_matrix(agent.table), a_norm)
         checked.append(env.step_idx)
         return states
 
@@ -322,14 +329,15 @@ def test_train_config_validation():
 # -- permutation structure ----------------------------------------------------
 
 def _ring_state(rng, n, n_feats):
+    """(features, table) of a ring graph with random features."""
     edges = [(i, (i + 1) % n) for i in range(n)]
     feats = rng.standard_normal((n, n_feats))
-    return PhaseState(features=feats, table=normalized_adjacency(n, edges))
+    return feats, normalized_adjacency(n, edges)
 
 
 def _permute_state(state, perm):
-    return PhaseState(features=state.features[perm],
-                      table=permuted_table(state.table, perm))
+    feats, table = state
+    return feats[perm], permuted_table(table, perm)
 
 
 def test_offload_actor_permutation_equivariance():
@@ -340,9 +348,9 @@ def test_offload_actor_permutation_equivariance():
     perm = rng.permutation(7)
     permuted = _permute_state(state, perm)
     sources = [1, 4, 6]
-    out_a = actor.forward(state, sources)
+    out_a = actor.forward(*state, sources)
     inv = np.argsort(perm)
-    out_b = actor.forward(permuted, [int(inv[s]) for s in sources])
+    out_b = actor.forward(*permuted, [int(inv[s]) for s in sources])
     for a, b in zip(out_a, out_b):
         assert np.max(np.abs(a.data - b.data)) < 1e-10
 
@@ -352,17 +360,16 @@ def test_critic_permutation_invariance():
     k = 2
     critic = CentralCritic(np.random.default_rng(1), k, width=8)
     n = 6
-    s_to = _ring_state(rng, n, 9)
-    s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      table=s_to.table)
+    f_to, table = _ring_state(rng, n, 9)
+    f_ot = rng.standard_normal((n, 8))
     act_to = rng.random((n, 5 + 4 + 4 * k))
     act_ot = rng.random((n, 1 + k))
-    q = critic.forward(s_to, s_ot, Tensor(act_to), Tensor(act_ot)).data.item()
+    q = critic.forward(f_to, f_ot, table, Tensor(act_to),
+                       Tensor(act_ot)).data.item()
     perm = rng.permutation(n)
-    p_to = _permute_state(s_to, perm)
-    p_ot = PhaseState(features=s_ot.features[perm], table=p_to.table)
-    q_p = (critic.forward(p_to, p_ot, Tensor(act_to[perm]),
-                               Tensor(act_ot[perm])).data)
+    p_to, p_table = _permute_state((f_to, table), perm)
+    q_p = (critic.forward(p_to, f_ot[perm], p_table, Tensor(act_to[perm]),
+                          Tensor(act_ot[perm])).data)
     assert abs(q - q_p) < 1e-10
 
 
@@ -371,14 +378,13 @@ def test_critic_usage_slope_prior():
     k = 2
     critic = CentralCritic(np.random.default_rng(2), k, width=8)
     n = 4
-    s_to = _ring_state(rng, n, 9)
-    s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      table=s_to.table)
+    f_to, table = _ring_state(rng, n, 9)
+    f_ot = rng.standard_normal((n, 8))
     zero_to = Tensor(np.zeros((n, 5 + 4 * k + 4)))
     zero_ot = Tensor(np.zeros((n, 1 + k)))
 
     def q(a_to, a_ot):
-        return critic.forward(s_to, s_ot, a_to, a_ot).data.item()
+        return critic.forward(f_to, f_ot, table, a_to, a_ot).data.item()
 
     # deep output and state skip weights start at zero, so Q is exactly the
     # negative usage prior over the action columns
@@ -407,9 +413,8 @@ def test_critic_converges_to_geometric_fixed_point():
     k = 2
     critic = CentralCritic(np.random.default_rng(3), k, width=8)
     n = 5
-    s_to = _ring_state(rng, n, 9)
-    s_ot = PhaseState(features=rng.standard_normal((n, 8)),
-                      table=s_to.table)
+    f_to, table = _ring_state(rng, n, 9)
+    f_ot = rng.standard_normal((n, 8))
     a_to = Tensor(rng.random((n, 5 + 4 + 4 * k)))
     a_ot = Tensor(rng.random((n, 1 + k)))
     params = critic.parameters()
@@ -420,7 +425,7 @@ def test_critic_converges_to_geometric_fixed_point():
     for _ in range(2000):
         for p in params:
             p.grad = None
-        q_t = critic.forward(s_to, s_ot, a_to, a_ot)
+        q_t = critic.forward(f_to, f_ot, table, a_to, a_ot)
         y = td_target(c, q_t.data.item(), kappa)
         loss = mse(q_t, Tensor(np.array([[y]])))
         loss.backward()
@@ -436,13 +441,12 @@ def test_critic_converges_to_geometric_fixed_point():
 def test_actor_step_increases_q(small_env):
     agent = GrantAgent(small_env, TrainConfig(actor_lr=1e-7, noise_std=0.0))
     snap = small_env.snapshot()
-    s_to, s_ot = agent.encode(snap)
-    n = s_to.features.shape[0]
+    f_to, f_ot = agent.encode(snap)
 
     def q_pi():
-        tensors = agent.actor_tensors(s_to, s_ot)
-        a_to, a_ot = agent._action_node_tensors(tensors, n)
-        return agent.q_value(s_to, s_ot, a_to, a_ot)
+        tensors = agent.actor_tensors(f_to, f_ot)
+        a_to, a_ot = agent._action_node_tensors(tensors)
+        return agent.q_value(f_to, f_ot, a_to, a_ot)
 
     before = q_pi()
     for p in agent.actor_params + agent.critic_params:
@@ -451,12 +455,6 @@ def test_actor_step_increases_q(small_env):
     agent.actor_opt.step(maximize=True)
     after = q_pi().data.item()
     assert after >= before.data.item() - 1e-9
-
-
-def test_train_step_rejects_incomplete_transition(small_env):
-    agent = GrantAgent(small_env, TrainConfig())
-    with pytest.raises(TrainingError):
-        agent.train_step(None, None, -1.0, None, None)
 
 
 def _transition(agent, env):

@@ -124,9 +124,9 @@ def _observed_inputs(agent):
     seen = np.zeros(w.data.shape[0], dtype=bool)
     forward = agent.critic.forward
 
-    def spy(*inputs):
-        seen[:] |= critic_input(*inputs).data.ravel() != 0.0
-        return forward(*inputs)
+    def spy(f_to, f_ot, table, *actions):
+        seen[:] |= critic_input(f_to, f_ot, *actions).data.ravel() != 0.0
+        return forward(f_to, f_ot, table, *actions)
 
     agent.critic.forward = spy
     agent.run_training()
@@ -175,9 +175,9 @@ def test_a_nonzero_dead_input_raises_before_any_optimizer_step(monkeypatch):
     encode = agent.encode
 
     def leaky_encode(snapshot):
-        s_to, s_ot = encode(snapshot)
-        s_to.features[row, 0] = 0.5   # a plane-0 node's plane feature
-        return s_to, s_ot
+        f_to, f_ot = encode(snapshot)
+        f_to[row, 0] = 0.5   # a plane-0 node's plane feature
+        return f_to, f_ot
 
     monkeypatch.setattr(agent, "encode", leaky_encode)
     before = [p.data.copy() for p in agent.parameters()]

@@ -398,6 +398,29 @@ def test_exit_config_error_before_any_output(tmp_path, capsys, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,where", [
+    ('{"n_sources": 10, "n_sources": 5}', "config section 'n_sources'"),
+    ('{"train": {"steps": 2, "noise_std": 0.1}, "train": {"steps": 3}}',
+     "config section 'train'"),
+    ('{"train": {"steps": 2, "steps": 3}}',
+     "config section 'train' field 'steps'"),
+    ('{"link": {"array": {"s_max": 64, "s_max": 32}}}',
+     "config section 'link.array' field 's_max'"),
+], ids=["n_sources", "train", "train.steps", "link.array.s_max"])
+def test_a_repeated_config_key_exits_2_before_any_output(tmp_path, capsys,
+                                                         text, where):
+    """JSON keeps a repeated key's last value: a repeated table would
+    replace the first one whole, without a word."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{where} is given twice" in captured.err
+    assert not out.exists()
+
+
 def test_a_negative_run_seed_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exc:

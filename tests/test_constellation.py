@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import topology_reference as ref
 from terasec.constellation import (MAX_ALTITUDE_KM, ConfigurationError,
-                                   GroundStation, SatId,
+                                   Constellation, GroundStation,
                                    SIDEREAL_RATE_RAD_S,
-                                   VisibilityError, WalkerConfig, build_walker)
+                                   VisibilityError, WalkerConfig)
 
 R_ORBIT = 6371.0 + 550.0
 
@@ -25,7 +25,7 @@ def test_orbit_radius(default_constellation):
 
 
 def test_single_plane_equal_spacing():
-    c = build_walker(WalkerConfig(planes=3, sats_per_plane=4))
+    c = Constellation(WalkerConfig(planes=3, sats_per_plane=4))
     pos = c.positions_at(0.0)[:4]   # plane 0
     # four satellites 90 degrees apart: consecutive dot products are zero
     for i in range(4):
@@ -37,7 +37,7 @@ def test_orbital_periodicity(default_constellation):
     c = default_constellation
     # independent Kepler period for a 6921 km circular orbit
     period = 2.0 * math.pi * math.sqrt(R_ORBIT**3 / 398600.4418)
-    idx = SatId(3, 7).flat(c.cfg.sats_per_plane)
+    idx = 3 * c.cfg.sats_per_plane + 7
     p0 = c.positions_at(100.0)[idx]
     p1 = c.positions_at(100.0 + period)[idx]
     assert np.linalg.norm(p0 - p1) < 1e-6
@@ -48,19 +48,19 @@ def test_intra_plane_chord_oracle(default_constellation):
     expected = 2.0 * R_ORBIT * math.sin(math.pi / 22.0)
     assert abs(expected - 1969.9) < 0.1  # sanity on the oracle itself
     pos = default_constellation.positions_at(321.5)
-    d = float(np.linalg.norm(pos[SatId(5, 0).flat(22)] - pos[SatId(5, 1).flat(22)]))
+    d = float(np.linalg.norm(pos[5 * 22 + 0] - pos[5 * 22 + 1]))
     assert abs(d - expected) < 1e-9
 
 
 def test_invalid_config_errors():
     with pytest.raises(ConfigurationError):
-        build_walker(WalkerConfig(planes=0))
+        Constellation(WalkerConfig(planes=0))
     with pytest.raises(ConfigurationError):
-        build_walker(WalkerConfig(sats_per_plane=2))
+        Constellation(WalkerConfig(sats_per_plane=2))
     with pytest.raises(ConfigurationError):
-        build_walker(WalkerConfig(inclination_deg=120.0))
+        Constellation(WalkerConfig(inclination_deg=120.0))
     with pytest.raises(ConfigurationError):
-        build_walker(WalkerConfig(altitude_km=-1.0))
+        Constellation(WalkerConfig(altitude_km=-1.0))
     with pytest.raises(ConfigurationError, match="altitude_km"):
         WalkerConfig(altitude_km=MAX_ALTITUDE_KM * 2)
     assert WalkerConfig(altitude_km=MAX_ALTITUDE_KM)
@@ -77,27 +77,35 @@ def test_phasing_factor_is_bounded_by_its_period():
 
 
 def test_isl_neighbors_ring(default_constellation):
-    nbrs = default_constellation.isl_neighbors(SatId(0, 0))
-    assert SatId(0, 1) in nbrs and SatId(0, 21) in nbrs
+    # flat id = plane * 22 + slot
+    nbrs = default_constellation.neighbors[0].tolist()
+    assert 1 in nbrs and 21 in nbrs
 
 
 def test_isl_neighbors_zero_phasing(default_constellation):
     # zero inter-plane phase offset aligns slots across planes
     for k in (0, 5, 21):
-        nbrs = default_constellation.isl_neighbors(SatId(0, k))
-        assert SatId(1, k) in nbrs and SatId(71, k) in nbrs
+        nbrs = default_constellation.neighbors[k].tolist()
+        assert 22 + k in nbrs and 71 * 22 + k in nbrs
+
+
+def test_isl_neighbors_is_the_checked_table_row(default_constellation):
+    c = default_constellation
+    for idx in (0, 1, c.n_sats // 2, c.n_sats - 1):
+        assert c.isl_neighbors(idx) == c.neighbors[idx].tolist()
+    for idx in (-1, c.n_sats):
+        with pytest.raises(ConfigurationError, match="invalid satellite id"):
+            c.isl_neighbors(idx)
 
 
 def test_isl_symmetry_and_regularity(default_constellation):
     c = default_constellation
-    n_sp = c.cfg.sats_per_plane
     adj = {}
     for idx in range(c.n_sats):
-        sat = SatId.from_flat(idx, n_sp)
-        nbrs = c.isl_neighbors(sat)
+        nbrs = c.neighbors[idx].tolist()
         assert len(nbrs) == 4
         assert len(set(nbrs)) == 4
-        adj[idx] = {nb.flat(n_sp) for nb in nbrs}
+        adj[idx] = set(nbrs)
     for i, nbrs in adj.items():
         for j in nbrs:
             assert i in adj[j], f"asymmetric edge {i}-{j}"
@@ -133,7 +141,7 @@ def test_gs_sidereal_rotation(default_constellation):
 
 
 def test_gs_no_visibility_error():
-    c = build_walker(WalkerConfig())
+    c = Constellation(WalkerConfig())
     gs = GroundStation(min_elevation_deg=89.9)
     with pytest.raises(VisibilityError):
         c.gs_access_satellite(gs, 0.0)
@@ -141,24 +149,21 @@ def test_gs_no_visibility_error():
 
 def test_route_identity_and_neighbor(default_constellation):
     c = default_constellation
-    n_sp = c.cfg.sats_per_plane
-    gs_sat = SatId(10, 3).flat(n_sp)
+    gs_sat = 10 * c.cfg.sats_per_plane + 3
     parent = c.shortest_path_tree(gs_sat, c.cfg.epoch_s)
     assert parent[gs_sat] == -1
     assert ref.route(parent, gs_sat, gs_sat) == (gs_sat,)
-    nb = c.isl_neighbors(SatId(10, 3))[0].flat(n_sp)
+    nb = int(c.neighbors[gs_sat, 0])
     assert ref.route(parent, nb, gs_sat) == (nb, gs_sat)
 
 
 def _bfs_distance(c, src_flat, dst_flat):
-    n_sp = c.cfg.sats_per_plane
     dist = {src_flat: 0}
     frontier = [src_flat]
     while frontier:
         nxt = []
         for u in frontier:
-            for nb in c.isl_neighbors(SatId.from_flat(u, n_sp)):
-                v = nb.flat(n_sp)
+            for v in c.neighbors[u].tolist():
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -169,8 +174,7 @@ def _bfs_distance(c, src_flat, dst_flat):
 def test_route_eta_zero_matches_bfs(default_constellation):
     c = default_constellation
     rng = np.random.default_rng(0)
-    n_sp = c.cfg.sats_per_plane
-    gs_sat = SatId(0, 0).flat(n_sp)
+    gs_sat = 0
     parent = c.shortest_path_tree(gs_sat, 0.0, eta=0.0)
     for _ in range(20):
         src_flat = int(rng.integers(c.n_sats))
@@ -187,8 +191,7 @@ def test_shortest_path_tree_rejects_bad_eta(default_constellation, eta):
 
 def test_route_never_revisits(default_constellation):
     c = default_constellation
-    n_sp = c.cfg.sats_per_plane
-    gs_sat = SatId(7, 11).flat(n_sp)
+    gs_sat = 7 * c.cfg.sats_per_plane + 11
     parent = c.shortest_path_tree(gs_sat, 50.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -202,8 +205,8 @@ def test_route_never_revisits(default_constellation):
 @given(plane=st.integers(0, 71), slot=st.integers(0, 21),
        t=st.floats(0.0, 1e5, allow_nan=False))
 def test_position_on_sphere_property(plane, slot, t):
-    c = build_walker(WalkerConfig())
-    p = c.positions_at(t)[SatId(plane, slot).flat(c.cfg.sats_per_plane)]
+    c = Constellation(WalkerConfig())
+    p = c.positions_at(t)[plane * c.cfg.sats_per_plane + slot]
     assert abs(np.linalg.norm(p) - R_ORBIT) < 1e-6
 
 
@@ -224,7 +227,7 @@ def _shell_id(shell):
 
 
 def _shell(planes, sats_per_plane, phasing_factor):
-    return build_walker(WalkerConfig(planes=planes, sats_per_plane=sats_per_plane,
+    return Constellation(WalkerConfig(planes=planes, sats_per_plane=sats_per_plane,
                                      phasing_factor=phasing_factor))
 
 
@@ -232,18 +235,25 @@ def _shell(planes, sats_per_plane, phasing_factor):
 def test_neighbor_table_equals_the_phasing_scan(shell):
     c = _shell(*shell)
     assert np.array_equal(c.neighbors, ref.neighbor_table(c))
-    n_sp = c.cfg.sats_per_plane
     for idx in (0, c.n_sats // 2, c.n_sats - 1):
-        assert [nb.flat(n_sp) for nb in c.isl_neighbors(
-            SatId.from_flat(idx, n_sp))] == ref.isl_neighbors(c, idx)
+        assert c.isl_neighbors(idx) == ref.isl_neighbors(c, idx)
 
 
-@pytest.mark.parametrize("shell", [(72, 22, 0), (5, 7, 17), (3, 3, 2)],
-                         ids=_shell_id)
+#: the untied shells check against the edge loop, the half-slot ones (whose
+#: phasing scan is asymmetric) against the np.unique dedupe of the table
+EDGE_SHELLS = [(72, 22, 0), (5, 7, 17), (3, 3, 2), (3, 3, 0), (72, 22, 36),
+               (12, 10, 6), (4, 3, 2)]
+
+
+@pytest.mark.parametrize("shell", EDGE_SHELLS, ids=_shell_id)
 def test_isl_edges_equal_the_edge_loop(shell):
     c = _shell(*shell)
+    half_slot = 2 * shell[2] == shell[0]
     for t in (0.0, 1234.5):
-        assert c.isl_edges(t) == ref.isl_edges(c, t)
+        edges = c.isl_edges(t)
+        assert edges == ref.unique_isl_edges(c, t)
+        if not half_slot:
+            assert edges == ref.isl_edges(c, t)
 
 
 #: shells for the routing differential test; (72, 22, 36) and (12, 10, 6)
@@ -275,7 +285,7 @@ def test_shortest_path_tree_equals_the_per_satellite_build(small_env, eta):
 
 def test_routes_equal_the_reference_walk(default_constellation):
     c = default_constellation
-    root = SatId(30, 4).flat(22)
+    root = 30 * 22 + 4
     parent = c.shortest_path_tree(root, 75.0)
     _, want_parent = ref.shortest_path_tree(c, root, 75.0, 0.5)
     rng = np.random.default_rng(5)
@@ -290,10 +300,7 @@ def test_routes_equal_the_reference_walk(default_constellation):
 @pytest.mark.parametrize("shell", HALF_SLOT_SHELLS, ids=_shell_id)
 def test_half_slot_phasing_is_symmetric(shell):
     c = _shell(*shell)
-    n_sp = c.cfg.sats_per_plane
-    nbrs = np.array([[nb.flat(n_sp) for nb in
-                      c.isl_neighbors(SatId.from_flat(idx, n_sp))]
-                     for idx in range(c.n_sats)])
+    nbrs = c.neighbors
     # 4-regular: 4 distinct neighbors, none of them the satellite itself
     assert all(len(set(row)) == 4 for row in nbrs.tolist())
     assert not np.any(nbrs == np.arange(c.n_sats)[:, None])

@@ -8,7 +8,7 @@ import slot_reference as ref
 import topology_reference as topo
 from terasec import sec_sim
 from terasec.baselines import UniformPolicy
-from terasec.constellation import Constellation, SatId, WalkerConfig
+from terasec.constellation import Constellation, WalkerConfig
 from terasec.env import GS_NODE, ActionBundle, Snapshot
 from terasec.autodiff import normalized_adjacency
 from terasec.thz_link import (absorption_factor, band_preset, link_gain,
@@ -68,15 +68,13 @@ def link_allocs(env, alloc_to, alloc_ot):
 
 def reference_sinr_features(env, gammas_to, gammas_ot):
     """Mean active-sub-band SINR (dB) per (node row, ISL direction)."""
-    n_sp = env.c.cfg.sats_per_plane
     views = topo.window_views(env)
     tables = []
     for links, gammas in ((views.offload_links, gammas_to),
                           (views.outcome_links, gammas_ot)):
         table = np.zeros((len(env.involved), 4))
         for (tx, rx), g in zip(links, gammas):
-            nbrs = sorted(nb.flat(n_sp) for nb in
-                          env.c.isl_neighbors(SatId.from_flat(tx, n_sp)))
+            nbrs = sorted(env.c.neighbors[tx].tolist())
             active = g[g > 0.0]
             if rx in nbrs and active.size:
                 table[env.node_index[tx], nbrs.index(rx)] = float(
@@ -436,11 +434,8 @@ def test_sources_are_nonadjacent_at_half_slot_phasing(seed):
     # F = P/2 puts the next plane exactly half a slot ahead
     env = make_env(seed=seed, steps=2, n_sources=50,
                    walker=WalkerConfig(phasing_factor=36))
-    n_sp = env.c.cfg.sats_per_plane
     sources = set(env.sources)
-    neighbors = {s: {nb.flat(n_sp) for nb in
-                     env.c.isl_neighbors(SatId.from_flat(s, n_sp))}
-                 for s in env.sources}
+    neighbors = {s: set(env.c.neighbors[s].tolist()) for s in env.sources}
     for a in env.sources:
         for b in env.sources:
             assert b not in neighbors[a] and a not in neighbors[b], (a, b)

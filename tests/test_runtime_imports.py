@@ -3,6 +3,7 @@ imports only numpy, the standard library and terasec itself."""
 import ast
 import glob
 import os
+import subprocess
 import sys
 
 import pytest
@@ -44,3 +45,23 @@ def f():
     from torch import nn
 """
     assert foreign_imports(source) == ["scipy.sparse", "torch"]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma on its first call, about 18 ms of a fresh
+    process's set-up; no command needs it, checked in one fresh interpreter."""
+    script = f"""
+import sys
+from terasec.cli import main
+out = {str(tmp_path)!r}
+for argv in (["train", "--policy", "uniform", "--steps", "1",
+              "--out", out + "/runs"],
+             ["compare-bands", "--policy", "uniform", "--steps", "1"],
+             ["dump-topology", "--out", out + "/topology.csv"]):
+    assert main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,8 @@
 as the reference for differential tests.
 
 ``isl_neighbors`` is the phasing scan (closest inter-plane phasing, lower
-slot index wins a tie), ``isl_edges`` the per-satellite edge loop, and
+slot index wins a tie), ``isl_edges`` the per-satellite edge loop,
+``unique_isl_edges`` the np.unique dedupe of the neighbor table, and
 ``shortest_path_tree`` the Dijkstra tree over a per-satellite weight build;
 ``route`` walks a parent array.  ``window_reference`` builds an access
 window's topology by one route walk per server, as the window once did, and
@@ -55,6 +56,19 @@ def isl_edges(c, t: float) -> list:
             edges.add((min(idx, j), max(idx, j)))
     return [(a, b, float(np.linalg.norm(pos[a] - pos[b])))
             for a, b in sorted(edges)]
+
+
+def unique_isl_edges(c, t: float) -> list:
+    """isl_edges deduplicated by np.unique over the table's sorted rows, the
+    formula Constellation.isl_edges used before its sort."""
+    table = c.neighbors
+    pos = c.positions_at(t)
+    own = np.repeat(np.arange(c.n_sats), table.shape[1])
+    pairs = np.unique(np.sort(np.stack([own, table.ravel()], axis=1), axis=1),
+                      axis=0)
+    v = pos[pairs[:, 0]] - pos[pairs[:, 1]]
+    dist = np.sqrt(np.vecdot(v, v))
+    return [(a, b, d) for (a, b), d in zip(pairs.tolist(), dist.tolist())]
 
 
 def shortest_path_tree(c, root: int, t: float, eta: float,

@@ -42,10 +42,10 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
     """One TD step; returns (critic_loss, q_value) for the executed action."""
     s_to, s_ot = states
     ns_to, ns_ot = next_states
-    n = s_to.features.shape[0]
+    n = s_to.shape[0]
 
     next_tensors = agent.actor_tensors(ns_to, ns_ot)
-    na_to, na_ot = agent._action_node_tensors(next_tensors, n)
+    na_to, na_ot = agent._action_node_tensors(next_tensors)
     q_next = agent.q_value(ns_to, ns_ot, na_to, na_ot).data.item()
     y = td_target(reward / REWARD_SCALE, q_next, agent.cfg.kappa)
 
@@ -60,7 +60,7 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
 
     zero_grads(agent.actor_params + agent.critic_params)
     tensors = agent.actor_tensors(s_to, s_ot)
-    pa_to, pa_ot = agent._action_node_tensors(tensors, n)
+    pa_to, pa_ot = agent._action_node_tensors(tensors)
     q_pi = agent.q_value(s_to, s_ot, pa_to, pa_ot)
     q_pi.backward()
     agent.actor_opt.step(maximize=True)
