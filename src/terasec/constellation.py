@@ -157,8 +157,9 @@ class Constellation:
         own = np.repeat(np.arange(self.n_sats), self.neighbors.shape[1])
         other = self.neighbors.ravel()
         lower = own < other
-        order = np.lexsort((other[lower], own[lower]))
-        a, b = own[lower][order], other[lower][order]
+        # already sorted: a row's higher neighbors come in column order, the
+        # next slot, the wrapped previous slot, the next plane, plane P-1
+        a, b = own[lower], other[lower]
         pos = self.positions_at(t)
         v = pos[a] - pos[b]
         # vecdot keeps np.linalg.norm's bits
