@@ -421,6 +421,24 @@ def test_a_repeated_config_key_exits_2_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_command_line_overrides_hash_like_the_same_values_in_a_file(
+        tmp_path, capsys):
+    """--policy, --steps and --out are one layer over the file's tables, so
+    the merged config, and its hash, equal a file that holds their values."""
+    out = str(tmp_path / "runs")
+    overridden = write_cfg(tmp_path, {"policy": "full",
+                                      "train": {"steps": 7, "noise_std": 0.1}})
+    same = tmp_path / "same.json"
+    same.write_text(json.dumps({"policy": "uniform", "output_dir": out,
+                                "train": {"steps": 1, "noise_std": 0.1}}))
+    hashes = []
+    for argv in (["--config", overridden, "--policy", "uniform",
+                  "--steps", "1", "--out", out], ["--config", str(same)]):
+        assert main(["eval", *argv]) == EXIT_OK
+        hashes.append(json.loads(capsys.readouterr().out)["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_a_negative_run_seed_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exc:
