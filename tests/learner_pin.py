@@ -1,7 +1,10 @@
 """The learner's output bits, pinned: what a short `grant` and `maddpg_fc`
 run write at 10 sources, what `grant` at 200 sources and `uniform` at 50
 write, what `eval` prints from the `grant` step-50 checkpoint and what
-`compare-bands` prints for `uniform` and from that checkpoint.
+`compare-bands` prints for `uniform` and from that checkpoint, and the
+`maddpg_fc` agent's parameters and live critic rows after 3 steps at 10
+sources.  CSV rows carry 10 digits, so only the tensors show a change in
+the low bits of the dense baseline.
 
     PYTHONPATH=src python tests/learner_pin.py      # re-pin learner_pin.json
 
@@ -27,6 +30,7 @@ import tempfile
 import numpy as np
 
 from terasec.cli import main
+from terasec.harness import load_config, restored_policy
 
 PIN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "learner_pin.json")
@@ -105,13 +109,27 @@ def _config(out_dir, n_sources) -> str:
     return path
 
 
+def _maddpg_fc_tensors(out_dir) -> dict:
+    """The `maddpg_fc` agent's parameter tensors after 3 training steps in
+    this process at 10 sources and seed 1, and its flat critic's live fc1
+    rows, each named under "maddpg_fc/"."""
+    cfg = load_config(None, {"policy": "maddpg_fc", "train": {"steps": 3},
+                             "output_dir": out_dir})
+    _, agent = restored_policy(cfg, 1)
+    agent.run_training()
+    tensors = {p.name: p.data for p in agent.parameters()}
+    tensors["fc_critic.fc1.w.live_rows"] = agent.critic.fc1.w.live_rows
+    return {f"maddpg_fc/{name}": _tensor(data)
+            for name, data in tensors.items()}
+
+
 def outputs(out_dir) -> dict:
     """Run `grant` at 10 sources for 55 steps (crossing the step-50
     checkpoint), `maddpg_fc` at 10 sources for 3 steps, `grant` at 200
     sources for 3 steps and `uniform` at 50 sources for 5 steps (each in its
     own subdirectory), `eval` and a 5-slot `compare-bands` of the `grant`
-    step-50 checkpoint, and a 3-slot `compare-bands` of `uniform` at 50
-    sources; return their pinned outputs."""
+    step-50 checkpoint, a 3-slot `compare-bands` of `uniform` at 50 sources
+    and 3 `maddpg_fc` steps in this process; return their pinned outputs."""
     for policy, steps in (("grant", 55), ("maddpg_fc", 3)):
         _cli("train", "--policy", policy, "--steps", str(steps),
              "--seed", "1", "--out", out_dir)
@@ -134,6 +152,7 @@ def outputs(out_dir) -> dict:
     with np.load(ckpt) as archive:
         tensors = {key: _tensor(archive[key]) for key in archive.files
                    if key.startswith("tensor/")}
+    tensors.update(_maddpg_fc_tensors(out_dir))
     return {
         "csv": {name: _csv(os.path.join(out_dir, name)) for name in (
             "grant_seed1_metrics.csv", "grant_seed1_loss.csv",
