@@ -90,13 +90,16 @@ SKIP_LR_SCALE = 10.0
 
 
 def head_specs(k_subbands):
-    """Both phases' actor heads as (name, width, activation), shared by the
-    GCN and the dense agent; each resource share head has one slack column."""
-    return ([("head_offload", 5, Tensor.softmax_rows),
-             ("head_subarray", 5, Tensor.softmax_rows),
-             ("head_power", 4 * k_subbands + 1, Tensor.softmax_rows)],
-            [("head_subarray", 1, Tensor.sigmoid),
-             ("head_power", k_subbands + 1, Tensor.softmax_rows)])
+    """Both phases' actor heads as (name, width, action width, activation),
+    shared by the GCN and the dense agent: the one statement of the action
+    layout.  A head's first `action width` columns are its ActionBundle
+    field; each resource share head has one slack column after them."""
+    k4 = 4 * k_subbands        # 4 offload links x K sub-bands per source
+    return ([("head_offload", 5, 5, Tensor.softmax_rows),
+             ("head_subarray", 5, 4, Tensor.softmax_rows),
+             ("head_power", k4 + 1, k4, Tensor.softmax_rows)],
+            [("head_subarray", 1, 1, Tensor.sigmoid),
+             ("head_power", k_subbands + 1, k_subbands, Tensor.softmax_rows)])
 
 
 def read_heads(x: Tensor, heads, spec):
@@ -114,7 +117,7 @@ class GcnActor:
         self.gcn1 = GcnLayer(rng, d_in, width, f"{name}.gcn1")
         self.gcn2 = GcnLayer(rng, width, width, f"{name}.gcn2")
         self.heads = [Dense(rng, width, d_out, f"{name}.{key}", 0.1)
-                      for key, d_out, _ in spec]
+                      for key, d_out, _, _ in spec]
 
     def forward(self, features: np.ndarray, table: NeighborTable, rows=None):
         emb = self.gcn2(self.gcn1(Tensor(features), table), table, rows)
@@ -150,9 +153,9 @@ class CentralCritic:
     POWER_SLOPE = 0.3
 
     def __init__(self, rng, k_subbands, width=128):
-        self.k = k_subbands
-        d_in = (OFFLOAD_FEATURES + OUTCOME_FEATURES
-                + (5 + 4 + 4 * k_subbands) + (1 + k_subbands))
+        spec = sum(head_specs(k_subbands), [])
+        state_w = OFFLOAD_FEATURES + OUTCOME_FEATURES
+        d_in = state_w + sum(cols for _, _, cols, _ in spec)
         self.gcn1 = GcnLayer(rng, d_in, width, "critic.gcn1")
         self.gcn2 = GcnLayer(rng, width, width, "critic.gcn2")
         self.dense1 = Dense(rng, width, width, "critic.dense1")
@@ -161,14 +164,13 @@ class CentralCritic:
         self.skip = Dense(rng, d_in, 1, "critic.skip")
         self.out.w.data[:] = 0.0
         self.skip.w.data[:] = 0.0
-        k4 = 4 * k_subbands
-        state_w = OFFLOAD_FEATURES + OUTCOME_FEATURES
-        # action columns: offload shares carry no usage and stay at zero
-        sw = self.skip.w.data
-        sw[state_w + 5:state_w + 9, 0] = -self.SUBARRAY_SLOPE
-        sw[state_w + 9:state_w + 9 + k4, 0] = -self.POWER_SLOPE
-        sw[state_w + 9 + k4, 0] = -self.SUBARRAY_SLOPE
-        sw[state_w + 10 + k4:, 0] = -self.POWER_SLOPE
+        # the action columns' prior, head by head: offload shares carry no
+        # usage and stay at zero
+        slopes = {"head_subarray": -self.SUBARRAY_SLOPE,
+                  "head_power": -self.POWER_SLOPE}
+        self.skip.w.data[state_w:, 0] = np.repeat(
+            [slopes.get(name, 0.0) for name, *_ in spec],
+            [cols for _, _, cols, _ in spec])
 
     def forward(self, f_to: np.ndarray, f_ot: np.ndarray, table: NeighborTable,
                 action_to: Tensor, action_ot: Tensor):
@@ -243,11 +245,10 @@ class GrantAgent:
 
     def __init__(self, env: SecWindow, cfg: TrainConfig):
         rng = self._bind(env, cfg)
-        spec_to, spec_ot = head_specs(self.k)
         self.actor_to = GcnActor(rng, OFFLOAD_FEATURES, cfg.hidden_width,
-                                 spec_to, "actor_to")
+                                 self.spec_to, "actor_to")
         self.actor_ot = GcnActor(rng, OUTCOME_FEATURES, cfg.hidden_width,
-                                 spec_ot, "actor_ot")
+                                 self.spec_ot, "actor_ot")
         self.critic = CentralCritic(rng, self.k, cfg.hidden_width)
         safe_init(self.actor_to.heads, self.actor_ot.heads)
         self.actor_params = self.actor_to.parameters() + self.actor_ot.parameters()
@@ -261,10 +262,12 @@ class GrantAgent:
                                           for p in self.critic_params])
 
     def _bind(self, env: SecWindow, cfg: TrainConfig):
-        """Attach the window and config; returns the network-init generator."""
+        """Attach the window, config and head specs; returns the
+        network-init generator."""
         self.env = env
         self.cfg = cfg
         self.k = env.band_to.n_subbands
+        self.spec_to, self.spec_ot = head_specs(self.k)
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         self.source_rows = [env.node_index[s] for s in env.sources]
@@ -304,42 +307,35 @@ class GrantAgent:
     def _ratios_from_tensors(self, tensors):
         return tuple(t.data.copy() for t in tensors)
 
-    def act(self, snapshot):
-        """The policy protocol: (ActionBundle, ratios, encoded states)."""
-        states = self.encode(snapshot)
-        ratios = self._ratios_from_tensors(self.actor_tensors(*states))
-        return self.to_bundle(ratios), ratios, states
+    def act(self, snapshot) -> ActionBundle:
+        """The policy protocol: the deterministic action at the snapshot."""
+        tensors = self.actor_tensors(*self.encode(snapshot))
+        return self.to_bundle(self._ratios_from_tensors(tensors))
 
     def explore(self, ratios):
-        offload, subarray, power, ot_sub, ot_power = ratios
-        std = self.cfg.noise_std
-        rng = self.noise_rng
-        offload = explore_group(offload, std, rng)
-        subarray = explore_group(subarray, std, rng)
-        power = explore_group(power, std, rng)
-        # the sub-array scalar explores as the pair (s, 1 - s)
-        s = ot_sub[:, 0]
-        ot_sub = explore_group(np.column_stack([s, 1.0 - s]), std, rng)[:, :1]
-        ot_power = explore_group(ot_power, std, rng)
-        return offload, subarray, power, ot_sub, ot_power
+        """Each head's ratios perturbed in head order; a sigmoid head's
+        share s explores as the pair (s, 1 - s)."""
+        std, rng = self.cfg.noise_std, self.noise_rng
+        return tuple(
+            explore_group(np.hstack([r, 1.0 - r]), std, rng)[:, :1]
+            if act is Tensor.sigmoid else explore_group(r, std, rng)
+            for r, (*_, act) in zip(ratios, self.spec_to + self.spec_ot))
 
     def to_bundle(self, ratios) -> ActionBundle:
-        offload, subarray, power, ot_sub, ot_power = ratios
-        n_src = len(self.env.sources)
-        return ActionBundle(
-            offload=offload,
-            to_subarrays=subarray[:, :4],
-            to_power=power[:, :4 * self.k].reshape(n_src, 4, self.k),
-            ot_subarray=ot_sub[:, 0],
-            ot_power=ot_power[:, :self.k])
+        """The heads' action columns of ratios: each head's slack dropped."""
+        spec = self.spec_to + self.spec_ot
+        return ActionBundle(*(r[:, :cols]
+                              for r, (_, _, cols, _) in zip(ratios, spec)))
 
     def _action_node_tensors(self, tensors):
         """The critic's per-node action matrices (offloading zero-padded from
         the sources), from actor tensors or executed constant Tensors."""
-        offload, subarray, power, ot_sub, ot_power = tensors
-        act_to = concat_cols([offload, subarray.slice_cols(0, 4),
-                              power.slice_cols(0, 4 * self.k)])
-        act_ot = concat_cols([ot_sub, ot_power.slice_cols(0, self.k)])
+        n_to = len(self.spec_to)
+        act_to, act_ot = (
+            concat_cols([t.slice_cols(0, cols)
+                         for t, (_, _, cols, _) in zip(ts, spec)])
+            for ts, spec in ((tensors[:n_to], self.spec_to),
+                             (tensors[n_to:], self.spec_ot)))
         return (act_to.scatter_rows(self.source_rows, len(self.env.involved)),
                 act_ot)
 
@@ -403,8 +399,7 @@ class GrantAgent:
             tensors = self.actor_tensors(*states)
             ratios = self._ratios_from_tensors(tensors)
             noisy = self.explore(ratios)
-            bundle = self.to_bundle(noisy)
-            outcome, _, _ = env.step(bundle)
+            outcome, _, _ = env.step(self.to_bundle(noisy))
             next_states = self.encode(env.snapshot())
             critic_loss, q_val = self.train_step(states, noisy, outcome.reward,
                                                  next_states, tensors)

@@ -8,10 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from .agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, GrantAgent,
-                    TrainConfig, critic_input, head_specs, read_heads,
-                    safe_init)
+                    TrainConfig, critic_input, read_heads, safe_init)
 from .autodiff import Adam, Dense, StackedDense, Tensor, xavier_uniform
-from .env import SecWindow, Snapshot
+from .env import ActionBundle, SecWindow, Snapshot
 
 
 class ActorSizeError(ValueError):
@@ -31,11 +30,11 @@ class UniformPolicy:
     def __init__(self, env: SecWindow):
         self.env = env
 
-    def act(self, snapshot=None):
-        """(bundle, None, None): a stateless policy has no ratios or states."""
+    def act(self, snapshot=None) -> ActionBundle:
+        """The same bundle at every snapshot."""
         bundle = self.env.reference_bundle()
         bundle.offload = np.full_like(bundle.offload, 0.2)
-        return bundle, None, None
+        return bundle
 
 
 class FullResourcePolicy:
@@ -44,16 +43,16 @@ class FullResourcePolicy:
     def __init__(self, env: SecWindow):
         self.env = env
 
-    def act(self, snapshot=None):
-        """(bundle, None, None): a stateless policy has no ratios or states."""
-        return self.env.reference_bundle(), None, None
+    def act(self, snapshot=None) -> ActionBundle:
+        """The same bundle at every snapshot."""
+        return self.env.reference_bundle()
 
 
 def rollout_policy(env: SecWindow, policy, steps: int):
     """Act and step without learning, yielding each step's record, its
     index and SlotOutcome, as soon as it is stepped."""
     for step in range(steps):
-        outcome, _, _ = env.step(policy.act(env.snapshot())[0])
+        outcome, _, _ = env.step(policy.act(env.snapshot()))
         yield {"step": step, "outcome": outcome}
 
 
@@ -69,7 +68,7 @@ class _PrivateActors:
     def __init__(self, rng, n, d_in, width, spec, name):
         self.spec = spec
         dims = [("fc1", d_in, width, 1.0), ("fc2", width, width, 1.0),
-                *((head, width, d_out, 0.1) for head, d_out, _ in spec)]
+                *((head, width, d_out, 0.1) for head, d_out, _, _ in spec)]
         ws = [np.empty((n, d, o)) for _, d, o, _ in dims]
         for i in range(n):
             for w, (_, d, o, scale) in zip(ws, dims):
@@ -132,16 +131,15 @@ class MaddpgFcAgent(GrantAgent):
                 f"{MAX_STACKED_LAYER_BYTES / 2**30:g} GiB bound")
         rng = self._bind(env, cfg)
         self.n_nodes = len(env.involved)
-        spec_to, spec_ot = head_specs(self.k)
         self.actor_to = _PrivateActors(rng, len(env.sources), OFFLOAD_FEATURES,
-                                       cfg.hidden_width, spec_to, "actor_to")
+                                       cfg.hidden_width, self.spec_to,
+                                       "actor_to")
         self.actor_ot = _PrivateActors(rng, len(env.involved),
                                        OUTCOME_FEATURES, cfg.hidden_width,
-                                       spec_ot, "actor_ot")
-        d_state = OFFLOAD_FEATURES + OUTCOME_FEATURES
-        d_act = (5 + 4 + 4 * self.k) + (1 + self.k)
-        self.critic = _FlatCritic(rng, self.n_nodes * (d_state + d_act),
-                                  critic_width)
+                                       self.spec_ot, "actor_ot")
+        d_node = (OFFLOAD_FEATURES + OUTCOME_FEATURES
+                  + sum(cols for _, _, cols, _ in self.spec_to + self.spec_ot))
+        self.critic = _FlatCritic(rng, self.n_nodes * d_node, critic_width)
         self.critic.fc1.w.set_live_rows(self._live_critic_inputs())
         safe_init(self.actor_to.heads, self.actor_ot.heads)
         self.actor_params = (self.actor_to.parameters()
@@ -158,15 +156,16 @@ class MaddpgFcAgent(GrantAgent):
         of the critic input for a snapshot and actions of ones in exactly
         those places."""
         env, n = self.env, self.n_nodes
-        sinr = [np.zeros((n, 4)), np.zeros((n, 4))]
+        sinr = [np.zeros_like(env._sinr_to_db), np.zeros_like(env._sinr_ot_db)]
         for table, (_, rows, cols) in zip(sinr, env._sinr_cells):
             table[rows, cols] = 1.0
         inflow = np.zeros(n)
         inflow[env._offload_rows] = 1.0
         states = self.encode(Snapshot(inflow, *sinr))
-        n_src = len(self.source_rows)
-        ones = [Tensor(np.ones(shape)) for shape in (
-            (n_src, 5), (n_src, 4), (n_src, 4 * self.k), (n, 1), (n, self.k))]
+        ones = [Tensor(np.ones((rows, cols)))
+                for rows, spec in ((len(self.source_rows), self.spec_to),
+                                   (n, self.spec_ot))
+                for _, _, cols, _ in spec]
         actions = self._action_node_tensors(ones)
         return np.flatnonzero(critic_input(*states, *actions).data)
 

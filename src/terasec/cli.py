@@ -32,13 +32,14 @@ def _terminate(signum, frame):
 
 
 def _overrides(args) -> dict:
-    """--policy, --steps and --out as a config layer over the file's."""
+    """A run command's --policy, --steps and --out as a config layer over
+    the file's; the diagnostic commands take none of them."""
     layer = {}
     if getattr(args, "policy", None):
         layer["policy"] = args.policy
-    if args.steps is not None:
+    if getattr(args, "steps", None) is not None:
         layer["train"] = {"steps": args.steps}
-    if args.out:
+    if getattr(args, "out", None):
         layer["output_dir"] = args.out
     return layer
 
@@ -104,10 +105,10 @@ def cmd_dump_topology(cfg: ExperimentConfig, args) -> int:
     lines = [f"# config_hash={cfg.config_hash()} t={t}", "sat_a,sat_b,distance_km"]
     lines += [f"{a},{b},{d:.6f}" for a, b, d in edges]
     text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if args.csv_path:
+        with open(args.csv_path, "w") as fh:
             fh.write(text + "\n")
-        print("wrote", args.out, f"({len(edges)} edges)")
+        print("wrote", args.csv_path, f"({len(edges)} edges)")
     else:
         print(text)
     return EXIT_OK
@@ -163,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="LEO satellite-edge-computing simulator and trainer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, policy=True):
+    def common(p, run=True):
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--seed", type=_seed, action="append",
-                       help="run seed (repeatable)")
-        p.add_argument("--steps", type=int, help="override training steps")
-        p.add_argument("--out", help="override output directory")
-        if policy:
+        if run:
+            p.add_argument("--seed", type=_seed, action="append",
+                           help="run seed (repeatable)")
+            p.add_argument("--steps", type=int, help="override training steps")
+            p.add_argument("--out", help="override output directory")
             p.add_argument("--policy", choices=harness.POLICY_NAMES)
 
     p = sub.add_parser("train", help="train/run a policy and write CSVs")
@@ -191,12 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-topology",
                        help="dump the ISL edge list as CSV")
-    common(p, policy=False)
+    common(p, run=False)
+    p.add_argument("--out", dest="csv_path", help="write the CSV to this file")
     p.set_defaults(func=cmd_dump_topology)
 
     p = sub.add_parser("linkbudget",
                        help="single-link budget table per band")
-    common(p, policy=False)
+    common(p, run=False)
     p.add_argument("--distance-km", type=_distance_km, default=1969.9)
     p.set_defaults(func=cmd_linkbudget)
     return parser
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.seed = args.seed or [0]
+    args.seed = getattr(args, "seed", None) or [0]
     if args.command in ("eval", "compare-bands") and len(args.seed) > 1:
         parser.error(f"{args.command} takes one --seed, got {args.seed}")
     previous = signal.signal(signal.SIGTERM, _terminate)

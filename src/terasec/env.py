@@ -43,7 +43,8 @@ def tree_closure(parent: np.ndarray, servers) -> np.ndarray:
 
 @dataclass
 class ActionBundle:
-    """Continuous post-softmax ratios for one slot, before quantization.
+    """Continuous post-softmax ratios for one slot, before quantization: the
+    actor heads' action columns, in their order and shapes.
 
     Row order follows env.sources for the offloading phase and env.involved
     (each node's link to its routing-tree parent) for the outcome phase.
@@ -51,8 +52,8 @@ class ActionBundle:
 
     offload: np.ndarray       # [n_src, 5]; column 0 = self share
     to_subarrays: np.ndarray  # [n_src, 4]; sum <= 1 per row
-    to_power: np.ndarray      # [n_src, 4, K]; sum <= 1 per source
-    ot_subarray: np.ndarray   # [n_tx]; scalar in [0, 1]
+    to_power: np.ndarray      # [n_src, 4K], link-major; sum <= 1 per row
+    ot_subarray: np.ndarray   # [n_tx, 1]; in [0, 1]
     ot_power: np.ndarray      # [n_tx, K]; sum <= 1 per transmitter
 
 
@@ -159,7 +160,7 @@ class SecWindow:
         _, _, gammas_to = self._rate_phase(alloc_to, self._to_ends, band_to, pos)
         _, _, gammas_ot = self._rate_phase(alloc_ot, self._ot_ends, band_ot, pos)
         self._record_sinrs(gammas_to, gammas_ot)
-        self._slot_pos, self._replays = None, {}    # this slot's; see step
+        self._slot = None       # this slot's record; see step
 
     # -- construction helpers ----------------------------------------------
 
@@ -220,15 +221,12 @@ class SecWindow:
         node's tree parent); flattened, the links are in link-table order."""
         s_max = self.array_cfg.s_max
         p_max = self.budget.p_max_w
-        n_src = len(self.sources)
-        k = self.band_to.n_subbands
         # one budget per source over its 4 links x K sub-bands
-        power_to = sec_sim.quantize_power(
-            bundle.to_power.reshape(n_src, 4 * k), p_max).reshape(n_src, 4, k)
+        power_to = sec_sim.quantize_power(bundle.to_power, p_max).reshape(
+            len(self.sources), 4, self.band_to.n_subbands)
         alloc_to = (sec_sim.quantize_subarrays(bundle.to_subarrays, s_max),
                     power_to)
-        alloc_ot = (sec_sim.quantize_subarrays(bundle.ot_subarray[:, None],
-                                               s_max),
+        alloc_ot = (sec_sim.quantize_subarrays(bundle.ot_subarray, s_max),
                     sec_sim.quantize_power(bundle.ot_power, p_max)[:, None])
         return alloc_to, alloc_ot
 
@@ -286,8 +284,8 @@ class SecWindow:
         return ActionBundle(
             offload=offload,
             to_subarrays=np.full((n_src, 4), 0.25),
-            to_power=np.full((n_src, 4, k), 1.0 / (4 * k)),
-            ot_subarray=np.ones(n_tx),
+            to_power=np.full((n_src, 4 * k), 1.0 / (4 * k)),
+            ot_subarray=np.ones((n_tx, 1)),
             ot_power=np.full((n_tx, k), 1.0 / k),
         )
 
@@ -323,29 +321,33 @@ class SecWindow:
     def step(self, bundle: ActionBundle,
              band_to: BandPlan | None = None,
              band_ot: BandPlan | None = None,
-             advance: bool = True,
-             allocations: tuple | None = None):
-        """Apply one slot of actions; returns (SlotOutcome, task table,
-        (alloc_to, alloc_ot)), the task table in env.sources x server order
-        (the source itself, then its ISL neighbors in ascending flat order).
-        An advancing step returns the very result of this slot's replay
-        (advance=False) on its band pair if that replay had equal offload
-        ratios and allocations."""
+             advance: bool = True):
+        """Apply one slot of actions on a band pair (the window's by
+        default); returns (SlotOutcome, task table, (alloc_to, alloc_ot)),
+        the task table in env.sources x server order (the source itself,
+        then its ISL neighbors in ascending flat order).  The slot's record
+        (positions, a copy of the bundle's arrays, their allocations and
+        evaluations by band pair) quantizes a bundle once and evaluates it
+        once per band pair, so an advancing step returns the very result of
+        its replay (advance=False, which changes nothing else); a bundle
+        that differs, or was changed in place, starts a new record."""
         bands = (band_to or self.band_to, band_ot or self.band_ot)
-        allocations = allocations or self._quantize_allocations(bundle)
-        if self._slot_pos is None:
-            self._slot_pos = self._positions(self.time_at(self.step_idx))
-        inputs = (bundle.offload, *allocations[0], *allocations[1])
-        kept = self._replays.get(bands)
-        reuse = advance and kept and all(map(np.array_equal, kept[0], inputs))
-        result, gammas = kept[1] if reuse else self._evaluate(
-            bundle, *bands, allocations, self._slot_pos)
+        arrays = list(vars(bundle).values())
+        slot = self._slot
+        if slot is None or not all(map(np.array_equal, slot[1], arrays)):
+            pos = (self._positions(self.time_at(self.step_idx))
+                   if slot is None else slot[0])
+            slot = self._slot = (pos, [a.copy() for a in arrays],
+                                 self._quantize_allocations(bundle), {})
+        pos, _, allocations, evaluations = slot
+        if bands not in evaluations:
+            evaluations[bands] = self._evaluate(bundle, *bands, allocations, pos)
+        result, gammas = evaluations[bands]
         if not advance:
-            self._replays[bands] = ([a.copy() for a in inputs], (result, gammas))
             return result
         # next-slot state: realized SINRs and expected outcome inflow
         self._record_sinrs(*gammas)
         self._expected_outcome = self._expected_outcome_inflow(bundle.offload)
         self.step_idx += 1
-        self._slot_pos, self._replays = None, {}
+        self._slot = None
         return result

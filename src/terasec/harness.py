@@ -452,11 +452,9 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
     maxima = {name: [] for name in BAND_NAMES}
     unreachable = dict.fromkeys(BAND_NAMES, 0)
     for _ in range(steps):
-        bundle, _, _ = policy.act(env.snapshot())
-        allocations = env._quantize_allocations(bundle)
+        bundle = policy.act(env.snapshot())
         for name, (b_to, b_ot) in band_plans.items():
-            outcome, _, _ = env.step(bundle, band_to=b_to, band_ot=b_ot,
-                                     advance=False, allocations=allocations)
+            outcome = env.step(bundle, b_to, b_ot, advance=False)[0]
             overall = list(outcome.overall_delay.values())
             finite = [d for d in overall if np.isfinite(d)]
             unreachable[name] += len(finite) < len(overall)
@@ -464,7 +462,7 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
                 delays[name].append(float(np.mean(finite)))
                 maxima[name].append(float(np.max(finite)))
         # advance once on the configured reference band
-        env.step(bundle, advance=True, allocations=allocations)
+        env.step(bundle, advance=True)
     # a band with no finite path delay in any slot has no mean to report
     return {name: {
         "t_avg_s": float(np.mean(delays[name])) if delays[name] else None,

@@ -32,6 +32,26 @@ def loss_history(agent) -> list:
     return history
 
 
+def policy_ratios(agent, snapshot) -> tuple:
+    """A learning agent's deterministic head ratios at the snapshot, slack
+    columns included; its act returns their action columns."""
+    return agent._ratios_from_tensors(
+        agent.actor_tensors(*agent.encode(snapshot)))
+
+
+def counted_quantizations(monkeypatch) -> list:
+    """The bundle of every SecWindow._quantize_allocations call from here on."""
+    calls = []
+    quantize = SecWindow._quantize_allocations
+
+    def spy(env, bundle):
+        calls.append(bundle)
+        return quantize(env, bundle)
+
+    monkeypatch.setattr(SecWindow, "_quantize_allocations", spy)
+    return calls
+
+
 def counted_simulations(monkeypatch) -> list:
     """The keyword arguments of every sec_sim.simulate_slot call from here on
     (env.py calls it through the module)."""

@@ -258,10 +258,10 @@ def test_criterion_7_safe_mechanisms():
             bad_neg += 1
     env = make_env(seed=1, steps=2)
     agent = GrantAgent(env, TrainConfig(seed=1))
-    bundle, _, _ = agent.act(env.snapshot())
+    bundle = agent.act(env.snapshot())
     budgets = {
         "to_subarrays": float(bundle.to_subarrays.sum(axis=1).min()),
-        "to_power": float(bundle.to_power.sum(axis=(1, 2)).min()),
+        "to_power": float(bundle.to_power.sum(axis=1).min()),
         "ot_subarray": float(bundle.ot_subarray.min()),
         "ot_power": float(bundle.ot_power.sum(axis=1).min()),
     }

@@ -7,10 +7,11 @@ from terasec.agent import GrantAgent, TrainConfig, critic_input
 from terasec.autodiff import DeadInputError, Tensor
 from terasec.baselines import (FullResourcePolicy, MaddpgFcAgent,
                                UniformPolicy, rollout_policy)
+from terasec.env import ActionBundle
 from terasec.harness import (ExperimentConfig, build_environment,
                              make_policy)
 
-from conftest import loss_history, make_env
+from conftest import loss_history, make_env, policy_ratios
 from maddpg_reference import PerActorMaddpgAgent, stacked_slice
 from optim_reference import reference_first_grad
 from train_reference import full_width, reference_run_training
@@ -19,21 +20,24 @@ from train_reference import full_width, reference_run_training
 def test_uniform_bundle_values(small_env):
     policy = UniformPolicy(small_env)
     k = small_env.band_to.n_subbands
-    b, ratios, states = policy.act()
-    assert ratios is None and states is None
+    b = policy.act()
+    assert isinstance(b, ActionBundle)
+    n_src, n_tx = len(small_env.sources), len(small_env.involved)
+    assert [a.shape for a in vars(b).values()] == [
+        (n_src, 5), (n_src, 4), (n_src, 4 * k), (n_tx, 1), (n_tx, k)]
     assert np.allclose(b.offload, 0.2)
     assert np.allclose(b.to_subarrays, 0.25)
     assert np.allclose(b.to_power, 1.0 / (4 * k))
     assert np.allclose(b.ot_subarray, 1.0)
     assert np.allclose(b.ot_power, 1.0 / k)
     # stateless: identical bundle regardless of snapshot
-    b2, _, _ = policy.act(small_env.snapshot())
+    b2 = policy.act(small_env.snapshot())
     assert np.array_equal(b.offload, b2.offload)
 
 
 def test_uniform_quantizes_to_equal_split(small_env):
     env = small_env
-    b, _, _ = UniformPolicy(env).act()
+    b = UniformPolicy(env).act()
     outcome, _, ((subs_to, power_to), (subs_ot, power_ot)) = env.step(
         b, advance=False)
     s_max = env.array_cfg.s_max
@@ -52,7 +56,7 @@ def test_uniform_quantizes_to_equal_split(small_env):
 
 def test_full_resource_policy(small_env):
     env = small_env
-    b, _, _ = FullResourcePolicy(env).act()
+    b = FullResourcePolicy(env).act()
     assert np.allclose(b.offload[:, 0], 1.0)
     outcome, tasks, _ = env.step(b, advance=False)
     assert outcome.u_total > 0.95
@@ -88,9 +92,9 @@ def test_maddpg_parameter_count_decade_above(small_env):
 
 def test_maddpg_safe_init_spends_budgets(small_env):
     agent = MaddpgFcAgent(small_env, TrainConfig())
-    bundle, _, _ = agent.act(small_env.snapshot())
+    bundle = agent.act(small_env.snapshot())
     assert np.all(bundle.to_subarrays.sum(axis=1) >= 0.9)
-    assert np.all(bundle.to_power.sum(axis=(1, 2)) >= 0.9)
+    assert np.all(bundle.to_power.sum(axis=1) >= 0.9)
     assert np.all(bundle.ot_subarray >= 0.9)
     assert np.all(bundle.ot_power.sum(axis=1) >= 0.9)
     assert np.all(bundle.offload[:, 0] >= 0.5)
@@ -100,8 +104,8 @@ def test_maddpg_same_seed_determinism(small_env):
     a = MaddpgFcAgent(small_env, TrainConfig(seed=4))
     b = MaddpgFcAgent(small_env, TrainConfig(seed=4))
     snap = small_env.snapshot()
-    ra = a.explore(a.act(snap)[1])
-    rb = b.explore(b.act(snap)[1])
+    ra = a.explore(policy_ratios(a, snap))
+    rb = b.explore(policy_ratios(b, snap))
     for x, y in zip(ra, rb):
         assert np.array_equal(x, y)
 

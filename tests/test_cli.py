@@ -186,6 +186,34 @@ def test_linkbudget_rejects_a_distance_that_is_not_positive_and_finite(
     assert "--distance-km" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["linkbudget", "--seed", "3"], ["linkbudget", "--steps", "5"],
+    ["linkbudget", "--out", "nowhere"], ["linkbudget", "--policy", "grant"],
+    ["dump-topology", "--seed", "3"], ["dump-topology", "--steps", "5"],
+    ["dump-topology", "--policy", "grant"]])
+def test_a_diagnostic_command_rejects_an_option_it_does_not_read(capsys,
+                                                                 argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1] in captured.err
+
+
+def test_diagnostic_headers_hash_the_plain_config(tmp_path, capsys):
+    """dump-topology's --out names its CSV and linkbudget's --distance-km its
+    link; neither is a config value, so both headers carry the hash of the
+    config without them."""
+    plain = f"config_hash={harness.load_config(None).config_hash()} "
+    out_csv = tmp_path / "topology.csv"
+    assert main(["dump-topology", "--out", str(out_csv)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"wrote {out_csv} ")
+    assert out_csv.read_text().startswith(f"# {plain}")
+    assert main(["linkbudget", "--distance-km", "500"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0].startswith(f"# {plain}")
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_exit_config_error(tmp_path, capsys):
@@ -641,7 +669,7 @@ def test_a_huge_array_trains_and_evaluates_to_finite_numbers(tmp_path,
 def _nan_rollout(env, policy, steps):
     """rollout_policy whose third slot comes out NaN."""
     for step in range(steps):
-        outcome, _, _ = env.step(policy.act(env.snapshot())[0])
+        outcome, _, _ = env.step(policy.act(env.snapshot()))
         if step == 2:
             outcome = dataclasses.replace(outcome, t_avg=math.nan)
         yield {"step": step, "outcome": outcome, "critic_loss": 0.0,

@@ -213,8 +213,10 @@ def test_position_on_sphere_property(plane, slot, t):
 # -- the neighbor table against the per-satellite code it replaced ------------
 
 #: (planes, sats_per_plane, phasing_factor) shells with no half-slot phasing
-#: tie, where the table must equal the phasing scan
+#: tie, and shells with one (F = P/2 mod P), where the scan breaks the tie by
+#: the smaller forward shift; the table must equal the phasing scan on both
 UNTIED_SHELLS = [(72, 22, 0), (72, 22, 1), (5, 7, 17), (40, 11, 39), (3, 3, 2)]
+TIED_SHELLS = [(72, 22, 36), (12, 10, 6), (4, 3, 2), (40, 30, 20), (6, 5, -3)]
 
 #: the shells with F = P/2, where the inter-plane offset is exactly half a
 #: slot spacing
@@ -231,7 +233,7 @@ def _shell(planes, sats_per_plane, phasing_factor):
                                      phasing_factor=phasing_factor))
 
 
-@pytest.mark.parametrize("shell", UNTIED_SHELLS, ids=_shell_id)
+@pytest.mark.parametrize("shell", UNTIED_SHELLS + TIED_SHELLS, ids=_shell_id)
 def test_neighbor_table_equals_the_phasing_scan(shell):
     c = _shell(*shell)
     assert np.array_equal(c.neighbors, ref.neighbor_table(c))
@@ -239,8 +241,7 @@ def test_neighbor_table_equals_the_phasing_scan(shell):
         assert c.isl_neighbors(idx) == ref.isl_neighbors(c, idx)
 
 
-#: the untied shells check against the edge loop, the half-slot ones (whose
-#: phasing scan is asymmetric) against the np.unique dedupe of the table
+#: shells checked against the edge loop and the np.unique dedupe of the table
 EDGE_SHELLS = [(72, 22, 0), (5, 7, 17), (3, 3, 2), (3, 3, 0), (72, 22, 36),
                (12, 10, 6), (4, 3, 2)]
 
@@ -248,12 +249,10 @@ EDGE_SHELLS = [(72, 22, 0), (5, 7, 17), (3, 3, 2), (3, 3, 0), (72, 22, 36),
 @pytest.mark.parametrize("shell", EDGE_SHELLS, ids=_shell_id)
 def test_isl_edges_equal_the_edge_loop(shell):
     c = _shell(*shell)
-    half_slot = 2 * shell[2] == shell[0]
     for t in (0.0, 1234.5):
         edges = c.isl_edges(t)
         assert edges == ref.unique_isl_edges(c, t)
-        if not half_slot:
-            assert edges == ref.isl_edges(c, t)
+        assert edges == ref.isl_edges(c, t)
 
 
 #: shells for the routing differential test; (72, 22, 36) and (12, 10, 6)
@@ -269,17 +268,13 @@ def test_shortest_path_tree_equals_the_per_satellite_build(small_env, eta):
     (root, t) draws per shell at each eta, 20 per shell in all, and the
     window's own GS root at its start time."""
     rng = np.random.default_rng(int(eta * 10))
-    cases = [(small_env.c, small_env.gs_flat, small_env.t0, None)]
-    for planes, sats_per_plane, phasing_factor in ROUTING_SHELLS:
-        c = _shell(planes, sats_per_plane, phasing_factor)
-        # on a half-slot tie the phasing scan takes the lower slot index
-        # looking either way between two planes, an asymmetric graph, so the
-        # reference routes over the table's rows there
-        rows = c.neighbors if 2 * phasing_factor == planes else None
-        cases += [(c, int(rng.integers(c.n_sats)), float(rng.uniform(0, 1e4)),
-                   rows) for _ in range(5)]
-    for c, root, t, rows in cases:
-        _, want = ref.shortest_path_tree(c, root, t, eta, neighbors=rows)
+    cases = [(small_env.c, small_env.gs_flat, small_env.t0)]
+    for shell in ROUTING_SHELLS:
+        c = _shell(*shell)
+        cases += [(c, int(rng.integers(c.n_sats)), float(rng.uniform(0, 1e4)))
+                  for _ in range(5)]
+    for c, root, t in cases:
+        _, want = ref.shortest_path_tree(c, root, t, eta)
         assert np.array_equal(c.shortest_path_tree(root, t, eta), want)
 
 

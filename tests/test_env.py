@@ -14,7 +14,8 @@ from terasec.autodiff import normalized_adjacency
 from terasec.thz_link import (absorption_factor, band_preset, link_gain,
                               link_rate, noise_power, path_gain, sinr)
 
-from conftest import counted_simulations, make_env, random_simplex
+from conftest import (counted_quantizations, counted_simulations, make_env,
+                      random_simplex)
 from gcn_reference import dense_adjacency
 
 
@@ -96,8 +97,8 @@ def random_bundle(env, rng):
     return ActionBundle(
         offload=np.array([random_simplex(rng, 5) for _ in range(n_src)]),
         to_subarrays=np.array([random_simplex(rng, 4) for _ in range(n_src)]),
-        to_power=np.array([sparse_simplex((4, k)) for _ in range(n_src)]),
-        ot_subarray=rng.random(n_tx),
+        to_power=np.array([sparse_simplex(4 * k) for _ in range(n_src)]),
+        ot_subarray=rng.random((n_tx, 1)),
         ot_power=np.array([sparse_simplex(k) for _ in range(n_tx)]))
 
 
@@ -171,7 +172,7 @@ def test_next_slot_sinrs_reuse_the_slot_rating(seed):
     policy = UniformPolicy(env)
     for _ in range(2):
         pos = env._positions(env.time_at(env.step_idx))
-        _, _, (alloc_to, alloc_ot) = env.step(policy.act()[0])
+        _, _, (alloc_to, alloc_ot) = env.step(policy.act())
         reused = env.snapshot()
         _, _, g_to = env._rate_phase(alloc_to, env._to_ends, env.band_to, pos)
         _, _, g_ot = env._rate_phase(alloc_ot, env._ot_ends, env.band_ot, pos)
@@ -204,7 +205,7 @@ def reference_slot(env, bundle, band_to, band_ot):
             bundle.offload[i], int(counts[i]), views.neighbor_order[src])
     alloc_ot = {}
     for i, link in enumerate(views.outcome_links):
-        subs = ref.quantize_subarrays(np.array([bundle.ot_subarray[i]]), s_max)
+        subs = ref.quantize_subarrays(bundle.ot_subarray[i], s_max)
         power = ref.quantize_power(bundle.ot_power[i], p_max)
         alloc_ot[link] = ref.LinkAlloc(int(subs[0]), power)
     assignment = ref.OffloadAssignment(tasks_self=tasks_self, tasks_to=tasks_to)
@@ -239,7 +240,8 @@ def harsh_bundle(env, rng, dead_links):
     bundle = random_bundle(env, rng)
     bundle.offload[rng.random(len(env.sources)) < 0.2] = [1.0, 0, 0, 0, 0]
     if dead_links:
-        bundle.to_power[rng.random(bundle.to_power.shape[:2]) < 0.2] = 0.0
+        power = bundle.to_power.reshape(len(env.sources), 4, -1)  # a view
+        power[rng.random(power.shape[:2]) < 0.2] = 0.0
         bundle.ot_power[rng.random(len(bundle.ot_power)) < 0.1] = 0.0
     return bundle
 
@@ -365,11 +367,16 @@ def test_static_observables_are_read_only(small_env):
 WINDOWS = [(10, 1), (50, 2), (200, 1)]
 
 
-@pytest.mark.parametrize("n_sources,seed", WINDOWS)
-def test_window_setup_equals_the_per_satellite_reference(n_sources, seed):
+@pytest.mark.parametrize("n_sources,seed,walker", [
+    *(pytest.param(n, seed, WalkerConfig(), id=f"{n}-{seed}")
+      for n, seed in WINDOWS),
+    # a half-slot phasing tie between every pair of planes
+    pytest.param(10, 1, WalkerConfig(phasing_factor=36), id="10-1-P72S22F36")])
+def test_window_setup_equals_the_per_satellite_reference(n_sources, seed,
+                                                         walker):
     """The tables built from the routing tree's parent array equal those of
     one route walk per server over the per-satellite topology code."""
-    env = make_env(seed=seed, steps=2, n_sources=n_sources)
+    env = make_env(seed=seed, steps=2, n_sources=n_sources, walker=walker)
     want = topo.window_reference(env.c, env.gs_flat, env.t0, env.routing_eta,
                                  n_sources, seed)
     got = topo.window_views(env)
@@ -472,43 +479,47 @@ def test_an_advancing_step_after_replays_equals_a_plain_step(seed, monkeypatch):
     replayed, plain = make_env(seed=seed, steps=5), make_env(seed=seed, steps=5)
     rng = np.random.default_rng(seed)
     calls = counted_simulations(monkeypatch)
+    quantized = counted_quantizations(monkeypatch)
     for slot in range(5):
         bundle = random_bundle(replayed, rng)
-        allocations = replayed._quantize_allocations(bundle)
         replays = [replayed.step(bundle, band_to=b_to, band_ot=b_ot,
-                                 advance=False, allocations=allocations)
+                                 advance=False)
                    for b_to, b_ot in BAND_PAIRS]
-        got = replayed.step(bundle, allocations=allocations)
+        got = replayed.step(bundle)
         assert got[0] is replays[0][0]            # the thz/thz replay's
         assert len(calls) == 4 * slot + 3
+        assert len(quantized) == 2 * slot + 1     # once per slot and window
         assert_same_step(got, plain.step(bundle))
         assert_same_snapshot(replayed.snapshot(), plain.snapshot())
-        assert replayed._replays == {}
+        assert replayed._slot is None
 
 
 @pytest.mark.parametrize("change", ["offload", "allocations", "band", "slot"])
 def test_a_replay_is_not_reused_for_other_inputs(change, monkeypatch):
-    """Offload ratios or allocations changed in place after the replay,
-    another band pair, or the next slot: the advancing step evaluates."""
+    """Offload ratios or resource ratios (so the allocations) changed in
+    place after the replay, another band pair, or the next slot: the
+    advancing step evaluates, and quantizes again unless only the band
+    pair changed."""
     env, plain = make_env(seed=3, steps=4), make_env(seed=3, steps=4)
     rng = np.random.default_rng(3)
     bundle = random_bundle(env, rng)
-    allocations = env._quantize_allocations(bundle)
     b_to, b_ot = BAND_PAIRS[1 if change == "band" else 0]
-    env.step(bundle, band_to=b_to, band_ot=b_ot, advance=False,
-             allocations=allocations)
+    env.step(bundle, band_to=b_to, band_ot=b_ot, advance=False)
     if change == "offload":
         bundle.offload[0] = bundle.offload[0, ::-1].copy()
     elif change == "allocations":
-        allocations[1][1][0] *= 0.5
+        bundle.ot_power[0] *= 0.5
     calls = counted_simulations(monkeypatch)
+    quantized = counted_quantizations(monkeypatch)
     if change == "slot":
         # the replay's own slot reuses it; the next slot does not
-        env.step(bundle, allocations=allocations)
-        assert not calls
-        plain.step(bundle, allocations=allocations)
+        env.step(bundle)
+        assert not calls and not quantized
+        plain.step(bundle)
         calls.clear()
-    got = env.step(bundle, allocations=allocations)
+        quantized.clear()
+    got = env.step(bundle)
     assert len(calls) == 1
-    assert_same_step(got, plain.step(bundle, allocations=allocations))
+    assert len(quantized) == (0 if change == "band" else 1)
+    assert_same_step(got, plain.step(bundle))
     assert_same_snapshot(env.snapshot(), plain.snapshot())

@@ -16,7 +16,7 @@ from terasec.harness import (CONVERGED_WINDOW, ConfigError, ExperimentConfig,
                              summarize_metrics)
 
 import checkpoint_reference as json_ckpt
-from conftest import counted_simulations, make_env
+from conftest import counted_quantizations, counted_simulations, make_env
 
 
 # -- configuration ------------------------------------------------------------
@@ -260,8 +260,11 @@ def test_every_policy_acts_and_rolls_out(name):
     cfg = ExperimentConfig.from_dict({"policy": name, "train": {"steps": 2}})
     env, policy = harness.restored_policy(cfg, 1)
     action = policy.act(env.snapshot())
-    assert isinstance(action, tuple) and len(action) == 3
-    assert isinstance(action[0], ActionBundle)
+    assert isinstance(action, ActionBundle)
+    n_src, n_tx = len(env.sources), len(env.involved)
+    k = env.band_to.n_subbands
+    assert [a.shape for a in vars(action).values()] == [
+        (n_src, 5), (n_src, 4), (n_src, 4 * k), (n_tx, 1), (n_tx, k)]
     history = list(harness.rollout_policy(env, policy, 2))
     assert [rec["step"] for rec in history] == [0, 1]
     for rec in history:
@@ -294,7 +297,7 @@ def test_compare_bands_reference_band_matches_plain_run(tmp_path):
     policy = harness.make_policy("uniform", env, cfg, 2)
     raw = []
     for _ in range(2):
-        outcome, _, _ = env.step(policy.act(env.snapshot())[0])
+        outcome, _, _ = env.step(policy.act(env.snapshot()))
         raw.append(float(np.mean(list(outcome.overall_delay.values()))))
     assert abs(table["thz"]["t_avg_s"] - np.mean(raw)) < 1e-12
 
@@ -303,13 +306,17 @@ def test_compare_bands_reference_band_matches_plain_run(tmp_path):
 def test_compare_bands_evaluates_each_band_pair_once_per_slot(
         tmp_path, monkeypatch, outcome_band, per_slot):
     """The advancing step reuses the thz/thz replay; a configured ka outcome
-    band matches no replay, so the advancing step evaluates again."""
+    band matches no replay, so the advancing step evaluates again.  Either
+    way a slot quantizes its bundle once, after the window's set-up has
+    quantized the reference bundle."""
     cfg = ExperimentConfig.from_dict({
         "policy": "uniform", "train": {"steps": 4},
         "band": {"outcome": outcome_band}, "output_dir": str(tmp_path)})
     calls = counted_simulations(monkeypatch)
+    quantized = counted_quantizations(monkeypatch)
     compare_bands(cfg, seed=1, steps=3)
     assert len(calls) == 3 * per_slot
+    assert len(quantized) == 1 + 3
 
 
 def test_a_training_step_evaluates_once_and_keeps_no_replay(tmp_path,
@@ -319,9 +326,11 @@ def test_a_training_step_evaluates_once_and_keeps_no_replay(tmp_path,
         "output_dir": str(tmp_path)})
     windows = []
     calls = counted_simulations(monkeypatch)
+    quantized = counted_quantizations(monkeypatch)
     run_experiment(cfg, [1], on_setup=lambda seed, env: windows.append(env))
     assert len(calls) == 2
-    assert windows[0].step_idx == 2 and windows[0]._replays == {}
+    assert len(quantized) == 1 + 2          # the set-up's, then one a slot
+    assert windows[0].step_idx == 2 and windows[0]._slot is None
 
 
 def _zero_power_compare_bands(tmp_path, monkeypatch, zero):
@@ -338,10 +347,10 @@ def _zero_power_compare_bands(tmp_path, monkeypatch, zero):
             self.policy = policy
 
         def act(self, snapshot=None):
-            bundle, ratios, states = self.policy.act(snapshot)
+            bundle = self.policy.act(snapshot)
             zero(bundle, len(acted))
             acted.append(bundle)
-            return bundle, ratios, states
+            return bundle
 
     def zero_power_policy(*args):
         env, policy = restored(*args)

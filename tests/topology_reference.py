@@ -1,8 +1,9 @@
 """The per-satellite ISL topology code that the neighbor table replaced, kept
 as the reference for differential tests.
 
-``isl_neighbors`` is the phasing scan (closest inter-plane phasing, lower
-slot index wins a tie), ``isl_edges`` the per-satellite edge loop,
+``isl_neighbors`` is the phasing scan (the closest inter-plane phasing
+toward plane+1, the smaller forward slot shift winning a tie, and plane-1
+its inverse), ``isl_edges`` the per-satellite edge loop,
 ``unique_isl_edges`` the np.unique dedupe of the neighbor table, and
 ``shortest_path_tree`` the Dijkstra tree over a per-satellite weight build;
 ``route`` walks a parent array.  ``window_reference`` builds an access
@@ -12,6 +13,7 @@ All work on flat satellite indices.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from types import SimpleNamespace
@@ -22,23 +24,39 @@ import numpy as np
 GS_NODE = -1
 
 
-def isl_neighbors(c, idx: int) -> list:
-    """Flat ids of the 4 ISL neighbors: slot+1, slot-1, plane+1, plane-1."""
+def closest_slot(c, p: int, s: int, q: int) -> int:
+    """The slot of plane q closest in phase to slot s of plane p; on a tie
+    (a half-slot offset) the smaller forward shift (s2 - s) mod S wins."""
     n_s = c.cfg.sats_per_plane
-    p, s = divmod(idx, n_s)
-    out = [p * n_s + (s + 1) % n_s, p * n_s + (s - 1) % n_s]
     my_anom = s * c._phase_step + p * c._plane_phase
-    for dp in (1, -1):
-        q = (p + dp) % c.cfg.planes
-        best_slot, best_diff = 0, float("inf")
-        for s2 in range(n_s):
-            anom = s2 * c._phase_step + q * c._plane_phase
-            diff = abs(math.remainder(anom - my_anom, 2.0 * math.pi))
-            # deterministic tie-break: lower slot index wins
-            if diff < best_diff - 1e-12:
-                best_slot, best_diff = s2, diff
-        out.append(q * n_s + best_slot)
-    return out
+    best_slot, best_diff = 0, float("inf")
+    for s2 in range(n_s):
+        anom = s2 * c._phase_step + q * c._plane_phase
+        diff = abs(math.remainder(anom - my_anom, 2.0 * math.pi))
+        if diff < best_diff - 1e-12 or (
+                diff < best_diff + 1e-12
+                and (s2 - s) % n_s < (best_slot - s) % n_s):
+            best_slot, best_diff = s2, diff
+    return best_slot
+
+
+@functools.lru_cache(maxsize=None)
+def up_slots(c, p: int) -> tuple:
+    """closest_slot in plane p+1 of every slot of plane p."""
+    return tuple(closest_slot(c, p, s, (p + 1) % c.cfg.planes)
+                 for s in range(c.cfg.sats_per_plane))
+
+
+def isl_neighbors(c, idx: int) -> list:
+    """Flat ids of the 4 ISL neighbors: slot+1, slot-1, plane+1 (the closest
+    phasing there) and plane-1 (the one satellite there whose plane+1
+    neighbor this is)."""
+    n_s, n_p = c.cfg.sats_per_plane, c.cfg.planes
+    p, s = divmod(idx, n_s)
+    up, down = (p + 1) % n_p, (p - 1) % n_p
+    (below,) = [s2 for s2, above in enumerate(up_slots(c, down)) if above == s]
+    return [p * n_s + (s + 1) % n_s, p * n_s + (s - 1) % n_s,
+            up * n_s + up_slots(c, p)[s], down * n_s + below]
 
 
 def neighbor_table(c) -> np.ndarray:
@@ -71,18 +89,16 @@ def unique_isl_edges(c, t: float) -> list:
     return [(a, b, d) for (a, b), d in zip(pairs.tolist(), dist.tolist())]
 
 
-def shortest_path_tree(c, root: int, t: float, eta: float,
-                       neighbors=None) -> tuple:
+def shortest_path_tree(c, root: int, t: float, eta: float) -> tuple:
     """(dist, parent) of the Dijkstra tree rooted at `root` under
     w(i, j) = 1 + eta * d(i, j) / d_ref, weights built per satellite over the
-    phasing scan's neighbors, or over the rows of `neighbors` if given."""
+    phasing scan's neighbors."""
     pos = c.positions_at(t)
     d_ref = c.intra_plane_chord_km()
     nbrs = []
     for idx in range(c.n_sats):
         row = []
-        for j in (isl_neighbors(c, idx) if neighbors is None
-                  else neighbors[idx].tolist()):
+        for j in isl_neighbors(c, idx):
             w = 1.0 + eta * float(np.linalg.norm(pos[idx] - pos[j])) / d_ref
             row.append((j, w))
         nbrs.append(row)
