@@ -4,6 +4,9 @@ exploration, and the on-policy TD training loop.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +235,32 @@ def zero_grads(params):
         p.grad = None
 
 
+@contextlib.contextmanager
+def frozen(params):
+    """No graph records params inside the block; they require gradients
+    again when it ends, by an exception too."""
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = True
+
+
+@functools.cache
+def keep_freed_heap() -> bool:
+    """Once per process, let glibc's malloc keep the heap a training step
+    frees (M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 64 MiB), so the next
+    step reuses it instead of faulting it in; False without mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1; each call returns 1
+    return mallopt(-3, 32 << 20) + mallopt(-1, 64 << 20) == 2
+
+
 def _actor_lr_scale(p) -> float:
     if "head_offload" in p.name:
         return OFFLOAD_HEAD_LR_SCALE
@@ -264,6 +293,7 @@ class GrantAgent:
     def _bind(self, env: SecWindow, cfg: TrainConfig):
         """Attach the window, config and head specs; returns the
         network-init generator."""
+        keep_freed_heap()
         self.env = env
         self.cfg = cfg
         self.k = env.band_to.n_subbands
@@ -354,11 +384,12 @@ class GrantAgent:
         on a non-finite TD target, critic loss or Q(s, pi(s)).
         """
 
-        # bootstrapped target under the current deterministic policy; the
-        # critic regresses rewards in REWARD_SCALE units
-        next_tensors = self.actor_tensors(*next_states)
-        na_to, na_ot = self._action_node_tensors(next_tensors)
-        q_next = self.q_value(*next_states, na_to, na_ot).data.item()
+        # bootstrapped target under the current deterministic policy, with
+        # no graph recorded; the critic regresses rewards in REWARD_SCALE units
+        with frozen(self.parameters()):
+            next_tensors = self.actor_tensors(*next_states)
+            na_to, na_ot = self._action_node_tensors(next_tensors)
+            q_next = self.q_value(*next_states, na_to, na_ot).data.item()
         y = td_target(reward / REWARD_SCALE, q_next, self.cfg.kappa)
         require_finite("TD target", y)
 
@@ -377,15 +408,10 @@ class GrantAgent:
         # build no gradients in this forward and backward pass
         zero_grads(self.actor_params + self.critic_params)
         pa_to, pa_ot = self._action_node_tensors(policy_tensors)
-        for p in self.critic_params:
-            p.requires_grad = False
-        try:
+        with frozen(self.critic_params):
             q_pi = self.q_value(*states, pa_to, pa_ot)
             require_finite("Q(s, pi(s))", q_pi.data.item())
             q_pi.backward()
-        finally:
-            for p in self.critic_params:
-                p.requires_grad = True
         self.actor_opt.step(maximize=True)
         zero_grads(self.actor_params + self.critic_params)
         return critic_loss, q_val

@@ -100,33 +100,39 @@ class Tensor:
 
     def backward(self, seed=None):
         """Reverse-mode sweep from this tensor: each op's gradient for a
-        parent that requires one at this time is added into its .grad."""
+        parent that requires one at this time is added into its .grad.  The
+        sweep frees the graph: an op's output drops its .grad, closure and
+        parents once it has handed its gradients on; leaves keep .grad."""
         if not self.requires_grad:
             raise GraphStateError("backward on a tensor with no recorded graph")
         # iterative post-order: a recursive closure is a reference cycle that
         # keeps the whole graph alive until the cyclic collector runs
         topo, seen = [], {id(self)}
-        stack = [(self, iter(self._parents))]
+        stack = [(self, iter(self._parents or ()))]
         while stack:
             t, parents = stack[-1]
             for p in parents:
                 if id(p) not in seen:
                     seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
+                    stack.append((p, iter(p._parents or ())))
                     break
             else:
                 stack.pop()
+                if t._parents is None:
+                    raise GraphStateError("backward through a walked graph")
                 topo.append(t)
         if seed is None:
             if self.data.size != 1:
                 raise GraphStateError("implicit seed requires a scalar output")
             seed = np.ones_like(self.data)
         self._accumulate(np.asarray(seed, dtype=np.float64).reshape(self.data.shape))
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
             if t._vjp is not None:
                 for p, g in zip(t._parents, t._vjp(t.grad)):
                     if g is not None and p.requires_grad:
                         p._accumulate(g, t._owned)
+                t.grad = t._vjp = t._parents = None
 
     # -- operations ----------------------------------------------------------
 

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import signal
 import sys
 import time
@@ -312,6 +313,8 @@ class RunSummary:
     converged_t_max_ms: float
     wall_clock_per_step_s: float
     parameter_count: int
+    minor_faults_per_step: float   # over the steps after the first
+    peak_rss_mb: float             # ru_maxrss: the whole process's so far
 
 
 def summarize_metrics(metrics_csv: str):
@@ -366,10 +369,10 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
             for fh, columns in zip(files, (METRICS_HEADER, LOSS_HEADER)):
                 fh.write(header + "\n" + columns + "\n")
             t_start = time.perf_counter()
-            steps_done = 0
+            steps_done = first_faults = 0
 
             def on_step(agent, record):
-                nonlocal steps_done
+                nonlocal steps_done, first_faults
                 step = record["step"]
                 rows = [_metrics_row(step, record["outcome"])]
                 if learning:
@@ -381,6 +384,9 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                     steps_done = step + 1
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                if step == 0:
+                    first_faults = resource.getrusage(
+                        resource.RUSAGE_SELF).ru_minflt
                 if learning and steps_done % CHECKPOINT_EVERY == 0:
                     save_checkpoint(
                         f"{base}_step{steps_done}.ckpt.npz",
@@ -402,6 +408,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                              f"error={type(exc).__name__}\n")
                 raise
         wall = (time.perf_counter() - t_start) / max(steps_done, 1)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
 
         u, t_avg_ms, t_max_ms = summarize_metrics(metrics_path)
         summary = RunSummary(
@@ -409,7 +416,10 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
             metrics_csv=metrics_path, loss_csv=loss_path,
             converged_u=u, converged_t_avg_ms=t_avg_ms,
             converged_t_max_ms=t_max_ms, wall_clock_per_step_s=wall,
-            parameter_count=n_params)
+            parameter_count=n_params,
+            minor_faults_per_step=((usage.ru_minflt - first_faults)
+                                   / max(steps_done - 1, 1)),
+            peak_rss_mb=usage.ru_maxrss / 1024.0)
         write_json(base + "_summary.json", dataclasses.asdict(summary))
         summaries.append(summary)
         if on_progress is not None:

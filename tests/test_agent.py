@@ -473,8 +473,10 @@ def test_train_step_rejects_a_nan_reward_before_any_update(small_env):
 
 
 def _frozen_call(agent):
-    """True inside train_step's actor-ascent pass."""
-    return not any(p.requires_grad for p in agent.critic_params)
+    """True inside train_step's actor-ascent pass: the critic frozen and the
+    actors live (the TD-target pass freezes both)."""
+    return (not any(p.requires_grad for p in agent.critic_params)
+            and all(p.requires_grad for p in agent.actor_params))
 
 
 def test_train_step_rejects_a_nan_policy_value_before_the_actor_step(

@@ -1,0 +1,200 @@
+"""What a training step holds on to: Tensor.backward frees the graph as it
+walks it (against the whole-graph sweep it replaced), the TD-target pass
+records no graph, the process keeps the heap a step frees, and a run's
+summary reports its page faults and peak resident set."""
+import json
+import math
+import os
+import subprocess
+import sys
+import types
+
+import numpy as np
+import pytest
+
+from terasec import agent as agent_module
+from terasec.agent import GrantAgent, TrainConfig, keep_freed_heap
+from terasec.autodiff import GraphStateError, Parameter, Tensor
+from terasec.baselines import MaddpgFcAgent
+from terasec.harness import ExperimentConfig, run_experiment
+
+from backward_reference import graph_nodes, reference_backward
+from conftest import loss_history, make_env
+
+
+def _agent(cls, steps):
+    """A 10-source learner; the dense one narrow enough to train quickly."""
+    env = make_env(seed=1, steps=steps + 1)
+    if cls is MaddpgFcAgent:
+        return cls(env, TrainConfig(seed=1, steps=steps, hidden_width=16),
+                   critic_width=32)
+    return cls(env, TrainConfig(seed=1, steps=steps))
+
+
+def _bits(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+# -- the walk that frees -------------------------------------------------------
+
+@pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
+def test_the_freeing_walk_gives_every_leaf_the_reference_gradient(
+        cls, monkeypatch):
+    """Each graph train_step walks (critic descent, then actor ascent) is
+    walked first by the reference sweep and then, from the same starting
+    gradients, by Tensor.backward: every leaf's .grad has the same bits, and
+    afterwards every walked op output holds no grad, closure or parents and
+    cannot be walked again."""
+    steps = 3
+    agent = _agent(cls, steps)
+    backward = Tensor.backward
+    walked = []
+
+    def differential(root, seed=None):
+        nodes = graph_nodes(root)
+        leaves = [t for t in nodes if t._vjp is None]
+        inner = [t for t in nodes if t._vjp is not None]
+        start = [t.grad for t in nodes]
+        reference_backward(root, seed)
+        want = [_bits(t.grad) for t in leaves]
+        for t, g in zip(nodes, start):
+            t.grad = g
+        backward(root, seed)
+        assert [_bits(t.grad) for t in leaves] == want
+        assert any(g is not None for g in want)
+        for t in inner:
+            assert t.grad is None and t._vjp is None and not t._parents
+        with pytest.raises(GraphStateError, match="walked"):
+            backward(root)
+        walked.append(len(inner))
+
+    monkeypatch.setattr(Tensor, "backward", differential)
+    loss_history(agent)
+    assert len(walked) == 2 * steps and min(walked) > 0
+
+
+def test_a_graph_that_meets_a_walked_tensor_cannot_be_walked():
+    """An op output that was walked lost its parents: a second root built
+    on it raises instead of silently sending no gradient past it."""
+    w = Parameter(np.ones((2, 2)), "w")
+    h = (Tensor(np.ones((1, 2))) @ w).tanh()
+    h.sum().backward()
+    grad = w.grad.copy()
+    with pytest.raises(GraphStateError, match="walked"):
+        (h * 2.0).sum().backward()
+    assert np.array_equal(w.grad, grad)
+    assert h._parents is None and h.data.shape == (1, 2)
+
+
+# -- the TD-target pass --------------------------------------------------------
+
+def _target_pass(agent):
+    """True inside train_step's TD-target pass: every parameter frozen."""
+    return not any(p.requires_grad for p in agent.parameters())
+
+
+def _transition(agent):
+    env = agent.env
+    states = agent.encode(env.snapshot())
+    tensors = agent.actor_tensors(*states)
+    ratios = agent.explore(agent._ratios_from_tensors(tensors))
+    return states, ratios, -50.0, states, tensors
+
+
+@pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
+def test_the_td_target_pass_records_no_graph(cls, monkeypatch):
+    agent = _agent(cls, 1)
+    made = []
+    make = Tensor._make
+
+    def spy(data, parents, vjp, owned=False):
+        out = make(data, parents, vjp, owned)
+        if _target_pass(agent):
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
+    agent.train_step(*_transition(agent))
+    assert made
+    assert not any(t.requires_grad or t._vjp or t._parents for t in made)
+    assert all(p.requires_grad for p in agent.parameters())
+
+
+@pytest.mark.parametrize("where", ["actor_tensors", "q_value"])
+@pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
+def test_an_error_in_the_td_target_pass_unfreezes_every_parameter(
+        cls, where, monkeypatch):
+    agent = _agent(cls, 1)
+    transition = _transition(agent)
+    call = getattr(agent, where)
+
+    def failing(*args):
+        if _target_pass(agent):
+            raise RuntimeError("target pass")
+        return call(*args)
+
+    monkeypatch.setattr(agent, where, failing)
+    before = [p.data.copy() for p in agent.parameters()]
+    with pytest.raises(RuntimeError, match="target pass"):
+        agent.train_step(*transition)
+    assert all(p.requires_grad for p in agent.parameters())
+    for p, b in zip(agent.parameters(), before):
+        assert np.array_equal(p.data, b), p.name
+
+
+# -- the heap a step frees ------------------------------------------------------
+
+FAULT_PROBE = """
+import resource
+from conftest import make_env
+from terasec.agent import GrantAgent, TrainConfig, keep_freed_heap
+agent = GrantAgent(make_env(seed=1, steps=9), TrainConfig(seed=1, steps=8))
+faults = []
+agent.run_training(on_step=lambda *_: faults.append(
+    resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(keep_freed_heap(), (faults[7] - faults[2]) / 5)
+"""
+
+
+def test_a_training_step_reuses_the_heap_the_last_one_freed():
+    """A fresh process training `grant` at 10 sources faults in at most 20
+    pages per step over steps 4 to 8 (about 300 with glibc's default
+    thresholds, which hand the freed heap back each step)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    kept, per_step = proc.stdout.split()
+    if kept != "True":
+        pytest.skip("the C library has no mallopt")
+    assert float(per_step) <= 20
+
+
+def test_set_up_succeeds_where_the_c_library_has_no_mallopt(monkeypatch):
+    no_mallopt = types.SimpleNamespace(CDLL=lambda name: object())
+    monkeypatch.setattr(agent_module, "ctypes", no_mallopt)
+    keep_freed_heap.cache_clear()
+    try:
+        agent = GrantAgent(make_env(seed=1, steps=2), TrainConfig(seed=1))
+        assert keep_freed_heap() is False
+        assert agent.parameter_count() > 0
+    finally:
+        keep_freed_heap.cache_clear()
+
+
+# -- what a run reports -----------------------------------------------------------
+
+@pytest.mark.parametrize("policy", ["grant", "uniform"])
+def test_the_summary_reports_faults_and_peak_rss(tmp_path, policy):
+    cfg = ExperimentConfig.from_dict({
+        "policy": policy, "train": {"steps": 3},
+        "output_dir": str(tmp_path)})
+    run_experiment(cfg, [1])
+    path = os.path.join(str(tmp_path), f"{policy}_seed1_summary.json")
+    with open(path) as fh:
+        summary = json.load(fh)
+    for key in ("minor_faults_per_step", "peak_rss_mb"):
+        value = summary[key]
+        assert isinstance(value, float) and math.isfinite(value)
+        assert value >= 0.0, key
+    assert summary["peak_rss_mb"] > 1.0
