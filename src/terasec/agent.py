@@ -251,14 +251,16 @@ def frozen(params):
 @functools.cache
 def keep_freed_heap() -> bool:
     """Once per process, let glibc's malloc keep the heap a training step
-    frees (M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 64 MiB), so the next
-    step reuses it instead of faulting it in; False without mallopt."""
+    frees (M_MMAP_THRESHOLD and M_TRIM_THRESHOLD 64 MiB: the dense
+    baseline's largest per-step array, a stacked [involved, 128, 128]
+    gradient, is over 32 MiB), so the next step reuses it instead of
+    faulting it in; False without mallopt."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1; each call returns 1
-    return mallopt(-3, 32 << 20) + mallopt(-1, 64 << 20) == 2
+    return mallopt(-3, 64 << 20) + mallopt(-1, 64 << 20) == 2
 
 
 def _actor_lr_scale(p) -> float:

@@ -214,7 +214,7 @@ class Tensor:
         """Mean over rows: [n, d] -> [1, d]."""
         n = self.shape[0]
         return Tensor._make(self.data.mean(axis=0, keepdims=True), (self,),
-                            lambda g: (np.repeat(g, n, axis=0) / n,))
+                            lambda g: (g / n,))
 
     def reshape(self, rows, cols):
         orig = self.shape
@@ -371,28 +371,6 @@ def _pad_rows(v: np.ndarray, rows, n: int) -> np.ndarray:
     return out
 
 
-def propagate(x, table: NeighborTable, rows=None) -> Tensor:
-    """(A_norm @ x)[rows] for the matrix the table holds, computed for those
-    rows only; rows=None reads every row.  A_norm is symmetric, so the
-    gradient propagates through the same table, zero-padded to every row
-    first."""
-    x = _as_tensor(x)
-    n = table.idx.shape[0]
-    if x.shape[0] != n:
-        raise DimensionError("feature row count must match the graph size")
-    read = table
-    if rows is not None:
-        rows = _row_subset(rows, n)
-        read = NeighborTable(table.idx[rows], table.weight[rows])
-
-    def vjp(g):
-        if rows is not None:
-            g = _pad_rows(g, rows, n)
-        return (_neighbor_sum(g, table),)
-
-    return Tensor._make(_neighbor_sum(x.data, read), (x,), vjp, owned=True)
-
-
 # -- parameters, layers, optimizer -------------------------------------------
 
 
@@ -466,33 +444,52 @@ class StackedDense:
         return [self.w, self.b]
 
 
-def _rows_matmul(a: Tensor, w: Parameter, rows, n: int) -> Tensor:
-    """a @ w for an input a that holds the rows `rows` of an n-row matrix.
-    The weight gradient is formed at full height, zero outside those rows:
-    BLAS then splits its sum over rows as it does for the full input, so
-    the gradient has the bits of the full product's."""
-
-    def vjp(g):
-        return (g @ w.data.T if a.requires_grad else None,
-                _pad_rows(a.data, rows, n).T @ _pad_rows(g, rows, n)
-                if w.requires_grad else None)
-
-    return Tensor._make(a.data @ w.data, (a, w), vjp, owned=True)
-
-
 class GcnLayer:
-    """F' = tanh(A_norm @ F @ W); A_norm is a per-call constant given as a
-    NeighborTable.  Given rows, the layer computes F'[rows] only."""
+    """F' = tanh(A_norm @ F @ W) as one graph op, A_norm a per-call
+    NeighborTable; given rows, F'[rows] only.  It keeps F', and A_norm @ F
+    only while W requires a gradient.  Backward has the bits of the
+    propagate, matmul and tanh ops it replaced: the weight gradient is
+    formed at full height (BLAS splits its sum as for the full layer) and,
+    A_norm being symmetric, the input gradient runs through the same table."""
 
     def __init__(self, rng, d_in, d_out, name):
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
 
     def __call__(self, features: Tensor, table: NeighborTable,
                  rows=None) -> Tensor:
-        agg = propagate(features, table, rows)
-        if rows is None:
-            return (agg @ self.w).tanh()
-        return _rows_matmul(agg, self.w, rows, table.idx.shape[0]).tanh()
+        x, w = _as_tensor(features), self.w
+        n = table.idx.shape[0]
+        if x.shape[0] != n:
+            raise DimensionError("feature row count must match the graph size")
+        read = table
+        if rows is not None:
+            rows = _row_subset(rows, n)
+            read = NeighborTable(table.idx[rows], table.weight[rows])
+        agg = _neighbor_sum(x.data, read)
+        out = agg @ w.data
+        np.tanh(out, out=out)
+        kept = agg if w.requires_grad else None
+
+        def vjp(g):
+            # g * (1 - out**2), plus the zero buffer of a first gradient
+            d = np.square(out)
+            np.subtract(1.0, d, out=d)
+            np.multiply(g, d, out=d)
+            np.add(d, 0.0, out=d)
+            gw = gx = None
+            if kept is not None and w.requires_grad:
+                gw = (kept.T @ d if rows is None else
+                      _pad_rows(kept, rows, n).T @ _pad_rows(d, rows, n))
+            if x.requires_grad:
+                gx = d @ w.data.T
+                del d
+                np.add(gx, 0.0, out=gx)
+                if rows is not None:
+                    gx = _pad_rows(gx, rows, n)
+                gx = _neighbor_sum(gx, table)
+            return gx, gw
+
+        return Tensor._make(out, (x, w), vjp, owned=True)
 
     def parameters(self):
         return [self.w]

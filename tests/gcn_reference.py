@@ -13,6 +13,10 @@ with `gather_rows`, the op GcnLayer's `rows` argument replaced.
 
 The neighbor sum's first form, one k-loop over whole columns, which the
 row-blocked terasec.autodiff._neighbor_sum replaced.
+
+The three-op GCN layer (propagate, matmul, tanh) that the one-op
+GcnLayer.__call__ replaced: `chain_gcn_call`, with its `propagate` and
+`rows_matmul` ops.
 """
 import numpy as np
 
@@ -20,7 +24,8 @@ from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, SKIP_LR_SCALE,
                            CentralCritic, GrantAgent,
                            _actor_lr_scale, bound_logits, logit_bias)
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
-                              NeighborTable, Tensor)
+                              NeighborTable, Parameter, Tensor, _as_tensor,
+                              _neighbor_sum, _pad_rows, _row_subset)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -43,6 +48,51 @@ def neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
     for k in range(1, idx.shape[1]):
         out += weight[:, k:k + 1] * x[idx[:, k]]
     return out
+
+
+def propagate(x, table: NeighborTable, rows=None) -> Tensor:
+    """(A_norm @ x)[rows] for the matrix the table holds, computed for those
+    rows only; rows=None reads every row.  A_norm is symmetric, so the
+    gradient propagates through the same table, zero-padded to every row
+    first."""
+    x = _as_tensor(x)
+    n = table.idx.shape[0]
+    if x.shape[0] != n:
+        raise DimensionError("feature row count must match the graph size")
+    read = table
+    if rows is not None:
+        rows = _row_subset(rows, n)
+        read = NeighborTable(table.idx[rows], table.weight[rows])
+
+    def vjp(g):
+        if rows is not None:
+            g = _pad_rows(g, rows, n)
+        return (_neighbor_sum(g, table),)
+
+    return Tensor._make(_neighbor_sum(x.data, read), (x,), vjp, owned=True)
+
+
+def rows_matmul(a: Tensor, w: Parameter, rows, n: int) -> Tensor:
+    """a @ w for an input a that holds the rows `rows` of an n-row matrix.
+    The weight gradient is formed at full height, zero outside those rows:
+    BLAS then splits its sum over rows as it does for the full input, so
+    the gradient has the bits of the full product's."""
+
+    def vjp(g):
+        return (g @ w.data.T if a.requires_grad else None,
+                _pad_rows(a.data, rows, n).T @ _pad_rows(g, rows, n)
+                if w.requires_grad else None)
+
+    return Tensor._make(a.data @ w.data, (a, w), vjp, owned=True)
+
+
+def chain_gcn_call(layer, features: Tensor, table: NeighborTable,
+                   rows=None) -> Tensor:
+    """GcnLayer.__call__ as three graph ops: propagate, matmul, tanh."""
+    agg = propagate(features, table, rows)
+    if rows is None:
+        return (agg @ layer.w).tanh()
+    return rows_matmul(agg, layer.w, rows, table.idx.shape[0]).tanh()
 
 
 def dense_adjacency(n: int, edges) -> np.ndarray:

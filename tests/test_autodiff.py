@@ -10,7 +10,7 @@ from terasec.autodiff import (ADAM_BLOCK, NEIGHBOR_BLOCK, Adam,
                               DimensionError, GcnLayer, GraphStateError,
                               Parameter, StackedDense, Tensor, _neighbor_sum,
                               concat_cols, load_checkpoint, mse,
-                              normalized_adjacency, propagate, save_checkpoint,
+                              normalized_adjacency, save_checkpoint,
                               write_json, xavier_uniform)
 from terasec.constellation import WalkerConfig
 
@@ -61,6 +61,14 @@ def ring_edges(n):
 #: a 4-node path: end rows are narrower than inner rows, so padding is used
 PATH4 = normalized_adjacency(4, path_edges(4))
 
+
+def _gcn_with(w, x, rows=None):
+    """A GcnLayer whose weight is w, applied to x over PATH4."""
+    layer = GcnLayer(np.random.default_rng(0), *w.shape, "g")
+    layer.w = w
+    return layer(x, PATH4, rows)
+
+
 OPS = {
     "matmul": lambda a, b: (a @ b).sum(),
     "add": lambda a, b: (a @ b + a @ b).sum(),
@@ -75,9 +83,12 @@ OPS = {
     "slice": lambda a, b: (a @ b).slice_cols(1, 3).sum(),
     "concat": lambda a, b: concat_cols([a @ b, (a @ b).tanh()]).sum(),
     "mse": lambda a, b: mse(a @ b, Tensor(np.ones((4, 3)))),
-    "propagate": lambda a, b: propagate((a @ b).tanh(), PATH4).tanh().sum(),
-    "propagate_rows": lambda a, b: propagate((a @ b).tanh(), PATH4,
-                                             [3, 0]).tanh().sum(),
+    "propagate": lambda a, b: ref.propagate((a @ b).tanh(),
+                                            PATH4).tanh().sum(),
+    "propagate_rows": lambda a, b: ref.propagate((a @ b).tanh(), PATH4,
+                                                 [3, 0]).tanh().sum(),
+    "gcn_layer": lambda a, b: _gcn_with(b, a).sum(),
+    "gcn_layer_rows": lambda a, b: _gcn_with(b, a, [3, 0]).sum(),
 }
 
 
@@ -116,6 +127,17 @@ TWICE = {
     "matmul": (lambda x: x @ x, lambda x, g: (g @ x.T, x.T @ g)),
     "concat": (lambda x: concat_cols([x, x]),
                lambda x, g: (g[:, :3], g[:, 3:])),
+    # the add's gradient, then the mean's: g summed over the rows (plus
+    # the mean output's zero buffer), repeated to every row and divided
+    "mean_rows": (lambda x: x + x.mean_rows(),
+                  lambda x, g: (g, np.repeat(g.sum(axis=0, keepdims=True)
+                                             + 0.0, 3, axis=0) / 3)),
+    # the mean's gradient first, then the tanh's
+    "mean_rows_first": (lambda x: x.tanh() + x.mean_rows(),
+                        lambda x, g: (np.repeat(g.sum(axis=0, keepdims=True)
+                                                + 0.0, 3, axis=0) / 3,
+                                      (g + 0.0) * (1.0 - np.square(
+                                          np.tanh(x))))),
 }
 
 
@@ -277,16 +299,18 @@ GRAPHS = {
 
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
 def test_propagate_equals_the_dense_product(graph):
-    """Forward is a_norm @ x and backward a_norm.T @ g, to 1e-12 relative
-    to the sum of the terms' magnitudes (|a_norm| @ |x|): a row whose terms
-    cancel has no element-wise relative bound in any summation order."""
+    """The reference chain's propagation, whose neighbor sum the layer
+    runs: forward is a_norm @ x and backward a_norm.T @ g, to 1e-12
+    relative to the sum of the terms' magnitudes (|a_norm| @ |x|): a row
+    whose terms cancel has no element-wise relative bound in any summation
+    order."""
     n, edges = GRAPHS[graph]()
     a_norm = ref.normalized_adjacency(ref.dense_adjacency(n, edges))
     table = normalized_adjacency(n, edges)
     rng = np.random.default_rng(n)
     x = Parameter(rng.standard_normal((n, 7)), "x")
     g = rng.standard_normal((n, 7))
-    out = propagate(x, table)
+    out = ref.propagate(x, table)
     scale = np.abs(a_norm) @ np.abs(x.data)
     assert np.all(np.abs(out.data - a_norm @ x.data) <= 1e-12 * scale)
     out.backward(g)
@@ -354,8 +378,8 @@ def test_blocked_neighbor_sum_has_the_bits_of_the_k_loop(width, isolated):
 
 @pytest.mark.parametrize("graph", ["isolated", "env_seed1_src200"])
 def test_propagate_at_rows_has_the_bits_of_a_gather(graph):
-    """propagate(x, table, rows) forward and backward against the full
-    propagation followed by a gather of those rows."""
+    """The reference chain's propagate(x, table, rows) forward and backward
+    against the full propagation followed by a gather of those rows."""
     n, edges = GRAPHS[graph]()
     table = normalized_adjacency(n, edges)
     rng = np.random.default_rng(n)
@@ -363,8 +387,8 @@ def test_propagate_at_rows_has_the_bits_of_a_gather(graph):
     data = _signed_features(rng, n, 128)
     g = _signed_features(rng, rows.size, 128)
     x, x_ref = Parameter(data, "x"), Parameter(data.copy(), "x")
-    out = propagate(x, table, rows)
-    out_ref = ref.gather_rows(propagate(x_ref, table), rows)
+    out = ref.propagate(x, table, rows)
+    out_ref = ref.gather_rows(ref.propagate(x_ref, table), rows)
     assert out.data.tobytes() == out_ref.data.tobytes()
     out.backward(g)
     out_ref.backward(g)
@@ -375,8 +399,10 @@ def test_propagate_at_rows_has_the_bits_of_a_gather(graph):
                          ids=["repeated", "past_n", "negative", "nested"])
 def test_propagate_rejects_rows_outside_the_graph(rows):
     table = normalized_adjacency(5, ring_edges(5))
-    with pytest.raises(DimensionError):
-        propagate(Tensor(np.ones((5, 3))), table, rows)
+    layer = GcnLayer(np.random.default_rng(0), 3, 2, "g")
+    for call in (ref.propagate, layer):
+        with pytest.raises(DimensionError):
+            call(Tensor(np.ones((5, 3))), table, rows)
 
 
 def test_a_gcn_layer_at_rows_has_the_bits_of_the_full_layer():
@@ -402,6 +428,49 @@ def test_a_gcn_layer_at_rows_has_the_bits_of_the_full_layer():
     assert grads[0] == grads[1]
 
 
+def _bits(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+#: (the input needs a gradient, the weights are frozen) of each case
+GCN_CASES = {"constant_input": (False, False), "input_grad": (True, False),
+             "frozen_weights": (True, True), "no_graph": (False, True)}
+
+
+@pytest.mark.parametrize("at_rows", [False, True], ids=["every_row", "rows"])
+@pytest.mark.parametrize("case", sorted(GCN_CASES))
+@pytest.mark.parametrize("graph", ["isolated", "env_seed1_src200"])
+def test_a_gcn_layer_has_the_bits_of_the_three_op_chain(graph, case,
+                                                        at_rows):
+    """Two stacked layers, the second at some rows or every row, as one op
+    each and as the propagate -> matmul -> tanh chain they replaced: the
+    outputs and every leaf's .grad (input, both weights) have the same
+    bits, signed zeros in the input and the seed included."""
+    n, edges = GRAPHS[graph]()
+    table = normalized_adjacency(n, edges)
+    rng = np.random.default_rng(n)
+    rows = rng.permutation(n)[:max(1, n // 7)] if at_rows else None
+    needs_grad, frozen = GCN_CASES[case]
+    feats = _signed_features(rng, n, 9)
+    seed = _signed_features(rng, n if rows is None else rows.size, 128)
+    results = []
+    for call in (GcnLayer.__call__, ref.chain_gcn_call):
+        layer_rng = np.random.default_rng(8)
+        gcn1 = GcnLayer(layer_rng, 9, 128, "g1")
+        gcn2 = GcnLayer(layer_rng, 128, 128, "g2")
+        x = Tensor(feats.copy(), requires_grad=needs_grad)
+        for w in (gcn1.w, gcn2.w):
+            w.requires_grad = not frozen
+        out = call(gcn2, call(gcn1, x, table), table, rows)
+        if out.requires_grad:
+            out.backward(seed)
+        results.append([_bits(t) for t in (out.data, x.grad, gcn1.w.grad,
+                                           gcn2.w.grad)])
+    assert results[0] == results[1]
+    assert [g is not None for g in results[0][1:]] == [needs_grad,
+                                                       not frozen, not frozen]
+
+
 def test_gcn_layer_gradient_at_rows():
     rng = np.random.default_rng(6)
     layer = GcnLayer(rng, 3, 2, "g")
@@ -414,7 +483,7 @@ def test_propagate_rejects_a_row_count_mismatch():
     table = normalized_adjacency(5, ring_edges(5))
     for rows in (4, 6):
         with pytest.raises(DimensionError):
-            propagate(Tensor(np.ones((rows, 3))), table)
+            ref.propagate(Tensor(np.ones((rows, 3))), table)
     layer = GcnLayer(np.random.default_rng(0), 3, 2, "g")
     with pytest.raises(DimensionError):
         layer(Tensor(np.ones((4, 3))), table)

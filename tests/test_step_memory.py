@@ -1,19 +1,21 @@
 """What a training step holds on to: Tensor.backward frees the graph as it
-walks it (against the whole-graph sweep it replaced), the TD-target pass
-records no graph, the process keeps the heap a step frees, and a run's
-summary reports its page faults and peak resident set."""
+walks it (against the whole-graph sweep it replaced), a GCN layer keeps
+its output and no more than the aggregation its weight gradient reads, the
+TD-target pass records no graph, the process keeps the heap a step frees,
+and a run's summary reports its page faults and peak resident set."""
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 from terasec import agent as agent_module
-from terasec.agent import GrantAgent, TrainConfig, keep_freed_heap
+from terasec.agent import GrantAgent, TrainConfig, frozen, keep_freed_heap
 from terasec.autodiff import GraphStateError, Parameter, Tensor
 from terasec.baselines import MaddpgFcAgent
 from terasec.harness import ExperimentConfig, run_experiment
@@ -86,6 +88,84 @@ def test_a_graph_that_meets_a_walked_tensor_cannot_be_walked():
     assert h._parents is None and h.data.shape == (1, 2)
 
 
+# -- what a GCN layer keeps ----------------------------------------------------
+
+#: bytes a graph may hold beyond its arrays: tensors, closures, row indices
+GRAPH_SLACK = 64 << 10
+
+
+def _held(build):
+    """(result of build(), bytes it holds once built), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = build()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
+@pytest.fixture(scope="module")
+def agent200():
+    agent = GrantAgent(make_env(seed=1, steps=2, n_sources=200),
+                       TrainConfig(seed=1))
+    return agent, agent.encode(agent.env.snapshot())
+
+
+def test_a_gcn_layer_is_one_op_on_its_input_and_weight(agent200):
+    """At 200 sources, each layer of an actor's stack, the last one at the
+    source rows, records one op whose parents are (features, weight)."""
+    agent, (f_to, _) = agent200
+    actor = agent.actor_to
+    features = Tensor(f_to)
+    h = actor.gcn1(features, agent.table)
+    out = actor.gcn2(h, agent.table, agent.source_rows)
+    assert len(h._parents) == 2
+    assert h._parents[0] is features and h._parents[1] is actor.gcn1.w
+    assert len(out._parents) == 2
+    assert out._parents[0] is h and out._parents[1] is actor.gcn2.w
+
+
+def test_the_actor_graph_keeps_outputs_and_aggregations_only(agent200):
+    """At 200 sources, the graph of one actor_tensors call holds each GCN
+    layer's output and aggregation and each head's six activations, with
+    no pre-activation buffer beside them."""
+    agent, states = agent200
+    width, n = agent.cfg.hidden_width, states[0].shape[0]
+    m = len(agent.source_rows)
+    gcn = sum(rows * (d_in + width) for rows, d_in in (
+        (n, states[0].shape[1]), (m, width), (n, states[1].shape[1]),
+        (n, width)))
+    # matmul, bias, scale, tanh, scale back and the activation of each head
+    heads = sum(6 * rows * d_out
+                for rows, spec in ((m, agent.spec_to), (n, agent.spec_ot))
+                for _, d_out, _, _ in spec)
+    tensors, held = _held(lambda: agent.actor_tensors(*states))
+    assert all(t.requires_grad for t in tensors)
+    assert held <= 8 * (gcn + heads) + GRAPH_SLACK
+
+
+@pytest.mark.parametrize("weight", ["frozen", "live"])
+def test_a_frozen_gcn_layer_keeps_no_aggregation(agent200, weight):
+    """A layer whose weight needs no gradient keeps its output alone, as
+    the critic's layers do in the actor-ascent pass; a live one keeps the
+    aggregation its weight gradient reads, too."""
+    agent, _ = agent200
+    layer, table = agent.critic.gcn2, agent.table
+    n = table.idx.shape[0]
+    x = Tensor(np.random.default_rng(0).standard_normal(
+        (n, layer.w.shape[0])), requires_grad=True)
+    if weight == "frozen":
+        with frozen([layer.w]):
+            out, held = _held(lambda: layer(x, table))
+        agg = 0
+    else:
+        out, held = _held(lambda: layer(x, table))
+        agg = x.data.nbytes
+    assert out.requires_grad
+    assert held <= out.data.nbytes + agg + GRAPH_SLACK
+
+
 # -- the TD-target pass --------------------------------------------------------
 
 def _target_pass(agent):
@@ -145,10 +225,12 @@ def test_an_error_in_the_td_target_pass_unfreezes_every_parameter(
 # -- the heap a step frees ------------------------------------------------------
 
 FAULT_PROBE = """
-import resource
+import resource, sys
 from conftest import make_env
 from terasec.agent import GrantAgent, TrainConfig, keep_freed_heap
-agent = GrantAgent(make_env(seed=1, steps=9), TrainConfig(seed=1, steps=8))
+from terasec.baselines import MaddpgFcAgent
+cls = {c.__name__: c for c in (GrantAgent, MaddpgFcAgent)}[sys.argv[1]]
+agent = cls(make_env(seed=1, steps=9), TrainConfig(seed=1, steps=8))
 faults = []
 agent.run_training(on_step=lambda *_: faults.append(
     resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
@@ -156,18 +238,32 @@ print(keep_freed_heap(), (faults[7] - faults[2]) / 5)
 """
 
 
-def test_a_training_step_reuses_the_heap_the_last_one_freed():
-    """A fresh process training `grant` at 10 sources faults in at most 20
-    pages per step over steps 4 to 8 (about 300 with glibc's default
-    thresholds, which hand the freed heap back each step)."""
+def _faults_per_step(cls):
+    """Minor page faults per step over steps 4 to 8 of a fresh process
+    training cls at 10 sources; skips where the C library has no mallopt."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, cls.__name__],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     kept, per_step = proc.stdout.split()
     if kept != "True":
         pytest.skip("the C library has no mallopt")
-    assert float(per_step) <= 20
+    return float(per_step)
+
+
+def test_a_training_step_reuses_the_heap_the_last_one_freed():
+    """A fresh process training `grant` at 10 sources faults in at most 20
+    pages per step over steps 4 to 8 (about 300 with glibc's default
+    thresholds, which hand the freed heap back each step)."""
+    assert _faults_per_step(GrantAgent) <= 20
+
+
+def test_a_dense_training_step_reuses_the_heap_the_last_one_freed():
+    """The same for the dense baseline, whose stacked [involved, 128, 128]
+    weight gradients are over 32 MiB: about 180 faults per step with a
+    32 MiB mmap threshold, which maps each afresh."""
+    assert _faults_per_step(MaddpgFcAgent) <= 20
 
 
 def test_set_up_succeeds_where_the_c_library_has_no_mallopt(monkeypatch):
