@@ -29,8 +29,32 @@ LOGIT_BOUND = 8.0
 REWARD_SCALE = 100.0
 
 
+def _bounded_tanh(z: np.ndarray) -> np.ndarray:
+    """tanh(z / L) as the chain computed it: z * (1 / L), then tanh."""
+    t = z * (1.0 / LOGIT_BOUND)
+    return np.tanh(t, out=t)
+
+
 def bound_logits(z: Tensor) -> Tensor:
-    return (z * (1.0 / LOGIT_BOUND)).tanh() * LOGIT_BOUND
+    """L * tanh(z / L) as one graph op that keeps its output alone: backward
+    recomputes tanh(z / L) from z, which the graph holds anyway, and has the
+    bits of the scale, tanh and scale-back ops it replaced."""
+
+    def vjp(g):
+        # the chain's backward: g * L plus a first gradient's zero buffer,
+        # then * (1 - t**2) plus the next one, then * (1 / L)
+        a = g * LOGIT_BOUND
+        np.add(a, 0.0, out=a)
+        d = _bounded_tanh(z.data)
+        np.square(d, out=d)
+        np.subtract(1.0, d, out=d)
+        np.multiply(a, d, out=d)
+        np.add(d, 0.0, out=d)
+        return (np.multiply(d, 1.0 / LOGIT_BOUND, out=d),)
+
+    out = _bounded_tanh(z.data)
+    return Tensor._make(np.multiply(out, LOGIT_BOUND, out=out), (z,), vjp,
+                        owned=True)
 
 
 def logit_bias(target: float) -> float:
@@ -392,6 +416,7 @@ class GrantAgent:
             next_tensors = self.actor_tensors(*next_states)
             na_to, na_ot = self._action_node_tensors(next_tensors)
             q_next = self.q_value(*next_states, na_to, na_ot).data.item()
+            del next_tensors, na_to, na_ot
         y = td_target(reward / REWARD_SCALE, q_next, self.cfg.kappa)
         require_finite("TD target", y)
 

@@ -90,13 +90,21 @@ class Tensor:
 
     def _accumulate(self, g, owned=False):
         """Add g to .grad.  owned: g is a fresh product no one else holds, so
-        the first gradient may take it over in place."""
+        the first gradient may take it over in place.  A first gradient of
+        one row for a taller tensor (mean_rows's) stays one row, held as a
+        read-only broadcast; a second gradient then replaces it by the sum."""
         if self.grad is None:
             # the bits of a zero buffer plus g (-0.0 -> +0.0)
-            self.grad = (np.add(g, 0.0, out=g) if owned
-                         else np.broadcast_to(g, self.grad_shape) + 0.0)
-        else:
+            if owned:
+                self.grad = np.add(g, 0.0, out=g)
+            elif g.shape[0] == 1 < self.grad_shape[0]:
+                self.grad = np.broadcast_to(g + 0.0, self.grad_shape)
+            else:
+                self.grad = np.broadcast_to(g, self.grad_shape) + 0.0
+        elif self.grad.flags.writeable:
             self.grad += g
+        else:
+            self.grad = self.grad + g
 
     def backward(self, seed=None):
         """Reverse-mode sweep from this tensor: each op's gradient for a
@@ -333,13 +341,15 @@ def normalized_adjacency(n: int, edges) -> NeighborTable:
 NEIGHBOR_BLOCK = 32768
 
 
-def _neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
+def _neighbor_sum(x: np.ndarray, table: NeighborTable,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order, in row
     blocks of at most NEIGHBOR_BLOCK elements; each block takes its terms
-    into one reused buffer."""
+    into one reused buffer.  out: an [n, d] buffer, not x, to write it into."""
     idx, weight = table
     n, d = idx.shape[0], x.shape[1]
-    out = np.empty((n, d))
+    if out is None:
+        out = np.empty((n, d))
     per = max(1, NEIGHBOR_BLOCK // d)
     term = np.empty((min(per, n), d))
     for lo in range(0, n, per):
@@ -450,7 +460,12 @@ class GcnLayer:
     only while W requires a gradient.  Backward has the bits of the
     propagate, matmul and tanh ops it replaced: the weight gradient is
     formed at full height (BLAS splits its sum as for the full layer) and,
-    A_norm being symmetric, the input gradient runs through the same table."""
+    A_norm being symmetric, the input gradient runs through the same table.
+
+    Backward runs once and holds one hidden-width transient beside what the
+    graph keeps: it forms g * (1 - F'**2) in the incoming gradient's buffer
+    where it may, drops A_norm @ F once the weight gradient is formed and
+    writes the input gradient's neighbor sum into the dead buffer."""
 
     def __init__(self, rng, d_in, d_out, name):
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
@@ -469,24 +484,34 @@ class GcnLayer:
         out = agg @ w.data
         np.tanh(out, out=out)
         kept = agg if w.requires_grad else None
+        walked = False
 
         def vjp(g):
-            # g * (1 - out**2), plus the zero buffer of a first gradient
+            nonlocal kept, walked
+            if walked:
+                raise GraphStateError("backward through a walked GCN layer")
+            walked = True
+            # g * (1 - out**2), plus the zero buffer of a first gradient; a
+            # row-broadcast or read-only g leaves it to the scratch buffer
             d = np.square(out)
             np.subtract(1.0, d, out=d)
-            np.multiply(g, d, out=d)
+            if g.flags.writeable and g.shape == out.shape:
+                d = np.multiply(g, d, out=g)
+            else:
+                np.multiply(g, d, out=d)
             np.add(d, 0.0, out=d)
             gw = gx = None
             if kept is not None and w.requires_grad:
                 gw = (kept.T @ d if rows is None else
                       _pad_rows(kept, rows, n).T @ _pad_rows(d, rows, n))
+            kept = None
             if x.requires_grad:
                 gx = d @ w.data.T
-                del d
                 np.add(gx, 0.0, out=gx)
                 if rows is not None:
                     gx = _pad_rows(gx, rows, n)
-                gx = _neighbor_sum(gx, table)
+                gx = _neighbor_sum(gx, table,
+                                   out=d if d.shape == gx.shape else None)
             return gx, gw
 
         return Tensor._make(out, (x, w), vjp, owned=True)

@@ -17,11 +17,14 @@ row-blocked terasec.autodiff._neighbor_sum replaced.
 The three-op GCN layer (propagate, matmul, tanh) that the one-op
 GcnLayer.__call__ replaced: `chain_gcn_call`, with its `propagate` and
 `rows_matmul` ops.
+
+The scale, tanh and scale-back ops that the one-op agent.bound_logits
+replaced: `chain_bound_logits`.
 """
 import numpy as np
 
-from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, SKIP_LR_SCALE,
-                           CentralCritic, GrantAgent,
+from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
+                           SKIP_LR_SCALE, CentralCritic, GrantAgent,
                            _actor_lr_scale, bound_logits, logit_bias)
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
                               NeighborTable, Parameter, Tensor, _as_tensor,
@@ -38,6 +41,11 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         return (buf,)
 
     return Tensor._make(a.data[idx], (a,), vjp, owned=True)
+
+
+def chain_bound_logits(z: Tensor) -> Tensor:
+    """L * tanh(z / L) as three graph ops."""
+    return (z * (1.0 / LOGIT_BOUND)).tanh() * LOGIT_BOUND
 
 
 def neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:

@@ -10,7 +10,9 @@ the low bits of the dense baseline.
 
 `test_learner_pin.py` recomputes `outputs()` and compares it with the pin:
 digest for digest on the numpy and BLAS build the pin was made on, and at
-the benchmark's tolerance (rel 1e-6, abs 1e-9) on any other build.  Every
+the benchmark's tolerance (rel 1e-6, abs 1e-9) on any other build.
+`outputs()` runs at the pin's BLAS thread count, whatever
+OPENBLAS_NUM_THREADS says, and restores the caller's count afterwards.  Every
 CSV is pinned from line 2 on, because line 1's config_hash covers the
 output directory.  Re-pin only with a change that must move bits, and state
 its tolerance in CHANGES.md.
@@ -40,18 +42,51 @@ REL_TOL, ABS_TOL = 1e-6, 1e-9
 SAMPLES = 16
 
 
-def _blas_core():
-    """The CPU kernel set numpy's bundled OpenBLAS chose, if it is found."""
+#: the BLAS thread count learner_pin.json was made with: OpenBLAS splits
+#: the dense baseline's larger products by thread count
+PIN_BLAS_THREADS = 2
+
+
+def _openblas(stem):
+    """OpenBLAS's function `stem` ("get_corename", ...) in numpy's bundled
+    build, under any of the names such builds export it by, or None."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_corename64_",
-                     "openblas_get_corename64_", "openblas_get_corename"):
+        for name in (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_",
+                     f"openblas_{stem}"):
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
+                return fn
     return None
+
+
+def _blas_core():
+    """The CPU kernel set numpy's bundled OpenBLAS chose, if it is found."""
+    fn = _openblas("get_corename")
+    if fn is None:
+        return None
+    fn.restype = ctypes.c_char_p
+    return fn().decode()
+
+
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Run the block with numpy's bundled OpenBLAS at n threads, whatever
+    OPENBLAS_NUM_THREADS set, and restore the caller's count after it; where
+    that OpenBLAS is not found, run it as it is."""
+    get = _openblas("get_num_threads")
+    set_threads = _openblas("set_num_threads")
+    if get is None or set_threads is None:
+        yield
+        return
+    set_threads.restype = None
+    before = get()
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def build_id() -> dict:
@@ -129,7 +164,13 @@ def outputs(out_dir) -> dict:
     sources for 3 steps and `uniform` at 50 sources for 5 steps (each in its
     own subdirectory), `eval` and a 5-slot `compare-bands` of the `grant`
     step-50 checkpoint, a 3-slot `compare-bands` of `uniform` at 50 sources
-    and 3 `maddpg_fc` steps in this process; return their pinned outputs."""
+    and 3 `maddpg_fc` steps in this process, all at PIN_BLAS_THREADS BLAS
+    threads; return their pinned outputs."""
+    with _blas_threads(PIN_BLAS_THREADS):
+        return _outputs(out_dir)
+
+
+def _outputs(out_dir) -> dict:
     for policy, steps in (("grant", 55), ("maddpg_fc", 3)):
         _cli("train", "--policy", policy, "--steps", str(steps),
              "--seed", "1", "--out", out_dir)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from terasec import autodiff
-from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
-                           GcnActor, GrantAgent, TrainConfig,
+from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
+                           CentralCritic, GcnActor, GrantAgent, TrainConfig,
                            TrainingError, bound_logits, explore_group,
                            head_specs, logit_bias, safe_init, td_target)
-from terasec.autodiff import (Adam, GcnLayer, Tensor, mse,
+from terasec.autodiff import (Adam, Dense, GcnLayer, Tensor, mse,
                               normalized_adjacency)
 from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, SecWindow, tree_closure
@@ -35,6 +35,46 @@ def test_bound_logits_limits_and_bias_roundtrip():
     for target in (2.0, -4.0, 4.0, 0.5):
         got = bound_logits(Tensor(np.array([[logit_bias(target)]]))).data
         assert abs(got[0, 0] - target) < 1e-12
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+def _signed_logits(rng, rows, cols):
+    """Logits wide enough to saturate tanh(z / L) in places, with whole rows
+    of -0.0 and +0.0."""
+    z = rng.standard_normal((rows, cols)) * (3 * LOGIT_BOUND)
+    z[rng.random(rows) < 0.2] = -0.0
+    z[rng.random(rows) < 0.1] = 0.0
+    return z
+
+
+@pytest.mark.parametrize("case", ["leaf", "head", "shared"])
+def test_bound_logits_has_the_bits_of_the_three_op_chain(case):
+    """bound_logits as one op and as the scale, tanh and scale-back chain
+    it replaced, on a leaf, behind a Dense head read through a softmax, and
+    on logits that also reach the output unbounded: the output and every
+    leaf's .grad have the same bits, signed zeros in the logits, the input
+    and the seed included."""
+    results = []
+    for bound in (bound_logits, gcn_reference.chain_bound_logits):
+        rng = np.random.default_rng(3)
+        seed = _signed_logits(rng, 40, 17)
+        if case == "leaf":
+            z = Tensor(_signed_logits(rng, 40, 17), requires_grad=True)
+            leaves, out = [z], bound(z)
+        else:
+            x = Tensor(_signed_logits(rng, 40, 9), requires_grad=True)
+            head = Dense(rng, 9, 17, "head", 3.0)
+            leaves, z = [x, head.w, head.b], head(x)
+            out = (bound(z).softmax_rows() if case == "head"
+                   else bound(z) + z)
+        out.backward(seed)
+        assert all(t.grad is not None for t in leaves)
+        results.append([_bits(a) for a in (out.data,
+                                           *(t.grad for t in leaves))])
+    assert results[0] == results[1]
 
 
 # -- state encoding -----------------------------------------------------------
@@ -625,8 +665,8 @@ def test_the_offloading_actor_computes_its_last_layer_at_the_sources(
     calls, layer = [], []
     neighbor_sum = autodiff._neighbor_sum
 
-    def spy(x, table):
-        out = neighbor_sum(x, table)
+    def spy(x, table, out=None):
+        out = neighbor_sum(x, table, out=out)
         calls.append((tuple(layer), out.shape))
         return out
 

@@ -159,6 +159,51 @@ def test_a_parent_met_twice_gets_the_sum_of_both_gradients(name):
     assert _same_bits(x.grad, want)
 
 
+@pytest.mark.parametrize("owned", [False, True], ids=["copied", "owned"])
+def test_a_first_row_gradient_stays_a_row_until_a_full_one_arrives(owned):
+    """A first [1, d] gradient for an [n, d] tensor is held as a read-only
+    broadcast of one row with the bits of the full first gradient; a full
+    second gradient replaces it by a fresh sum with the bits of the
+    materialized form's, signed zeros in both included."""
+    rng = np.random.default_rng(23)
+    data = rng.standard_normal((5, 4))
+    row, full = rng.standard_normal((1, 4)), rng.standard_normal((5, 4))
+    row[0, :2] = -0.0
+    full[:, 0] = -0.0
+    x = Tensor(data, requires_grad=True)
+    x._accumulate(row.copy())
+    first = reference_first_grad(data, np.repeat(row, 5, axis=0))
+    assert x.grad.strides[0] == 0 and not x.grad.flags.writeable
+    assert _same_bits(x.grad, first)
+    x._accumulate(full.copy(), owned)
+    first += full
+    assert x.grad.flags.writeable
+    assert _same_bits(x.grad, first)
+
+
+def test_a_gcn_layer_backward_runs_once_in_the_incoming_buffer():
+    """The layer's backward forms its gradient in a writable incoming
+    gradient and leaves the input gradient there; a read-only one gets the
+    same bits in fresh buffers.  It drops its aggregation, so a second call
+    raises instead of returning no weight gradient."""
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    g = rng.standard_normal((4, 3))
+    g[0] = -0.0
+    results = []
+    for reuse in (True, False):
+        layer = GcnLayer(np.random.default_rng(25), 3, 3, "g")
+        out = layer(x, PATH4)
+        seed = g.copy()
+        seed.setflags(write=reuse)
+        gx, gw = out._vjp(seed)
+        assert np.shares_memory(gx, seed) == reuse
+        results.append((_bits(gx), _bits(gw)))
+        with pytest.raises(GraphStateError, match="walked"):
+            out._vjp(g.copy())
+    assert results[0] == results[1]
+
+
 def test_a_parent_that_stops_requiring_a_gradient_gets_none():
     """requires_grad is read at backward time: a parent switched off after
     the forward pass gets no gradient, and the others get theirs."""

@@ -1,8 +1,10 @@
 """What a training step holds on to: Tensor.backward frees the graph as it
 walks it (against the whole-graph sweep it replaced), a GCN layer keeps
-its output and no more than the aggregation its weight gradient reads, the
-TD-target pass records no graph, the process keeps the heap a step frees,
+its output and no more than the aggregation its weight gradient reads, its
+backward holds one hidden-width transient, the TD-target pass records no
+graph, the process keeps the heap a step frees,
 and a run's summary reports its page faults and peak resident set."""
+import copy
 import json
 import math
 import os
@@ -43,36 +45,50 @@ def _bits(a):
 def test_the_freeing_walk_gives_every_leaf_the_reference_gradient(
         cls, monkeypatch):
     """Each graph train_step walks (critic descent, then actor ascent) is
-    walked first by the reference sweep and then, from the same starting
-    gradients, by Tensor.backward: every leaf's .grad has the same bits, and
-    afterwards every walked op output holds no grad, closure or parents and
-    cannot be walked again."""
+    walked by Tensor.backward, and the same graph of an identical agent (a
+    deep copy taken before the step, its policy tensors recomputed) by the
+    reference sweep: every leaf's .grad has the same bits, and afterwards
+    every walked op output holds no grad, closure or parents and cannot be
+    walked again."""
     steps = 3
     agent = _agent(cls, steps)
     backward = Tensor.backward
-    walked = []
+    step = cls.train_step
+    want, walked = [], []
 
-    def differential(root, seed=None):
+    def reference(root, seed=None):
+        nodes = graph_nodes(root)
+        reference_backward(root, seed)
+        want.append([_bits(t.grad) for t in nodes if t._vjp is None])
+
+    def freeing(root, seed=None):
         nodes = graph_nodes(root)
         leaves = [t for t in nodes if t._vjp is None]
         inner = [t for t in nodes if t._vjp is not None]
-        start = [t.grad for t in nodes]
-        reference_backward(root, seed)
-        want = [_bits(t.grad) for t in leaves]
-        for t, g in zip(nodes, start):
-            t.grad = g
         backward(root, seed)
-        assert [_bits(t.grad) for t in leaves] == want
-        assert any(g is not None for g in want)
+        got = [_bits(t.grad) for t in leaves]
+        assert got == want[len(walked)]
+        assert any(g is not None for g in got)
         for t in inner:
             assert t.grad is None and t._vjp is None and not t._parents
         with pytest.raises(GraphStateError, match="walked"):
             backward(root)
         walked.append(len(inner))
 
-    monkeypatch.setattr(Tensor, "backward", differential)
+    def paired(states, ratios, reward, next_states, policy_tensors):
+        twin = copy.deepcopy(agent, {id(agent.env): agent.env})
+        monkeypatch.setattr(Tensor, "backward", reference)
+        expected = step(twin, states, ratios, reward, next_states,
+                        twin.actor_tensors(*states))
+        monkeypatch.setattr(Tensor, "backward", freeing)
+        result = step(agent, states, ratios, reward, next_states,
+                      policy_tensors)
+        assert result == expected
+        return result
+
+    monkeypatch.setattr(agent, "train_step", paired)
     loss_history(agent)
-    assert len(walked) == 2 * steps and min(walked) > 0
+    assert len(want) == len(walked) == 2 * steps and min(walked) > 0
 
 
 def test_a_graph_that_meets_a_walked_tensor_cannot_be_walked():
@@ -128,7 +144,7 @@ def test_a_gcn_layer_is_one_op_on_its_input_and_weight(agent200):
 
 def test_the_actor_graph_keeps_outputs_and_aggregations_only(agent200):
     """At 200 sources, the graph of one actor_tensors call holds each GCN
-    layer's output and aggregation and each head's six activations, with
+    layer's output and aggregation and each head's four activations, with
     no pre-activation buffer beside them."""
     agent, states = agent200
     width, n = agent.cfg.hidden_width, states[0].shape[0]
@@ -136,8 +152,8 @@ def test_the_actor_graph_keeps_outputs_and_aggregations_only(agent200):
     gcn = sum(rows * (d_in + width) for rows, d_in in (
         (n, states[0].shape[1]), (m, width), (n, states[1].shape[1]),
         (n, width)))
-    # matmul, bias, scale, tanh, scale back and the activation of each head
-    heads = sum(6 * rows * d_out
+    # matmul, bias, bounded logits and the activation of each head
+    heads = sum(4 * rows * d_out
                 for rows, spec in ((m, agent.spec_to), (n, agent.spec_ot))
                 for _, d_out, _, _ in spec)
     tensors, held = _held(lambda: agent.actor_tensors(*states))
@@ -164,6 +180,37 @@ def test_a_frozen_gcn_layer_keeps_no_aggregation(agent200, weight):
         agg = x.data.nbytes
     assert out.requires_grad
     assert held <= out.data.nbytes + agg + GRAPH_SLACK
+
+
+def test_the_critic_descent_backward_holds_one_transient_per_layer(
+        agent200, monkeypatch):
+    """At 200 sources, the critic-descent backward of one train_step peaks
+    at most two [n, width] buffers above what its graphs hold: 1.5 here,
+    3.5 when the mean's gradient was made full height, the aggregation kept
+    to the end and the neighbor sum written to a fresh buffer."""
+    agent, states = agent200
+    agent = copy.deepcopy(agent, {id(agent.env): agent.env})
+    buffer = 8 * states[0].shape[0] * agent.cfg.hidden_width
+    backward = Tensor.backward
+    peaks = []
+
+    def measured(root, seed=None):
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        backward(root, seed)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+    monkeypatch.setattr(Tensor, "backward", measured)
+    tensors = agent.actor_tensors(*states)
+    ratios = agent.explore(agent._ratios_from_tensors(tensors))
+    tracemalloc.start()
+    try:
+        agent.train_step(states, ratios, -50.0, states,
+                         agent.actor_tensors(*states))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2
+    assert peaks[0] <= 2 * buffer
 
 
 # -- the TD-target pass --------------------------------------------------------
