@@ -388,7 +388,7 @@ class GrantAgent:
         the sources), from actor tensors or executed constant Tensors."""
         n_to = len(self.spec_to)
         act_to, act_ot = (
-            concat_cols([t.slice_cols(0, cols)
+            concat_cols([t.slice_cols(slice(cols))
                          for t, (_, _, cols, _) in zip(ts, spec)])
             for ts, spec in ((tensors[:n_to], self.spec_to),
                              (tensors[n_to:], self.spec_ot)))

@@ -33,27 +33,12 @@ class CheckpointMismatchError(DimensionError):
         self.meta = meta
 
 
-class DeadInputError(RuntimeError):
-    """An input column that meets a weight row outside the parameter's live
-    rows is nonzero: that row would need a gradient it never gets."""
-
-
-#: no dead rows: every row of a tensor is live
-_NO_ROWS = np.empty(0, dtype=np.intp)
-_NO_ROWS.setflags(write=False)
-
-
 class Tensor:
     """A float64 tensor participating in a recorded computation graph: a
     [rows, cols] matrix, or a [B, d, o] stack of weight matrices."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp",
                  "_owned")
-
-    #: the rows gradients reach and the rows they skip; a Parameter narrows
-    #: them with set_live_rows
-    live_rows = slice(None)
-    dead_rows = _NO_ROWS
 
     def __init__(self, data, requires_grad=False):
         self.data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -66,11 +51,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def grad_shape(self):
-        """Shape of .grad: the live rows of data."""
-        return (self.data.shape[0] - self.dead_rows.size, *self.data.shape[1:])
 
     # -- graph bookkeeping -------------------------------------------------
 
@@ -97,10 +77,10 @@ class Tensor:
             # the bits of a zero buffer plus g (-0.0 -> +0.0)
             if owned:
                 self.grad = np.add(g, 0.0, out=g)
-            elif g.shape[0] == 1 < self.grad_shape[0]:
-                self.grad = np.broadcast_to(g + 0.0, self.grad_shape)
+            elif g.shape[0] == 1 < self.data.shape[0]:
+                self.grad = np.broadcast_to(g + 0.0, self.data.shape)
             else:
-                self.grad = np.broadcast_to(g, self.grad_shape) + 0.0
+                self.grad = np.broadcast_to(g, self.data.shape) + 0.0
         elif self.grad.flags.writeable:
             self.grad += g
         else:
@@ -148,23 +128,19 @@ class Tensor:
         a, b = self, _as_tensor(other)
         if a.shape[1] != b.shape[0]:
             raise DimensionError(f"matmul shapes {a.shape} x {b.shape}")
-        if b.dead_rows.size:
-            _check_dead_inputs(a.data, b)
 
         def vjp(g):
-            # live weight rows only: the dead ones meet zero inputs
             return (g @ b.data.T if a.requires_grad else None,
-                    a.data[:, b.live_rows].T @ g if b.requires_grad else None)
+                    a.data.T @ g if b.requires_grad else None)
 
         return Tensor._make(a.data @ b.data, (a, b), vjp, owned=True)
 
     def rowwise_matmul(self, w):
         """Row i of this [B, d] tensor times its own matrix w[i] of a
         [B, d, o] stack: [B, o], each row with the bits of x[i:i+1] @ w[i]."""
-        if (w.data.ndim != 3 or self.shape != w.shape[:2]
-                or w.dead_rows.size):
-            raise DimensionError(f"rowwise matmul shapes {self.shape} x "
-                                 f"{w.shape} (every matrix of the stack live)")
+        if w.data.ndim != 3 or self.shape != w.shape[:2]:
+            raise DimensionError(
+                f"rowwise matmul shapes {self.shape} x {w.shape}")
 
         def vjp(g):
             return (np.matmul(g[:, None, :], w.data.transpose(0, 2, 1))[:, 0, :]
@@ -235,13 +211,14 @@ class Tensor:
         return Tensor._make(_pad_rows(self.data, idx, n_rows), (self,),
                             lambda g: (g[idx],))
 
-    def slice_cols(self, start, stop):
+    def slice_cols(self, cols):
+        """The columns cols (a slice, or an index array of unique columns)."""
         def vjp(g):
             buf = np.zeros_like(self.data)
-            buf[:, start:stop] = g
+            buf[:, cols] = g
             return (buf,)
 
-        return Tensor._make(self.data[:, start:stop], (self,), vjp)
+        return Tensor._make(self.data[:, cols], (self,), vjp)
 
     def sum(self):
         return Tensor._make(
@@ -251,17 +228,6 @@ class Tensor:
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _check_dead_inputs(x, w):
-    """Raise DeadInputError if an input column that meets one of w's dead
-    rows is not exactly zero (-0.0 counts as zero)."""
-    hit = np.any(x[:, w.dead_rows] != 0.0, axis=0)
-    if hit.any():
-        col = int(w.dead_rows[np.argmax(hit)])
-        raise DeadInputError(
-            f"input column {col} of {w.name!r} is nonzero, but its weight "
-            f"row is not live")
 
 
 def _unbroadcast(g, shape):
@@ -386,39 +352,14 @@ def _pad_rows(v: np.ndarray, rows, n: int) -> np.ndarray:
 
 class Parameter(Tensor):
     """A named trainable tensor, held C-contiguous so Adam can update it
-    through a flat view.  Its rows are its first axis: a matrix's rows, or
-    the matrices of a [B, d, o] stack.
+    through a flat view."""
 
-    Every row is live unless set_live_rows narrows them.  .grad then holds
-    the live rows only, in order, and a matmul whose input meets a dead row
-    with a nonzero column raises DeadInputError.  A dead row's gradient would
-    be +-0 at every step, which leaves Adam's moments at +0 and the row
-    unchanged, so skipping it changes no bit.
-    """
-
-    __slots__ = ("name", "live_rows", "dead_rows")
+    __slots__ = ("name",)
 
     def __init__(self, data, name):
         super().__init__(data, requires_grad=True)
         self.data = np.ascontiguousarray(self.data)
         self.name = name
-        self.live_rows = slice(None)
-        self.dead_rows = _NO_ROWS
-
-    def set_live_rows(self, rows):
-        """Make only `rows` (ascending, unique) live.  For a one-row input,
-        each live gradient element is a single product, so it has the bits
-        of the full-width gradient's element."""
-        rows = np.asarray(rows, dtype=np.intp)
-        n = self.data.shape[0]
-        if rows.ndim != 1 or np.any(np.diff(rows) <= 0) or (
-                rows.size and (rows[0] < 0 or rows[-1] >= n)):
-            raise DimensionError(f"live rows of {self.name!r} must be "
-                                 f"ascending, unique and within {n} rows")
-        dead = np.ones(n, dtype=bool)
-        dead[rows] = False
-        self.live_rows = rows
-        self.dead_rows = np.flatnonzero(dead)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -525,37 +466,13 @@ class GcnLayer:
 ADAM_BLOCK = 16384
 
 
-def _adam_blocks(p):
-    """A parameter's live rows (its first axis; the other axes are its
-    columns) as Adam blocks of at most ADAM_BLOCK elements: (lo, hi, src),
-    [lo, hi) a range of the flat live-row arrays (moments and gradient) and
-    src either the flat data slice it updates, where the block's rows are
-    adjacent, or the data rows to gather and scatter back."""
-    n_rows, cols = p.data.shape[0], int(np.prod(p.data.shape[1:]))
-    rows = np.arange(n_rows)[p.live_rows]
-    per = max(1, ADAM_BLOCK // cols)
-    blocks = []
-    for r in range(0, rows.size, per):
-        idx = rows[r:r + per]
-        lo, size = r * cols, idx.size * cols
-        if idx[-1] - idx[0] == idx.size - 1:
-            # adjacent rows: flat data slices, split where a row outgrows a block
-            shift = idx[0] * cols - lo
-            for a in range(lo, lo + size, ADAM_BLOCK):
-                b = min(a + ADAM_BLOCK, lo + size)
-                blocks.append((a, b, slice(a + shift, b + shift)))
-        else:
-            blocks.append((lo, lo + size, idx))
-    return blocks
-
-
 class Adam:
     """Adam with bias correction; ascent is descent on the negated objective.
 
     `lr_scales` optionally gives each parameter its own multiplier on the
-    shared learning rate.  Moments are kept for each parameter's live rows
-    only, and only those rows are updated.  The update runs in place, at most
-    ADAM_BLOCK elements at a time, with the operation order of
+    shared learning rate.  The update runs in place over each parameter's
+    flat data, at most ADAM_BLOCK elements at a time, with the operation
+    order of
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
     p -= (lr*scale) * (m/c1) / (sqrt(v/c2) + eps).
     """
@@ -571,17 +488,16 @@ class Adam:
             raise DimensionError("lr_scales must match the parameter count")
         self.lr_scales = list(lr_scales)
         self.step_count = 0
-        self.m = [np.zeros(p.grad_shape) for p in self.params]
-        self.v = [np.zeros(p.grad_shape) for p in self.params]
-        self._blocks = [_adam_blocks(p) for p in self.params]
-        self._scratch = tuple(np.empty(ADAM_BLOCK) for _ in range(3))
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
 
     def step(self, maximize=False):
         self.step_count += 1
         b1, b2, eps = self.beta1, self.beta2, self.eps
         c1 = 1 - b1**self.step_count
         c2 = 1 - b2**self.step_count
-        buf_a, buf_b, buf_p = self._scratch
+        buf_a, buf_b = self._scratch
         for i, p in enumerate(self.params):
             lr = self.lr * self.lr_scales[i]
             # the flat views must alias: a reshaped copy would drop the update
@@ -596,16 +512,9 @@ class Adam:
                 raise DimensionError(f"gradient shape mismatch for {p.name!r}")
             else:
                 g = np.asarray(p.grad, dtype=np.float64).reshape(-1)
-            for lo, hi, src in self._blocks[i]:
-                gathered = type(src) is not slice
-                if gathered:
-                    rows = p.data.reshape(len(p.data), -1)
-                    pb = np.take(rows, src, axis=0, mode="clip",
-                                 out=buf_p[:hi - lo].reshape(src.size, -1))
-                    pb = pb.reshape(-1)
-                else:
-                    pb = data[src]
-                mb, vb = m[lo:hi], v[lo:hi]
+            for lo in range(0, data.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, data.size)
+                pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
                 gb = 0.0 if g is None else g[lo:hi]
                 ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
                 if maximize:
@@ -624,8 +533,6 @@ class Adam:
                 np.multiply(tb, lr, out=tb)
                 np.divide(tb, ta, out=tb)
                 np.subtract(pb, tb, out=pb)
-                if gathered:
-                    rows[src] = pb.reshape(src.size, -1)
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -17,6 +17,11 @@ class ActorSizeError(ValueError):
     """The stacked private actors would not fit in memory."""
 
 
+class DeadInputError(RuntimeError):
+    """A flat critic input column outside its live inputs is nonzero: the
+    critic holds no weight row for it."""
+
+
 #: the outcome phase's stacked fc2 holds one [width, width] float64 matrix
 #: per involved node, its gradient and Adam's two moments three more arrays
 #: of its size; set-up refuses a window whose fc2 would exceed this
@@ -89,10 +94,14 @@ class _PrivateActors:
 
 class _FlatCritic:
     """Fully-connected critic over the concatenation of every involved
-    satellite's state and action."""
+    satellite's state and action that reads only the live columns of that
+    flat input (a boolean mask over it).  fc1 is drawn at full width and
+    keeps the live columns' weight rows; every other column must be zero."""
 
-    def __init__(self, rng, d_in, width, name="fc_critic"):
-        self.fc1 = Dense(rng, d_in, width, f"{name}.fc1")
+    def __init__(self, rng, live, width, name="fc_critic"):
+        self.live, self.dead = np.flatnonzero(live), np.flatnonzero(~live)
+        self.fc1 = Dense(rng, live.size, width, f"{name}.fc1")
+        self.fc1.w.data = self.fc1.w.data[self.live]
         self.fc2 = Dense(rng, width, width, f"{name}.fc2")
         self.out = Dense(rng, width, 1, f"{name}.out")
         self.out.w.data[:] = 0.0
@@ -100,7 +109,13 @@ class _FlatCritic:
     def forward(self, f_to: np.ndarray, f_ot: np.ndarray, table,
                 action_to: Tensor, action_ot: Tensor) -> Tensor:
         feats = critic_input(f_to, f_ot, action_to, action_ot)
-        h = self.fc1(feats.reshape(1, feats.data.size)).tanh()
+        flat = feats.reshape(1, feats.data.size)
+        hit = flat.data[0, self.dead] != 0.0
+        if hit.any():
+            raise DeadInputError(
+                f"critic input column {self.dead[np.argmax(hit)]} is "
+                f"nonzero, but it is not a live input")
+        h = self.fc1(flat.slice_cols(self.live)).tanh()
         h = self.fc2(h).tanh()
         return self.out(h)
 
@@ -137,10 +152,8 @@ class MaddpgFcAgent(GrantAgent):
         self.actor_ot = _PrivateActors(rng, len(env.involved),
                                        OUTCOME_FEATURES, cfg.hidden_width,
                                        self.spec_ot, "actor_ot")
-        d_node = (OFFLOAD_FEATURES + OUTCOME_FEATURES
-                  + sum(cols for _, _, cols, _ in self.spec_to + self.spec_ot))
-        self.critic = _FlatCritic(rng, self.n_nodes * d_node, critic_width)
-        self.critic.fc1.w.set_live_rows(self._live_critic_inputs())
+        self.critic = _FlatCritic(rng, self._live_critic_inputs(),
+                                  critic_width)
         safe_init(self.actor_to.heads, self.actor_ot.heads)
         self.actor_params = (self.actor_to.parameters()
                              + self.actor_ot.parameters())
@@ -149,12 +162,12 @@ class MaddpgFcAgent(GrantAgent):
         self.critic_opt = Adam(self.critic_params, cfg.critic_lr)
 
     def _live_critic_inputs(self) -> np.ndarray:
-        """The critic input columns that can be nonzero in this window, from
-        its tables alone: nonzero static features, SINRs at the rated cells,
-        expected outcome inflow at servers, and actions at sources and at
-        every node (each transmits its outcome link).  They are the nonzeros
-        of the critic input for a snapshot and actions of ones in exactly
-        those places."""
+        """A mask of the flat critic input columns that can be nonzero in
+        this window, from its tables alone: nonzero static features, SINRs
+        at the rated cells, expected outcome inflow at servers, and actions
+        at sources and at every node (each transmits its outcome link).
+        They are the nonzeros of the critic input for a snapshot and actions
+        of ones in exactly those places."""
         env, n = self.env, self.n_nodes
         sinr = [np.zeros_like(env._sinr_to_db), np.zeros_like(env._sinr_ot_db)]
         for table, (_, rows, cols) in zip(sinr, env._sinr_cells):
@@ -167,7 +180,7 @@ class MaddpgFcAgent(GrantAgent):
                                    (n, self.spec_ot))
                 for _, _, cols, _ in spec]
         actions = self._action_node_tensors(ones)
-        return np.flatnonzero(critic_input(*states, *actions).data)
+        return critic_input(*states, *actions).data.reshape(-1) != 0.0
 
     # inherited unchanged; bound in this class's own namespace because the
     # benchmark's tracer (bench/spans.py) patches each class's __dict__

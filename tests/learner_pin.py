@@ -2,11 +2,15 @@
 run write at 10 sources, what `grant` at 200 sources and `uniform` at 50
 write, what `eval` prints from the `grant` step-50 checkpoint and what
 `compare-bands` prints for `uniform` and from that checkpoint, and the
-`maddpg_fc` agent's parameters and live critic rows after 3 steps at 10
-sources.  CSV rows carry 10 digits, so only the tensors show a change in
-the low bits of the dense baseline.
+`maddpg_fc` agent's parameters and its flat critic's live input columns
+after 3 steps at 10 sources.  CSV rows carry 10 digits, so only the tensors
+show a change in the low bits of the dense baseline.
 
     PYTHONPATH=src python tests/learner_pin.py      # re-pin learner_pin.json
+
+Re-pinning prints each entry it changes before it writes: a digest-only
+change (within the tolerance), one beyond the tolerance, a tensor shape
+change, a new entry or a gone one.
 
 `test_learner_pin.py` recomputes `outputs()` and compares it with the pin:
 digest for digest on the numpy and BLAS build the pin was made on, and at
@@ -146,14 +150,14 @@ def _config(out_dir, n_sources) -> str:
 
 def _maddpg_fc_tensors(out_dir) -> dict:
     """The `maddpg_fc` agent's parameter tensors after 3 training steps in
-    this process at 10 sources and seed 1, and its flat critic's live fc1
-    rows, each named under "maddpg_fc/"."""
+    this process at 10 sources and seed 1, and its flat critic's live input
+    columns, each named under "maddpg_fc/"."""
     cfg = load_config(None, {"policy": "maddpg_fc", "train": {"steps": 3},
                              "output_dir": out_dir})
     _, agent = restored_policy(cfg, 1)
     agent.run_training()
     tensors = {p.name: p.data for p in agent.parameters()}
-    tensors["fc_critic.fc1.w.live_rows"] = agent.critic.fc1.w.live_rows
+    tensors["fc_critic.fc1.w.live_rows"] = agent.critic.live
     return {f"maddpg_fc/{name}": _tensor(data)
             for name, data in tensors.items()}
 
@@ -269,11 +273,39 @@ def differences(pin: dict, got: dict, exact: bool) -> list:
     return bad
 
 
+def changes(pin: dict, got: dict) -> list:
+    """Each pinned entry got changes, with how: "digest only" (within the
+    tolerance), "beyond tolerance", "shape change", "new" or "gone"."""
+    found = []
+    for section in ("csv", "tensors", "printed"):
+        old, new = pin.get(section, {}), got[section]
+        for name in sorted(old.keys() | new.keys()):
+            where = f"{section} {name}"
+            if name not in old or name not in new:
+                found.append(f"{where}: {'new' if name in new else 'gone'}")
+                continue
+            one = [{key: {name: d[section][name]} if key == section else {}
+                    for key in ("csv", "tensors", "printed")}
+                   for d in (pin, got)]
+            if not differences(*one, exact=True):
+                continue
+            shapes = [d[name].get("shape") for d in (old, new)]
+            if section == "tensors" and shapes[0] != shapes[1]:
+                how = f"shape change {shapes[0]} -> {shapes[1]}"
+            else:
+                how = ("beyond tolerance" if differences(*one, exact=False)
+                       else "digest only")
+            found.append(f"{where}: {how}")
+    return found
+
+
 def repin() -> None:
     with tempfile.TemporaryDirectory() as out_dir:
         pin = {"build": build_id(),
                "tolerance": {"rel": REL_TOL, "abs": ABS_TOL},
                **outputs(out_dir)}
+    found = changes(load_pin() if os.path.exists(PIN_PATH) else {}, pin)
+    print(f"{len(found)} pinned entries change:", *found, sep="\n  ")
     with open(PIN_PATH, "w") as fh:
         json.dump(pin, fh, indent=1, sort_keys=True)
         fh.write("\n")

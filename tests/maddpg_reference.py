@@ -3,8 +3,12 @@ actors of terasec.baselines replaced, kept as the reference for the
 differential tests: one Python-level forward per acting satellite, each
 actor's parameters named `actor_to{i}.*` / `actor_ot{i}.*`, its safe-init
 biases set head by head, and the critic fed a flat input built outside it.
+Also the full-width flat critic, which the critic over its live input
+columns replaced: an fc1 weight row for every input column.
 """
 import re
+
+import numpy as np
 
 from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, TrainConfig,
                            bound_logits, logit_bias)
@@ -75,11 +79,8 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
         self.actors_ot = [
             _PrivateOutcomeActor(rng, self.k, actor_width, f"actor_ot{i}")
             for i in range(len(env.involved))]
-        d_state = OFFLOAD_FEATURES + OUTCOME_FEATURES
-        d_act = (5 + 4 + 4 * self.k) + (1 + self.k)
-        self.critic = _FlatCritic(rng, self.n_nodes * (d_state + d_act),
+        self.critic = _FlatCritic(rng, self._live_critic_inputs(),
                                   critic_width)
-        self.critic.fc1.w.set_live_rows(self._live_critic_inputs())
         for a in self.actors_to:
             a.head_offload.b.data[0, 0] = logit_bias(2.0)
             a.head_subarray.b.data[0, -1] = logit_bias(-4.0)
@@ -105,8 +106,18 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
     def q_value(self, f_to, f_ot, act_to, act_ot) -> Tensor:
         feats = concat_cols([Tensor(f_to), Tensor(f_ot), act_to, act_ot])
         c = self.critic
-        h = c.fc1(feats.reshape(1, feats.data.size)).tanh()
+        flat = feats.reshape(1, feats.data.size)
+        h = c.fc1(flat.slice_cols(c.live)).tanh()
         return c.out(c.fc2(h).tanh())
+
+
+class FullWidthMaddpgAgent(MaddpgFcAgent):
+    """MaddpgFcAgent whose flat critic reads every input column, its fc1
+    drawn from the same generator stream: MaddpgFcAgent's fc1 is this fc1's
+    rows at the live columns."""
+
+    def _live_critic_inputs(self):
+        return np.ones_like(super()._live_critic_inputs())
 
 
 def stacked_slice(stacked_params, name):

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from terasec.agent import GrantAgent, TrainConfig, critic_input
-from terasec.autodiff import DeadInputError, Tensor
-from terasec.baselines import (FullResourcePolicy, MaddpgFcAgent,
-                               UniformPolicy, rollout_policy)
+from terasec.autodiff import Tensor
+from terasec.baselines import (DeadInputError, FullResourcePolicy,
+                               MaddpgFcAgent, UniformPolicy, rollout_policy)
 from terasec.env import ActionBundle
 from terasec.harness import (ExperimentConfig, build_environment,
                              make_policy)
 
 from conftest import loss_history, make_env, policy_ratios
-from maddpg_reference import PerActorMaddpgAgent, stacked_slice
+from maddpg_reference import (FullWidthMaddpgAgent, PerActorMaddpgAgent,
+                              stacked_slice)
 from optim_reference import reference_first_grad
-from train_reference import full_width, reference_run_training
+from train_reference import reference_run_training, with_reference_adam
 
 
 def test_uniform_bundle_values(small_env):
@@ -119,14 +120,14 @@ def test_maddpg_rejects_reconfiguration(small_env):
         agent.encode(other.snapshot())
 
 
-# -- the flat critic's live input rows ---------------------------------------
+# -- the flat critic's live input columns ------------------------------------
 
 def _observed_inputs(agent):
-    """Train the agent; returns (live-row mask, mask of the critic input
+    """Train the agent; returns (live-column mask, mask of the critic input
     columns seen nonzero in any critic forward)."""
-    w = agent.critic.fc1.w
-    seen = np.zeros(w.data.shape[0], dtype=bool)
-    forward = agent.critic.forward
+    critic = agent.critic
+    seen = np.zeros(critic.live.size + critic.dead.size, dtype=bool)
+    forward = critic.forward
 
     def spy(f_to, f_ot, table, *actions):
         seen[:] |= critic_input(f_to, f_ot, *actions).data.ravel() != 0.0
@@ -135,7 +136,7 @@ def _observed_inputs(agent):
     agent.critic.forward = spy
     agent.run_training()
     live = np.zeros_like(seen)
-    live[w.live_rows] = True
+    live[critic.live] = True
     return live, seen
 
 
@@ -174,8 +175,9 @@ def test_a_nonzero_dead_input_raises_before_any_optimizer_step(monkeypatch):
     agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=3, hidden_width=8),
                           critic_width=8)
     row = int(np.flatnonzero(env.node_plane == 0)[0])
-    col = row * (agent.critic.fc1.w.data.shape[0] // agent.n_nodes)
-    assert col in agent.critic.fc1.w.dead_rows
+    critic = agent.critic
+    col = row * ((critic.live.size + critic.dead.size) // agent.n_nodes)
+    assert col in critic.dead
     encode = agent.encode
 
     def leaky_encode(snapshot):
@@ -192,34 +194,50 @@ def test_a_nonzero_dead_input_raises_before_any_optimizer_step(monkeypatch):
         assert np.array_equal(p.data, data), p.name
 
 
-def test_row_sparse_training_equals_the_full_width_reference():
-    """Live-row gradients and Adam change no bit against the full-width
-    fc1 gradient and whole-array Adam: parameters and history."""
+def test_the_live_input_critic_tracks_the_full_width_reference():
+    """Against the full-width critic (an fc1 row for every input column) and
+    whole-array Adam: fc1 starts as the reference's live rows and the other
+    parameters equal, bit for bit; after 4 steps every parameter and the
+    (critic_loss, q_value) history agree within rel 1e-9 (the lean fc1
+    product sums only its live terms); the reference's dead fc1 rows end
+    with their initial bits."""
     steps = 4
 
-    def agent():
-        return MaddpgFcAgent(make_env(seed=1, steps=steps + 1),
-                             TrainConfig(seed=1, steps=steps, hidden_width=16),
-                             critic_width=32)
+    def build(cls):
+        return cls(make_env(seed=1, steps=steps + 1),
+                   TrainConfig(seed=1, steps=steps, hidden_width=16),
+                   critic_width=32)
 
-    ref = full_width(agent())
-    assert ref.critic.fc1.w.dead_rows.size == 0
-    ref_history = reference_run_training(ref)
-    lean = agent()
-    assert lean.critic.fc1.w.dead_rows.size > 0
-    history = loss_history(lean)
-    assert np.array_equal(history, ref_history)
+    ref = with_reference_adam(build(FullWidthMaddpgAgent))
+    lean = build(MaddpgFcAgent)
+    live, dead = lean.critic.live, lean.critic.dead
+    assert ref.critic.dead.size == 0 < dead.size
+    ref_w, lean_w = ref.critic.fc1.w, lean.critic.fc1.w
+    assert ref_w.shape == (live.size + dead.size, 32)
+    assert np.array_equal(lean_w.data, ref_w.data[live])
     for p, q in zip(lean.parameters(), ref.parameters()):
         assert p.name == q.name
-        assert np.array_equal(p.data, q.data), p.name
+        if p is not lean_w:
+            assert np.array_equal(p.data, q.data), p.name
+    dead_init = ref_w.data[dead].copy()
+
+    ref_history = reference_run_training(ref)
+    history = loss_history(lean)
+    np.testing.assert_allclose(history, ref_history, rtol=1e-9, atol=0)
+    for p, q in zip(lean.parameters(), ref.parameters()):
+        want = q.data[live] if p is lean_w else q.data
+        np.testing.assert_allclose(p.data, want, rtol=1e-9, atol=0,
+                                   err_msg=p.name)
+    assert np.array_equal(ref_w.data[dead].view(np.uint64),
+                          dead_init.view(np.uint64))
 
 
 def test_train_step_allocates_nothing_the_size_of_the_critic_fc1(monkeypatch):
-    """Nothing the size of the full fc1 weight is allocated, and the first
-    gradient of a matmul weight is its product, taken over in place: one
-    train_step peaks below 1.5 live fc1 gradients (a copy beside the product
-    would take it past two), and every first gradient still has the bits of
-    a zero buffer plus the product."""
+    """Nothing the size of a full-width fc1 weight (input columns x width)
+    is allocated, and the first gradient of a matmul weight is its product,
+    taken over in place: one train_step peaks below 1.5 fc1 gradients (a
+    copy beside the product would take it past two), and every first
+    gradient still has the bits of a zero buffer plus the product."""
     env = make_env(seed=1, steps=3)
     agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=2, hidden_width=16),
                           critic_width=256)
@@ -228,8 +246,9 @@ def test_train_step_allocates_nothing_the_size_of_the_critic_fc1(monkeypatch):
     ratios = agent._ratios_from_tensors(tensors)
     outcome, _, _ = env.step(agent.to_bundle(ratios))
     next_states = agent.encode(env.snapshot())
-    w = agent.critic.fc1.w
-    grad_nbytes = w.live_rows.size * w.data.shape[1] * 8
+    critic, w = agent.critic, agent.critic.fc1.w
+    full_nbytes = (critic.live.size + critic.dead.size) * w.shape[1] * 8
+    grad_nbytes = w.data.nbytes
     tracemalloc.start()
     try:
         agent.train_step(states, ratios, outcome.reward, next_states, tensors)
@@ -237,7 +256,7 @@ def test_train_step_allocates_nothing_the_size_of_the_critic_fc1(monkeypatch):
     finally:
         tracemalloc.stop()
     assert agent.critic_opt.step_count == 1
-    assert peak < w.data.nbytes
+    assert peak < full_nbytes
     assert peak < 1.5 * grad_nbytes, (peak, grad_nbytes)
 
     firsts = []
@@ -245,7 +264,7 @@ def test_train_step_allocates_nothing_the_size_of_the_critic_fc1(monkeypatch):
 
     def spy(self, g, owned=False):
         want = (None if self.grad is not None
-                else reference_first_grad(np.zeros(self.grad_shape), g))
+                else reference_first_grad(np.zeros(self.data.shape), g))
         accumulate(self, g, owned)
         if want is not None:
             firsts.append((self, want, self.grad.copy()))
@@ -337,7 +356,8 @@ def test_a_checkpoint_holds_one_stacked_tensor_per_layer(small_env):
 
 def test_the_dense_actor_width_follows_hidden_width():
     """make_policy builds maddpg_fc actors train.hidden_width wide and the
-    critic 1024 wide, so the default network keeps its size."""
+    critic 1024 wide, so the default network keeps its size: 2,509,740
+    parameters at full width, less the 781 dead fc1 rows of 1024."""
     def build(train):
         cfg = ExperimentConfig.from_dict({"policy": "maddpg_fc",
                                           "n_sources": 1, "train": train})
@@ -347,4 +367,4 @@ def test_the_dense_actor_width_follows_hidden_width():
     assert narrow.actor_to.fc1.w.shape == (1, 9, 8)
     assert narrow.actor_ot.fc2.w.shape[1:] == (8, 8)
     assert narrow.critic.fc2.w.shape == (1024, 1024)
-    assert build({"steps": 1}).parameter_count() == 2_509_740
+    assert build({"steps": 1}).parameter_count() == 1_709_996

@@ -17,7 +17,7 @@ from terasec.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main)
 from terasec.thz_link import band_preset
 
 import checkpoint_reference as json_ckpt
-from maddpg_reference import PerActorMaddpgAgent
+from maddpg_reference import FullWidthMaddpgAgent, PerActorMaddpgAgent
 
 
 def write_cfg(tmp_path, extra=None):
@@ -260,14 +260,14 @@ def test_a_dense_checkpoint_for_another_seed_is_a_config_error(
     assert main([*args, "--seed", "1"]) == EXIT_OK
 
 
-def test_a_per_actor_dense_checkpoint_is_a_config_error(tmp_path, capsys):
-    """A checkpoint of the per-actor dense baseline (one `actor_to{i}.*`
-    tensor set per actor) does not fit the stacked actors."""
+def _rejected_dense_checkpoint(tmp_path, capsys, agent_class) -> str:
+    """Evaluate a maddpg_fc checkpoint written by agent_class at the run's
+    window and seed; it must be a config error: returns the error text."""
     cfg_path = write_cfg(tmp_path, {"policy": "maddpg_fc", "n_sources": 1,
                                     "train": {"steps": 1, "hidden_width": 8}})
     cfg = harness.load_config(cfg_path)
     env, _ = harness.restored_policy(cfg, 1)
-    old = PerActorMaddpgAgent(env, cfg.train)
+    old = agent_class(env, cfg.train)
     ckpt = str(tmp_path / "maddpg_fc_seed1_step50.ckpt.npz")
     save_checkpoint(ckpt, old.parameters(),
                     meta={"config_hash": cfg.config_hash(), "seed": 1,
@@ -277,7 +277,21 @@ def test_a_per_actor_dense_checkpoint_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err
-    assert "no tensor 'actor_to.fc1.w'" in captured.err
+    return captured.err
+
+
+def test_a_per_actor_dense_checkpoint_is_a_config_error(tmp_path, capsys):
+    """A checkpoint of the per-actor dense baseline (one `actor_to{i}.*`
+    tensor set per actor) does not fit the stacked actors."""
+    err = _rejected_dense_checkpoint(tmp_path, capsys, PerActorMaddpgAgent)
+    assert "no tensor 'actor_to.fc1.w'" in err
+
+
+def test_a_full_width_critic_checkpoint_is_a_config_error(tmp_path, capsys):
+    """A checkpoint whose flat critic has an fc1 row for every input column
+    does not fit the critic over its live input columns."""
+    err = _rejected_dense_checkpoint(tmp_path, capsys, FullWidthMaddpgAgent)
+    assert "shape mismatch for 'fc_critic.fc1.w'" in err
 
 
 def test_a_grant_checkpoint_evaluates_at_another_seed(tmp_path, capsys):

@@ -3,8 +3,8 @@ kept as the reference for the differential tests: the actor-ascent pass
 recomputes the policy forward and builds gradients for the frozen critic,
 and the executed action is laid out for the critic in numpy
 (action_node_constants) rather than through _action_node_tensors.
-`full_width` turns an agent back to whole-array arithmetic: every weight row
-gets its gradient and ReferenceAdam updates every row.
+`with_reference_adam` swaps an agent's optimizers for the whole-array
+ReferenceAdam.
 """
 import numpy as np
 
@@ -13,11 +13,8 @@ from terasec.agent import REWARD_SCALE, td_target, zero_grads
 from terasec.autodiff import Tensor, mse
 
 
-def full_width(agent):
-    """Make every parameter row live again, as a fresh parameter's are, and
-    swap the agent's optimizers for ReferenceAdam at the same settings."""
-    for p in agent.parameters():
-        p.live_rows, p.dead_rows = Tensor.live_rows, Tensor.dead_rows
+def with_reference_adam(agent):
+    """Swap the agent's optimizers for ReferenceAdam at the same settings."""
     for name in ("actor_opt", "critic_opt"):
         opt = getattr(agent, name)
         setattr(agent, name, ReferenceAdam(opt.params, opt.lr, opt.beta1,
