@@ -275,10 +275,9 @@ def frozen(params):
 @functools.cache
 def keep_freed_heap() -> bool:
     """Once per process, let glibc's malloc keep the heap a training step
-    frees (M_MMAP_THRESHOLD and M_TRIM_THRESHOLD 64 MiB: the dense
-    baseline's largest per-step array, a stacked [involved, 128, 128]
-    gradient, is over 32 MiB), so the next step reuses it instead of
-    faulting it in; False without mallopt."""
+    frees (M_MMAP_THRESHOLD and M_TRIM_THRESHOLD 64 MiB, above the arrays a
+    step allocates), so the next step reuses it instead of faulting it in;
+    False without mallopt."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False

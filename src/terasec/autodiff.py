@@ -33,16 +33,60 @@ class CheckpointMismatchError(DimensionError):
         self.meta = meta
 
 
+class RankOneGrad(NamedTuple):
+    """A weight gradient whose every element is one product, held as its
+    factors: the [B, d, o] batched outer product x[:, :, None] * g[:, None, :]
+    of x [B, d] and g [B, o] (B = 1 for a [d, o] matrix).  It holds views of
+    the forward input and the output gradient, so a product whose input is
+    a Parameter, which an optimizer step changes in place, forms its
+    gradient at once instead."""
+
+    x: np.ndarray
+    g: np.ndarray
+
+    def formed(self, shape):
+        """The whole gradient in shape, with the bits of a first gradient:
+        the product plus 0.0."""
+        out = np.empty(shape)
+        self.fill(0, out.reshape(-1))
+        return out
+
+    def fill(self, lo, out):
+        """out (1-D) := the flat elements lo:lo + out.size of the gradient,
+        each the product plus 0.0."""
+        x, g = self
+        d, n = x.shape[1], g.shape[1]
+        at, end = 0, out.size
+        while at < end:
+            r, j = divmod(lo + at, n)
+            b, i = divmod(r, d)
+            if j or end - at < n:  # part of one row
+                k = min(n - j, end - at)
+                np.multiply(x[b, i], g[b, j:j + k], out=out[at:at + k])
+            else:  # whole rows of matrix b
+                rows = min((end - at) // n, d - i)
+                k = rows * n
+                np.multiply(x[b, i:i + rows, None], g[b],
+                            out=out[at:at + k].reshape(rows, n))
+            at += k
+        return np.add(out, 0.0, out=out)
+
+
 class Tensor:
     """A float64 tensor participating in a recorded computation graph: a
-    [rows, cols] matrix, or a [B, d, o] stack of weight matrices."""
+    [rows, cols] matrix, or a [B, d, o] stack of weight matrices.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp",
+    .grad reads the accumulated gradient as an array.  A first gradient
+    that is a RankOneGrad, a weight's in a product with one input row or in
+    a rowwise product, is held as its factors until .grad is read or a
+    second gradient arrives; Adam forms it block by block as it reads it."""
+
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_vjp",
                  "_owned")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        self.grad = None
+        self._grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._vjp = None
@@ -51,6 +95,16 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def grad(self):
+        if isinstance(self._grad, RankOneGrad):
+            self._grad = self._grad.formed(self.data.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
 
     # -- graph bookkeeping -------------------------------------------------
 
@@ -72,7 +126,13 @@ class Tensor:
         """Add g to .grad.  owned: g is a fresh product no one else holds, so
         the first gradient may take it over in place.  A first gradient of
         one row for a taller tensor (mean_rows's) stays one row, held as a
-        read-only broadcast; a second gradient then replaces it by the sum."""
+        read-only broadcast; a second gradient then replaces it by the sum.
+        A first RankOneGrad is held as it is; a later one is formed."""
+        if isinstance(g, RankOneGrad):
+            if self._grad is None:
+                self._grad = g
+                return
+            g = g.formed(self.data.shape)
         if self.grad is None:
             # the bits of a zero buffer plus g (-0.0 -> +0.0)
             if owned:
@@ -131,7 +191,9 @@ class Tensor:
 
         def vjp(g):
             return (g @ b.data.T if a.requires_grad else None,
-                    a.data.T @ g if b.requires_grad else None)
+                    (RankOneGrad(a.data, g) if a.shape[0] == 1
+                     and not isinstance(a, Parameter) else a.data.T @ g)
+                    if b.requires_grad else None)
 
         return Tensor._make(a.data @ b.data, (a, b), vjp, owned=True)
 
@@ -145,8 +207,9 @@ class Tensor:
         def vjp(g):
             return (np.matmul(g[:, None, :], w.data.transpose(0, 2, 1))[:, 0, :]
                     if self.requires_grad else None,
-                    np.matmul(self.data[:, :, None], g[:, None, :])
-                    if w.requires_grad else None)
+                    (np.matmul(self.data[:, :, None], g[:, None, :])
+                     if isinstance(self, Parameter) else
+                     RankOneGrad(self.data, g)) if w.requires_grad else None)
 
         return Tensor._make(np.matmul(self.data[:, None, :], w.data)[:, 0, :],
                             (self, w), vjp, owned=True)
@@ -471,8 +534,9 @@ class Adam:
 
     `lr_scales` optionally gives each parameter its own multiplier on the
     shared learning rate.  The update runs in place over each parameter's
-    flat data, at most ADAM_BLOCK elements at a time, with the operation
-    order of
+    flat data, at most ADAM_BLOCK elements at a time (a gradient held as a
+    RankOneGrad is formed a block at a time in a scratch buffer), with the
+    operation order of
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
     p -= (lr*scale) * (m/c1) / (sqrt(v/c2) + eps).
     """
@@ -506,17 +570,22 @@ class Adam:
                     f"Adam needs C-contiguous data for {p.name!r}")
             data = p.data.reshape(-1)
             m, v = self.m[i].reshape(-1), self.v[i].reshape(-1)
-            if p.grad is None:
-                g = None
-            elif np.shape(p.grad) != self.m[i].shape:
-                raise DimensionError(f"gradient shape mismatch for {p.name!r}")
-            else:
-                g = np.asarray(p.grad, dtype=np.float64).reshape(-1)
+            g = p._grad
+            if g is not None and not isinstance(g, RankOneGrad):
+                if np.shape(g) != self.m[i].shape:
+                    raise DimensionError(
+                        f"gradient shape mismatch for {p.name!r}")
+                g = np.asarray(g, dtype=np.float64).reshape(-1)
             for lo in range(0, data.size, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, data.size)
                 pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
-                gb = 0.0 if g is None else g[lo:hi]
                 ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
+                if g is None:
+                    gb = 0.0
+                elif isinstance(g, RankOneGrad):
+                    gb = g.fill(lo, tb)
+                else:
+                    gb = g[lo:hi]
                 if maximize:
                     gb = np.negative(gb, out=tb)
                 np.multiply(mb, b1, out=mb)

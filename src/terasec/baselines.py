@@ -23,8 +23,9 @@ class DeadInputError(RuntimeError):
 
 
 #: the outcome phase's stacked fc2 holds one [width, width] float64 matrix
-#: per involved node, its gradient and Adam's two moments three more arrays
-#: of its size; set-up refuses a window whose fc2 would exceed this
+#: per involved node and Adam's two moments two more arrays of its size (its
+#: gradient is held as factors); set-up refuses a window whose fc2 would
+#: exceed this
 MAX_STACKED_LAYER_BYTES = 2**30
 
 
@@ -92,16 +93,42 @@ class _PrivateActors:
                 for p in layer.parameters()]
 
 
+#: rows of the flat critic's full-width fc1 drawn at a time
+FC1_DRAW_ROWS = 1024
+
+
+class _LiveRowDraw:
+    """The generator for the flat critic's fc1 draw: a uniform [rows, cols]
+    draw is taken from rng FC1_DRAW_ROWS rows at a time, keeping the rows
+    `live` (a mask over them) selects, so the full matrix is never held and
+    rng advances as for the whole draw."""
+
+    def __init__(self, rng, live):
+        self.rng, self.live = rng, live
+
+    def uniform(self, low, high, size):
+        rows, cols = size
+        out = np.empty((np.count_nonzero(self.live), cols))
+        at = 0
+        for lo in range(0, rows, FC1_DRAW_ROWS):
+            keep = self.live[lo:lo + FC1_DRAW_ROWS]
+            chunk = self.rng.uniform(low, high, size=(keep.size, cols))[keep]
+            out[at:at + len(chunk)] = chunk
+            at += len(chunk)
+        return out
+
+
 class _FlatCritic:
     """Fully-connected critic over the concatenation of every involved
     satellite's state and action that reads only the live columns of that
-    flat input (a boolean mask over it).  fc1 is drawn at full width and
-    keeps the live columns' weight rows; every other column must be zero."""
+    flat input (a boolean mask over it).  fc1 is drawn at full width, in row
+    chunks, and keeps the live columns' weight rows; every other column must
+    be zero."""
 
     def __init__(self, rng, live, width, name="fc_critic"):
         self.live, self.dead = np.flatnonzero(live), np.flatnonzero(~live)
-        self.fc1 = Dense(rng, live.size, width, f"{name}.fc1")
-        self.fc1.w.data = self.fc1.w.data[self.live]
+        self.fc1 = Dense(_LiveRowDraw(rng, live), live.size, width,
+                         f"{name}.fc1")
         self.fc2 = Dense(rng, width, width, f"{name}.fc2")
         self.out = Dense(rng, width, 1, f"{name}.out")
         self.out.w.data[:] = 0.0

@@ -1,6 +1,7 @@
-"""The Adam step and first-gradient accumulation that terasec.autodiff's
-in-place, blocked versions replaced, kept as the reference for the
-differential tests: whole-array temporaries, with the same operation order.
+"""The Adam step, first-gradient accumulation and weight-gradient products
+that terasec.autodiff's in-place, blocked and factored versions replaced,
+kept as the reference for the differential tests: whole-array temporaries,
+with the same operation order.
 """
 import numpy as np
 
@@ -40,3 +41,12 @@ def reference_first_grad(data, g):
     grad = np.zeros_like(data)
     grad += g
     return grad
+
+
+def reference_rank_one_product(g, shape):
+    """The product a matmul formed for a weight gradient it now holds as a
+    RankOneGrad: x.T @ g for one input row, else the batched outer product."""
+    x, g = g
+    if x.shape[0] == 1:
+        return (x.T @ g).reshape(shape)
+    return np.matmul(x[:, :, None], g[:, None, :]).reshape(shape)

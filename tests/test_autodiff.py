@@ -8,7 +8,8 @@ import pytest
 from terasec.autodiff import (ADAM_BLOCK, NEIGHBOR_BLOCK, Adam,
                               CheckpointMismatchError, Dense,
                               DimensionError, GcnLayer, GraphStateError,
-                              Parameter, StackedDense, Tensor, _neighbor_sum,
+                              Parameter, RankOneGrad, StackedDense, Tensor,
+                              _neighbor_sum,
                               concat_cols, load_checkpoint, mse,
                               normalized_adjacency, save_checkpoint,
                               write_json, xavier_uniform)
@@ -802,6 +803,131 @@ def test_matmul_first_gradients_equal_a_zero_buffer_plus_the_product(stacked):
     assert _same_bits(wt.grad, reference_first_grad(wt.data, (x.T @ g)
                                                     .reshape(wt.shape)))
     assert _same_bits(xt.grad, reference_first_grad(x, g @ w.T))
+
+
+def _signed_factor(rng, shape):
+    """Normal draws with +0.0 and -0.0 entries, so products of two such
+    factors include -0.0."""
+    a = rng.standard_normal(shape)
+    a.flat[::4] = 0.0
+    a.flat[1::5] = -0.0
+    return a
+
+
+def _one_row_dense(rng):
+    """A Dense layer on one row."""
+    layer = Dense(rng, 50, 70, "d")
+    x = _signed_factor(rng, (1, 50))
+
+    def backward(g):
+        layer(Tensor(x)).backward(g)
+        return [x.T @ g, g]
+    return backward, layer.parameters(), (1, 70)
+
+
+def _split_stack(rng):
+    """A StackedDense whose width, 6, does not divide ADAM_BLOCK: its
+    blocks split a row and a matrix."""
+    layer = StackedDense(rng.standard_normal((9, 700, 6)), "s")
+    x = _signed_factor(rng, (9, 700))
+
+    def backward(g):
+        layer(Tensor(x)).backward(g)
+        return [np.matmul(x[:, :, None], g[:, None, :]), g]
+    return backward, layer.parameters(), (9, 6)
+
+
+def _weight_met_twice(rng):
+    """One weight in two one-row products: its first gradient is held as
+    factors and formed when the second arrives."""
+    w = Parameter(rng.standard_normal((40, 30)), "w")
+    x1, x2 = _signed_factor(rng, (1, 40)), _signed_factor(rng, (1, 40))
+
+    def backward(g):
+        (Tensor(x1) @ w + Tensor(x2) @ w).backward(g)
+        grad = reference_first_grad(w.data, x1.T @ g)
+        grad += x2.T @ g
+        return [grad]
+    return backward, [w], (1, 30)
+
+
+#: graphs whose weight gradients are rank-one, each built from a generator
+#: as (backward(g): walk the graph from seed g and return each parameter's
+#: gradient as the products formed it, the parameters, the seed's shape)
+RANK_ONE_CASES = {"dense_row": _one_row_dense, "stack_split": _split_stack,
+                  "met_twice": _weight_met_twice}
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["held", "read"])
+@pytest.mark.parametrize("maximize", [False, True])
+@pytest.mark.parametrize("case", sorted(RANK_ONE_CASES))
+def test_adam_from_factors_equals_the_reference_from_the_formed_gradient(
+        case, maximize, read_first, monkeypatch):
+    """Over three steps, Adam stepping gradients held as RankOneGrad equals
+    ReferenceAdam stepping the gradients the products formed (plus the zero
+    buffer of a first gradient), bit for bit, -0.0 products included; each
+    block Adam forms has the reference gradient's bits, and a gradient read
+    (so formed) before the step gives the same step."""
+    build = RANK_ONE_CASES[case]
+    backward, params, g_shape = build(np.random.default_rng(31))
+    ref = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    opt = Adam(params, lr=0.01)
+    ref_opt = ReferenceAdam(ref, lr=0.01)
+    blocks = {}
+    fill = RankOneGrad.fill
+
+    def spy(self, lo, out):
+        got = fill(self, lo, out)
+        blocks[lo] = got.copy()
+        return got
+
+    monkeypatch.setattr(RankOneGrad, "fill", spy)
+    rng = np.random.default_rng(32)
+    for step in range(3):
+        g = _signed_factor(rng, g_shape)
+        for p in params:
+            p.grad = None
+        wants = backward(g)
+        for p, r, want in zip(params, ref, wants):
+            # a zero buffer plus the product; no bit moves for met_twice's sum
+            r.grad = reference_first_grad(p.data, want.reshape(p.shape))
+        held = [p for p in params if isinstance(p._grad, RankOneGrad)]
+        assert bool(held) == (case != "met_twice")
+        if read_first:
+            for p, r in zip(params, ref):
+                assert _same_bits(p.grad, r.grad), p.name
+        blocks.clear()
+        opt.step(maximize=maximize)
+        ref_opt.step(maximize=maximize)
+        if held and not read_first:
+            flat = np.concatenate([blocks[lo] for lo in sorted(blocks)])
+            want = ref[params.index(held[0])].grad.reshape(-1)
+            assert _same_bits(flat, want)
+        else:
+            assert not blocks
+        for i, (p, r) in enumerate(zip(params, ref)):
+            assert _same_bits(p.data, r.data), (step, p.name)
+            assert _same_bits(opt.m[i], ref_opt.m[i]), (step, p.name)
+            assert _same_bits(opt.v[i], ref_opt.v[i]), (step, p.name)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_product_with_a_parameter_input_forms_its_weight_gradient(stacked):
+    """A Parameter input changes in place when Adam steps it, so the weight
+    gradient of its product is formed at once: stepping input and weight
+    together equals ReferenceAdam on the formed gradients."""
+    rng = np.random.default_rng(33)
+    x = Parameter(_signed_factor(rng, (3, 8) if stacked else (1, 8)), "x")
+    w = Parameter(rng.standard_normal((3, 8, 5) if stacked else (8, 5)), "w")
+    ref = [Tensor(p.data.copy(), requires_grad=True) for p in (x, w)]
+    out = x.rowwise_matmul(w) if stacked else x @ w
+    out.backward(_signed_factor(rng, out.shape))
+    assert not isinstance(w._grad, RankOneGrad)
+    for p, r in zip((x, w), ref):
+        r.grad = p.grad.copy()
+    Adam([x, w], lr=0.1).step()
+    ReferenceAdam(ref, lr=0.1).step()
+    assert _same_bits(x.data, ref[0].data) and _same_bits(w.data, ref[1].data)
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -2,8 +2,9 @@
 walks it (against the whole-graph sweep it replaced), a GCN layer keeps
 its output and no more than the aggregation its weight gradient reads, its
 backward holds one hidden-width transient, the TD-target pass records no
-graph, the process keeps the heap a step frees,
-and a run's summary reports its page faults and peak resident set."""
+graph, the dense baseline forms no whole actor weight gradient, the process
+keeps the heap a step frees, and a run's summary reports its page faults
+and peak resident set."""
 import copy
 import json
 import math
@@ -213,6 +214,25 @@ def test_the_critic_descent_backward_holds_one_transient_per_layer(
     assert peaks[0] <= 2 * buffer
 
 
+def test_a_dense_training_step_forms_no_stacked_actor_gradient():
+    """A dense train_step at 10 sources and hidden width 128 allocates less
+    than one stacked actor_ot.fc2 weight above what it held before the
+    step: each actor and critic weight gradient is held as a RankOneGrad
+    and formed by Adam a block at a time (1.6 MB here; 40.7 MB when the
+    [involved, 128, 128] gradients were formed whole)."""
+    agent = MaddpgFcAgent(make_env(seed=1, steps=2), TrainConfig(seed=1))
+    assert agent.cfg.hidden_width == 128
+    transition = _transition(agent)
+    tracemalloc.start()
+    try:
+        agent.train_step(*transition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert agent.actor_opt.step_count == 1
+    assert peak < agent.actor_ot.fc2.w.data.nbytes, peak
+
+
 # -- the TD-target pass --------------------------------------------------------
 
 def _target_pass(agent):
@@ -307,9 +327,11 @@ def test_a_training_step_reuses_the_heap_the_last_one_freed():
 
 
 def test_a_dense_training_step_reuses_the_heap_the_last_one_freed():
-    """The same for the dense baseline, whose stacked [involved, 128, 128]
-    weight gradients are over 32 MiB: about 180 faults per step with a
-    32 MiB mmap threshold, which maps each afresh."""
+    """The same for the dense baseline, whose weight gradients Adam forms a
+    block at a time, so a step allocates no array near the 64 MiB mmap
+    threshold (when it formed its stacked [involved, 128, 128] gradients,
+    over 32 MiB, a 32 MiB threshold mapped each afresh: about 180 faults
+    per step)."""
     assert _faults_per_step(MaddpgFcAgent) <= 20
 
 
