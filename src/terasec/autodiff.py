@@ -283,11 +283,6 @@ class Tensor:
 
         return Tensor._make(self.data[:, cols], (self,), vjp)
 
-    def sum(self):
-        return Tensor._make(
-            np.array([[self.data.sum()]]), (self,),
-            lambda g: (np.full_like(self.data, np.asarray(g).item()),))
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)

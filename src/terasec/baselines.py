@@ -93,37 +93,36 @@ class _PrivateActors:
                 for p in layer.parameters()]
 
 
-#: rows of the flat critic's full-width fc1 drawn at a time
-FC1_DRAW_ROWS = 1024
-
-
 class _LiveRowDraw:
-    """The generator for the flat critic's fc1 draw: a uniform [rows, cols]
-    draw is taken from rng FC1_DRAW_ROWS rows at a time, keeping the rows
-    `live` (a mask over them) selects, so the full matrix is never held and
-    rng advances as for the whole draw."""
+    """The generator for the flat critic's fc1 draw: of a uniform [rows, cols]
+    draw from rng, it draws only the rows `live` (a mask over them) selects,
+    one run of live rows at a time, and advances rng's PCG64 over each run
+    of dead rows (a float64 uniform takes one 64-bit output), so rng ends
+    where the whole draw leaves it."""
 
     def __init__(self, rng, live):
         self.rng, self.live = rng, live
 
     def uniform(self, low, high, size):
         rows, cols = size
+        edges = [0, *(np.flatnonzero(np.diff(self.live)) + 1).tolist(), rows]
         out = np.empty((np.count_nonzero(self.live), cols))
         at = 0
-        for lo in range(0, rows, FC1_DRAW_ROWS):
-            keep = self.live[lo:lo + FC1_DRAW_ROWS]
-            chunk = self.rng.uniform(low, high, size=(keep.size, cols))[keep]
-            out[at:at + len(chunk)] = chunk
-            at += len(chunk)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if self.live[lo]:
+                out[at:at + hi - lo] = self.rng.uniform(
+                    low, high, size=(hi - lo, cols))
+                at += hi - lo
+            else:
+                self.rng.bit_generator.advance((hi - lo) * cols)
         return out
 
 
 class _FlatCritic:
     """Fully-connected critic over the concatenation of every involved
     satellite's state and action that reads only the live columns of that
-    flat input (a boolean mask over it).  fc1 is drawn at full width, in row
-    chunks, and keeps the live columns' weight rows; every other column must
-    be zero."""
+    flat input (a boolean mask over it).  fc1 holds the live columns' rows
+    of a full-width draw, drawn alone; every other column must be zero."""
 
     def __init__(self, rng, live, width, name="fc_critic"):
         self.live, self.dead = np.flatnonzero(live), np.flatnonzero(~live)

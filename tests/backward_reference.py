@@ -1,10 +1,20 @@
 """The backward sweep that Tensor.backward's freeing walk replaced, kept as
 the reference for the differential tests: it sums the same gradients in
 the same order and leaves the whole graph in place, every intermediate
-.grad included."""
+.grad included.
+
+Also `tensor_sum`, the scalar root of the gradient checks, which was
+Tensor.sum until no code in terasec called it."""
 import numpy as np
 
-from terasec.autodiff import GraphStateError
+from terasec.autodiff import GraphStateError, Tensor
+
+
+def tensor_sum(t: Tensor) -> Tensor:
+    """The sum of t's elements as a [1, 1] graph op."""
+    return Tensor._make(
+        np.array([[t.data.sum()]]), (t,),
+        lambda g: (np.full_like(t.data, np.asarray(g).item()),))
 
 
 def graph_nodes(root) -> list:

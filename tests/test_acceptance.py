@@ -20,6 +20,7 @@ from terasec.sec_sim import (quantize_offload, quantize_power,
                              quantize_subarrays)
 from terasec.traffic import TrafficConfig, fgn_rows, generate_counts
 
+from backward_reference import tensor_sum
 from conftest import make_env, random_simplex
 from test_autodiff import check_gradient
 import test_sec_sim
@@ -100,7 +101,7 @@ def test_criterion_2_gradient_correctness():
 
     def make_proj(cols):
         v = Tensor(rng.standard_normal((cols, 1)))
-        return lambda t: (t @ v).tanh().sum()
+        return lambda t: tensor_sum((t @ v).tanh())
 
     checked = 0
     for i in range(20):
@@ -136,7 +137,7 @@ def test_criterion_2_gradient_correctness():
         a_to = Tensor(rng.random((n, 5 + 4 + 4 * k)))
         a_ot = Tensor(rng.random((n, 1 + k)))
         check_gradient(
-            lambda: critic.forward(f_to, f_ot, table, a_to, a_ot).sum(),
+            lambda: tensor_sum(critic.forward(f_to, f_ot, table, a_to, a_ot)),
             critic.parameters(), rtol=1e-4)
         checked += 5
     report(2, True, f"{checked} random layer/actor/critic instances matched "

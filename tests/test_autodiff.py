@@ -16,6 +16,7 @@ from terasec.autodiff import (ADAM_BLOCK, NEIGHBOR_BLOCK, Adam,
 from terasec.constellation import WalkerConfig
 
 import gcn_reference as ref
+from backward_reference import tensor_sum
 from conftest import make_env
 from optim_reference import ReferenceAdam, reference_first_grad
 
@@ -71,27 +72,29 @@ def _gcn_with(w, x, rows=None):
 
 
 OPS = {
-    "matmul": lambda a, b: (a @ b).sum(),
-    "add": lambda a, b: (a @ b + a @ b).sum(),
-    "scalar_mul": lambda a, b: ((a @ b) * 0.37).sum(),
-    "tanh": lambda a, b: (a @ b).tanh().sum(),
-    "sigmoid": lambda a, b: (a @ b).sigmoid().sum(),
-    "softmax": lambda a, b: ((a @ b).softmax_rows() @ Tensor(np.arange(3.0).reshape(3, 1))).sum(),
-    "mean_rows": lambda a, b: (a @ b).mean_rows().tanh().sum(),
-    "reshape": lambda a, b: (a @ b).reshape(1, 12).tanh().sum(),
-    "gather": lambda a, b: ref.gather_rows(a @ b, [0, 2, 2]).sum(),
-    "scatter": lambda a, b: (a @ b).scatter_rows([1, 3, 0, 5], 6).tanh().sum(),
-    "slice": lambda a, b: (a @ b).slice_cols(slice(1, 3)).tanh().sum(),
-    "slice_index": lambda a, b: (a @ b).slice_cols(
-        np.array([2, 0])).tanh().sum(),
-    "concat": lambda a, b: concat_cols([a @ b, (a @ b).tanh()]).sum(),
+    "matmul": lambda a, b: tensor_sum(a @ b),
+    "add": lambda a, b: tensor_sum(a @ b + a @ b),
+    "scalar_mul": lambda a, b: tensor_sum((a @ b) * 0.37),
+    "tanh": lambda a, b: tensor_sum((a @ b).tanh()),
+    "sigmoid": lambda a, b: tensor_sum((a @ b).sigmoid()),
+    "softmax": lambda a, b: tensor_sum(
+        (a @ b).softmax_rows() @ Tensor(np.arange(3.0).reshape(3, 1))),
+    "mean_rows": lambda a, b: tensor_sum((a @ b).mean_rows().tanh()),
+    "reshape": lambda a, b: tensor_sum((a @ b).reshape(1, 12).tanh()),
+    "gather": lambda a, b: tensor_sum(ref.gather_rows(a @ b, [0, 2, 2])),
+    "scatter": lambda a, b: tensor_sum(
+        (a @ b).scatter_rows([1, 3, 0, 5], 6).tanh()),
+    "slice": lambda a, b: tensor_sum((a @ b).slice_cols(slice(1, 3)).tanh()),
+    "slice_index": lambda a, b: tensor_sum((a @ b).slice_cols(
+        np.array([2, 0])).tanh()),
+    "concat": lambda a, b: tensor_sum(concat_cols([a @ b, (a @ b).tanh()])),
     "mse": lambda a, b: mse(a @ b, Tensor(np.ones((4, 3)))),
-    "propagate": lambda a, b: ref.propagate((a @ b).tanh(),
-                                            PATH4).tanh().sum(),
-    "propagate_rows": lambda a, b: ref.propagate((a @ b).tanh(), PATH4,
-                                                 [3, 0]).tanh().sum(),
-    "gcn_layer": lambda a, b: _gcn_with(b, a).sum(),
-    "gcn_layer_rows": lambda a, b: _gcn_with(b, a, [3, 0]).sum(),
+    "propagate": lambda a, b: tensor_sum(ref.propagate((a @ b).tanh(),
+                                                       PATH4).tanh()),
+    "propagate_rows": lambda a, b: tensor_sum(ref.propagate(
+        (a @ b).tanh(), PATH4, [3, 0]).tanh()),
+    "gcn_layer": lambda a, b: tensor_sum(_gcn_with(b, a)),
+    "gcn_layer_rows": lambda a, b: tensor_sum(_gcn_with(b, a, [3, 0])),
 }
 
 
@@ -106,7 +109,7 @@ def test_op_gradients(name):
 
 def test_gradient_identity_and_mse():
     x = Parameter(np.array([[2.0]]), "x")
-    y = x.sum()
+    y = tensor_sum(x)
     y.backward()
     assert x.grad[0, 0] == 1.0
     pred = Parameter(np.array([[1.0, 3.0]]), "pred")
@@ -213,12 +216,12 @@ def test_a_parent_that_stops_requiring_a_gradient_gets_none():
     rng = np.random.default_rng(22)
     x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     w = Parameter(rng.standard_normal((4, 3)), "w")
-    out = (x @ w).tanh().sum() + x.sum()
+    out = tensor_sum((x @ w).tanh()) + tensor_sum(x)
     x.requires_grad = False
     out.backward()
     assert x.grad is None
     want = Parameter(w.data.copy(), "w")
-    (Tensor(x.data) @ want).tanh().sum().backward()
+    tensor_sum((Tensor(x.data) @ want).tanh()).backward()
     assert _same_bits(w.grad, want.grad)
 
 
@@ -523,7 +526,7 @@ def test_gcn_layer_gradient_at_rows():
     rng = np.random.default_rng(6)
     layer = GcnLayer(rng, 3, 2, "g")
     feats = Parameter(rng.standard_normal((4, 3)), "feats")
-    check_gradient(lambda: layer(feats, PATH4, [2, 0]).tanh().sum(),
+    check_gradient(lambda: tensor_sum(layer(feats, PATH4, [2, 0]).tanh()),
                    [feats, *layer.parameters()])
 
 
@@ -544,7 +547,7 @@ def test_gcn_layer_gradient():
     layer = GcnLayer(rng, 3, 2, "g")
     table = normalized_adjacency(3, [(0, 1), (1, 2)])
     feats = rng.standard_normal((3, 3))
-    check_gradient(lambda: layer(Tensor(feats), table).sum(),
+    check_gradient(lambda: tensor_sum(layer(Tensor(feats), table)),
                    layer.parameters())
 
 
@@ -552,7 +555,8 @@ def test_dense_gradient_and_shapes():
     rng = np.random.default_rng(6)
     layer = Dense(rng, 4, 3, "d")
     x = rng.standard_normal((5, 4))
-    check_gradient(lambda: layer(Tensor(x)).tanh().sum(), layer.parameters())
+    check_gradient(lambda: tensor_sum(layer(Tensor(x)).tanh()),
+                   layer.parameters())
     with pytest.raises(DimensionError):
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
 
@@ -565,7 +569,8 @@ def test_rowwise_matmul_gradient():
     x = Parameter(rng.standard_normal((4, 5)) * 0.7, "x")
     w = Parameter(rng.standard_normal((4, 3, 2)) * 0.7, "w")
     check_gradient(
-        lambda: layer(x).tanh().rowwise_matmul(w).softmax_rows().sigmoid().sum(),
+        lambda: tensor_sum(
+            layer(x).tanh().rowwise_matmul(w).softmax_rows().sigmoid()),
         [x, w, *layer.parameters()])
 
 

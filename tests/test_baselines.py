@@ -5,9 +5,9 @@ import pytest
 
 from terasec.agent import GrantAgent, TrainConfig, critic_input
 from terasec.autodiff import RankOneGrad, Tensor, xavier_uniform
-from terasec.baselines import (FC1_DRAW_ROWS, DeadInputError,
-                               FullResourcePolicy, MaddpgFcAgent,
-                               UniformPolicy, _FlatCritic, rollout_policy)
+from terasec.baselines import (DeadInputError, FullResourcePolicy,
+                               MaddpgFcAgent, UniformPolicy, _FlatCritic,
+                               rollout_policy)
 from terasec.env import ActionBundle
 from terasec.harness import (ExperimentConfig, build_environment,
                              make_policy)
@@ -155,14 +155,19 @@ def test_every_observed_critic_input_is_live(seed, n_sources, bands):
     assert live.sum() < 0.5 * live.size
 
 
+def _bench_window(steps):
+    """The dense_maddpg_s10 benchmark window at seed 1."""
+    cfg = ExperimentConfig.from_dict({
+        "policy": "maddpg_fc", "n_sources": 10, "train": {"steps": steps},
+        "source_selection": {"seed": 999_999}})
+    return build_environment(cfg, 1)
+
+
 def test_live_critic_inputs_equal_the_observed_ones_at_the_bench_window():
     """The dense_maddpg_s10 benchmark window at seed 1: 3,594 of 15,132
     input columns are live, and every one of them is seen nonzero."""
     steps = 8
-    cfg = ExperimentConfig.from_dict({
-        "policy": "maddpg_fc", "n_sources": 10, "train": {"steps": steps},
-        "source_selection": {"seed": 999_999}})
-    agent = MaddpgFcAgent(build_environment(cfg, 1),
+    agent = MaddpgFcAgent(_bench_window(steps),
                           TrainConfig(seed=1, steps=steps, hidden_width=16),
                           critic_width=16)
     live, seen = _observed_inputs(agent)
@@ -233,26 +238,92 @@ def test_the_live_input_critic_tracks_the_full_width_reference():
                           dead_init.view(np.uint64))
 
 
+def _run_edge_masks(n=301):
+    """Live-row masks over n rows, by what they put at run edges."""
+    rng = np.random.default_rng(40)
+    dead_first = rng.random(n) < 0.3
+    dead_first[:97] = False
+    dead_first[97] = True
+    live_last = rng.random(n) < 0.5
+    live_last[-2:] = [False, True]
+    single_rows = np.arange(n) % 2 == 1
+    one_live = np.zeros(n, dtype=bool)
+    one_live[n // 3] = True
+    return {"dead first run": dead_first, "live last row": live_last,
+            "single-row runs": single_rows,
+            "all live": np.ones(n, dtype=bool), "one live row": one_live}
+
+
+def _built_with_its_generator(cls, env, cfg):
+    """(agent, its network-init generator once the agent is built)."""
+    kept = []
+
+    class Kept(cls):
+        def _bind(self, env, cfg):
+            kept.append(super()._bind(env, cfg))
+            return kept[0]
+
+    return Kept(env, cfg, critic_width=16), kept[0]
+
+
+def test_the_agent_build_has_the_full_width_draws_bits_at_the_bench_window():
+    """At the dense_maddpg_s10 window, where fc1's rows fall into 1,721 runs
+    of live and dead rows, every parameter of the built agent has the bits
+    of the full-width reference's (fc1 those of its live rows), and the
+    network-init generator ends in the reference's state."""
+    env = _bench_window(steps=2)
+    cfg = TrainConfig(seed=1, steps=2, hidden_width=16)
+    lean, lean_rng = _built_with_its_generator(MaddpgFcAgent, env, cfg)
+    ref, ref_rng = _built_with_its_generator(FullWidthMaddpgAgent, env, cfg)
+    live = np.zeros(ref.critic.live.size, dtype=bool)
+    live[lean.critic.live] = True
+    assert 1 + np.count_nonzero(np.diff(live)) == 1_721
+    assert lean_rng.bit_generator.state == ref_rng.bit_generator.state
+    for p, q in zip(lean.parameters(), ref.parameters(), strict=True):
+        assert p.name == q.name
+        want = q.data[live] if p is lean.critic.fc1.w else q.data
+        assert np.array_equal(p.data.view(np.uint64),
+                              want.view(np.uint64)), p.name
+
+
 @pytest.mark.parametrize("width", [1, 8])
-def test_fc1_is_the_full_draws_live_rows_drawn_in_chunks(width):
-    """fc1 has the bits of the live rows of one full-width xavier draw,
-    over a mask with a dead first chunk, a partial last chunk and live rows
-    at chunk edges; the generator is left where the full draw leaves it, so
-    fc2 and out are drawn as before."""
-    n = 3 * FC1_DRAW_ROWS + 37
-    live = np.random.default_rng(40).random(n) < 0.3
-    live[:FC1_DRAW_ROWS] = False
-    live[[FC1_DRAW_ROWS, 2 * FC1_DRAW_ROWS - 1, n - 1]] = True
-    drawn = np.random.default_rng(41)
-    critic = _FlatCritic(drawn, live, width)
-    rng = np.random.default_rng(41)
-    full = xavier_uniform(rng, n, width)
-    fc2 = xavier_uniform(rng, width, width)
-    xavier_uniform(rng, width, 1)  # out, zeroed after its draw
-    for got, want in ((critic.fc1.w.data, full[live]),
-                      (critic.fc2.w.data, fc2),
-                      (drawn.random(4), rng.random(4))):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+def test_fc1_is_the_full_draws_live_rows_drawn_by_runs(width):
+    """fc1 has the bits of the live rows of one full-width xavier draw, over
+    masks with a dead first run, a live last row, single-row runs, no dead
+    row and one live row; the generator is left in the full draw's state,
+    so fc2 and out are drawn as before."""
+    for name, live in _run_edge_masks().items():
+        drawn = np.random.default_rng(41)
+        critic = _FlatCritic(drawn, live, width)
+        rng = np.random.default_rng(41)
+        full = xavier_uniform(rng, live.size, width)
+        fc2 = xavier_uniform(rng, width, width)
+        xavier_uniform(rng, width, 1)  # out, zeroed after its draw
+        assert drawn.bit_generator.state == rng.bit_generator.state, name
+        for got, want in ((critic.fc1.w.data, full[live]),
+                          (critic.fc2.w.data, fc2),
+                          (drawn.random(4), rng.random(4))):
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64)), name
+
+
+def test_building_the_critic_holds_no_dead_fc1_rows():
+    """Building a flat critic over a mask of many short runs peaks below its
+    live fc1 rows plus fc2 plus 1 MB: no full-width draw is held, nor a
+    draw of 1,024 rows at a time (2 MB at this width)."""
+    width = 256
+    rng = np.random.default_rng(42)
+    runs = rng.integers(1, 40, size=400)
+    live = np.repeat(np.arange(runs.size) % 2 == 1, runs)
+    tracemalloc.start()
+    try:
+        critic = _FlatCritic(rng, live, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = critic.fc1.w.data.nbytes + critic.fc2.w.data.nbytes
+    assert critic.fc1.w.shape == (np.count_nonzero(live), width)
+    assert peak < held + 2**20, (peak, held)
 
 
 def test_train_step_allocates_nothing_the_size_of_the_critic_fc1(monkeypatch):

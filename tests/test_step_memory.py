@@ -23,7 +23,7 @@ from terasec.autodiff import GraphStateError, Parameter, Tensor
 from terasec.baselines import MaddpgFcAgent
 from terasec.harness import ExperimentConfig, run_experiment
 
-from backward_reference import graph_nodes, reference_backward
+from backward_reference import graph_nodes, reference_backward, tensor_sum
 from conftest import loss_history, make_env
 
 
@@ -97,10 +97,10 @@ def test_a_graph_that_meets_a_walked_tensor_cannot_be_walked():
     on it raises instead of silently sending no gradient past it."""
     w = Parameter(np.ones((2, 2)), "w")
     h = (Tensor(np.ones((1, 2))) @ w).tanh()
-    h.sum().backward()
+    tensor_sum(h).backward()
     grad = w.grad.copy()
     with pytest.raises(GraphStateError, match="walked"):
-        (h * 2.0).sum().backward()
+        tensor_sum(h * 2.0).backward()
     assert np.array_equal(w.grad, grad)
     assert h._parents is None and h.data.shape == (1, 2)
 
