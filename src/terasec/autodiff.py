@@ -149,8 +149,9 @@ class Tensor:
     def backward(self, seed=None):
         """Reverse-mode sweep from this tensor: each op's gradient for a
         parent that requires one at this time is added into its .grad.  The
-        sweep frees the graph: an op's output drops its .grad, closure and
-        parents once it has handed its gradients on; leaves keep .grad."""
+        sweep frees the graph: an op's output drops its closure and parents
+        before calling it, so no closure runs twice even after a walk that
+        raised, and its .grad after; leaves keep .grad."""
         if not self.requires_grad:
             raise GraphStateError("backward on a tensor with no recorded graph")
         # iterative post-order: a recursive closure is a reference cycle that
@@ -177,15 +178,16 @@ class Tensor:
         while topo:
             t = topo.pop()
             if t._vjp is not None:
-                for p, g in zip(t._parents, t._vjp(t.grad)):
+                parents, vjp, t._parents, t._vjp = t._parents, t._vjp, None, None
+                for p, g in zip(parents, vjp(t.grad)):
                     if g is not None and p.requires_grad:
                         p._accumulate(g, t._owned)
-                t.grad = t._vjp = t._parents = None
+                t.grad = None
 
     # -- operations ----------------------------------------------------------
 
     def __matmul__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, other
         if a.shape[1] != b.shape[0]:
             raise DimensionError(f"matmul shapes {a.shape} x {b.shape}")
 
@@ -215,7 +217,7 @@ class Tensor:
                             (self, w), vjp, owned=True)
 
     def __add__(self, other):
-        a, b = self, _as_tensor(other)
+        a, b = self, other
 
         def vjp(g):
             return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -284,21 +286,14 @@ class Tensor:
         return Tensor._make(self.data[:, cols], (self,), vjp)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(g, shape):
     if shape[0] == 1 and g.shape[0] > 1:
         g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] > 1:
-        g = g.sum(axis=1, keepdims=True)
     return g
 
 
 def concat_cols(tensors):
     """Column-wise concatenation of tensors sharing the row count."""
-    tensors = [_as_tensor(t) for t in tensors]
     rows = tensors[0].shape[0]
     if any(t.shape[0] != rows for t in tensors):
         raise DimensionError("concat_cols requires matching row counts")
@@ -311,8 +306,6 @@ def concat_cols(tensors):
 
 def mse(pred, target):
     """Mean squared error against a constant target; a scalar tensor."""
-    pred = _as_tensor(pred)
-    target = _as_tensor(target)
     if pred.shape != target.shape:
         raise DimensionError("mse shape mismatch")
     diff = pred.data - target.data
@@ -471,7 +464,7 @@ class GcnLayer:
 
     def __call__(self, features: Tensor, table: NeighborTable,
                  rows=None) -> Tensor:
-        x, w = _as_tensor(features), self.w
+        x, w = features, self.w
         n = table.idx.shape[0]
         if x.shape[0] != n:
             raise DimensionError("feature row count must match the graph size")
@@ -483,13 +476,9 @@ class GcnLayer:
         out = agg @ w.data
         np.tanh(out, out=out)
         kept = agg if w.requires_grad else None
-        walked = False
 
         def vjp(g):
-            nonlocal kept, walked
-            if walked:
-                raise GraphStateError("backward through a walked GCN layer")
-            walked = True
+            nonlocal kept
             # g * (1 - out**2), plus the zero buffer of a first gradient; a
             # row-broadcast or read-only g leaves it to the scratch buffer
             d = np.square(out)

@@ -21,6 +21,10 @@ class ConfigurationError(ValueError):
     """Invalid constellation or ground-station configuration."""
 
 
+class RoutingError(ValueError):
+    """No routing tree under the given weights."""
+
+
 class VisibilityError(RuntimeError):
     """No satellite above the minimum elevation angle."""
 
@@ -206,22 +210,27 @@ class Constellation:
         table = self.neighbors
         # a negative weight would keep lowering distances around a cycle
         if not (math.isfinite(eta) and eta >= 0):
-            raise ValueError(f"eta must be a finite number >= 0, got {eta!r}")
+            raise RoutingError(f"eta must be a finite number >= 0, got {eta!r}")
         pos = self.positions_at(t)
         v = pos[:, None, :] - pos[table]
-        weights = 1.0 + eta * np.sqrt(np.vecdot(v, v)) / self.intra_plane_chord_km()
         dist = np.full(self.n_sats, np.inf)
         dist[gs_sat] = 0.0
         changed = np.array([gs_sat])
-        while changed.size:
-            # deduplicated by sort (np.unique would import numpy.ma)
-            near = np.sort(table[changed], axis=None)
-            near = near[np.diff(near, prepend=-1) > 0]
-            relaxed = np.min(dist[table[near]] + weights[near], axis=1)
-            lower = relaxed < dist[near]
-            changed = near[lower]
-            dist[changed] = relaxed[lower]
-        cost = dist[table] + weights
+        # a weight or a path cost that overflows leaves a satellite at inf
+        with np.errstate(over="ignore"):
+            weights = (1.0 + eta * np.sqrt(np.vecdot(v, v))
+                       / self.intra_plane_chord_km())
+            while changed.size:
+                # deduplicated by sort (np.unique would import numpy.ma)
+                near = np.sort(table[changed], axis=None)
+                near = near[np.diff(near, prepend=-1) > 0]
+                relaxed = np.min(dist[table[near]] + weights[near], axis=1)
+                lower = relaxed < dist[near]
+                changed = near[lower]
+                dist[changed] = relaxed[lower]
+            cost = dist[table] + weights
+        if not np.isfinite(dist).all():
+            raise RoutingError(f"eta={eta!r} makes a path cost overflow a float")
         parent, best = table[:, 0], cost[:, 0]
         for j, c in zip(table.T[1:], cost.T[1:]):
             wins = (c < best - 1e-9) | ((c < best + 1e-9) & (j < parent))

@@ -22,8 +22,8 @@ from .autodiff import (CheckpointMismatchError, load_checkpoint,
                        save_checkpoint, write_json)
 from .baselines import (ActorSizeError, FullResourcePolicy, MaddpgFcAgent,
                         UniformPolicy, rollout_policy)
-from .constellation import (Constellation, GroundStation, VisibilityError,
-                            WalkerConfig)
+from .constellation import (Constellation, GroundStation, RoutingError,
+                            VisibilityError, WalkerConfig)
 from .env import SecWindow, SourceSelectionError
 from .sec_sim import ComputeParams, RewardParams
 from .thz_link import ArrayConfig, LinkBudgetParams, band_preset
@@ -72,8 +72,13 @@ def default_config() -> dict:
 
 
 def _build_section(section: str, cls, values: dict):
+    """cls(**values) with each float field's value as a float: an int given
+    for one would reach numpy as a Python int (raw keeps it as given)."""
+    floats = {f.name for f in dataclasses.fields(cls)
+              if isinstance(f.default, float)}
     try:
-        return cls(**values)
+        return cls(**{key: float(value) if key in floats else value
+                      for key, value in values.items()})
     except (TypeError, ValueError, TrainingError) as exc:
         raise ConfigError(f"config section {section!r}: {exc}") from None
 
@@ -231,6 +236,8 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
                           f"'ground_station': {exc}") from None
     except SourceSelectionError as exc:
         raise ConfigError(f"config section 'n_sources': {exc}") from None
+    except RoutingError as exc:
+        raise ConfigError(f"config section 'routing_eta': {exc}") from None
     except TrafficConfigError as exc:
         raise ConfigError(f"config section 'traffic': {exc}") from None
 
@@ -317,22 +324,6 @@ class RunSummary:
     peak_rss_mb: float             # ru_maxrss: the whole process's so far
 
 
-def summarize_metrics(metrics_csv: str):
-    """Mean U, T_avg and T_max over the CSV's last CONVERGED_WINDOW rows."""
-    rows = []
-    with open(metrics_csv) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("step"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if not rows:
-        raise ConfigError(f"metrics file {metrics_csv!r} contains no data rows")
-    tail = np.asarray(rows[-CONVERGED_WINDOW:])
-    return (float(tail[:, 1].mean()), float(tail[:, 4].mean()),
-            float(tail[:, 5].mean()))
-
-
 def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                    on_setup=None):
     """Run the configured policy once per seed; returns (summaries, aggregate).
@@ -349,8 +340,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
     chash = cfg.config_hash()
     summaries = []
     for seed in seeds:
-        env = build_environment(cfg, seed)
-        policy = make_policy(cfg.policy, env, cfg, seed)
+        env, policy = restored_policy(cfg, seed)
         # after the set-up, so a config it rejects leaves no output behind
         os.makedirs(cfg.output_dir, exist_ok=True)
         if on_setup is not None:
@@ -370,6 +360,8 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                 fh.write(header + "\n" + columns + "\n")
             t_start = time.perf_counter()
             steps_done = first_faults = 0
+            # the parsed values of the last rows written, for the summary
+            converged = collections.deque(maxlen=CONVERGED_WINDOW)
 
             def on_step(agent, record):
                 nonlocal steps_done, first_faults
@@ -384,6 +376,7 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                     steps_done = step + 1
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                converged.append([float(v) for v in rows[0].split(",")])
                 if step == 0:
                     first_faults = resource.getrusage(
                         resource.RUSAGE_SELF).ru_minflt
@@ -410,12 +403,14 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
         wall = (time.perf_counter() - t_start) / max(steps_done, 1)
         usage = resource.getrusage(resource.RUSAGE_SELF)
 
-        u, t_avg_ms, t_max_ms = summarize_metrics(metrics_path)
+        tail = np.asarray(converged)
         summary = RunSummary(
             seed=seed, policy=cfg.policy, config_hash=chash,
             metrics_csv=metrics_path, loss_csv=loss_path,
-            converged_u=u, converged_t_avg_ms=t_avg_ms,
-            converged_t_max_ms=t_max_ms, wall_clock_per_step_s=wall,
+            converged_u=float(tail[:, 1].mean()),
+            converged_t_avg_ms=float(tail[:, 4].mean()),
+            converged_t_max_ms=float(tail[:, 5].mean()),
+            wall_clock_per_step_s=wall,
             parameter_count=n_params,
             minor_faults_per_step=((usage.ru_minflt - first_faults)
                                    / max(steps_done - 1, 1)),

@@ -38,6 +38,11 @@ class ArrayConfig:
         if min(self.m_x, self.m_y, self.rx_subarrays_per_isl) < 1 or self.s_max < 4:
             raise LinkDomainError("m_x, m_y, rx_subarrays_per_isl must be >= 1"
                                   " and s_max >= 4")
+        # element counts stay below 2**53: exact as floats, and the int64
+        # sub-array counts quantize_subarrays casts cannot wrap
+        if max(self.s_max, self.rx_subarrays_per_isl) * self.m_x * self.m_y > 2**53:
+            raise LinkDomainError("s_max and rx_subarrays_per_isl times m_x * m_y"
+                                  " must be <= 2**53")
         # the beamformed gain of full arrays at both ends must be a float:
         # an infinite one makes infinite SINR features and NaN actions
         try:

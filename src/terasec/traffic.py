@@ -62,8 +62,6 @@ def fgn_rows(hurst: float, n: int, rows: int,
              rng: np.random.Generator) -> np.ndarray:
     """[rows, n] independent draws of standardized (unit-variance) fractional
     Gaussian noise, the random stream consumed row by row, one FFT for all."""
-    if not 0.0 < hurst < 1.0:
-        raise TrafficConfigError("hurst must be in (0, 1)")
     if n == 1:
         return rng.standard_normal((rows, 1))
     r = _fgn_autocovariance(hurst, n)

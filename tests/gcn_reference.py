@@ -27,7 +27,7 @@ from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
                            SKIP_LR_SCALE, CentralCritic, GrantAgent,
                            _actor_lr_scale, bound_logits, logit_bias)
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
-                              NeighborTable, Parameter, Tensor, _as_tensor,
+                              NeighborTable, Parameter, Tensor,
                               _neighbor_sum, _pad_rows, _row_subset)
 
 
@@ -63,7 +63,8 @@ def propagate(x, table: NeighborTable, rows=None) -> Tensor:
     rows only; rows=None reads every row.  A_norm is symmetric, so the
     gradient propagates through the same table, zero-padded to every row
     first."""
-    x = _as_tensor(x)
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
     n = table.idx.shape[0]
     if x.shape[0] != n:
         raise DimensionError("feature row count must match the graph size")

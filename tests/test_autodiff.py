@@ -190,8 +190,9 @@ def test_a_first_row_gradient_stays_a_row_until_a_full_one_arrives(owned):
 def test_a_gcn_layer_backward_runs_once_in_the_incoming_buffer():
     """The layer's backward forms its gradient in a writable incoming
     gradient and leaves the input gradient there; a read-only one gets the
-    same bits in fresh buffers.  It drops its aggregation, so a second call
-    raises instead of returning no weight gradient."""
+    same bits in fresh buffers.  It drops its aggregation, and
+    Tensor.backward walks it once: a second walk raises instead of
+    returning no weight gradient."""
     rng = np.random.default_rng(24)
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     g = rng.standard_normal((4, 3))
@@ -205,9 +206,45 @@ def test_a_gcn_layer_backward_runs_once_in_the_incoming_buffer():
         gx, gw = out._vjp(seed)
         assert np.shares_memory(gx, seed) == reuse
         results.append((_bits(gx), _bits(gw)))
+        out = layer(x, PATH4)
+        out.backward(g.copy())
+        grads = _bits(layer.w.grad), _bits(x.grad)
         with pytest.raises(GraphStateError, match="walked"):
-            out._vjp(g.copy())
+            out.backward(g.copy())
+        assert (_bits(layer.w.grad), _bits(x.grad)) == grads
     assert results[0] == results[1]
+
+
+def test_a_walk_that_raises_leaves_no_closure_to_call_again():
+    """backward takes an op's closure and parents off it before calling the
+    closure: after a closure raises part-way through a walk, a second walk,
+    from the same root or from a new one built on the op that raised,
+    raises GraphStateError and calls no closure a second time."""
+    w = Parameter(np.ones((2, 2)), "w")
+    h = Tensor(np.ones((1, 2))) @ w
+    calls = []
+
+    def counted(name, vjp):
+        def call(g):
+            calls.append(name)
+            return vjp(g)
+        return call
+
+    def fails(g):
+        raise FloatingPointError("the closure fails")
+
+    h._vjp = counted("matmul", h._vjp)
+    bad = Tensor._make(h.data, (h,), counted("fails", fails))
+    root = bad.tanh()
+    root._vjp = counted("tanh", root._vjp)
+    with pytest.raises(FloatingPointError):
+        root.backward(np.ones((1, 2)))
+    assert calls == ["tanh", "fails"]
+    for again in (root, bad * 2.0):
+        with pytest.raises(GraphStateError, match="walked"):
+            again.backward(np.ones((1, 2)))
+    assert calls == ["tanh", "fails"] and w.grad is None
+    assert bad._vjp is None and bad._parents is None
 
 
 def test_a_parent_that_stops_requiring_a_gradient_gets_none():

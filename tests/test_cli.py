@@ -405,6 +405,9 @@ def test_a_training_run_checkpoint_restores_for_eval(tmp_path, monkeypatch,
     ("routing_eta", None, float("nan")),
     ("routing_eta", None, "x"),
     ("routing_eta", None, True),
+    # the routing weights once overflowed to inf, and the run exited 4 with
+    # a false 'next_link has a cycle'
+    ("routing_eta", None, 1e308),
     ("source_selection", "seed", "x"),
     ("constellation", "planes", 2),
     ("train", "hidden_width", 0),
@@ -653,6 +656,42 @@ def test_an_overflowing_array_gain_exits_2_before_any_output(tmp_path, capsys,
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "'link.array'" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["s_max", "rx_subarrays_per_isl"])
+def test_an_element_count_past_2_53_exits_2_before_any_output(tmp_path,
+                                                             capsys, field):
+    """s_max = 2**70 once wrapped in the int64 sub-array cast and exited 4
+    with 'at least one sub-array per link end'."""
+    cfg = write_cfg(tmp_path, {"link": {"array": {field: 2**70}}})
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'link.array'" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {"compute": {"cycles_per_byte": 2**70}},
+    {"policy": "grant", "train": {"steps": 2, "actor_lr": 2**70}},
+    {"link": {"array": {"s_max": 2**53 // 16}}},
+    {"routing_eta": 1e200},
+], ids=["cycles_per_byte", "actor_lr", "s_max", "routing_eta"])
+def test_a_config_at_the_edge_of_its_range_trains_to_finite_rows(
+        tmp_path, capsys, extra):
+    """cycles_per_byte = 2**70 once overflowed a C long against the int64
+    server bytes and actor_lr = 2**70 met np.isfinite as a Python int, both
+    exiting 4 after the metrics CSV was written; s_max at its bound and
+    routing_eta = 1e200 run."""
+    cfg = write_cfg(tmp_path, extra)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    for path in out.glob("*.csv"):
+        rows = path.read_text().splitlines()[2:]
+        assert rows and not any(row.startswith("#") for row in rows)
+        assert np.all(np.isfinite([[float(v) for v in row.split(",")]
+                                   for row in rows]))
 
 
 def _strict_json(text):

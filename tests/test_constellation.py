@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import topology_reference as ref
 from terasec.constellation import (MAX_ALTITUDE_KM, ConfigurationError,
                                    Constellation, GroundStation,
-                                   SIDEREAL_RATE_RAD_S,
+                                   RoutingError, SIDEREAL_RATE_RAD_S,
                                    VisibilityError, WalkerConfig)
 
 R_ORBIT = 6371.0 + 550.0
@@ -187,6 +187,15 @@ def test_shortest_path_tree_rejects_bad_eta(default_constellation, eta):
     # raised before the search: with a negative weight it never settles
     with pytest.raises(ValueError):
         default_constellation.shortest_path_tree(0, 0.0, eta=eta)
+
+
+def test_an_eta_whose_path_costs_overflow_is_rejected(default_constellation):
+    """eta = 1e308 makes every link weight inf, which once left the tree a
+    cycle; 1e304 keeps every path cost finite and gives a tree."""
+    with pytest.raises(RoutingError, match="overflow"):
+        default_constellation.shortest_path_tree(0, 0.0, eta=1e308)
+    parent = default_constellation.shortest_path_tree(0, 0.0, eta=1e304)
+    assert parent[0] == -1 and np.all(parent[1:] >= 0)
 
 
 def test_route_never_revisits(default_constellation):

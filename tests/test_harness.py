@@ -12,8 +12,7 @@ from terasec.baselines import MaddpgFcAgent, rollout_policy
 from terasec.env import ActionBundle, SecWindow
 from terasec.harness import (CONVERGED_WINDOW, ConfigError, ExperimentConfig,
                              compare_bands, default_config, load_config,
-                             restored_policy, run_experiment,
-                             summarize_metrics)
+                             restored_policy, run_experiment)
 
 import checkpoint_reference as json_ckpt
 from conftest import counted_quantizations, counted_simulations, make_env
@@ -57,6 +56,25 @@ def test_config_hash_stability():
     assert len(a.config_hash()) == 12
     c = ExperimentConfig.from_dict({"n_sources": 12})
     assert c.config_hash() != a.config_hash()
+
+
+def test_a_real_field_given_as_an_integer_is_held_as_a_float(tmp_path):
+    """The section dataclass gets the float, so numpy never meets a Python
+    int there; raw, and with it the config hash, keeps the value as given,
+    and the run writes the float spelling's rows."""
+    rows, hashes = [], set()
+    for value in (330, 330.0):
+        cfg = ExperimentConfig.from_dict({
+            "compute": {"cycles_per_byte": value}, "policy": "uniform",
+            "train": {"steps": 3, "actor_lr": 1}, "output_dir": str(tmp_path)})
+        assert type(cfg.compute.cycles_per_byte) is float
+        assert type(cfg.train.actor_lr) is float and cfg.train.actor_lr == 1.0
+        assert cfg.raw["compute"]["cycles_per_byte"] is value
+        hashes.add(cfg.config_hash())
+        (summary,), _ = run_experiment(cfg, [1])
+        with open(summary.metrics_csv) as fh:
+            rows.append(fh.read().splitlines()[1:])
+    assert rows[0] == rows[1] and len(hashes) == 2
 
 
 def test_load_config_errors(tmp_path):
@@ -150,34 +168,24 @@ def test_sizes_at_their_memory_bound_are_accepted():
 
 # -- metric summaries ---------------------------------------------------------
 
-def _write_metrics(path, n_rows):
-    with open(path, "w") as fh:
-        fh.write("# config_hash=abc seed=0 policy=uniform\n")
-        fh.write(harness.METRICS_HEADER + "\n")
-        for i in range(n_rows):
-            fh.write(f"{i},{i/10},0.5,0.5,{100+i},{200+i},-3,5,32\n")
-
-
-def test_summarize_metrics_window(tmp_path):
-    path = str(tmp_path / "m.csv")
-    _write_metrics(path, 120)
-    u, t_avg, t_max = summarize_metrics(path)
-    last = np.arange(120 - CONVERGED_WINDOW, 120)
-    assert abs(u - (last / 10).mean()) < 1e-12
-    assert abs(t_avg - (100 + last).mean()) < 1e-12
-    assert abs(t_max - (200 + last).mean()) < 1e-12
-    # shorter file than the window: every row counts
-    _write_metrics(path, 5)
-    u5, _, _ = summarize_metrics(path)
-    assert abs(u5 - np.mean([0.0, 0.1, 0.2, 0.3, 0.4])) < 1e-12
-
-
-def test_summarize_metrics_empty_error(tmp_path):
-    path = str(tmp_path / "e.csv")
-    with open(path, "w") as fh:
-        fh.write(harness.METRICS_HEADER + "\n")
-    with pytest.raises(ConfigError, match="no data rows"):
-        summarize_metrics(path)
+@pytest.mark.parametrize("steps", [60, 5])
+def test_the_converged_fields_are_the_means_of_the_last_rows_written(
+        tmp_path, steps):
+    """A run's converged U, T_avg and T_max are the means of its metrics
+    CSV's last CONVERGED_WINDOW rows, bit for bit; a run shorter than the
+    window averages every row."""
+    cfg = ExperimentConfig.from_dict({
+        "policy": "uniform", "train": {"steps": steps},
+        "output_dir": str(tmp_path)})
+    (summary,), _ = run_experiment(cfg, [1])
+    with open(summary.metrics_csv) as fh:
+        rows = [[float(v) for v in line.split(",")]
+                for line in fh.read().splitlines()[2:]]
+    assert len(rows) == steps
+    tail = np.asarray(rows[-CONVERGED_WINDOW:])
+    want = [float(tail[:, c].mean()).hex() for c in (1, 4, 5)]
+    assert [summary.converged_u.hex(), summary.converged_t_avg_ms.hex(),
+            summary.converged_t_max_ms.hex()] == want
 
 
 # -- experiment runs ----------------------------------------------------------

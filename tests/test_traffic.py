@@ -82,7 +82,7 @@ def test_invalid_config_errors():
     with pytest.raises(TrafficConfigError):
         generate_counts(TrafficConfig(), 1, 0)
     with pytest.raises(TrafficConfigError):
-        fgn_rows(0.0, 10, 1, np.random.default_rng(0))
+        TrafficConfig(hurst=0.0)
 
 
 def test_slot_bytes_past_their_bound_are_refused():
