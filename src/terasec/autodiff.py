@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zipfile
 from typing import NamedTuple
 
@@ -511,6 +512,14 @@ class GcnLayer:
 #: elements per Adam block: the block and the scratch buffers stay in cache
 #: while each update pass runs over them
 ADAM_BLOCK = 16384
+#: elements from which an optimizer splits each step across the process's CPUs
+ADAM_SHARE_MIN = 2**20
+
+
+def _aligned_zeros(shape):
+    """Zeros that start on a 64-byte line: calloc'd with 8 spare elements."""
+    buf = np.zeros(int(np.prod(shape)) + 8)
+    return buf[-buf.ctypes.data % 64 // 8:][:buf.size - 8].reshape(shape)
 
 
 class Adam:
@@ -523,6 +532,8 @@ class Adam:
     operation order of
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
     p -= (lr*scale) * (m/c1) / (sqrt(v/c2) + eps).
+    From ADAM_SHARE_MIN elements, one equal share of the blocks per affinity
+    CPU runs on its own thread and scratch pair (share 0 on the caller's).
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -536,56 +547,81 @@ class Adam:
             raise DimensionError("lr_scales must match the parameter count")
         self.lr_scales = list(lr_scales)
         self.step_count = 0
-        self.m = [np.zeros(p.data.shape) for p in self.params]
-        self.v = [np.zeros(p.data.shape) for p in self.params]
-        self._scratch = (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
+        self.m = [_aligned_zeros(p.data.shape) for p in self.params]
+        self.v = [_aligned_zeros(p.data.shape) for p in self.params]
+        self._scratch = [_aligned_zeros((2, ADAM_BLOCK))]
 
     def step(self, maximize=False):
-        self.step_count += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
-        c1 = 1 - b1**self.step_count
-        c2 = 1 - b2**self.step_count
-        buf_a, buf_b = self._scratch
+        flat = []  # every parameter is checked before any moves
         for i, p in enumerate(self.params):
-            lr = self.lr * self.lr_scales[i]
             # the flat views must alias: a reshaped copy would drop the update
             if not p.data.flags.c_contiguous:
                 raise DimensionError(
                     f"Adam needs C-contiguous data for {p.name!r}")
-            data = p.data.reshape(-1)
-            m, v = self.m[i].reshape(-1), self.v[i].reshape(-1)
             g = p._grad
             if g is not None and not isinstance(g, RankOneGrad):
                 if np.shape(g) != self.m[i].shape:
                     raise DimensionError(
                         f"gradient shape mismatch for {p.name!r}")
                 g = np.asarray(g, dtype=np.float64).reshape(-1)
-            for lo in range(0, data.size, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, data.size)
-                pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
-                ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
-                if g is None:
-                    gb = 0.0
-                elif isinstance(g, RankOneGrad):
-                    gb = g.fill(lo, tb)
-                else:
-                    gb = g[lo:hi]
-                if maximize:
-                    gb = np.negative(gb, out=tb)
-                np.multiply(mb, b1, out=mb)
-                np.multiply(gb, 1 - b1, out=ta)
-                np.add(mb, ta, out=mb)
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, gb, out=ta)
-                np.multiply(ta, 1 - b2, out=ta)
-                np.add(vb, ta, out=vb)
-                np.divide(vb, c2, out=ta)
-                np.sqrt(ta, out=ta)
-                np.add(ta, eps, out=ta)
-                np.divide(mb, c1, out=tb)
-                np.multiply(tb, lr, out=tb)
-                np.divide(tb, ta, out=tb)
-                np.subtract(pb, tb, out=pb)
+            flat.append((p.data.reshape(-1), self.m[i].reshape(-1),
+                         self.v[i].reshape(-1), g, self.lr * self.lr_scales[i]))
+        self.step_count += 1
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        c1, c2 = 1 - b1**self.step_count, 1 - b2**self.step_count
+        total = sum(data.size for data, *_ in flat)
+        shares = (len(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
+                  if total >= ADAM_SHARE_MIN else 1)
+        while len(self._scratch) < shares:
+            self._scratch.append(_aligned_zeros((2, ADAM_BLOCK)))
+        errors = []
+
+        def run(k):
+            start, stop = total * k // shares, total * (k + 1) // shares
+            buf_a, buf_b = self._scratch[k]
+            try:
+                for data, m, v, g, lr in flat:
+                    lo, end = max(start, 0), min(stop, data.size)
+                    start, stop = start - data.size, stop - data.size
+                    while lo < end:
+                        hi = min(lo - lo % ADAM_BLOCK + ADAM_BLOCK, end)
+                        pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
+                        ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
+                        if g is None:
+                            gb = 0.0
+                        elif isinstance(g, RankOneGrad):
+                            gb = g.fill(lo, tb)
+                        else:
+                            gb = g[lo:hi]
+                        if maximize:
+                            gb = np.negative(gb, out=tb)
+                        np.multiply(mb, b1, out=mb)
+                        np.multiply(gb, 1 - b1, out=ta)
+                        np.add(mb, ta, out=mb)
+                        np.multiply(vb, b2, out=vb)
+                        np.multiply(gb, gb, out=ta)
+                        np.multiply(ta, 1 - b2, out=ta)
+                        np.add(vb, ta, out=vb)
+                        np.divide(vb, c2, out=ta)
+                        np.sqrt(ta, out=ta)
+                        np.add(ta, eps, out=ta)
+                        np.divide(mb, c1, out=tb)
+                        np.multiply(tb, lr, out=tb)
+                        np.divide(tb, ta, out=tb)
+                        np.subtract(pb, tb, out=pb)
+                        lo = hi
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(1, shares)]
+        for t in threads:
+            t.start()
+        run(0)
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
 
 
 # -- checkpoints --------------------------------------------------------------

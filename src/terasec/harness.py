@@ -223,7 +223,7 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
                           f" + {seed}")
     traffic = dataclasses.replace(cfg.traffic, seed=seed)
     try:
-        return SecWindow(
+        env = SecWindow(
             Constellation(cfg.walker), cfg.ground_station, traffic,
             cfg.array, cfg.budget,
             band_preset(cfg.band_to_name, "offloading"),
@@ -240,6 +240,10 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
         raise ConfigError(f"config section 'routing_eta': {exc}") from None
     except TrafficConfigError as exc:
         raise ConfigError(f"config section 'traffic': {exc}") from None
+    if not np.isfinite(cfg.budget.p_max_w * (len(env.sources) + len(env.involved))):
+        raise ConfigError("config section 'link.budget': p_max_w summed over "
+                          "the window's transmitting rows overflows a float")
+    return env
 
 
 def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):

@@ -1,11 +1,13 @@
 import json
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from terasec.autodiff import (ADAM_BLOCK, NEIGHBOR_BLOCK, Adam,
+from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
                               CheckpointMismatchError, Dense,
                               DimensionError, GcnLayer, GraphStateError,
                               Parameter, RankOneGrad, StackedDense, Tensor,
@@ -18,7 +20,8 @@ from terasec.constellation import WalkerConfig
 import gcn_reference as ref
 from backward_reference import tensor_sum
 from conftest import make_env
-from optim_reference import ReferenceAdam, reference_first_grad
+from optim_reference import (ReferenceAdam, reference_first_grad,
+                             reference_rank_one_product)
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -725,46 +728,163 @@ def _same_bits(a, b):
         np.ascontiguousarray(b).view(np.uint64))
 
 
+@pytest.fixture
+def fast_switching():
+    """Threads switch as often as the interpreter lets them."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs: Adam's share count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 #: (shape, memory order) of each parameter of the differential Adam test,
 #: [B, d, o] stacks among them, one with matrices wider than a block
 ADAM_CASES = [((1, 1), "C"), ((1, ADAM_BLOCK - 1), "C"), ((ADAM_BLOCK, 1), "C"),
               ((1, ADAM_BLOCK + 1), "C"), ((2 * ADAM_BLOCK + 7, 1), "C"),
               ((40, 9, 128), "C"), ((5, 130, 130), "C"),
               ((3, ADAM_BLOCK // 2 + 5), "F")]
+#: the differential Adam test's parameters: a stacked rank-one gradient
+#: first, the ADAM_CASES, a one-row rank-one gradient and a parameter wider
+#: than ADAM_SHARE_MIN, so that 2 and 3 shares cut parameters mid-block
+ADAM_SPLIT_CASES = ([((3, 100, 700), "C")] + ADAM_CASES
+                    + [((300, 700), "C"), ((1, ADAM_SHARE_MIN + 5), "C")])
+ADAM_RANK_ONE = {0: 3, len(ADAM_CASES) + 1: 1}  # parameter: factor rows
 
 
-@pytest.mark.parametrize("maximize", [False, True])
-def test_adam_equals_the_reference_step(maximize):
+@pytest.mark.parametrize("maximize, shares", [
+    pytest.param(maximize, shares,
+                 id=str(maximize) + (f"-{shares}" if shares > 1 else ""))
+    for shares in (1, 2, 3) for maximize in (False, True)])
+def test_adam_equals_the_reference_step(maximize, shares, monkeypatch,
+                                        fast_switching):
     """Five in-place blocked steps equal today's whole-array Adam bit for
     bit, with mixed lr scales, weight stacks, an F-ordered input, a missing
-    gradient, signed zeros and NaN gradients."""
+    gradient, signed zeros, NaN gradients and rank-one gradients, stacked
+    and one-row, whatever the number of shares the step splits into (3
+    shares run more threads than the host may have CPUs).  The parameters
+    the shares cut have no zero gradient, so an element a share updates
+    twice or leaves out changes a bit."""
+    _cpus(monkeypatch, shares)
+    sizes = np.cumsum([0] + [np.prod(shape) for shape, _ in ADAM_SPLIT_CASES])
+    cut = set()
+    for k in range(1, shares):
+        edge = sizes[-1] * k // shares
+        i = int(np.searchsorted(sizes, edge, side="right")) - 1
+        assert (edge - sizes[i]) % ADAM_BLOCK, (k, i)  # mid-block
+        cut.add(i)
+    # the wide parameter, and at 3 shares the one-row rank-one one too
+    assert cut == [set(), {10}, {9, 10}][shares - 1]
     rng = np.random.default_rng(11)
     inits = [np.asarray(rng.standard_normal(shape), order=order)
-             for shape, order in ADAM_CASES]
+             for shape, order in ADAM_SPLIT_CASES]
     params = [Parameter(x.copy(order="K"), f"p{i}")
               for i, x in enumerate(inits)]
     ref = [Tensor(x.copy(order="K"), requires_grad=True) for x in inits]
-    assert not ref[-1].data.flags.c_contiguous
-    scales = [1.0, 0.1, 10.0, 0.02, 1.0, 0.1, 1.0, 0.5]
+    assert not ref[8].data.flags.c_contiguous
+    scales = [0.3, 1.0, 0.1, 10.0, 0.02, 1.0, 0.1, 1.0, 0.5, 2.0, 1.0]
     opt = Adam(params, lr=0.03, lr_scales=scales)
     ref_opt = ReferenceAdam(ref, lr=0.03, lr_scales=scales)
     for step in range(5):
         for i, (p, r) in enumerate(zip(params, ref)):
+            if i in ADAM_RANK_ONE:
+                b, (d, o) = ADAM_RANK_ONE[i], p.shape[-2:]
+                held = RankOneGrad(rng.standard_normal((b, d)),
+                                   rng.standard_normal((b, o)))
+                p._grad = held
+                r.grad = reference_first_grad(
+                    r.data, reference_rank_one_product(held, p.shape))
+                continue
             g = rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-6, 3)
-            g.flat[::3] = 0.0
-            g.flat[1::7] = -0.0
-            if i == 1:
+            if i <= len(ADAM_CASES):
+                g.flat[::3] = 0.0
+                g.flat[1::7] = -0.0
+            if i == 2:
                 g.flat[::5] = np.nan
-            if i == 2 and step == 1:
+            if i == 3 and step == 1:
                 g = None
             p.grad = None if g is None else g.copy()
             r.grad = None if g is None else g.copy()
         opt.step(maximize=maximize)
         ref_opt.step(maximize=maximize)
+        assert len(opt._scratch) == shares
         for i, (p, r) in enumerate(zip(params, ref)):
             assert _same_bits(p.data, r.data), (step, i)
             assert _same_bits(opt.m[i], ref_opt.m[i]), (step, i)
             assert _same_bits(opt.v[i], ref_opt.v[i]), (step, i)
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+def test_adam_moments_and_scratch_start_on_64_byte_lines(shares, monkeypatch):
+    """Each moment and scratch buffer starts on a 64-byte line, whatever
+    offset the heap gives its allocation: nine sizes in a row."""
+    _cpus(monkeypatch, shares)
+    params = [Parameter(np.ones((1, n)), f"p{n}") for n in range(1, 10)]
+    params.append(Parameter(np.ones(ADAM_SHARE_MIN), "wide"))
+    opt = Adam(params, lr=0.01)
+    for p in params:
+        p.grad = np.ones(p.shape)
+    opt.step()
+    assert len(opt._scratch) == shares
+    bufs = opt.m + opt.v + [b for pair in opt._scratch for b in pair]
+    assert all(b.ctypes.data % 64 == 0 for b in bufs)
+    assert all(b.size == ADAM_BLOCK for pair in opt._scratch for b in pair)
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_share_that_raises_fails_the_step_and_leaves_no_thread(
+        failing, monkeypatch):
+    """A RankOneGrad.fill that raises in the caller's share or in a worker's
+    makes step raise that error, once every worker has ended."""
+    _cpus(monkeypatch, 2)
+    p = Parameter(np.zeros((1024, 1025)), "w")
+    assert p.data.size >= ADAM_SHARE_MIN
+    opt = Adam([p], lr=0.01)
+    fill, raised_in = RankOneGrad.fill, []
+
+    def fail_in_share(self, lo, out):
+        if (lo >= p.data.size // 2) == bool(failing):
+            raised_in.append(threading.current_thread())
+            raise FloatingPointError(f"share {failing}")
+        return fill(self, lo, out)
+
+    monkeypatch.setattr(RankOneGrad, "fill", fail_in_share)
+    p._grad = RankOneGrad(np.ones((1, 1024)), np.ones((1, 1025)))
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"share {failing}"):
+        opt.step()
+    assert threading.active_count() == before
+    assert (raised_in[0] is threading.current_thread()) == (failing == 0)
+
+
+@pytest.mark.parametrize("sizes", [[ADAM_SHARE_MIN - 1], [5, 7, 1000]])
+def test_an_optimizer_below_the_share_minimum_runs_alone(sizes, monkeypatch):
+    """Below ADAM_SHARE_MIN elements an optimizer holds one scratch pair and
+    starts no thread, on any number of CPUs; at ADAM_SHARE_MIN it starts
+    one per CPU but the caller's."""
+    _cpus(monkeypatch, 3)
+    made = []
+    real = threading.Thread
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(threading, "Thread", spy)
+    params = [Parameter(np.ones((1, n)), f"p{n}") for n in sizes]
+    opt = Adam(params, lr=0.01)
+    for p in params:
+        p.grad = np.ones(p.shape)
+    opt.step()
+    assert len(opt._scratch) == 1 and not made
+    params.append(Parameter(np.ones((1, ADAM_SHARE_MIN - sum(sizes))), "x"))
+    opt = Adam(params, lr=0.01)
+    opt.step()
+    assert len(opt._scratch) == 3 and len(made) == 2
 
 
 def test_adam_step_allocates_no_parameter_sized_buffer():
@@ -784,15 +904,31 @@ def test_adam_step_allocates_no_parameter_sized_buffer():
 
 
 def test_adam_rejects_a_parameter_it_cannot_update_in_place():
-    p = Parameter(np.ones((3, 4)), "p")
-    opt = Adam([p], lr=0.01)
-    p.data = np.asfortranarray(np.ones((3, 4)))
+    """A step that meets a parameter it cannot update raises before it moves
+    any parameter, moment or the step count: no half-applied step."""
+    rng = np.random.default_rng(14)
+    good = Parameter(rng.standard_normal((3, 4)), "good")
+    p = Parameter(rng.standard_normal((3, 4)), "p")
+    opt = Adam([good, p], lr=0.01)
+    good.grad, p.grad = rng.standard_normal((2, 3, 4))
+    opt.step()
+
+    def state():
+        return [a.copy() for a in [good.data, p.data] + opt.m + opt.v]
+
+    before = state()
+    good.grad = rng.standard_normal((3, 4))
+    p.data = np.asfortranarray(p.data)
     with pytest.raises(DimensionError, match="C-contiguous"):
         opt.step()
-    p.data = np.ones((3, 4))
+    assert opt.step_count == 1
+    assert all(_same_bits(a, b) for a, b in zip(state(), before))
+    p.data = np.ascontiguousarray(p.data)
     p.grad = np.ones((4, 3))
     with pytest.raises(DimensionError, match="gradient shape"):
         opt.step()
+    assert opt.step_count == 1
+    assert all(_same_bits(a, b) for a, b in zip(state(), before))
 
 
 @pytest.mark.parametrize("g_shape", [(3, 4), (1, 4), (3, 1)])

@@ -658,6 +658,35 @@ def test_an_overflowing_array_gain_exits_2_before_any_output(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_a_power_budget_that_overflows_over_the_window_exits_2(tmp_path,
+                                                               capsys):
+    """p_max_w = 1e308 once passed the config check, then exited 4 at step 0
+    with a non-finite power_W_mean and both CSVs ending in '# FAILED'."""
+    cfg = write_cfg(tmp_path, {"link": {"budget": {"p_max_w": 1e308}}})
+    out = tmp_path / "runs"
+    for command in ("train", "eval", "compare-bands"):
+        assert main([command, "--config", cfg, "--seed", "1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "'link.budget'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_the_largest_power_budget_the_window_admits_trains_to_finite_rows(
+        tmp_path, capsys):
+    env = harness.build_environment(harness.load_config(write_cfg(tmp_path)), 1)
+    rows = len(env.sources) + len(env.involved)
+    p_max = 0.999 * np.finfo(float).max / rows
+    cfg = write_cfg(tmp_path, {"train": {"steps": 2},
+                               "link": {"budget": {"p_max_w": p_max}}})
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--seed", "1",
+                 "--out", str(out)]) == EXIT_OK
+    rows = (out / "uniform_seed1_metrics.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2
+    assert np.all(np.isfinite([[float(v) for v in row.split(",")]
+                               for row in rows]))
+
+
 @pytest.mark.parametrize("field", ["s_max", "rx_subarrays_per_isl"])
 def test_an_element_count_past_2_53_exits_2_before_any_output(tmp_path,
                                                              capsys, field):

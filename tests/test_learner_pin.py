@@ -1,12 +1,19 @@
 """The learner's outputs keep the bits pinned in learner_pin.json (see
 learner_pin.py, which also re-pins)."""
+import os
+
 import pytest
 
 from learner_pin import (PIN_BLAS_THREADS, _blas_threads, _openblas,
                          build_id, changes, differences, load_pin, outputs)
 
 
-def test_learner_outputs_match_the_pin(tmp_path):
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_learner_outputs_match_the_pin(tmp_path, monkeypatch, cpus):
+    """The bits do not depend on how many CPUs the process may run on, and
+    so on how many shares the dense baseline's Adam step splits into."""
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     pin = load_pin()
     exact = build_id() == pin["build"]
     if not exact:
