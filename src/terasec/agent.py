@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Adam, Dense, GcnLayer, NeighborTable, Tensor,
-                       concat_cols, mse, normalized_adjacency)
+from .autodiff import (Adam, Dense, GcnLayer, NeighborTable, Tensor, mse,
+                       normalized_adjacency)
 from .env import ActionBundle, SecWindow
 
 SINR_DB_SCALE = 60.0
@@ -155,16 +155,10 @@ class GcnActor:
                 for p in layer.parameters()]
 
 
-def critic_input(f_to: np.ndarray, f_ot: np.ndarray,
-                 action_to: Tensor, action_ot: Tensor) -> Tensor:
-    """Per-node critic input: both phases' features, then their actions."""
-    return concat_cols([Tensor(f_to), Tensor(f_ot), action_to, action_ot])
-
-
 class CentralCritic:
-    """GCN over node features concatenated with zero-padded action ratios,
-    mean-pooled into a scalar Q, plus a linear skip from the pooled raw
-    input.
+    """GCN over the per-node input GrantAgent.critic_input lays out (node
+    features beside zero-padded action ratios), mean-pooled into a scalar
+    Q, plus a linear skip from the pooled raw input.
 
     The skip weights on the action columns are initialized to a usage-slope
     prior (usage is linear in the allocated ratios, so lowering any resource
@@ -199,9 +193,7 @@ class CentralCritic:
             [slopes.get(name, 0.0) for name, *_ in spec],
             [cols for _, _, cols, _ in spec])
 
-    def forward(self, f_to: np.ndarray, f_ot: np.ndarray, table: NeighborTable,
-                action_to: Tensor, action_ot: Tensor):
-        feats = critic_input(f_to, f_ot, action_to, action_ot)
+    def forward(self, feats: Tensor, table: NeighborTable):
         h = self.gcn2(self.gcn1(feats, table), table)
         pooled = h.mean_rows()
         h = self.dense1(pooled).tanh()
@@ -382,20 +374,38 @@ class GrantAgent:
         return ActionBundle(*(r[:, :cols]
                               for r, (_, _, cols, _) in zip(ratios, spec)))
 
-    def _action_node_tensors(self, tensors):
-        """The critic's per-node action matrices (offloading zero-padded from
-        the sources), from actor tensors or executed constant Tensors."""
-        n_to = len(self.spec_to)
-        act_to, act_ot = (
-            concat_cols([t.slice_cols(slice(cols))
-                         for t, (_, _, cols, _) in zip(ts, spec)])
-            for ts, spec in ((tensors[:n_to], self.spec_to),
-                             (tensors[n_to:], self.spec_ot)))
-        return (act_to.scatter_rows(self.source_rows, len(self.env.involved)),
-                act_ot)
+    def critic_input(self, f_to: np.ndarray, f_ot: np.ndarray,
+                     tensors) -> Tensor:
+        """The critic's per-node input as one graph op: both phases'
+        features, then each head's action columns (its slack dropped), the
+        offloading heads' at the source rows and zeros elsewhere.  tensors
+        are actor tensors or executed constant Tensors; a head's gradient is
+        a zero buffer holding its columns' gradient at its rows."""
+        spec, n_to = self.spec_to + self.spec_ot, len(self.spec_to)
+        w_to, at = f_to.shape[1], f_to.shape[1] + f_ot.shape[1]
+        out = np.zeros((f_to.shape[0], at + sum(c for _, _, c, _ in spec)))
+        out[:, :w_to], out[:, w_to:at] = f_to, f_ot
+        place = []
+        for i, (t, (_, _, cols, _)) in enumerate(zip(tensors, spec)):
+            rows = self.source_rows if i < n_to else slice(None)
+            out[rows, at:at + cols] = t.data[:, :cols]
+            place.append((t.shape, rows, at, cols))
+            at += cols
 
-    def q_value(self, f_to, f_ot, act_to, act_ot) -> Tensor:
-        return self.critic.forward(f_to, f_ot, self.table, act_to, act_ot)
+        def vjp(g):
+            grads = []
+            for shape, rows, lo, cols in place:
+                buf = np.zeros(shape)
+                buf[:, :cols] = g[rows, lo:lo + cols]
+                grads.append(buf)
+            return grads
+
+        return Tensor._make(out, tuple(tensors), vjp, owned=True)
+
+    def q_value(self, f_to, f_ot, tensors) -> Tensor:
+        """Q of both phases' features and the five heads' tensors."""
+        return self.critic.forward(self.critic_input(f_to, f_ot, tensors),
+                                   self.table)
 
     # -- training -------------------------------------------------------------
 
@@ -413,16 +423,14 @@ class GrantAgent:
         # no graph recorded; the critic regresses rewards in REWARD_SCALE units
         with frozen(self.parameters()):
             next_tensors = self.actor_tensors(*next_states)
-            na_to, na_ot = self._action_node_tensors(next_tensors)
-            q_next = self.q_value(*next_states, na_to, na_ot).data.item()
-            del next_tensors, na_to, na_ot
+            q_next = self.q_value(*next_states, next_tensors).data.item()
+            del next_tensors
         y = td_target(reward / REWARD_SCALE, q_next, self.cfg.kappa)
         require_finite("TD target", y)
 
         # critic descent on the TD error for the executed (noisy) action
         zero_grads(self.actor_params + self.critic_params)
-        a_to, a_ot = self._action_node_tensors([Tensor(r) for r in exec_ratios])
-        q = self.q_value(*states, a_to, a_ot)
+        q = self.q_value(*states, [Tensor(r) for r in exec_ratios])
         loss = mse(q, Tensor(np.array([[y]])))
         critic_loss = loss.data.item()
         require_finite("critic loss", critic_loss)
@@ -433,9 +441,8 @@ class GrantAgent:
         # actor ascent on Q(s, pi(s)) with the critic frozen: its weights
         # build no gradients in this forward and backward pass
         zero_grads(self.actor_params + self.critic_params)
-        pa_to, pa_ot = self._action_node_tensors(policy_tensors)
         with frozen(self.critic_params):
-            q_pi = self.q_value(*states, pa_to, pa_ot)
+            q_pi = self.q_value(*states, policy_tensors)
             require_finite("Q(s, pi(s))", q_pi.data.item())
             q_pi.backward()
         self.actor_opt.step(maximize=True)
@@ -444,12 +451,20 @@ class GrantAgent:
 
     def run_training(self, on_step=None):
         """Act with exploration noise, step, TD-update the critic and ascend both
-        actors, decaying the actor lr on schedule; records go to on_step only."""
+        actors, decaying the actor lr on schedule; records go to on_step only.
+        Raises TrainingError naming the head, before it explores, when an
+        actor (diverged by its last ascent step) gives non-finite ratios."""
         env = self.env
+        heads = [f"{phase}.{key}" for phase, spec in (
+            ("actor_to", self.spec_to), ("actor_ot", self.spec_ot))
+            for key, *_ in spec]
         states = self.encode(env.snapshot())
         for step in range(self.cfg.steps):
             tensors = self.actor_tensors(*states)
             ratios = self._ratios_from_tensors(tensors)
+            for head, r in zip(heads, ratios):
+                # ratios lie in [0, 1]: the sum is non-finite only if one is
+                require_finite(f"ratios from {head}", r.sum())
             noisy = self.explore(ratios)
             outcome, _, _ = env.step(self.to_bundle(noisy))
             next_states = self.encode(env.snapshot())

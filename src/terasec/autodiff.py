@@ -271,12 +271,6 @@ class Tensor:
         return Tensor._make(self.data.reshape(rows, cols), (self,),
                             lambda g: (g.reshape(orig),))
 
-    def scatter_rows(self, idx, n_rows):
-        """Place this tensor's rows at positions idx of a zero [n_rows, d]."""
-        idx = np.asarray(idx, dtype=int)
-        return Tensor._make(_pad_rows(self.data, idx, n_rows), (self,),
-                            lambda g: (g[idx],))
-
     def slice_cols(self, cols):
         """The columns cols (a slice, or an index array of unique columns)."""
         def vjp(g):
@@ -291,18 +285,6 @@ def _unbroadcast(g, shape):
     if shape[0] == 1 and g.shape[0] > 1:
         g = g.sum(axis=0, keepdims=True)
     return g
-
-
-def concat_cols(tensors):
-    """Column-wise concatenation of tensors sharing the row count."""
-    rows = tensors[0].shape[0]
-    if any(t.shape[0] != rows for t in tensors):
-        raise DimensionError("concat_cols requires matching row counts")
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    data = np.concatenate([t.data for t in tensors], axis=1)
-    return Tensor._make(data, tuple(tensors), lambda g: [
-        g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def mse(pred, target):

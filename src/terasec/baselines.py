@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, GrantAgent,
-                    TrainConfig, critic_input, read_heads, safe_init)
+                    TrainConfig, read_heads, safe_init)
 from .autodiff import Adam, Dense, StackedDense, Tensor, xavier_uniform
 from .env import ActionBundle, SecWindow, Snapshot
 
@@ -119,10 +119,11 @@ class _LiveRowDraw:
 
 
 class _FlatCritic:
-    """Fully-connected critic over the concatenation of every involved
-    satellite's state and action that reads only the live columns of that
-    flat input (a boolean mask over it).  fc1 holds the live columns' rows
-    of a full-width draw, drawn alone; every other column must be zero."""
+    """Fully-connected critic over GrantAgent.critic_input's per-node input
+    flattened row by row (every involved satellite's state and action) that
+    reads only the live columns of that flat input (a boolean mask over
+    it).  fc1 holds the live columns' rows of a full-width draw, drawn
+    alone; every other column must be zero."""
 
     def __init__(self, rng, live, width, name="fc_critic"):
         self.live, self.dead = np.flatnonzero(live), np.flatnonzero(~live)
@@ -132,9 +133,7 @@ class _FlatCritic:
         self.out = Dense(rng, width, 1, f"{name}.out")
         self.out.w.data[:] = 0.0
 
-    def forward(self, f_to: np.ndarray, f_ot: np.ndarray, table,
-                action_to: Tensor, action_ot: Tensor) -> Tensor:
-        feats = critic_input(f_to, f_ot, action_to, action_ot)
+    def forward(self, feats: Tensor, table) -> Tensor:
         flat = feats.reshape(1, feats.data.size)
         hit = flat.data[0, self.dead] != 0.0
         if hit.any():
@@ -205,8 +204,7 @@ class MaddpgFcAgent(GrantAgent):
                 for rows, spec in ((len(self.source_rows), self.spec_to),
                                    (n, self.spec_ot))
                 for _, _, cols, _ in spec]
-        actions = self._action_node_tensors(ones)
-        return critic_input(*states, *actions).data.reshape(-1) != 0.0
+        return self.critic_input(*states, ones).data.reshape(-1) != 0.0
 
     # inherited unchanged; bound in this class's own namespace because the
     # benchmark's tracer (bench/spans.py) patches each class's __dict__

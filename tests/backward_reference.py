@@ -4,10 +4,12 @@ the same order and leaves the whole graph in place, every intermediate
 .grad included.
 
 Also `tensor_sum`, the scalar root of the gradient checks, which was
-Tensor.sum until no code in terasec called it."""
+Tensor.sum until no code in terasec called it, and `concat_cols`,
+`scatter_rows` and `chain_critic_input`: the generic ops and the chain of
+nine that laid out the critic's input before GrantAgent.critic_input."""
 import numpy as np
 
-from terasec.autodiff import GraphStateError, Tensor
+from terasec.autodiff import DimensionError, GraphStateError, Tensor
 
 
 def tensor_sum(t: Tensor) -> Tensor:
@@ -15,6 +17,41 @@ def tensor_sum(t: Tensor) -> Tensor:
     return Tensor._make(
         np.array([[t.data.sum()]]), (t,),
         lambda g: (np.full_like(t.data, np.asarray(g).item()),))
+
+
+def concat_cols(tensors):
+    """Column-wise concatenation of tensors sharing the row count."""
+    rows = tensors[0].shape[0]
+    if any(t.shape[0] != rows for t in tensors):
+        raise DimensionError("concat_cols requires matching row counts")
+    widths = [t.shape[1] for t in tensors]
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    data = np.concatenate([t.data for t in tensors], axis=1)
+    return Tensor._make(data, tuple(tensors), lambda g: [
+        g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
+
+
+def scatter_rows(t: Tensor, idx, n_rows) -> Tensor:
+    """t's rows placed at positions idx of a zero [n_rows, d]."""
+    idx = np.asarray(idx, dtype=int)
+    out = np.zeros((n_rows, t.shape[1]))
+    out[idx] = t.data
+    return Tensor._make(out, (t,), lambda g: (g[idx],))
+
+
+def chain_critic_input(agent, f_to, f_ot, tensors) -> Tensor:
+    """agent.critic_input(f_to, f_ot, tensors) as nine generic ops: each
+    head's action columns sliced off, each phase's concatenated, the
+    offloading phase's scattered to the source rows, and both phases'
+    features and actions concatenated."""
+    n_to = len(agent.spec_to)
+    act_to, act_ot = (
+        concat_cols([t.slice_cols(slice(cols))
+                     for t, (_, _, cols, _) in zip(ts, spec)])
+        for ts, spec in ((tensors[:n_to], agent.spec_to),
+                         (tensors[n_to:], agent.spec_ot)))
+    act_to = scatter_rows(act_to, agent.source_rows, f_to.shape[0])
+    return concat_cols([Tensor(f_to), Tensor(f_ot), act_to, act_ot])
 
 
 def graph_nodes(root) -> list:
@@ -44,7 +81,14 @@ def reference_backward(root, seed=None):
             raise GraphStateError("implicit seed requires a scalar output")
         seed = np.ones_like(root.data)
     root._accumulate(np.asarray(seed, dtype=np.float64).reshape(root.data.shape))
-    for t in reversed(topo):
+    walk_from(root, topo)
+
+
+def walk_from(root, topo=None):
+    """The sweep of reference_backward from root's .grad as it stands: a
+    .grad set by hand reaches root's op with its -0.0s and NaNs, where a
+    seed would be added to a zero buffer first."""
+    for t in reversed(graph_nodes(root) if topo is None else topo):
         if t._vjp is not None:
             for p, g in zip(t._parents, t._vjp(t.grad)):
                 if g is not None and p.requires_grad:

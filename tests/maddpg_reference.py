@@ -12,9 +12,11 @@ import numpy as np
 
 from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, TrainConfig,
                            bound_logits, logit_bias)
-from terasec.autodiff import Adam, Dense, Tensor, concat_cols
+from terasec.autodiff import Adam, Dense, Tensor
 from terasec.baselines import MaddpgFcAgent, _FlatCritic
 from terasec.env import SecWindow
+
+from backward_reference import chain_critic_input, concat_cols
 
 
 class _DenseTrunk:
@@ -103,8 +105,8 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
         return tuple(concat_cols(rows).reshape(len(rows), rows[0].shape[1])
                      for rows in (*zip(*to), *zip(*ot)))
 
-    def q_value(self, f_to, f_ot, act_to, act_ot) -> Tensor:
-        feats = concat_cols([Tensor(f_to), Tensor(f_ot), act_to, act_ot])
+    def q_value(self, f_to, f_ot, tensors) -> Tensor:
+        feats = chain_critic_input(self, f_to, f_ot, tensors)
         c = self.critic
         flat = feats.reshape(1, feats.data.size)
         h = c.fc1(flat.slice_cols(c.live)).tanh()

@@ -1,0 +1,197 @@
+"""Mutation checks for the test suite, with the standard library only.
+
+Each edit of MUTANTS is applied to a temporary copy of src/, and the edit's
+named tests run against that copy with `python -m pytest -x -q`, one mutant
+after another.  A mutant whose tests fail is killed; one whose tests pass
+survived, which means a test is missing or that no test constrains that
+code.  KNOWN_SURVIVORS lists the survivors kept on purpose, with the reason.
+
+    python tests/mutants.py [NAME ...]
+
+runs every mutant, or the named ones, from any directory.  It exits 1 if a
+mutant outside KNOWN_SURVIVORS survives, 2 if an edit's target text does
+not occur exactly once in its file or a test run cannot start, and 0
+otherwise.  Tier-1 does not collect this file; tests/test_mutants.py checks
+the list against the source.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: a mutant whose tests run longer than this is reported as killed (hung)
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str          # the edited file, relative to src/terasec
+    old: str           # text that occurs exactly once in that file
+    new: str
+    tests: tuple       # pytest node ids, relative to the repository root
+
+
+_LAYOUT_TEST = ("tests/test_agent.py::"
+                "test_critic_input_equals_the_chain_it_replaced")
+_ADAM_TEST = ("tests/test_autodiff.py::"
+              "test_adam_equals_the_reference_step")
+_SHARE_RAISES = ("tests/test_autodiff.py::test_a_share_that_raises_"
+                 "fails_the_step_and_leaves_no_thread")
+_FACTORS_TEST = ("tests/test_autodiff.py::test_adam_from_factors_equals_the_"
+                 "reference_from_the_formed_gradient")
+_GCN_TESTS = ("tests/test_autodiff.py::"
+              "test_a_gcn_layer_has_the_bits_of_the_three_op_chain",
+              "tests/test_learner_pin.py")
+
+MUTANTS = [
+    # GrantAgent.critic_input: the critic's input layout as one graph op
+    Mutant("critic_input_rows", "agent.py",
+           "rows = self.source_rows if i < n_to else slice(None)",
+           "rows = slice(len(self.source_rows)) if i < n_to else slice(None)",
+           (_LAYOUT_TEST,)),
+    Mutant("critic_input_gradient_column_offset", "agent.py",
+           "buf[:, :cols] = g[rows, lo:lo + cols]",
+           "buf[:, :cols] = g[rows, lo - 1:lo + cols - 1]",
+           (_LAYOUT_TEST,)),
+    Mutant("critic_input_gradient_into_the_slack", "agent.py",
+           "buf[:, :cols] = g[rows, lo:lo + cols]",
+           "buf[:, -cols:] = g[rows, lo:lo + cols]",
+           (_LAYOUT_TEST,)),
+    # Adam's step split across the CPUs
+    Mutant("adam_share_edge_off_by_one", "autodiff.py",
+           "start, stop = total * k // shares, total * (k + 1) // shares",
+           "start, stop = total * k // shares, total * (k + 1) // shares + 1",
+           (_ADAM_TEST,)),
+    Mutant("adam_share_not_joined", "autodiff.py",
+           "t.join()", "t.is_alive()",
+           (_SHARE_RAISES, _ADAM_TEST)),
+    Mutant("adam_share_error_dropped", "autodiff.py",
+           "raise errors[0]", "errors.clear()",
+           (_SHARE_RAISES,)),
+    # RankOneGrad.fill: a rank-one gradient formed a block at a time
+    Mutant("rank_one_fill_without_zero_buffer", "autodiff.py",
+           "return np.add(out, 0.0, out=out)", "return out",
+           (_FACTORS_TEST,)),
+    Mutant("rank_one_fill_shifted_block", "autodiff.py",
+           "r, j = divmod(lo + at, n)", "r, j = divmod(lo + at + 1, n)",
+           (_FACTORS_TEST,)),
+    # Constellation.shortest_path_tree: a cost tie goes to the smaller id
+    Mutant("routing_tie_to_the_larger_id", "constellation.py",
+           "(j < parent)", "(j > parent)",
+           ("tests/test_constellation.py::"
+            "test_shortest_path_tree_equals_the_per_satellite_build",)),
+    # the zero-buffer replays kept on purpose (see KNOWN_SURVIVORS)
+    Mutant("gcn_backward_without_zero_buffer", "autodiff.py",
+           "np.add(d, 0.0, out=d)", "d = d", _GCN_TESTS),
+    Mutant("gcn_input_gradient_without_zero_buffer", "autodiff.py",
+           "np.add(gx, 0.0, out=gx)", "gx = gx", _GCN_TESTS),
+    Mutant("bound_logits_without_second_zero_buffer", "agent.py",
+           "np.add(d, 0.0, out=d)", "d = d",
+           ("tests/test_agent.py::"
+            "test_bound_logits_has_the_bits_of_the_three_op_chain",
+            "tests/test_learner_pin.py")),
+]
+
+_ZERO_BUFFER_REASON = (
+    "this OpenBLAS's matmuls never return -0.0, so no bit moves; the + 0.0 "
+    "replays the chain the op replaced, so the bits do not rest on one BLAS")
+
+#: survivors kept on purpose: mutant name -> reason
+KNOWN_SURVIVORS = {
+    "gcn_backward_without_zero_buffer": _ZERO_BUFFER_REASON,
+    "gcn_input_gradient_without_zero_buffer": _ZERO_BUFFER_REASON,
+    "bound_logits_without_second_zero_buffer": _ZERO_BUFFER_REASON,
+}
+
+
+def source_path(mutant: Mutant, src: str = os.path.join(ROOT, "src")) -> str:
+    return os.path.join(src, "terasec", mutant.path)
+
+
+def stale_targets(mutants=MUTANTS) -> list:
+    """(name, count) of each mutant whose target text does not occur
+    exactly once in its file at this checkout."""
+    stale = []
+    for m in mutants:
+        with open(source_path(m)) as fh:
+            count = fh.read().count(m.old)
+        if count != 1:
+            stale.append((m.name, count))
+    return stale
+
+
+def run_mutant(mutant: Mutant, scratch: str) -> str:
+    """'killed', 'survived' or 'error: ...' for mutant, its edit applied to
+    a fresh copy of src/ under scratch."""
+    src = os.path.join(scratch, "src")
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = source_path(mutant, src)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace(mutant.old, mutant.new, 1))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    # the copy, not an installed terasec, must be the one imported
+    where = subprocess.run(
+        [sys.executable, "-c", "import terasec; print(terasec.__file__)"],
+        env=env, cwd=ROOT, capture_output=True, text=True)
+    if not where.stdout.startswith(src):
+        return f"error: terasec imports from {where.stdout.strip()!r}"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *mutant.tests],
+            env=env, cwd=ROOT, capture_output=True, text=True,
+            timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed"
+    # pytest: 0 all passed, 1 a test failed, 2 collection failed or stopped
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode in (1, 2):
+        return "killed"
+    tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exited {proc.returncode} {tail}"
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    stale = stale_targets(chosen)
+    for name, count in stale:
+        print(f"{name}: target text occurs {count} times", file=sys.stderr)
+    if stale:
+        return 2
+    unexpected = errors = 0
+    with tempfile.TemporaryDirectory(prefix="terasec-mutants-") as scratch:
+        for m in chosen:
+            result = run_mutant(m, scratch)
+            note = ""
+            if result == "survived":
+                if m.name in KNOWN_SURVIVORS:
+                    note = f" (known: {KNOWN_SURVIVORS[m.name]})"
+                else:
+                    unexpected += 1
+                    note = " (UNEXPECTED)"
+            errors += result.startswith("error")
+            print(f"{m.name}: {result}{note}", flush=True)
+    print(f"{len(chosen)} mutants, {unexpected} unexpected survivors, "
+          f"{errors} errors")
+    return 2 if errors else 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

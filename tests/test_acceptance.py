@@ -134,11 +134,10 @@ def test_criterion_2_gradient_correctness():
             actor_ot.parameters(), rtol=1e-4)
 
         critic = CentralCritic(np.random.default_rng(300 + i), k, width)
-        a_to = Tensor(rng.random((n, 5 + 4 + 4 * k)))
-        a_ot = Tensor(rng.random((n, 1 + k)))
-        check_gradient(
-            lambda: tensor_sum(critic.forward(f_to, f_ot, table, a_to, a_ot)),
-            critic.parameters(), rtol=1e-4)
+        c_in = Tensor(np.hstack([f_to, f_ot, rng.random((n, 5 + 4 + 4 * k)),
+                                 rng.random((n, 1 + k))]))
+        check_gradient(lambda: tensor_sum(critic.forward(c_in, table)),
+                       critic.parameters(), rtol=1e-4)
         checked += 5
     report(2, True, f"{checked} random layer/actor/critic instances matched "
                     f"central finite differences (eps=1e-5, rel err < 1e-4)")

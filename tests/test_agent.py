@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from terasec import autodiff
 from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
                            CentralCritic, GcnActor, GrantAgent, TrainConfig,
-                           TrainingError, bound_logits, explore_group,
+                           TrainingError, bound_logits, explore_group, frozen,
                            head_specs, logit_bias, safe_init, td_target)
 from terasec.autodiff import (Adam, Dense, GcnLayer, Tensor, mse,
                               normalized_adjacency)
@@ -21,6 +22,7 @@ from conftest import loss_history, make_env, policy_ratios, random_simplex
 import gcn_reference
 from gcn_reference import (PerPhaseGrantAgent, dense_adjacency,
                            dense_gcn_call, dense_matrix, permuted_table)
+from backward_reference import chain_critic_input, graph_nodes, walk_from
 from train_reference import reference_run_training, reference_train_step
 
 
@@ -394,6 +396,11 @@ def test_offload_actor_permutation_equivariance():
         assert np.max(np.abs(a.data - b.data)) < 1e-10
 
 
+def _laid_out(*columns):
+    """A per-node critic input: the column blocks side by side, constant."""
+    return Tensor(np.hstack(columns))
+
+
 def test_critic_permutation_invariance():
     rng = np.random.default_rng(5)
     k = 2
@@ -403,12 +410,12 @@ def test_critic_permutation_invariance():
     f_ot = rng.standard_normal((n, 8))
     act_to = rng.random((n, 5 + 4 + 4 * k))
     act_ot = rng.random((n, 1 + k))
-    q = critic.forward(f_to, f_ot, table, Tensor(act_to),
-                       Tensor(act_ot)).data.item()
+    q = critic.forward(_laid_out(f_to, f_ot, act_to, act_ot),
+                       table).data.item()
     perm = rng.permutation(n)
     p_to, p_table = _permute_state((f_to, table), perm)
-    q_p = (critic.forward(p_to, f_ot[perm], p_table, Tensor(act_to[perm]),
-                          Tensor(act_ot[perm])).data)
+    q_p = critic.forward(_laid_out(p_to, f_ot[perm], act_to[perm],
+                                   act_ot[perm]), p_table).data
     assert abs(q - q_p) < 1e-10
 
 
@@ -419,11 +426,12 @@ def test_critic_usage_slope_prior():
     n = 4
     f_to, table = _ring_state(rng, n, 9)
     f_ot = rng.standard_normal((n, 8))
-    zero_to = Tensor(np.zeros((n, 5 + 4 * k + 4)))
-    zero_ot = Tensor(np.zeros((n, 1 + k)))
+    zero_to = np.zeros((n, 5 + 4 * k + 4))
+    zero_ot = np.zeros((n, 1 + k))
 
     def q(a_to, a_ot):
-        return critic.forward(f_to, f_ot, table, a_to, a_ot).data.item()
+        return critic.forward(_laid_out(f_to, f_ot, a_to, a_ot),
+                              table).data.item()
 
     # deep output and state skip weights start at zero, so Q is exactly the
     # negative usage prior over the action columns
@@ -432,17 +440,17 @@ def test_critic_usage_slope_prior():
     full_to = np.zeros((n, 5 + 4 + 4 * k))
     full_to[:, 5:] = 1.0
     full_ot = np.ones((n, 1 + k))
-    q_full = q(Tensor(full_to), Tensor(full_ot))
+    q_full = q(full_to, full_ot)
     expected = -(4 * critic.SUBARRAY_SLOPE + 4 * k * critic.POWER_SLOPE
                  + critic.SUBARRAY_SLOPE + k * critic.POWER_SLOPE)
     assert abs(q_full - expected) < 1e-12
     # offload shares carry no usage and do not move Q
     off_only = np.zeros((n, 5 + 4 + 4 * k))
     off_only[:, :5] = 1.0
-    assert abs(q(Tensor(off_only), zero_ot)) < 1e-12
+    assert abs(q(off_only, zero_ot)) < 1e-12
     # linear in the allocation level
     half_to = full_to * 0.5
-    assert abs(q(Tensor(half_to), Tensor(full_ot * 0.5)) - expected / 2) < 1e-12
+    assert abs(q(half_to, full_ot * 0.5) - expected / 2) < 1e-12
 
 
 # -- critic learning on a synthetic fixed point -------------------------------
@@ -454,8 +462,8 @@ def test_critic_converges_to_geometric_fixed_point():
     n = 5
     f_to, table = _ring_state(rng, n, 9)
     f_ot = rng.standard_normal((n, 8))
-    a_to = Tensor(rng.random((n, 5 + 4 + 4 * k)))
-    a_ot = Tensor(rng.random((n, 1 + k)))
+    feats = _laid_out(f_to, f_ot, rng.random((n, 5 + 4 + 4 * k)),
+                      rng.random((n, 1 + k)))
     params = critic.parameters()
     opt = Adam(params, lr=0.02)
     c, kappa = -2.0, 0.5
@@ -464,7 +472,7 @@ def test_critic_converges_to_geometric_fixed_point():
     for _ in range(2000):
         for p in params:
             p.grad = None
-        q_t = critic.forward(f_to, f_ot, table, a_to, a_ot)
+        q_t = critic.forward(feats, table)
         y = td_target(c, q_t.data.item(), kappa)
         loss = mse(q_t, Tensor(np.array([[y]])))
         loss.backward()
@@ -483,9 +491,7 @@ def test_actor_step_increases_q(small_env):
     f_to, f_ot = agent.encode(snap)
 
     def q_pi():
-        tensors = agent.actor_tensors(f_to, f_ot)
-        a_to, a_ot = agent._action_node_tensors(tensors)
-        return agent.q_value(f_to, f_ot, a_to, a_ot)
+        return agent.q_value(f_to, f_ot, agent.actor_tensors(f_to, f_ot))
 
     before = q_pi()
     for p in agent.actor_params + agent.critic_params:
@@ -494,6 +500,65 @@ def test_actor_step_increases_q(small_env):
     agent.actor_opt.step(maximize=True)
     after = q_pi().data.item()
     assert after >= before.data.item() - 1e-9
+
+
+# -- the critic's input layout ----------------------------------------------
+
+def _layout_agent(kind, n_sources):
+    env = make_env(seed=1, steps=2, n_sources=n_sources)
+    if kind == "maddpg_fc":
+        return MaddpgFcAgent(env, TrainConfig(seed=1, hidden_width=8),
+                             critic_width=8)
+    return GrantAgent(env, TrainConfig(seed=1))
+
+
+@pytest.mark.parametrize("kind, n_sources", [("grant", 10), ("grant", 200),
+                                             ("maddpg_fc", 10)])
+def test_critic_input_equals_the_chain_it_replaced(kind, n_sources):
+    """critic_input against the nine generic ops it replaced (five
+    slice_cols, two concat_cols, one scatter_rows, one concat_cols): the
+    input's bits, and each head tensor's gradient's bits for an incoming
+    gradient holding -0.0s, NaNs and a nonzero value at each head's slack
+    position (the column after its action columns)."""
+    agent = _layout_agent(kind, n_sources)
+    f_to, f_ot = agent.encode(agent.env.snapshot())
+    n, n_src = f_to.shape[0], len(agent.source_rows)
+    rng = np.random.default_rng(n_sources)
+    heads = [rng.random((rows, width))
+             for rows, spec in ((n_src, agent.spec_to), (n, agent.spec_ot))
+             for _, width, _, _ in spec]
+    slack = np.cumsum([f_to.shape[1] + f_ot.shape[1]] + [
+        cols for _, _, cols, _ in agent.spec_to + agent.spec_ot])[1:]
+    g = rng.standard_normal((n, slack[-1]))
+    g[::3, ::2] = -0.0
+    g[1::4, 1::3] = np.nan
+    g[:, slack[:-1]] = 7.0   # the last head's slack position is past the end
+    runs = []
+    for build in (agent.critic_input, functools.partial(chain_critic_input,
+                                                        agent)):
+        tensors = [Tensor(h, requires_grad=True) for h in heads]
+        out = build(f_to, f_ot, tensors)
+        out.grad = g.copy()
+        walk_from(out)
+        runs.append([out.data.tobytes()]
+                    + [t.grad.tobytes() for t in tensors])
+    assert runs[0] == runs[1]
+
+
+def test_an_ascent_graph_lays_out_the_critic_input_in_one_op(small_env):
+    """Between the five head tensors and critic.gcn1 the actor-ascent graph
+    holds one op, whose parents are the head tensors themselves."""
+    agent = GrantAgent(small_env, TrainConfig(seed=1))
+    states = agent.encode(small_env.snapshot())
+    tensors = agent.actor_tensors(*states)
+    with frozen(agent.critic_params):
+        q_pi = agent.q_value(*states, tensors)
+    gcn1 = [t for t in graph_nodes(q_pi)
+            if any(p is agent.critic.gcn1.w for p in t._parents)]
+    assert len(gcn1) == 1
+    layout = gcn1[0]._parents[0]
+    assert len(layout._parents) == 5
+    assert all(p is t for p, t in zip(layout._parents, tensors))
 
 
 def _transition(agent, env):
@@ -603,7 +668,7 @@ def test_lean_training_equals_the_reference_step(cls, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_gcn_actors_equal_the_per_phase_reference(seed, width):
     """GcnActor over the shared head spec, the shared safe_init, and the
-    executed action laid out through _action_node_tensors change no bit
+    executed action laid out through critic_input change no bit
     against OffloadActor, OutcomeActor, their safe_init and
     action_node_constants: parameter names, initial parameters, the actor
     forward, and one TD step on an explored action."""

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from terasec.agent import GrantAgent, TrainConfig, critic_input
+from terasec.agent import GrantAgent, TrainConfig
 from terasec.autodiff import RankOneGrad, Tensor, xavier_uniform
 from terasec.baselines import (DeadInputError, FullResourcePolicy,
                                MaddpgFcAgent, UniformPolicy, _FlatCritic,
@@ -130,9 +130,9 @@ def _observed_inputs(agent):
     seen = np.zeros(critic.live.size + critic.dead.size, dtype=bool)
     forward = critic.forward
 
-    def spy(f_to, f_ot, table, *actions):
-        seen[:] |= critic_input(f_to, f_ot, *actions).data.ravel() != 0.0
-        return forward(f_to, f_ot, table, *actions)
+    def spy(feats, table):
+        seen[:] |= feats.data.ravel() != 0.0
+        return forward(feats, table)
 
     agent.critic.forward = spy
     agent.run_training()

@@ -778,6 +778,30 @@ def test_a_non_finite_outcome_fails_the_run_instead_of_being_written(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("policy, steps, failed, head", [
+    ("maddpg_fc", 6, 1, "actor_to.head_offload"),
+    ("grant", 4, 3, "actor_ot.head_subarray"),
+])
+def test_a_diverged_actor_fails_the_run_naming_its_head(
+        tmp_path, capsys, policy, steps, failed, head):
+    """actor_lr = 1e308 overflows the actor parameters in the first ascent
+    steps; the NaN ratios once reached the simulator and exited 4 with an
+    ActionError about the ratio simplex."""
+    cfg = write_cfg(tmp_path, {"policy": policy, "train": {
+        "steps": steps, "actor_lr": 1e308}})
+    out = tmp_path / "runs"
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", cfg, "--seed", "1",
+                     "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert f"TrainingError: non-finite ratios from {head}" in (
+        capsys.readouterr().err)
+    for kind in ("metrics", "loss"):
+        text = (out / f"{policy}_seed1_{kind}.csv").read_text()
+        assert text.splitlines()[-1] == (f"# FAILED step={failed} "
+                                         f"error=TrainingError")
+
+
 def test_exit_bad_arguments():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--policy", "bogus"])

@@ -1,0 +1,28 @@
+"""The mutant list of tests/mutants.py against this checkout: cheap checks
+that run no mutant."""
+import os
+
+import mutants
+
+
+def test_each_mutant_edit_targets_one_place_in_its_file():
+    assert mutants.stale_targets() == []
+    for m in mutants.MUTANTS:
+        assert m.old != m.new, m.name
+
+
+def test_each_mutant_names_tests_that_exist():
+    for m in mutants.MUTANTS:
+        assert m.tests, m.name
+        for node in m.tests:
+            path, _, func = node.partition("::")
+            with open(os.path.join(mutants.ROOT, path)) as fh:
+                text = fh.read()
+            assert not func or f"def {func}(" in text, node
+
+
+def test_known_survivors_are_listed_mutants_with_a_reason():
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for name, reason in mutants.KNOWN_SURVIVORS.items():
+        assert name in names and reason, name

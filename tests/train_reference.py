@@ -1,13 +1,15 @@
 """The TD step and training loop that GrantAgent's lean versions replaced,
 kept as the reference for the differential tests: the actor-ascent pass
 recomputes the policy forward and builds gradients for the frozen critic,
-and the executed action is laid out for the critic in numpy
-(action_node_constants) rather than through _action_node_tensors.
+the executed action is laid out for the critic in numpy
+(action_node_constants), and the policy's through the chain of generic ops
+(chain_critic_input) rather than through GrantAgent.critic_input.
 `with_reference_adam` swaps an agent's optimizers for the whole-array
 ReferenceAdam.
 """
 import numpy as np
 
+from backward_reference import chain_critic_input, concat_cols
 from optim_reference import ReferenceAdam
 from terasec.agent import REWARD_SCALE, td_target, zero_grads
 from terasec.autodiff import Tensor, mse
@@ -35,6 +37,12 @@ def action_node_constants(agent, ratios, n_nodes):
     return Tensor(act_to), Tensor(act_ot)
 
 
+def chain_q_value(agent, f_to, f_ot, tensors):
+    """agent.q_value over the chain of generic ops."""
+    return agent.critic.forward(chain_critic_input(agent, f_to, f_ot, tensors),
+                                agent.table)
+
+
 def reference_train_step(agent, states, exec_ratios, reward, next_states):
     """One TD step; returns (critic_loss, q_value) for the executed action."""
     s_to, s_ot = states
@@ -42,13 +50,13 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
     n = s_to.shape[0]
 
     next_tensors = agent.actor_tensors(ns_to, ns_ot)
-    na_to, na_ot = agent._action_node_tensors(next_tensors)
-    q_next = agent.q_value(ns_to, ns_ot, na_to, na_ot).data.item()
+    q_next = chain_q_value(agent, ns_to, ns_ot, next_tensors).data.item()
     y = td_target(reward / REWARD_SCALE, q_next, agent.cfg.kappa)
 
     zero_grads(agent.actor_params + agent.critic_params)
     a_to, a_ot = action_node_constants(agent, exec_ratios, n)
-    q = agent.q_value(s_to, s_ot, a_to, a_ot)
+    q = agent.critic.forward(
+        concat_cols([Tensor(s_to), Tensor(s_ot), a_to, a_ot]), agent.table)
     loss = mse(q, Tensor(np.array([[y]])))
     loss.backward()
     agent.critic_opt.step()
@@ -57,8 +65,7 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
 
     zero_grads(agent.actor_params + agent.critic_params)
     tensors = agent.actor_tensors(s_to, s_ot)
-    pa_to, pa_ot = agent._action_node_tensors(tensors)
-    q_pi = agent.q_value(s_to, s_ot, pa_to, pa_ot)
+    q_pi = chain_q_value(agent, s_to, s_ot, tensors)
     q_pi.backward()
     agent.actor_opt.step(maximize=True)
     zero_grads(agent.actor_params + agent.critic_params)
