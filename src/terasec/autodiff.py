@@ -226,12 +226,6 @@ class Tensor:
 
         return Tensor._make(a.data + b.data, (a, b), vjp)
 
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return Tensor._make(self.data * s, (self,), lambda g: (g * s,))
-
-    __rmul__ = __mul__
-
     def tanh(self):
         out_data = np.tanh(self.data)
 
@@ -434,8 +428,8 @@ class GcnLayer:
     NeighborTable; given rows, F'[rows] only.  It keeps F', and A_norm @ F
     only while W requires a gradient.  Backward has the bits of the
     propagate, matmul and tanh ops it replaced: the weight gradient is
-    formed at full height (BLAS splits its sum as for the full layer) and,
-    A_norm being symmetric, the input gradient runs through the same table.
+    (A_norm @ F)[rows].T @ dF' over the computed rows alone and, A_norm being
+    symmetric, the input gradient runs through the same table.
 
     Backward runs once and holds one hidden-width transient beside what the
     graph keeps: it forms g * (1 - F'**2) in the incoming gradient's buffer
@@ -473,8 +467,7 @@ class GcnLayer:
             np.add(d, 0.0, out=d)
             gw = gx = None
             if kept is not None and w.requires_grad:
-                gw = (kept.T @ d if rows is None else
-                      _pad_rows(kept, rows, n).T @ _pad_rows(d, rows, n))
+                gw = kept.T @ d
             kept = None
             if x.requires_grad:
                 gx = d @ w.data.T

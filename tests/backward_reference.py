@@ -4,9 +4,11 @@ the same order and leaves the whole graph in place, every intermediate
 .grad included.
 
 Also `tensor_sum`, the scalar root of the gradient checks, which was
-Tensor.sum until no code in terasec called it, and `concat_cols`,
-`scatter_rows` and `chain_critic_input`: the generic ops and the chain of
-nine that laid out the critic's input before GrantAgent.critic_input."""
+Tensor.sum until no code in terasec called it; `scale`, which was
+Tensor.__mul__ and __rmul__ until no code in terasec called them; and
+`concat_cols`, `scatter_rows` and `chain_critic_input`: the generic ops and
+the chain of nine that laid out the critic's input before
+GrantAgent.critic_input."""
 import numpy as np
 
 from terasec.autodiff import DimensionError, GraphStateError, Tensor
@@ -17,6 +19,12 @@ def tensor_sum(t: Tensor) -> Tensor:
     return Tensor._make(
         np.array([[t.data.sum()]]), (t,),
         lambda g: (np.full_like(t.data, np.asarray(g).item()),))
+
+
+def scale(t: Tensor, s) -> Tensor:
+    """t times the scalar s as a graph op."""
+    s = float(s)
+    return Tensor._make(t.data * s, (t,), lambda g: (g * s,))
 
 
 def concat_cols(tensors):

@@ -7,16 +7,19 @@ n x n arrays, the dense normalization and its scan into a neighbor table,
 and `Tensor(a_norm) @ features`.
 
 The per-phase GCN actors that terasec.agent.GcnActor replaced, each with its
-own hard-coded heads, their safe_init, and a GrantAgent built on them.  They
-compute the last GCN layer at every node and gather the acting rows from it
-with `gather_rows`, the op GcnLayer's `rows` argument replaced.
+own hard-coded heads, their safe_init, and a GrantAgent built on them.  The
+offloading actor computes its last GCN layer at the sources alone, through
+the three-op chain below; the outcome actor computes its last layer at every
+node and gathers the acting rows from it with `gather_rows`, the op
+GcnLayer's `rows` argument replaced.
 
 The neighbor sum's first form, one k-loop over whole columns, which the
 row-blocked terasec.autodiff._neighbor_sum replaced.
 
 The three-op GCN layer (propagate, matmul, tanh) that the one-op
-GcnLayer.__call__ replaced: `chain_gcn_call`, with its `propagate` and
-`rows_matmul` ops.
+GcnLayer.__call__ replaced: `chain_gcn_call`, with its `propagate` op.
+At some rows the chain's matmul takes the propagated rows alone, so its
+weight gradient is their product with the output gradient.
 
 The scale, tanh and scale-back ops that the one-op agent.bound_logits
 replaced: `chain_bound_logits`.
@@ -27,8 +30,10 @@ from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
                            SKIP_LR_SCALE, CentralCritic, GrantAgent,
                            _actor_lr_scale, bound_logits, logit_bias)
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
-                              NeighborTable, Parameter, Tensor,
+                              NeighborTable, Tensor,
                               _neighbor_sum, _pad_rows, _row_subset)
+
+from backward_reference import scale
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -45,7 +50,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 def chain_bound_logits(z: Tensor) -> Tensor:
     """L * tanh(z / L) as three graph ops."""
-    return (z * (1.0 / LOGIT_BOUND)).tanh() * LOGIT_BOUND
+    return scale(scale(z, 1.0 / LOGIT_BOUND).tanh(), LOGIT_BOUND)
 
 
 def neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
@@ -81,27 +86,10 @@ def propagate(x, table: NeighborTable, rows=None) -> Tensor:
     return Tensor._make(_neighbor_sum(x.data, read), (x,), vjp, owned=True)
 
 
-def rows_matmul(a: Tensor, w: Parameter, rows, n: int) -> Tensor:
-    """a @ w for an input a that holds the rows `rows` of an n-row matrix.
-    The weight gradient is formed at full height, zero outside those rows:
-    BLAS then splits its sum over rows as it does for the full input, so
-    the gradient has the bits of the full product's."""
-
-    def vjp(g):
-        return (g @ w.data.T if a.requires_grad else None,
-                _pad_rows(a.data, rows, n).T @ _pad_rows(g, rows, n)
-                if w.requires_grad else None)
-
-    return Tensor._make(a.data @ w.data, (a, w), vjp, owned=True)
-
-
 def chain_gcn_call(layer, features: Tensor, table: NeighborTable,
                    rows=None) -> Tensor:
     """GcnLayer.__call__ as three graph ops: propagate, matmul, tanh."""
-    agg = propagate(features, table, rows)
-    if rows is None:
-        return (agg @ layer.w).tanh()
-    return rows_matmul(agg, layer.w, rows, table.idx.shape[0]).tanh()
+    return (propagate(features, table, rows) @ layer.w).tanh()
 
 
 def dense_adjacency(n: int, edges) -> np.ndarray:
@@ -184,8 +172,8 @@ class OffloadActor:
                                 "actor_to.head_power", 0.1)
 
     def forward(self, features: np.ndarray, table: NeighborTable, source_rows):
-        emb = self.gcn2(self.gcn1(Tensor(features), table), table)
-        src = gather_rows(emb, source_rows)
+        src = chain_gcn_call(self.gcn2, self.gcn1(Tensor(features), table),
+                             table, source_rows)
         offload = bound_logits(self.head_offload(src)).softmax_rows()
         subarray = bound_logits(self.head_subarray(src)).softmax_rows()  # 4 used + slack
         power = bound_logits(self.head_power(src)).softmax_rows()        # 4K used + slack

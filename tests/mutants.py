@@ -45,6 +45,9 @@ _SHARE_RAISES = ("tests/test_autodiff.py::test_a_share_that_raises_"
                  "fails_the_step_and_leaves_no_thread")
 _FACTORS_TEST = ("tests/test_autodiff.py::test_adam_from_factors_equals_the_"
                  "reference_from_the_formed_gradient")
+_HEAP_TEST = ("tests/test_sec_sim.py::"
+              "test_route_tree_pass_equals_the_heap")
+_FIFO_TEST = "tests/test_sec_sim.py::test_slot_shared_fifo_relay"
 _GCN_TESTS = ("tests/test_autodiff.py::"
               "test_a_gcn_layer_has_the_bits_of_the_three_op_chain",
               "tests/test_learner_pin.py")
@@ -86,6 +89,37 @@ MUTANTS = [
            "(j < parent)", "(j > parent)",
            ("tests/test_constellation.py::"
             "test_shortest_path_tree_equals_the_per_satellite_build",)),
+    # the simulator: the FIFO walk, the quantizers, the route order, the
+    # local path, the slot record, and the failed run's marker
+    Mutant("fifo_waits_at_an_exact_free_link", "sec_sim.py",
+           "if free > t:", "if free >= t:",
+           (_HEAP_TEST, _FIFO_TEST)),
+    Mutant("fifo_tie_without_flow_order", "sec_sim.py",
+           "queue.sort()", "queue.sort(key=lambda a: a[0])",
+           (_HEAP_TEST,)),
+    Mutant("offload_remainder_to_the_last_column", "sec_sim.py",
+           "tasks[:, 0] = remaining",
+           "tasks[:, 0] = 0\n    tasks[:, -1] += remaining",
+           tuple(f"tests/test_sec_sim.py::test_offload_{name}" for name in (
+               "all_self", "uniform_oracle", "conservation_never_negative"))),
+    Mutant("route_order_one_doubling_short", "sec_sim.py",
+           "for _ in range(n.bit_length()):",
+           "for _ in range(n.bit_length() - 1):",
+           ("tests/test_sec_sim.py::test_route_tree_order_feeds_forward",)),
+    Mutant("no_local_path_for_a_source_that_offloads_nothing", "sec_sim.py",
+           "has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0",
+           "has_path[:, 0] |= False",
+           ("tests/test_env.py::test_array_slot_equals_the_dict_path",)),
+    Mutant("slot_record_holds_the_bundle_itself", "env.py",
+           "[a.copy() for a in arrays]", "list(arrays)",
+           ("tests/test_env.py::"
+            "test_a_replay_is_not_reused_for_other_inputs",)),
+    Mutant("failed_marker_one_step_late", "harness.py",
+           'fh.write(f"# FAILED step={steps_done} "',
+           'fh.write(f"# FAILED step={steps_done + 1} "',
+           ("tests/test_harness.py::test_run_experiment_failure_marker",
+            "tests/test_cli.py::test_a_non_finite_outcome_fails_the_run_"
+            "instead_of_being_written")),
     # the zero-buffer replays kept on purpose (see KNOWN_SURVIVORS)
     Mutant("gcn_backward_without_zero_buffer", "autodiff.py",
            "np.add(d, 0.0, out=d)", "d = d", _GCN_TESTS),

@@ -22,7 +22,8 @@ from conftest import loss_history, make_env, policy_ratios, random_simplex
 import gcn_reference
 from gcn_reference import (PerPhaseGrantAgent, dense_adjacency,
                            dense_gcn_call, dense_matrix, permuted_table)
-from backward_reference import chain_critic_input, graph_nodes, walk_from
+from backward_reference import (chain_critic_input, graph_nodes, scale,
+                                walk_from)
 from train_reference import reference_run_training, reference_train_step
 
 
@@ -592,7 +593,7 @@ def test_train_step_rejects_a_nan_policy_value_before_the_actor_step(
 
     def nan_q_pi(*args):
         q = q_value(*args)
-        return q * float("nan") if _frozen_call(agent) else q
+        return scale(q, float("nan")) if _frozen_call(agent) else q
 
     monkeypatch.setattr(agent, "q_value", nan_q_pi)
     before = [p.data.copy() for p in agent.actor_params]
@@ -676,10 +677,10 @@ def test_gcn_actors_equal_the_per_phase_reference(seed, width):
 
 
 def test_gcn_actors_equal_the_per_phase_reference_at_200_sources():
-    """At about 1,400 nodes, where BLAS splits the weight gradient's sum
-    over rows into blocks, the offloading actor's last layer computed at
-    the sources alone still has the bits of the reference's full-height
-    layer and gather."""
+    """At about 1,400 nodes, where BLAS splits a full-height weight
+    gradient's sum over rows into blocks: the offloading actor's last layer
+    computed at the sources alone has the bits of the reference's
+    propagate, matmul and tanh chain at those rows."""
     _check_against_the_per_phase_reference(1, 128, 200)
 
 

@@ -418,17 +418,20 @@ def test_bad_first_link_is_rejected(first_link):
 
 
 def test_route_tree_order_feeds_forward():
+    """A random tree, and a chain through every link (the deepest tree),
+    of n links in shuffled link order."""
     rng = np.random.default_rng(3)
     for n in (0, 1, 2, 7, 64, 300):
-        next_link = np.array([-1 if i == 0 else int(rng.integers(i))
-                              for i in range(n)], dtype=int)
-        perm = rng.permutation(n)
-        tree = np.full(n, -1)
-        tree[perm] = np.where(next_link < 0, -1, perm[next_link])
-        position = np.empty(n, dtype=int)
-        position[route_tree_order(tree)] = np.arange(n)
-        fed = tree >= 0
-        assert np.all(position[fed] < position[tree[fed]])
+        random_tree = np.array([-1 if i == 0 else int(rng.integers(i))
+                                for i in range(n)], dtype=int)
+        for next_link in (random_tree, np.arange(n) - 1):
+            perm = rng.permutation(n)
+            tree = np.full(n, -1)
+            tree[perm] = np.where(next_link < 0, -1, perm[next_link])
+            position = np.empty(n, dtype=int)
+            position[route_tree_order(tree)] = np.arange(n)
+            fed = tree >= 0
+            assert np.all(position[fed] < position[tree[fed]])
 
 
 def _random_tree_case(rng):

@@ -1,0 +1,72 @@
+"""Deterministic counts of one GRANT training step, pinned as exact values:
+graph ops recorded, FIFO arrivals served by the simulator's outcome walk
+and neighbor-sum row terms.  Unlike a step's time, a count does not move
+with the host's speed, so a change that removes work shows here as a
+changed count (record the old and new counts with it)."""
+import math
+
+import numpy as np
+import pytest
+
+from terasec import autodiff, sec_sim
+from terasec.agent import GrantAgent, TrainConfig
+from terasec.autodiff import Tensor
+
+from conftest import make_env
+
+#: n_sources -> (graph ops, FIFO arrivals served, neighbor-sum row terms)
+COUNTS = {10: (55, 1_205, 22_285), 200: (55, 21_495, 117_600)}
+
+
+def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
+    """Arrivals outcome_spans serves: each flow with bytes and a finite
+    release is served once by every link of its route to the GS, up to a
+    zero-rate link, which serves none."""
+    served = 0
+    for k in np.flatnonzero(out_bytes > 0).tolist():
+        link = -1 if math.isinf(release[k]) else k
+        while link >= 0 and rates_ot[link] > 0.0:
+            served += 1
+            link = next_link[link]
+    return served
+
+
+def step_counts(monkeypatch, n_sources):
+    """(graph ops, FIFO arrivals, neighbor-sum row terms) of one training
+    step at n_sources."""
+    agent = GrantAgent(make_env(seed=1, steps=2, n_sources=n_sources),
+                       TrainConfig(seed=1, steps=1))
+    ops, arrivals, terms = [0], [0], [0]
+    make, spans, neighbor_sum = (Tensor._make, sec_sim.outcome_spans,
+                                 autodiff._neighbor_sum)
+
+    def counted_make(data, parents, vjp, owned=False):
+        out = make(data, parents, vjp, owned)
+        ops[0] += out.requires_grad
+        return out
+
+    def counted_spans(release, out_bytes, next_link, order, rates_ot,
+                      dist_ot_km):
+        arrivals[0] += fifo_arrivals(release, out_bytes, next_link, rates_ot)
+        return spans(release, out_bytes, next_link, order, rates_ot,
+                     dist_ot_km)
+
+    def counted_sum(x, table, out=None):
+        terms[0] += table.idx.size
+        return neighbor_sum(x, table, out=out)
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counted_make))
+    monkeypatch.setattr(sec_sim, "outcome_spans", counted_spans)
+    monkeypatch.setattr(autodiff, "_neighbor_sum", counted_sum)
+    agent.run_training()
+    return ops[0], arrivals[0], terms[0]
+
+
+@pytest.mark.parametrize("n_sources", sorted(COUNTS))
+def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
+                                                          n_sources):
+    """Graph ops, FIFO arrivals and neighbor-sum row terms of one step.  The
+    offloading actor's second layer reads only the source rows, in its
+    acting and its TD-target forward: at 200 sources, one that read the
+    whole 1,360-node graph would add 1,160 table rows to each of the two."""
+    assert step_counts(monkeypatch, n_sources) == COUNTS[n_sources]

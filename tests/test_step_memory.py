@@ -23,7 +23,8 @@ from terasec.autodiff import GraphStateError, Parameter, Tensor
 from terasec.baselines import MaddpgFcAgent
 from terasec.harness import ExperimentConfig, run_experiment
 
-from backward_reference import graph_nodes, reference_backward, tensor_sum
+from backward_reference import (graph_nodes, reference_backward, scale,
+                                tensor_sum)
 from conftest import loss_history, make_env
 
 
@@ -100,7 +101,7 @@ def test_a_graph_that_meets_a_walked_tensor_cannot_be_walked():
     tensor_sum(h).backward()
     grad = w.grad.copy()
     with pytest.raises(GraphStateError, match="walked"):
-        tensor_sum(h * 2.0).backward()
+        tensor_sum(scale(h, 2.0)).backward()
     assert np.array_equal(w.grad, grad)
     assert h._parents is None and h.data.shape == (1, 2)
 
