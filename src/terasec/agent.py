@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Adam, Dense, GcnLayer, NeighborTable, Tensor, mse,
-                       normalized_adjacency)
+from .autodiff import (Adam, Dense, GcnLayer, NeighborTable, SubGraph, Tensor,
+                       mse, normalized_adjacency, sub_graph)
 from .env import ActionBundle, SecWindow
 
 SINR_DB_SCALE = 60.0
@@ -136,8 +136,7 @@ def read_heads(x: Tensor, heads, spec):
 
 class GcnActor:
     """One phase's actor: a shared GCN stack read out at the acting rows
-    (every row for rows=None) through the phase's heads; its last layer is
-    computed at those rows only."""
+    through the phase's heads."""
 
     def __init__(self, rng, d_in, width, spec, name):
         self.spec = spec
@@ -146,8 +145,14 @@ class GcnActor:
         self.heads = [Dense(rng, width, d_out, f"{name}.{key}", 0.1)
                       for key, d_out, _, _ in spec]
 
-    def forward(self, features: np.ndarray, table: NeighborTable, rows=None):
-        emb = self.gcn2(self.gcn1(Tensor(features), table), table, rows)
+    def forward(self, features: np.ndarray, table: NeighborTable,
+                sub: SubGraph | None = None):
+        """The heads at every row of table's graph, or at sub's rows alone
+        (a SubGraph of that graph)."""
+        first = last = (table,)
+        if sub is not None:
+            first, last = sub.first, sub.last
+        emb = self.gcn2(self.gcn1(Tensor(features), *first), *last)
         return read_heads(emb, self.heads, self.spec)
 
     def parameters(self):
@@ -318,9 +323,10 @@ class GrantAgent:
         self.noise_rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         self.source_rows = [env.node_index[s] for s in env.sources]
-        # the window's graph is frozen: normalize it into a neighbor table
-        # and lay out the static feature columns once; encode fills the
-        # per-slot ones
+        # the window's graph is frozen: normalize it into a neighbor table,
+        # take the offloading actor's sub-graph at the sources from it and
+        # lay out the static feature columns once; encode fills the per-slot
+        # ones
         c = env.c.cfg
         self.mean_bytes = env.traffic_cfg.mean_bytes_per_slot
         zero = np.zeros(len(env.involved))
@@ -330,6 +336,7 @@ class GrantAgent:
              env.expected_offload_bytes / self.mean_bytes,
              zero, zero, zero, zero, env.phi_off, env.phi_gs], axis=1)
         self.table = normalized_adjacency(len(env.involved), env.edges)
+        self.sub = sub_graph(self.table, self.source_rows)
         return np.random.default_rng(cfg.seed)
 
     # -- state and actions --------------------------------------------------
@@ -347,8 +354,9 @@ class GrantAgent:
 
     def actor_tensors(self, f_to: np.ndarray, f_ot: np.ndarray):
         """(offload, subarray, power, ot_sub, ot_power): the activated heads
-        at the sources and at every involved node's outcome link."""
-        return (*self.actor_to.forward(f_to, self.table, self.source_rows),
+        at the sources (over their sub-graph) and at every involved node's
+        outcome link."""
+        return (*self.actor_to.forward(f_to, self.table, self.sub),
                 *self.actor_ot.forward(f_ot, self.table))
 
     def _ratios_from_tensors(self, tensors):

@@ -330,21 +330,23 @@ def normalized_adjacency(n: int, edges) -> NeighborTable:
     return NeighborTable(idx, weight)
 
 
-#: elements per neighbor-sum row block: the block's output rows and its one
-#: term buffer stay in cache while each neighbor's terms are added
+#: elements per neighbor-sum row block, about: the block's output rows and
+#: its one term buffer stay in cache while each neighbor's terms are added
 NEIGHBOR_BLOCK = 32768
 
 
 def _neighbor_sum(x: np.ndarray, table: NeighborTable,
                   out: np.ndarray | None = None) -> np.ndarray:
     """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order, in row
-    blocks of at most NEIGHBOR_BLOCK elements; each block takes its terms
-    into one reused buffer.  out: an [n, d] buffer, not x, to write it into."""
+    blocks of equal height, as many as the output holds NEIGHBOR_BLOCK
+    elements (at least one); each block takes its terms into one reused
+    buffer.  out: an [n, d] buffer, not x, to write it into."""
     idx, weight = table
     n, d = idx.shape[0], x.shape[1]
     if out is None:
         out = np.empty((n, d))
-    per = max(1, NEIGHBOR_BLOCK // d)
+    blocks = max(1, round(n * d / NEIGHBOR_BLOCK))
+    per = max(1, -(-n // blocks))
     term = np.empty((min(per, n), d))
     for lo in range(0, n, per):
         o, ix, wt = out[lo:lo + per], idx[lo:lo + per], weight[lo:lo + per]
@@ -358,21 +360,53 @@ def _neighbor_sum(x: np.ndarray, table: NeighborTable,
     return out
 
 
-def _row_subset(rows, n: int) -> np.ndarray:
-    """rows as an index array of unique rows of an n-row table."""
+class SubGraph(NamedTuple):
+    """Two GCN layers of a symmetric graph read out at some rows alone.  A
+    two-layer GCN's output at a row depends only on the row's two-hop
+    neighbourhood, so the first layer runs at `hop` and the last at `rows`.
+    Each layer's pair (table, back) is GcnLayer's: table holds each output
+    row's entries into the layer's input rows, back each input row's
+    entries into the output rows, where an entry whose row the output lacks
+    points at one zero row after them."""
+
+    rows: np.ndarray     # the read-out rows, in the order given
+    hop: np.ndarray      # the rows and their neighbours, ascending
+    first: tuple         # the graph's rows hop, over every row
+    last: tuple          # the graph's rows `rows`, over hop
+
+
+def _layer_tables(table: NeighborTable, out_rows, in_rows) -> tuple:
+    """(table, back) of a layer at table's rows out_rows over its rows
+    in_rows, ascending, which hold every neighbor of out_rows."""
+    idx, weight = table
+
+    def at(rows):
+        """Each graph row's position in rows, len(rows) past them."""
+        pos = np.full(idx.shape[0], len(rows))
+        pos[rows] = np.arange(len(rows))
+        return pos
+
+    pair = (NeighborTable(at(in_rows)[idx[out_rows]], weight[out_rows]),
+            NeighborTable(at(out_rows)[idx[in_rows]], weight[in_rows]))
+    for part in (*pair[0], *pair[1]):
+        part.setflags(write=False)
+    return pair
+
+
+def sub_graph(table: NeighborTable, rows) -> SubGraph:
+    """The SubGraph of table's symmetric graph at rows, unique rows of it."""
+    n = table.idx.shape[0]
     rows = np.asarray(rows, dtype=np.intp)
     ordered = np.sort(rows.reshape(-1))
     if rows.ndim != 1 or np.any(np.diff(ordered) <= 0) or (
             rows.size and (ordered[0] < 0 or ordered[-1] >= n)):
         raise DimensionError(f"rows must be unique rows of the {n}-row graph")
-    return rows
-
-
-def _pad_rows(v: np.ndarray, rows, n: int) -> np.ndarray:
-    """v's rows at positions rows of an n-row zero matrix."""
-    out = np.zeros((n, v.shape[1]))
-    out[rows] = v
-    return out
+    # a mask, not np.unique, which would import numpy.ma
+    near = np.zeros(n, dtype=bool)
+    near[table.idx[rows]] = True
+    hop = np.flatnonzero(near)
+    return SubGraph(rows, hop, _layer_tables(table, hop, np.arange(n)),
+                    _layer_tables(table, rows, hop))
 
 
 # -- parameters, layers, optimizer -------------------------------------------
@@ -424,12 +458,13 @@ class StackedDense:
 
 
 class GcnLayer:
-    """F' = tanh(A_norm @ F @ W) as one graph op, A_norm a per-call
-    NeighborTable; given rows, F'[rows] only.  It keeps F', and A_norm @ F
-    only while W requires a gradient.  Backward has the bits of the
-    propagate, matmul and tanh ops it replaced: the weight gradient is
-    (A_norm @ F)[rows].T @ dF' over the computed rows alone and, A_norm being
-    symmetric, the input gradient runs through the same table.
+    """F' = tanh(A_norm @ F @ W) as one graph op, at the rows of a per-call
+    NeighborTable of A_norm (see SubGraph for a table of some rows).  It
+    keeps F', and A_norm @ F only while W requires a gradient.  Backward
+    has the bits of the propagate, matmul and tanh ops it replaced: the
+    weight gradient is (A_norm @ F).T @ dF' over the computed rows, and the
+    input gradient runs through `back`, the table itself for a whole graph
+    (A_norm being symmetric).
 
     Backward runs once and holds one hidden-width transient beside what the
     graph keeps: it forms g * (1 - F'**2) in the incoming gradient's buffer
@@ -440,16 +475,12 @@ class GcnLayer:
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
 
     def __call__(self, features: Tensor, table: NeighborTable,
-                 rows=None) -> Tensor:
+                 back: NeighborTable | None = None) -> Tensor:
         x, w = features, self.w
-        n = table.idx.shape[0]
-        if x.shape[0] != n:
+        back = table if back is None else back
+        if x.shape[0] != back.idx.shape[0]:
             raise DimensionError("feature row count must match the graph size")
-        read = table
-        if rows is not None:
-            rows = _row_subset(rows, n)
-            read = NeighborTable(table.idx[rows], table.weight[rows])
-        agg = _neighbor_sum(x.data, read)
+        agg = _neighbor_sum(x.data, table)
         out = agg @ w.data
         np.tanh(out, out=out)
         kept = agg if w.requires_grad else None
@@ -470,12 +501,16 @@ class GcnLayer:
                 gw = kept.T @ d
             kept = None
             if x.requires_grad:
-                gx = d @ w.data.T
+                # the output rows' gradient, and the zero row a back table
+                # of some rows points at (a whole graph's gradient keeps its
+                # row count, so the heap reuses that buffer's chunk)
+                m = d.shape[0]
+                gx = np.empty((m + (back is not table), w.shape[0]))
+                np.matmul(d, w.data.T, out=gx[:m])
+                gx[m:] = 0.0
                 np.add(gx, 0.0, out=gx)
-                if rows is not None:
-                    gx = _pad_rows(gx, rows, n)
-                gx = _neighbor_sum(gx, table,
-                                   out=d if d.shape == gx.shape else None)
+                gx = _neighbor_sum(gx, back,
+                                   out=d if d.shape == x.shape else None)
             return gx, gw
 
         return Tensor._make(out, (x, w), vjp, owned=True)

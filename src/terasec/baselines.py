@@ -82,9 +82,10 @@ class _PrivateActors:
         self.fc1, self.fc2, *self.heads = (
             StackedDense(w, f"{name}.{key}") for w, (key, *_) in zip(ws, dims))
 
-    def forward(self, features: np.ndarray, table, rows=None):
-        """Actor i reads features row rows[i] (row i for rows=None); no graph."""
-        feats = features if rows is None else features[rows]
+    def forward(self, features: np.ndarray, table, sub=None):
+        """Actor i reads features row sub.rows[i] (row i for sub=None), the
+        rows of a SubGraph; no graph."""
+        feats = features if sub is None else features[sub.rows]
         h = self.fc1(Tensor(feats)).tanh()
         return read_heads(self.fc2(h).tanh(), self.heads, self.spec)
 

@@ -8,10 +8,16 @@ and `Tensor(a_norm) @ features`.
 
 The per-phase GCN actors that terasec.agent.GcnActor replaced, each with its
 own hard-coded heads, their safe_init, and a GrantAgent built on them.  The
-offloading actor computes its last GCN layer at the sources alone, through
-the three-op chain below; the outcome actor computes its last layer at every
-node and gathers the acting rows from it with `gather_rows`, the op
-GcnLayer's `rows` argument replaced.
+offloading actor computes its GCN layers on the sources' neighbourhood
+alone, through `chain_sub_graph_call` below; the outcome actor computes its
+last layer at every node and gathers the acting rows from it with
+`gather_rows`, the op GcnLayer's former `rows` argument replaced.
+
+The row path that terasec.autodiff.sub_graph's tables replaced:
+`row_gcn_call`, GcnLayer.__call__ as it was with its `rows` argument, which
+reads every row of the graph in its first layer and pads the input gradient
+of a layer at some rows to full height (`_pad_rows`) before its neighbor
+sum, and `_row_subset`, which checked the rows at every call.
 
 The neighbor sum's first form, one k-loop over whole columns, which the
 row-blocked terasec.autodiff._neighbor_sum replaced.
@@ -19,7 +25,9 @@ row-blocked terasec.autodiff._neighbor_sum replaced.
 The three-op GCN layer (propagate, matmul, tanh) that the one-op
 GcnLayer.__call__ replaced: `chain_gcn_call`, with its `propagate` op.
 At some rows the chain's matmul takes the propagated rows alone, so its
-weight gradient is their product with the output gradient.
+weight gradient is their product with the output gradient.  Two such
+layers read out at some rows run the first at the rows' neighbourhood and
+scatter it to full height for the second: `chain_sub_graph_call`.
 
 The scale, tanh and scale-back ops that the one-op agent.bound_logits
 replaced: `chain_bound_logits`.
@@ -30,10 +38,9 @@ from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
                            SKIP_LR_SCALE, CentralCritic, GrantAgent,
                            _actor_lr_scale, bound_logits, logit_bias)
 from terasec.autodiff import (Adam, Dense, DimensionError, GcnLayer,
-                              NeighborTable, Tensor,
-                              _neighbor_sum, _pad_rows, _row_subset)
+                              NeighborTable, Tensor, _neighbor_sum)
 
-from backward_reference import scale
+from backward_reference import scale, scatter_rows
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -63,6 +70,66 @@ def neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
     return out
 
 
+def _row_subset(rows, n: int) -> np.ndarray:
+    """rows as an index array of unique rows of an n-row table."""
+    rows = np.asarray(rows, dtype=np.intp)
+    ordered = np.sort(rows.reshape(-1))
+    if rows.ndim != 1 or np.any(np.diff(ordered) <= 0) or (
+            rows.size and (ordered[0] < 0 or ordered[-1] >= n)):
+        raise DimensionError(f"rows must be unique rows of the {n}-row graph")
+    return rows
+
+
+def _pad_rows(v: np.ndarray, rows, n: int) -> np.ndarray:
+    """v's rows at positions rows of an n-row zero matrix."""
+    out = np.zeros((n, v.shape[1]))
+    out[rows] = v
+    return out
+
+
+def row_gcn_call(layer, features: Tensor, table: NeighborTable,
+                 rows=None) -> Tensor:
+    """GcnLayer.__call__ with its `rows` argument, as it was: F' over every
+    row of the n-row graph, or F'[rows] from every row of F, its input
+    gradient padded to full height before the neighbor sum."""
+    x, w = features, layer.w
+    n = table.idx.shape[0]
+    if x.shape[0] != n:
+        raise DimensionError("feature row count must match the graph size")
+    read = table
+    if rows is not None:
+        rows = _row_subset(rows, n)
+        read = NeighborTable(table.idx[rows], table.weight[rows])
+    agg = _neighbor_sum(x.data, read)
+    out = agg @ w.data
+    np.tanh(out, out=out)
+    kept = agg if w.requires_grad else None
+
+    def vjp(g):
+        nonlocal kept
+        d = np.square(out)
+        np.subtract(1.0, d, out=d)
+        if g.flags.writeable and g.shape == out.shape:
+            d = np.multiply(g, d, out=g)
+        else:
+            np.multiply(g, d, out=d)
+        np.add(d, 0.0, out=d)
+        gw = gx = None
+        if kept is not None and w.requires_grad:
+            gw = kept.T @ d
+        kept = None
+        if x.requires_grad:
+            gx = d @ w.data.T
+            np.add(gx, 0.0, out=gx)
+            if rows is not None:
+                gx = _pad_rows(gx, rows, n)
+            gx = _neighbor_sum(gx, table,
+                               out=d if d.shape == gx.shape else None)
+        return gx, gw
+
+    return Tensor._make(out, (x, w), vjp, owned=True)
+
+
 def propagate(x, table: NeighborTable, rows=None) -> Tensor:
     """(A_norm @ x)[rows] for the matrix the table holds, computed for those
     rows only; rows=None reads every row.  A_norm is symmetric, so the
@@ -90,6 +157,22 @@ def chain_gcn_call(layer, features: Tensor, table: NeighborTable,
                    rows=None) -> Tensor:
     """GcnLayer.__call__ as three graph ops: propagate, matmul, tanh."""
     return (propagate(features, table, rows) @ layer.w).tanh()
+
+
+def hop_rows(table: NeighborTable, rows) -> np.ndarray:
+    """rows and their neighbors, ascending (padding points at the row)."""
+    return np.unique(table.idx[np.asarray(rows, dtype=int)])
+
+
+def chain_sub_graph_call(gcn1, gcn2, features: Tensor, table: NeighborTable,
+                         rows) -> Tensor:
+    """Two GcnLayers read out at rows as three-op chains: the first at the
+    rows' neighbourhood (hop_rows), scattered to full height for the second,
+    which reads only those rows of it."""
+    hop = hop_rows(table, rows)
+    h = scatter_rows(chain_gcn_call(gcn1, features, table, hop), hop,
+                     table.idx.shape[0])
+    return chain_gcn_call(gcn2, h, table, rows)
 
 
 def dense_adjacency(n: int, edges) -> np.ndarray:
@@ -133,10 +216,11 @@ def neighbor_table(a_norm: np.ndarray) -> NeighborTable:
     return NeighborTable(idx, weight)
 
 
-def dense_matrix(table: NeighborTable) -> np.ndarray:
-    """The n x n matrix a neighbor table holds (padding adds zeros)."""
+def dense_matrix(table: NeighborTable, cols=None) -> np.ndarray:
+    """The [n, cols] matrix a neighbor table of n rows holds (padding adds
+    zeros); cols=None: n."""
     n = table.idx.shape[0]
-    a = np.zeros((n, n))
+    a = np.zeros((n, n if cols is None else cols))
     np.add.at(a, (np.arange(n)[:, None], table.idx), table.weight)
     return a
 
@@ -148,15 +232,15 @@ def permuted_table(table: NeighborTable, perm) -> NeighborTable:
 
 
 def dense_gcn_call(layer, features: Tensor, table: NeighborTable,
-                   rows=None) -> Tensor:
-    """GcnLayer.__call__ as it was: a dense n x n product, with the given
-    rows gathered from it."""
-    a_norm = dense_matrix(table)
-    if features.shape[0] != a_norm.shape[0]:
+                   back=None) -> Tensor:
+    """GcnLayer.__call__ as it was, a dense product, over GcnLayer's tables:
+    the rows of table, as a dense matrix over the input rows; its product's
+    backward needs no back table, which sets the input row count alone."""
+    n_in = (table if back is None else back).idx.shape[0]
+    if features.shape[0] != n_in:
         raise DimensionError("feature row count must match the graph size")
-    agg = Tensor(a_norm) @ features
-    out = (agg @ layer.w).tanh()
-    return out if rows is None else gather_rows(out, rows)
+    agg = Tensor(dense_matrix(table, n_in)) @ features
+    return (agg @ layer.w).tanh()
 
 
 class OffloadActor:
@@ -172,8 +256,8 @@ class OffloadActor:
                                 "actor_to.head_power", 0.1)
 
     def forward(self, features: np.ndarray, table: NeighborTable, source_rows):
-        src = chain_gcn_call(self.gcn2, self.gcn1(Tensor(features), table),
-                             table, source_rows)
+        src = chain_sub_graph_call(self.gcn1, self.gcn2, Tensor(features),
+                                   table, source_rows)
         offload = bound_logits(self.head_offload(src)).softmax_rows()
         subarray = bound_logits(self.head_subarray(src)).softmax_rows()  # 4 used + slack
         power = bound_logits(self.head_power(src)).softmax_rows()        # 4K used + slack

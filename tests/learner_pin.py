@@ -1,10 +1,11 @@
 """The learner's output bits, pinned: what a short `grant` and `maddpg_fc`
 run write at 10 sources, what `grant` at 200 sources and `uniform` at 50
 write, what `eval` prints from the `grant` step-50 checkpoint and what
-`compare-bands` prints for `uniform` and from that checkpoint, and the
+`compare-bands` prints for `uniform` and from that checkpoint, the
 `maddpg_fc` agent's parameters and its flat critic's live input columns
-after 3 steps at 10 sources.  CSV rows carry 10 digits, so only the tensors
-show a change in the low bits of the dense baseline.
+after 3 steps at 10 sources, and the `grant` agent's parameters after 3
+steps at 200 sources.  CSV rows carry 10 digits, so only the tensors show a
+change in the low bits of the dense baseline or of GRANT at 200 sources.
 
     PYTHONPATH=src python tests/learner_pin.py      # re-pin learner_pin.json
 
@@ -148,17 +149,18 @@ def _config(out_dir, n_sources) -> str:
     return path
 
 
-def _maddpg_fc_tensors(out_dir) -> dict:
-    """The `maddpg_fc` agent's parameter tensors after 3 training steps in
-    this process at 10 sources and seed 1, and its flat critic's live input
-    columns, each named under "maddpg_fc/"."""
-    cfg = load_config(None, {"policy": "maddpg_fc", "train": {"steps": 3},
+def _trained_tensors(out_dir, prefix, **config) -> dict:
+    """The parameter tensors of the agent `config` sets (and a flat
+    critic's live input columns) after 3 training steps in this process at
+    seed 1, each named under prefix + "/"."""
+    cfg = load_config(None, {**config, "train": {"steps": 3},
                              "output_dir": out_dir})
     _, agent = restored_policy(cfg, 1)
     agent.run_training()
     tensors = {p.name: p.data for p in agent.parameters()}
-    tensors["fc_critic.fc1.w.live_rows"] = agent.critic.live
-    return {f"maddpg_fc/{name}": _tensor(data)
+    if config["policy"] == "maddpg_fc":
+        tensors["fc_critic.fc1.w.live_rows"] = agent.critic.live
+    return {f"{prefix}/{name}": _tensor(data)
             for name, data in tensors.items()}
 
 
@@ -167,9 +169,10 @@ def outputs(out_dir) -> dict:
     checkpoint), `maddpg_fc` at 10 sources for 3 steps, `grant` at 200
     sources for 3 steps and `uniform` at 50 sources for 5 steps (each in its
     own subdirectory), `eval` and a 5-slot `compare-bands` of the `grant`
-    step-50 checkpoint, a 3-slot `compare-bands` of `uniform` at 50 sources
-    and 3 `maddpg_fc` steps in this process, all at PIN_BLAS_THREADS BLAS
-    threads; return their pinned outputs."""
+    step-50 checkpoint, a 3-slot `compare-bands` of `uniform` at 50 sources,
+    and 3 `maddpg_fc` steps at 10 sources and 3 `grant` steps at 200 in this
+    process, all at PIN_BLAS_THREADS BLAS threads; return their pinned
+    outputs."""
     with _blas_threads(PIN_BLAS_THREADS):
         return _outputs(out_dir)
 
@@ -197,7 +200,9 @@ def _outputs(out_dir) -> dict:
     with np.load(ckpt) as archive:
         tensors = {key: _tensor(archive[key]) for key in archive.files
                    if key.startswith("tensor/")}
-    tensors.update(_maddpg_fc_tensors(out_dir))
+    tensors.update(_trained_tensors(out_dir, "maddpg_fc", policy="maddpg_fc"))
+    tensors.update(_trained_tensors(out_dir, "grant_s200", policy="grant",
+                                    n_sources=200))
     return {
         "csv": {name: _csv(os.path.join(out_dir, name)) for name in (
             "grant_seed1_metrics.csv", "grant_seed1_loss.csv",

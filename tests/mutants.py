@@ -51,6 +51,12 @@ _FIFO_TEST = "tests/test_sec_sim.py::test_slot_shared_fifo_relay"
 _GCN_TESTS = ("tests/test_autodiff.py::"
               "test_a_gcn_layer_has_the_bits_of_the_three_op_chain",
               "tests/test_learner_pin.py")
+_SUB_GRAPH_TEST = ("tests/test_agent.py::"
+                   "test_the_offloading_sub_graph_has_the_bits_of_the_row_path")
+#: the mutants of autodiff.sub_graph's tables
+SUB_GRAPH_MUTANTS = ("sub_graph_back_entry_at_a_real_row",
+                     "sub_graph_hop_without_the_neighbours",
+                     "sub_graph_last_table_in_graph_indices")
 
 MUTANTS = [
     # GrantAgent.critic_input: the critic's input layout as one graph op
@@ -66,6 +72,18 @@ MUTANTS = [
            "buf[:, :cols] = g[rows, lo:lo + cols]",
            "buf[:, -cols:] = g[rows, lo:lo + cols]",
            (_LAYOUT_TEST,)),
+    # autodiff.sub_graph: the offloading actor's tables on the sources'
+    # neighbourhood
+    Mutant(SUB_GRAPH_MUTANTS[0], "autodiff.py",
+           "pos = np.full(idx.shape[0], len(rows))",
+           "pos = np.full(idx.shape[0], len(rows) - 1)",
+           (_SUB_GRAPH_TEST,)),
+    Mutant(SUB_GRAPH_MUTANTS[1], "autodiff.py",
+           "near[table.idx[rows]] = True", "near[rows] = True",
+           (_SUB_GRAPH_TEST,)),
+    Mutant(SUB_GRAPH_MUTANTS[2], "autodiff.py",
+           "at(in_rows)[idx[out_rows]]", "idx[out_rows]",
+           (_SUB_GRAPH_TEST,)),
     # Adam's step split across the CPUs
     Mutant("adam_share_edge_off_by_one", "autodiff.py",
            "start, stop = total * k // shares, total * (k + 1) // shares",

@@ -12,7 +12,8 @@ import pytest
 from terasec.agent import (OFFLOAD_FEATURES, OUTCOME_FEATURES, CentralCritic,
                            GcnActor, GrantAgent, TrainConfig, explore_group,
                            head_specs)
-from terasec.autodiff import Dense, GcnLayer, Tensor, normalized_adjacency
+from terasec.autodiff import (Dense, GcnLayer, Tensor, normalized_adjacency,
+                              sub_graph)
 from terasec.baselines import MaddpgFcAgent
 from terasec.constellation import Constellation, WalkerConfig
 from terasec.harness import ExperimentConfig, compare_bands, run_experiment
@@ -98,6 +99,7 @@ def test_criterion_2_gradient_correctness():
     rng = np.random.default_rng(1)
     n, k, width = 5, 1, 4
     table = normalized_adjacency(n, [(i, (i + 1) % n) for i in range(n)])
+    sub_to, sub_ot = (sub_graph(table, rows) for rows in ([0, 2], [1, 3]))
 
     def make_proj(cols):
         v = Tensor(rng.standard_normal((cols, 1)))
@@ -122,7 +124,7 @@ def test_criterion_2_gradient_correctness():
         f_to = rng.standard_normal((n, 9))
         projs_to = [make_proj(5), make_proj(5), make_proj(4 * k + 1)]
         check_gradient(
-            lambda: sum_proj(actor_to.forward(f_to, table, [0, 2]), projs_to),
+            lambda: sum_proj(actor_to.forward(f_to, table, sub_to), projs_to),
             actor_to.parameters(), rtol=1e-4)
 
         actor_ot = GcnActor(np.random.default_rng(200 + i), OUTCOME_FEATURES,
@@ -130,7 +132,7 @@ def test_criterion_2_gradient_correctness():
         f_ot = rng.standard_normal((n, 8))
         projs_ot = [make_proj(1), make_proj(k + 1)]
         check_gradient(
-            lambda: sum_proj(actor_ot.forward(f_ot, table, [1, 3]), projs_ot),
+            lambda: sum_proj(actor_ot.forward(f_ot, table, sub_ot), projs_ot),
             actor_ot.parameters(), rtol=1e-4)
 
         critic = CentralCritic(np.random.default_rng(300 + i), k, width)

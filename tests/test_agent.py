@@ -11,9 +11,10 @@ from terasec import autodiff
 from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
                            CentralCritic, GcnActor, GrantAgent, TrainConfig,
                            TrainingError, bound_logits, explore_group, frozen,
-                           head_specs, logit_bias, safe_init, td_target)
-from terasec.autodiff import (Adam, Dense, GcnLayer, Tensor, mse,
-                              normalized_adjacency)
+                           head_specs, logit_bias, read_heads, safe_init,
+                           td_target, zero_grads)
+from terasec.autodiff import (Adam, Dense, GcnLayer, Tensor, _neighbor_sum,
+                              mse, normalized_adjacency, sub_graph)
 from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, SecWindow, tree_closure
 from terasec.harness import _metrics_row
@@ -92,9 +93,9 @@ def test_encode_state_shapes_and_flags(small_env):
     # the normalized adjacency, at most 4 ISLs plus the self-loop wide
     tables = []
     for actor in (agent.actor_to, agent.actor_ot):
-        def spy(features, table, *rows, forward=actor.forward):
+        def spy(features, table, *sub, forward=actor.forward):
             tables.append(table)
-            return forward(features, table, *rows)
+            return forward(features, table, *sub)
         actor.forward = spy
     agent.actor_tensors(f_to, f_ot)
     assert len(tables) == 2 and tables[0] is tables[1] is agent.table
@@ -390,9 +391,10 @@ def test_offload_actor_permutation_equivariance():
     perm = rng.permutation(7)
     permuted = _permute_state(state, perm)
     sources = [1, 4, 6]
-    out_a = actor.forward(*state, sources)
+    out_a = actor.forward(*state, sub_graph(state[1], sources))
     inv = np.argsort(perm)
-    out_b = actor.forward(*permuted, [int(inv[s]) for s in sources])
+    out_b = actor.forward(*permuted, sub_graph(permuted[1],
+                                               [int(inv[s]) for s in sources]))
     for a, b in zip(out_a, out_b):
         assert np.max(np.abs(a.data - b.data)) < 1e-10
 
@@ -678,9 +680,10 @@ def test_gcn_actors_equal_the_per_phase_reference(seed, width):
 
 def test_gcn_actors_equal_the_per_phase_reference_at_200_sources():
     """At about 1,400 nodes, where BLAS splits a full-height weight
-    gradient's sum over rows into blocks: the offloading actor's last layer
-    computed at the sources alone has the bits of the reference's
-    propagate, matmul and tanh chain at those rows."""
+    gradient's sum over rows into blocks: the offloading actor's layers
+    computed on the sources' sub-graph have the bits of the reference's
+    propagate, matmul and tanh chains on the same rows (the first at hop,
+    scattered to full height, the last at the sources)."""
     _check_against_the_per_phase_reference(1, 128, 200)
 
 
@@ -713,16 +716,98 @@ def _check_against_the_per_phase_reference(seed, width, n_sources):
     assert bits(agent.parameters()) == bits(ref.parameters())
 
 
+# -- the offloading actor's sub-graph against the row path it replaced ------
+
+def _tap(t: Tensor, sink: dict, key) -> Tensor:
+    """t as an identity op that keeps the gradient it passes on in
+    sink[key]."""
+    def vjp(g):
+        sink[key] = np.array(g)
+        return (g,)
+
+    return Tensor._make(t.data, (t,), vjp)
+
+
+def _offloading_pass(agent, states, sub_path):
+    """The offloading actor's heads at the sources, over their sub-graph or
+    along the row path (gcn_reference.row_gcn_call: the first layer at
+    every row, the last at the sources), and Q of them, with the critic and
+    the outcome actor frozen, backward.  Returns the heads, the gradient
+    into each head, into the features and into the first layer's output,
+    the first layer's output, and the offloading actor's weight gradients
+    by name."""
+    f_to, f_ot = states
+    actor, table, grads = agent.actor_to, agent.table, {}
+    x = Tensor(f_to.copy(), requires_grad=True)
+    zero_grads(agent.parameters())
+    with frozen(agent.critic_params + agent.actor_ot.parameters()):
+        if sub_path:
+            h1 = _tap(actor.gcn1(x, *agent.sub.first), grads, "h1")
+            emb = actor.gcn2(h1, *agent.sub.last)
+        else:
+            h1 = _tap(gcn_reference.row_gcn_call(actor.gcn1, x, table),
+                      grads, "h1")
+            emb = gcn_reference.row_gcn_call(actor.gcn2, h1, table,
+                                             agent.source_rows)
+        heads = [_tap(t, grads, i) for i, t in
+                 enumerate(read_heads(emb, actor.heads, actor.spec))]
+        agent.q_value(f_to, f_ot, [*heads, *agent.actor_ot.forward(
+            f_ot, table)]).backward()
+    return ([t.data for t in heads], [grads[i] for i in range(len(heads))],
+            x.grad, grads["h1"], h1.data,
+            {p.name: p.grad.copy() for p in actor.parameters()})
+
+
+@pytest.mark.parametrize("n_sources", [10, 200])
+def test_the_offloading_sub_graph_has_the_bits_of_the_row_path(n_sources):
+    """The heads, the gradients into them and into the first layer's
+    output, and every weight gradient but the first layer's have the row
+    path's bits.  The first layer's weight gradient is the product over
+    hop's rows alone: at 10 sources it has the row path's bits; at 200,
+    where BLAS splits the row path's full-height sum into blocks, it
+    matches it to rounding.  The features' gradient, which no run forms
+    (the actor's features are constants), has the row path's bits at 200
+    sources; at 10, BLAS forms the rows of the 9-wide product d @ W.T for
+    50 hop rows in another order than for all 261, so it matches to
+    rounding.  The row path's gradient into the first layer is zero
+    outside hop."""
+    agent = GrantAgent(make_env(seed=1, steps=2, n_sources=n_sources),
+                       TrainConfig(seed=1, steps=1))
+    states = agent.encode(agent.env.snapshot())
+    hop = agent.sub.hop
+    assert len(hop) < len(agent.env.involved)
+    heads, head_grads, gx, g1, out1, gw = _offloading_pass(agent, states, True)
+    (ref_heads, ref_head_grads, ref_gx, ref_g1, ref_out1,
+     ref_gw) = _offloading_pass(agent, states, False)
+    for got, want in ((heads, ref_heads), (head_grads, ref_head_grads),
+                      ([g1, out1], [ref_g1[hop], ref_out1[hop]])):
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+    assert not np.delete(ref_g1, hop, axis=0).any()
+    if n_sources == 200:
+        assert _bits(gx) == _bits(ref_gx)
+    np.testing.assert_allclose(gx, ref_gx, rtol=1e-12,
+                               atol=1e-15 * np.abs(ref_gx).max())
+    first = "actor_to.gcn1.w"
+    assert sorted(gw) == sorted(ref_gw)
+    for name in gw:
+        if name != first or n_sources == 10:
+            assert _bits(gw[name]) == _bits(ref_gw[name]), name
+    d = g1 * (1.0 - out1**2) + 0.0
+    agg = _neighbor_sum(states[0], agent.table)[hop]
+    assert _bits(gw[first]) == _bits(agg.T @ d)
+    np.testing.assert_allclose(gw[first], ref_gw[first], rtol=1e-11, atol=0)
+
+
 # -- rows computed per training step ----------------------------------------
 
 def test_the_offloading_actor_computes_its_last_layer_at_the_sources(
         monkeypatch):
     """Every hidden-width neighbor sum of one training step on a 50-source
     window: the offloading actor's second layer reads the sources only, in
-    both of its forwards, and no step sums more hidden-width rows than
-    those two forwards plus nine full-height sums: the outcome actor's two
-    forwards and one backward, the critic's three forwards and two
-    backwards, and the offloading actor's zero-padded backward."""
+    both of its forwards, and the step sums those two forwards' rows, its
+    backward's hop rows and eight full-height sums: the outcome actor's two
+    forwards and one backward, and the critic's three forwards and two
+    backwards."""
     env = make_env(seed=1, steps=2, n_sources=50)
     agent = GrantAgent(env, TrainConfig(seed=1, steps=1))
     n, n_src = len(env.involved), len(env.sources)
@@ -755,7 +840,8 @@ def test_the_offloading_actor_computes_its_last_layer_at_the_sources(
     tagged = [shape for tags, shape in calls if tags]
     assert tagged == [(n_src, width)] * 2
     wide = [rows for _, (rows, cols) in calls if cols == width]
-    assert sum(wide) <= 2 * n_src + 9 * n
+    assert len(agent.sub.hop) < n
+    assert sum(wide) == 2 * n_src + len(agent.sub.hop) + 8 * n
 
 
 # -- sizing -------------------------------------------------------------------

@@ -13,7 +13,7 @@ from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
                               Parameter, RankOneGrad, StackedDense, Tensor,
                               _neighbor_sum, load_checkpoint, mse,
                               normalized_adjacency, save_checkpoint,
-                              write_json, xavier_uniform)
+                              sub_graph, write_json, xavier_uniform)
 from terasec.constellation import WalkerConfig
 
 import gcn_reference as ref
@@ -64,13 +64,16 @@ def ring_edges(n):
 
 #: a 4-node path: end rows are narrower than inner rows, so padding is used
 PATH4 = normalized_adjacency(4, path_edges(4))
+#: PATH4 read out at its end row 3: hop is rows 2 and 3
+PATH4_END = sub_graph(PATH4, [3])
 
 
-def _gcn_with(w, x, rows=None):
-    """A GcnLayer whose weight is w, applied to x over PATH4."""
+def _gcn_with(w, x, *tables):
+    """A GcnLayer whose weight is w, applied to x over the tables (PATH4
+    for none)."""
     layer = GcnLayer(np.random.default_rng(0), *w.shape, "g")
     layer.w = w
-    return layer(x, PATH4, rows)
+    return layer(x, *(tables or (PATH4,)))
 
 
 OPS = {
@@ -96,7 +99,9 @@ OPS = {
     "propagate_rows": lambda a, b: tensor_sum(ref.propagate(
         (a @ b).tanh(), PATH4, [3, 0]).tanh()),
     "gcn_layer": lambda a, b: tensor_sum(_gcn_with(b, a)),
-    "gcn_layer_rows": lambda a, b: tensor_sum(_gcn_with(b, a, [3, 0])),
+    "gcn_layer_rows": lambda a, b: tensor_sum(_gcn_with(
+        Tensor(np.eye(3) * 0.7), _gcn_with(b, a, *PATH4_END.first),
+        *PATH4_END.last)),
 }
 
 
@@ -447,12 +452,13 @@ def _signed_features(rng, n, d):
 @pytest.mark.parametrize("isolated", [0, 5, "all"])
 @pytest.mark.parametrize("width", [1, 9, 52, 128])
 def test_blocked_neighbor_sum_has_the_bits_of_the_k_loop(width, isolated):
-    """The row-blocked kernel against the whole-column k-loop it replaced,
-    below one block and over a partial last block; with isolated nodes,
-    and with no edge at all (a table one neighbor wide)."""
+    """The row-blocked kernel against the whole-column k-loop it replaced:
+    one block below and one above NEIGHBOR_BLOCK elements, and two blocks
+    of unequal height; with isolated nodes, and with no edge at all (a
+    table one neighbor wide)."""
     rng = np.random.default_rng(width)
     per = NEIGHBOR_BLOCK // width
-    for n in (per // 2, 2 * per + 7):
+    for n in (per // 2, per + per // 3, 2 * per + 7):
         table = _random_table(rng, n, n if isolated == "all" else isolated)
         if isolated == "all":
             assert table.idx.shape == (n, 1)
@@ -488,36 +494,67 @@ def test_propagate_at_rows_has_the_bits_of_a_gather(graph):
 @pytest.mark.parametrize("rows", [[0, 3, 0], [5], [-1], [[0, 1]]],
                          ids=["repeated", "past_n", "negative", "nested"])
 def test_propagate_rejects_rows_outside_the_graph(rows):
+    """The reference chain at every call, and the layer's tables once,
+    where they are built."""
     table = normalized_adjacency(5, ring_edges(5))
-    layer = GcnLayer(np.random.default_rng(0), 3, 2, "g")
-    for call in (ref.propagate, layer):
-        with pytest.raises(DimensionError):
-            call(Tensor(np.ones((5, 3))), table, rows)
+    with pytest.raises(DimensionError):
+        ref.propagate(Tensor(np.ones((5, 3))), table, rows)
+    with pytest.raises(DimensionError):
+        sub_graph(table, rows)
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_a_sub_graph_holds_the_rows_neighbourhood_and_its_tables(graph):
+    """hop is the rows and their neighbours, ascending; each table holds
+    the graph's entries at its rows, re-indexed to the layer's input rows,
+    and each back table those of the input rows, re-indexed to the output
+    rows or the zero row after them."""
+    n, edges = GRAPHS[graph]()
+    table = normalized_adjacency(n, edges)
+    rows = np.random.default_rng(n).permutation(n)[:max(1, n // 7)]
+    sub = sub_graph(table, rows)
+    assert sub.rows.tolist() == rows.tolist()
+    assert sub.hop.tolist() == ref.hop_rows(table, rows).tolist()
+    a = ref.dense_matrix(table)
+    for (fwd, back), outs, ins in ((sub.first, sub.hop, np.arange(n)),
+                                   (sub.last, rows, sub.hop)):
+        assert np.array_equal(ref.dense_matrix(fwd, ins.size),
+                              a[np.ix_(outs, ins)])
+        with_zero = ref.dense_matrix(back, outs.size + 1)
+        assert np.array_equal(with_zero[:, :-1], a[np.ix_(ins, outs)])
+        for part in (*fwd, *back):
+            assert not part.flags.writeable
 
 
 def test_a_gcn_layer_at_rows_has_the_bits_of_the_full_layer():
-    """At 1,400 nodes a layer computed at 200 rows keeps the full layer's
-    forward and input gradient bit for bit.  Its weight gradient is the
-    product over those 200 rows alone, (A_norm @ F)[rows].T @ dF': BLAS
-    splits the full layer's sum over 1,400 rows into blocks, so the two
-    sum in another order and agree to rounding, not bit for bit."""
+    """At 1,400 nodes a layer computed at 200 rows from their sub-graph's
+    hop rows keeps the full layer's forward and input gradient bit for bit
+    (zero outside hop).  Its weight gradient is the product over those 200
+    rows alone, (A_norm @ F)[rows].T @ dF': BLAS splits the full layer's
+    sum over 1,400 rows into blocks, so the two sum in another order and
+    agree to rounding, not bit for bit."""
     n = 1400
     rng = np.random.default_rng(3)
     table = _random_table(rng, n, 10)
     rows = rng.permutation(n)[:200]
+    sub = sub_graph(table, rows)
     feats = rng.standard_normal((n, 128))
     g = rng.standard_normal((rows.size, 128))
     grads = []
     for restricted in (True, False):
         layer = GcnLayer(np.random.default_rng(4), 128, 128, "g")
-        x = Parameter(feats.copy(), "x")
-        out = (layer(x, table, rows) if restricted
-               else ref.gather_rows(layer(x, table), rows))
+        if restricted:
+            x = Parameter(feats[sub.hop], "x")
+            out = layer(x, *sub.last)
+        else:
+            x = Parameter(feats.copy(), "x")
+            out = ref.gather_rows(layer(x, table), rows)
         out.backward(g)
         grads.append((out.data, layer.w.grad, x.grad))
     (out, gw, gx), (out_full, gw_full, gx_full) = grads
     assert out.tobytes() == out_full.tobytes()
-    assert gx.tobytes() == gx_full.tobytes()
+    assert gx.tobytes() == gx_full[sub.hop].tobytes()
+    assert not np.delete(gx_full, sub.hop, axis=0).any()
     d = g * (1.0 - out**2) + 0.0
     agg = _neighbor_sum(feats, table)[rows]
     assert gw.tobytes() == (agg.T @ d).tobytes()
@@ -533,15 +570,32 @@ GCN_CASES = {"constant_input": (False, False), "input_grad": (True, False),
              "frozen_weights": (True, True), "no_graph": (False, True)}
 
 
+def _one_op_layers(gcn1, gcn2, x, table, rows):
+    """Two stacked GcnLayers, at every row or over rows' sub-graph."""
+    if rows is None:
+        return gcn2(gcn1(x, table), table)
+    sub = sub_graph(table, rows)
+    return gcn2(gcn1(x, *sub.first), *sub.last)
+
+
+def _chain_layers(gcn1, gcn2, x, table, rows):
+    """The same two layers as the reference's three-op chains."""
+    if rows is None:
+        return ref.chain_gcn_call(gcn2, ref.chain_gcn_call(gcn1, x, table),
+                                  table)
+    return ref.chain_sub_graph_call(gcn1, gcn2, x, table, rows)
+
+
 @pytest.mark.parametrize("at_rows", [False, True], ids=["every_row", "rows"])
 @pytest.mark.parametrize("case", sorted(GCN_CASES))
 @pytest.mark.parametrize("graph", ["isolated", "env_seed1_src200"])
 def test_a_gcn_layer_has_the_bits_of_the_three_op_chain(graph, case,
                                                         at_rows):
-    """Two stacked layers, the second at some rows or every row, as one op
-    each and as the propagate -> matmul -> tanh chain they replaced: the
-    outputs and every leaf's .grad (input, both weights) have the same
-    bits, signed zeros in the input and the seed included."""
+    """Two stacked layers, read out at some rows (over their sub-graph) or
+    at every row, as one op each and as the propagate -> matmul -> tanh
+    chain they replaced: the outputs and every leaf's .grad (input, both
+    weights) have the same bits, signed zeros in the input and the seed
+    included."""
     n, edges = GRAPHS[graph]()
     table = normalized_adjacency(n, edges)
     rng = np.random.default_rng(n)
@@ -550,14 +604,14 @@ def test_a_gcn_layer_has_the_bits_of_the_three_op_chain(graph, case,
     feats = _signed_features(rng, n, 9)
     seed = _signed_features(rng, n if rows is None else rows.size, 128)
     results = []
-    for call in (GcnLayer.__call__, ref.chain_gcn_call):
+    for layers in (_one_op_layers, _chain_layers):
         layer_rng = np.random.default_rng(8)
         gcn1 = GcnLayer(layer_rng, 9, 128, "g1")
         gcn2 = GcnLayer(layer_rng, 128, 128, "g2")
         x = Tensor(feats.copy(), requires_grad=needs_grad)
         for w in (gcn1.w, gcn2.w):
             w.requires_grad = not frozen
-        out = call(gcn2, call(gcn1, x, table), table, rows)
+        out = layers(gcn1, gcn2, x, table, rows)
         if out.requires_grad:
             out.backward(seed)
         results.append([_bits(t) for t in (out.data, x.grad, gcn1.w.grad,
@@ -568,11 +622,16 @@ def test_a_gcn_layer_has_the_bits_of_the_three_op_chain(graph, case,
 
 
 def test_gcn_layer_gradient_at_rows():
+    """Finite differences through two layers over a sub-graph's tables:
+    the first at hop from every row, the last at the rows from hop."""
     rng = np.random.default_rng(6)
-    layer = GcnLayer(rng, 3, 2, "g")
+    first = GcnLayer(rng, 3, 2, "g1")
+    last = GcnLayer(rng, 2, 2, "g2")
+    sub = sub_graph(PATH4, [2, 0])
     feats = Parameter(rng.standard_normal((4, 3)), "feats")
-    check_gradient(lambda: tensor_sum(layer(feats, PATH4, [2, 0]).tanh()),
-                   [feats, *layer.parameters()])
+    check_gradient(
+        lambda: tensor_sum(last(first(feats, *sub.first), *sub.last).tanh()),
+        [feats, *first.parameters(), *last.parameters()])
 
 
 def test_propagate_rejects_a_row_count_mismatch():

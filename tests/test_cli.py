@@ -577,6 +577,13 @@ def test_dense_actors_too_large_for_memory_exit_2_under_a_memory_limit(
     assert not out.exists()
 
 
+def _default_sigint():
+    """SIGINT at its default in a child, as a shell sets it for a foreground
+    job: a child of a process that ignores SIGINT would ignore it too, and
+    Python would then install no KeyboardInterrupt handler."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def test_a_stopped_run_ends_both_csvs_on_the_same_step(tmp_path):
     """`terasec train` stopped by SIGINT or SIGTERM once its metrics CSV
     holds 50 rows exits 130 or 143 with one line on stderr; both CSVs hold
@@ -591,7 +598,8 @@ def test_a_stopped_run_ends_both_csvs_on_the_same_step(tmp_path):
             runs[sig] = out, subprocess.Popen(
                 [sys.executable, "-m", "terasec.cli", "train", "--steps",
                  "1000", "--seed", "1", "--out", str(out)], env=env,
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                preexec_fn=_default_sigint)
         deadline = time.monotonic() + 120
         for sig, (out, proc) in runs.items():
             metrics = out / "grant_seed1_metrics.csv"

@@ -1,6 +1,9 @@
 """The mutant list of tests/mutants.py against this checkout: cheap checks
 that run no mutant."""
+import inspect
 import os
+
+from terasec import autodiff
 
 import mutants
 
@@ -26,3 +29,14 @@ def test_known_survivors_are_listed_mutants_with_a_reason():
     assert len(set(names)) == len(names)
     for name, reason in mutants.KNOWN_SURVIVORS.items():
         assert name in names and reason, name
+
+
+def test_the_sub_graph_mutants_edit_its_tables():
+    """Each names an edit inside autodiff.sub_graph or the layer tables it
+    builds."""
+    code = (inspect.getsource(autodiff.sub_graph)
+            + inspect.getsource(autodiff._layer_tables))
+    by_name = {m.name: m for m in mutants.MUTANTS}
+    for name in mutants.SUB_GRAPH_MUTANTS:
+        assert by_name[name].path == "autodiff.py"
+        assert by_name[name].old in code, name

@@ -49,13 +49,15 @@ def f():
 
 def test_no_command_imports_numpy_ma(tmp_path):
     """np.unique imports numpy.ma on its first call, about 18 ms of a fresh
-    process's set-up; no command needs it, checked in one fresh interpreter."""
+    process's set-up; no command needs it, checked in one fresh interpreter
+    for a training step of each policy, among others."""
     script = f"""
 import sys
 from terasec.cli import main
 out = {str(tmp_path)!r}
-for argv in (["train", "--policy", "uniform", "--steps", "1",
-              "--out", out + "/runs"],
+for argv in (*(["train", "--policy", policy, "--steps", "1",
+               "--out", out + "/runs"]
+              for policy in ("uniform", "grant", "maddpg_fc")),
              ["compare-bands", "--policy", "uniform", "--steps", "1"],
              ["dump-topology", "--out", out + "/topology.csv"]):
     assert main(argv) == 0, argv

@@ -15,7 +15,7 @@ from terasec.autodiff import Tensor
 from conftest import make_env
 
 #: n_sources -> (graph ops, FIFO arrivals served, neighbor-sum row terms)
-COUNTS = {10: (55, 1_205, 22_285), 200: (55, 21_495, 117_600)}
+COUNTS = {10: (55, 1_205, 19_120), 200: (55, 21_495, 109_965)}
 
 
 def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
@@ -66,7 +66,10 @@ def step_counts(monkeypatch, n_sources):
 def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
                                                           n_sources):
     """Graph ops, FIFO arrivals and neighbor-sum row terms of one step.  The
-    offloading actor's second layer reads only the source rows, in its
-    acting and its TD-target forward: at 200 sources, one that read the
-    whole 1,360-node graph would add 1,160 table rows to each of the two."""
+    offloading actor runs on the sources' sub-graph: in its acting and its
+    TD-target forward, its second layer reads only the source rows and its
+    first layer only hop's rows, and so does its one backward.  At 200
+    sources, reading the whole 1,360-node graph would add 1,160 table rows
+    to each second-layer forward, and 509 (the rows outside hop's 851) to
+    each first-layer forward and to the backward."""
     assert step_counts(monkeypatch, n_sources) == COUNTS[n_sources]

@@ -131,13 +131,14 @@ def agent200():
 
 
 def test_a_gcn_layer_is_one_op_on_its_input_and_weight(agent200):
-    """At 200 sources, each layer of an actor's stack, the last one at the
-    source rows, records one op whose parents are (features, weight)."""
+    """At 200 sources, each layer of the offloading actor's stack over the
+    sources' sub-graph records one op whose parents are (features,
+    weight)."""
     agent, (f_to, _) = agent200
     actor = agent.actor_to
     features = Tensor(f_to)
-    h = actor.gcn1(features, agent.table)
-    out = actor.gcn2(h, agent.table, agent.source_rows)
+    h = actor.gcn1(features, *agent.sub.first)
+    out = actor.gcn2(h, *agent.sub.last)
     assert len(h._parents) == 2
     assert h._parents[0] is features and h._parents[1] is actor.gcn1.w
     assert len(out._parents) == 2
@@ -146,13 +147,14 @@ def test_a_gcn_layer_is_one_op_on_its_input_and_weight(agent200):
 
 def test_the_actor_graph_keeps_outputs_and_aggregations_only(agent200):
     """At 200 sources, the graph of one actor_tensors call holds each GCN
-    layer's output and aggregation and each head's four activations, with
-    no pre-activation buffer beside them."""
+    layer's output and aggregation (the offloading actor's at hop's rows
+    and the sources) and each head's four activations, with no
+    pre-activation buffer beside them."""
     agent, states = agent200
     width, n = agent.cfg.hidden_width, states[0].shape[0]
-    m = len(agent.source_rows)
+    m, hop = len(agent.source_rows), len(agent.sub.hop)
     gcn = sum(rows * (d_in + width) for rows, d_in in (
-        (n, states[0].shape[1]), (m, width), (n, states[1].shape[1]),
+        (hop, states[0].shape[1]), (m, width), (n, states[1].shape[1]),
         (n, width)))
     # matmul, bias, bounded logits and the activation of each head
     heads = sum(4 * rows * d_out
