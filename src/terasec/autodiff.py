@@ -260,20 +260,6 @@ class Tensor:
         return Tensor._make(self.data.mean(axis=0, keepdims=True), (self,),
                             lambda g: (g / n,))
 
-    def reshape(self, rows, cols):
-        orig = self.shape
-        return Tensor._make(self.data.reshape(rows, cols), (self,),
-                            lambda g: (g.reshape(orig),))
-
-    def slice_cols(self, cols):
-        """The columns cols (a slice, or an index array of unique columns)."""
-        def vjp(g):
-            buf = np.zeros_like(self.data)
-            buf[:, cols] = g
-            return (buf,)
-
-        return Tensor._make(self.data[:, cols], (self,), vjp)
-
 
 def _unbroadcast(g, shape):
     if shape[0] == 1 and g.shape[0] > 1:

@@ -134,14 +134,24 @@ class _FlatCritic:
         self.out = Dense(rng, width, 1, f"{name}.out")
         self.out.w.data[:] = 0.0
 
-    def forward(self, feats: Tensor, table) -> Tensor:
-        flat = feats.reshape(1, feats.data.size)
-        hit = flat.data[0, self.dead] != 0.0
+    def live_row(self, feats: Tensor) -> Tensor:
+        """feats' live entries, row by row, as one [1, live] graph op."""
+        flat = feats.data.reshape(-1)
+        hit = flat[self.dead] != 0.0
         if hit.any():
             raise DeadInputError(
                 f"critic input column {self.dead[np.argmax(hit)]} is "
                 f"nonzero, but it is not a live input")
-        h = self.fc1(flat.slice_cols(self.live)).tanh()
+
+        def vjp(g):
+            buf = np.zeros(flat.size)
+            buf[self.live] = g[0]
+            return (buf.reshape(feats.shape),)
+
+        return Tensor._make(flat[None, self.live], (feats,), vjp, owned=True)
+
+    def forward(self, feats: Tensor, table) -> Tensor:
+        h = self.fc1(self.live_row(feats)).tanh()
         h = self.fc2(h).tanh()
         return self.out(h)
 
@@ -171,7 +181,6 @@ class MaddpgFcAgent(GrantAgent):
                 f"private actor weights in one layer, over the "
                 f"{MAX_STACKED_LAYER_BYTES / 2**30:g} GiB bound")
         rng = self._bind(env, cfg)
-        self.n_nodes = len(env.involved)
         self.actor_to = _PrivateActors(rng, len(env.sources), OFFLOAD_FEATURES,
                                        cfg.hidden_width, self.spec_to,
                                        "actor_to")
@@ -194,7 +203,7 @@ class MaddpgFcAgent(GrantAgent):
         at sources and at every node (each transmits its outcome link).
         They are the nonzeros of the critic input for a snapshot and actions
         of ones in exactly those places."""
-        env, n = self.env, self.n_nodes
+        env, n = self.env, len(self.env.involved)
         sinr = [np.zeros_like(env._sinr_to_db), np.zeros_like(env._sinr_ot_db)]
         for table, (_, rows, cols) in zip(sinr, env._sinr_cells):
             table[rows, cols] = 1.0
@@ -202,7 +211,7 @@ class MaddpgFcAgent(GrantAgent):
         inflow[env._offload_rows] = 1.0
         states = self.encode(Snapshot(inflow, *sinr))
         ones = [Tensor(np.ones((rows, cols)))
-                for rows, spec in ((len(self.source_rows), self.spec_to),
+                for rows, spec in ((len(self.sub.rows), self.spec_to),
                                    (n, self.spec_ot))
                 for _, _, cols, _ in spec]
         return self.critic_input(*states, ones).data.reshape(-1) != 0.0

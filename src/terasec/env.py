@@ -109,7 +109,6 @@ class SecWindow:
                                    sorted_neighbors[self.sources]])
         # the involved nodes: the servers and their routing-tree ancestors
         self.involved = nodes = tree_closure(parent, servers)
-        self.node_index = {n: i for i, n in enumerate(nodes.tolist())}
         # static per-node observables, read-only so encoders may share them
         self.node_plane, self.node_slot = (
             a.astype(float) for a in np.divmod(nodes, n_sp))

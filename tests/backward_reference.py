@@ -5,10 +5,12 @@ the same order and leaves the whole graph in place, every intermediate
 
 Also `tensor_sum`, the scalar root of the gradient checks, which was
 Tensor.sum until no code in terasec called it; `scale`, which was
-Tensor.__mul__ and __rmul__ until no code in terasec called them; and
+Tensor.__mul__ and __rmul__ until no code in terasec called them;
 `concat_cols`, `scatter_rows` and `chain_critic_input`: the generic ops and
 the chain of nine that laid out the critic's input before
-GrantAgent.critic_input."""
+GrantAgent.critic_input; and `reshape` and `slice_cols`, which were Tensor
+methods until the dense critic read its live inputs through one op,
+_FlatCritic.live_row."""
 import numpy as np
 
 from terasec.autodiff import DimensionError, GraphStateError, Tensor
@@ -25,6 +27,22 @@ def scale(t: Tensor, s) -> Tensor:
     """t times the scalar s as a graph op."""
     s = float(s)
     return Tensor._make(t.data * s, (t,), lambda g: (g * s,))
+
+
+def reshape(t: Tensor, rows, cols) -> Tensor:
+    """t's entries, row by row, as a [rows, cols] graph op."""
+    return Tensor._make(t.data.reshape(rows, cols), (t,),
+                        lambda g: (g.reshape(t.shape),))
+
+
+def slice_cols(t: Tensor, cols) -> Tensor:
+    """t's columns cols (a slice, or an index array of unique columns)."""
+    def vjp(g):
+        buf = np.zeros_like(t.data)
+        buf[:, cols] = g
+        return (buf,)
+
+    return Tensor._make(t.data[:, cols], (t,), vjp)
 
 
 def concat_cols(tensors):
@@ -54,11 +72,11 @@ def chain_critic_input(agent, f_to, f_ot, tensors) -> Tensor:
     features and actions concatenated."""
     n_to = len(agent.spec_to)
     act_to, act_ot = (
-        concat_cols([t.slice_cols(slice(cols))
+        concat_cols([slice_cols(t, slice(cols))
                      for t, (_, _, cols, _) in zip(ts, spec)])
         for ts, spec in ((tensors[:n_to], agent.spec_to),
                          (tensors[n_to:], agent.spec_ot)))
-    act_to = scatter_rows(act_to, agent.source_rows, f_to.shape[0])
+    act_to = scatter_rows(act_to, agent.sub.rows, f_to.shape[0])
     return concat_cols([Tensor(f_to), Tensor(f_ot), act_to, act_ot])
 
 

@@ -329,7 +329,7 @@ class PerPhaseGrantAgent(GrantAgent):
 
     def actor_tensors(self, f_to: np.ndarray, f_ot: np.ndarray):
         offload, subarray, power = self.actor_to.forward(f_to, self.table,
-                                                         self.source_rows)
+                                                         self.sub.rows)
         ot_sub, ot_power = self.actor_ot.forward(
             f_ot, self.table, np.arange(len(self.env.involved)))
         return offload, subarray, power, ot_sub, ot_power

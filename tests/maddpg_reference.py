@@ -16,7 +16,8 @@ from terasec.autodiff import Adam, Dense, Tensor
 from terasec.baselines import MaddpgFcAgent, _FlatCritic
 from terasec.env import SecWindow
 
-from backward_reference import chain_critic_input, concat_cols
+from backward_reference import (chain_critic_input, concat_cols, reshape,
+                                slice_cols)
 
 
 class _DenseTrunk:
@@ -74,7 +75,6 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
                  critic_width: int = 1024):
         actor_width = cfg.hidden_width
         rng = self._bind(env, cfg)
-        self.n_nodes = len(env.involved)
         self.actors_to = [
             _PrivateOffloadActor(rng, self.k, actor_width, f"actor_to{i}")
             for i in range(len(env.sources))]
@@ -98,18 +98,18 @@ class PerActorMaddpgAgent(MaddpgFcAgent):
 
     def actor_tensors(self, f_to, f_ot):
         to = [a.forward(Tensor(f_to[row:row + 1]))
-              for a, row in zip(self.actors_to, self.source_rows)]
+              for a, row in zip(self.actors_to, self.sub.rows)]
         ot = [a.forward(Tensor(f_ot[row:row + 1]))
-              for a, row in zip(self.actors_ot, range(self.n_nodes))]
+              for row, a in enumerate(self.actors_ot)]
         # one row per satellite: [1, n*cols] reshaped row-major to [n, cols]
-        return tuple(concat_cols(rows).reshape(len(rows), rows[0].shape[1])
+        return tuple(reshape(concat_cols(rows), len(rows), rows[0].shape[1])
                      for rows in (*zip(*to), *zip(*ot)))
 
     def q_value(self, f_to, f_ot, tensors) -> Tensor:
         feats = chain_critic_input(self, f_to, f_ot, tensors)
         c = self.critic
-        flat = feats.reshape(1, feats.data.size)
-        h = c.fc1(flat.slice_cols(c.live)).tanh()
+        flat = reshape(feats, 1, feats.data.size)
+        h = c.fc1(slice_cols(flat, c.live)).tanh()
         return c.out(c.fc2(h).tanh())
 
 

@@ -57,12 +57,24 @@ _SUB_GRAPH_TEST = ("tests/test_agent.py::"
 SUB_GRAPH_MUTANTS = ("sub_graph_back_entry_at_a_real_row",
                      "sub_graph_hop_without_the_neighbours",
                      "sub_graph_last_table_in_graph_indices")
+#: mutant name -> (module, function) whose source holds its target text
+TARGET_FUNCTIONS = {
+    "live_row_gradient_at_one_dead_entry": ("baselines",
+                                            "_FlatCritic.live_row"),
+    "subarrays_without_the_pre_allocated_one": ("sec_sim",
+                                                "quantize_subarrays"),
+    "power_without_the_clip_of_tiny_negatives": ("sec_sim",
+                                                 "quantize_power"),
+    "metrics_row_u_p_and_u_s_swapped": ("harness", "_metrics_row"),
+    "summary_t_avg_from_the_t_max_column": ("harness", "run_experiment"),
+    "sinr_features_over_every_sub_band": ("env", "SecWindow._record_sinrs"),
+}
 
 MUTANTS = [
     # GrantAgent.critic_input: the critic's input layout as one graph op
     Mutant("critic_input_rows", "agent.py",
-           "rows = self.source_rows if i < n_to else slice(None)",
-           "rows = slice(len(self.source_rows)) if i < n_to else slice(None)",
+           "rows = self.sub.rows if i < n_to else slice(None)",
+           "rows = slice(len(self.sub.rows)) if i < n_to else slice(None)",
            (_LAYOUT_TEST,)),
     Mutant("critic_input_gradient_column_offset", "agent.py",
            "buf[:, :cols] = g[rows, lo:lo + cols]",
@@ -72,6 +84,12 @@ MUTANTS = [
            "buf[:, :cols] = g[rows, lo:lo + cols]",
            "buf[:, -cols:] = g[rows, lo:lo + cols]",
            (_LAYOUT_TEST,)),
+    # _FlatCritic.live_row: the dense critic's live inputs as one graph op
+    Mutant("live_row_gradient_at_one_dead_entry", "baselines.py",
+           "buf[self.live] = g[0]",
+           "buf[self.live] = g[0]\n            buf[self.dead[:1]] = g[0, :1]",
+           ("tests/test_baselines.py::"
+            "test_the_live_row_has_the_bits_of_the_chain_it_replaced",)),
     # autodiff.sub_graph: the offloading actor's tables on the sources'
     # neighbourhood
     Mutant(SUB_GRAPH_MUTANTS[0], "autodiff.py",
@@ -108,7 +126,8 @@ MUTANTS = [
            ("tests/test_constellation.py::"
             "test_shortest_path_tree_equals_the_per_satellite_build",)),
     # the simulator: the FIFO walk, the quantizers, the route order, the
-    # local path, the slot record, and the failed run's marker
+    # local path, the SINR features, the slot record, and the failed run's
+    # marker
     Mutant("fifo_waits_at_an_exact_free_link", "sec_sim.py",
            "if free > t:", "if free >= t:",
            (_HEAP_TEST, _FIFO_TEST)),
@@ -120,6 +139,16 @@ MUTANTS = [
            "tasks[:, 0] = 0\n    tasks[:, -1] += remaining",
            tuple(f"tests/test_sec_sim.py::test_offload_{name}" for name in (
                "all_self", "uniform_oracle", "conservation_never_negative"))),
+    Mutant("subarrays_without_the_pre_allocated_one", "sec_sim.py",
+           "return (1 + np.floor(np.clip(ratios, 0.0, None) * rest))",
+           "return (0 + np.floor(np.clip(ratios, 0.0, None) * rest))",
+           ("tests/test_sec_sim.py::test_subarrays_equal_split_oracle",
+            "tests/test_sec_sim.py::test_subarrays_floor_and_full")),
+    Mutant("power_without_the_clip_of_tiny_negatives", "sec_sim.py",
+           "return np.clip(ratios, 0.0, None) * p_max_w",
+           "return ratios * p_max_w",
+           ("tests/test_sec_sim.py::"
+            "test_power_quantizer_clips_tiny_negative_ratios",)),
     Mutant("route_order_one_doubling_short", "sec_sim.py",
            "for _ in range(n.bit_length()):",
            "for _ in range(n.bit_length() - 1):",
@@ -128,6 +157,10 @@ MUTANTS = [
            "has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0",
            "has_path[:, 0] |= False",
            ("tests/test_env.py::test_array_slot_equals_the_dict_path",)),
+    Mutant("sinr_features_over_every_sub_band", "env.py",
+           "np.divide(db_sum, n_active, where=n_active > 0,",
+           "np.divide(db_sum, g.shape[1], where=n_active > 0,",
+           ("tests/test_env.py::test_array_pass_equals_the_per_link_loop",)),
     Mutant("slot_record_holds_the_bundle_itself", "env.py",
            "[a.copy() for a in arrays]", "list(arrays)",
            ("tests/test_env.py::"
@@ -138,6 +171,17 @@ MUTANTS = [
            ("tests/test_harness.py::test_run_experiment_failure_marker",
             "tests/test_cli.py::test_a_non_finite_outcome_fails_the_run_"
             "instead_of_being_written")),
+    # the harness's metrics row and summary
+    Mutant("metrics_row_u_p_and_u_s_swapped", "harness.py",
+           "outcome.u_total, outcome.u_power, outcome.u_subarray,",
+           "outcome.u_total, outcome.u_subarray, outcome.u_power,",
+           ("tests/test_harness.py::"
+            "test_a_metrics_row_holds_each_value_under_its_column",)),
+    Mutant("summary_t_avg_from_the_t_max_column", "harness.py",
+           "converged_t_avg_ms=float(tail[:, 4].mean()),",
+           "converged_t_avg_ms=float(tail[:, 5].mean()),",
+           ("tests/test_harness.py::test_the_converged_fields_are_the_means_"
+            "of_the_last_rows_written",)),
     # the zero-buffer replays kept on purpose (see KNOWN_SURVIVORS)
     Mutant("gcn_backward_without_zero_buffer", "autodiff.py",
            "np.add(d, 0.0, out=d)", "d = d", _GCN_TESTS),

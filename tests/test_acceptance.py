@@ -5,6 +5,7 @@ Each test exercises one release criterion and prints a single
 """
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,12 +36,12 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 # -- criterion 1: constraint soundness ----------------------------------------
 
-def test_criterion_1_constraint_soundness():
-    env = make_env(seed=1, steps=390)
+def check_constraints(env, violations: list) -> None:
+    """Wrap env.step so that each step appends its violations of task
+    conservation and of every link's power and sub-array budgets to
+    violations."""
     p_max = env.budget.p_max_w
     s_max = env.array_cfg.s_max
-    violations = []
-
     outcome_links = topo.window_views(env).outcome_links
     orig_step = env.step
 
@@ -65,8 +66,12 @@ def test_criterion_1_constraint_soundness():
         return outcome, tasks, allocs
 
     env.step = checked_step
-    agent = GrantAgent(env, TrainConfig(seed=1))
-    agent.run_training()
+
+
+def test_criterion_1_constraint_soundness(seed1_rerun):
+    """Every training step of seed1_rerun, and fuzzed actions."""
+    violations, env = seed1_rerun.violations, seed1_rerun.env
+    p_max, s_max = env.budget.p_max_w, env.array_cfg.s_max
 
     # the draws of one fuzzed action after another, quantized row-wise
     rng = np.random.default_rng(0)
@@ -88,7 +93,7 @@ def test_criterion_1_constraint_soundness():
     fuzz_bad += int(np.sum((power.sum(axis=1) > p_max + 1e-9)
                            | np.any(power < 0, axis=1)))
     ok = not violations and fuzz_bad == 0
-    report(1, ok, f"390 training steps + 100000 fuzzed actions: "
+    report(1, ok, f"{env.step_idx} training steps + 100000 fuzzed actions: "
                   f"{len(violations)} step violations, {fuzz_bad} fuzz "
                   f"violations (required: 0)")
 
@@ -163,7 +168,7 @@ def test_criterion_3_delay_oracles():
                     "micro-topologies match closed forms to < 1e-9 s")
 
 
-# -- criteria 4/5/8 share three full training runs -----------------------------
+# -- criteria 1/4/5/8 share three full training runs and one rerun -----------
 
 @pytest.fixture(scope="module")
 def grant_runs(tmp_path_factory):
@@ -172,6 +177,28 @@ def grant_runs(tmp_path_factory):
                                       "output_dir": str(out)})
     summaries, aggregate = run_experiment(cfg, [1, 2, 3])
     return cfg, summaries, aggregate
+
+
+@pytest.fixture(scope="module")
+def seed1_rerun(grant_runs):
+    """grant_runs' seed 1 run again into the same directory, its window's
+    step wrapped by check_constraints: grant_runs' metrics and loss CSV
+    bytes (read before the rerun), the rerun's, its window and its
+    constraint violations."""
+    cfg, summaries, _ = grant_runs
+    before = [open(path, "rb").read()
+              for path in (summaries[0].metrics_csv, summaries[0].loss_csv)]
+    envs, violations = [], []
+
+    def on_setup(_, env):
+        envs.append(env)
+        check_constraints(env, violations)
+
+    rerun, _ = run_experiment(cfg, [1], on_setup=on_setup)
+    after = [open(path, "rb").read()
+             for path in (rerun[0].metrics_csv, rerun[0].loss_csv)]
+    return SimpleNamespace(before=before, after=after, env=envs[0],
+                           violations=violations)
 
 
 def test_criterion_4_learning_improvement(grant_runs, tmp_path):
@@ -216,17 +243,10 @@ def test_criterion_5_size_and_speed(grant_runs):
            f"[reference context: 1.3e5 vs 1.3e7 params; 0.044 s vs 0.414 s]")
 
 
-def test_criterion_8_determinism(grant_runs):
-    cfg, summaries, _ = grant_runs
-    first = summaries[0]
-    before_metrics = open(first.metrics_csv, "rb").read()
-    before_loss = open(first.loss_csv, "rb").read()
-    rerun, _ = run_experiment(cfg, [1])
-    after_metrics = open(rerun[0].metrics_csv, "rb").read()
-    after_loss = open(rerun[0].loss_csv, "rb").read()
-    ok = before_metrics == after_metrics and before_loss == after_loss
+def test_criterion_8_determinism(seed1_rerun):
+    ok = seed1_rerun.before == seed1_rerun.after
     report(8, ok, f"re-running seed 1 reproduced metric and loss CSVs "
-                  f"byte-identically ({len(before_metrics)} bytes)")
+                  f"byte-identically ({len(seed1_rerun.before[0])} bytes)")
 
 
 # -- criterion 6: band comparison ---------------------------------------------

@@ -140,13 +140,14 @@ def reference_snapshot(env):
     """Every observable rebuilt from the window, as each slot once did."""
     n = len(env.involved)
     n_sp = env.c.cfg.sats_per_plane
+    row = {v: i for i, v in enumerate(env.involved.tolist())}
     phi_off = np.zeros(n)
     expected_off = np.zeros(n)
     for s in env.sources:
-        phi_off[env.node_index[s]] = 1.0
-        expected_off[env.node_index[s]] = env.traffic_cfg.mean_bytes_per_slot
+        phi_off[row[s]] = 1.0
+        expected_off[row[s]] = env.traffic_cfg.mean_bytes_per_slot
     phi_gs = np.zeros(n)
-    phi_gs[env.node_index[env.gs_flat]] = 1.0
+    phi_gs[row[env.gs_flat]] = 1.0
     return {
         "adjacency": dense_adjacency(n, env.edges),
         "planes": np.array([v // n_sp for v in env.involved], dtype=float),
@@ -367,6 +368,13 @@ def test_train_config_validation():
         TrainConfig(actor_lr_decay=0.0)
     with pytest.raises(TrainingError):
         TrainConfig(hidden_width=0)
+    # an overflowing critic skip rate, and an actor that reaches the delay
+    # cap with every value finite
+    with pytest.raises(TrainingError, match="<= 1"):
+        TrainConfig(critic_lr=1e308)
+    with pytest.raises(TrainingError, match="<= 1"):
+        TrainConfig(actor_lr=1e308)
+    TrainConfig(actor_lr=1.0, critic_lr=1.0)
 
 
 # -- permutation structure ----------------------------------------------------
@@ -525,7 +533,7 @@ def test_critic_input_equals_the_chain_it_replaced(kind, n_sources):
     position (the column after its action columns)."""
     agent = _layout_agent(kind, n_sources)
     f_to, f_ot = agent.encode(agent.env.snapshot())
-    n, n_src = f_to.shape[0], len(agent.source_rows)
+    n, n_src = f_to.shape[0], len(agent.sub.rows)
     rng = np.random.default_rng(n_sources)
     heads = [rng.random((rows, width))
              for rows, spec in ((n_src, agent.spec_to), (n, agent.spec_ot))
@@ -748,7 +756,7 @@ def _offloading_pass(agent, states, sub_path):
             h1 = _tap(gcn_reference.row_gcn_call(actor.gcn1, x, table),
                       grads, "h1")
             emb = gcn_reference.row_gcn_call(actor.gcn2, h1, table,
-                                             agent.source_rows)
+                                             agent.sub.rows)
         heads = [_tap(t, grads, i) for i, t in
                  enumerate(read_heads(emb, actor.heads, actor.spec))]
         agent.q_value(f_to, f_ot, [*heads, *agent.actor_ot.forward(

@@ -14,10 +14,12 @@ from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
                               _neighbor_sum, load_checkpoint, mse,
                               normalized_adjacency, save_checkpoint,
                               sub_graph, write_json, xavier_uniform)
+from terasec.baselines import _FlatCritic
 from terasec.constellation import WalkerConfig
 
 import gcn_reference as ref
-from backward_reference import concat_cols, scale, scatter_rows, tensor_sum
+from backward_reference import (concat_cols, reshape, scale, scatter_rows,
+                                slice_cols, tensor_sum)
 from conftest import make_env
 from optim_reference import (ReferenceAdam, reference_first_grad,
                              reference_rank_one_product)
@@ -66,6 +68,10 @@ def ring_edges(n):
 PATH4 = normalized_adjacency(4, path_edges(4))
 #: PATH4 read out at its end row 3: hop is rows 2 and 3
 PATH4_END = sub_graph(PATH4, [3])
+#: a flat critic whose live entries of a [4, 4] input are all but the last
+#: column's: one dead entry in each row, the last entry among them
+LIVE_3_OF_4 = _FlatCritic(np.random.default_rng(0),
+                          np.tile([True, True, True, False], 4), 2)
 
 
 def _gcn_with(w, x, *tables):
@@ -85,14 +91,16 @@ OPS = {
     "softmax": lambda a, b: tensor_sum(
         (a @ b).softmax_rows() @ Tensor(np.arange(3.0).reshape(3, 1))),
     "mean_rows": lambda a, b: tensor_sum((a @ b).mean_rows().tanh()),
-    "reshape": lambda a, b: tensor_sum((a @ b).reshape(1, 12).tanh()),
+    "reshape": lambda a, b: tensor_sum(reshape(a @ b, 1, 12).tanh()),
     "gather": lambda a, b: tensor_sum(ref.gather_rows(a @ b, [0, 2, 2])),
     "scatter": lambda a, b: tensor_sum(
         scatter_rows(a @ b, [1, 3, 0, 5], 6).tanh()),
-    "slice": lambda a, b: tensor_sum((a @ b).slice_cols(slice(1, 3)).tanh()),
-    "slice_index": lambda a, b: tensor_sum((a @ b).slice_cols(
-        np.array([2, 0])).tanh()),
+    "slice": lambda a, b: tensor_sum(slice_cols(a @ b, slice(1, 3)).tanh()),
+    "slice_index": lambda a, b: tensor_sum(slice_cols(
+        a @ b, np.array([2, 0])).tanh()),
     "concat": lambda a, b: tensor_sum(concat_cols([a @ b, (a @ b).tanh()])),
+    "live_row": lambda a, b: tensor_sum(LIVE_3_OF_4.live_row(concat_cols(
+        [a @ b, Tensor(np.zeros((4, 1)))])).tanh()),
     "mse": lambda a, b: mse(a @ b, Tensor(np.ones((4, 3)))),
     "propagate": lambda a, b: tensor_sum(ref.propagate((a @ b).tanh(),
                                                        PATH4).tanh()),

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from terasec.agent import GrantAgent, TrainConfig
+from terasec.agent import GrantAgent, TrainConfig, frozen
 from terasec.autodiff import RankOneGrad, Tensor, xavier_uniform
 from terasec.baselines import (DeadInputError, FullResourcePolicy,
                                MaddpgFcAgent, UniformPolicy, _FlatCritic,
@@ -12,6 +12,7 @@ from terasec.env import ActionBundle
 from terasec.harness import (ExperimentConfig, build_environment,
                              make_policy)
 
+from backward_reference import graph_nodes, reshape, slice_cols, walk_from
 from conftest import loss_history, make_env, policy_ratios
 from maddpg_reference import (FullWidthMaddpgAgent, PerActorMaddpgAgent,
                               stacked_slice)
@@ -182,7 +183,7 @@ def test_a_nonzero_dead_input_raises_before_any_optimizer_step(monkeypatch):
                           critic_width=8)
     row = int(np.flatnonzero(env.node_plane == 0)[0])
     critic = agent.critic
-    col = row * ((critic.live.size + critic.dead.size) // agent.n_nodes)
+    col = row * ((critic.live.size + critic.dead.size) // len(env.involved))
     assert col in critic.dead
     encode = agent.encode
 
@@ -236,6 +237,72 @@ def test_the_live_input_critic_tracks_the_full_width_reference():
                                    err_msg=p.name)
     assert np.array_equal(ref_w.data[dead].view(np.uint64),
                           dead_init.view(np.uint64))
+
+
+def _live_entry_masks():
+    """Masks over a [291, 52] critic input, the dense_maddpg_s10 window's
+    shape, by which entries are live: every one, one, a dead first entry
+    with a live last one, and that window's own."""
+    n = 291 * 52
+    one = np.zeros(n, dtype=bool)
+    one[n // 3] = True
+    edges = np.random.default_rng(42).random(n) < 0.4
+    edges[[0, -1]] = [False, True]
+    agent = MaddpgFcAgent(_bench_window(steps=2),
+                          TrainConfig(seed=1, steps=2, hidden_width=8),
+                          critic_width=8)
+    window = np.zeros(n, dtype=bool)
+    window[agent.critic.live] = True
+    return {"every entry": np.ones(n, dtype=bool), "one entry": one,
+            "dead first, live last": edges, "bench window": window}
+
+
+def _chain_live_row(critic, feats):
+    """critic.live_row(feats) as the two generic ops it replaced."""
+    return slice_cols(reshape(feats, 1, feats.data.size), critic.live)
+
+
+def test_the_live_row_has_the_bits_of_the_chain_it_replaced():
+    """_FlatCritic.live_row against slice_cols(reshape(feats, 1, size),
+    live): the row's bits, and feats' gradient's bits for an incoming
+    gradient holding -0.0s and NaNs, at each mask of _live_entry_masks."""
+    rng = np.random.default_rng(43)
+    for name, live in _live_entry_masks().items():
+        critic = _FlatCritic(np.random.default_rng(0), live, 2)
+        data = np.where(live, rng.standard_normal(live.size), 0.0)
+        g = rng.standard_normal((1, critic.live.size))
+        g[0, 1::3] = -0.0
+        g[0, 2::4] = np.nan
+        runs = []
+        for op in (critic.live_row,
+                   lambda t, c=critic: _chain_live_row(c, t)):
+            feats = Tensor(data.reshape(291, 52), requires_grad=True)
+            out = op(feats)
+            out.grad = g.copy()
+            walk_from(out)
+            runs.append((out.data, feats.grad))
+        for got, want in zip(*runs):
+            assert got.shape == want.shape, name
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64)), name
+
+
+def test_an_ascent_graph_reads_the_critic_input_through_one_op(small_env):
+    """Between GrantAgent.critic_input's op and the flat critic's fc1 the
+    actor-ascent graph holds one op, the live row."""
+    agent = MaddpgFcAgent(small_env, TrainConfig(seed=1, hidden_width=8),
+                          critic_width=8)
+    states = agent.encode(small_env.snapshot())
+    tensors = agent.actor_tensors(*states)
+    with frozen(agent.critic_params):
+        q_pi = agent.q_value(*states, tensors)
+    fc1 = [t for t in graph_nodes(q_pi)
+           if any(p is agent.critic.fc1.w for p in t._parents)]
+    assert len(fc1) == 1
+    row = fc1[0]._parents[0]
+    assert len(row._parents) == 1
+    layout = row._parents[0]
+    assert all(p is t for p, t in zip(layout._parents, tensors, strict=True))
 
 
 def _run_edge_masks(n=301):

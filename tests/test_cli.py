@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from terasec import harness
+from terasec import agent, harness
 from terasec.autodiff import save_checkpoint
 from terasec.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main)
 from terasec.thz_link import band_preset
@@ -411,6 +411,11 @@ def test_a_training_run_checkpoint_restores_for_eval(tmp_path, monkeypatch,
     ("source_selection", "seed", "x"),
     ("constellation", "planes", 2),
     ("train", "hidden_width", 0),
+    # the critic's skip rate once overflowed to inf (exit 4), and the actor
+    # once ran at the delay cap with every value finite (exit 0)
+    ("train", "critic_lr", 1e308),
+    ("train", "actor_lr", 1e308),
+    ("train", "actor_lr", 2**70),
     ("reward", "latency_threshold_s", 0.0),
     ("reward", "chi1", -1.0),
     # more nonadjacent sources than the default 72 x 22 shell can hold
@@ -710,7 +715,7 @@ def test_an_element_count_past_2_53_exits_2_before_any_output(tmp_path,
 
 @pytest.mark.parametrize("extra", [
     {"compute": {"cycles_per_byte": 2**70}},
-    {"policy": "grant", "train": {"steps": 2, "actor_lr": 2**70}},
+    {"policy": "grant", "train": {"steps": 2, "actor_lr": 1}},
     {"link": {"array": {"s_max": 2**53 // 16}}},
     {"routing_eta": 1e200},
 ], ids=["cycles_per_byte", "actor_lr", "s_max", "routing_eta"])
@@ -718,8 +723,9 @@ def test_a_config_at_the_edge_of_its_range_trains_to_finite_rows(
         tmp_path, capsys, extra):
     """cycles_per_byte = 2**70 once overflowed a C long against the int64
     server bytes and actor_lr = 2**70 met np.isfinite as a Python int, both
-    exiting 4 after the metrics CSV was written; s_max at its bound and
-    routing_eta = 1e200 run."""
+    exiting 4 after the metrics CSV was written; s_max at its bound,
+    routing_eta = 1e200 and actor_lr at its bound as an int (2**70 is now
+    over it and exits 2) run."""
     cfg = write_cfg(tmp_path, extra)
     out = tmp_path / "runs"
     assert main(["train", "--config", cfg, "--seed", "1",
@@ -791,10 +797,12 @@ def test_a_non_finite_outcome_fails_the_run_instead_of_being_written(
     ("grant", 4, 3, "actor_ot.head_subarray"),
 ])
 def test_a_diverged_actor_fails_the_run_naming_its_head(
-        tmp_path, capsys, policy, steps, failed, head):
+        tmp_path, capsys, monkeypatch, policy, steps, failed, head):
     """actor_lr = 1e308 overflows the actor parameters in the first ascent
     steps; the NaN ratios once reached the simulator and exited 4 with an
-    ActionError about the ratio simplex."""
+    ActionError about the ratio simplex.  TrainConfig now rejects that rate
+    (MAX_LR); the bound is lifted here to reach the run's own check."""
+    monkeypatch.setattr(agent, "MAX_LR", math.inf)
     cfg = write_cfg(tmp_path, {"policy": policy, "train": {
         "steps": steps, "actor_lr": 1e308}})
     out = tmp_path / "runs"

@@ -78,7 +78,7 @@ def reference_sinr_features(env, gammas_to, gammas_ot):
             nbrs = sorted(env.c.neighbors[tx].tolist())
             active = g[g > 0.0]
             if rx in nbrs and active.size:
-                table[env.node_index[tx], nbrs.index(rx)] = float(
+                table[views.node_index[tx], nbrs.index(rx)] = float(
                     np.mean(10.0 * np.log10(active)))
         tables.append(table)
     return tables
@@ -316,14 +316,14 @@ def test_resource_usage_sums_as_the_per_link_loop():
 def reference_expected_outcome(env, offload):
     """Expected outcome inflow as the advancing step's loop summed it."""
     mean_bytes = env.traffic_cfg.mean_bytes_per_slot
-    neighbor_order = topo.window_views(env).neighbor_order
+    views = topo.window_views(env)
     out = np.zeros(len(env.involved))
     for i, src in enumerate(env.sources):
         ratios = offload[i]
-        out[env.node_index[src]] += (
+        out[views.node_index[src]] += (
             env.compute.outcome_ratio * mean_bytes * ratios[0])
-        for j, nbr in enumerate(neighbor_order[src]):
-            out[env.node_index[nbr]] += (
+        for j, nbr in enumerate(views.neighbor_order[src]):
+            out[views.node_index[nbr]] += (
                 env.compute.outcome_ratio * mean_bytes * ratios[j + 1])
     return out
 
@@ -331,8 +331,9 @@ def reference_expected_outcome(env, offload):
 def reference_initial_outcome(env):
     """Expected outcome inflow before any action, as the window set it."""
     out = np.zeros(len(env.involved))
+    row = topo.window_views(env).node_index
     for s in env.sources:
-        out[env.node_index[s]] = (env.compute.outcome_ratio
+        out[row[s]] = (env.compute.outcome_ratio
                                   * env.traffic_cfg.mean_bytes_per_slot)
     return out
 
@@ -381,11 +382,11 @@ def test_window_setup_equals_the_per_satellite_reference(n_sources, seed,
                                  n_sources, seed)
     got = topo.window_views(env)
     for name in ("sources", "neighbor_order", "servers", "route_hops",
-                 "outcome_transmitters", "offload_links", "outcome_links"):
+                 "outcome_transmitters", "offload_links", "outcome_links",
+                 "node_index"):
         assert getattr(got, name) == getattr(want, name), name
     assert env.sources == want.sources
     assert env.involved.tolist() == want.involved
-    assert env.node_index == want.node_index
     assert want.outcome_transmitters == want.involved
     for got_table, want_table in (
             (env._to_ends, want.to_ends), (env._ot_ends, want.ot_ends),
@@ -407,7 +408,7 @@ def test_edges_list_each_isl_once(n_sources, seed):
     pair repeats."""
     env = make_env(seed=seed, steps=2, n_sources=n_sources)
     views = topo.window_views(env)
-    row = env.node_index
+    row = views.node_index
     want = {frozenset((row[a], row[b]))
             for a, b in views.offload_links + views.outcome_links
             if b != GS_NODE}

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -186,6 +187,19 @@ def test_the_converged_fields_are_the_means_of_the_last_rows_written(
     want = [float(tail[:, c].mean()).hex() for c in (1, 4, 5)]
     assert [summary.converged_u.hex(), summary.converged_t_avg_ms.hex(),
             summary.converged_t_max_ms.hex()] == want
+
+
+def test_a_metrics_row_holds_each_value_under_its_column():
+    """_metrics_row writes each outcome field under its METRICS_HEADER
+    column; the values differ, so two swapped columns show."""
+    outcome = SimpleNamespace(
+        u_total=0.5, u_power=0.25, u_subarray=0.125, t_avg=0.0625,
+        t_max=0.09375, reward=-3.0, power_w_mean=7.5, subarrays_mean=12.0)
+    row = harness._metrics_row(4, outcome).split(",")
+    assert dict(zip(harness.METRICS_HEADER.split(","), row, strict=True)) == {
+        "step": "4", "U": "0.5", "U_P": "0.25", "U_S": "0.125",
+        "T_avg_ms": "62.5", "T_max_ms": "93.75", "reward": "-3",
+        "power_W_mean": "7.5", "subarrays_mean": "12"}
 
 
 # -- experiment runs ----------------------------------------------------------

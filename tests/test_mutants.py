@@ -1,5 +1,6 @@
 """The mutant list of tests/mutants.py against this checkout: cheap checks
 that run no mutant."""
+import importlib
 import inspect
 import os
 
@@ -40,3 +41,15 @@ def test_the_sub_graph_mutants_edit_its_tables():
     for name in mutants.SUB_GRAPH_MUTANTS:
         assert by_name[name].path == "autodiff.py"
         assert by_name[name].old in code, name
+
+
+def test_each_listed_mutant_edits_its_function():
+    """Each mutant of TARGET_FUNCTIONS edits its file inside the named
+    function."""
+    by_name = {m.name: m for m in mutants.MUTANTS}
+    for name, (module, qualname) in mutants.TARGET_FUNCTIONS.items():
+        assert by_name[name].path == f"{module}.py", name
+        obj = importlib.import_module(f"terasec.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert by_name[name].old in inspect.getsource(obj), name

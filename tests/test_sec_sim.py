@@ -107,6 +107,14 @@ def test_power_quantizer():
         quantize_power(np.array([0.5, math.nan]), 10.0)
 
 
+def test_power_quantizer_clips_tiny_negative_ratios():
+    """A ratio within the -1e-9 tolerance of zero, as a float sum's
+    rounding leaves one, spends no power: +0.0, never a negative watt."""
+    out = quantize_power(np.array([[0.5, -1e-12, 0.5]]), 10.0)
+    assert out.tolist() == [[5.0, 0.0, 5.0]]
+    assert not np.signbit(out).any()
+
+
 # -- elementary delays -------------------------------------------------------
 
 def test_computation_delay_oracle():

@@ -1,8 +1,9 @@
 """Deterministic counts of one GRANT training step, pinned as exact values:
 graph ops recorded, FIFO arrivals served by the simulator's outcome walk
-and neighbor-sum row terms.  Unlike a step's time, a count does not move
-with the host's speed, so a change that removes work shows here as a
-changed count (record the old and new counts with it)."""
+and neighbor-sum row terms; and the graph ops of one dense-baseline step.
+Unlike a step's time, a count does not move with the host's speed, so a
+change that removes work shows here as a changed count (record the old and
+new counts with it)."""
 import math
 
 import numpy as np
@@ -11,11 +12,14 @@ import pytest
 from terasec import autodiff, sec_sim
 from terasec.agent import GrantAgent, TrainConfig
 from terasec.autodiff import Tensor
+from terasec.baselines import MaddpgFcAgent
 
 from conftest import make_env
 
 #: n_sources -> (graph ops, FIFO arrivals served, neighbor-sum row terms)
 COUNTS = {10: (55, 1_205, 19_120), 200: (55, 21_495, 109_965)}
+#: graph ops of one maddpg_fc training step at 10 sources
+MADDPG_FC_OPS = 51
 
 
 def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
@@ -31,11 +35,9 @@ def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
     return served
 
 
-def step_counts(monkeypatch, n_sources):
+def step_counts(monkeypatch, agent):
     """(graph ops, FIFO arrivals, neighbor-sum row terms) of one training
-    step at n_sources."""
-    agent = GrantAgent(make_env(seed=1, steps=2, n_sources=n_sources),
-                       TrainConfig(seed=1, steps=1))
+    step of agent."""
     ops, arrivals, terms = [0], [0], [0]
     make, spans, neighbor_sum = (Tensor._make, sec_sim.outcome_spans,
                                  autodiff._neighbor_sum)
@@ -72,4 +74,17 @@ def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
     sources, reading the whole 1,360-node graph would add 1,160 table rows
     to each second-layer forward, and 509 (the rows outside hop's 851) to
     each first-layer forward and to the backward."""
-    assert step_counts(monkeypatch, n_sources) == COUNTS[n_sources]
+    agent = GrantAgent(make_env(seed=1, steps=2, n_sources=n_sources),
+                       TrainConfig(seed=1, steps=1))
+    assert step_counts(monkeypatch, agent) == COUNTS[n_sources]
+
+
+def test_one_dense_training_step_records_the_pinned_graph_ops(monkeypatch):
+    """The flat critic reads its input through one op, _FlatCritic.live_row
+    (52 ops with the two generic ones it replaced).  The op is recorded in
+    the actor-ascent pass alone: the critic descent's input is constant.
+    The count does not depend on the layers' widths."""
+    agent = MaddpgFcAgent(make_env(seed=1, steps=2),
+                          TrainConfig(seed=1, steps=1, hidden_width=8),
+                          critic_width=8)
+    assert step_counts(monkeypatch, agent)[0] == MADDPG_FC_OPS

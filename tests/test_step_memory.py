@@ -152,7 +152,7 @@ def test_the_actor_graph_keeps_outputs_and_aggregations_only(agent200):
     pre-activation buffer beside them."""
     agent, states = agent200
     width, n = agent.cfg.hidden_width, states[0].shape[0]
-    m, hop = len(agent.source_rows), len(agent.sub.hop)
+    m, hop = len(agent.sub.rows), len(agent.sub.hop)
     gcn = sum(rows * (d_in + width) for rows, d_in in (
         (hop, states[0].shape[1]), (m, width), (n, states[1].shape[1]),
         (n, width)))

@@ -204,9 +204,9 @@ def window_reference(c, gs_flat: int, t0: float, eta: float, n_sources: int,
 
 def window_views(env) -> SimpleNamespace:
     """The dict and list views of window_reference, read off the window's
-    server rows and link tables: outcome link i is transmitted by node i,
-    and a server's route follows next links from its first link, its own
-    row."""
+    involved nodes, server rows and link tables: outcome link i is
+    transmitted by node i, and a server's route follows next links from its
+    first link, its own row."""
     server_table = env.involved[env._offload_rows].tolist()
     neighbor_order = {row[0]: row[1:] for row in server_table}
     offload_links = list(zip(*env._to_ends.tolist()))
@@ -222,4 +222,5 @@ def window_views(env) -> SimpleNamespace:
         sources=list(neighbor_order), neighbor_order=neighbor_order,
         servers=sorted(route_hops), route_hops=route_hops,
         outcome_transmitters=[tx for tx, _ in outcome_links],
-        offload_links=offload_links, outcome_links=outcome_links)
+        offload_links=offload_links, outcome_links=outcome_links,
+        node_index={n: i for i, n in enumerate(env.involved.tolist())})

@@ -29,7 +29,7 @@ def action_node_constants(agent, ratios, n_nodes):
     Tensors."""
     offload, subarray, power, ot_sub, ot_power = ratios
     act_to = np.zeros((n_nodes, 5 + 4 + 4 * agent.k))
-    act_to[agent.source_rows] = np.concatenate(
+    act_to[agent.sub.rows] = np.concatenate(
         [offload, subarray[:, :4], power[:, :4 * agent.k]], axis=1)
     act_ot = np.zeros((n_nodes, 1 + agent.k))
     act_ot[np.arange(n_nodes)] = np.concatenate(
