@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff on float64 matrices, with the layers needed
 by the actors and critic: dense (also stacked, one weight matrix per input
-row), graph convolution, tanh and sigmoid, softmax heads, mean pooling and
-squared-error loss, plus the Adam optimizer and an .npz checkpoint format.
+row), graph convolution, tanh and sigmoid, softmax heads and mean pooling,
+plus the Adam optimizer and an .npz checkpoint format.
 """
 from __future__ import annotations
 
@@ -265,16 +265,6 @@ def _unbroadcast(g, shape):
     if shape[0] == 1 and g.shape[0] > 1:
         g = g.sum(axis=0, keepdims=True)
     return g
-
-
-def mse(pred, target):
-    """Mean squared error against a constant target; a scalar tensor."""
-    if pred.shape != target.shape:
-        raise DimensionError("mse shape mismatch")
-    diff = pred.data - target.data
-    n = diff.size
-    return Tensor._make(np.array([[np.mean(diff**2)]]), (pred,),
-                        lambda g: (2.0 * diff / n * np.asarray(g).item(),))
 
 
 # -- graph utilities ---------------------------------------------------------
@@ -547,7 +537,7 @@ class Adam:
         self.v = [_aligned_zeros(p.data.shape) for p in self.params]
         self._scratch = [_aligned_zeros((2, ADAM_BLOCK))]
 
-    def step(self, maximize=False):
+    def step(self):
         flat = []  # every parameter is checked before any moves
         for i, p in enumerate(self.params):
             # the flat views must alias: a reshaped copy would drop the update
@@ -589,8 +579,6 @@ class Adam:
                             gb = g.fill(lo, tb)
                         else:
                             gb = g[lo:hi]
-                        if maximize:
-                            gb = np.negative(gb, out=tb)
                         np.multiply(mb, b1, out=mb)
                         np.multiply(gb, 1 - b1, out=ta)
                         np.add(mb, ta, out=mb)

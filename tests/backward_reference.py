@@ -8,9 +8,10 @@ Tensor.sum until no code in terasec called it; `scale`, which was
 Tensor.__mul__ and __rmul__ until no code in terasec called them;
 `concat_cols`, `scatter_rows` and `chain_critic_input`: the generic ops and
 the chain of nine that laid out the critic's input before
-GrantAgent.critic_input; and `reshape` and `slice_cols`, which were Tensor
+GrantAgent.critic_input; `reshape` and `slice_cols`, which were Tensor
 methods until the dense critic read its live inputs through one op,
-_FlatCritic.live_row."""
+_FlatCritic.live_row; and `mse`, the critic's loss op until the TD step
+seeded its backward pass with the loss's gradient in Q."""
 import numpy as np
 
 from terasec.autodiff import DimensionError, GraphStateError, Tensor
@@ -27,6 +28,16 @@ def scale(t: Tensor, s) -> Tensor:
     """t times the scalar s as a graph op."""
     s = float(s)
     return Tensor._make(t.data * s, (t,), lambda g: (g * s,))
+
+
+def mse(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error against a constant target; a scalar tensor."""
+    if pred.shape != target.shape:
+        raise DimensionError("mse shape mismatch")
+    diff = pred.data - target.data
+    n = diff.size
+    return Tensor._make(np.array([[np.mean(diff**2)]]), (pred,),
+                        lambda g: (2.0 * diff / n * np.asarray(g).item(),))
 
 
 def reshape(t: Tensor, rows, cols) -> Tensor:

@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 
 _LAYOUT_TEST = ("tests/test_agent.py::"
                 "test_critic_input_equals_the_chain_it_replaced")
+_TD_STEP_TEST = ("tests/test_agent.py::"
+                 "test_lean_training_equals_the_reference_step")
 _ADAM_TEST = ("tests/test_autodiff.py::"
               "test_adam_equals_the_reference_step")
 _SHARE_RAISES = ("tests/test_autodiff.py::test_a_share_that_raises_"
@@ -68,6 +70,10 @@ TARGET_FUNCTIONS = {
     "metrics_row_u_p_and_u_s_swapped": ("harness", "_metrics_row"),
     "summary_t_avg_from_the_t_max_column": ("harness", "run_experiment"),
     "sinr_features_over_every_sub_band": ("env", "SecWindow._record_sinrs"),
+    "critic_seed_without_its_factor_2": ("agent", "GrantAgent.train_step"),
+    "ascent_seed_positive": ("agent", "GrantAgent.train_step"),
+    "loss_row_critic_loss_and_q_value_swapped": ("harness", "_loss_row"),
+    "rates_without_the_gs_absorption": ("env", "SecWindow._rate_phase"),
 }
 
 MUTANTS = [
@@ -84,6 +90,15 @@ MUTANTS = [
            "buf[:, :cols] = g[rows, lo:lo + cols]",
            "buf[:, -cols:] = g[rows, lo:lo + cols]",
            (_LAYOUT_TEST,)),
+    # GrantAgent.train_step: each backward pass seeded with its own gradient
+    Mutant("critic_seed_without_its_factor_2", "agent.py",
+           "q.backward(np.array([[2.0 * diff]]))",
+           "q.backward(np.array([[diff]]))",
+           (_TD_STEP_TEST,)),
+    Mutant("ascent_seed_positive", "agent.py",
+           "q_pi.backward(np.array([[-1.0]]))",
+           "q_pi.backward(np.array([[1.0]]))",
+           (_TD_STEP_TEST,)),
     # _FlatCritic.live_row: the dense critic's live inputs as one graph op
     Mutant("live_row_gradient_at_one_dead_entry", "baselines.py",
            "buf[self.live] = g[0]",
@@ -126,8 +141,8 @@ MUTANTS = [
            ("tests/test_constellation.py::"
             "test_shortest_path_tree_equals_the_per_satellite_build",)),
     # the simulator: the FIFO walk, the quantizers, the route order, the
-    # local path, the SINR features, the slot record, and the failed run's
-    # marker
+    # local path, the link rates, the SINR features, the slot record, and the
+    # failed run's marker
     Mutant("fifo_waits_at_an_exact_free_link", "sec_sim.py",
            "if free > t:", "if free >= t:",
            (_HEAP_TEST, _FIFO_TEST)),
@@ -157,6 +172,10 @@ MUTANTS = [
            "has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0",
            "has_path[:, 0] |= False",
            ("tests/test_env.py::test_array_slot_equals_the_dict_path",)),
+    Mutant("rates_without_the_gs_absorption", "env.py",
+           "for i in np.flatnonzero(ends[1] == GS_NODE):",
+           "for i in np.flatnonzero(ends[1] == GS_NODE)[:0]:",
+           ("tests/test_env.py::test_array_pass_equals_the_per_link_loop",)),
     Mutant("sinr_features_over_every_sub_band", "env.py",
            "np.divide(db_sum, n_active, where=n_active > 0,",
            "np.divide(db_sum, g.shape[1], where=n_active > 0,",
@@ -171,7 +190,7 @@ MUTANTS = [
            ("tests/test_harness.py::test_run_experiment_failure_marker",
             "tests/test_cli.py::test_a_non_finite_outcome_fails_the_run_"
             "instead_of_being_written")),
-    # the harness's metrics row and summary
+    # the harness's metrics row, summary and loss row
     Mutant("metrics_row_u_p_and_u_s_swapped", "harness.py",
            "outcome.u_total, outcome.u_power, outcome.u_subarray,",
            "outcome.u_total, outcome.u_subarray, outcome.u_power,",
@@ -182,6 +201,11 @@ MUTANTS = [
            "converged_t_avg_ms=float(tail[:, 5].mean()),",
            ("tests/test_harness.py::test_the_converged_fields_are_the_means_"
             "of_the_last_rows_written",)),
+    Mutant("loss_row_critic_loss_and_q_value_swapped", "harness.py",
+           'record["critic_loss"], record["q_value"], record["actor_lr"]',
+           'record["q_value"], record["critic_loss"], record["actor_lr"]',
+           ("tests/test_harness.py::"
+            "test_a_loss_row_holds_each_value_under_its_column",)),
     # the zero-buffer replays kept on purpose (see KNOWN_SURVIVORS)
     Mutant("gcn_backward_without_zero_buffer", "autodiff.py",
            "np.add(d, 0.0, out=d)", "d = d", _GCN_TESTS),

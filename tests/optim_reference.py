@@ -21,13 +21,11 @@ class ReferenceAdam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, maximize=False):
+    def step(self):
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if maximize:
-                g = -g
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g**2
             m_hat = self.m[i] / (1 - b1**self.step_count)

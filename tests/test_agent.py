@@ -14,7 +14,7 @@ from terasec.agent import (LOGIT_BOUND, OFFLOAD_FEATURES, OUTCOME_FEATURES,
                            head_specs, logit_bias, read_heads, safe_init,
                            td_target, zero_grads)
 from terasec.autodiff import (Adam, Dense, GcnLayer, Tensor, _neighbor_sum,
-                              mse, normalized_adjacency, sub_graph)
+                              normalized_adjacency, sub_graph)
 from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, SecWindow, tree_closure
 from terasec.harness import _metrics_row
@@ -23,7 +23,7 @@ from conftest import loss_history, make_env, policy_ratios, random_simplex
 import gcn_reference
 from gcn_reference import (PerPhaseGrantAgent, dense_adjacency,
                            dense_gcn_call, dense_matrix, permuted_table)
-from backward_reference import (chain_critic_input, graph_nodes, scale,
+from backward_reference import (chain_critic_input, graph_nodes, mse, scale,
                                 walk_from)
 from train_reference import reference_run_training, reference_train_step
 
@@ -375,6 +375,11 @@ def test_train_config_validation():
     with pytest.raises(TrainingError, match="<= 1"):
         TrainConfig(actor_lr=1e308)
     TrainConfig(actor_lr=1.0, critic_lr=1.0)
+    # 1e308's scaled noise once overflowed and withdrew every row's noise
+    for std in (-1.0, 1e308, float("nan")):
+        with pytest.raises(TrainingError, match=r"noise_std must be in \[0, 1"):
+            TrainConfig(noise_std=std)
+    TrainConfig(noise_std=1.0)
 
 
 # -- permutation structure ----------------------------------------------------
@@ -507,8 +512,8 @@ def test_actor_step_increases_q(small_env):
     before = q_pi()
     for p in agent.actor_params + agent.critic_params:
         p.grad = None
-    before.backward()
-    agent.actor_opt.step(maximize=True)
+    before.backward(np.array([[-1.0]]))   # descent on -Q
+    agent.actor_opt.step()
     after = q_pi().data.item()
     assert after >= before.data.item() - 1e-9
 
@@ -631,23 +636,36 @@ def test_train_step_restores_the_critic_when_the_policy_value_raises(
     assert all(p.requires_grad for p in agent.critic_params)
 
 
-def _lean_agent(cls, steps):
-    env = make_env(seed=1, steps=steps + 1)
+def _lean_agent(cls, steps, n_sources=10):
+    env = make_env(seed=1, steps=steps + 1, n_sources=n_sources)
     if cls is MaddpgFcAgent:
         return cls(env, TrainConfig(seed=1, steps=steps, hidden_width=16),
                    critic_width=32)
     return cls(env, TrainConfig(seed=1, steps=steps))
 
 
-@pytest.mark.parametrize("cls", [GrantAgent, MaddpgFcAgent])
-def test_lean_training_equals_the_reference_step(cls, monkeypatch):
-    """The reused policy forward and the frozen critic change no bit of the
-    parameters or the (critic_loss, q_value) history."""
+def _same_values(a, b) -> bool:
+    """Equal values with equal sign bits, so -0.0 differs from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("cls, n_sources", [
+    pytest.param(GrantAgent, 10, id="GrantAgent"),
+    pytest.param(GrantAgent, 200, id="GrantAgent-200"),
+    pytest.param(MaddpgFcAgent, 10, id="MaddpgFcAgent")])
+def test_lean_training_equals_the_reference_step(cls, n_sources, monkeypatch):
+    """The reused policy forward, the frozen critic and the seeded backward
+    passes (2 (Q - y) for the critic's descent, -1 for the actors' ascent)
+    change no bit, zero signs included, of the (critic_loss, q_value)
+    history, the parameters or either optimizer's Adam moments, against the
+    reference's mse loss and negated actor gradient."""
     steps = 4
-    ref = _lean_agent(cls, steps)
+    ref = _lean_agent(cls, steps, n_sources)
     ref_history = reference_run_training(ref)
 
-    agent = _lean_agent(cls, steps)
+    agent = _lean_agent(cls, steps, n_sources)
     forwards, critic_grads = [], []
     actor_tensors, actor_step = agent.actor_tensors, agent.actor_opt.step
 
@@ -655,18 +673,25 @@ def test_lean_training_equals_the_reference_step(cls, monkeypatch):
         forwards.append(states)
         return actor_tensors(*states)
 
-    def spy_step(**kwargs):
+    def spy_step():
         critic_grads.extend(p.grad for p in agent.critic_params)
-        return actor_step(**kwargs)
+        return actor_step()
 
     monkeypatch.setattr(agent, "actor_tensors", spy_forward)
     monkeypatch.setattr(agent.actor_opt, "step", spy_step)
     history = loss_history(agent)
 
-    assert np.array_equal(history, ref_history)
+    assert _same_values(history, ref_history)
     for p, q in zip(agent.parameters(), ref.parameters()):
         assert p.name == q.name
-        assert np.array_equal(p.data, q.data), p.name
+        assert _same_values(p.data, q.data), p.name
+    for name in ("critic_opt", "actor_opt"):
+        opt, ref_opt = getattr(agent, name), getattr(ref, name)
+        assert opt.step_count == ref_opt.step_count == steps
+        for p, m, v, ref_m, ref_v in zip(opt.params, opt.m, opt.v,
+                                         ref_opt.m, ref_opt.v):
+            assert _same_values(m, ref_m), (name, p.name)
+            assert _same_values(v, ref_v), (name, p.name)
     assert len(forwards) == 2 * steps
     assert len(critic_grads) == steps * len(agent.critic_params)
     assert all(g is None for g in critic_grads)

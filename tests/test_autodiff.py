@@ -11,15 +11,15 @@ from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
                               CheckpointMismatchError, Dense,
                               DimensionError, GcnLayer, GraphStateError,
                               Parameter, RankOneGrad, StackedDense, Tensor,
-                              _neighbor_sum, load_checkpoint, mse,
+                              _neighbor_sum, load_checkpoint,
                               normalized_adjacency, save_checkpoint,
                               sub_graph, write_json, xavier_uniform)
 from terasec.baselines import _FlatCritic
 from terasec.constellation import WalkerConfig
 
 import gcn_reference as ref
-from backward_reference import (concat_cols, reshape, scale, scatter_rows,
-                                slice_cols, tensor_sum)
+from backward_reference import (concat_cols, mse, reshape, scale,
+                                scatter_rows, slice_cols, tensor_sum)
 from conftest import make_env
 from optim_reference import (ReferenceAdam, reference_first_grad,
                              reference_rank_one_product)
@@ -764,14 +764,6 @@ def test_adam_step_bound():
         assert np.max(np.abs(p.data - before)) <= 0.05 * 1.2
 
 
-def test_adam_maximize_ascends():
-    p = Parameter(np.array([[0.0]]), "p")
-    opt = Adam([p], lr=0.1)
-    p.grad = np.array([[1.0]])
-    opt.step(maximize=True)
-    assert p.data[0, 0] > 0.0
-
-
 def test_adam_lr_scales():
     p1 = Parameter(np.array([[0.0]]), "p1")
     p2 = Parameter(np.array([[0.0]]), "p2")
@@ -828,12 +820,8 @@ ADAM_SPLIT_CASES = ([((3, 100, 700), "C")] + ADAM_CASES
 ADAM_RANK_ONE = {0: 3, len(ADAM_CASES) + 1: 1}  # parameter: factor rows
 
 
-@pytest.mark.parametrize("maximize, shares", [
-    pytest.param(maximize, shares,
-                 id=str(maximize) + (f"-{shares}" if shares > 1 else ""))
-    for shares in (1, 2, 3) for maximize in (False, True)])
-def test_adam_equals_the_reference_step(maximize, shares, monkeypatch,
-                                        fast_switching):
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_adam_equals_the_reference_step(shares, monkeypatch, fast_switching):
     """Five in-place blocked steps equal today's whole-array Adam bit for
     bit, with mixed lr scales, weight stacks, an F-ordered input, a missing
     gradient, signed zeros, NaN gradients and rank-one gradients, stacked
@@ -881,8 +869,8 @@ def test_adam_equals_the_reference_step(maximize, shares, monkeypatch,
                 g = None
             p.grad = None if g is None else g.copy()
             r.grad = None if g is None else g.copy()
-        opt.step(maximize=maximize)
-        ref_opt.step(maximize=maximize)
+        opt.step()
+        ref_opt.step()
         assert len(opt._scratch) == shares
         for i, (p, r) in enumerate(zip(params, ref)):
             assert _same_bits(p.data, r.data), (step, i)
@@ -1109,10 +1097,9 @@ RANK_ONE_CASES = {"dense_row": _one_row_dense, "stack_split": _split_stack,
 
 
 @pytest.mark.parametrize("read_first", [False, True], ids=["held", "read"])
-@pytest.mark.parametrize("maximize", [False, True])
 @pytest.mark.parametrize("case", sorted(RANK_ONE_CASES))
 def test_adam_from_factors_equals_the_reference_from_the_formed_gradient(
-        case, maximize, read_first, monkeypatch):
+        case, read_first, monkeypatch):
     """Over three steps, Adam stepping gradients held as RankOneGrad equals
     ReferenceAdam stepping the gradients the products formed (plus the zero
     buffer of a first gradient), bit for bit, -0.0 products included; each
@@ -1147,8 +1134,8 @@ def test_adam_from_factors_equals_the_reference_from_the_formed_gradient(
             for p, r in zip(params, ref):
                 assert _same_bits(p.grad, r.grad), p.name
         blocks.clear()
-        opt.step(maximize=maximize)
-        ref_opt.step(maximize=maximize)
+        opt.step()
+        ref_opt.step()
         if held and not read_first:
             flat = np.concatenate([blocks[lo] for lo in sorted(blocks)])
             want = ref[params.index(held[0])].grad.reshape(-1)

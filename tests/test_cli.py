@@ -416,6 +416,9 @@ def test_a_training_run_checkpoint_restores_for_eval(tmp_path, monkeypatch,
     ("train", "critic_lr", 1e308),
     ("train", "actor_lr", 1e308),
     ("train", "actor_lr", 2**70),
+    # the scaled exploration noise once overflowed, which withdrew every
+    # row's noise and wrote the noise_std = 0 run's CSV (exit 0)
+    ("train", "noise_std", 1e308),
     ("reward", "latency_threshold_s", 0.0),
     ("reward", "chi1", -1.0),
     # more nonadjacent sources than the default 72 x 22 shell can hold

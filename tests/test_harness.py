@@ -202,6 +202,16 @@ def test_a_metrics_row_holds_each_value_under_its_column():
         "power_W_mean": "7.5", "subarrays_mean": "12"}
 
 
+def test_a_loss_row_holds_each_value_under_its_column():
+    """_loss_row writes each record field under its LOSS_HEADER column; the
+    values differ, so two swapped columns show."""
+    row = harness._loss_row({"step": 3, "critic_loss": 0.25, "q_value": -1.5,
+                             "actor_lr": 0.125}).split(",")
+    assert dict(zip(harness.LOSS_HEADER.split(","), row, strict=True)) == {
+        "step": "3", "critic_loss": "0.25", "q_value": "-1.5",
+        "actor_lr": "0.125"}
+
+
 # -- experiment runs ----------------------------------------------------------
 
 def test_run_experiment_uniform_outputs(tmp_path):

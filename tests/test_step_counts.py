@@ -17,9 +17,9 @@ from terasec.baselines import MaddpgFcAgent
 from conftest import make_env
 
 #: n_sources -> (graph ops, FIFO arrivals served, neighbor-sum row terms)
-COUNTS = {10: (55, 1_205, 19_120), 200: (55, 21_495, 109_965)}
+COUNTS = {10: (54, 1_205, 19_120), 200: (54, 21_495, 109_965)}
 #: graph ops of one maddpg_fc training step at 10 sources
-MADDPG_FC_OPS = 51
+MADDPG_FC_OPS = 50
 
 
 def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
@@ -68,6 +68,7 @@ def step_counts(monkeypatch, agent):
 def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
                                                           n_sources):
     """Graph ops, FIFO arrivals and neighbor-sum row terms of one step.  The
+    critic's descent pass seeds its backward at Q, with no loss op.  The
     offloading actor runs on the sources' sub-graph: in its acting and its
     TD-target forward, its second layer reads only the source rows and its
     first layer only hop's rows, and so does its one backward.  At 200
@@ -80,10 +81,10 @@ def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
 
 
 def test_one_dense_training_step_records_the_pinned_graph_ops(monkeypatch):
-    """The flat critic reads its input through one op, _FlatCritic.live_row
-    (52 ops with the two generic ones it replaced).  The op is recorded in
-    the actor-ascent pass alone: the critic descent's input is constant.
-    The count does not depend on the layers' widths."""
+    """The flat critic reads its input through one op, _FlatCritic.live_row,
+    recorded in the actor-ascent pass alone: the critic descent's input is
+    constant, and that pass seeds its backward at Q, with no loss op.  The
+    count does not depend on the layers' widths."""
     agent = MaddpgFcAgent(make_env(seed=1, steps=2),
                           TrainConfig(seed=1, steps=1, hidden_width=8),
                           critic_width=8)

@@ -4,15 +4,17 @@ recomputes the policy forward and builds gradients for the frozen critic,
 the executed action is laid out for the critic in numpy
 (action_node_constants), and the policy's through the chain of generic ops
 (chain_critic_input) rather than through GrantAgent.critic_input.
-`with_reference_adam` swaps an agent's optimizers for the whole-array
-ReferenceAdam.
+The critic regresses its target through the mse op, and the actors ascend
+Q by stepping its negated gradient, where GrantAgent seeds each backward
+pass with its own gradient.  `with_reference_adam` swaps an agent's
+optimizers for the whole-array ReferenceAdam.
 """
 import numpy as np
 
-from backward_reference import chain_critic_input, concat_cols
+from backward_reference import chain_critic_input, concat_cols, mse
 from optim_reference import ReferenceAdam
 from terasec.agent import REWARD_SCALE, td_target, zero_grads
-from terasec.autodiff import Tensor, mse
+from terasec.autodiff import Tensor
 
 
 def with_reference_adam(agent):
@@ -67,7 +69,10 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
     tensors = agent.actor_tensors(s_to, s_ot)
     q_pi = chain_q_value(agent, s_to, s_ot, tensors)
     q_pi.backward()
-    agent.actor_opt.step(maximize=True)
+    for p in agent.actor_params:
+        if p.grad is not None:
+            p.grad = -p.grad
+    agent.actor_opt.step()
     zero_grads(agent.actor_params + agent.critic_params)
     return critic_loss, q_val
 
