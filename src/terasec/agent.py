@@ -246,10 +246,11 @@ def explore_group(ratios: np.ndarray, noise_std: float,
     g = rng.standard_normal(ratios.shape)
     rows = np.atleast_2d(ratios)
     g = g.reshape(rows.shape)
-    noise = ((g - g.mean(axis=1, keepdims=True))
-             * (noise_std * rows.max(axis=1, keepdims=True)))
+    noise = ((g - np.add.reduce(g, axis=1, keepdims=True) / rows.shape[1])
+             * (noise_std * np.maximum.reduce(rows, axis=1, keepdims=True)))
     out = rows + noise
-    out = np.where(np.any(out < 0.0, axis=1, keepdims=True), rows, out)
+    out = np.where(np.logical_or.reduce(out < 0.0, axis=1, keepdims=True),
+                   rows, out)
     return out.reshape(ratios.shape)
 
 

@@ -114,13 +114,17 @@ class Tensor:
         """An op's output.  vjp(g) returns one gradient per parent, None for
         a parent that needs none; owned: each is a fresh product that
         _accumulate may take over.  The graph is recorded only when some
-        parent needs a gradient."""
-        out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
-            out._owned = owned
+        parent needs a gradient.  data is the op's float64 [rows, cols]
+        array, taken as it is: Tensor() normalises outside input."""
+        out = Tensor.__new__(Tensor)
+        out.data, out._grad = data, None
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._parents = True, parents
+                out._vjp, out._owned = vjp, owned
+                return out
+        out.requires_grad, out._parents, out._vjp, out._owned = (
+            False, (), None, False)
         return out
 
     def _accumulate(self, g, owned=False):
@@ -128,41 +132,47 @@ class Tensor:
         the first gradient may take it over in place.  A first gradient of
         one row for a taller tensor (mean_rows's) stays one row, held as a
         read-only broadcast; a second gradient then replaces it by the sum.
-        A first RankOneGrad is held as it is; a later one is formed."""
+        A first RankOneGrad is held as it is by a leaf; a later one, or one
+        for an op's output, is formed, so an op's output holds an array."""
         if isinstance(g, RankOneGrad):
-            if self._grad is None:
+            if self._grad is None and self._vjp is None:
                 self._grad = g
                 return
             g = g.formed(self.data.shape)
-        if self.grad is None:
+        grad = self.grad
+        if grad is None:
             # the bits of a zero buffer plus g (-0.0 -> +0.0)
             if owned:
-                self.grad = np.add(g, 0.0, out=g)
+                self._grad = np.add(g, 0.0, out=g)
+            elif g.shape == self.data.shape:
+                self._grad = g + 0.0
             elif g.shape[0] == 1 < self.data.shape[0]:
-                self.grad = np.broadcast_to(g + 0.0, self.data.shape)
+                self._grad = np.broadcast_to(g + 0.0, self.data.shape)
             else:
-                self.grad = np.broadcast_to(g, self.data.shape) + 0.0
-        elif self.grad.flags.writeable:
-            self.grad += g
+                self._grad = np.broadcast_to(g, self.data.shape) + 0.0
+        elif grad.flags.writeable:
+            grad += g
         else:
-            self.grad = self.grad + g
+            self._grad = grad + g
 
-    def backward(self, seed=None):
-        """Reverse-mode sweep from this tensor: each op's gradient for a
-        parent that requires one at this time is added into its .grad.  The
-        sweep frees the graph: an op's output drops its closure and parents
-        before calling it, so no closure runs twice even after a walk that
-        raised, and its .grad after; leaves keep .grad."""
+    def backward(self, seed):
+        """Reverse-mode sweep from this tensor, seeded with seed (this
+        tensor's gradient): each op's gradient for a parent that requires
+        one at this time is added into its .grad.  The sweep frees the
+        graph: an op's output drops its closure and parents before calling
+        it, so no closure runs twice even after a walk that raised, and its
+        .grad after; leaves keep .grad."""
         if not self.requires_grad:
             raise GraphStateError("backward on a tensor with no recorded graph")
-        # iterative post-order: a recursive closure is a reference cycle that
-        # keeps the whole graph alive until the cyclic collector runs
+        # iterative post-order over the op outputs (a leaf's parents are ()):
+        # a recursive closure is a reference cycle that keeps the whole graph
+        # alive until the cyclic collector runs
         topo, seen = [], {id(self)}
         stack = [(self, iter(self._parents or ()))]
         while stack:
             t, parents = stack[-1]
             for p in parents:
-                if id(p) not in seen:
+                if p._parents != () and id(p) not in seen:
                     seen.add(id(p))
                     stack.append((p, iter(p._parents or ())))
                     break
@@ -171,19 +181,15 @@ class Tensor:
                 if t._parents is None:
                     raise GraphStateError("backward through a walked graph")
                 topo.append(t)
-        if seed is None:
-            if self.data.size != 1:
-                raise GraphStateError("implicit seed requires a scalar output")
-            seed = np.ones_like(self.data)
         self._accumulate(np.asarray(seed, dtype=np.float64).reshape(self.data.shape))
         while topo:
             t = topo.pop()
             if t._vjp is not None:
                 parents, vjp, t._parents, t._vjp = t._parents, t._vjp, None, None
-                for p, g in zip(parents, vjp(t.grad)):
+                for p, g in zip(parents, vjp(t._grad)):
                     if g is not None and p.requires_grad:
                         p._accumulate(g, t._owned)
-                t.grad = None
+                t._grad = None
 
     # -- operations ----------------------------------------------------------
 
@@ -244,12 +250,12 @@ class Tensor:
 
     def softmax_rows(self):
         """Numerically stable row-wise softmax."""
-        z = self.data - self.data.max(axis=1, keepdims=True)
+        z = self.data - np.maximum.reduce(self.data, axis=1, keepdims=True)
         e = np.exp(z)
-        out_data = e / e.sum(axis=1, keepdims=True)
+        out_data = e / np.add.reduce(e, axis=1, keepdims=True)
 
         def vjp(g):
-            dot = np.sum(g * out_data, axis=1, keepdims=True)
+            dot = np.add.reduce(g * out_data, axis=1, keepdims=True)
             return (out_data * (g - dot),)
 
         return Tensor._make(out_data, (self,), vjp)
@@ -257,13 +263,13 @@ class Tensor:
     def mean_rows(self):
         """Mean over rows: [n, d] -> [1, d]."""
         n = self.shape[0]
-        return Tensor._make(self.data.mean(axis=0, keepdims=True), (self,),
-                            lambda g: (g / n,))
+        return Tensor._make(np.add.reduce(self.data, axis=0, keepdims=True) / n,
+                            (self,), lambda g: (g / n,))
 
 
 def _unbroadcast(g, shape):
     if shape[0] == 1 and g.shape[0] > 1:
-        g = g.sum(axis=0, keepdims=True)
+        g = np.add.reduce(g, axis=0, keepdims=True)
     return g
 
 
@@ -327,10 +333,10 @@ def _neighbor_sum(x: np.ndarray, table: NeighborTable,
     for lo in range(0, n, per):
         o, ix, wt = out[lo:lo + per], idx[lo:lo + per], weight[lo:lo + per]
         t = term[:len(o)]
-        np.take(x, ix[:, 0], axis=0, out=t, mode="clip")
+        x.take(ix[:, 0], axis=0, out=t, mode="clip")
         np.multiply(wt[:, :1], t, out=o)
         for k in range(1, ix.shape[1]):
-            np.take(x, ix[:, k], axis=0, out=t, mode="clip")
+            x.take(ix[:, k], axis=0, out=t, mode="clip")
             np.multiply(wt[:, k:k + 1], t, out=t)
             np.add(o, t, out=o)
     return out

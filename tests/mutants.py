@@ -74,6 +74,10 @@ TARGET_FUNCTIONS = {
     "ascent_seed_positive": ("agent", "GrantAgent.train_step"),
     "loss_row_critic_loss_and_q_value_swapped": ("harness", "_loss_row"),
     "rates_without_the_gs_absorption": ("env", "SecWindow._rate_phase"),
+    "first_gradient_shares_its_array": ("autodiff", "Tensor._accumulate"),
+    "walk_skips_a_walked_output": ("autodiff", "Tensor.backward"),
+    "make_reads_only_the_first_parent": ("autodiff", "Tensor._make"),
+    "op_output_holds_a_rank_one_gradient": ("autodiff", "Tensor._accumulate"),
 }
 
 MUTANTS = [
@@ -117,6 +121,29 @@ MUTANTS = [
     Mutant(SUB_GRAPH_MUTANTS[2], "autodiff.py",
            "at(in_rows)[idx[out_rows]]", "idx[out_rows]",
            (_SUB_GRAPH_TEST,)),
+    # Tensor: an op's output built directly, a same-shape first gradient,
+    # and the walk over op outputs only
+    Mutant("first_gradient_shares_its_array", "autodiff.py",
+           "self._grad = g + 0.0", "self._grad = g",
+           ("tests/test_autodiff.py::"
+            "test_first_gradient_equals_a_zero_buffer_plus_g",)),
+    Mutant("op_output_holds_a_rank_one_gradient", "autodiff.py",
+           "if self._grad is None and self._vjp is None:",
+           "if self._grad is None:",
+           ("tests/test_autodiff.py::"
+            "test_an_op_output_forms_a_rank_one_gradient_at_once",)),
+    Mutant("walk_skips_a_walked_output", "autodiff.py",
+           "if p._parents != () and id(p) not in seen:",
+           "if p._parents and id(p) not in seen:",
+           ("tests/test_autodiff.py::"
+            "test_a_walk_that_raises_leaves_no_closure_to_call_again",
+            "tests/test_step_memory.py::"
+            "test_a_graph_that_meets_a_walked_tensor_cannot_be_walked")),
+    Mutant("make_reads_only_the_first_parent", "autodiff.py",
+           "        for p in parents:\n            if p.requires_grad:",
+           "        for p in parents[:1]:\n            if p.requires_grad:",
+           ("tests/test_autodiff.py::"
+            "test_an_op_records_its_graph_when_any_parent_needs_a_gradient",)),
     # Adam's step split across the CPUs
     Mutant("adam_share_edge_off_by_one", "autodiff.py",
            "start, stop = total * k // shares, total * (k + 1) // shares",

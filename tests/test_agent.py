@@ -491,7 +491,7 @@ def test_critic_converges_to_geometric_fixed_point():
         q_t = critic.forward(feats, table)
         y = td_target(c, q_t.data.item(), kappa)
         loss = mse(q_t, Tensor(np.array([[y]])))
-        loss.backward()
+        loss.backward(np.ones((1, 1)))
         opt.step()
         q = q_t.data.item()
         if abs(q / target - 1.0) < 0.01:
@@ -785,7 +785,7 @@ def _offloading_pass(agent, states, sub_path):
         heads = [_tap(t, grads, i) for i, t in
                  enumerate(read_heads(emb, actor.heads, actor.spec))]
         agent.q_value(f_to, f_ot, [*heads, *agent.actor_ot.forward(
-            f_ot, table)]).backward()
+            f_ot, table)]).backward(np.ones((1, 1)))
     return ([t.data for t in heads], [grads[i] for i in range(len(heads))],
             x.grad, grads["h1"], h1.data,
             {p.name: p.grad.copy() for p in actor.parameters()})

@@ -46,7 +46,7 @@ def check_gradient(build, params, rtol=1e-4):
     for p in params:
         p.grad = None
     out = build()
-    out.backward()
+    out.backward(np.ones((1, 1)))
     for p in params:
         num = finite_diff(lambda: build().data.item(), p.data)
         got = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -125,20 +125,17 @@ def test_op_gradients(name):
 def test_gradient_identity_and_mse():
     x = Parameter(np.array([[2.0]]), "x")
     y = tensor_sum(x)
-    y.backward()
+    y.backward(np.ones((1, 1)))
     assert x.grad[0, 0] == 1.0
     pred = Parameter(np.array([[1.0, 3.0]]), "pred")
     loss = mse(pred, Tensor(np.array([[0.0, 1.0]])))
-    loss.backward()
+    loss.backward(np.ones((1, 1)))
     assert np.allclose(pred.grad, 2.0 * np.array([[1.0, 2.0]]) / 2.0)
 
 
 def test_backward_requires_recorded_graph():
     with pytest.raises(GraphStateError):
-        Tensor(np.zeros((1, 1))).backward()
-    p = Parameter(np.zeros((2, 2)), "p")
-    with pytest.raises(GraphStateError):
-        (p @ Tensor(np.ones((2, 2)))).backward()   # non-scalar implicit seed
+        Tensor(np.zeros((1, 1))).backward(np.ones((1, 1)))
 
 
 #: an op that meets x at two parent slots: the graph, and the gradients of
@@ -270,11 +267,41 @@ def test_a_parent_that_stops_requiring_a_gradient_gets_none():
     w = Parameter(rng.standard_normal((4, 3)), "w")
     out = tensor_sum((x @ w).tanh()) + tensor_sum(x)
     x.requires_grad = False
-    out.backward()
+    out.backward(np.ones((1, 1)))
     assert x.grad is None
     want = Parameter(w.data.copy(), "w")
-    tensor_sum((Tensor(x.data) @ want).tanh()).backward()
+    tensor_sum((Tensor(x.data) @ want).tanh()).backward(np.ones((1, 1)))
     assert _same_bits(w.grad, want.grad)
+
+
+def test_an_op_records_its_graph_when_any_parent_needs_a_gradient():
+    """_make takes the op's array as its output's data, and records the
+    graph when any parent requires a gradient, the first or a later one."""
+    w = Parameter(np.ones((2, 2)), "w")
+    c = Tensor(np.ones((2, 2)))
+    for parents, recorded in (((c, w), True), ((w, c), True),
+                              ((c, c), False)):
+        data = np.zeros((2, 2))
+        out = Tensor._make(data, parents, lambda g: (g, g))
+        assert out.data is data and out.requires_grad == recorded
+        assert out._parents == (parents if recorded else ())
+        assert (out._vjp is not None) == recorded
+
+
+def test_an_op_output_forms_a_rank_one_gradient_at_once():
+    """A leaf holds a first RankOneGrad as its factors; an op's output,
+    whose own op reads its gradient, holds the formed array, with the
+    same bits."""
+    rng = np.random.default_rng(31)
+    x, g = rng.standard_normal((1, 3)), rng.standard_normal((1, 4))
+    x[0, 0] = -0.0
+    leaf = Tensor(np.zeros((3, 4)), requires_grad=True)
+    op = Tensor._make(np.zeros((3, 4)), (leaf,), lambda g: (g,))
+    for t in (leaf, op):
+        t._accumulate(RankOneGrad(x, g))
+    assert isinstance(leaf._grad, RankOneGrad)
+    assert type(op._grad) is np.ndarray
+    assert _same_bits(op._grad, leaf.grad)
 
 
 def test_determinism():

@@ -1,7 +1,7 @@
-"""Slices of the one-edit config fuzz in tests/fuzz_configs.py, run
-in-process under the suite's warning filter, so a RuntimeWarning (an
-overflow, say) fails its config: the train.* slice whole, and a sample of
-the other sections' edits."""
+"""Slices of the config fuzz in tests/fuzz_configs.py, run in-process under
+the suite's warning filter, so a RuntimeWarning (an overflow, say) fails
+its config: the one-edit train.* slice whole, a sample of the other
+sections' one-edit configs, and a sample of the structural edits."""
 from terasec import harness
 
 import fuzz_configs
@@ -44,3 +44,19 @@ def test_a_sample_of_the_other_one_edit_configs_is_rejected_or_runs_finite():
     assert {path[0] for path, _ in edits} == {
         path[0] for path, _ in _edits(train=False)}
     assert _flagged(edits) == []
+
+
+def test_a_sample_of_the_structural_edits_is_rejected_or_runs_finite():
+    """Every 3rd structural edit: each kind is among them, and so are
+    train.* fields dropped, which run as grant.  A repeated or unknown key
+    is a config error; a dropped key or an emptied section runs on the
+    defaults."""
+    edits = fuzz_configs.structural_edits()[::3]
+    assert len(edits) == 49
+    assert {kind for kind, _ in edits} == set(fuzz_configs.KINDS)
+    assert ("drop", ("train", "noise_std")) in edits
+    for kind, path in edits:
+        code, problem, last = fuzz_configs.run_structural(kind, path)
+        assert problem is None, (kind, path, problem, last)
+        assert code == (2 if kind in ("repeat", "unknown") else 0), (
+            kind, path, last)

@@ -1,6 +1,8 @@
 """Deterministic counts of one GRANT training step, pinned as exact values:
-graph ops recorded, FIFO arrivals served by the simulator's outcome walk
-and neighbor-sum row terms; and the graph ops of one dense-baseline step.
+graph ops recorded, FIFO arrivals served by the simulator's outcome walk,
+neighbor-sum row terms, tensors built through the public Tensor
+constructor and nodes pushed by the backward walks; and the graph ops of
+one dense-baseline step.
 Unlike a step's time, a count does not move with the host's speed, so a
 change that removes work shows here as a changed count (record the old and
 new counts with it)."""
@@ -16,8 +18,10 @@ from terasec.baselines import MaddpgFcAgent
 
 from conftest import make_env
 
-#: n_sources -> (graph ops, FIFO arrivals served, neighbor-sum row terms)
-COUNTS = {10: (54, 1_205, 19_120), 200: (54, 21_495, 109_965)}
+#: n_sources -> (graph ops, FIFO arrivals served, neighbor-sum row terms,
+#: Tensor() calls, nodes pushed by the backward walks)
+COUNTS = {10: (54, 1_205, 19_120, 9, 54),
+          200: (54, 21_495, 109_965, 9, 54)}
 #: graph ops of one maddpg_fc training step at 10 sources
 MADDPG_FC_OPS = 50
 
@@ -36,11 +40,13 @@ def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
 
 
 def step_counts(monkeypatch, agent):
-    """(graph ops, FIFO arrivals, neighbor-sum row terms) of one training
-    step of agent."""
-    ops, arrivals, terms = [0], [0], [0]
-    make, spans, neighbor_sum = (Tensor._make, sec_sim.outcome_spans,
-                                 autodiff._neighbor_sum)
+    """(graph ops, FIFO arrivals, neighbor-sum row terms, Tensor() calls,
+    walk pushes) of one training step of agent.  The backward walk makes one
+    iterator over a node's parents for each node it pushes, so the pushes
+    are counted as the walk's calls of iter."""
+    ops, arrivals, terms, inits, pushes = [0], [0], [0], [0], [0]
+    make, spans, neighbor_sum, init = (Tensor._make, sec_sim.outcome_spans,
+                                       autodiff._neighbor_sum, Tensor.__init__)
 
     def counted_make(data, parents, vjp, owned=False):
         out = make(data, parents, vjp, owned)
@@ -57,18 +63,33 @@ def step_counts(monkeypatch, agent):
         terms[0] += table.idx.size
         return neighbor_sum(x, table, out=out)
 
+    def counted_init(self, data, requires_grad=False):
+        inits[0] += 1
+        init(self, data, requires_grad)
+
+    def counted_iter(parents):
+        pushes[0] += 1
+        return iter(parents)
+
     monkeypatch.setattr(Tensor, "_make", staticmethod(counted_make))
     monkeypatch.setattr(sec_sim, "outcome_spans", counted_spans)
     monkeypatch.setattr(autodiff, "_neighbor_sum", counted_sum)
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    monkeypatch.setattr(autodiff, "iter", counted_iter, raising=False)
     agent.run_training()
-    return ops[0], arrivals[0], terms[0]
+    return ops[0], arrivals[0], terms[0], inits[0], pushes[0]
 
 
 @pytest.mark.parametrize("n_sources", sorted(COUNTS))
 def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
                                                           n_sources):
-    """Graph ops, FIFO arrivals and neighbor-sum row terms of one step.  The
-    critic's descent pass seeds its backward at Q, with no loss op.  The
+    """Graph ops, FIFO arrivals, neighbor-sum row terms, Tensor() calls and
+    walk pushes of one step.  The critic's descent pass seeds its backward
+    at Q, with no loss op.  An op builds its output without the public
+    constructor, so Tensor() runs only for the step's outside input: both
+    phases' features in the acting and in the TD-target forward, and the
+    five executed ratios.  The backward walks push op outputs only, never a
+    parameter or a constant.  The
     offloading actor runs on the sources' sub-graph: in its acting and its
     TD-target forward, its second layer reads only the source rows and its
     first layer only hop's rows, and so does its one backward.  At 200

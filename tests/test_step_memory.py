@@ -58,12 +58,12 @@ def test_the_freeing_walk_gives_every_leaf_the_reference_gradient(
     step = cls.train_step
     want, walked = [], []
 
-    def reference(root, seed=None):
+    def reference(root, seed):
         nodes = graph_nodes(root)
         reference_backward(root, seed)
         want.append([_bits(t.grad) for t in nodes if t._vjp is None])
 
-    def freeing(root, seed=None):
+    def freeing(root, seed):
         nodes = graph_nodes(root)
         leaves = [t for t in nodes if t._vjp is None]
         inner = [t for t in nodes if t._vjp is not None]
@@ -74,7 +74,7 @@ def test_the_freeing_walk_gives_every_leaf_the_reference_gradient(
         for t in inner:
             assert t.grad is None and t._vjp is None and not t._parents
         with pytest.raises(GraphStateError, match="walked"):
-            backward(root)
+            backward(root, seed)
         walked.append(len(inner))
 
     def paired(states, ratios, reward, next_states, policy_tensors):
@@ -98,10 +98,10 @@ def test_a_graph_that_meets_a_walked_tensor_cannot_be_walked():
     on it raises instead of silently sending no gradient past it."""
     w = Parameter(np.ones((2, 2)), "w")
     h = (Tensor(np.ones((1, 2))) @ w).tanh()
-    tensor_sum(h).backward()
+    tensor_sum(h).backward(np.ones((1, 1)))
     grad = w.grad.copy()
     with pytest.raises(GraphStateError, match="walked"):
-        tensor_sum(scale(h, 2.0)).backward()
+        tensor_sum(scale(h, 2.0)).backward(np.ones((1, 1)))
     assert np.array_equal(w.grad, grad)
     assert h._parents is None and h.data.shape == (1, 2)
 
@@ -198,7 +198,7 @@ def test_the_critic_descent_backward_holds_one_transient_per_layer(
     backward = Tensor.backward
     peaks = []
 
-    def measured(root, seed=None):
+    def measured(root, seed):
         tracemalloc.reset_peak()
         held, _ = tracemalloc.get_traced_memory()
         backward(root, seed)

@@ -60,7 +60,7 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
     q = agent.critic.forward(
         concat_cols([Tensor(s_to), Tensor(s_ot), a_to, a_ot]), agent.table)
     loss = mse(q, Tensor(np.array([[y]])))
-    loss.backward()
+    loss.backward(np.ones((1, 1)))
     agent.critic_opt.step()
     critic_loss = loss.data.item()
     q_val = q.data.item() * REWARD_SCALE
@@ -68,7 +68,7 @@ def reference_train_step(agent, states, exec_ratios, reward, next_states):
     zero_grads(agent.actor_params + agent.critic_params)
     tensors = agent.actor_tensors(s_to, s_ot)
     q_pi = chain_q_value(agent, s_to, s_ot, tensors)
-    q_pi.backward()
+    q_pi.backward(np.ones((1, 1)))
     for p in agent.actor_params:
         if p.grad is not None:
             p.grad = -p.grad
