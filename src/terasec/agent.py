@@ -337,15 +337,19 @@ class GrantAgent:
             np.random.SeedSequence(cfg.seed).spawn(1)[0])
         # the window's graph is frozen: normalize it into a neighbor table,
         # take its sub-graph at the sources (the servers' first column) and
-        # lay out the static feature columns once; encode fills the rest
+        # lay out the static feature columns once, read-only; encode fills
+        # the rest.  L_e over the mean demand is the source flag: a source
+        # expects the mean m, (1.0 * m) / m == 1.0, others 0.0 / m == 0.0
         c = env.c.cfg
         self.mean_bytes = env.traffic_cfg.mean_bytes_per_slot
+        plane, slot = np.divmod(env.involved, c.sats_per_plane)
+        phi_off = np.isin(env.involved, env.sources).astype(float)
         zero = np.zeros(len(env.involved))
         self.static_features = np.stack(
-            [env.node_plane / max(c.planes - 1, 1),
-             env.node_slot / max(c.sats_per_plane - 1, 1),
-             env.expected_offload_bytes / self.mean_bytes,
-             zero, zero, zero, zero, env.phi_off, env.phi_gs], axis=1)
+            [plane / max(c.planes - 1, 1), slot / max(c.sats_per_plane - 1, 1),
+             phi_off, zero, zero, zero, zero, phi_off,
+             (env.involved == env.gs_flat).astype(float)], axis=1)
+        self.static_features.setflags(write=False)
         self.table = normalized_adjacency(len(env.involved), env.edges)
         self.sub = sub_graph(self.table, env._offload_rows[:, 0])
         return np.random.default_rng(cfg.seed)

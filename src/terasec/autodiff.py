@@ -130,8 +130,8 @@ class Tensor:
     def _accumulate(self, g, owned=False):
         """Add g to .grad.  owned: g is a fresh product no one else holds, so
         the first gradient may take it over in place.  A first gradient of
-        one row for a taller tensor (mean_rows's) stays one row, held as a
-        read-only broadcast; a second gradient then replaces it by the sum.
+        another shape (mean_rows's) is held as a read-only broadcast of
+        g + 0.0; a second gradient then replaces it by the sum.
         A first RankOneGrad is held as it is by a leaf; a later one, or one
         for an op's output, is formed, so an op's output holds an array."""
         if isinstance(g, RankOneGrad):
@@ -146,10 +146,8 @@ class Tensor:
                 self._grad = np.add(g, 0.0, out=g)
             elif g.shape == self.data.shape:
                 self._grad = g + 0.0
-            elif g.shape[0] == 1 < self.data.shape[0]:
-                self._grad = np.broadcast_to(g + 0.0, self.data.shape)
             else:
-                self._grad = np.broadcast_to(g, self.data.shape) + 0.0
+                self._grad = np.broadcast_to(g + 0.0, self.data.shape)
         elif grad.flags.writeable:
             grad += g
         else:

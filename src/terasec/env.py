@@ -3,8 +3,8 @@ tables, per-slot action application and state bookkeeping for the learning
 agents.
 
 Within one GS access window the GS-connected satellite, the source set and
-the routing tree are fixed, so the link tables, the involved node set and
-its static observables are built once per window;
+the routing tree are fixed, so the link tables and the involved node set are
+built once per window;
 satellite positions (hence distances, delays and SINRs) advance every slot
 and each phase's links are rated in one array pass from one distance each.
 """
@@ -59,7 +59,7 @@ class ActionBundle:
 
 @dataclass
 class Snapshot:
-    """Per-slot observables; the static per-node ones are SecWindow attributes."""
+    """Per-slot observables; the agents build the static per-node ones."""
 
     expected_outcome_bytes: np.ndarray
     sinr_to_db: np.ndarray    # [n, 4] previous-slot SINR per ISL direction
@@ -92,11 +92,8 @@ class SecWindow:
         self.band_ot = band_ot
         self.compute = compute
         self.reward_params = reward_params
-        self.routing_eta = routing_eta
-        n_sp = constellation.cfg.sats_per_plane
 
-        self.t0 = self._find_window_start()
-        self.gs_flat = constellation.gs_access_satellite(gs, self.t0)
+        self.t0, self.gs_flat = self._find_window_start()
         # frozen routing tree
         parent = constellation.shortest_path_tree(self.gs_flat, self.t0,
                                                   routing_eta)
@@ -109,14 +106,6 @@ class SecWindow:
                                    sorted_neighbors[self.sources]])
         # the involved nodes: the servers and their routing-tree ancestors
         self.involved = nodes = tree_closure(parent, servers)
-        # static per-node observables, read-only so encoders may share them
-        self.node_plane, self.node_slot = (
-            a.astype(float) for a in np.divmod(nodes, n_sp))
-        is_source = np.isin(nodes, self.sources)
-        self.phi_off = is_source.astype(float)
-        self.phi_gs = (nodes == self.gs_flat).astype(float)
-        self.expected_offload_bytes = (self.phi_off
-                                       * traffic_cfg.mean_bytes_per_slot)
         self.counts = generate_counts(traffic_cfg, len(self.sources), max(steps, 1))
         self.step_idx = 0
 
@@ -136,11 +125,11 @@ class SecWindow:
         # ISL once: every ISL at a source is an offload ISL, so the tree
         # adds those between two other nodes
         up = self._next_link
+        is_source = np.isin(nodes, self.sources)
         tree = np.flatnonzero((up != -1) & ~is_source & ~is_source[up])
         self.edges = np.concatenate([np.searchsorted(nodes, self._to_ends).T,
                                      np.column_stack([tree, up[tree]])])
-        for a in (self.involved, self.edges, self.node_plane, self.node_slot,
-                  self.phi_off, self.phi_gs, self.expected_offload_bytes):
+        for a in (self.involved, self.edges):
             a.setflags(write=False)
         # the (link, node row, ISL direction) cell of every rated link that
         # has a SINR feature
@@ -164,11 +153,11 @@ class SecWindow:
     # -- construction helpers ----------------------------------------------
 
     def _find_window_start(self):
+        """(t0, gs_flat): the first instant with GS access, and its satellite."""
         t = self.c.cfg.epoch_s
         for _ in range(10000):
             try:
-                self.c.gs_access_satellite(self.gs, t)
-                return t
+                return t, self.c.gs_access_satellite(self.gs, t)
             except VisibilityError:
                 t += 10.0
         raise VisibilityError("no GS access found within the search horizon")

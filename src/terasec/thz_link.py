@@ -155,8 +155,6 @@ def absorption_factor(tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
     p1 = np.asarray(rx_pos_km, dtype=float)
     s = np.linspace(0.0, 1.0, _ABSORPTION_SEGMENTS + 1)[:, None]
     alts = np.linalg.norm(p0 + s * (p1 - p0), axis=1) - EARTH_RADIUS_KM
-    if np.min(alts) >= profile.ceiling_km or profile.g0_per_km == 0.0:
-        return 1.0
     g = np.array([profile.coefficient(h) for h in alts])
     length = float(np.linalg.norm(p1 - p0))
     integral = float(np.trapezoid(g, dx=length / _ABSORPTION_SEGMENTS))

@@ -8,6 +8,9 @@ from terasec.sec_sim import ComputeParams, RewardParams
 from terasec.thz_link import ArrayConfig, LinkBudgetParams, band_preset
 from terasec.traffic import TrafficConfig
 
+#: the routing tree's eta of every make_env window
+ROUTING_ETA = 0.5
+
 
 def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
              walker: WalkerConfig = WalkerConfig(),
@@ -20,7 +23,8 @@ def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
         ArrayConfig(), LinkBudgetParams(),
         band_preset(bands[0], "offloading"), band_preset(bands[1], "outcome"),
         ComputeParams(), RewardParams(),
-        n_sources=n_sources, steps=steps, source_seed=seed)
+        n_sources=n_sources, steps=steps, source_seed=seed,
+        routing_eta=ROUTING_ETA)
 
 
 def loss_history(agent) -> list:

@@ -78,6 +78,8 @@ TARGET_FUNCTIONS = {
     "walk_skips_a_walked_output": ("autodiff", "Tensor.backward"),
     "make_reads_only_the_first_parent": ("autodiff", "Tensor._make"),
     "op_output_holds_a_rank_one_gradient": ("autodiff", "Tensor._accumulate"),
+    "held_broadcast_without_zero_buffer": ("autodiff", "Tensor._accumulate"),
+    "static_demand_column_from_the_gs_flag": ("agent", "GrantAgent._bind"),
 }
 
 MUTANTS = [
@@ -103,6 +105,13 @@ MUTANTS = [
            "q_pi.backward(np.array([[-1.0]]))",
            "q_pi.backward(np.array([[1.0]]))",
            (_TD_STEP_TEST,)),
+    # GrantAgent._bind: the static feature columns, L_e as the source flag
+    Mutant("static_demand_column_from_the_gs_flag", "agent.py",
+           "phi_off, zero, zero, zero, zero, phi_off,",
+           "(env.involved == env.gs_flat).astype(float), zero, zero, zero, "
+           "zero, phi_off,",
+           ("tests/test_agent.py::"
+            "test_static_features_equal_the_per_satellite_rebuild",)),
     # _FlatCritic.live_row: the dense critic's live inputs as one graph op
     Mutant("live_row_gradient_at_one_dead_entry", "baselines.py",
            "buf[self.live] = g[0]",
@@ -121,10 +130,15 @@ MUTANTS = [
     Mutant(SUB_GRAPH_MUTANTS[2], "autodiff.py",
            "at(in_rows)[idx[out_rows]]", "idx[out_rows]",
            (_SUB_GRAPH_TEST,)),
-    # Tensor: an op's output built directly, a same-shape first gradient,
-    # and the walk over op outputs only
+    # Tensor: an op's output built directly, a first gradient with the bits
+    # of a zero buffer plus g, and the walk over op outputs only
     Mutant("first_gradient_shares_its_array", "autodiff.py",
            "self._grad = g + 0.0", "self._grad = g",
+           ("tests/test_autodiff.py::"
+            "test_first_gradient_equals_a_zero_buffer_plus_g",)),
+    Mutant("held_broadcast_without_zero_buffer", "autodiff.py",
+           "np.broadcast_to(g + 0.0, self.data.shape)",
+           "np.broadcast_to(g, self.data.shape)",
            ("tests/test_autodiff.py::"
             "test_first_gradient_equals_a_zero_buffer_plus_g",)),
     Mutant("op_output_holds_a_rank_one_gradient", "autodiff.py",

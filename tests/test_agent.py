@@ -204,6 +204,27 @@ def test_encode_equals_the_per_slot_rebuild(cls, seed):
     assert checked == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("n_sources,seed", [(10, 1), (50, 2), (200, 3)])
+def test_static_features_equal_the_per_satellite_rebuild(n_sources, seed):
+    """The static columns the agent lays out at set-up (plane, slot, L_e
+    over the mean demand, zero SINRs, phi_off, phi_gs) equal the per-slot
+    rebuild's, value and sign bit."""
+    env = make_env(seed=seed, steps=1, n_sources=n_sources)
+    agent = GrantAgent(env, TrainConfig(seed=seed, steps=1, hidden_width=8))
+    ref = reference_snapshot(env)
+    c = env.c.cfg
+    zero = np.zeros(len(env.involved))
+    want = np.stack(
+        [ref["planes"] / max(c.planes - 1, 1),
+         ref["slots"] / max(c.sats_per_plane - 1, 1),
+         ref["expected_offload_bytes"] / env.traffic_cfg.mean_bytes_per_slot,
+         zero, zero, zero, zero, ref["phi_off"], ref["phi_gs"]], axis=1)
+    got = agent.static_features
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert not got.flags.writeable
+
+
 # -- safe initialization ------------------------------------------------------
 
 def test_safe_init_zero_input_oracles():

@@ -1020,6 +1020,9 @@ def test_adam_rejects_a_parameter_it_cannot_update_in_place():
 
 @pytest.mark.parametrize("g_shape", [(3, 4), (1, 4), (3, 1)])
 def test_first_gradient_equals_a_zero_buffer_plus_g(g_shape):
+    """A first gradient has the bits of a zero buffer plus g; one of
+    another shape is held as a read-only broadcast, and a second gradient
+    gives the writeable sum."""
     rng = np.random.default_rng(13)
     g = rng.standard_normal(g_shape)
     g.flat[0] = -0.0
@@ -1033,6 +1036,12 @@ def test_first_gradient_equals_a_zero_buffer_plus_g(g_shape):
     assert _same_bits(t.grad, want)
     assert not np.signbit(t.grad.flat[0])
     assert not np.shares_memory(t.grad, g)
+    assert t.grad.flags.writeable == (g_shape == t.shape)
+    g2 = rng.standard_normal(g_shape)
+    t._accumulate(g2)
+    want += g2
+    assert _same_bits(t.grad, want)
+    assert t.grad.flags.writeable
 
 
 def test_an_owned_first_gradient_is_taken_over_in_place():

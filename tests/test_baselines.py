@@ -181,7 +181,7 @@ def test_a_nonzero_dead_input_raises_before_any_optimizer_step(monkeypatch):
     env = make_env(seed=1, steps=4)
     agent = MaddpgFcAgent(env, TrainConfig(seed=1, steps=3, hidden_width=8),
                           critic_width=8)
-    row = int(np.flatnonzero(env.node_plane == 0)[0])
+    row = int(np.flatnonzero(agent.static_features[:, 0] == 0)[0])
     critic = agent.critic
     col = row * ((critic.live.size + critic.dead.size) // len(env.involved))
     assert col in critic.dead

@@ -7,6 +7,7 @@ import pytest
 import slot_reference as ref
 import topology_reference as topo
 from terasec import sec_sim
+from terasec.agent import GrantAgent, TrainConfig
 from terasec.baselines import UniformPolicy
 from terasec.constellation import Constellation, WalkerConfig
 from terasec.env import GS_NODE, ActionBundle, Snapshot
@@ -14,8 +15,8 @@ from terasec.autodiff import normalized_adjacency
 from terasec.thz_link import (absorption_factor, band_preset, link_gain,
                               link_rate, noise_power, path_gain, sinr)
 
-from conftest import (counted_quantizations, counted_simulations, make_env,
-                      random_simplex)
+from conftest import (ROUTING_ETA, counted_quantizations, counted_simulations,
+                      make_env, random_simplex)
 from gcn_reference import dense_adjacency
 
 
@@ -357,10 +358,10 @@ def test_expected_outcome_inflow_equals_the_per_source_loops(seed):
 
 
 def test_static_observables_are_read_only(small_env):
-    for name in ("involved", "edges", "node_plane", "node_slot", "phi_off", "phi_gs",
-                 "expected_offload_bytes"):
+    agent = GrantAgent(small_env, TrainConfig(seed=1, steps=1, hidden_width=8))
+    for array in (small_env.involved, small_env.edges, agent.static_features):
         with pytest.raises(ValueError):
-            getattr(small_env, name)[0] = 1.0
+            array[0] = 1.0
 
 
 # -- window set-up against the per-satellite topology code --------------------
@@ -378,7 +379,7 @@ def test_window_setup_equals_the_per_satellite_reference(n_sources, seed,
     """The tables built from the routing tree's parent array equal those of
     one route walk per server over the per-satellite topology code."""
     env = make_env(seed=seed, steps=2, n_sources=n_sources, walker=walker)
-    want = topo.window_reference(env.c, env.gs_flat, env.t0, env.routing_eta,
+    want = topo.window_reference(env.c, env.gs_flat, env.t0, ROUTING_ETA,
                                  n_sources, seed)
     got = topo.window_views(env)
     for name in ("sources", "neighbor_order", "servers", "route_hops",

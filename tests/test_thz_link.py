@@ -50,6 +50,12 @@ def test_path_gain_ground_path_attenuates():
     assert without * absorption_factor(p0, p1, profile) < without
 
 
+def test_a_ground_path_without_absorption_reads_exactly_one():
+    p0 = np.array([6921.0, 0.0, 0.0])      # satellite
+    p1 = np.array([6371.0, 0.0, 0.0])      # ground, below the ceiling
+    assert absorption_factor(p0, p1, AbsorptionProfile(g0_per_km=0.0)) == 1.0
+
+
 def test_path_gain_zero_distance_error():
     with pytest.raises(LinkDomainError):
         path_gain(135e9, 0.0)
