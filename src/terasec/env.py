@@ -11,6 +11,7 @@ and each phase's links are rated in one array pass from one distance each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,20 @@ class ActionBundle:
     to_power: np.ndarray      # [n_src, 4K], link-major; sum <= 1 per row
     ot_subarray: np.ndarray   # [n_tx, 1]; in [0, 1]
     ot_power: np.ndarray      # [n_tx, K]; sum <= 1 per transmitter
+
+
+class _SlotRecord(NamedTuple):
+    """One slot's bundle and what follows from it on every band pair; see
+    SecWindow.step."""
+
+    pos: np.ndarray
+    arrays: list             # copies of the bundle's arrays
+    allocations: tuple       # (alloc_to, alloc_ot)
+    tasks: np.ndarray
+    loads: sec_sim.SlotLoads
+    usage: tuple             # sec_sim.resource_usage's
+    distances: list          # [d_to, d_ot] in km
+    evaluations: dict        # band pair -> (step's result, gammas)
 
 
 @dataclass
@@ -145,8 +160,11 @@ class SecWindow:
         self._expected_outcome = self._expected_outcome_inflow(bundle.offload)
         alloc_to, alloc_ot = self._quantize_allocations(bundle)
         pos = self._positions(self.t0)
-        _, _, gammas_to = self._rate_phase(alloc_to, self._to_ends, band_to, pos)
-        _, _, gammas_ot = self._rate_phase(alloc_ot, self._ot_ends, band_ot, pos)
+        d_to, d_ot = self._link_distances(pos)
+        _, gammas_to = self._rate_phase(alloc_to, d_to, self._to_ends, band_to,
+                                        pos)
+        _, gammas_ot = self._rate_phase(alloc_ot, d_ot, self._ot_ends, band_ot,
+                                        pos)
         self._record_sinrs(gammas_to, gammas_ot)
         self._slot = None       # this slot's record; see step
 
@@ -200,6 +218,15 @@ class SecWindow:
         """[n_sats + 1, 3] positions at t; the last row is the GS (GS_NODE)."""
         return np.vstack([self.c.positions_at(t), self.c.gs_position(self.gs, t)])
 
+    def _link_distances(self, pos: np.ndarray) -> list:
+        """[d_to, d_ot]: each phase's link lengths in km at `pos` (from
+        _positions), in link-table order."""
+        out = []
+        for ends in (self._to_ends, self._ot_ends):
+            v = np.subtract(*pos[ends])
+            out.append(np.sqrt(np.vecdot(v, v)))  # bit-identical to norm
+        return out
+
     # -- allocations and rates -------------------------------------------------
 
     def _quantize_allocations(self, bundle: ActionBundle):
@@ -218,14 +245,12 @@ class SecWindow:
                     sec_sim.quantize_power(bundle.ot_power, p_max)[:, None])
         return alloc_to, alloc_ot
 
-    def _rate_phase(self, alloc: tuple, ends: np.ndarray, band: BandPlan,
-                    pos: np.ndarray):
-        """One phase's links at `pos` (from _positions), rated by one
-        thz_link chain call over a [links x sub-bands] grid.  Returns
-        (d_km, rates, gammas) as arrays in link-table order."""
+    def _rate_phase(self, alloc: tuple, d_km: np.ndarray, ends: np.ndarray,
+                    band: BandPlan, pos: np.ndarray):
+        """One phase's links of lengths d_km at `pos` (from _positions),
+        rated by one thz_link chain call over a [links x sub-bands] grid.
+        Returns (rates, gammas) as arrays in link-table order."""
         subarrays, power = alloc
-        v = np.subtract(*pos[ends])
-        d_km = np.sqrt(np.vecdot(v, v))     # bit-identical to np.linalg.norm
         alpha2 = thz_link.path_gain(band.centers_hz, d_km[:, None])
         for i in np.flatnonzero(ends[1] == GS_NODE):
             # molecular absorption on the GS downlink only
@@ -242,7 +267,7 @@ class SecWindow:
         gammas = thz_link.sinr(power, h2, self.budget.interference_mean_w,
                                sigma2)
         rates = thz_link.link_rate(power > 0.0, gammas, band.bandwidth_hz)
-        return d_km, rates, gammas
+        return rates, gammas
 
     def _record_sinrs(self, gammas_to: np.ndarray, gammas_ot: np.ndarray):
         """Next-slot SINR features: each rated ISL's mean SINR in dB over its
@@ -284,27 +309,38 @@ class SecWindow:
                         sinr_to_db=self._sinr_to_db.copy(),
                         sinr_ot_db=self._sinr_ot_db.copy())
 
-    def _evaluate(self, bundle: ActionBundle, band_to: BandPlan,
-                  band_ot: BandPlan, allocations: tuple, pos: np.ndarray):
-        """(step's result, (gammas_to, gammas_ot)) of the current slot at
-        `pos`: rates, quantizes and simulates, and changes no state."""
-        alloc_to, alloc_ot = allocations
+    def _record(self, bundle: ActionBundle, arrays: list, pos: np.ndarray,
+                distances: list) -> _SlotRecord:
+        """The current slot's record of `bundle` at `pos`: what no band
+        pair changes, computed once."""
+        allocations = self._quantize_allocations(bundle)
         counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
         tasks = sec_sim.quantize_offload(bundle.offload, counts)
-        d_to, rates_to, gammas_to = self._rate_phase(
-            alloc_to, self._to_ends, band_to, pos)
-        d_ot, rates_ot, gammas_ot = self._rate_phase(
-            alloc_ot, self._ot_ends, band_ot, pos)
+        loads = sec_sim.slot_loads(tasks, self._offload_rows, self.involved,
+                                   self.compute,
+                                   self.traffic_cfg.task_size_bytes)
+        usage = sec_sim.resource_usage(*allocations, self.budget.p_max_w,
+                                       self.array_cfg.s_max)
+        return _SlotRecord(pos, [a.copy() for a in arrays], allocations, tasks,
+                           loads, usage, distances, {})
+
+    def _evaluate(self, slot: _SlotRecord, band_to: BandPlan,
+                  band_ot: BandPlan):
+        """(step's result, (gammas_to, gammas_ot)) of the slot's record on
+        one band pair: rates and simulates, and changes no state."""
+        alloc_to, alloc_ot = slot.allocations
+        d_to, d_ot = slot.distances
+        n_src = len(slot.tasks)
+        rates_to, gammas_to = self._rate_phase(alloc_to, d_to, self._to_ends,
+                                               band_to, slot.pos)
+        rates_ot, gammas_ot = self._rate_phase(alloc_ot, d_ot, self._ot_ends,
+                                               band_ot, slot.pos)
         outcome = sec_sim.simulate_slot(
-            tasks=tasks, rows=self._offload_rows, nodes=self.involved,
-            rates_to=rates_to.reshape(len(tasks), -1),
-            dist_to_km=d_to.reshape(len(tasks), -1), next_link=self._next_link,
+            loads=slot.loads, rates_to=rates_to.reshape(n_src, -1),
+            dist_to_km=d_to.reshape(n_src, -1), next_link=self._next_link,
             order=self._route_order, rates_ot=rates_ot, dist_ot_km=d_ot,
-            alloc_to=alloc_to, alloc_ot=alloc_ot,
-            compute=self.compute, task_size_bytes=self.traffic_cfg.task_size_bytes,
-            reward_params=self.reward_params, p_max_w=self.budget.p_max_w,
-            s_max=self.array_cfg.s_max)
-        return (outcome, tasks, allocations), (gammas_to, gammas_ot)
+            usage=slot.usage, reward_params=self.reward_params)
+        return (outcome, slot.tasks, slot.allocations), (gammas_to, gammas_ot)
 
     def step(self, bundle: ActionBundle,
              band_to: BandPlan | None = None,
@@ -314,23 +350,26 @@ class SecWindow:
         default); returns (SlotOutcome, task table, (alloc_to, alloc_ot)),
         the task table in env.sources x server order (the source itself,
         then its ISL neighbors in ascending flat order).  The slot's record
-        (positions, a copy of the bundle's arrays, their allocations and
-        evaluations by band pair) quantizes a bundle once and evaluates it
-        once per band pair, so an advancing step returns the very result of
-        its replay (advance=False, which changes nothing else); a bundle
-        that differs, or was changed in place, starts a new record."""
+        holds what no band pair changes (positions and link distances, a
+        copy of the bundle's arrays, their allocations, task table, server
+        loads and resource usage) and each band pair's evaluation, so a
+        bundle is quantized once and evaluated once per band pair, and an
+        advancing step returns the very result of its replay (advance=False,
+        which changes nothing else); a bundle that differs, or was changed
+        in place, starts a new record at the same positions."""
         bands = (band_to or self.band_to, band_ot or self.band_ot)
         arrays = list(vars(bundle).values())
         slot = self._slot
-        if slot is None or not all(map(np.array_equal, slot[1], arrays)):
-            pos = (self._positions(self.time_at(self.step_idx))
-                   if slot is None else slot[0])
-            slot = self._slot = (pos, [a.copy() for a in arrays],
-                                 self._quantize_allocations(bundle), {})
-        pos, _, allocations, evaluations = slot
-        if bands not in evaluations:
-            evaluations[bands] = self._evaluate(bundle, *bands, allocations, pos)
-        result, gammas = evaluations[bands]
+        if slot is None:
+            pos = self._positions(self.time_at(self.step_idx))
+            slot = self._slot = self._record(bundle, arrays, pos,
+                                             self._link_distances(pos))
+        elif not all(map(np.array_equal, slot.arrays, arrays)):
+            slot = self._slot = self._record(bundle, arrays, slot.pos,
+                                             slot.distances)
+        if bands not in slot.evaluations:
+            slot.evaluations[bands] = self._evaluate(slot, *bands)
+        result, gammas = slot.evaluations[bands]
         if not advance:
             return result
         # next-slot state: realized SINRs and expected outcome inflow

@@ -4,6 +4,7 @@ comparison by allocation replay.
 """
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
 import dataclasses
@@ -312,6 +313,36 @@ def _loss_row(record: dict) -> str:
         record["critic_loss"], record["q_value"], record["actor_lr"]])
 
 
+def _end_failed_csvs(files, ends, error: str) -> None:
+    """End a failed run's CSVs on the last step that all of them hold whole,
+    then a '# FAILED step=N' marker row where it fits.
+
+    A failed write or flush can leave part of a row, or one file a step
+    ahead of the other.  So each file is closed, flushing what it can, and
+    cut back to its offset in `ends` (after its header, then after each
+    step's row) at the last step that every file holds whole."""
+    paths = [fh.name for fh in files]
+    for fh in files:
+        with contextlib.suppress(OSError):
+            fh.close()
+    try:
+        whole = min(bisect.bisect_right(at, os.path.getsize(path))
+                    for path, at in zip(paths, ends)) - 1
+    except OSError:             # a file gone: nothing left to end
+        return
+    marker = f"# FAILED step={max(whole, 0)} error={error}\n".encode()
+    for path, at in zip(paths, ends):
+        keep = at[whole] if whole >= 0 else 0
+        with contextlib.suppress(OSError):
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                os.ftruncate(fd, keep)
+                if os.write(fd, marker) < len(marker):
+                    os.ftruncate(fd, keep)     # no partial marker row
+            finally:
+                os.close(fd)
+
+
 @dataclasses.dataclass
 class RunSummary:
     seed: int
@@ -334,8 +365,9 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
 
     Each seed writes a metrics CSV (plus loss CSV and periodic checkpoints
     for learning policies) and a summary JSON into cfg.output_dir, flushing
-    the CSVs at every checkpoint.  A failure or stop mid-run ends the CSVs,
-    on the same step, with a '# FAILED' marker row and writes no summary.
+    the CSVs at every checkpoint.  A failure or stop mid-run ends the CSVs
+    on the last step that both hold whole, with a '# FAILED' marker row
+    where it fits, and writes no summary.
     on_setup(seed, env) runs once the seed's set-up has succeeded and the
     output directory exists.
     """
@@ -360,8 +392,13 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(open(path, "w"))
                      for path in (metrics_path, loss_path) if path]
+            # each file's byte offset after its header, then after each
+            # step's row
+            ends = []
             for fh, columns in zip(files, (METRICS_HEADER, LOSS_HEADER)):
-                fh.write(header + "\n" + columns + "\n")
+                text = header + "\n" + columns + "\n"
+                fh.write(text)
+                ends.append([len(text.encode())])
             t_start = time.perf_counter()
             steps_done = first_faults = 0
             # the parsed values of the last rows written, for the summary
@@ -377,6 +414,8 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                 try:
                     for fh, row in zip(files, rows):
                         fh.write(row + "\n")
+                    for at, row in zip(ends, rows):
+                        at.append(at[-1] + len(row.encode()) + 1)
                     steps_done = step + 1
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, held)
@@ -399,10 +438,11 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                 else:
                     for record in rollout_policy(env, policy, cfg.train.steps):
                         on_step(policy, record)
-            except BaseException as exc:
+                # here, so that a failed last flush ends the CSVs as above
                 for fh in files:
-                    fh.write(f"# FAILED step={steps_done} "
-                             f"error={type(exc).__name__}\n")
+                    fh.flush()
+            except BaseException as exc:
+                _end_failed_csvs(files, ends, type(exc).__name__)
                 raise
         wall = (time.perf_counter() - t_start) / max(steps_done, 1)
         usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -464,10 +504,11 @@ def compare_bands(cfg: ExperimentConfig, seed: int,
         bundle = policy.act(env.snapshot())
         for name, (b_to, b_ot) in band_plans.items():
             outcome = env.step(bundle, b_to, b_ot, advance=False)[0]
-            overall = list(outcome.overall_delay.values())
-            finite = [d for d in overall if np.isfinite(d)]
-            unreachable[name] += len(finite) < len(overall)
-            if finite:
+            overall = np.fromiter(outcome.overall_delay.values(), float,
+                                  len(outcome.overall_delay))
+            finite = overall[np.isfinite(overall)]
+            unreachable[name] += finite.size < overall.size
+            if finite.size:
                 delays[name].append(float(np.mean(finite)))
                 maxima[name].append(float(np.max(finite)))
         # advance once on the configured reference band

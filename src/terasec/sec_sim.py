@@ -223,29 +223,74 @@ def outcome_spans(release: np.ndarray, out_bytes: np.ndarray,
     return np.array(span), backlog, unreachable
 
 
-def simulate_slot(tasks: np.ndarray,
-                  rows: np.ndarray,
-                  nodes: np.ndarray,
-                  rates_to: np.ndarray,
-                  dist_to_km: np.ndarray,
-                  next_link: np.ndarray,
-                  order: np.ndarray,
-                  rates_ot: np.ndarray,
-                  dist_ot_km: np.ndarray,
-                  alloc_to: tuple,
-                  alloc_ot: tuple,
-                  compute: ComputeParams,
-                  task_size_bytes: int,
-                  reward_params: RewardParams,
-                  p_max_w: float,
-                  s_max: int) -> SlotOutcome:
-    """Simulate one slot.
+@dataclass(frozen=True)
+class SlotLoads:
+    """What a slot's task table puts on its servers, on any band.
+
+    Per (source, server) cell: has_path (the cell carries tasks, or is a
+    source's local path when it offloads nothing) and data (its input
+    bytes).  Per link, each server's row: t_cp (computation delay) and
+    out_bytes (outcome size) of the input its paths bring.  path_rows are
+    the rows of the cells with a path, in row-major order; path_keys their
+    (source, server) flat ids and sources the sources' flat ids, the keys
+    of SlotOutcome.path_delays and overall_delay.
+    """
+
+    rows: np.ndarray
+    has_path: np.ndarray
+    data: np.ndarray
+    t_cp: np.ndarray
+    out_bytes: np.ndarray
+    path_rows: np.ndarray
+    path_keys: list
+    sources: list
+
+
+def slot_loads(tasks: np.ndarray,
+               rows: np.ndarray,
+               nodes: np.ndarray,
+               compute: ComputeParams,
+               task_size_bytes: int) -> SlotLoads:
+    """The band-independent part of a slot.
 
     tasks           [n_src, 1 + m] int task table from quantize_offload
     rows            [n_src, 1 + m] node rows of the servers of those
                     columns, column 0 the source itself; a server's row is
                     also its first outcome link
     nodes           [links] flat id of each node row
+    """
+    if tasks.shape != rows.shape or np.any((rows < 0) | (rows >= len(nodes))):
+        raise ActionError("server rows do not match the task or link table")
+    # a path carries tasks; a source that offloads nothing keeps its local
+    # path, even an empty one
+    has_path = tasks > 0
+    has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0
+    data = tasks * task_size_bytes
+    path_rows = rows[has_path]
+    server_bytes = np.zeros(len(nodes), dtype=np.int64)
+    np.add.at(server_bytes, path_rows, data[has_path])
+    servers = nodes[rows]
+    src, col = np.nonzero(has_path)
+    return SlotLoads(
+        rows=rows, has_path=has_path, data=data,
+        t_cp=computation_delay(server_bytes, compute),
+        out_bytes=outcome_size(server_bytes, compute), path_rows=path_rows,
+        path_keys=list(zip(servers[src, 0].tolist(),
+                           servers[src, col].tolist())),
+        sources=servers[:, 0].tolist())
+
+
+def simulate_slot(loads: SlotLoads,
+                  rates_to: np.ndarray,
+                  dist_to_km: np.ndarray,
+                  next_link: np.ndarray,
+                  order: np.ndarray,
+                  rates_ot: np.ndarray,
+                  dist_ot_km: np.ndarray,
+                  usage: tuple,
+                  reward_params: RewardParams) -> SlotOutcome:
+    """Simulate one slot of slot_loads' servers on one band pair.
+
     rates_to        [n_src, m] bit/s of each offload hop (columns 1..)
     dist_to_km      [n_src, m] km of each offload hop
     next_link       [links] the outcome link after each one on its route,
@@ -253,17 +298,15 @@ def simulate_slot(tasks: np.ndarray,
     order           [links] route_tree_order(next_link)
     rates_ot        [links] bit/s of each outcome link
     dist_ot_km      [links] km of each outcome link
-    alloc_to/ot     per phase (subarrays, power_w); see resource_usage
+    usage           resource_usage's tuple of the slot's allocations
 
     Per-path delay = offload hop (transmission + propagation) + computation
     at the server + the server's outcome flow traversal of its route, with
     FIFO contention on shared links (arrival order, ties by ascending node
     row).  Rows are reported in the order given, keyed by flat id.
     """
-    n_links = len(next_link)
-    if tasks.shape != rows.shape or np.any((rows < 0) | (rows >= n_links)):
-        raise ActionError("server rows do not match the task or link table")
-    if next_link.shape != rates_ot.shape or nodes.shape != rates_ot.shape:
+    n_links = len(loads.t_cp)
+    if next_link.shape != rates_ot.shape or rates_ot.shape != (n_links,):
         raise ActionError("outcome links do not match the link table")
     # every link below its next; a link left out or repeated ranks as the GS
     rank = np.full(n_links + 1, n_links)
@@ -272,45 +315,32 @@ def simulate_slot(tasks: np.ndarray,
     if (np.any((next_link < -1) | (next_link >= n_links))
             or np.any(rank[:-1] >= rank[next_link])):
         raise ActionError("order does not feed the route tree forward")
-    # a path carries tasks; a source that offloads nothing keeps its local
-    # path, even an empty one
-    has_path = tasks > 0
-    has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0
+    has_path = loads.has_path
     unreachable = bool(np.any(has_path[:, 1:] & (rates_to <= 0.0)))
 
-    # offload hop delays and per-row input bytes
-    data = tasks * task_size_bytes
-    offload_delay = np.zeros(tasks.shape)
+    # offload hop delays, and each server's release after its last arrival
+    offload_delay = np.zeros(has_path.shape)
     hop = np.full(rates_to.shape, math.inf)
-    np.divide(data[:, 1:], rates_to, out=hop, where=rates_to > 0.0)
+    np.divide(loads.data[:, 1:], rates_to, out=hop, where=rates_to > 0.0)
     offload_delay[:, 1:] = hop + propagation_delay(dist_to_km)
-    server_bytes = np.zeros(n_links, dtype=np.int64)
-    np.add.at(server_bytes, rows[has_path], data[has_path])
     arrival = np.zeros(n_links)
-    np.maximum.at(arrival, rows[has_path], offload_delay[has_path])
-
-    # computation, then the outcome flows of servers that received data
-    t_cp = computation_delay(server_bytes, compute)
+    np.maximum.at(arrival, loads.path_rows, offload_delay[has_path])
     span, backlog, cut = outcome_spans(
-        arrival + t_cp, outcome_size(server_bytes, compute), next_link,
-        order, rates_ot, dist_ot_km)
+        arrival + loads.t_cp, loads.out_bytes, next_link, order, rates_ot,
+        dist_ot_km)
     unreachable |= cut
 
     # per-path and per-source delays
-    delay = offload_delay + t_cp[rows] + span[rows]
-    servers = nodes[rows]
-    src, col = np.nonzero(has_path)
-    path_delays = dict(zip(zip(servers[src, 0].tolist(),
-                               servers[src, col].tolist()),
-                           delay[src, col].tolist()))
+    rows = loads.rows
+    delay = offload_delay + loads.t_cp[rows] + span[rows]
+    path_delays = dict(zip(loads.path_keys, delay[has_path].tolist()))
     worst = np.max(np.where(has_path, delay, 0.0), axis=1)
-    overall = dict(zip(servers[:, 0].tolist(), worst.tolist()))
+    overall = dict(zip(loads.sources, worst.tolist()))
     capped = np.minimum(worst, DELAY_CAP_S)
     t_avg = float(np.mean(capped)) if capped.size else 0.0
     t_max = float(np.max(capped)) if capped.size else 0.0
 
-    u_p, u_s, u_tot, p_mean, s_mean = resource_usage(alloc_to, alloc_ot,
-                                                     p_max_w, s_max)
+    u_p, u_s, u_tot, p_mean, s_mean = usage
     r = reward(u_tot, t_avg, reward_params)
     return SlotOutcome(
         path_delays=path_delays, overall_delay=overall, t_avg=t_avg, t_max=t_max,

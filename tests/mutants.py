@@ -50,6 +50,8 @@ _FACTORS_TEST = ("tests/test_autodiff.py::test_adam_from_factors_equals_the_"
 _HEAP_TEST = ("tests/test_sec_sim.py::"
               "test_route_tree_pass_equals_the_heap")
 _FIFO_TEST = "tests/test_sec_sim.py::test_slot_shared_fifo_relay"
+_BAND_REPLAY_TEST = ("tests/test_env.py::"
+                     "test_every_band_replay_equals_the_full_per_band_reference")
 _GCN_TESTS = ("tests/test_autodiff.py::"
               "test_a_gcn_layer_has_the_bits_of_the_three_op_chain",
               "tests/test_learner_pin.py")
@@ -80,6 +82,8 @@ TARGET_FUNCTIONS = {
     "op_output_holds_a_rank_one_gradient": ("autodiff", "Tensor._accumulate"),
     "held_broadcast_without_zero_buffer": ("autodiff", "Tensor._accumulate"),
     "static_demand_column_from_the_gs_flag": ("agent", "GrantAgent._bind"),
+    "loads_reused_after_an_in_place_change": ("env", "SecWindow.step"),
+    "offload_hops_at_outcome_link_distances": ("env", "SecWindow._evaluate"),
 }
 
 MUTANTS = [
@@ -182,8 +186,8 @@ MUTANTS = [
            ("tests/test_constellation.py::"
             "test_shortest_path_tree_equals_the_per_satellite_build",)),
     # the simulator: the FIFO walk, the quantizers, the route order, the
-    # local path, the link rates, the SINR features, the slot record, and the
-    # failed run's marker
+    # local path, the link rates, the SINR features, the slot record and
+    # what its band replays share, and the failed run's marker
     Mutant("fifo_waits_at_an_exact_free_link", "sec_sim.py",
            "if free > t:", "if free >= t:",
            (_HEAP_TEST, _FIFO_TEST)),
@@ -225,9 +229,20 @@ MUTANTS = [
            "[a.copy() for a in arrays]", "list(arrays)",
            ("tests/test_env.py::"
             "test_a_replay_is_not_reused_for_other_inputs",)),
+    Mutant("loads_reused_after_an_in_place_change", "env.py",
+           "slot = self._slot = self._record(bundle, arrays, slot.pos,\n"
+           "                                             slot.distances)",
+           "slot = self._slot = self._record(bundle, arrays, slot.pos,\n"
+           "                                             slot.distances"
+           ")._replace(loads=slot.loads)",
+           (_BAND_REPLAY_TEST,)),
+    Mutant("offload_hops_at_outcome_link_distances", "env.py",
+           "dist_to_km=d_to.reshape(n_src, -1)",
+           "dist_to_km=d_ot[:d_to.size].reshape(n_src, -1)",
+           (_BAND_REPLAY_TEST,)),
     Mutant("failed_marker_one_step_late", "harness.py",
-           'fh.write(f"# FAILED step={steps_done} "',
-           'fh.write(f"# FAILED step={steps_done + 1} "',
+           'marker = f"# FAILED step={max(whole, 0)} ',
+           'marker = f"# FAILED step={max(whole, 0) + 1} ',
            ("tests/test_harness.py::test_run_experiment_failure_marker",
             "tests/test_cli.py::test_a_non_finite_outcome_fails_the_run_"
             "instead_of_being_written")),

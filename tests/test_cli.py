@@ -640,6 +640,54 @@ def test_a_stopped_run_ends_both_csvs_on_the_same_step(tmp_path):
                 proc.wait()
 
 
+@pytest.mark.parametrize("policy,limit", [
+    ("grant", 3000),      # a limit inside a metrics row, met before step 50
+    ("uniform", 5000),    # a limit inside a row, met by the last flush
+])
+def test_a_file_size_limit_ends_the_csvs_on_whole_rows_of_one_step(
+        tmp_path, policy, limit):
+    """`terasec train` for 120 steps in a child whose file size limit
+    (RLIMIT_FSIZE, set in the child alone) stops a write or a flush inside
+    a row: it exits 3, its CSVs hold whole rows of the same steps, each CSV
+    with room for it ends in the '# FAILED' marker, and the run leaves no
+    temporary checkpoint and no summary."""
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = tmp_path / "runs"
+    proc = subprocess.run(
+        [sys.executable, "-m", "terasec.cli", "train", "--policy", policy,
+         "--seed", "1", "--steps", "120", "--out", str(out)], env=env,
+        preexec_fn=limit_file_size, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "File too large" in proc.stderr
+    widths = {"metrics": 9, "loss": 4} if policy == "grant" else {"metrics": 9}
+    assert sorted(os.listdir(out)) == sorted(
+        f"{policy}_seed1_{name}.csv" for name in widths)
+    steps, markers = [], []
+    for name, width in widths.items():
+        text = (out / f"{policy}_seed1_{name}.csv").read_text()
+        assert text.endswith("\n") and len(text) <= limit
+        lines = text.split("\n")[:-1]
+        markers.append(lines.pop() if lines[-1].startswith("#") else None)
+        assert lines[0].startswith("# config_hash=")
+        rows = [row.split(",") for row in lines[2:]]
+        assert all(len(row) == width for row in rows)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        steps.append([int(row[0]) for row in rows])
+        # the marker is left out only where it would pass the limit
+        marker = f"# FAILED step={len(rows)} error=OSError"
+        assert markers[-1] in (marker, None)
+        whole = len(text) - (len(marker) + 1 if markers[-1] else 0)
+        assert (markers[-1] is None) == (whole + len(marker) + 1 > limit)
+    assert all(s == list(range(len(steps[0]))) for s in steps)
+    assert 0 < len(steps[0]) < 120
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "compare-bands"])
 def test_steps_zero_is_a_config_error(tmp_path, capsys, command):
     out = tmp_path / "runs"

@@ -126,8 +126,11 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         want = reference_rates(env, *link_allocs(env, alloc_to, alloc_ot), t,
                                b_to, b_ot)
         pos = env._positions(t)
-        _, rates_to, g_to = env._rate_phase(alloc_to, env._to_ends, b_to, pos)
-        _, rates_ot, g_ot = env._rate_phase(alloc_ot, env._ot_ends, b_ot, pos)
+        d_to, d_ot = env._link_distances(pos)
+        rates_to, g_to = env._rate_phase(alloc_to, d_to, env._to_ends, b_to,
+                                         pos)
+        rates_ot, g_ot = env._rate_phase(alloc_ot, d_ot, env._ot_ends, b_ot,
+                                         pos)
         assert list(want[0]) == views.offload_links
         assert list(want[1]) == views.outcome_links
         assert rates_to.tolist() == list(want[0].values())
@@ -137,7 +140,8 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
 
         # an advancing step: distances per hop and the next-slot features
         bundle = random_bundle(env, rng)
-        env.step(bundle, band_to=b_to, band_ot=b_ot)
+        _, _, (alloc_to, alloc_ot) = env.step(bundle, band_to=b_to,
+                                              band_ot=b_ot)
         pos = env.c.positions_at(t)
 
         def node_pos(node):
@@ -150,16 +154,15 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         assert seen["dist_ot_km"].tolist() == [
             float(np.linalg.norm(pos[tx] - node_pos(rx)))
             for tx, rx in views.outcome_links]
-        servers = env.involved[env._offload_rows]
-        assert np.array_equal(seen["nodes"][seen["rows"]], servers)
+        servers = env.involved[seen["loads"].rows]
+        assert seen["loads"].sources == env.sources
         first = dict(zip(servers.ravel().tolist(),
-                         seen["rows"].ravel().tolist()))
+                         seen["loads"].rows.ravel().tolist()))
         assert {server: [views.outcome_links[i] for i in links]
                 for server, links in ref.tree_routes(
                     first, seen["next_link"]).items()} == views.route_hops
         _, _, g_to, g_ot = reference_rates(
-            env, *link_allocs(env, seen["alloc_to"], seen["alloc_ot"]), t,
-            b_to, b_ot)
+            env, *link_allocs(env, alloc_to, alloc_ot), t, b_to, b_ot)
         sinr_to, sinr_ot = reference_sinr_features(env, g_to, g_ot)
         assert np.array_equal(env._sinr_to_db, sinr_to)
         assert np.array_equal(env._sinr_ot_db, sinr_ot)
@@ -175,8 +178,11 @@ def test_next_slot_sinrs_reuse_the_slot_rating(seed):
         pos = env._positions(env.time_at(env.step_idx))
         _, _, (alloc_to, alloc_ot) = env.step(policy.act())
         reused = env.snapshot()
-        _, _, g_to = env._rate_phase(alloc_to, env._to_ends, env.band_to, pos)
-        _, _, g_ot = env._rate_phase(alloc_ot, env._ot_ends, env.band_ot, pos)
+        d_to, d_ot = env._link_distances(pos)
+        _, g_to = env._rate_phase(alloc_to, d_to, env._to_ends, env.band_to,
+                                  pos)
+        _, g_ot = env._rate_phase(alloc_ot, d_ot, env._ot_ends, env.band_ot,
+                                  pos)
         env._record_sinrs(g_to, g_ot)
         assert np.array_equal(reused.sinr_to_db, env._sinr_to_db)
         assert np.array_equal(reused.sinr_ot_db, env._sinr_ot_db)
@@ -251,6 +257,20 @@ SLOT_FIELDS = ("t_avg", "t_max", "reward", "u_total", "u_power", "u_subarray",
                "power_w_mean", "subarrays_mean", "unreachable")
 
 
+def assert_equals_the_dict_path(env, got, want):
+    """An array SlotOutcome against the dict path's: every field equal, the
+    per-source delays in the same key order, and the backlog by (tx, rx)
+    link."""
+    for name in SLOT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.overall_delay == want.overall_delay
+    assert list(got.overall_delay) == list(want.overall_delay)
+    assert got.path_delays == want.path_delays
+    links = topo.window_views(env).outcome_links
+    assert {links[i]: b for i, b in got.queue_backlog_bytes.items()
+            } == want.queue_backlog_bytes
+
+
 @pytest.mark.parametrize("bands", [("thz", "thz"), ("ka", "ku"), ("ku", "ka")])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_array_slot_equals_the_dict_path(seed, bands):
@@ -282,18 +302,40 @@ def test_array_slot_equals_the_dict_path(seed, bands):
                                   [a.subarrays for a in links])
             assert np.array_equal(power.reshape(len(links), -1),
                                   [a.power_w for a in links])
-        for name in SLOT_FIELDS:
-            assert getattr(got, name) == getattr(want, name), name
-        assert got.overall_delay == want.overall_delay
-        assert list(got.overall_delay) == list(want.overall_delay)
-        assert got.path_delays == want.path_delays
-        assert {views.outcome_links[i]: b for i, b in
-                got.queue_backlog_bytes.items()} == want.queue_backlog_bytes
+        assert_equals_the_dict_path(env, got, want)
         assert np.any(tasks == 0) and np.any(tasks.sum(axis=1) == 0)
         reachable.add(not got.unreachable)
         offload_inf |= any(math.isinf(d) for (src, server), d in
                            got.path_delays.items() if src != server)
     assert reachable == {True, False} and offload_inf
+
+
+@pytest.mark.parametrize("n_sources,seed", [(10, 1), (50, 2)])
+def test_every_band_replay_equals_the_full_per_band_reference(n_sources,
+                                                              seed):
+    """A slot's replays share its record's task table, server loads,
+    resource usage and link distances; each thz, ka and ku replay equals
+    the dict path's full computation of that band pair, before and after
+    the bundle's offload and outcome power are changed in place."""
+    env = make_env(seed=seed, steps=3, n_sources=n_sources)
+    rng = np.random.default_rng(seed)
+    bands = [(band_preset(name, "offloading"), band_preset(name, "outcome"))
+             for name in ("thz", "ka", "ku")]
+    unreachable = set()
+    for slot in range(3):
+        bundle = harsh_bundle(env, rng, dead_links=slot == 1)
+        for changed in (False, True):
+            if changed:
+                bundle.offload[:] = bundle.offload[::-1].copy()
+                bundle.ot_power *= 0.5
+            for b_to, b_ot in bands:
+                got = env.step(bundle, band_to=b_to, band_ot=b_ot,
+                               advance=False)[0]
+                want = reference_slot(env, bundle, b_to, b_ot)[0]
+                assert_equals_the_dict_path(env, got, want)
+                unreachable.add(got.unreachable)
+        env.step(bundle)
+    assert unreachable == {True, False}
 
 
 def test_resource_usage_sums_as_the_per_link_loop():

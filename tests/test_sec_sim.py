@@ -11,7 +11,7 @@ from terasec.sec_sim import (ActionError, ComputeParams, DELAY_CAP_S,
                              outcome_spans, propagation_delay,
                              quantize_offload, quantize_power,
                              quantize_subarrays, reward, resource_usage,
-                             route_tree_order, simulate_slot)
+                             route_tree_order, simulate_slot, slot_loads)
 
 from slot_reference import heap_outcome_spans, route_tree, tree_routes
 
@@ -83,6 +83,11 @@ def test_subarrays_budget_never_exceeded():
         assert out.sum() <= 64 and np.all(out >= 1)
 
 
+def test_subarrays_take_as_many_links_as_sub_arrays():
+    """n_links == s_max is the edge of the budget: one sub-array each."""
+    assert quantize_subarrays(np.zeros(64), 64).tolist() == [1] * 64
+
+
 def test_subarrays_errors():
     with pytest.raises(ActionError):
         quantize_subarrays(np.full(4, 0.3), 64)       # sum > 1
@@ -140,6 +145,12 @@ def test_compute_params_validation():
         ComputeParams(cycles_per_byte=0.0)
     with pytest.raises(ValueError):
         ComputeParams(outcome_ratio=0.0)
+    with pytest.raises(ValueError):
+        ComputeParams(cpu_rate_hz=0.0)
+
+
+def test_compute_params_accept_an_outcome_as_large_as_its_input():
+    assert ComputeParams(outcome_ratio=1.0).outcome_ratio == 1.0
 
 
 # -- reward ------------------------------------------------------------------
@@ -169,9 +180,17 @@ def test_reward_monotone_and_slope_ratio():
 
 def test_reward_params_validation():
     for bad in (dict(w_below=50.0, w_above=10.0), dict(latency_threshold_s=0.0),
-                dict(latency_threshold_s=-1.0), dict(chi1=-1.0)):
+                dict(latency_threshold_s=-1.0), dict(chi1=-1.0),
+                dict(w_below=0.0)):
         with pytest.raises(ValueError):
             RewardParams(**bad)
+
+
+def test_reward_params_accept_their_edges():
+    """Equal penalty weights (one slope) and chi1 = 0 (usage unpriced)."""
+    flat = RewardParams(w_below=20.0, w_above=20.0)
+    assert reward(0.0, 0.3, flat) == pytest.approx(-6.0)
+    assert reward(0.7, 0.05, RewardParams(chi1=0.0)) == pytest.approx(-0.5)
 
 
 # -- resource usage ----------------------------------------------------------
@@ -236,17 +255,18 @@ def _slot(tasks, servers, routes, rates_to=None, dist_to=None, rates_ot=(),
     nodes = np.full(len(rates_ot), -1)
     nodes[list(first.values())] = list(first)
     next_link = tree if next_link is None else np.asarray(next_link)
+    loads = slot_loads(
+        tasks, np.array([[first[s] for s in row] for row in servers]), nodes,
+        COMPUTE, TASK_B)
     return simulate_slot(
-        tasks=tasks, rows=np.array([[first[s] for s in row] for row in servers]),
-        nodes=nodes,
+        loads,
         rates_to=np.zeros(hops) if rates_to is None else np.asarray(rates_to),
         dist_to_km=np.zeros(hops) if dist_to is None else np.asarray(dist_to),
         next_link=next_link, order=(route_tree_order(next_link)
                                     if order is None else np.asarray(order)),
         rates_ot=np.asarray(rates_ot, dtype=float),
         dist_ot_km=np.asarray(dist_ot, dtype=float),
-        alloc_to=NO_ALLOC, alloc_ot=NO_ALLOC, compute=COMPUTE,
-        task_size_bytes=TASK_B, reward_params=RP, p_max_w=10.0, s_max=64)
+        usage=resource_usage(NO_ALLOC, NO_ALLOC, 10.0, 64), reward_params=RP)
 
 
 def test_slot_single_path_closed_form():
@@ -345,6 +365,18 @@ def test_slot_unreachable_offload_hop_is_inf():
     assert not any(math.isnan(d) for d in out.path_delays.values())
 
 
+def test_a_zero_rate_offload_hop_is_never_divided_by():
+    """A zero-rate hop, one carrying tasks and one carrying none, takes inf
+    without a division: no floating-point error is raised."""
+    with np.errstate(all="raise"):
+        out = _slot([[4, 6, 0]], [[0, 5, 6]], routes={0: [0], 5: [1], 6: [2]},
+                    rates_to=[[0.0, 0.0]], dist_to=[[1000.0, 1000.0]],
+                    rates_ot=[1e9] * 3, dist_ot=[700.0] * 3)
+    assert out.unreachable
+    assert out.path_delays[(0, 5)] == math.inf
+    assert set(out.path_delays) == {(0, 0), (0, 5)}
+
+
 def test_slot_zero_rate_unreachable_capped():
     out = _slot([[5]], [[0]], routes={0: [0]},
                 rates_ot=[0.0], dist_ot=[1000.0])     # no rate on the link
@@ -396,6 +428,7 @@ def test_bad_route_tree_is_rejected(next_link):
                                    [2, 1],           # a link left out
                                    [2, 1, 0, 0],     # one entry too many
                                    [2, 1, 3],        # past the last link
+                                   [2, 3, 0],        # n_links, 1 left out
                                    [2, 1, -1]])      # below 0
 def test_an_order_that_is_no_route_order_is_rejected(order):
     """simulate_slot takes the route order with the tree (2 -> 1 -> 0 -> GS)
@@ -415,14 +448,8 @@ def test_bad_first_link_is_rejected(first_link):
     table's range is rejected; [[0, 1], [1, 0]] is valid (servers 0 and 1
     offload to each other)."""
     with pytest.raises(ActionError):
-        simulate_slot(
-            tasks=np.array([[5, 0], [5, 0]]), rows=np.array(first_link),
-            nodes=np.array([0, 1]),
-            rates_to=np.ones((2, 1)), dist_to_km=np.ones((2, 1)),
-            next_link=np.array([-1, -1]), order=np.arange(2),
-            rates_ot=np.ones(2), dist_ot_km=np.ones(2), alloc_to=NO_ALLOC,
-            alloc_ot=NO_ALLOC, compute=COMPUTE, task_size_bytes=TASK_B,
-            reward_params=RP, p_max_w=10.0, s_max=64)
+        slot_loads(np.array([[5, 0], [5, 0]]), np.array(first_link),
+                   np.array([0, 1]), COMPUTE, TASK_B)
 
 
 def test_route_tree_order_feeds_forward():

@@ -1,8 +1,8 @@
 """Deterministic counts of one GRANT training step, pinned as exact values:
 graph ops recorded, FIFO arrivals served by the simulator's outcome walk,
 neighbor-sum row terms, tensors built through the public Tensor
-constructor and nodes pushed by the backward walks; and the graph ops of
-one dense-baseline step.
+constructor and nodes pushed by the backward walks; the graph ops of one
+dense-baseline step; and the simulator calls of one compare_bands slot.
 Unlike a step's time, a count does not move with the host's speed, so a
 change that removes work shows here as a changed count (record the old and
 new counts with it)."""
@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from terasec import autodiff, sec_sim
+from terasec import autodiff, harness, sec_sim, thz_link
 from terasec.agent import GrantAgent, TrainConfig
 from terasec.autodiff import Tensor
 from terasec.baselines import MaddpgFcAgent
@@ -24,6 +24,12 @@ COUNTS = {10: (54, 1_205, 19_120, 9, 54),
           200: (54, 21_495, 109_965, 9, 54)}
 #: graph ops of one maddpg_fc training step at 10 sources
 MADDPG_FC_OPS = 50
+#: calls per compare_bands slot, after the set-up: what no band changes
+#: once per slot record, the link gains once per phase of each of 3 bands
+BANDS_SLOT_CALLS = {(sec_sim, "quantize_offload"): 1,
+                    (sec_sim, "slot_loads"): 1,
+                    (sec_sim, "resource_usage"): 1,
+                    (thz_link, "path_gain"): 6}
 
 
 def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
@@ -110,3 +116,36 @@ def test_one_dense_training_step_records_the_pinned_graph_ops(monkeypatch):
                           TrainConfig(seed=1, steps=1, hidden_width=8),
                           critic_width=8)
     assert step_counts(monkeypatch, agent)[0] == MADDPG_FC_OPS
+
+
+def test_a_compare_bands_slot_makes_the_pinned_simulator_calls(monkeypatch,
+                                                               tmp_path):
+    """Each slot's replays share its record: the task table, the server
+    loads and the resource usage are made once per slot, and only the
+    link rating and the simulation run per band."""
+    calls = dict.fromkeys(BANDS_SLOT_CALLS, 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in BANDS_SLOT_CALLS:
+        monkeypatch.setattr(owner, name,
+                            counting((owner, name), getattr(owner, name)))
+    at_setup = {}
+    restored = harness.restored_policy
+
+    def setup(*args):
+        out = restored(*args)
+        at_setup.update(calls)
+        return out
+
+    monkeypatch.setattr(harness, "restored_policy", setup)
+    cfg = harness.ExperimentConfig.from_dict({
+        "policy": "uniform", "n_sources": 50, "train": {"steps": 4},
+        "output_dir": str(tmp_path)})
+    harness.compare_bands(cfg, seed=1, steps=3)
+    assert {key: (calls[key] - at_setup[key]) / 3
+            for key in calls} == BANDS_SLOT_CALLS
