@@ -54,7 +54,7 @@ class RankOneGrad(NamedTuple):
 
     def fill(self, lo, out):
         """out (1-D) := the flat elements lo:lo + out.size of the gradient,
-        each the product plus 0.0."""
+        each the product plus 0.0; one call per run of whole matrices."""
         x, g = self
         d, n = x.shape[1], g.shape[1]
         at, end = 0, out.size
@@ -64,6 +64,11 @@ class RankOneGrad(NamedTuple):
             if j or end - at < n:  # part of one row
                 k = min(n - j, end - at)
                 np.multiply(x[b, i], g[b, j:j + k], out=out[at:at + k])
+            elif not i and end - at >= d * n:  # whole matrices from b
+                mats = (end - at) // (d * n)
+                k = mats * d * n
+                np.multiply(x[b:b + mats, :, None], g[b:b + mats, None, :],
+                            out=out[at:at + k].reshape(mats, d, n))
             else:  # whole rows of matrix b
                 rows = min((end - at) // n, d - i)
                 k = rows * n
@@ -499,9 +504,11 @@ class GcnLayer:
         return [self.w]
 
 
-#: elements per Adam block: the block and the scratch buffers stay in cache
-#: while each update pass runs over them
-ADAM_BLOCK = 16384
+#: elements per Adam block: each of a block's ufunc calls takes the
+#: interpreter lock again, so fewer, larger blocks let the shares overlap
+#: more, while a block's five 256 KB arrays (data, moments, scratch pair)
+#: still stay in a 2 MB L2 cache through every update pass (65,536 spill it)
+ADAM_BLOCK = 32768
 #: elements from which an optimizer splits each step across the process's CPUs
 ADAM_SHARE_MIN = 2**20
 

@@ -47,6 +47,8 @@ _SHARE_RAISES = ("tests/test_autodiff.py::test_a_share_that_raises_"
                  "fails_the_step_and_leaves_no_thread")
 _FACTORS_TEST = ("tests/test_autodiff.py::test_adam_from_factors_equals_the_"
                  "reference_from_the_formed_gradient")
+_FILL_TEST = ("tests/test_autodiff.py::"
+              "test_rank_one_fill_by_blocks_equals_the_formed_gradient")
 _HEAP_TEST = ("tests/test_sec_sim.py::"
               "test_route_tree_pass_equals_the_heap")
 _FIFO_TEST = "tests/test_sec_sim.py::test_slot_shared_fifo_relay"
@@ -81,6 +83,7 @@ TARGET_FUNCTIONS = {
     "make_reads_only_the_first_parent": ("autodiff", "Tensor._make"),
     "op_output_holds_a_rank_one_gradient": ("autodiff", "Tensor._accumulate"),
     "held_broadcast_without_zero_buffer": ("autodiff", "Tensor._accumulate"),
+    "rank_one_fill_whole_matrices_shifted": ("autodiff", "RankOneGrad.fill"),
     "static_demand_column_from_the_gs_flag": ("agent", "GrantAgent._bind"),
     "loads_reused_after_an_in_place_change": ("env", "SecWindow.step"),
     "offload_hops_at_outcome_link_distances": ("env", "SecWindow._evaluate"),
@@ -180,6 +183,10 @@ MUTANTS = [
     Mutant("rank_one_fill_shifted_block", "autodiff.py",
            "r, j = divmod(lo + at, n)", "r, j = divmod(lo + at + 1, n)",
            (_FACTORS_TEST,)),
+    Mutant("rank_one_fill_whole_matrices_shifted", "autodiff.py",
+           "np.multiply(x[b:b + mats, :, None]",
+           "np.multiply(x[b + 1:b + 1 + mats, :, None]",
+           (_FILL_TEST,)),
     # Constellation.shortest_path_tree: a cost tie goes to the smaller id
     Mutant("routing_tie_to_the_larger_id", "constellation.py",
            "(j < parent)", "(j > parent)",

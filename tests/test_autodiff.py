@@ -1184,6 +1184,43 @@ def test_adam_from_factors_equals_the_reference_from_the_formed_gradient(
             assert _same_bits(opt.v[i], ref_opt.v[i]), (step, p.name)
 
 
+#: (d, n) of the dense baseline's stacked rank-one gradients: the outcome
+#: actors' fc1, their sub-array head and their power head, 291 matrices each
+RANK_ONE_STACKS = {1: (128, 1), 6: (128, 6), 128: (8, 128)}
+
+
+@pytest.mark.parametrize("block", [ADAM_BLOCK, ADAM_BLOCK // 2, 3001])
+@pytest.mark.parametrize("width", sorted(RANK_ONE_STACKS))
+def test_rank_one_fill_by_blocks_equals_the_formed_gradient(width, block):
+    """RankOneGrad.fill, a block at a time, has the bits of the formed
+    gradient (the product plus 0.0), -0.0 products included, over blocks
+    that start mid-matrix, cover runs of two or more whole matrices and end
+    mid-row (mid-matrix for one-column matrices), and over blocks cut at
+    multiples of the block size as Adam cuts them."""
+    d, n = RANK_ONE_STACKS[width]
+    rng = np.random.default_rng(41)
+    held = RankOneGrad(_signed_factor(rng, (291, d)),
+                       _signed_factor(rng, (291, n)))
+    shape, mat = (291, d, n), d * n
+    products = held.x[:, :, None] * held.g[:, None, :]
+    assert np.signbit(products[products == 0.0]).any()
+    want = reference_first_grad(np.empty(shape),
+                                reference_rank_one_product(held, shape))
+    formed = held.formed(shape)
+    assert _same_bits(formed, want)
+    total = formed.size
+    first = mat + mat // 2 + 1  # mid-matrix, mid-row
+    for edges in (range(0, total, block), range(first, total, block)):
+        edges = [0, *edges, total][edges[0] == 0:]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            out = np.full(hi - lo, np.nan)
+            assert held.fill(lo, out) is out
+            assert _same_bits(out, formed.reshape(-1)[lo:hi]), (lo, hi)
+    lo, hi = first, first + block
+    assert lo % mat and hi <= total and (hi % n or n == 1) and hi % mat
+    assert hi // mat - (lo // mat + 1) >= 2  # whole matrices inside
+
+
 @pytest.mark.parametrize("stacked", [False, True])
 def test_a_product_with_a_parameter_input_forms_its_weight_gradient(stacked):
     """A Parameter input changes in place when Adam steps it, so the weight

@@ -640,6 +640,22 @@ def test_a_stopped_run_ends_both_csvs_on_the_same_step(tmp_path):
                 proc.wait()
 
 
+def _cli_with_file_size_limit(args, limit, stdout=subprocess.PIPE):
+    """`terasec ARGS` in a child whose file size limit (RLIMIT_FSIZE) is
+    set in the child alone; a write past it raises EFBIG, as Python ignores
+    SIGXFSZ."""
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "terasec.cli", *args], env=env,
+        preexec_fn=limit_file_size, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120)
+
+
 @pytest.mark.parametrize("policy,limit", [
     ("grant", 3000),      # a limit inside a metrics row, met before step 50
     ("uniform", 5000),    # a limit inside a row, met by the last flush
@@ -651,18 +667,10 @@ def test_a_file_size_limit_ends_the_csvs_on_whole_rows_of_one_step(
     a row: it exits 3, its CSVs hold whole rows of the same steps, each CSV
     with room for it ends in the '# FAILED' marker, and the run leaves no
     temporary checkpoint and no summary."""
-
-    def limit_file_size():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
-
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(sys.path))
     out = tmp_path / "runs"
-    proc = subprocess.run(
-        [sys.executable, "-m", "terasec.cli", "train", "--policy", policy,
-         "--seed", "1", "--steps", "120", "--out", str(out)], env=env,
-        preexec_fn=limit_file_size, capture_output=True, text=True,
-        timeout=120)
+    proc = _cli_with_file_size_limit(
+        ["train", "--policy", policy, "--seed", "1", "--steps", "120",
+         "--out", str(out)], limit)
     assert proc.returncode == EXIT_IO, proc.stderr
     assert "File too large" in proc.stderr
     widths = {"metrics": 9, "loss": 4} if policy == "grant" else {"metrics": 9}
@@ -686,6 +694,62 @@ def test_a_file_size_limit_ends_the_csvs_on_whole_rows_of_one_step(
         assert (markers[-1] is None) == (whole + len(marker) + 1 > limit)
     assert all(s == list(range(len(steps[0]))) for s in steps)
     assert 0 < len(steps[0]) < 120
+
+
+def test_a_file_size_limit_inside_the_step_50_checkpoint_ends_both_csvs_there(
+        tmp_path):
+    """A 60-step `grant` run whose 40,000-byte limit is met by the step-50
+    checkpoint: it exits 3, both CSVs hold the rows of steps 0 to 49 and end
+    on the marker, and the failed checkpoint leaves no temporary file."""
+    out = tmp_path / "runs"
+    proc = _cli_with_file_size_limit(
+        ["train", "--policy", "grant", "--seed", "1", "--steps", "60",
+         "--out", str(out)], 40_000)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "File too large" in proc.stderr
+    assert sorted(os.listdir(out)) == ["grant_seed1_loss.csv",
+                                       "grant_seed1_metrics.csv"]
+    for name, width in (("metrics", 9), ("loss", 4)):
+        lines = (out / f"grant_seed1_{name}.csv").read_text().split("\n")
+        assert lines[-2:] == ["# FAILED step=50 error=OSError", ""]
+        rows = [row.split(",") for row in lines[2:-2]]
+        assert all(len(row) == width for row in rows)
+        assert [int(row[0]) for row in rows] == list(range(50))
+
+
+def test_a_file_size_limit_inside_the_summary_leaves_no_summary(tmp_path):
+    """A 3-step `uniform` run whose limit lies between its metrics CSV's 294
+    bytes and its summary's size: it exits 3 and leaves the whole CSV of a
+    finished run, but no summary, no aggregate and no temporary file."""
+    out = tmp_path / "runs"
+    proc = _cli_with_file_size_limit(
+        ["train", "--policy", "uniform", "--seed", "1", "--steps", "3",
+         "--out", str(out)], 340)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "File too large" in proc.stderr
+    assert os.listdir(out) == ["uniform_seed1_metrics.csv"]
+    text = (out / "uniform_seed1_metrics.csv").read_text()
+    assert len(text) == 294 and text.endswith("\n")
+    rows = [row.split(",") for row in text.split("\n")[2:-1]]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert all(len(row) == 9 for row in rows)
+
+
+@pytest.mark.parametrize("command", ["eval", "compare-bands"])
+def test_a_file_size_limit_on_redirected_output_exits_3(tmp_path, command):
+    """`eval` and `compare-bands` with stdout redirected into a file under a
+    100-byte limit exit 3 and say why; the JSON stream is cut at the
+    limit, and neither command writes an output directory."""
+    path, out = tmp_path / "stdout.json", tmp_path / "runs"
+    with open(path, "w") as fh:
+        proc = _cli_with_file_size_limit(
+            [command, "--policy", "uniform", "--seed", "1", "--steps", "3",
+             "--out", str(out)], 100, stdout=fh)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "File too large" in proc.stderr
+    assert path.read_text().startswith("{\n")
+    assert path.stat().st_size == 100
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "compare-bands"])

@@ -2,18 +2,21 @@
 graph ops recorded, FIFO arrivals served by the simulator's outcome walk,
 neighbor-sum row terms, tensors built through the public Tensor
 constructor and nodes pushed by the backward walks; the graph ops of one
-dense-baseline step; and the simulator calls of one compare_bands slot.
+dense-baseline step and the numpy calls that form its rank-one weight
+gradients; and the simulator calls of one compare_bands slot.
 Unlike a step's time, a count does not move with the host's speed, so a
 change that removes work shows here as a changed count (record the old and
 new counts with it)."""
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from terasec import autodiff, harness, sec_sim, thz_link
 from terasec.agent import GrantAgent, TrainConfig
-from terasec.autodiff import Tensor
+from terasec.autodiff import RankOneGrad, Tensor
 from terasec.baselines import MaddpgFcAgent
 
 from conftest import make_env
@@ -24,6 +27,10 @@ COUNTS = {10: (54, 1_205, 19_120, 9, 54),
           200: (54, 21_495, 109_965, 9, 54)}
 #: graph ops of one maddpg_fc training step at 10 sources
 MADDPG_FC_OPS = 50
+#: (RankOneGrad.fill calls, numpy calls inside them) of one maddpg_fc
+#: training step at the dense_maddpg_s10 window, Adam split in 2 shares;
+#: with 16,384-element blocks and one call per matrix they were (634, 2_174)
+DENSE_FILL_CALLS = (322, 665)
 #: calls per compare_bands slot, after the set-up: what no band changes
 #: once per slot record, the link gains once per phase of each of 3 bands
 BANDS_SLOT_CALLS = {(sec_sim, "quantize_offload"): 1,
@@ -149,3 +156,41 @@ def test_a_compare_bands_slot_makes_the_pinned_simulator_calls(monkeypatch,
     harness.compare_bands(cfg, seed=1, steps=3)
     assert {key: (calls[key] - at_setup[key]) / 3
             for key in calls} == BANDS_SLOT_CALLS
+
+
+def test_one_dense_training_step_forms_its_rank_one_gradients_in_few_calls(
+        monkeypatch):
+    """At the dense_maddpg_s10 window, with Adam split across 2 CPUs, the
+    fills of one step's rank-one gradients (the stacked private actors'
+    fc1, fc2 and heads, 291 or 10 matrices each) form each run of whole
+    matrices in a block with one numpy call.  A fill makes at most two
+    calls at each edge of its block (a partial row, then the partial
+    matrix's whole rows), one for the run of whole matrices between them
+    and one for the closing + 0.0, however many matrices the block holds."""
+    cfg = harness.ExperimentConfig.from_dict({
+        "policy": "maddpg_fc", "n_sources": 10, "train": {"steps": 1},
+        "source_selection": {"seed": 999_999}})
+    env = harness.build_environment(cfg, 1)
+    agent = harness.make_policy("maddpg_fc", env, cfg, 1)
+    fills, calls, inside = [], [], threading.local()
+    fill = RankOneGrad.fill
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            if getattr(inside, "fill", False):
+                calls.append(name)
+            return getattr(np, name)
+
+    def counted_fill(self, lo, out):
+        fills.append(lo)
+        inside.fill = True
+        try:
+            return fill(self, lo, out)
+        finally:
+            inside.fill = False
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(autodiff, "np", CountingNumpy())
+    monkeypatch.setattr(RankOneGrad, "fill", counted_fill)
+    agent.run_training()
+    assert (len(fills), len(calls)) == DENSE_FILL_CALLS
