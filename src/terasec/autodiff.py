@@ -315,33 +315,31 @@ def normalized_adjacency(n: int, edges) -> NeighborTable:
     return NeighborTable(idx, weight)
 
 
-#: elements per neighbor-sum row block, about: the block's output rows and
-#: its one term buffer stay in cache while each neighbor's terms are added
-NEIGHBOR_BLOCK = 32768
+#: term elements per neighbor-sum row block, about: the block's gathered
+#: terms and its output rows stay in cache through the one summing pass
+NEIGHBOR_BLOCK = 65536
 
 
 def _neighbor_sum(x: np.ndarray, table: NeighborTable,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order, in row
-    blocks of equal height, as many as the output holds NEIGHBOR_BLOCK
-    elements (at least one); each block takes its terms into one reused
-    buffer.  out: an [n, d] buffer, not x, to write it into."""
+    """sum_k weight[:, k] * x[idx[:, k]], each term added in k order to a
+    zero buffer, in row blocks of equal height, as many as the terms hold
+    NEIGHBOR_BLOCK elements (at least one).  Each block gathers its terms,
+    k-major, into one reused buffer and sums them with one einsum, whose
+    default unoptimized loop keeps that order and rounding.  out: an [n, d]
+    buffer, not x, to write it into."""
     idx, weight = table
-    n, d = idx.shape[0], x.shape[1]
+    (n, w), d = idx.shape, x.shape[1]
     if out is None:
         out = np.empty((n, d))
-    blocks = max(1, round(n * d / NEIGHBOR_BLOCK))
+    blocks = max(1, round(n * w * d / NEIGHBOR_BLOCK))
     per = max(1, -(-n // blocks))
-    term = np.empty((min(per, n), d))
+    term = np.empty(w * min(per, n) * d)
     for lo in range(0, n, per):
-        o, ix, wt = out[lo:lo + per], idx[lo:lo + per], weight[lo:lo + per]
-        t = term[:len(o)]
-        x.take(ix[:, 0], axis=0, out=t, mode="clip")
-        np.multiply(wt[:, :1], t, out=o)
-        for k in range(1, ix.shape[1]):
-            x.take(ix[:, k], axis=0, out=t, mode="clip")
-            np.multiply(wt[:, k:k + 1], t, out=t)
-            np.add(o, t, out=o)
+        ix = idx[lo:lo + per].T
+        t = term[:ix.size * d].reshape(*ix.shape, d)
+        x.take(ix, axis=0, out=t, mode="clip")
+        np.einsum("mk,kmj->mj", weight[lo:lo + per], t, out=out[lo:lo + per])
     return out
 
 
@@ -488,12 +486,12 @@ class GcnLayer:
             if x.requires_grad:
                 # the output rows' gradient, and the zero row a back table
                 # of some rows points at (a whole graph's gradient keeps its
-                # row count, so the heap reuses that buffer's chunk)
+                # row count, so the heap reuses that buffer's chunk); no
+                # + 0.0: a sum from a zero buffer keeps no zero term's sign
                 m = d.shape[0]
                 gx = np.empty((m + (back is not table), w.shape[0]))
                 np.matmul(d, w.data.T, out=gx[:m])
                 gx[m:] = 0.0
-                np.add(gx, 0.0, out=gx)
                 gx = _neighbor_sum(gx, back,
                                    out=d if d.shape == x.shape else None)
             return gx, gw

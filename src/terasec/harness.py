@@ -365,9 +365,9 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
 
     Each seed writes a metrics CSV (plus loss CSV and periodic checkpoints
     for learning policies) and a summary JSON into cfg.output_dir, flushing
-    the CSVs at every checkpoint.  A failure or stop mid-run ends the CSVs
-    on the last step that both hold whole, with a '# FAILED' marker row
-    where it fits, and writes no summary.
+    the CSVs at every checkpoint.  A failure or stop mid-run, or in the
+    summary's write, ends the CSVs on the last step that both hold whole,
+    with a '# FAILED' marker row where it fits, and leaves no summary.
     on_setup(seed, env) runs once the seed's set-up has succeeded and the
     output directory exists.
     """
@@ -438,28 +438,28 @@ def run_experiment(cfg: ExperimentConfig, seeds, on_progress=None,
                 else:
                     for record in rollout_policy(env, policy, cfg.train.steps):
                         on_step(policy, record)
-                # here, so that a failed last flush ends the CSVs as above
+                # here, so that a failed last flush or summary write ends
+                # the CSVs as above
                 for fh in files:
                     fh.flush()
+                wall = (time.perf_counter() - t_start) / max(steps_done, 1)
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                tail = np.asarray(converged)
+                summary = RunSummary(
+                    seed=seed, policy=cfg.policy, config_hash=chash,
+                    metrics_csv=metrics_path, loss_csv=loss_path,
+                    converged_u=float(tail[:, 1].mean()),
+                    converged_t_avg_ms=float(tail[:, 4].mean()),
+                    converged_t_max_ms=float(tail[:, 5].mean()),
+                    wall_clock_per_step_s=wall,
+                    parameter_count=n_params,
+                    minor_faults_per_step=((usage.ru_minflt - first_faults)
+                                           / max(steps_done - 1, 1)),
+                    peak_rss_mb=usage.ru_maxrss / 1024.0)
+                write_json(base + "_summary.json", dataclasses.asdict(summary))
             except BaseException as exc:
                 _end_failed_csvs(files, ends, type(exc).__name__)
                 raise
-        wall = (time.perf_counter() - t_start) / max(steps_done, 1)
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-
-        tail = np.asarray(converged)
-        summary = RunSummary(
-            seed=seed, policy=cfg.policy, config_hash=chash,
-            metrics_csv=metrics_path, loss_csv=loss_path,
-            converged_u=float(tail[:, 1].mean()),
-            converged_t_avg_ms=float(tail[:, 4].mean()),
-            converged_t_max_ms=float(tail[:, 5].mean()),
-            wall_clock_per_step_s=wall,
-            parameter_count=n_params,
-            minor_faults_per_step=((usage.ru_minflt - first_faults)
-                                   / max(steps_done - 1, 1)),
-            peak_rss_mb=usage.ru_maxrss / 1024.0)
-        write_json(base + "_summary.json", dataclasses.asdict(summary))
         summaries.append(summary)
         if on_progress is not None:
             on_progress(summary)

@@ -20,7 +20,9 @@ of a layer at some rows to full height (`_pad_rows`) before its neighbor
 sum, and `_row_subset`, which checked the rows at every call.
 
 The neighbor sum's first form, one k-loop over whole columns, which the
-row-blocked terasec.autodiff._neighbor_sum replaced.
+row-blocked terasec.autodiff._neighbor_sum replaced; like the kernel, it
+adds the first term to a zero buffer.  `first_term_neighbor_sum` is that
+loop as it was, started from the first term.
 
 The three-op GCN layer (propagate, matmul, tanh) that the one-op
 GcnLayer.__call__ replaced: `chain_gcn_call`, with its `propagate` op.
@@ -61,8 +63,21 @@ def chain_bound_logits(z: Tensor) -> Tensor:
 
 
 def neighbor_sum(x: np.ndarray, table: NeighborTable) -> np.ndarray:
-    """sum_k weight[:, k] * x[idx[:, k]], accumulated in k order over whole
-    columns."""
+    """sum_k weight[:, k] * x[idx[:, k]], each k's term added in k order to
+    a zero buffer over whole columns, so a row whose terms are all -0.0
+    sums to +0.0."""
+    idx, weight = table
+    out = np.zeros((idx.shape[0], x.shape[1]))
+    for k in range(idx.shape[1]):
+        out += weight[:, k:k + 1] * x[idx[:, k]]
+    return out
+
+
+def first_term_neighbor_sum(x: np.ndarray,
+                            table: NeighborTable) -> np.ndarray:
+    """The whole-column k-loop as it was before it summed into a zero
+    buffer: it starts from the first term, so a row whose terms are all
+    -0.0 sums to -0.0."""
     idx, weight = table
     out = weight[:, :1] * x[idx[:, 0]]
     for k in range(1, idx.shape[1]):

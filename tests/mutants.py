@@ -49,6 +49,8 @@ _FACTORS_TEST = ("tests/test_autodiff.py::test_adam_from_factors_equals_the_"
                  "reference_from_the_formed_gradient")
 _FILL_TEST = ("tests/test_autodiff.py::"
               "test_rank_one_fill_by_blocks_equals_the_formed_gradient")
+_NEIGHBOR_SUM_TEST = ("tests/test_autodiff.py::"
+                      "test_blocked_neighbor_sum_has_the_bits_of_the_k_loop")
 _HEAP_TEST = ("tests/test_sec_sim.py::"
               "test_route_tree_pass_equals_the_heap")
 _FIFO_TEST = "tests/test_sec_sim.py::test_slot_shared_fifo_relay"
@@ -84,6 +86,7 @@ TARGET_FUNCTIONS = {
     "op_output_holds_a_rank_one_gradient": ("autodiff", "Tensor._accumulate"),
     "held_broadcast_without_zero_buffer": ("autodiff", "Tensor._accumulate"),
     "rank_one_fill_whole_matrices_shifted": ("autodiff", "RankOneGrad.fill"),
+    "neighbor_sum_in_reverse_k_order": ("autodiff", "_neighbor_sum"),
     "static_demand_column_from_the_gs_flag": ("agent", "GrantAgent._bind"),
     "loads_reused_after_an_in_place_change": ("env", "SecWindow.step"),
     "offload_hops_at_outcome_link_distances": ("env", "SecWindow._evaluate"),
@@ -187,6 +190,20 @@ MUTANTS = [
            "np.multiply(x[b:b + mats, :, None]",
            "np.multiply(x[b + 1:b + 1 + mats, :, None]",
            (_FILL_TEST,)),
+    # _neighbor_sum: a row block's terms gathered and summed by one einsum;
+    # the same products summed in the other order differ only in rounding.
+    # The terms are gathered in reverse, since einsum's iterator walks
+    # reversed views of both operands forward, in the original order
+    Mutant("neighbor_sum_in_reverse_k_order", "autodiff.py",
+           'x.take(ix, axis=0, out=t, mode="clip")\n'
+           '        np.einsum("mk,kmj->mj", weight[lo:lo + per], t,',
+           'x.take(ix[::-1], axis=0, out=t, mode="clip")\n'
+           '        np.einsum("mk,kmj->mj", weight[lo:lo + per, ::-1], t,',
+           (_NEIGHBOR_SUM_TEST,)),
+    Mutant("neighbor_sum_over_reversed_views", "autodiff.py",
+           'np.einsum("mk,kmj->mj", weight[lo:lo + per], t,',
+           'np.einsum("mk,kmj->mj", weight[lo:lo + per, ::-1], t[::-1],',
+           (_NEIGHBOR_SUM_TEST,)),
     # Constellation.shortest_path_tree: a cost tie goes to the smaller id
     Mutant("routing_tie_to_the_larger_id", "constellation.py",
            "(j < parent)", "(j > parent)",
@@ -272,8 +289,6 @@ MUTANTS = [
     # the zero-buffer replays kept on purpose (see KNOWN_SURVIVORS)
     Mutant("gcn_backward_without_zero_buffer", "autodiff.py",
            "np.add(d, 0.0, out=d)", "d = d", _GCN_TESTS),
-    Mutant("gcn_input_gradient_without_zero_buffer", "autodiff.py",
-           "np.add(gx, 0.0, out=gx)", "gx = gx", _GCN_TESTS),
     Mutant("bound_logits_without_second_zero_buffer", "agent.py",
            "np.add(d, 0.0, out=d)", "d = d",
            ("tests/test_agent.py::"
@@ -288,8 +303,12 @@ _ZERO_BUFFER_REASON = (
 #: survivors kept on purpose: mutant name -> reason
 KNOWN_SURVIVORS = {
     "gcn_backward_without_zero_buffer": _ZERO_BUFFER_REASON,
-    "gcn_input_gradient_without_zero_buffer": _ZERO_BUFFER_REASON,
     "bound_logits_without_second_zero_buffer": _ZERO_BUFFER_REASON,
+    "neighbor_sum_over_reversed_views": (
+        "einsum's iterator walks an axis that every operand strides "
+        "backwards forward, so the terms are summed in the gathered order "
+        "and no bit moves; the summing order follows the term buffer's "
+        "memory, which neighbor_sum_in_reverse_k_order reverses"),
 }
 
 

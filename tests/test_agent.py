@@ -898,6 +898,37 @@ def test_the_offloading_actor_computes_its_last_layer_at_the_sources(
     assert sum(wide) == 2 * n_src + len(agent.sub.hop) + 8 * n
 
 
+def _has_negative_zero(a: np.ndarray) -> bool:
+    return bool(np.any(np.signbit(a) & (a == 0.0)))
+
+
+@pytest.mark.parametrize("n_sources,steps", [(10, 5), (200, 2)])
+def test_every_neighbor_sum_of_a_run_has_the_bits_of_the_first_term_loop(
+        monkeypatch, n_sources, steps):
+    """The kernel adds each row's terms to a zero buffer, so a row whose
+    terms are all -0.0 sums to +0.0, where the k-loop it replaced, which
+    started from the first term, gave -0.0.  No run reaches such a row:
+    every neighbor sum of a grant run, forward and backward, has that
+    loop's bits, and no call's input or output holds -0.0."""
+    agent = GrantAgent(make_env(seed=1, steps=steps + 1, n_sources=n_sources),
+                       TrainConfig(seed=1, steps=steps))
+    calls = []
+    neighbor_sum = autodiff._neighbor_sum
+
+    def checked(x, table, out=None):
+        want = gcn_reference.first_term_neighbor_sum(x, table)
+        assert not _has_negative_zero(x)
+        got = neighbor_sum(x, table, out=out)
+        assert got.tobytes() == want.tobytes()
+        assert not _has_negative_zero(got)
+        calls.append(table.idx.shape[0])
+        return got
+
+    monkeypatch.setattr(autodiff, "_neighbor_sum", checked)
+    agent.run_training()
+    assert len(calls) == 19 * steps
+
+
 # -- sizing -------------------------------------------------------------------
 
 def test_parameter_count(small_env):

@@ -10,8 +10,9 @@ import pytest
 from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
                               CheckpointMismatchError, Dense,
                               DimensionError, GcnLayer, GraphStateError,
-                              Parameter, RankOneGrad, StackedDense, Tensor,
-                              _neighbor_sum, load_checkpoint,
+                              NeighborTable, Parameter, RankOneGrad,
+                              StackedDense, Tensor, _neighbor_sum,
+                              load_checkpoint,
                               normalized_adjacency, save_checkpoint,
                               sub_graph, write_json, xavier_uniform)
 from terasec.baselines import _FlatCritic
@@ -484,27 +485,52 @@ def _signed_features(rng, n, d):
     return x
 
 
+def _row_blocks(n, w, d) -> list:
+    """The heights of _neighbor_sum's row blocks over an [n, w] table at d
+    columns: as many blocks of equal height as the terms hold
+    NEIGHBOR_BLOCK elements, the last one shorter where n does not divide."""
+    blocks = max(1, round(n * w * d / NEIGHBOR_BLOCK))
+    per = max(1, -(-n // blocks))
+    return [min(per, n - lo) for lo in range(0, n, per)]
+
+
 @pytest.mark.parametrize("isolated", [0, 5, "all"])
 @pytest.mark.parametrize("width", [1, 9, 52, 128])
 def test_blocked_neighbor_sum_has_the_bits_of_the_k_loop(width, isolated):
-    """The row-blocked kernel against the whole-column k-loop it replaced:
-    one block below and one above NEIGHBOR_BLOCK elements, and two blocks
-    of unequal height; with isolated nodes, and with no edge at all (a
-    table one neighbor wide)."""
+    """The row-blocked kernel against the whole-column k-loop over a zero
+    buffer, on the last n rows of one w-wide table: terms of one block below
+    and one above NEIGHBOR_BLOCK elements, two blocks of unequal height and
+    three; with isolated nodes, and with no edge at all (a table one
+    neighbor wide); on inputs spanning e^+-30.  Row 0, whose terms are all
+    -0.0, sums to +0.0 in both, and no output bit depends on the sign of a
+    zero input, which GcnLayer's backward relies on."""
     rng = np.random.default_rng(width)
-    per = NEIGHBOR_BLOCK // width
-    for n in (per // 2, per + per // 3, 2 * per + 7):
-        table = _random_table(rng, n, n if isolated == "all" else isolated)
+    big = 4 * NEIGHBOR_BLOCK // width + 7
+    graph = _random_table(rng, big, big if isolated == "all" else isolated)
+    w = graph.idx.shape[1]
+    per = NEIGHBOR_BLOCK // (w * width)
+    heights = []
+    for n in (per // 2, per + per // 3, 2 * per + 7, 3 * per + 5):
+        table = NeighborTable(graph.idx[-n:], graph.weight[-n:])
         if isolated == "all":
-            assert table.idx.shape == (n, 1)
+            assert w == 1
         else:
             assert np.any(table.weight == 0.0)    # padded rows
-        x = _signed_features(rng, n, width)
+        x = _signed_features(rng, big, width)
+        x *= np.exp(rng.uniform(-30.0, 30.0, x.shape))
         x[table.idx[0]] = -0.0        # every term of row 0 is -0.0
         got, want = _neighbor_sum(x, table), ref.neighbor_sum(x, table)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert np.any(np.signbit(want) & (want == 0.0))
+        assert not np.any(np.signbit(got[0]) | np.signbit(want[0]))
+        assert np.all(got[0] == 0.0)
+        flipped = np.where(x == 0.0, -x, x)     # every zero's sign flipped
+        assert _neighbor_sum(flipped, table).tobytes() == got.tobytes()
+        heights.append(_row_blocks(n, w, width))
+    assert [len(h) for h in heights] == [1, 1, 2, 3]
+    assert (heights[0][0] * w * width < NEIGHBOR_BLOCK
+            < heights[1][0] * w * width)
+    assert heights[2][0] != heights[2][1]
 
 
 @pytest.mark.parametrize("graph", ["isolated", "env_seed1_src200"])

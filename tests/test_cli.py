@@ -719,8 +719,10 @@ def test_a_file_size_limit_inside_the_step_50_checkpoint_ends_both_csvs_there(
 
 def test_a_file_size_limit_inside_the_summary_leaves_no_summary(tmp_path):
     """A 3-step `uniform` run whose limit lies between its metrics CSV's 294
-    bytes and its summary's size: it exits 3 and leaves the whole CSV of a
-    finished run, but no summary, no aggregate and no temporary file."""
+    bytes and its summary's size: it exits 3, and its whole CSV ends on the
+    '# FAILED' marker, which fits under the limit, so the run does not read
+    as finished; it leaves no summary, no aggregate and no temporary
+    file."""
     out = tmp_path / "runs"
     proc = _cli_with_file_size_limit(
         ["train", "--policy", "uniform", "--seed", "1", "--steps", "3",
@@ -729,8 +731,9 @@ def test_a_file_size_limit_inside_the_summary_leaves_no_summary(tmp_path):
     assert "File too large" in proc.stderr
     assert os.listdir(out) == ["uniform_seed1_metrics.csv"]
     text = (out / "uniform_seed1_metrics.csv").read_text()
-    assert len(text) == 294 and text.endswith("\n")
-    rows = [row.split(",") for row in text.split("\n")[2:-1]]
+    marker = "# FAILED step=3 error=OSError\n"
+    assert text.endswith(marker) and len(text) == 294 + len(marker) <= 340
+    rows = [row.split(",") for row in text[:294].split("\n")[2:-1]]
     assert [row[0] for row in rows] == ["0", "1", "2"]
     assert all(len(row) == 9 for row in rows)
 

@@ -1,9 +1,10 @@
 """Deterministic counts of one GRANT training step, pinned as exact values:
 graph ops recorded, FIFO arrivals served by the simulator's outcome walk,
 neighbor-sum row terms, tensors built through the public Tensor
-constructor and nodes pushed by the backward walks; the graph ops of one
-dense-baseline step and the numpy calls that form its rank-one weight
-gradients; and the simulator calls of one compare_bands slot.
+constructor, nodes pushed by the backward walks and the numpy calls of
+the neighbor sums; the graph ops of one dense-baseline step and the numpy
+calls that form its rank-one weight gradients; and the simulator calls of
+one compare_bands slot.
 Unlike a step's time, a count does not move with the host's speed, so a
 change that removes work shows here as a changed count (record the old and
 new counts with it)."""
@@ -31,6 +32,14 @@ MADDPG_FC_OPS = 50
 #: training step at the dense_maddpg_s10 window, Adam split in 2 shares;
 #: with 16,384-element blocks and one call per matrix they were (634, 2_174)
 DENSE_FILL_CALLS = (322, 665)
+#: n_sources -> (neighbor-sum calls, numpy calls inside them) of one GRANT
+#: training step: the numpy functions a sum looks up through autodiff.np and
+#: the methods it calls on its input, not its views.  A row block gathers
+#: its terms with one take and sums them with one einsum; with the k-loop
+#: of 14 calls per row block (5 takes, 5 multiplies, 4 adds) they were
+#: (19, 301) and (19, 833), in 19 and 57 row blocks of at most 32,768
+#: output elements; now the blocks are 35 and 140 of at most 65,536 terms
+NEIGHBOR_SUM_CALLS = {10: (19, 105), 200: (19, 315)}
 #: calls per compare_bands slot, after the set-up: what no band changes
 #: once per slot record, the link gains once per phase of each of 3 bands
 BANDS_SLOT_CALLS = {(sec_sim, "quantize_offload"): 1,
@@ -114,6 +123,56 @@ def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
     assert step_counts(monkeypatch, agent) == COUNTS[n_sources]
 
 
+class CountingNumpy:
+    """autodiff.np, counting into `calls` the names looked up while
+    `inside.flag` is set in the looking thread."""
+
+    def __init__(self, calls, inside):
+        self.calls, self.inside = calls, inside
+
+    def __getattr__(self, name):
+        if getattr(self.inside, "flag", False):
+            self.calls.append(name)
+        return getattr(np, name)
+
+
+class CountingArray:
+    """An array whose method calls are counted into `calls`."""
+
+    def __init__(self, data, calls):
+        self.data, self.calls = data, calls
+
+    def __getattr__(self, name):
+        attr = getattr(self.data, name)
+        if callable(attr):
+            self.calls.append(name)
+        return attr
+
+
+@pytest.mark.parametrize("n_sources", sorted(NEIGHBOR_SUM_CALLS))
+def test_one_training_step_makes_the_pinned_neighbor_sum_calls(monkeypatch,
+                                                               n_sources):
+    """Each neighbor-sum row block makes two numpy calls, a take of its
+    terms and their einsum, beside one or two buffers per sum."""
+    agent = GrantAgent(make_env(seed=1, steps=2, n_sources=n_sources),
+                       TrainConfig(seed=1, steps=1))
+    sums, calls, inside = [], [], threading.local()
+    neighbor_sum = autodiff._neighbor_sum
+
+    def counted_sum(x, table, out=None):
+        sums.append(table.idx.shape)
+        inside.flag = True
+        try:
+            return neighbor_sum(CountingArray(x, calls), table, out=out)
+        finally:
+            inside.flag = False
+
+    monkeypatch.setattr(autodiff, "np", CountingNumpy(calls, inside))
+    monkeypatch.setattr(autodiff, "_neighbor_sum", counted_sum)
+    agent.run_training()
+    assert (len(sums), len(calls)) == NEIGHBOR_SUM_CALLS[n_sources]
+
+
 def test_one_dense_training_step_records_the_pinned_graph_ops(monkeypatch):
     """The flat critic reads its input through one op, _FlatCritic.live_row,
     recorded in the actor-ascent pass alone: the critic descent's input is
@@ -175,22 +234,16 @@ def test_one_dense_training_step_forms_its_rank_one_gradients_in_few_calls(
     fills, calls, inside = [], [], threading.local()
     fill = RankOneGrad.fill
 
-    class CountingNumpy:
-        def __getattr__(self, name):
-            if getattr(inside, "fill", False):
-                calls.append(name)
-            return getattr(np, name)
-
     def counted_fill(self, lo, out):
         fills.append(lo)
-        inside.fill = True
+        inside.flag = True
         try:
             return fill(self, lo, out)
         finally:
-            inside.fill = False
+            inside.flag = False
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(autodiff, "np", CountingNumpy())
+    monkeypatch.setattr(autodiff, "np", CountingNumpy(calls, inside))
     monkeypatch.setattr(RankOneGrad, "fill", counted_fill)
     agent.run_training()
     assert (len(fills), len(calls)) == DENSE_FILL_CALLS
