@@ -95,7 +95,7 @@ class Constellation:
         self.angular_rate = math.sqrt(MU_EARTH_KM3_S2 / self.orbit_radius_km**3)
         self.inclination = math.radians(cfg.inclination_deg)
         # plane spacing over full 360 deg; inter-plane phase offset per Walker Delta
-        self._raan = 2.0 * math.pi * np.arange(cfg.planes) / cfg.planes
+        raan = 2.0 * math.pi * np.arange(cfg.planes) / cfg.planes
         self._phase_step = 2.0 * math.pi / cfg.sats_per_plane
         self._plane_phase = (2.0 * math.pi * cfg.phasing_factor
                              / (cfg.planes * cfg.sats_per_plane))
@@ -103,7 +103,9 @@ class Constellation:
         planes = np.repeat(np.arange(cfg.planes), cfg.sats_per_plane)
         slots = np.tile(np.arange(cfg.sats_per_plane), cfg.planes)
         self._base_anomaly = slots * self._phase_step + planes * self._plane_phase
-        self._raan_flat = self._raan[planes]
+        # each satellite's RAAN cosine and sine, which no instant changes
+        raan_flat = raan[planes]
+        self._cos_raan, self._sin_raan = np.cos(raan_flat), np.sin(raan_flat)
         self.neighbors = self._neighbor_table(planes, slots)
 
     def _neighbor_table(self, planes: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -140,7 +142,7 @@ class Constellation:
         """ECI positions of all satellites at time t, shape [n_sats, 3] km."""
         u = self._base_anomaly + self.angular_rate * (t - self.cfg.epoch_s)
         cos_u, sin_u = np.cos(u), np.sin(u)
-        cos_o, sin_o = np.cos(self._raan_flat), np.sin(self._raan_flat)
+        cos_o, sin_o = self._cos_raan, self._sin_raan
         cos_i, sin_i = math.cos(self.inclination), math.sin(self.inclination)
         x = cos_o * cos_u - sin_o * sin_u * cos_i
         y = sin_o * cos_u + cos_o * sin_u * cos_i

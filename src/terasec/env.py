@@ -58,17 +58,28 @@ class ActionBundle:
     ot_power: np.ndarray      # [n_tx, K]; sum <= 1 per transmitter
 
 
+class _Geometry(NamedTuple):
+    """What a slot's positions fix on every band pair, per phase (offloading,
+    outcome): the link lengths in km, their propagation delays in s (the
+    offload hops' as an [n_src, 4] array, the outcome links' as the list
+    sec_sim.outcome_spans reads) and the GS downlinks as (link, path
+    samples of thz_link.absorption_path)."""
+
+    distances: list
+    delays: list
+    downlinks: list
+
+
 class _SlotRecord(NamedTuple):
     """One slot's bundle and what follows from it on every band pair; see
     SecWindow.step."""
 
-    pos: np.ndarray
+    geometry: _Geometry
     arrays: list             # copies of the bundle's arrays
     allocations: tuple       # (alloc_to, alloc_ot)
     tasks: np.ndarray
     loads: sec_sim.SlotLoads
     usage: tuple             # sec_sim.resource_usage's
-    distances: list          # [d_to, d_ot] in km
     evaluations: dict        # band pair -> (step's result, gammas)
 
 
@@ -134,12 +145,17 @@ class SecWindow:
         self._ot_ends = np.stack([nodes, parent[nodes]])
         self._offload_rows = np.searchsorted(nodes, servers)
         rx = self._ot_ends[1]
-        self._next_link = np.where(rx == GS_NODE, -1, np.searchsorted(nodes, rx))
-        self._route_order = sec_sim.route_tree_order(self._next_link)
+        self._routes = sec_sim.RouteTree(
+            np.where(rx == GS_NODE, -1, np.searchsorted(nodes, rx)))
+        # each phase's links into the GS as (link, transmitter) pairs: the
+        # only links that molecular absorption reaches
+        self._downlinks = [[(i, ends[0, i]) for i in
+                            np.flatnonzero(ends[1] == GS_NODE).tolist()]
+                           for ends in (self._to_ends, self._ot_ends)]
         # the graph's edges as node-row pairs, each offload ISL and each tree
         # ISL once: every ISL at a source is an offload ISL, so the tree
         # adds those between two other nodes
-        up = self._next_link
+        up = self._routes.next_link
         is_source = np.isin(nodes, self.sources)
         tree = np.flatnonzero((up != -1) & ~is_source & ~is_source[up])
         self.edges = np.concatenate([np.searchsorted(nodes, self._to_ends).T,
@@ -159,12 +175,9 @@ class SecWindow:
         bundle = self.reference_bundle()
         self._expected_outcome = self._expected_outcome_inflow(bundle.offload)
         alloc_to, alloc_ot = self._quantize_allocations(bundle)
-        pos = self._positions(self.t0)
-        d_to, d_ot = self._link_distances(pos)
-        _, gammas_to = self._rate_phase(alloc_to, d_to, self._to_ends, band_to,
-                                        pos)
-        _, gammas_ot = self._rate_phase(alloc_ot, d_ot, self._ot_ends, band_ot,
-                                        pos)
+        geometry = self._geometry(self.t0)
+        _, gammas_to = self._rate_phase(0, alloc_to, band_to, geometry)
+        _, gammas_ot = self._rate_phase(1, alloc_ot, band_ot, geometry)
         self._record_sinrs(gammas_to, gammas_ot)
         self._slot = None       # this slot's record; see step
 
@@ -218,14 +231,18 @@ class SecWindow:
         """[n_sats + 1, 3] positions at t; the last row is the GS (GS_NODE)."""
         return np.vstack([self.c.positions_at(t), self.c.gs_position(self.gs, t)])
 
-    def _link_distances(self, pos: np.ndarray) -> list:
-        """[d_to, d_ot]: each phase's link lengths in km at `pos` (from
-        _positions), in link-table order."""
-        out = []
+    def _geometry(self, t: float) -> _Geometry:
+        """The _Geometry of the slot at t, links in link-table order."""
+        pos = self._positions(t)
+        distances = []
         for ends in (self._to_ends, self._ot_ends):
             v = np.subtract(*pos[ends])
-            out.append(np.sqrt(np.vecdot(v, v)))  # bit-identical to norm
-        return out
+            distances.append(np.sqrt(np.vecdot(v, v)))  # bit-identical to norm
+        prop_to, prop_ot = map(sec_sim.propagation_delay, distances)
+        downlinks = [[(i, thz_link.absorption_path(pos[tx], pos[GS_NODE]))
+                      for i, tx in links] for links in self._downlinks]
+        return _Geometry(distances, [prop_to.reshape(len(self.sources), -1),
+                                     prop_ot.tolist()], downlinks)
 
     # -- allocations and rates -------------------------------------------------
 
@@ -245,17 +262,17 @@ class SecWindow:
                     sec_sim.quantize_power(bundle.ot_power, p_max)[:, None])
         return alloc_to, alloc_ot
 
-    def _rate_phase(self, alloc: tuple, d_km: np.ndarray, ends: np.ndarray,
-                    band: BandPlan, pos: np.ndarray):
-        """One phase's links of lengths d_km at `pos` (from _positions),
+    def _rate_phase(self, phase: int, alloc: tuple, band: BandPlan,
+                    geometry: _Geometry):
+        """The links of phase 0 (offloading) or 1 (outcome) at `geometry`,
         rated by one thz_link chain call over a [links x sub-bands] grid.
         Returns (rates, gammas) as arrays in link-table order."""
         subarrays, power = alloc
-        alpha2 = thz_link.path_gain(band.centers_hz, d_km[:, None])
-        for i in np.flatnonzero(ends[1] == GS_NODE):
+        alpha2 = thz_link.path_gain(band.centers_hz,
+                                    geometry.distances[phase][:, None])
+        for i, path in geometry.downlinks[phase]:
             # molecular absorption on the GS downlink only
-            alpha2[i] *= thz_link.absorption_factor(
-                pos[ends[0, i]], pos[GS_NODE], band.absorption)
+            alpha2[i] *= thz_link.absorption_factor(path, band.absorption)
         power = power.reshape(-1, power.shape[-1])
         h2 = thz_link.link_gain(
             subarrays.reshape(-1, 1),
@@ -309,9 +326,9 @@ class SecWindow:
                         sinr_to_db=self._sinr_to_db.copy(),
                         sinr_ot_db=self._sinr_ot_db.copy())
 
-    def _record(self, bundle: ActionBundle, arrays: list, pos: np.ndarray,
-                distances: list) -> _SlotRecord:
-        """The current slot's record of `bundle` at `pos`: what no band
+    def _record(self, bundle: ActionBundle, arrays: list,
+                geometry: _Geometry) -> _SlotRecord:
+        """The current slot's record of `bundle` at `geometry`: what no band
         pair changes, computed once."""
         allocations = self._quantize_allocations(bundle)
         counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
@@ -321,25 +338,24 @@ class SecWindow:
                                    self.traffic_cfg.task_size_bytes)
         usage = sec_sim.resource_usage(*allocations, self.budget.p_max_w,
                                        self.array_cfg.s_max)
-        return _SlotRecord(pos, [a.copy() for a in arrays], allocations, tasks,
-                           loads, usage, distances, {})
+        return _SlotRecord(geometry, [a.copy() for a in arrays], allocations,
+                           tasks, loads, usage, {})
 
     def _evaluate(self, slot: _SlotRecord, band_to: BandPlan,
                   band_ot: BandPlan):
         """(step's result, (gammas_to, gammas_ot)) of the slot's record on
         one band pair: rates and simulates, and changes no state."""
         alloc_to, alloc_ot = slot.allocations
-        d_to, d_ot = slot.distances
-        n_src = len(slot.tasks)
-        rates_to, gammas_to = self._rate_phase(alloc_to, d_to, self._to_ends,
-                                               band_to, slot.pos)
-        rates_ot, gammas_ot = self._rate_phase(alloc_ot, d_ot, self._ot_ends,
-                                               band_ot, slot.pos)
+        rates_to, gammas_to = self._rate_phase(0, alloc_to, band_to,
+                                               slot.geometry)
+        rates_ot, gammas_ot = self._rate_phase(1, alloc_ot, band_ot,
+                                               slot.geometry)
+        prop_to, prop_ot = slot.geometry.delays
         outcome = sec_sim.simulate_slot(
-            loads=slot.loads, rates_to=rates_to.reshape(n_src, -1),
-            dist_to_km=d_to.reshape(n_src, -1), next_link=self._next_link,
-            order=self._route_order, rates_ot=rates_ot, dist_ot_km=d_ot,
-            usage=slot.usage, reward_params=self.reward_params)
+            loads=slot.loads, rates_to=rates_to.reshape(prop_to.shape),
+            prop_to_s=prop_to, routes=self._routes, rates_ot=rates_ot,
+            prop_ot_s=prop_ot, usage=slot.usage,
+            reward_params=self.reward_params)
         return (outcome, slot.tasks, slot.allocations), (gammas_to, gammas_ot)
 
     def step(self, bundle: ActionBundle,
@@ -350,23 +366,21 @@ class SecWindow:
         default); returns (SlotOutcome, task table, (alloc_to, alloc_ot)),
         the task table in env.sources x server order (the source itself,
         then its ISL neighbors in ascending flat order).  The slot's record
-        holds what no band pair changes (positions and link distances, a
-        copy of the bundle's arrays, their allocations, task table, server
-        loads and resource usage) and each band pair's evaluation, so a
+        holds what no band pair changes (its _Geometry, a copy of the
+        bundle's arrays, their allocations, task table, server loads and
+        resource usage) and each band pair's evaluation, so a
         bundle is quantized once and evaluated once per band pair, and an
         advancing step returns the very result of its replay (advance=False,
         which changes nothing else); a bundle that differs, or was changed
-        in place, starts a new record at the same positions."""
+        in place, starts a new record with the same geometry."""
         bands = (band_to or self.band_to, band_ot or self.band_ot)
         arrays = list(vars(bundle).values())
         slot = self._slot
         if slot is None:
-            pos = self._positions(self.time_at(self.step_idx))
-            slot = self._slot = self._record(bundle, arrays, pos,
-                                             self._link_distances(pos))
+            slot = self._slot = self._record(
+                bundle, arrays, self._geometry(self.time_at(self.step_idx)))
         elif not all(map(np.array_equal, slot.arrays, arrays)):
-            slot = self._slot = self._record(bundle, arrays, slot.pos,
-                                             slot.distances)
+            slot = self._slot = self._record(bundle, arrays, slot.geometry)
         if bands not in slot.evaluations:
             slot.evaluations[bands] = self._evaluate(slot, *bands)
         result, gammas = slot.evaluations[bands]

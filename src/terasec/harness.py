@@ -248,6 +248,7 @@ def build_environment(cfg: ExperimentConfig, seed: int) -> SecWindow:
 
 
 def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
+    """Policy `name` on env; ExperimentConfig.from_dict has checked it."""
     train = dataclasses.replace(cfg.train, seed=seed)
     if name == "grant":
         return GrantAgent(env, train)
@@ -261,7 +262,6 @@ def make_policy(name: str, env: SecWindow, cfg: ExperimentConfig, seed: int):
         return UniformPolicy(env)
     if name == "full":
         return FullResourcePolicy(env)
-    raise ConfigError(f"unknown policy {name!r}")
 
 
 def restored_policy(cfg: ExperimentConfig, seed: int,

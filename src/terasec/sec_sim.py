@@ -4,8 +4,9 @@ FIFO queueing delays along all paths, resource-usage ratios and the reward.
 The simulator is a pure function of its inputs: identical arguments yield a
 bit-identical SlotOutcome.  Satellites are node rows, and node row i is also
 outcome link i, the node's link toward the GS; the outcome routes arrive as
-one frozen tree over those links (each link's next link toward the GS).  A
-server's outcome flow enters at its own row's link.
+one RouteTree over those links (each link's next link toward the GS), built
+and checked once per window.  A server's outcome flow enters at its own
+row's link.
 """
 from __future__ import annotations
 
@@ -160,28 +161,56 @@ def route_tree_order(next_link: np.ndarray) -> np.ndarray:
     return np.argsort(-hops[:n], kind="stable")
 
 
-def outcome_spans(release: np.ndarray, out_bytes: np.ndarray,
-                  next_link: np.ndarray, order: np.ndarray,
-                  rates_ot: np.ndarray, dist_ot_km: np.ndarray) -> tuple:
+class RouteTree:
+    """A window's outcome route tree, checked once and read by every slot.
+
+    next_link[i] is the link after link i on every route through it, -1
+    when link i reaches the GS; order lists each link before the link it
+    feeds, route_tree_order(next_link) unless given.  Both are kept as
+    read-only arrays and as the lists outcome_spans walks (next_list,
+    order_list).  Raises ActionError for a bad tree, as route_tree_order
+    does, or an order that is not a permutation feeding the tree forward.
+    """
+
+    def __init__(self, next_link, order=None):
+        next_link = np.array(next_link)
+        order = np.array(route_tree_order(next_link) if order is None
+                         else order)
+        n = next_link.size
+        # every link below its next; a link left out or repeated ranks as
+        # the GS
+        rank = np.full(n + 1, n)
+        if order.shape == (n,) and np.all((order >= 0) & (order < n)):
+            rank[order] = np.arange(n)
+        if (next_link.ndim != 1 or np.any((next_link < -1) | (next_link >= n))
+                or np.any(rank[:-1] >= rank[next_link])):
+            raise ActionError("order does not feed the route tree forward")
+        for a in (next_link, order):
+            a.setflags(write=False)
+        self.next_link, self.order = next_link, order
+        self.next_list, self.order_list = next_link.tolist(), order.tolist()
+
+
+def outcome_spans(release: np.ndarray, flows: list, out_bytes: list,
+                  routes: RouteTree, rates_ot: np.ndarray,
+                  prop_ot_s: list) -> tuple:
     """FIFO traversal of the outcome route tree, one flow per link.
 
     Flow k sends out_bytes[k] bytes, released at release[k], from link k
-    along next_link to the GS; a flow with no bytes sends nothing.  Every
-    link serves its arrivals in arrival order, ties by ascending flow k, and
-    passes each on after its transmission and propagation delays.  `order`
-    is route_tree_order(next_link), so a link's arrivals are all known when
-    it is served.
+    along the routes to the GS; `flows` lists the flows with bytes, in
+    ascending k, and no other flow sends anything.  Every link serves its
+    arrivals in arrival order, ties by ascending flow k, and passes each on
+    after its transmission delay (rates_ot, bit/s) and its propagation
+    delay (prop_ot_s, s).  Links are served in routes.order, so a link's
+    arrivals are all known when it is served.
 
     Returns (span [links]: release to GS arrival, inf for a flow released
     at inf or stopped by a zero-rate link; backlog: link -> bytes that
     waited on it; unreachable: a flow reached a zero-rate link).
     """
-    flows = np.flatnonzero(out_bytes > 0).tolist()
     release = release.tolist()
-    out_bytes = out_bytes.tolist()
-    next_link = next_link.tolist()
+    next_link = routes.next_list
     link_rate = rates_ot.tolist()
-    link_prop = propagation_delay(dist_ot_km).tolist()
     span = [0.0] * len(release)
     # link -> [(arrival time, flow)]; the extra last list is the GS, which
     # next_link's -1 indexes
@@ -193,7 +222,7 @@ def outcome_spans(release: np.ndarray, out_bytes: np.ndarray,
             arrivals[k].append((release[k], k))
     backlog = {}
     unreachable = False
-    for link in order.tolist():
+    for link in routes.order_list:
         # every feeder is served by now; dropping the served list keeps one
         # pending arrival per flow alive
         queue, arrivals[link] = arrivals[link], None
@@ -206,7 +235,7 @@ def outcome_spans(release: np.ndarray, out_bytes: np.ndarray,
                 span[k] = math.inf
             continue
         queue.sort()
-        prop = link_prop[link]
+        prop = prop_ot_s[link]
         after = arrivals[next_link[link]]
         free = 0.0
         for t, k in queue:
@@ -230,17 +259,20 @@ class SlotLoads:
     Per (source, server) cell: has_path (the cell carries tasks, or is a
     source's local path when it offloads nothing) and data (its input
     bytes).  Per link, each server's row: t_cp (computation delay) and
-    out_bytes (outcome size) of the input its paths bring.  path_rows are
-    the rows of the cells with a path, in row-major order; path_keys their
-    (source, server) flat ids and sources the sources' flat ids, the keys
-    of SlotOutcome.path_delays and overall_delay.
+    out_bytes (outcome size, a list) of the input its paths bring; flows
+    lists the links whose out_bytes are positive, the outcome flows, in
+    ascending order.  path_rows are the rows of the cells with a path, in
+    row-major order; path_keys their (source, server) flat ids and sources
+    the sources' flat ids, the keys of SlotOutcome.path_delays and
+    overall_delay.
     """
 
     rows: np.ndarray
     has_path: np.ndarray
     data: np.ndarray
     t_cp: np.ndarray
-    out_bytes: np.ndarray
+    out_bytes: list
+    flows: list
     path_rows: np.ndarray
     path_keys: list
     sources: list
@@ -269,12 +301,14 @@ def slot_loads(tasks: np.ndarray,
     path_rows = rows[has_path]
     server_bytes = np.zeros(len(nodes), dtype=np.int64)
     np.add.at(server_bytes, path_rows, data[has_path])
+    out_bytes = outcome_size(server_bytes, compute)
     servers = nodes[rows]
     src, col = np.nonzero(has_path)
     return SlotLoads(
         rows=rows, has_path=has_path, data=data,
         t_cp=computation_delay(server_bytes, compute),
-        out_bytes=outcome_size(server_bytes, compute), path_rows=path_rows,
+        out_bytes=out_bytes.tolist(),
+        flows=np.flatnonzero(out_bytes > 0).tolist(), path_rows=path_rows,
         path_keys=list(zip(servers[src, 0].tolist(),
                            servers[src, col].tolist())),
         sources=servers[:, 0].tolist())
@@ -282,22 +316,19 @@ def slot_loads(tasks: np.ndarray,
 
 def simulate_slot(loads: SlotLoads,
                   rates_to: np.ndarray,
-                  dist_to_km: np.ndarray,
-                  next_link: np.ndarray,
-                  order: np.ndarray,
+                  prop_to_s: np.ndarray,
+                  routes: RouteTree,
                   rates_ot: np.ndarray,
-                  dist_ot_km: np.ndarray,
+                  prop_ot_s: list,
                   usage: tuple,
                   reward_params: RewardParams) -> SlotOutcome:
     """Simulate one slot of slot_loads' servers on one band pair.
 
     rates_to        [n_src, m] bit/s of each offload hop (columns 1..)
-    dist_to_km      [n_src, m] km of each offload hop
-    next_link       [links] the outcome link after each one on its route,
-                    -1 at a link into the GS
-    order           [links] route_tree_order(next_link)
+    prop_to_s       [n_src, m] propagation delay of each offload hop
+    routes          the window's RouteTree over the outcome links
     rates_ot        [links] bit/s of each outcome link
-    dist_ot_km      [links] km of each outcome link
+    prop_ot_s       [links] propagation delay of each outcome link, a list
     usage           resource_usage's tuple of the slot's allocations
 
     Per-path delay = offload hop (transmission + propagation) + computation
@@ -306,15 +337,9 @@ def simulate_slot(loads: SlotLoads,
     row).  Rows are reported in the order given, keyed by flat id.
     """
     n_links = len(loads.t_cp)
-    if next_link.shape != rates_ot.shape or rates_ot.shape != (n_links,):
+    if (routes.next_link.shape != rates_ot.shape
+            or rates_ot.shape != (n_links,)):
         raise ActionError("outcome links do not match the link table")
-    # every link below its next; a link left out or repeated ranks as the GS
-    rank = np.full(n_links + 1, n_links)
-    if order.shape == (n_links,) and np.all((order >= 0) & (order < n_links)):
-        rank[order] = np.arange(n_links)
-    if (np.any((next_link < -1) | (next_link >= n_links))
-            or np.any(rank[:-1] >= rank[next_link])):
-        raise ActionError("order does not feed the route tree forward")
     has_path = loads.has_path
     unreachable = bool(np.any(has_path[:, 1:] & (rates_to <= 0.0)))
 
@@ -322,12 +347,12 @@ def simulate_slot(loads: SlotLoads,
     offload_delay = np.zeros(has_path.shape)
     hop = np.full(rates_to.shape, math.inf)
     np.divide(loads.data[:, 1:], rates_to, out=hop, where=rates_to > 0.0)
-    offload_delay[:, 1:] = hop + propagation_delay(dist_to_km)
+    offload_delay[:, 1:] = hop + prop_to_s
     arrival = np.zeros(n_links)
     np.maximum.at(arrival, loads.path_rows, offload_delay[has_path])
     span, backlog, cut = outcome_spans(
-        arrival + loads.t_cp, loads.out_bytes, next_link, order, rates_ot,
-        dist_ot_km)
+        arrival + loads.t_cp, loads.flows, loads.out_bytes, routes, rates_ot,
+        prop_ot_s)
     unreachable |= cut
 
     # per-path and per-source delays

@@ -147,16 +147,23 @@ def band_preset(name: str, phase: str) -> BandPlan:
                     absorption=absorption, element_gain_scale=ratio**2)
 
 
-def absorption_factor(tx_pos_km: np.ndarray, rx_pos_km: np.ndarray,
-                      profile: AbsorptionProfile) -> float:
-    """exp(-integral of g_abs along one path); trapezoidal quadrature.
-    g_abs has no frequency dependence: one factor serves every sub-band."""
+def absorption_path(tx_pos_km: np.ndarray, rx_pos_km: np.ndarray) -> tuple:
+    """(altitudes, length): one path's altitudes in km at its
+    _ABSORPTION_SEGMENTS + 1 evenly spaced points, as a list, and its length
+    in km.  No band changes them, so one sampling serves every band."""
     p0 = np.asarray(tx_pos_km, dtype=float)
     p1 = np.asarray(rx_pos_km, dtype=float)
     s = np.linspace(0.0, 1.0, _ABSORPTION_SEGMENTS + 1)[:, None]
     alts = np.linalg.norm(p0 + s * (p1 - p0), axis=1) - EARTH_RADIUS_KM
+    return alts.tolist(), float(np.linalg.norm(p1 - p0))
+
+
+def absorption_factor(path: tuple, profile: AbsorptionProfile) -> float:
+    """exp(-integral of g_abs along a path of absorption_path's samples);
+    trapezoidal quadrature.  g_abs has no frequency dependence: one factor
+    serves every sub-band."""
+    alts, length = path
     g = np.array([profile.coefficient(h) for h in alts])
-    length = float(np.linalg.norm(p1 - p0))
     integral = float(np.trapezoid(g, dx=length / _ABSORPTION_SEGMENTS))
     return math.exp(-integral)
 

@@ -89,7 +89,8 @@ TARGET_FUNCTIONS = {
     "neighbor_sum_in_reverse_k_order": ("autodiff", "_neighbor_sum"),
     "static_demand_column_from_the_gs_flag": ("agent", "GrantAgent._bind"),
     "loads_reused_after_an_in_place_change": ("env", "SecWindow.step"),
-    "offload_hops_at_outcome_link_distances": ("env", "SecWindow._evaluate"),
+    "offload_hops_at_outcome_link_delays": ("env", "SecWindow._evaluate"),
+    "propagation_delays_of_the_first_slot": ("env", "SecWindow._geometry"),
 }
 
 MUTANTS = [
@@ -242,8 +243,8 @@ MUTANTS = [
            "has_path[:, 0] |= False",
            ("tests/test_env.py::test_array_slot_equals_the_dict_path",)),
     Mutant("rates_without_the_gs_absorption", "env.py",
-           "for i in np.flatnonzero(ends[1] == GS_NODE):",
-           "for i in np.flatnonzero(ends[1] == GS_NODE)[:0]:",
+           "for i, path in geometry.downlinks[phase]:",
+           "for i, path in geometry.downlinks[phase][:0]:",
            ("tests/test_env.py::test_array_pass_equals_the_per_link_loop",)),
     Mutant("sinr_features_over_every_sub_band", "env.py",
            "np.divide(db_sum, n_active, where=n_active > 0,",
@@ -254,15 +255,20 @@ MUTANTS = [
            ("tests/test_env.py::"
             "test_a_replay_is_not_reused_for_other_inputs",)),
     Mutant("loads_reused_after_an_in_place_change", "env.py",
-           "slot = self._slot = self._record(bundle, arrays, slot.pos,\n"
-           "                                             slot.distances)",
-           "slot = self._slot = self._record(bundle, arrays, slot.pos,\n"
-           "                                             slot.distances"
+           "slot = self._slot = self._record(bundle, arrays, slot.geometry)",
+           "slot = self._slot = self._record(bundle, arrays, slot.geometry"
            ")._replace(loads=slot.loads)",
            (_BAND_REPLAY_TEST,)),
-    Mutant("offload_hops_at_outcome_link_distances", "env.py",
-           "dist_to_km=d_to.reshape(n_src, -1)",
-           "dist_to_km=d_ot[:d_to.size].reshape(n_src, -1)",
+    Mutant("offload_hops_at_outcome_link_delays", "env.py",
+           "prop_to_s=prop_to,",
+           "prop_to_s=np.reshape(prop_ot[:prop_to.size], prop_to.shape),",
+           (_BAND_REPLAY_TEST,)),
+    # a stale slot record: every slot after the first reads the first
+    # slot's propagation delays (the window's set-up rates slot 0's instant)
+    Mutant("propagation_delays_of_the_first_slot", "env.py",
+           "prop_to, prop_ot = map(sec_sim.propagation_delay, distances)",
+           "prop_to, prop_ot = self.__dict__.setdefault(\"_first_delays\", "
+           "list(map(sec_sim.propagation_delay, distances)))",
            (_BAND_REPLAY_TEST,)),
     Mutant("failed_marker_one_step_late", "harness.py",
            'marker = f"# FAILED step={max(whole, 0)} ',

@@ -6,7 +6,9 @@ Per-link LinkAlloc records, a dict-of-dicts OffloadAssignment, per-source
 quantizer calls and (tx, rx)-keyed rate and distance tables.  The code is
 as it was, with one fix: a path through a server that an unreachable
 offload hop feeds has delay inf, not NaN.  The heap FIFO at the end is the
-array path's outcome-flow block as it was, on per-server route lists.
+array path's outcome-flow block as it was, on per-server route lists, and
+absorption_factor is terasec.thz_link's as it was before a slot sampled
+its GS downlink once for every band.
 """
 import heapq
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from terasec.constellation import SPEED_OF_LIGHT_KM_S
+from terasec.constellation import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 from terasec.sec_sim import (DELAY_CAP_S, ActionError, ComputeParams,
                              RewardParams, reward)
 
@@ -361,3 +363,16 @@ def heap_outcome_spans(release, out_bytes, routes, rates_ot, dist_ot_km):
         heapq.heappush(heap, (done + link_prop[link], server, hop_idx + 1))
     span = np.array([outcome_span.get(k, 0.0) for k in range(len(release))])
     return span, backlog, unreachable
+
+
+def absorption_factor(tx_pos_km, rx_pos_km, profile) -> float:
+    """exp(-integral of g_abs along one path); trapezoidal quadrature over
+    64 segments, the path sampled on every call."""
+    p0 = np.asarray(tx_pos_km, dtype=float)
+    p1 = np.asarray(rx_pos_km, dtype=float)
+    s = np.linspace(0.0, 1.0, 65)[:, None]
+    alts = np.linalg.norm(p0 + s * (p1 - p0), axis=1) - EARTH_RADIUS_KM
+    g = np.array([profile.coefficient(h) for h in alts])
+    length = float(np.linalg.norm(p1 - p0))
+    integral = float(np.trapezoid(g, dx=length / 64))
+    return math.exp(-integral)

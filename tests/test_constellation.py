@@ -52,6 +52,29 @@ def test_intra_plane_chord_oracle(default_constellation):
     assert abs(d - expected) < 1e-9
 
 
+def test_positions_have_the_bits_of_the_per_call_formula():
+    """positions_at reads each satellite's RAAN cosine and sine, computed
+    once per shell; its positions have the bits of the formula that
+    computed them on every call."""
+    for cfg in (WalkerConfig(), WalkerConfig(planes=5, sats_per_plane=7,
+                                             inclination_deg=87.0,
+                                             phasing_factor=3,
+                                             epoch_s=12.5)):
+        c = Constellation(cfg)
+        planes = np.repeat(np.arange(cfg.planes), cfg.sats_per_plane)
+        raan = (2.0 * math.pi * np.arange(cfg.planes) / cfg.planes)[planes]
+        for t in (cfg.epoch_s, 321.5, 86400.0):
+            u = c._base_anomaly + c.angular_rate * (t - cfg.epoch_s)
+            cos_u, sin_u = np.cos(u), np.sin(u)
+            cos_o, sin_o = np.cos(raan), np.sin(raan)
+            cos_i, sin_i = math.cos(c.inclination), math.sin(c.inclination)
+            want = c.orbit_radius_km * np.stack(
+                [cos_o * cos_u - sin_o * sin_u * cos_i,
+                 sin_o * cos_u + cos_o * sin_u * cos_i,
+                 sin_u * sin_i], axis=1)
+            assert c.positions_at(t).tobytes() == want.tobytes()
+
+
 def test_invalid_config_errors():
     with pytest.raises(ConfigurationError):
         Constellation(WalkerConfig(planes=0))

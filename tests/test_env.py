@@ -12,8 +12,8 @@ from terasec.baselines import UniformPolicy
 from terasec.constellation import Constellation, WalkerConfig
 from terasec.env import GS_NODE, ActionBundle, Snapshot
 from terasec.autodiff import normalized_adjacency
-from terasec.thz_link import (absorption_factor, band_preset, link_gain,
-                              link_rate, noise_power, path_gain, sinr)
+from terasec.thz_link import (band_preset, link_gain, link_rate, noise_power,
+                              path_gain, sinr)
 
 from conftest import (ROUTING_ETA, counted_quantizations, counted_simulations,
                       make_env, random_simplex)
@@ -38,7 +38,8 @@ def reference_rates(env, alloc_to, alloc_ot, t, band_to, band_ot):
                 continue
             alpha2 = path_gain(f, np.linalg.norm(rx_pos - tx_pos))
             if to_ground:
-                alpha2 *= absorption_factor(tx_pos, rx_pos, band.absorption)
+                alpha2 *= ref.absorption_factor(tx_pos, rx_pos,
+                                                band.absorption)
             h2 = link_gain(alloc.subarrays, env.array_cfg.rx_subarrays_per_isl,
                            env.array_cfg, alpha2,
                            gain_interpretation=env.budget.gain_interpretation,
@@ -125,12 +126,9 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         alloc_to, alloc_ot = env._quantize_allocations(random_bundle(env, rng))
         want = reference_rates(env, *link_allocs(env, alloc_to, alloc_ot), t,
                                b_to, b_ot)
-        pos = env._positions(t)
-        d_to, d_ot = env._link_distances(pos)
-        rates_to, g_to = env._rate_phase(alloc_to, d_to, env._to_ends, b_to,
-                                         pos)
-        rates_ot, g_ot = env._rate_phase(alloc_ot, d_ot, env._ot_ends, b_ot,
-                                         pos)
+        geometry = env._geometry(t)
+        rates_to, g_to = env._rate_phase(0, alloc_to, b_to, geometry)
+        rates_ot, g_ot = env._rate_phase(1, alloc_ot, b_ot, geometry)
         assert list(want[0]) == views.offload_links
         assert list(want[1]) == views.outcome_links
         assert rates_to.tolist() == list(want[0].values())
@@ -147,20 +145,21 @@ def test_array_pass_equals_the_per_link_loop(seed, bands, monkeypatch):
         def node_pos(node):
             return env.c.gs_position(env.gs, t) if node == GS_NODE else pos[node]
 
-        assert seen["dist_to_km"].shape == (len(env.sources), 4)
-        assert seen["dist_to_km"].ravel().tolist() == [
-            float(np.linalg.norm(pos[s] - pos[nb]))
+        assert seen["prop_to_s"].shape == (len(env.sources), 4)
+        assert seen["prop_to_s"].ravel().tolist() == [
+            sec_sim.propagation_delay(float(np.linalg.norm(pos[s] - pos[nb])))
             for s, nb in views.offload_links]
-        assert seen["dist_ot_km"].tolist() == [
-            float(np.linalg.norm(pos[tx] - node_pos(rx)))
+        assert seen["prop_ot_s"] == [
+            sec_sim.propagation_delay(float(np.linalg.norm(pos[tx]
+                                                           - node_pos(rx))))
             for tx, rx in views.outcome_links]
         servers = env.involved[seen["loads"].rows]
         assert seen["loads"].sources == env.sources
         first = dict(zip(servers.ravel().tolist(),
                          seen["loads"].rows.ravel().tolist()))
+        routes = ref.tree_routes(first, seen["routes"].next_link)
         assert {server: [views.outcome_links[i] for i in links]
-                for server, links in ref.tree_routes(
-                    first, seen["next_link"]).items()} == views.route_hops
+                for server, links in routes.items()} == views.route_hops
         _, _, g_to, g_ot = reference_rates(
             env, *link_allocs(env, alloc_to, alloc_ot), t, b_to, b_ot)
         sinr_to, sinr_ot = reference_sinr_features(env, g_to, g_ot)
@@ -175,14 +174,11 @@ def test_next_slot_sinrs_reuse_the_slot_rating(seed):
     env = make_env(seed=seed, steps=3)
     policy = UniformPolicy(env)
     for _ in range(2):
-        pos = env._positions(env.time_at(env.step_idx))
+        geometry = env._geometry(env.time_at(env.step_idx))
         _, _, (alloc_to, alloc_ot) = env.step(policy.act())
         reused = env.snapshot()
-        d_to, d_ot = env._link_distances(pos)
-        _, g_to = env._rate_phase(alloc_to, d_to, env._to_ends, env.band_to,
-                                  pos)
-        _, g_ot = env._rate_phase(alloc_ot, d_ot, env._ot_ends, env.band_ot,
-                                  pos)
+        _, g_to = env._rate_phase(0, alloc_to, env.band_to, geometry)
+        _, g_ot = env._rate_phase(1, alloc_ot, env.band_ot, geometry)
         env._record_sinrs(g_to, g_ot)
         assert np.array_equal(reused.sinr_to_db, env._sinr_to_db)
         assert np.array_equal(reused.sinr_ot_db, env._sinr_ot_db)
@@ -433,10 +429,15 @@ def test_window_setup_equals_the_per_satellite_reference(n_sources, seed,
     assert want.outcome_transmitters == want.involved
     for got_table, want_table in (
             (env._to_ends, want.to_ends), (env._ot_ends, want.ot_ends),
-            (env._next_link, want.next_link),
+            (env._routes.next_link, want.next_link),
             (env._offload_rows, want.first_link),
             *zip(env._sinr_cells, want.sinr_cells)):
         assert np.array_equal(got_table, want_table)
+    # the one GS downlink, an outcome link; no offload link reaches the GS
+    assert env._downlinks == [[], [
+        (i, tx) for i, (tx, rx) in enumerate(want.outcome_links)
+        if rx == GS_NODE]]
+    assert len(env._downlinks[1]) == 1
     n = len(want.involved)
     assert np.array_equal(dense_adjacency(n, env.edges), want.adj)
     got_norm = normalized_adjacency(n, env.edges)
@@ -567,3 +568,48 @@ def test_a_replay_is_not_reused_for_other_inputs(change, monkeypatch):
     assert len(quantized) == (0 if change == "band" else 1)
     assert_same_step(got, plain.step(bundle))
     assert_same_snapshot(env.snapshot(), plain.snapshot())
+
+
+def outcome_bits(outcome) -> list:
+    """Every SlotOutcome field, each float as its hex form and each dict as
+    its items in order, so that == compares bits and dict order."""
+    def bits(value):
+        if isinstance(value, dict):
+            return [(key, bits(v)) for key, v in value.items()]
+        return value.hex() if isinstance(value, float) else value
+    return [(field.name, bits(getattr(outcome, field.name)))
+            for field in dataclasses.fields(outcome)]
+
+
+def test_each_replay_of_a_shared_record_equals_a_fresh_record():
+    """Six slots of a 50-source window, replayed as compare_bands does: every
+    band pair's replay of the slot's shared record (its geometry, with the
+    propagation delays and the GS downlink's path samples, and its loads,
+    with the outcome flows and bytes as lists) has the bits of a fresh
+    record's evaluation of that band pair alone, dict order included.  At
+    slots 2 and 4 zero-rate outcome links cut local paths and zero-rate
+    offload hops cut offloaded ones, so the walk reads the shared inputs
+    on inf paths too."""
+    env = make_env(seed=2, steps=6, n_sources=50)
+    rng = np.random.default_rng(2)
+    cut = {"outcome": set(), "offload": set()}
+    for slot in range(6):
+        bundle = harsh_bundle(env, rng, dead_links=slot in (2, 4))
+        for b_to, b_ot in BAND_PAIRS:
+            shared = env.step(bundle, band_to=b_to, band_ot=b_ot,
+                              advance=False)[0]
+            fresh = env._record(bundle, list(vars(bundle).values()),
+                                env._geometry(env.time_at(env.step_idx)))
+            (want, _, _), _ = env._evaluate(fresh, b_to, b_ot)
+            assert outcome_bits(shared) == outcome_bits(want)
+            # a local path has no offload hop, so only its route cuts it
+            if any(math.isinf(d) for (src, server), d
+                   in shared.path_delays.items() if src == server):
+                cut["outcome"].add(slot)
+            rates_to, _ = env._rate_phase(0, fresh.allocations[0], b_to,
+                                          fresh.geometry)
+            if np.any(fresh.loads.has_path[:, 1:]
+                      & (rates_to.reshape(len(env.sources), -1) <= 0.0)):
+                cut["offload"].add(slot)
+        env.step(bundle)
+    assert cut["outcome"] >= {2, 4} and cut["offload"] >= {2, 4}

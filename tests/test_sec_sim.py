@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terasec.sec_sim import (ActionError, ComputeParams, DELAY_CAP_S,
-                             RewardParams, computation_delay, outcome_size,
-                             outcome_spans, propagation_delay,
+                             RewardParams, RouteTree, computation_delay,
+                             outcome_size, outcome_spans, propagation_delay,
                              quantize_offload, quantize_power,
                              quantize_subarrays, reward, resource_usage,
                              route_tree_order, simulate_slot, slot_loads)
@@ -243,29 +243,26 @@ TASK_B = 2500
 
 
 def _slot(tasks, servers, routes, rates_to=None, dist_to=None, rates_ot=(),
-          dist_ot=(), next_link=None, order=None):
+          dist_ot=()):
     """Outcome links are indices into rates_ot/dist_ot; offload hops are the
     server columns 1.. of each row.  `routes` (server -> its outcome links)
-    becomes the route tree simulate_slot takes, each server's node row being
-    its route's first link (a row that only relays has node id -1);
-    `next_link` replaces the tree's and `order` its route_tree_order."""
+    becomes the RouteTree simulate_slot takes, each server's node row being
+    its route's first link (a row that only relays has node id -1)."""
     tasks = np.asarray(tasks)
     hops = (tasks.shape[0], tasks.shape[1] - 1)
     first, tree = route_tree(routes, len(rates_ot))
     nodes = np.full(len(rates_ot), -1)
     nodes[list(first.values())] = list(first)
-    next_link = tree if next_link is None else np.asarray(next_link)
     loads = slot_loads(
         tasks, np.array([[first[s] for s in row] for row in servers]), nodes,
         COMPUTE, TASK_B)
+    dist_to = np.zeros(hops) if dist_to is None else np.asarray(dist_to)
     return simulate_slot(
         loads,
         rates_to=np.zeros(hops) if rates_to is None else np.asarray(rates_to),
-        dist_to_km=np.zeros(hops) if dist_to is None else np.asarray(dist_to),
-        next_link=next_link, order=(route_tree_order(next_link)
-                                    if order is None else np.asarray(order)),
+        prop_to_s=propagation_delay(dist_to), routes=RouteTree(tree),
         rates_ot=np.asarray(rates_ot, dtype=float),
-        dist_ot_km=np.asarray(dist_ot, dtype=float),
+        prop_ot_s=propagation_delay(np.asarray(dist_ot, dtype=float)).tolist(),
         usage=resource_usage(NO_ALLOC, NO_ALLOC, 10.0, 64), reward_params=RP)
 
 
@@ -413,14 +410,19 @@ def test_slot_delay_monotone_in_rate(r, boost):
                                        [3, -1, -1],     # past the last link
                                        [-2, -1, -1]])   # below -1
 def test_bad_route_tree_is_rejected(next_link):
+    """route_tree_order and the RouteTree built from it reject the tree with
+    route_tree_order's message, and no order of the links given with it
+    feeds it forward."""
     n = len(next_link)
-    with pytest.raises(ActionError):
+    cycle = next_link in ([1, 0, -1], [-1, 1])
+    message = "has a cycle" if cycle else "must be -1 or a link index"
+    with pytest.raises(ActionError, match=message):
         route_tree_order(np.array(next_link))
-    # no order of the links feeds a bad tree forward
+    with pytest.raises(ActionError, match=message):
+        RouteTree(next_link)
     for order in itertools.permutations(range(n)):
-        with pytest.raises(ActionError):
-            _slot([[5]], [[0]], routes={0: [n - 1]}, rates_ot=[1e9] * n,
-                  dist_ot=[1000.0] * n, next_link=next_link, order=order)
+        with pytest.raises(ActionError, match="does not feed"):
+            RouteTree(next_link, order)
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2],        # a link after its next
@@ -431,13 +433,28 @@ def test_bad_route_tree_is_rejected(next_link):
                                    [2, 3, 0],        # n_links, 1 left out
                                    [2, 1, -1]])      # below 0
 def test_an_order_that_is_no_route_order_is_rejected(order):
-    """simulate_slot takes the route order with the tree (2 -> 1 -> 0 -> GS)
-    and rejects one that is not a permutation feeding the tree forward."""
-    kwargs = dict(routes={0: [2, 1, 0]}, rates_ot=[1e9] * 3,
-                  dist_ot=[1000.0] * 3)
-    assert _slot([[5]], [[0]], order=[2, 1, 0], **kwargs).t_avg > 0
-    with pytest.raises(ActionError):
-        _slot([[5]], [[0]], order=order, **kwargs)
+    """A RouteTree takes the route order with the tree (2 -> 1 -> 0 -> GS)
+    and rejects one that is not a permutation feeding the tree forward; the
+    one it derives is that order."""
+    next_link = [-1, 0, 1]
+    assert RouteTree(next_link, [2, 1, 0]).order_list == [2, 1, 0]
+    assert RouteTree(next_link).order_list == [2, 1, 0]
+    with pytest.raises(ActionError, match="does not feed"):
+        RouteTree(next_link, order)
+
+
+def test_a_route_tree_holds_its_arrays_read_only_and_as_lists():
+    """The tree copies its input; both arrays are read-only, and the lists
+    are their values."""
+    next_link = np.array([-1, 0, 0, 2])
+    tree = RouteTree(next_link)
+    next_link[0] = 3
+    assert tree.next_link.tolist() == tree.next_list == [-1, 0, 0, 2]
+    assert tree.order.tolist() == tree.order_list
+    assert sorted(tree.order_list) == [0, 1, 2, 3]
+    for a in (tree.next_link, tree.order):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 @pytest.mark.parametrize("first_link", [[[2, 1], [1, 2]],    # past the end
@@ -499,8 +516,9 @@ def test_route_tree_pass_equals_the_heap():
     for release, out_bytes, next_link, rates_ot, dist_ot in cases:
         routes = tree_routes({k: k for k in range(len(next_link))}, next_link)
         want = heap_outcome_spans(release, out_bytes, routes, rates_ot, dist_ot)
-        got = outcome_spans(release, out_bytes, next_link,
-                            route_tree_order(next_link), rates_ot, dist_ot)
+        got = outcome_spans(release, np.flatnonzero(out_bytes > 0).tolist(),
+                            out_bytes.tolist(), RouteTree(next_link), rates_ot,
+                            propagation_delay(dist_ot).tolist())
         assert got[0].tolist() == want[0].tolist()
         assert got[1] == want[1]
         assert got[2] == want[2]

@@ -41,19 +41,28 @@ DENSE_FILL_CALLS = (322, 665)
 #: output elements; now the blocks are 35 and 140 of at most 65,536 terms
 NEIGHBOR_SUM_CALLS = {10: (19, 105), 200: (19, 315)}
 #: calls per compare_bands slot, after the set-up: what no band changes
-#: once per slot record, the link gains once per phase of each of 3 bands
+#: once per slot record (the propagation delays once per phase, the GS
+#: downlink's path samples once), the link gains once per phase of each of
+#: 3 bands and the GS downlink's absorption once per band; no route check,
+#: since the window checked its RouteTree once.  When each band replay
+#: converted its own delays, sampled its own downlink path and checked the
+#: route order, those three counts were 6, 3 and 3 per slot
 BANDS_SLOT_CALLS = {(sec_sim, "quantize_offload"): 1,
                     (sec_sim, "slot_loads"): 1,
                     (sec_sim, "resource_usage"): 1,
-                    (thz_link, "path_gain"): 6}
+                    (sec_sim, "propagation_delay"): 2,
+                    (thz_link, "absorption_path"): 1,
+                    (sec_sim.RouteTree, "__init__"): 0,
+                    (thz_link, "path_gain"): 6,
+                    (thz_link, "absorption_factor"): 3}
 
 
-def fifo_arrivals(release, out_bytes, next_link, rates_ot) -> int:
+def fifo_arrivals(release, flows, next_link, rates_ot) -> int:
     """Arrivals outcome_spans serves: each flow with bytes and a finite
     release is served once by every link of its route to the GS, up to a
     zero-rate link, which serves none."""
     served = 0
-    for k in np.flatnonzero(out_bytes > 0).tolist():
+    for k in flows:
         link = -1 if math.isinf(release[k]) else k
         while link >= 0 and rates_ot[link] > 0.0:
             served += 1
@@ -75,11 +84,11 @@ def step_counts(monkeypatch, agent):
         ops[0] += out.requires_grad
         return out
 
-    def counted_spans(release, out_bytes, next_link, order, rates_ot,
-                      dist_ot_km):
-        arrivals[0] += fifo_arrivals(release, out_bytes, next_link, rates_ot)
-        return spans(release, out_bytes, next_link, order, rates_ot,
-                     dist_ot_km)
+    def counted_spans(release, flows, out_bytes, routes, rates_ot,
+                      prop_ot_s):
+        arrivals[0] += fifo_arrivals(release, flows, routes.next_list,
+                                     rates_ot)
+        return spans(release, flows, out_bytes, routes, rates_ot, prop_ot_s)
 
     def counted_sum(x, table, out=None):
         terms[0] += table.idx.size
@@ -187,8 +196,9 @@ def test_one_dense_training_step_records_the_pinned_graph_ops(monkeypatch):
 def test_a_compare_bands_slot_makes_the_pinned_simulator_calls(monkeypatch,
                                                                tmp_path):
     """Each slot's replays share its record: the task table, the server
-    loads and the resource usage are made once per slot, and only the
-    link rating and the simulation run per band."""
+    loads, the resource usage, the propagation delays and the GS downlink's
+    path samples are made once per slot, and only the link rating and the
+    simulation run per band."""
     calls = dict.fromkeys(BANDS_SLOT_CALLS, 0)
 
     def counting(key, fn):

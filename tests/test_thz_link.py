@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from terasec.thz_link import (AbsorptionProfile, ArrayConfig, BandPlan,
                               LinkBudgetParams, LinkDomainError,
-                              absorption_factor, band_preset, link_gain,
-                              link_rate, noise_power, path_gain, sinr)
+                              absorption_factor, absorption_path,
+                              band_preset, link_gain, link_rate, noise_power,
+                              path_gain, sinr)
+
+import slot_reference as ref
 
 C_M_S = 299792458.0
 
@@ -38,8 +41,9 @@ def test_path_gain_isl_above_atmosphere():
     ang = 2.0 * math.pi / 22.0
     p1 = 6921.0 * np.array([math.cos(ang), math.sin(ang), 0.0])
     without = path_gain(135e9, np.linalg.norm(p1 - p0))
-    assert absorption_factor(p0, p1, profile) == 1.0
-    assert without * absorption_factor(p0, p1, profile) == without
+    path = absorption_path(p0, p1)
+    assert absorption_factor(path, profile) == 1.0
+    assert without * absorption_factor(path, profile) == without
 
 
 def test_path_gain_ground_path_attenuates():
@@ -47,13 +51,15 @@ def test_path_gain_ground_path_attenuates():
     p0 = np.array([6921.0, 0.0, 0.0])      # satellite
     p1 = np.array([6371.0, 0.0, 0.0])      # ground
     without = path_gain(215e9, np.linalg.norm(p1 - p0))
-    assert without * absorption_factor(p0, p1, profile) < without
+    assert without * absorption_factor(absorption_path(p0, p1),
+                                       profile) < without
 
 
 def test_a_ground_path_without_absorption_reads_exactly_one():
     p0 = np.array([6921.0, 0.0, 0.0])      # satellite
     p1 = np.array([6371.0, 0.0, 0.0])      # ground, below the ceiling
-    assert absorption_factor(p0, p1, AbsorptionProfile(g0_per_km=0.0)) == 1.0
+    assert absorption_factor(absorption_path(p0, p1),
+                             AbsorptionProfile(g0_per_km=0.0)) == 1.0
 
 
 def test_path_gain_zero_distance_error():
@@ -235,11 +241,40 @@ def test_path_gain_ground_link_array_equals_scalar_calls():
     for gs in (np.array([6371.0, 0.0, 0.0]), np.array([6300.0, 1000.0, 0.0])):
         f = np.array(band_preset("thz", "outcome").centers_hz)
         d_km = np.linalg.norm(gs - sat)
-        got = path_gain(f, d_km) * absorption_factor(sat, gs, profile)
-        want = [path_gain(fk, d_km) * absorption_factor(sat, gs, profile)
+        path = absorption_path(sat, gs)
+        got = path_gain(f, d_km) * absorption_factor(path, profile)
+        want = [path_gain(fk, d_km) * absorption_factor(path, profile)
                 for fk in f.tolist()]
         assert np.array_equal(got, want)
         assert np.all(got < path_gain(f, d_km))
+
+
+def test_a_shared_path_gives_each_profile_the_bits_of_a_direct_call():
+    """One absorption_path sampling serves every band: each profile's factor
+    from it has the bits of the direct call that samples the path itself
+    (the reference), for the thz, ka and ku profiles and one with another
+    scale height and ceiling.  The paths run from a satellite to the
+    ground, some dipping below it (a negative altitude), and all cross the
+    40 km ceiling."""
+    profiles = [band_preset(name, "outcome").absorption
+                for name in ("thz", "ka", "ku")]
+    profiles.append(AbsorptionProfile(g0_per_km=0.05, scale_height_km=2.5,
+                                      ceiling_km=40.0))
+    rng = np.random.default_rng(4)
+    gs = np.array([6371.0, 0.0, 0.0])
+    below_ground = 0
+    for _ in range(30):
+        to_sat = rng.normal(size=3)
+        to_sat[0] = abs(to_sat[0])
+        sat = (6371.0 + rng.uniform(300.0, 1200.0)) * to_sat / np.linalg.norm(
+            to_sat)
+        path = absorption_path(sat, gs)
+        below_ground += min(path[0]) < 0.0
+        factors = [absorption_factor(path, p) for p in profiles]
+        assert [f.hex() for f in factors] == [
+            ref.absorption_factor(sat, gs, p).hex() for p in profiles]
+        assert len(set(factors)) == len(factors) and max(factors) < 1.0
+    assert 0 < below_ground < 30
 
 
 def test_link_chain_arrays_equal_scalar_calls():

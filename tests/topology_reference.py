@@ -217,7 +217,7 @@ def window_views(env) -> SimpleNamespace:
         route_hops[server] = []
         while link >= 0:
             route_hops[server].append(outcome_links[link])
-            link = int(env._next_link[link])
+            link = env._routes.next_list[link]
     return SimpleNamespace(
         sources=list(neighbor_order), neighbor_order=neighbor_order,
         servers=sorted(route_hops), route_hops=route_hops,
