@@ -18,7 +18,7 @@ from . import harness
 from .agent import require_finite
 from .constellation import Constellation
 from .harness import ConfigError, ExperimentConfig, load_config
-from .thz_link import band_preset, link_rate, noise_power, path_gain, link_gain, sinr
+from .thz_link import band_preset, noise_power, path_gain, rate_links
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,16 +142,14 @@ def cmd_linkbudget(cfg: ExperimentConfig, args) -> int:
         band = band_preset(name, "offloading")
         k = band.n_subbands
         sigma2 = noise_power(cfg.budget.noise_temperature_k, band.bandwidth_hz)
-        h2 = link_gain(cfg.array.s_max, cfg.array.rx_subarrays_per_isl, cfg.array,
-                       path_gain(band.centers_hz, args.distance_km),
-                       gain_interpretation=cfg.budget.gain_interpretation,
-                       element_gain_scale=band.element_gain_scale)
-        gammas = sinr(cfg.budget.p_max_w / k, h2, cfg.budget.interference_mean_w,
-                      sigma2)
-        rates = link_rate(np.ones((k, 1)), gammas[:, None], band.bandwidth_hz)
+        # one link per sub-band, with its share of the budget: a [K, 1] grid
+        rates, gammas = rate_links(
+            cfg.array.s_max, np.full((k, 1), cfg.budget.p_max_w / k),
+            path_gain(band.centers_hz, args.distance_km)[:, None], cfg.array,
+            cfg.budget, band)
         for ki, f in enumerate(band.centers_hz):
             lines.append(f"{name},{ki},{f / 1e9:.6g},{band.bandwidth_hz / 1e9:.6g},"
-                         f"{sigma2:.6g},{10 * np.log10(gammas[ki]):.4f},"
+                         f"{sigma2:.6g},{10 * np.log10(gammas[ki, 0]):.4f},"
                          f"{rates[ki] / 1e9:.6g}")
         lines.append(f"{name},total,,,,,{rates.sum() / 1e9:.6g}")
     print("\n".join(lines))

@@ -59,15 +59,15 @@ class ActionBundle:
 
 
 class _Geometry(NamedTuple):
-    """What a slot's positions fix on every band pair, per phase (offloading,
-    outcome): the link lengths in km, their propagation delays in s (the
-    offload hops' as an [n_src, 4] array, the outcome links' as the list
-    sec_sim.outcome_spans reads) and the GS downlinks as (link, path
-    samples of thz_link.absorption_path)."""
+    """What a slot's positions fix on every band pair: per phase
+    (offloading, outcome), the link lengths in km and their propagation
+    delays in s (the offload hops' as an [n_src, 4] array, the outcome
+    links' as the list sec_sim.outcome_spans reads); and the GS downlink's
+    path samples (thz_link.absorption_path's)."""
 
     distances: list
     delays: list
-    downlinks: list
+    downlink: tuple
 
 
 class _SlotRecord(NamedTuple):
@@ -105,10 +105,10 @@ class SecWindow:
                  band_ot: BandPlan,
                  compute: ComputeParams,
                  reward_params: RewardParams,
-                 n_sources: int = 10,
-                 steps: int = 390,
-                 source_seed: int = 0,
-                 routing_eta: float = 0.5):
+                 n_sources: int,
+                 steps: int,
+                 source_seed: int,
+                 routing_eta: float):
         self.c = constellation
         self.gs = gs
         self.traffic_cfg = traffic_cfg
@@ -132,7 +132,7 @@ class SecWindow:
                                    sorted_neighbors[self.sources]])
         # the involved nodes: the servers and their routing-tree ancestors
         self.involved = nodes = tree_closure(parent, servers)
-        self.counts = generate_counts(traffic_cfg, len(self.sources), max(steps, 1))
+        self.counts = generate_counts(traffic_cfg, len(self.sources), steps)
         self.step_idx = 0
 
         # frozen link tables: per phase, the links' [2, links] end rows into
@@ -147,11 +147,10 @@ class SecWindow:
         rx = self._ot_ends[1]
         self._routes = sec_sim.RouteTree(
             np.where(rx == GS_NODE, -1, np.searchsorted(nodes, rx)))
-        # each phase's links into the GS as (link, transmitter) pairs: the
-        # only links that molecular absorption reaches
-        self._downlinks = [[(i, ends[0, i]) for i in
-                            np.flatnonzero(ends[1] == GS_NODE).tolist()]
-                           for ends in (self._to_ends, self._ot_ends)]
+        # the one link into the GS, the only one that molecular absorption
+        # reaches: the GS-connected satellite's outcome link (offload links
+        # join two satellites)
+        (self._downlink,) = np.flatnonzero(rx == GS_NODE).tolist()
         # the graph's edges as node-row pairs, each offload ISL and each tree
         # ISL once: every ISL at a source is an offload ISL, so the tree
         # adds those between two other nodes
@@ -239,10 +238,10 @@ class SecWindow:
             v = np.subtract(*pos[ends])
             distances.append(np.sqrt(np.vecdot(v, v)))  # bit-identical to norm
         prop_to, prop_ot = map(sec_sim.propagation_delay, distances)
-        downlinks = [[(i, thz_link.absorption_path(pos[tx], pos[GS_NODE]))
-                      for i, tx in links] for links in self._downlinks]
         return _Geometry(distances, [prop_to.reshape(len(self.sources), -1),
-                                     prop_ot.tolist()], downlinks)
+                                     prop_ot.tolist()],
+                         thz_link.absorption_path(pos[self.gs_flat],
+                                                  pos[GS_NODE]))
 
     # -- allocations and rates -------------------------------------------------
 
@@ -265,26 +264,18 @@ class SecWindow:
     def _rate_phase(self, phase: int, alloc: tuple, band: BandPlan,
                     geometry: _Geometry):
         """The links of phase 0 (offloading) or 1 (outcome) at `geometry`,
-        rated by one thz_link chain call over a [links x sub-bands] grid.
-        Returns (rates, gammas) as arrays in link-table order."""
+        rated by one thz_link.rate_links call over a [links x sub-bands]
+        grid.  Returns (rates, gammas) as arrays in link-table order."""
         subarrays, power = alloc
         alpha2 = thz_link.path_gain(band.centers_hz,
                                     geometry.distances[phase][:, None])
-        for i, path in geometry.downlinks[phase]:
+        if phase:
             # molecular absorption on the GS downlink only
-            alpha2[i] *= thz_link.absorption_factor(path, band.absorption)
-        power = power.reshape(-1, power.shape[-1])
-        h2 = thz_link.link_gain(
-            subarrays.reshape(-1, 1),
-            self.array_cfg.rx_subarrays_per_isl, self.array_cfg, alpha2,
-            gain_interpretation=self.budget.gain_interpretation,
-            element_gain_scale=band.element_gain_scale)
-        sigma2 = thz_link.noise_power(self.budget.noise_temperature_k,
-                                      band.bandwidth_hz)
-        gammas = thz_link.sinr(power, h2, self.budget.interference_mean_w,
-                               sigma2)
-        rates = thz_link.link_rate(power > 0.0, gammas, band.bandwidth_hz)
-        return rates, gammas
+            alpha2[self._downlink] *= thz_link.absorption_factor(
+                geometry.downlink, band.absorption)
+        return thz_link.rate_links(subarrays.reshape(-1, 1),
+                                   power.reshape(-1, power.shape[-1]), alpha2,
+                                   self.array_cfg, self.budget, band)
 
     def _record_sinrs(self, gammas_to: np.ndarray, gammas_ot: np.ndarray):
         """Next-slot SINR features: each rated ISL's mean SINR in dB over its
@@ -331,8 +322,8 @@ class SecWindow:
         """The current slot's record of `bundle` at `geometry`: what no band
         pair changes, computed once."""
         allocations = self._quantize_allocations(bundle)
-        counts = self.counts[:, min(self.step_idx, self.counts.shape[1] - 1)]
-        tasks = sec_sim.quantize_offload(bundle.offload, counts)
+        tasks = sec_sim.quantize_offload(bundle.offload,
+                                         self.counts[:, self.step_idx])
         loads = sec_sim.slot_loads(tasks, self._offload_rows, self.involved,
                                    self.compute,
                                    self.traffic_cfg.task_size_bytes)

@@ -165,29 +165,17 @@ class RouteTree:
     """A window's outcome route tree, checked once and read by every slot.
 
     next_link[i] is the link after link i on every route through it, -1
-    when link i reaches the GS; order lists each link before the link it
-    feeds, route_tree_order(next_link) unless given.  Both are kept as
-    read-only arrays and as the lists outcome_spans walks (next_list,
-    order_list).  Raises ActionError for a bad tree, as route_tree_order
-    does, or an order that is not a permutation feeding the tree forward.
+    when link i reaches the GS.  It is kept as a read-only array and as the
+    lists outcome_spans walks: next_list, and order_list, which is
+    route_tree_order(next_link).  Raises ActionError for a bad tree, as
+    route_tree_order does.
     """
 
-    def __init__(self, next_link, order=None):
+    def __init__(self, next_link):
         next_link = np.array(next_link)
-        order = np.array(route_tree_order(next_link) if order is None
-                         else order)
-        n = next_link.size
-        # every link below its next; a link left out or repeated ranks as
-        # the GS
-        rank = np.full(n + 1, n)
-        if order.shape == (n,) and np.all((order >= 0) & (order < n)):
-            rank[order] = np.arange(n)
-        if (next_link.ndim != 1 or np.any((next_link < -1) | (next_link >= n))
-                or np.any(rank[:-1] >= rank[next_link])):
-            raise ActionError("order does not feed the route tree forward")
-        for a in (next_link, order):
-            a.setflags(write=False)
-        self.next_link, self.order = next_link, order
+        order = route_tree_order(next_link)
+        next_link.setflags(write=False)
+        self.next_link = next_link
         self.next_list, self.order_list = next_link.tolist(), order.tolist()
 
 
@@ -201,8 +189,8 @@ def outcome_spans(release: np.ndarray, flows: list, out_bytes: list,
     ascending k, and no other flow sends anything.  Every link serves its
     arrivals in arrival order, ties by ascending flow k, and passes each on
     after its transmission delay (rates_ot, bit/s) and its propagation
-    delay (prop_ot_s, s).  Links are served in routes.order, so a link's
-    arrivals are all known when it is served.
+    delay (prop_ot_s, s).  Links are served in routes.order_list, so a
+    link's arrivals are all known when it is served.
 
     Returns (span [links]: release to GS arrival, inf for a flow released
     at inf or stopped by a zero-rate link; backlog: link -> bytes that

@@ -4,8 +4,8 @@ multi-sub-band Shannon capacity.
 The beamformer is abstracted as an ideal aligned beam: the full transmit and
 receive array gains are applied and the combiner noise term is folded into
 the thermal noise power.  All functions are pure; path_gain, link_gain, sinr
-and link_rate take broadcast arrays, so one chain call rates a whole
-[links x sub-bands] grid from the links' distances.
+and link_rate take broadcast arrays, and rate_links chains the last three,
+so one call rates a whole [links x sub-bands] grid from its path gains.
 """
 from __future__ import annotations
 
@@ -181,8 +181,7 @@ def path_gain(f_hz, d_km):
 
 
 def link_gain(s_tx, s_rx: int, a: ArrayConfig, alpha2,
-              gain_interpretation: str = "amplitude",
-              element_gain_scale: float = 1.0):
+              gain_interpretation: str, element_gain_scale: float):
     """Effective beamformed power gain |h|^2 under ideal beam alignment;
     the transmit sub-array counts broadcast against alpha2."""
     if np.any(s_tx < 1) or s_rx < 1:
@@ -212,3 +211,16 @@ def link_rate(psi, gamma, bandwidth_hz: float):
     psi = np.asarray(psi, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     return np.sum(psi * bandwidth_hz * np.log2(1.0 + gamma), axis=-1)
+
+
+def rate_links(subarrays, power_w, alpha2, a: ArrayConfig,
+               budget: LinkBudgetParams, band: BandPlan) -> tuple:
+    """(rates [links], gammas [links, K]) of links on `band`: per link its
+    transmit sub-array count (subarrays, [links, 1]) and its power per
+    sub-band (power_w, W) and path gain (alpha2), both [links, K].  A
+    sub-band is active when its power is positive."""
+    h2 = link_gain(subarrays, a.rx_subarrays_per_isl, a, alpha2,
+                   budget.gain_interpretation, band.element_gain_scale)
+    sigma2 = noise_power(budget.noise_temperature_k, band.bandwidth_hz)
+    gammas = sinr(power_w, h2, budget.interference_mean_w, sigma2)
+    return link_rate(power_w > 0.0, gammas, band.bandwidth_hz), gammas

@@ -80,6 +80,7 @@ TARGET_FUNCTIONS = {
     "ascent_seed_positive": ("agent", "GrantAgent.train_step"),
     "loss_row_critic_loss_and_q_value_swapped": ("harness", "_loss_row"),
     "rates_without_the_gs_absorption": ("env", "SecWindow._rate_phase"),
+    "route_order_ascending": ("sec_sim", "route_tree_order"),
     "first_gradient_shares_its_array": ("autodiff", "Tensor._accumulate"),
     "walk_skips_a_walked_output": ("autodiff", "Tensor.backward"),
     "make_reads_only_the_first_parent": ("autodiff", "Tensor._make"),
@@ -238,13 +239,21 @@ MUTANTS = [
            "for _ in range(n.bit_length()):",
            "for _ in range(n.bit_length() - 1):",
            ("tests/test_sec_sim.py::test_route_tree_order_feeds_forward",)),
+    # RouteTree takes route_tree_order's order unchecked: a leaf-last order
+    # serves a link before its feeders
+    Mutant("route_order_ascending", "sec_sim.py",
+           'np.argsort(-hops[:n], kind="stable")',
+           'np.argsort(hops[:n], kind="stable")',
+           ("tests/test_sec_sim.py::test_route_tree_order_feeds_forward",
+            _HEAP_TEST)),
     Mutant("no_local_path_for_a_source_that_offloads_nothing", "sec_sim.py",
            "has_path[:, 0] |= tasks[:, 1:].sum(axis=1) == 0",
            "has_path[:, 0] |= False",
            ("tests/test_env.py::test_array_slot_equals_the_dict_path",)),
     Mutant("rates_without_the_gs_absorption", "env.py",
-           "for i, path in geometry.downlinks[phase]:",
-           "for i, path in geometry.downlinks[phase][:0]:",
+           "alpha2[self._downlink] *= thz_link.absorption_factor(",
+           "alpha2[self._downlink:self._downlink] *= "
+           "thz_link.absorption_factor(",
            ("tests/test_env.py::test_array_pass_equals_the_per_link_loop",)),
     Mutant("sinr_features_over_every_sub_band", "env.py",
            "np.divide(db_sum, n_active, where=n_active > 0,",

@@ -6,9 +6,10 @@ Per-link LinkAlloc records, a dict-of-dicts OffloadAssignment, per-source
 quantizer calls and (tx, rx)-keyed rate and distance tables.  The code is
 as it was, with one fix: a path through a server that an unreachable
 offload hop feeds has delay inf, not NaN.  The heap FIFO at the end is the
-array path's outcome-flow block as it was, on per-server route lists, and
+array path's outcome-flow block as it was, on per-server route lists,
 absorption_factor is terasec.thz_link's as it was before a slot sampled
-its GS downlink once for every band.
+its GS downlink once for every band, and phase_rating is the chain that
+SecWindow rated a phase with before thz_link.rate_links.
 """
 import heapq
 import math
@@ -19,6 +20,7 @@ import numpy as np
 from terasec.constellation import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 from terasec.sec_sim import (DELAY_CAP_S, ActionError, ComputeParams,
                              RewardParams, reward)
+from terasec.thz_link import link_gain, link_rate, noise_power, sinr
 
 
 @dataclass
@@ -376,3 +378,19 @@ def absorption_factor(tx_pos_km, rx_pos_km, profile) -> float:
     length = float(np.linalg.norm(p1 - p0))
     integral = float(np.trapezoid(g, dx=length / 64))
     return math.exp(-integral)
+
+
+def phase_rating(subarrays, power, alpha2, array_cfg, budget, band) -> tuple:
+    """(rates, gammas) of one phase's links from their quantized allocation
+    (subarrays [tx, links], power [tx, links, K]) and path gains alpha2
+    ([tx * links, K]), as SecWindow._rate_phase chained it."""
+    power = power.reshape(-1, power.shape[-1])
+    h2 = link_gain(
+        subarrays.reshape(-1, 1),
+        array_cfg.rx_subarrays_per_isl, array_cfg, alpha2,
+        gain_interpretation=budget.gain_interpretation,
+        element_gain_scale=band.element_gain_scale)
+    sigma2 = noise_power(budget.noise_temperature_k, band.bandwidth_hz)
+    gammas = sinr(power, h2, budget.interference_mean_w, sigma2)
+    rates = link_rate(power > 0.0, gammas, band.bandwidth_hz)
+    return rates, gammas

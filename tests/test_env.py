@@ -194,7 +194,7 @@ def reference_slot(env, bundle, band_to, band_ot):
     Returns (SlotOutcome, OffloadAssignment, alloc_to, alloc_ot)."""
     views = topo.window_views(env)
     t = env.time_at(env.step_idx)
-    counts = env.counts[:, min(env.step_idx, env.counts.shape[1] - 1)]
+    counts = env.counts[:, env.step_idx]
     s_max, p_max = env.array_cfg.s_max, env.budget.p_max_w
     k = env.band_to.n_subbands
     alloc_to, tasks_self, tasks_to = {}, {}, {}
@@ -433,11 +433,12 @@ def test_window_setup_equals_the_per_satellite_reference(n_sources, seed,
             (env._offload_rows, want.first_link),
             *zip(env._sinr_cells, want.sinr_cells)):
         assert np.array_equal(got_table, want_table)
-    # the one GS downlink, an outcome link; no offload link reaches the GS
-    assert env._downlinks == [[], [
-        (i, tx) for i, (tx, rx) in enumerate(want.outcome_links)
-        if rx == GS_NODE]]
-    assert len(env._downlinks[1]) == 1
+    # the one GS downlink: the only outcome link into the GS, sent by the
+    # GS-connected satellite; no offload link reaches the GS
+    assert [i for i, (_, rx) in enumerate(want.outcome_links)
+            if rx == GS_NODE] == [env._downlink]
+    assert want.outcome_links[env._downlink][0] == env.gs_flat
+    assert all(rx != GS_NODE for _, rx in want.offload_links)
     n = len(want.involved)
     assert np.array_equal(dense_adjacency(n, env.edges), want.adj)
     got_norm = normalized_adjacency(n, env.edges)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -411,50 +410,27 @@ def test_slot_delay_monotone_in_rate(r, boost):
                                        [-2, -1, -1]])   # below -1
 def test_bad_route_tree_is_rejected(next_link):
     """route_tree_order and the RouteTree built from it reject the tree with
-    route_tree_order's message, and no order of the links given with it
-    feeds it forward."""
-    n = len(next_link)
+    route_tree_order's message."""
     cycle = next_link in ([1, 0, -1], [-1, 1])
     message = "has a cycle" if cycle else "must be -1 or a link index"
     with pytest.raises(ActionError, match=message):
         route_tree_order(np.array(next_link))
     with pytest.raises(ActionError, match=message):
         RouteTree(next_link)
-    for order in itertools.permutations(range(n)):
-        with pytest.raises(ActionError, match="does not feed"):
-            RouteTree(next_link, order)
-
-
-@pytest.mark.parametrize("order", [[0, 1, 2],        # a link after its next
-                                   [2, 2, 0],        # a link repeated
-                                   [2, 1],           # a link left out
-                                   [2, 1, 0, 0],     # one entry too many
-                                   [2, 1, 3],        # past the last link
-                                   [2, 3, 0],        # n_links, 1 left out
-                                   [2, 1, -1]])      # below 0
-def test_an_order_that_is_no_route_order_is_rejected(order):
-    """A RouteTree takes the route order with the tree (2 -> 1 -> 0 -> GS)
-    and rejects one that is not a permutation feeding the tree forward; the
-    one it derives is that order."""
-    next_link = [-1, 0, 1]
-    assert RouteTree(next_link, [2, 1, 0]).order_list == [2, 1, 0]
-    assert RouteTree(next_link).order_list == [2, 1, 0]
-    with pytest.raises(ActionError, match="does not feed"):
-        RouteTree(next_link, order)
 
 
 def test_a_route_tree_holds_its_arrays_read_only_and_as_lists():
-    """The tree copies its input; both arrays are read-only, and the lists
-    are their values."""
+    """The tree copies its input; its array is read-only, and the lists are
+    its values and its route order (2 -> 1 -> 0 -> GS: [2, 1, 0])."""
     next_link = np.array([-1, 0, 0, 2])
     tree = RouteTree(next_link)
     next_link[0] = 3
     assert tree.next_link.tolist() == tree.next_list == [-1, 0, 0, 2]
-    assert tree.order.tolist() == tree.order_list
+    assert tree.order_list == route_tree_order(tree.next_link).tolist()
     assert sorted(tree.order_list) == [0, 1, 2, 3]
-    for a in (tree.next_link, tree.order):
-        with pytest.raises(ValueError):
-            a[0] = 1
+    with pytest.raises(ValueError):
+        tree.next_link[0] = 1
+    assert RouteTree([-1, 0, 1]).order_list == [2, 1, 0]
 
 
 @pytest.mark.parametrize("first_link", [[[2, 1], [1, 2]],    # past the end

@@ -9,7 +9,7 @@ from terasec.thz_link import (AbsorptionProfile, ArrayConfig, BandPlan,
                               LinkBudgetParams, LinkDomainError,
                               absorption_factor, absorption_path,
                               band_preset, link_gain, link_rate, noise_power,
-                              path_gain, sinr)
+                              path_gain, rate_links, sinr)
 
 import slot_reference as ref
 
@@ -71,13 +71,14 @@ def test_path_gain_zero_distance_error():
 
 def test_link_gain_identity():
     a = ArrayConfig(m_x=1, m_y=1, element_gain_dbi=0.0)
-    assert abs(link_gain(1, 1, a, 3.5e-21) / 3.5e-21 - 1.0) < 1e-12
+    gain = link_gain(1, 1, a, 3.5e-21, "amplitude", 1.0)
+    assert abs(gain / 3.5e-21 - 1.0) < 1e-12
 
 
 def test_link_gain_linear_in_subarrays():
     a = ArrayConfig()
-    g1 = link_gain(4, 1, a, 1e-20)
-    g2 = link_gain(8, 1, a, 1e-20)
+    g1 = link_gain(4, 1, a, 1e-20, "amplitude", 1.0)
+    g2 = link_gain(8, 1, a, 1e-20, "amplitude", 1.0)
     assert abs(g2 / g1 - 2.0) < 1e-12
 
 
@@ -85,7 +86,7 @@ def test_link_gain_73db_oracle():
     # 8 tx sub-arrays of 4x4, 1 rx sub-array, 10 dBi per element in the
     # amplitude reading: total gain over alpha2 is 10*log10(128*16) + 40 dB
     a = ArrayConfig(m_x=4, m_y=4, element_gain_dbi=10.0)
-    ratio = link_gain(8, 1, a, 1.0, gain_interpretation="amplitude")
+    ratio = link_gain(8, 1, a, 1.0, "amplitude", 1.0)
     expected_db = 10.0 * math.log10(128 * 16) + 40.0
     assert abs(10.0 * math.log10(ratio) - expected_db) < 1e-9
     assert abs(expected_db - 73.1) < 0.02
@@ -93,8 +94,8 @@ def test_link_gain_73db_oracle():
 
 def test_link_gain_power_interpretation():
     a = ArrayConfig(m_x=4, m_y=4, element_gain_dbi=10.0)
-    amp = link_gain(2, 1, a, 1.0, gain_interpretation="amplitude")
-    pow_ = link_gain(2, 1, a, 1.0, gain_interpretation="power")
+    amp = link_gain(2, 1, a, 1.0, "amplitude", 1.0)
+    pow_ = link_gain(2, 1, a, 1.0, "power", 1.0)
     assert abs(amp / pow_ - 100.0) < 1e-9   # (10*10) extra in amplitude mode
 
 
@@ -122,7 +123,7 @@ def test_link_gain_does_not_wrap_at_a_huge_array():
     s_tx = np.array([4, 64])
     big = ArrayConfig(m_x=10**9)
     g = big.element_gain_linear() ** 2
-    gain = link_gain(s_tx, 1, big, 1e-20)
+    gain = link_gain(s_tx, 1, big, 1e-20, "amplitude", 1.0)
     assert np.all(gain > 0.0)
     np.testing.assert_allclose(gain, s_tx * 4e9 * 4e9 * g * g * 1e-20,
                                rtol=1e-12)
@@ -130,7 +131,8 @@ def test_link_gain_does_not_wrap_at_a_huge_array():
     m = a.m_x * a.m_y
     g = a.element_gain_linear() ** 2
     want = (s_tx * m) * (1 * m) * g * g * 1e-20
-    assert link_gain(s_tx, 1, a, 1e-20).tobytes() == want.tobytes()
+    assert (link_gain(s_tx, 1, a, 1e-20, "amplitude", 1.0).tobytes()
+            == want.tobytes())
 
 
 # -- sinr and noise ----------------------------------------------------------
@@ -193,8 +195,8 @@ def test_band_rate_ordering_same_allocation():
         sigma2 = noise_power(budget.noise_temperature_k, band.bandwidth_hz)
         gammas = []
         for f in band.centers_hz:
-            h2 = link_gain(16, 1, a, path_gain(f, d_km),
-                           element_gain_scale=band.element_gain_scale)
+            h2 = link_gain(16, 1, a, path_gain(f, d_km), "amplitude",
+                           band.element_gain_scale)
             gammas.append(sinr(2.0, h2, 0.0, sigma2))
         rates[name] = link_rate(np.ones(band.n_subbands), gammas,
                                 band.bandwidth_hz)
@@ -283,23 +285,58 @@ def test_link_chain_arrays_equal_scalar_calls():
     alpha2 = 10.0 ** rng.uniform(-22.0, -19.0, size=(50, 5))
     s_tx = rng.integers(1, 65, size=(50, 1))
     power = rng.uniform(0.0, 2.0, size=(50, 5)) * (rng.random((50, 5)) > 0.3)
-    h2 = link_gain(s_tx, 1, a, alpha2, element_gain_scale=0.3)
+    h2 = link_gain(s_tx, 1, a, alpha2, "amplitude", 0.3)
     gamma = sinr(power, h2, 1e-13, sigma2)
     rate = link_rate(power > 0.0, gamma, 2e9)
     assert rate.shape == (50,)
     for i in range(50):
         for k in range(5):
             h = link_gain(int(s_tx[i, 0]), 1, a, float(alpha2[i, k]),
-                          element_gain_scale=0.3)
+                          "amplitude", 0.3)
             assert h2[i, k] == h
             assert gamma[i, k] == sinr(float(power[i, k]), h, 1e-13, sigma2)
         assert rate[i] == link_rate(power[i] > 0.0, gamma[i], 2e9)
+
+
+@pytest.mark.parametrize("gain_interpretation", ["amplitude", "power"])
+@pytest.mark.parametrize("band_name", ["thz", "ka", "ku"])
+def test_rate_links_has_the_bits_of_the_per_phase_chain(gain_interpretation,
+                                                        band_name):
+    """One rate_links call equals the chain SecWindow once ran per phase,
+    bit for bit, on random [tx, links, K] grids: sub-array counts from 1 to
+    s_max, about a third of the sub-bands at zero power, and rows with no
+    active sub-band; with and without interference."""
+    rng = np.random.default_rng(11)
+    a = ArrayConfig(s_max=rng.integers(4, 65).item())
+    seen_full = seen_idle = 0
+    for phase in ("offloading", "outcome"):
+        band = band_preset(band_name, phase)
+        k = band.n_subbands
+        for interference in (0.0, 1e-13):
+            budget = LinkBudgetParams(interference_mean_w=interference,
+                                      gain_interpretation=gain_interpretation)
+            tx = rng.integers(1, 40)
+            links = 4 if phase == "offloading" else 1
+            subarrays = rng.integers(1, a.s_max + 1, size=(tx, links))
+            subarrays.flat[0] = a.s_max
+            power = (rng.uniform(0.0, budget.p_max_w / k, size=(tx, links, k))
+                     * (rng.random((tx, links, k)) > 0.3))
+            power[-1, -1] = 0.0
+            alpha2 = 10.0 ** rng.uniform(-22.0, -19.0, size=(tx * links, k))
+            want = ref.phase_rating(subarrays, power, alpha2, a, budget, band)
+            got = rate_links(subarrays.reshape(-1, 1),
+                             power.reshape(-1, k), alpha2, a, budget, band)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            seen_full += np.sum(subarrays == a.s_max)
+            seen_idle += np.sum(got[0] == 0.0)
+    assert seen_full >= 4 and seen_idle >= 4
 
 
 def test_array_domain_errors_anywhere():
     with pytest.raises(LinkDomainError):
         path_gain(np.array([135e9, 137e9]), np.array([[1.0], [0.0], [2.0]]))
     with pytest.raises(LinkDomainError):
-        link_gain(np.array([[4], [0], [2]]), 1, ArrayConfig(), np.ones((3, 5)))
+        link_gain(np.array([[4], [0], [2]]), 1, ArrayConfig(), np.ones((3, 5)),
+                  "amplitude", 1.0)
     with pytest.raises(LinkDomainError):
         sinr(np.array([1.0, -1e-9, 0.0]), np.ones(3), 0.0, 1.0)
