@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import json
 import os
+import queue
+import signal
 import threading
 import zipfile
 from typing import NamedTuple
@@ -320,27 +322,53 @@ def normalized_adjacency(n: int, edges) -> NeighborTable:
 NEIGHBOR_BLOCK = 65536
 
 
+def _blocking(n: int, w: int, d: int) -> tuple:
+    """(rows per block, term buffer elements) of a neighbor sum of n rows
+    of w terms at d columns: as many row blocks of equal height as the
+    terms hold NEIGHBOR_BLOCK elements (at least one)."""
+    per = max(1, -(-n // max(1, round(n * w * d / NEIGHBOR_BLOCK))))
+    return per, w * min(per, n) * d
+
+
 def _neighbor_sum(x: np.ndarray, table: NeighborTable,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  term: np.ndarray | None = None) -> np.ndarray:
     """sum_k weight[:, k] * x[idx[:, k]], each term added in k order to a
-    zero buffer, in row blocks of equal height, as many as the terms hold
-    NEIGHBOR_BLOCK elements (at least one).  Each block gathers its terms,
+    zero buffer, in _blocking's row blocks.  Each block gathers its terms,
     k-major, into one reused buffer and sums them with one einsum, whose
-    default unoptimized loop keeps that order and rounding.  out: an [n, d]
-    buffer, not x, to write it into."""
+    default unoptimized loop keeps that order and rounding, so each row has
+    the same bits in any block.  out: an [n, d] buffer, not x, to write it
+    into; term: a flat buffer of _blocking's term elements, for it."""
     idx, weight = table
     (n, w), d = idx.shape, x.shape[1]
     if out is None:
         out = np.empty((n, d))
-    blocks = max(1, round(n * w * d / NEIGHBOR_BLOCK))
-    per = max(1, -(-n // blocks))
-    term = np.empty(w * min(per, n) * d)
+    per, size = _blocking(n, w, d)
+    if term is None:
+        term = np.empty(size)
     for lo in range(0, n, per):
         ix = idx[lo:lo + per].T
         t = term[:ix.size * d].reshape(*ix.shape, d)
         x.take(ix, axis=0, out=t, mode="clip")
         np.einsum("mk,kmj->mj", weight[lo:lo + per], t, out=out[lo:lo + per])
     return out
+
+
+def _share_sums(x: np.ndarray, table: NeighborTable, out: np.ndarray,
+                shares: int):
+    """fn(k, lo, hi) writing _neighbor_sum's rows lo:hi of x over table
+    into out, for _in_shares' `shares` shares of table's rows, with one
+    term buffer per share allocated here."""
+    (n, w), d = table.idx.shape, x.shape[1]
+    terms = np.empty((shares, max(
+        _blocking(n * (k + 1) // shares - n * k // shares, w, d)[1]
+        for k in range(shares))))
+
+    def rows(k, lo, hi):
+        _neighbor_sum(x, NeighborTable(table.idx[lo:hi], table.weight[lo:hi]),
+                      out[lo:hi], terms[k])
+
+    return rows
 
 
 class SubGraph(NamedTuple):
@@ -390,6 +418,96 @@ def sub_graph(table: NeighborTable, rows) -> SubGraph:
     hop = np.flatnonzero(near)
     return SubGraph(rows, hop, _layer_tables(table, hop, np.arange(n)),
                     _layer_tables(table, rows, hop))
+
+
+# -- work split across the process's CPUs -------------------------------------
+
+#: elements from which an optimizer splits each step across the process's CPUs
+ADAM_SHARE_MIN = 2**20
+#: output elements from which a GCN layer splits its rows across the CPUs:
+#: every layer at 10 sources (at most 291 x 128) stays whole, and the
+#: 1,365-row layers and the 848-row first offloading layer at 200 sources
+#: split, which measured faster for the 848-row one too
+GCN_SHARE_MIN = 2**16
+
+
+def _affinity_cpus() -> int:
+    return len(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
+
+
+class _Run:
+    """One _in_shares call: its shares are claimed one at a time, by the
+    caller or by any worker that takes the run while one is left."""
+
+    def __init__(self, fn, n, shares):
+        self.fn, self.n, self.shares = fn, n, shares
+        self.claimed, self.lock = 0, threading.Lock()
+        self.ended, self.errors = threading.Semaphore(0), []
+
+    def work(self):
+        """Run unclaimed shares until none is left, releasing `ended` once
+        as each ends."""
+        while True:
+            with self.lock:
+                k, self.claimed = self.claimed, self.claimed + 1
+            if k >= self.shares:
+                return
+            try:
+                self.fn(k, self.n * k // self.shares,
+                        self.n * (k + 1) // self.shares)
+            except BaseException as exc:
+                self.errors.append(exc)
+            self.ended.release()
+
+
+#: the process's worker pool: [run queue, worker count], made on first use;
+#: a forked child drops it, since the workers are not forked with it
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker(jobs):
+    # signals go to the caller's thread, which may hold some back
+    signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    while True:
+        jobs.get().work()
+
+
+def _in_shares(fn, n, shares):
+    """fn(k, lo, hi) for each share k of range(n) in `shares` runs of rows,
+    lo = n * k // shares: inline for one share; else the caller and the
+    pool's workers (at least shares - 1) claim the shares, so a share no
+    free worker takes runs on the caller.  Returns once every share has
+    ended, raising the first error one raised.  fn allocates nothing: the
+    caller passes each share's buffers."""
+    global _pool
+    if shares == 1:
+        return fn(0, 0, n)
+    with _pool_lock:
+        if _pool is None:
+            _pool = [queue.SimpleQueue(), 0]
+        jobs = _pool[0]
+        while _pool[1] < shares - 1:
+            threading.Thread(target=_worker, args=(jobs,), daemon=True,
+                             name="terasec-share").start()
+            _pool[1] += 1
+    run = _Run(fn, n, shares)
+    for _ in range(shares - 1):
+        jobs.put(run)
+    run.work()
+    for _ in range(shares):
+        run.ended.acquire()
+    run.fn = None  # a run still queued holds no buffer
+    if run.errors:
+        raise run.errors[0]
 
 
 # -- parameters, layers, optimizer -------------------------------------------
@@ -452,7 +570,12 @@ class GcnLayer:
     Backward runs once and holds one hidden-width transient beside what the
     graph keeps: it forms g * (1 - F'**2) in the incoming gradient's buffer
     where it may, drops A_norm @ F once the weight gradient is formed and
-    writes the input gradient's neighbor sum into the dead buffer."""
+    writes the input gradient's neighbor sum into the dead buffer.
+
+    From GCN_SHARE_MIN output elements the layer splits its rows into one
+    share per affinity CPU (_in_shares): the neighbor sums, the two products
+    with W and the element-wise steps run share by share, each row with its
+    one-share bits; the weight gradient stays one product."""
 
     def __init__(self, rng, d_in, d_out, name):
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
@@ -463,22 +586,48 @@ class GcnLayer:
         back = table if back is None else back
         if x.shape[0] != back.idx.shape[0]:
             raise DimensionError("feature row count must match the graph size")
-        agg = _neighbor_sum(x.data, table)
-        out = agg @ w.data
-        np.tanh(out, out=out)
+        m = table.idx.shape[0]
+        shares = _affinity_cpus() if m * w.shape[1] >= GCN_SHARE_MIN else 1
+        if shares == 1:
+            agg = _neighbor_sum(x.data, table)
+            out = agg @ w.data
+            np.tanh(out, out=out)
+        else:
+            agg, out = np.empty((m, x.shape[1])), np.empty((m, w.shape[1]))
+            sums = _share_sums(x.data, table, agg, shares)
+
+            def forward(k, lo, hi):
+                sums(k, lo, hi)
+                np.matmul(agg[lo:hi], w.data, out=out[lo:hi])
+                np.tanh(out[lo:hi], out=out[lo:hi])
+
+            _in_shares(forward, m, shares)
         kept = agg if w.requires_grad else None
 
         def vjp(g):
             nonlocal kept
             # g * (1 - out**2), plus the zero buffer of a first gradient; a
             # row-broadcast or read-only g leaves it to the scratch buffer
-            d = np.square(out)
-            np.subtract(1.0, d, out=d)
-            if g.flags.writeable and g.shape == out.shape:
-                d = np.multiply(g, d, out=g)
+            if shares == 1:
+                d = np.square(out)
+                np.subtract(1.0, d, out=d)
+                if g.flags.writeable and g.shape == out.shape:
+                    d = np.multiply(g, d, out=g)
+                else:
+                    np.multiply(g, d, out=d)
+                np.add(d, 0.0, out=d)
             else:
-                np.multiply(g, d, out=d)
-            np.add(d, 0.0, out=d)
+                s = np.empty(out.shape)
+                d = g if g.flags.writeable and g.shape == out.shape else s
+
+                def tangent(k, lo, hi):
+                    np.square(out[lo:hi], out=s[lo:hi])
+                    np.subtract(1.0, s[lo:hi], out=s[lo:hi])
+                    np.multiply(g[lo:hi], s[lo:hi], out=d[lo:hi])
+                    np.add(d[lo:hi], 0.0, out=d[lo:hi])
+
+                _in_shares(tangent, m, shares)
+                s = tangent = None  # the scratch goes before gx's buffer
             gw = gx = None
             if kept is not None and w.requires_grad:
                 gw = kept.T @ d
@@ -488,12 +637,21 @@ class GcnLayer:
                 # of some rows points at (a whole graph's gradient keeps its
                 # row count, so the heap reuses that buffer's chunk); no
                 # + 0.0: a sum from a zero buffer keeps no zero term's sign
-                m = d.shape[0]
                 gx = np.empty((m + (back is not table), w.shape[0]))
-                np.matmul(d, w.data.T, out=gx[:m])
+                if shares == 1:
+                    np.matmul(d, w.data.T, out=gx[:m])
+                else:
+                    _in_shares(lambda k, lo, hi: np.matmul(
+                        d[lo:hi], w.data.T, out=gx[lo:hi]), m, shares)
                 gx[m:] = 0.0
-                gx = _neighbor_sum(gx, back,
-                                   out=d if d.shape == x.shape else None)
+                into = d if d.shape == x.shape else None
+                if shares == 1:
+                    gx = _neighbor_sum(gx, back, out=into)
+                else:
+                    into = np.empty(x.shape) if into is None else into
+                    _in_shares(_share_sums(gx, back, into, shares),
+                               x.shape[0], shares)
+                    gx = into
             return gx, gw
 
         return Tensor._make(out, (x, w), vjp, owned=True)
@@ -507,8 +665,6 @@ class GcnLayer:
 #: more, while a block's five 256 KB arrays (data, moments, scratch pair)
 #: still stay in a 2 MB L2 cache through every update pass (65,536 spill it)
 ADAM_BLOCK = 32768
-#: elements from which an optimizer splits each step across the process's CPUs
-ADAM_SHARE_MIN = 2**20
 
 
 def _aligned_zeros(shape):
@@ -527,8 +683,8 @@ class Adam:
     operation order of
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2;
     p -= (lr*scale) * (m/c1) / (sqrt(v/c2) + eps).
-    From ADAM_SHARE_MIN elements, one equal share of the blocks per affinity
-    CPU runs on its own thread and scratch pair (share 0 on the caller's).
+    From ADAM_SHARE_MIN elements, the elements split into one equal share
+    per affinity CPU, each with its own scratch pair, run by _in_shares.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -565,56 +721,42 @@ class Adam:
         b1, b2, eps = self.beta1, self.beta2, self.eps
         c1, c2 = 1 - b1**self.step_count, 1 - b2**self.step_count
         total = sum(data.size for data, *_ in flat)
-        shares = (len(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
-                  if total >= ADAM_SHARE_MIN else 1)
+        shares = _affinity_cpus() if total >= ADAM_SHARE_MIN else 1
         while len(self._scratch) < shares:
             self._scratch.append(_aligned_zeros((2, ADAM_BLOCK)))
-        errors = []
 
-        def run(k):
-            start, stop = total * k // shares, total * (k + 1) // shares
+        def run(k, start, stop):
             buf_a, buf_b = self._scratch[k]
-            try:
-                for data, m, v, g, lr in flat:
-                    lo, end = max(start, 0), min(stop, data.size)
-                    start, stop = start - data.size, stop - data.size
-                    while lo < end:
-                        hi = min(lo - lo % ADAM_BLOCK + ADAM_BLOCK, end)
-                        pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
-                        ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
-                        if g is None:
-                            gb = 0.0
-                        elif isinstance(g, RankOneGrad):
-                            gb = g.fill(lo, tb)
-                        else:
-                            gb = g[lo:hi]
-                        np.multiply(mb, b1, out=mb)
-                        np.multiply(gb, 1 - b1, out=ta)
-                        np.add(mb, ta, out=mb)
-                        np.multiply(vb, b2, out=vb)
-                        np.multiply(gb, gb, out=ta)
-                        np.multiply(ta, 1 - b2, out=ta)
-                        np.add(vb, ta, out=vb)
-                        np.divide(vb, c2, out=ta)
-                        np.sqrt(ta, out=ta)
-                        np.add(ta, eps, out=ta)
-                        np.divide(mb, c1, out=tb)
-                        np.multiply(tb, lr, out=tb)
-                        np.divide(tb, ta, out=tb)
-                        np.subtract(pb, tb, out=pb)
-                        lo = hi
-            except BaseException as exc:
-                errors.append(exc)
+            for data, m, v, g, lr in flat:
+                lo, end = max(start, 0), min(stop, data.size)
+                start, stop = start - data.size, stop - data.size
+                while lo < end:
+                    hi = min(lo - lo % ADAM_BLOCK + ADAM_BLOCK, end)
+                    pb, mb, vb = data[lo:hi], m[lo:hi], v[lo:hi]
+                    ta, tb = buf_a[:hi - lo], buf_b[:hi - lo]
+                    if g is None:
+                        gb = 0.0
+                    elif isinstance(g, RankOneGrad):
+                        gb = g.fill(lo, tb)
+                    else:
+                        gb = g[lo:hi]
+                    np.multiply(mb, b1, out=mb)
+                    np.multiply(gb, 1 - b1, out=ta)
+                    np.add(mb, ta, out=mb)
+                    np.multiply(vb, b2, out=vb)
+                    np.multiply(gb, gb, out=ta)
+                    np.multiply(ta, 1 - b2, out=ta)
+                    np.add(vb, ta, out=vb)
+                    np.divide(vb, c2, out=ta)
+                    np.sqrt(ta, out=ta)
+                    np.add(ta, eps, out=ta)
+                    np.divide(mb, c1, out=tb)
+                    np.multiply(tb, lr, out=tb)
+                    np.divide(tb, ta, out=tb)
+                    np.subtract(pb, tb, out=pb)
+                    lo = hi
 
-        threads = [threading.Thread(target=run, args=(k,))
-                   for k in range(1, shares)]
-        for t in threads:
-            t.start()
-        run(0)
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
+        _in_shares(run, total, shares)
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -362,15 +362,19 @@ class SecWindow:
         resource usage) and each band pair's evaluation, so a
         bundle is quantized once and evaluated once per band pair, and an
         advancing step returns the very result of its replay (advance=False,
-        which changes nothing else); a bundle that differs, or was changed
-        in place, starts a new record with the same geometry."""
+        which changes nothing else); a bundle whose arrays differ from the
+        record's copies in shape, dtype or a byte (-0.0 against +0.0 too),
+        or were changed in place, starts a new record with the same
+        geometry."""
         bands = (band_to or self.band_to, band_ot or self.band_ot)
         arrays = list(vars(bundle).values())
         slot = self._slot
         if slot is None:
             slot = self._slot = self._record(
                 bundle, arrays, self._geometry(self.time_at(self.step_idx)))
-        elif not all(map(np.array_equal, slot.arrays, arrays)):
+        elif not all(a.shape == b.shape and a.dtype == b.dtype
+                     and a.tobytes() == b.tobytes()
+                     for a, b in zip(slot.arrays, arrays)):
             slot = self._slot = self._record(bundle, arrays, slot.geometry)
         if bands not in slot.evaluations:
             slot.evaluations[bands] = self._evaluate(slot, *bands)

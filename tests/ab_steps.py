@@ -41,8 +41,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: slot record)
 WARMUP = {"train": 2, "bands": 1}
 LIMITS = ("both sides share one heap, so this measures time, not memory",
-          "each side's Adam split starts its own worker threads in the "
-          "one process",
+          "each side's package has its own pool of share workers (Adam's "
+          "step and the GCN layers) in the one process",
           "the ratio holds only while the two sides' steps interleave")
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                  "MKL_NUM_THREADS": "1"}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,12 @@ def make_env(seed: int = 1, steps: int = 10, n_sources: int = 10,
         ComputeParams(), RewardParams(),
         n_sources=n_sources, steps=steps, source_seed=seed,
         routing_eta=ROUTING_ETA)
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Make the process look as if it may run on n CPUs: the share count of
+    a split GCN layer or Adam step."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def loss_history(agent) -> list:

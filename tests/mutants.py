@@ -45,6 +45,10 @@ _ADAM_TEST = ("tests/test_autodiff.py::"
               "test_adam_equals_the_reference_step")
 _SHARE_RAISES = ("tests/test_autodiff.py::test_a_share_that_raises_"
                  "fails_the_step_and_leaves_no_thread")
+_SHARE_ERROR = ("tests/test_autodiff.py::test_a_share_error_reaches_the_"
+                "caller_after_every_started_share")
+_SPLIT_GCN_TEST = ("tests/test_autodiff.py::"
+                   "test_a_split_gcn_layer_has_the_one_share_bits")
 _FACTORS_TEST = ("tests/test_autodiff.py::test_adam_from_factors_equals_the_"
                  "reference_from_the_formed_gradient")
 _FILL_TEST = ("tests/test_autodiff.py::"
@@ -170,17 +174,21 @@ MUTANTS = [
            "        for p in parents[:1]:\n            if p.requires_grad:",
            ("tests/test_autodiff.py::"
             "test_an_op_records_its_graph_when_any_parent_needs_a_gradient",)),
-    # Adam's step split across the CPUs
-    Mutant("adam_share_edge_off_by_one", "autodiff.py",
-           "start, stop = total * k // shares, total * (k + 1) // shares",
-           "start, stop = total * k // shares, total * (k + 1) // shares + 1",
+    # _in_shares: Adam's step and the GCN layers split across the CPUs
+    Mutant("share_edge_off_by_one", "autodiff.py",
+           "self.n * (k + 1) // self.shares)",
+           "self.n * (k + 1) // self.shares + 1)",
            (_ADAM_TEST,)),
-    Mutant("adam_share_not_joined", "autodiff.py",
-           "t.join()", "t.is_alive()",
-           (_SHARE_RAISES, _ADAM_TEST)),
-    Mutant("adam_share_error_dropped", "autodiff.py",
-           "raise errors[0]", "errors.clear()",
-           (_SHARE_RAISES,)),
+    Mutant("share_last_row_dropped", "autodiff.py",
+           "self.n * (k + 1) // self.shares)",
+           "self.n * (k + 1) // self.shares - 1)",
+           (_SPLIT_GCN_TEST,)),
+    Mutant("share_not_waited", "autodiff.py",
+           "run.ended.acquire()", "run.ended.acquire(timeout=0)",
+           (_SHARE_ERROR, _ADAM_TEST)),
+    Mutant("share_error_dropped", "autodiff.py",
+           "raise run.errors[0]", "run.errors.clear()",
+           (_SHARE_RAISES, _SHARE_ERROR)),
     # RankOneGrad.fill: a rank-one gradient formed a block at a time
     Mutant("rank_one_fill_without_zero_buffer", "autodiff.py",
            "return np.add(out, 0.0, out=out)", "return out",

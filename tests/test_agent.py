@@ -19,7 +19,8 @@ from terasec.baselines import MaddpgFcAgent
 from terasec.env import GS_NODE, SecWindow, tree_closure
 from terasec.harness import _metrics_row
 
-from conftest import loss_history, make_env, policy_ratios, random_simplex
+from conftest import (loss_history, make_env, policy_ratios, random_simplex,
+                      set_cpus)
 import gcn_reference
 from gcn_reference import (PerPhaseGrantAgent, dense_adjacency,
                            dense_gcn_call, dense_matrix, permuted_table)
@@ -861,7 +862,8 @@ def test_the_offloading_actor_computes_its_last_layer_at_the_sources(
     both of its forwards, and the step sums those two forwards' rows, its
     backward's hop rows and eight full-height sums: the outcome actor's two
     forwards and one backward, and the critic's three forwards and two
-    backwards."""
+    backwards.  One CPU: a split layer sums its rows share by share."""
+    set_cpus(monkeypatch, 1)
     env = make_env(seed=1, steps=2, n_sources=50)
     agent = GrantAgent(env, TrainConfig(seed=1, steps=1))
     n, n_src = len(env.involved), len(env.sources)
@@ -909,7 +911,10 @@ def test_every_neighbor_sum_of_a_run_has_the_bits_of_the_first_term_loop(
     terms are all -0.0 sums to +0.0, where the k-loop it replaced, which
     started from the first term, gave -0.0.  No run reaches such a row:
     every neighbor sum of a grant run, forward and backward, has that
-    loop's bits, and no call's input or output holds -0.0."""
+    loop's bits, and no call's input or output holds -0.0.  One CPU, whose
+    sums are whole: test_every_share_of_a_split_run_has_the_first_term_bits
+    takes two."""
+    set_cpus(monkeypatch, 1)
     agent = GrantAgent(make_env(seed=1, steps=steps + 1, n_sources=n_sources),
                        TrainConfig(seed=1, steps=steps))
     calls = []
@@ -927,6 +932,29 @@ def test_every_neighbor_sum_of_a_run_has_the_bits_of_the_first_term_loop(
     monkeypatch.setattr(autodiff, "_neighbor_sum", checked)
     agent.run_training()
     assert len(calls) == 19 * steps
+
+
+def test_every_share_of_a_split_run_has_the_first_term_bits(monkeypatch):
+    """At 2 CPUs, a 200-source run sums the rows of its split layers share
+    by share, each share's rows as a table of their own: every call has the
+    first-term loop's bits.  Each of a step's 19 sums is one call, or two
+    where its layer splits: 16 of them."""
+    set_cpus(monkeypatch, 2)
+    agent = GrantAgent(make_env(seed=1, steps=3, n_sources=200),
+                       TrainConfig(seed=1, steps=2))
+    calls = []
+    neighbor_sum = autodiff._neighbor_sum
+
+    def checked(x, table, out=None, term=None):
+        want = gcn_reference.first_term_neighbor_sum(x, table)
+        got = neighbor_sum(x, table, out, term)
+        assert got.tobytes() == want.tobytes()
+        calls.append(table.idx.shape[0])
+        return got
+
+    monkeypatch.setattr(autodiff, "_neighbor_sum", checked)
+    agent.run_training()
+    assert len(calls) == (19 + 16) * 2
 
 
 # -- sizing -------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import json
+import multiprocessing
 import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from terasec import autodiff
 from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
-                              CheckpointMismatchError, Dense,
+                              GCN_SHARE_MIN, CheckpointMismatchError, Dense,
                               DimensionError, GcnLayer, GraphStateError,
                               NeighborTable, Parameter, RankOneGrad,
                               StackedDense, Tensor, _neighbor_sum,
@@ -17,11 +21,12 @@ from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
                               sub_graph, write_json, xavier_uniform)
 from terasec.baselines import _FlatCritic
 from terasec.constellation import WalkerConfig
+from terasec.harness import ExperimentConfig, build_environment
 
 import gcn_reference as ref
 from backward_reference import (concat_cols, mse, reshape, scale,
                                 scatter_rows, slice_cols, tensor_sum)
-from conftest import make_env
+from conftest import make_env, set_cpus
 from optim_reference import (ReferenceAdam, reference_first_grad,
                              reference_rank_one_product)
 
@@ -854,11 +859,6 @@ def fast_switching():
     sys.setswitchinterval(interval)
 
 
-def _cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs: Adam's share count."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 #: (shape, memory order) of each parameter of the differential Adam test,
 #: [B, d, o] stacks among them, one with matrices wider than a block
 ADAM_CASES = [((1, 1), "C"), ((1, ADAM_BLOCK - 1), "C"), ((ADAM_BLOCK, 1), "C"),
@@ -882,7 +882,7 @@ def test_adam_equals_the_reference_step(shares, monkeypatch, fast_switching):
     shares run more threads than the host may have CPUs).  The parameters
     the shares cut have no zero gradient, so an element a share updates
     twice or leaves out changes a bit."""
-    _cpus(monkeypatch, shares)
+    set_cpus(monkeypatch, shares)
     sizes = np.cumsum([0] + [np.prod(shape) for shape, _ in ADAM_SPLIT_CASES])
     cut = set()
     for k in range(1, shares):
@@ -935,7 +935,7 @@ def test_adam_equals_the_reference_step(shares, monkeypatch, fast_switching):
 def test_adam_moments_and_scratch_start_on_64_byte_lines(shares, monkeypatch):
     """Each moment and scratch buffer starts on a 64-byte line, whatever
     offset the heap gives its allocation: nine sizes in a row."""
-    _cpus(monkeypatch, shares)
+    set_cpus(monkeypatch, shares)
     params = [Parameter(np.ones((1, n)), f"p{n}") for n in range(1, 10)]
     params.append(Parameter(np.ones(ADAM_SHARE_MIN), "wide"))
     opt = Adam(params, lr=0.01)
@@ -951,53 +951,278 @@ def test_adam_moments_and_scratch_start_on_64_byte_lines(shares, monkeypatch):
 @pytest.mark.parametrize("failing", [0, 1])
 def test_a_share_that_raises_fails_the_step_and_leaves_no_thread(
         failing, monkeypatch):
-    """A RankOneGrad.fill that raises in the caller's share or in a worker's
-    makes step raise that error, once every worker has ended."""
-    _cpus(monkeypatch, 2)
+    """A RankOneGrad.fill that raises in the first share or in the second
+    makes step raise that error.  The step starts no thread beyond the
+    pool's worker, which a first step started, and the pool serves the
+    next step."""
+    set_cpus(monkeypatch, 2)
     p = Parameter(np.zeros((1024, 1025)), "w")
     assert p.data.size >= ADAM_SHARE_MIN
     opt = Adam([p], lr=0.01)
-    fill, raised_in = RankOneGrad.fill, []
+    p.grad = np.ones(p.shape)
+    opt.step()
+    before = threading.active_count()
+    fill = RankOneGrad.fill
 
     def fail_in_share(self, lo, out):
         if (lo >= p.data.size // 2) == bool(failing):
-            raised_in.append(threading.current_thread())
             raise FloatingPointError(f"share {failing}")
         return fill(self, lo, out)
 
     monkeypatch.setattr(RankOneGrad, "fill", fail_in_share)
     p._grad = RankOneGrad(np.ones((1, 1024)), np.ones((1, 1025)))
-    before = threading.active_count()
     with pytest.raises(FloatingPointError, match=f"share {failing}"):
         opt.step()
     assert threading.active_count() == before
-    assert (raised_in[0] is threading.current_thread()) == (failing == 0)
+    p.grad = np.ones(p.shape)
+    opt.step()
+    assert threading.active_count() == before
+
+
+def _shares_spy(monkeypatch):
+    """[(n, shares, {thread names that ran a share})] of every _in_shares
+    call from now on."""
+    calls, real = [], autodiff._in_shares
+
+    def spy(fn, n, shares):
+        ran = set()
+
+        def share(k, lo, hi):
+            ran.add(threading.current_thread().name)
+            return fn(k, lo, hi)
+
+        calls.append((n, shares, ran))
+        return real(share, n, shares)
+
+    monkeypatch.setattr(autodiff, "_in_shares", spy)
+    return calls
 
 
 @pytest.mark.parametrize("sizes", [[ADAM_SHARE_MIN - 1], [5, 7, 1000]])
 def test_an_optimizer_below_the_share_minimum_runs_alone(sizes, monkeypatch):
     """Below ADAM_SHARE_MIN elements an optimizer holds one scratch pair and
-    starts no thread, on any number of CPUs; at ADAM_SHARE_MIN it starts
-    one per CPU but the caller's."""
-    _cpus(monkeypatch, 3)
-    made = []
-    real = threading.Thread
-
-    def spy(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(threading, "Thread", spy)
+    runs its one share on the caller, on any number of CPUs; at
+    ADAM_SHARE_MIN it splits its elements into one share per CPU, which
+    the caller and the pool's workers (one per CPU but the caller's) run."""
+    set_cpus(monkeypatch, 3)
+    calls = _shares_spy(monkeypatch)
     params = [Parameter(np.ones((1, n)), f"p{n}") for n in sizes]
     opt = Adam(params, lr=0.01)
     for p in params:
         p.grad = np.ones(p.shape)
     opt.step()
-    assert len(opt._scratch) == 1 and not made
+    main = threading.current_thread().name
+    assert len(opt._scratch) == 1
+    assert calls == [(sum(sizes), 1, {main})]
     params.append(Parameter(np.ones((1, ADAM_SHARE_MIN - sum(sizes))), "x"))
     opt = Adam(params, lr=0.01)
     opt.step()
-    assert len(opt._scratch) == 3 and len(made) == 2
+    assert len(opt._scratch) == 3
+    assert calls[1][:2] == (ADAM_SHARE_MIN, 3)
+    assert autodiff._pool[1] >= 2
+
+
+# -- GCN layers split across the CPUs ------------------------------------------
+
+def _bench_window(n_sources):
+    """The benchmark's window at n_sources: its source-selection seed."""
+    return build_environment(ExperimentConfig.from_dict({
+        "policy": "grant", "n_sources": n_sources, "train": {"steps": 1},
+        "source_selection": {"seed": 999_999}}), 1)
+
+
+@pytest.fixture(scope="module")
+def window_tables():
+    """The gcn_grant_s200 window's 1,365-row table and its offloading
+    sources' SubGraph, whose first layer has 848 rows."""
+    env = _bench_window(200)
+    table = normalized_adjacency(len(env.involved), env.edges)
+    sub = sub_graph(table, env._offload_rows[:, 0])
+    assert table.idx.shape[0] == 1365 and len(sub.hop) == 848
+    return table, sub
+
+
+def _split_layers(tables, width, case, root):
+    """Bits of two stacked layers' output and every .grad, at every row of
+    the window's table or over its SubGraph, with the GCN_CASES case's
+    gradients, the backward seeded at the output (a writable gradient) or
+    at its row mean (a read-only row broadcast)."""
+    table, sub = tables
+    first, last = (table,), (table,)
+    if sub is not None:
+        first, last = sub.first, sub.last
+    rng = np.random.default_rng(width)
+    needs_grad, frozen = GCN_CASES[case]
+    x = Tensor(_signed_features(rng, table.idx.shape[0], width),
+               requires_grad=needs_grad)
+    gcn1 = GcnLayer(rng, width, 128, "g1")
+    gcn2 = GcnLayer(rng, 128, 128, "g2")
+    for w in (gcn1.w, gcn2.w):
+        w.requires_grad = not frozen
+    out = gcn2(gcn1(x, *first), *last)
+    top = out.mean_rows() if root == "mean" else out
+    top.backward(_signed_features(rng, *top.shape))
+    return [_bits(t) for t in (out.data, x.grad, gcn1.w.grad, gcn2.w.grad)]
+
+
+@pytest.mark.parametrize("root", ["out", "mean"])
+@pytest.mark.parametrize("case", ["input_grad", "frozen_weights",
+                                  "constant_input"])
+@pytest.mark.parametrize("graph", ["whole", "sub"])
+@pytest.mark.parametrize("width", [8, 9, 52, 128])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_split_gcn_layer_has_the_one_share_bits(
+        window_tables, monkeypatch, cpus, width, graph, case, root):
+    """Two stacked layers on the 1,365-row window, at every row or over the
+    sources' SubGraph, split into 2 or 3 shares: the output and every
+    .grad have the bits of one share, for input widths 8, 9, 52 and 128."""
+    table, sub = window_tables
+    tables = (table, sub if graph == "sub" else None)
+    set_cpus(monkeypatch, 1)
+    want = _split_layers(tables, width, case, root)
+    set_cpus(monkeypatch, cpus)
+    calls = _shares_spy(monkeypatch)
+    assert _split_layers(tables, width, case, root) == want
+    # the first layer's forward splits (the sources' 200 rows do not)
+    assert calls[0][:2] == (1365 if graph == "whole" else 848, cpus)
+    assert all(shares == cpus for _, shares, _ in calls)
+
+
+def test_gcn_share_min_parts_the_10_and_200_source_layers(window_tables):
+    """Every 128-wide layer of the paper_grant_s10 window (291 involved
+    nodes) stays below GCN_SHARE_MIN; the gcn_grant_s200 window's
+    1,365-row layers and its 848-row first offloading layer reach it."""
+    table, sub = window_tables
+    assert 128 * len(_bench_window(10).involved) < GCN_SHARE_MIN
+    assert 128 * min(table.idx.shape[0], len(sub.hop)) >= GCN_SHARE_MIN
+
+
+def test_a_busy_worker_leaves_its_share_to_the_caller(window_tables,
+                                                      monkeypatch):
+    """With every worker of the pool held inside another run's share, a
+    split layer runs every share on the caller, with the same bits."""
+    set_cpus(monkeypatch, 1)
+    want = _split_layers(window_tables, 52, "input_grad", "out")
+    set_cpus(monkeypatch, 2)
+    autodiff._in_shares(lambda k, lo, hi: None, 2, 2)   # the pool exists
+    jobs, workers = autodiff._pool
+    hold, held = threading.Event(), threading.Semaphore(0)
+
+    def holding(k, lo, hi):
+        held.release()
+        assert hold.wait(60)
+
+    busy = autodiff._Run(holding, workers, workers)
+    for _ in range(workers):
+        jobs.put(busy)
+    try:
+        for _ in range(workers):
+            assert held.acquire(timeout=60)
+        calls = _shares_spy(monkeypatch)
+        assert _split_layers(window_tables, 52, "input_grad", "out") == want
+    finally:
+        hold.set()
+        for _ in range(workers):
+            assert busy.ended.acquire(timeout=60)
+    main = threading.current_thread().name
+    assert calls and all(ran == {main} for _, _, ran in calls)
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_share_error_reaches_the_caller_after_every_started_share(
+        failing):
+    """Either share's error is raised in the caller once both shares have
+    ended, also when a worker runs a share four times as long as the
+    caller's (the call repeats until a worker has run one); the pool
+    serves the next call."""
+    for _ in range(20):
+        ended, on_worker = [], []
+
+        def share(k, lo, hi):
+            worker = threading.current_thread().name == "terasec-share"
+            on_worker.append(worker)
+            time.sleep(0.2 if worker else 0.05)
+            ended.append(k)
+            if k == failing:
+                raise FloatingPointError(f"share {k}")
+
+        with pytest.raises(FloatingPointError, match=f"share {failing}"):
+            autodiff._in_shares(share, 10, 2)
+        assert sorted(ended) == [0, 1]
+        if any(on_worker):
+            break
+    assert any(on_worker)
+    got = []
+    autodiff._in_shares(lambda k, lo, hi: got.append((lo, hi)), 10, 2)
+    assert sorted(got) == [(0, 5), (5, 10)]
+
+
+def test_concurrent_callers_run_each_share_once(monkeypatch, fast_switching):
+    """Four threads call _in_shares at once, 3 shares a call on a host that
+    may have fewer CPUs, with threads switching as often as they can: every
+    call runs each of its shares exactly once, over its own rows."""
+    set_cpus(monkeypatch, 3)
+    bad = []
+
+    def caller():
+        for _ in range(50):
+            seen = []
+            autodiff._in_shares(lambda k, lo, hi: seen.append((k, lo, hi)),
+                                30, 3)
+            if sorted(seen) != [(0, 0, 10), (1, 10, 20), (2, 20, 30)]:
+                bad.append(seen)
+
+    threads = [threading.Thread(target=caller) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+        assert not t.is_alive()
+    assert not bad
+
+
+def test_the_pool_workers_hold_back_every_signal():
+    """A worker blocks every signal, so SIGINT and SIGTERM reach the thread
+    that may hold them back around a CSV row."""
+    masks = {}
+
+    def share(k, lo, hi):
+        time.sleep(0.01)
+        masks[threading.current_thread().name] = signal.pthread_sigmask(
+            signal.SIG_BLOCK, [])
+
+    for _ in range(50):
+        autodiff._in_shares(share, 2, 2)
+        if "terasec-share" in masks:
+            break
+    assert masks["terasec-share"] >= {signal.SIGINT, signal.SIGTERM}
+
+
+def _split_layer_bits(conn, tables):
+    conn.send(_split_layers(tables, 9, "constant_input", "out"))
+
+
+def test_a_forked_child_runs_a_split_layer_on_a_pool_of_its_own(
+        window_tables, monkeypatch):
+    """A child forked after the pool started does not wait on the parent's
+    workers, which it lacks: it makes its own pool, and its split layer
+    has the one-share bits."""
+    set_cpus(monkeypatch, 1)
+    want = _split_layers(window_tables, 9, "constant_input", "out")
+    set_cpus(monkeypatch, 2)
+    assert _split_layers(window_tables, 9, "constant_input", "out") == want
+    assert autodiff._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    child = ctx.Process(target=_split_layer_bits,
+                        args=(theirs, window_tables))
+    child.start()
+    try:
+        assert ours.poll(120), "the child's split layer did not finish"
+        assert ours.recv() == want
+    finally:
+        child.kill()
+        child.join()
 
 
 def test_adam_step_allocates_no_parameter_sized_buffer():

@@ -334,6 +334,27 @@ def test_every_band_replay_equals_the_full_per_band_reference(n_sources,
     assert unreachable == {True, False}
 
 
+def test_a_bundle_starts_a_new_record_when_a_byte_of_it_changes():
+    """A replay reuses the slot's record only for a bundle with the bytes of
+    the record's copies: equal values of another sign of zero or another
+    dtype start a new record, whose outcome is the same."""
+    env = make_env(seed=1, steps=2)
+    bundle = harsh_bundle(env, np.random.default_rng(1), dead_links=False)
+    bundle.ot_power[0, 0] = 0.0
+    first = env.step(bundle, advance=False)[0]
+    record = env._slot
+    assert env.step(bundle, advance=False)[0] is first
+    assert env._slot is record
+    bundle.ot_power[0, 0] = -0.0
+    again = env.step(bundle, advance=False)[0]
+    assert env._slot is not record
+    assert again.t_avg == first.t_avg and again.u_total == first.u_total
+    record = env._slot
+    bundle.to_subarrays = bundle.to_subarrays.astype(np.float32)
+    env.step(bundle, advance=False)
+    assert env._slot is not record
+
+
 def test_resource_usage_sums_as_the_per_link_loop():
     """Single-transmitter draws with powers over 20 decades, so that any
     other summation order over sub-bands or links shows in U_P."""

@@ -20,7 +20,7 @@ from terasec.agent import GrantAgent, TrainConfig
 from terasec.autodiff import RankOneGrad, Tensor
 from terasec.baselines import MaddpgFcAgent
 
-from conftest import make_env
+from conftest import make_env, set_cpus
 
 #: n_sources -> (graph ops, FIFO arrivals served, neighbor-sum row terms,
 #: Tensor() calls, nodes pushed by the backward walks)
@@ -33,13 +33,19 @@ MADDPG_FC_OPS = 50
 #: with 16,384-element blocks and one call per matrix they were (634, 2_174)
 DENSE_FILL_CALLS = (322, 665)
 #: n_sources -> (neighbor-sum calls, numpy calls inside them) of one GRANT
-#: training step: the numpy functions a sum looks up through autodiff.np and
-#: the methods it calls on its input, not its views.  A row block gathers
-#: its terms with one take and sums them with one einsum; with the k-loop
-#: of 14 calls per row block (5 takes, 5 multiplies, 4 adds) they were
-#: (19, 301) and (19, 833), in 19 and 57 row blocks of at most 32,768
-#: output elements; now the blocks are 35 and 140 of at most 65,536 terms
+#: training step on one CPU: the numpy functions a sum looks up through
+#: autodiff.np and the methods it calls on its input, not its views.  A row
+#: block gathers its terms with one take and sums them with one einsum;
+#: with the k-loop of 14 calls per row block (5 takes, 5 multiplies, 4
+#: adds) they were (19, 301) and (19, 833), in 19 and 57 row blocks of at
+#: most 32,768 output elements; now the blocks are 35 and 140 of at most
+#: 65,536 terms
 NEIGHBOR_SUM_CALLS = {10: (19, 105), 200: (19, 315)}
+#: the same on 2 CPUs: a layer of GCN_SHARE_MIN output elements sums each
+#: share's rows in one call, with the out and term buffers its caller
+#: passes; none splits at 10 sources, and 16 of the 19 sums at 200, whose
+#: 32 calls make 2 takes and einsums per row block of their own height
+SPLIT_NEIGHBOR_SUM_CALLS = {10: (19, 105), 200: (35, 318)}
 #: calls per compare_bands slot, after the set-up: what no band changes
 #: once per slot record (the propagation delays once per phase, the GS
 #: downlink's path samples once), the link gains once per phase of each of
@@ -90,9 +96,9 @@ def step_counts(monkeypatch, agent):
                                      rates_ot)
         return spans(release, flows, out_bytes, routes, rates_ot, prop_ot_s)
 
-    def counted_sum(x, table, out=None):
+    def counted_sum(x, table, out=None, term=None):
         terms[0] += table.idx.size
-        return neighbor_sum(x, table, out=out)
+        return neighbor_sum(x, table, out, term)
 
     def counted_init(self, data, requires_grad=False):
         inits[0] += 1
@@ -158,28 +164,45 @@ class CountingArray:
         return attr
 
 
-@pytest.mark.parametrize("n_sources", sorted(NEIGHBOR_SUM_CALLS))
-def test_one_training_step_makes_the_pinned_neighbor_sum_calls(monkeypatch,
-                                                               n_sources):
-    """Each neighbor-sum row block makes two numpy calls, a take of its
-    terms and their einsum, beside one or two buffers per sum."""
+def neighbor_sum_calls(monkeypatch, n_sources, cpus):
+    """(neighbor-sum calls, numpy calls inside them) of one GRANT training
+    step at n_sources on `cpus` CPUs."""
+    set_cpus(monkeypatch, cpus)
     agent = GrantAgent(make_env(seed=1, steps=2, n_sources=n_sources),
                        TrainConfig(seed=1, steps=1))
     sums, calls, inside = [], [], threading.local()
     neighbor_sum = autodiff._neighbor_sum
 
-    def counted_sum(x, table, out=None):
+    def counted_sum(x, table, out=None, term=None):
         sums.append(table.idx.shape)
         inside.flag = True
         try:
-            return neighbor_sum(CountingArray(x, calls), table, out=out)
+            return neighbor_sum(CountingArray(x, calls), table, out, term)
         finally:
             inside.flag = False
 
     monkeypatch.setattr(autodiff, "np", CountingNumpy(calls, inside))
     monkeypatch.setattr(autodiff, "_neighbor_sum", counted_sum)
     agent.run_training()
-    assert (len(sums), len(calls)) == NEIGHBOR_SUM_CALLS[n_sources]
+    return len(sums), len(calls)
+
+
+@pytest.mark.parametrize("n_sources", sorted(NEIGHBOR_SUM_CALLS))
+def test_one_training_step_makes_the_pinned_neighbor_sum_calls(monkeypatch,
+                                                               n_sources):
+    """Each neighbor-sum row block makes two numpy calls, a take of its
+    terms and their einsum, beside one or two buffers per sum."""
+    assert (neighbor_sum_calls(monkeypatch, n_sources, 1)
+            == NEIGHBOR_SUM_CALLS[n_sources])
+
+
+@pytest.mark.parametrize("n_sources", sorted(SPLIT_NEIGHBOR_SUM_CALLS))
+def test_a_split_training_step_makes_the_pinned_neighbor_sum_calls(
+        monkeypatch, n_sources):
+    """On 2 CPUs each share of a split layer's sum is one call with its own
+    row blocks, and allocates no buffer: its caller passes out and term."""
+    assert (neighbor_sum_calls(monkeypatch, n_sources, 2)
+            == SPLIT_NEIGHBOR_SUM_CALLS[n_sources])
 
 
 def test_one_dense_training_step_records_the_pinned_graph_ops(monkeypatch):

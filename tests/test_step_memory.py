@@ -25,7 +25,7 @@ from terasec.harness import ExperimentConfig, run_experiment
 
 from backward_reference import (graph_nodes, reference_backward, scale,
                                 tensor_sum)
-from conftest import loss_history, make_env
+from conftest import loss_history, make_env, set_cpus
 
 
 def _agent(cls, steps):
@@ -186,12 +186,10 @@ def test_a_frozen_gcn_layer_keeps_no_aggregation(agent200, weight):
     assert held <= out.data.nbytes + agg + GRAPH_SLACK
 
 
-def test_the_critic_descent_backward_holds_one_transient_per_layer(
-        agent200, monkeypatch):
-    """At 200 sources, the critic-descent backward of one train_step peaks
-    at most two [n, width] buffers above what its graphs hold: 1.5 here,
-    3.5 when the mean's gradient was made full height, the aggregation kept
-    to the end and the neighbor sum written to a fresh buffer."""
+def _descent_backward_peaks(agent200, monkeypatch, cpus):
+    """(peak bytes of each backward of one train_step above what its graph
+    held, bytes of one [n, width] buffer) at 200 sources on `cpus` CPUs."""
+    set_cpus(monkeypatch, cpus)
     agent, states = agent200
     agent = copy.deepcopy(agent, {id(agent.env): agent.env})
     buffer = 8 * states[0].shape[0] * agent.cfg.hidden_width
@@ -214,6 +212,26 @@ def test_the_critic_descent_backward_holds_one_transient_per_layer(
     finally:
         tracemalloc.stop()
     assert len(peaks) == 2
+    return peaks, buffer
+
+
+def test_the_critic_descent_backward_holds_one_transient_per_layer(
+        agent200, monkeypatch):
+    """At 200 sources, the critic-descent backward of one train_step peaks
+    at most two [n, width] buffers above what its graphs hold: 1.5 here,
+    3.5 when the mean's gradient was made full height, the aggregation kept
+    to the end and the neighbor sum written to a fresh buffer."""
+    peaks, buffer = _descent_backward_peaks(agent200, monkeypatch, 1)
+    assert peaks[0] <= 2 * buffer
+
+
+def test_a_split_critic_descent_backward_holds_one_transient_per_layer(
+        agent200, monkeypatch):
+    """The same bound on 2 CPUs, where each layer splits its rows in two
+    shares: its caller allocates every buffer, a neighbor-sum term buffer
+    per share among them, and frees the scratch of g * (1 - F'**2) before
+    the input gradient's buffer."""
+    peaks, buffer = _descent_backward_peaks(agent200, monkeypatch, 2)
     assert peaks[0] <= 2 * buffer
 
 
