@@ -322,53 +322,36 @@ def normalized_adjacency(n: int, edges) -> NeighborTable:
 NEIGHBOR_BLOCK = 65536
 
 
-def _blocking(n: int, w: int, d: int) -> tuple:
-    """(rows per block, term buffer elements) of a neighbor sum of n rows
-    of w terms at d columns: as many row blocks of equal height as the
-    terms hold NEIGHBOR_BLOCK elements (at least one)."""
-    per = max(1, -(-n // max(1, round(n * w * d / NEIGHBOR_BLOCK))))
-    return per, w * min(per, n) * d
-
-
 def _neighbor_sum(x: np.ndarray, table: NeighborTable,
-                  out: np.ndarray | None = None,
-                  term: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None) -> np.ndarray:
     """sum_k weight[:, k] * x[idx[:, k]], each term added in k order to a
-    zero buffer, in _blocking's row blocks.  Each block gathers its terms,
-    k-major, into one reused buffer and sums them with one einsum, whose
+    zero buffer, in row blocks of equal height, as many as the terms hold
+    NEIGHBOR_BLOCK elements (at least one).  Each block gathers its terms,
+    k-major, into a reused buffer and sums them with one einsum, whose
     default unoptimized loop keeps that order and rounding, so each row has
-    the same bits in any block.  out: an [n, d] buffer, not x, to write it
-    into; term: a flat buffer of _blocking's term elements, for it."""
+    the same bits in any block.  From GCN_SHARE_MIN output elements the
+    rows split into one share per affinity CPU (_in_shares), each walking
+    its rows in those blocks with a term buffer of its own, so no bit
+    depends on the CPU count; this thread allocates every buffer.  out: an
+    [n, d] buffer, not x, to write it into."""
     idx, weight = table
     (n, w), d = idx.shape, x.shape[1]
     if out is None:
         out = np.empty((n, d))
-    per, size = _blocking(n, w, d)
-    if term is None:
-        term = np.empty(size)
-    for lo in range(0, n, per):
-        ix = idx[lo:lo + per].T
-        t = term[:ix.size * d].reshape(*ix.shape, d)
-        x.take(ix, axis=0, out=t, mode="clip")
-        np.einsum("mk,kmj->mj", weight[lo:lo + per], t, out=out[lo:lo + per])
-    return out
-
-
-def _share_sums(x: np.ndarray, table: NeighborTable, out: np.ndarray,
-                shares: int):
-    """fn(k, lo, hi) writing _neighbor_sum's rows lo:hi of x over table
-    into out, for _in_shares' `shares` shares of table's rows, with one
-    term buffer per share allocated here."""
-    (n, w), d = table.idx.shape, x.shape[1]
-    terms = np.empty((shares, max(
-        _blocking(n * (k + 1) // shares - n * k // shares, w, d)[1]
-        for k in range(shares))))
+    shares = _affinity_cpus() if n * d >= GCN_SHARE_MIN else 1
+    per = max(1, -(-n // max(1, round(n * w * d / NEIGHBOR_BLOCK))))
+    terms = np.empty((shares, w * min(per, -(-n // shares)) * d))
 
     def rows(k, lo, hi):
-        _neighbor_sum(x, NeighborTable(table.idx[lo:hi], table.weight[lo:hi]),
-                      out[lo:hi], terms[k])
+        for at in range(lo, hi, per):
+            ix = idx[at:min(at + per, hi)].T
+            t = terms[k, :ix.size * d].reshape(*ix.shape, d)
+            x.take(ix, axis=0, out=t, mode="clip")
+            np.einsum("mk,kmj->mj", weight[at:at + ix.shape[1]], t,
+                      out=out[at:at + ix.shape[1]])
 
-    return rows
+    _in_shares(rows, n, shares)
+    return out
 
 
 class SubGraph(NamedTuple):
@@ -424,10 +407,10 @@ def sub_graph(table: NeighborTable, rows) -> SubGraph:
 
 #: elements from which an optimizer splits each step across the process's CPUs
 ADAM_SHARE_MIN = 2**20
-#: output elements from which a GCN layer splits its rows across the CPUs:
-#: every layer at 10 sources (at most 291 x 128) stays whole, and the
-#: 1,365-row layers and the 848-row first offloading layer at 200 sources
-#: split, which measured faster for the 848-row one too
+#: output elements from which a neighbor sum splits its rows across the
+#: CPUs: every sum at 10 sources (at most 291 x 128) stays whole; at 200
+#: sources the 848 x 128, 1,365 x 52 and 1,365 x 128 sums split and the
+#: 848 x 9 and 1,365 x 8 first-layer sums do not
 GCN_SHARE_MIN = 2**16
 
 
@@ -572,10 +555,9 @@ class GcnLayer:
     where it may, drops A_norm @ F once the weight gradient is formed and
     writes the input gradient's neighbor sum into the dead buffer.
 
-    From GCN_SHARE_MIN output elements the layer splits its rows into one
-    share per affinity CPU (_in_shares): the neighbor sums, the two products
-    with W and the element-wise steps run share by share, each row with its
-    one-share bits; the weight gradient stays one product."""
+    Only its neighbor sums split across the CPUs (_neighbor_sum); the
+    products with W and the element-wise steps run whole, since a row
+    slice of a BLAS product may round otherwise."""
 
     def __init__(self, rng, d_in, d_out, name):
         self.w = Parameter(xavier_uniform(rng, d_in, d_out), f"{name}.w")
@@ -586,48 +568,22 @@ class GcnLayer:
         back = table if back is None else back
         if x.shape[0] != back.idx.shape[0]:
             raise DimensionError("feature row count must match the graph size")
-        m = table.idx.shape[0]
-        shares = _affinity_cpus() if m * w.shape[1] >= GCN_SHARE_MIN else 1
-        if shares == 1:
-            agg = _neighbor_sum(x.data, table)
-            out = agg @ w.data
-            np.tanh(out, out=out)
-        else:
-            agg, out = np.empty((m, x.shape[1])), np.empty((m, w.shape[1]))
-            sums = _share_sums(x.data, table, agg, shares)
-
-            def forward(k, lo, hi):
-                sums(k, lo, hi)
-                np.matmul(agg[lo:hi], w.data, out=out[lo:hi])
-                np.tanh(out[lo:hi], out=out[lo:hi])
-
-            _in_shares(forward, m, shares)
+        agg = _neighbor_sum(x.data, table)
+        out = agg @ w.data
+        np.tanh(out, out=out)
         kept = agg if w.requires_grad else None
 
         def vjp(g):
             nonlocal kept
             # g * (1 - out**2), plus the zero buffer of a first gradient; a
             # row-broadcast or read-only g leaves it to the scratch buffer
-            if shares == 1:
-                d = np.square(out)
-                np.subtract(1.0, d, out=d)
-                if g.flags.writeable and g.shape == out.shape:
-                    d = np.multiply(g, d, out=g)
-                else:
-                    np.multiply(g, d, out=d)
-                np.add(d, 0.0, out=d)
+            d = np.square(out)
+            np.subtract(1.0, d, out=d)
+            if g.flags.writeable and g.shape == out.shape:
+                d = np.multiply(g, d, out=g)
             else:
-                s = np.empty(out.shape)
-                d = g if g.flags.writeable and g.shape == out.shape else s
-
-                def tangent(k, lo, hi):
-                    np.square(out[lo:hi], out=s[lo:hi])
-                    np.subtract(1.0, s[lo:hi], out=s[lo:hi])
-                    np.multiply(g[lo:hi], s[lo:hi], out=d[lo:hi])
-                    np.add(d[lo:hi], 0.0, out=d[lo:hi])
-
-                _in_shares(tangent, m, shares)
-                s = tangent = None  # the scratch goes before gx's buffer
+                np.multiply(g, d, out=d)
+            np.add(d, 0.0, out=d)
             gw = gx = None
             if kept is not None and w.requires_grad:
                 gw = kept.T @ d
@@ -637,21 +593,12 @@ class GcnLayer:
                 # of some rows points at (a whole graph's gradient keeps its
                 # row count, so the heap reuses that buffer's chunk); no
                 # + 0.0: a sum from a zero buffer keeps no zero term's sign
+                m = d.shape[0]
                 gx = np.empty((m + (back is not table), w.shape[0]))
-                if shares == 1:
-                    np.matmul(d, w.data.T, out=gx[:m])
-                else:
-                    _in_shares(lambda k, lo, hi: np.matmul(
-                        d[lo:hi], w.data.T, out=gx[lo:hi]), m, shares)
+                np.matmul(d, w.data.T, out=gx[:m])
                 gx[m:] = 0.0
-                into = d if d.shape == x.shape else None
-                if shares == 1:
-                    gx = _neighbor_sum(gx, back, out=into)
-                else:
-                    into = np.empty(x.shape) if into is None else into
-                    _in_shares(_share_sums(gx, back, into, shares),
-                               x.shape[0], shares)
-                    gx = into
+                gx = _neighbor_sum(gx, back,
+                                   out=d if d.shape == x.shape else None)
             return gx, gw
 
         return Tensor._make(out, (x, w), vjp, owned=True)

@@ -18,8 +18,12 @@ step's outputs were equal on both sides, bit for bit: the critic loss, Q
 value, learning rate and slot metrics of a training step, and each band's
 slot metrics and per-source delays of a bands slot, compared band by band.
 The last line is one JSON record of all the processes.  The processes run
-one after another at one BLAS thread.  It exits 1 if a step's outputs
-differ and 2 on a bad argument or a failed process.
+one after another at one BLAS thread.  Before the first and after the
+last, a probe reads how much faster a matmul-and-tanh loop runs split over
+two threads than on one: about 2 while a second CPU is free, nearer 1
+while another load holds it, which a split step's ratio follows.  Both
+readings are printed and kept in the record.  It exits 1 if a step's
+outputs differ and 2 on a bad argument or a failed process.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WARMUP = {"train": 2, "bands": 1}
 LIMITS = ("both sides share one heap, so this measures time, not memory",
           "each side's package has its own pool of share workers (Adam's "
-          "step and the GCN layers) in the one process",
+          "step and the GCN neighbor sums) in the one process",
           "the ratio holds only while the two sides' steps interleave")
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                  "MKL_NUM_THREADS": "1"}
@@ -172,6 +176,45 @@ def one_process(rev_src: str, this_src: str, workload: str, steps: int,
     return reading
 
 
+def two_thread_scaling(rounds: int = 5, reps: int = 40) -> float:
+    """The median over `rounds` of the time of two halves of a 1,366 x 128
+    matmul-and-tanh loop run one after the other on this thread, over
+    their time run at once on this thread and a second one."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    halves = [rng.standard_normal((683, 128)) for _ in range(2)]
+    w = rng.standard_normal((128, 128)) / 16
+    outs = [np.empty(h.shape) for h in halves]
+
+    def loop(k):
+        for _ in range(reps):
+            np.matmul(halves[k], w, out=outs[k])
+            np.tanh(outs[k], out=outs[k])
+
+    def both():
+        other = threading.Thread(target=loop, args=(1,))
+        other.start()
+        loop(0)
+        other.join()
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    return statistics.median(timed(lambda: (loop(0), loop(1))) / timed(both)
+                             for _ in range(rounds))
+
+
+def probe(argv: list) -> float:
+    """two_thread_scaling in a process of its own at one BLAS thread."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), *argv,
+                           "--probe"], env=dict(os.environ, **SINGLE_THREAD),
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
 def worktree(rev: str, tmp: str) -> str:
     """A git worktree of rev under tmp, detached; its path."""
     path = os.path.join(tmp, "tree")
@@ -189,7 +232,11 @@ def main(argv=None) -> int:
     parser.add_argument("--procs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--one", metavar="REV_SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.probe:
+        print(two_thread_scaling())
+        return 0
     if args.one:
         print(json.dumps(one_process(args.one, os.path.join(ROOT, "src"), args.workload,
                                      args.steps, args.seed)))
@@ -209,6 +256,7 @@ def main(argv=None) -> int:
         rev_src = os.path.join(tree, "src")
     try:
         readings = []
+        scaling = [probe([args.rev, args.workload, str(args.steps)])]
         for k in range(args.procs):
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), args.rev,
@@ -230,16 +278,19 @@ def main(argv=None) -> int:
                   + "".join(f", {name} {'equal' if same else 'DIFFERENT'}"
                             for name, same in
                             r.get("equal_by_band", {}).items()))
+        scaling.append(probe([args.rev, args.workload, str(args.steps)]))
     finally:
         if tree is not None:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
                             tree], check=False)
             shutil.rmtree(os.path.dirname(tree), ignore_errors=True)
+    print(f"two-thread scaling: {scaling[0]:.2f} before the processes, "
+          f"{scaling[1]:.2f} after (about 2 with a free second CPU)")
     for limit in LIMITS:
         print(f"limit: {limit}")
     print(json.dumps({"rev": args.rev, "workload": args.workload,
                       "steps": args.steps, "seed": args.seed,
-                      "readings": readings}))
+                      "two_thread_scaling": scaling, "readings": readings}))
     return 0 if all(r["equal"] for r in readings) else 1
 
 

@@ -92,6 +92,7 @@ TARGET_FUNCTIONS = {
     "held_broadcast_without_zero_buffer": ("autodiff", "Tensor._accumulate"),
     "rank_one_fill_whole_matrices_shifted": ("autodiff", "RankOneGrad.fill"),
     "neighbor_sum_in_reverse_k_order": ("autodiff", "_neighbor_sum"),
+    "share_last_row_dropped": ("autodiff", "_neighbor_sum"),
     "static_demand_column_from_the_gs_flag": ("agent", "GrantAgent._bind"),
     "loads_reused_after_an_in_place_change": ("env", "SecWindow.step"),
     "offload_hops_at_outcome_link_delays": ("env", "SecWindow._evaluate"),
@@ -174,15 +175,16 @@ MUTANTS = [
            "        for p in parents[:1]:\n            if p.requires_grad:",
            ("tests/test_autodiff.py::"
             "test_an_op_records_its_graph_when_any_parent_needs_a_gradient",)),
-    # _in_shares: Adam's step and the GCN layers split across the CPUs
+    # _in_shares: Adam's step and the GCN neighbor sums split across the
+    # CPUs; a neighbor-sum share that leaves its last row unwritten
     Mutant("share_edge_off_by_one", "autodiff.py",
            "self.n * (k + 1) // self.shares)",
            "self.n * (k + 1) // self.shares + 1)",
            (_ADAM_TEST,)),
     Mutant("share_last_row_dropped", "autodiff.py",
-           "self.n * (k + 1) // self.shares)",
-           "self.n * (k + 1) // self.shares - 1)",
-           (_SPLIT_GCN_TEST,)),
+           "ix = idx[at:min(at + per, hi)].T",
+           "ix = idx[at:min(at + per, hi - 1)].T",
+           (_SPLIT_GCN_TEST, _NEIGHBOR_SUM_TEST)),
     Mutant("share_not_waited", "autodiff.py",
            "run.ended.acquire()", "run.ended.acquire(timeout=0)",
            (_SHARE_ERROR, _ADAM_TEST)),
@@ -206,13 +208,15 @@ MUTANTS = [
     # reversed views of both operands forward, in the original order
     Mutant("neighbor_sum_in_reverse_k_order", "autodiff.py",
            'x.take(ix, axis=0, out=t, mode="clip")\n'
-           '        np.einsum("mk,kmj->mj", weight[lo:lo + per], t,',
+           '            np.einsum("mk,kmj->mj", weight[at:at + ix.shape[1]], t,',
            'x.take(ix[::-1], axis=0, out=t, mode="clip")\n'
-           '        np.einsum("mk,kmj->mj", weight[lo:lo + per, ::-1], t,',
+           '            np.einsum("mk,kmj->mj", '
+           'weight[at:at + ix.shape[1], ::-1], t,',
            (_NEIGHBOR_SUM_TEST,)),
     Mutant("neighbor_sum_over_reversed_views", "autodiff.py",
-           'np.einsum("mk,kmj->mj", weight[lo:lo + per], t,',
-           'np.einsum("mk,kmj->mj", weight[lo:lo + per, ::-1], t[::-1],',
+           'np.einsum("mk,kmj->mj", weight[at:at + ix.shape[1]], t,',
+           'np.einsum("mk,kmj->mj", weight[at:at + ix.shape[1], ::-1], '
+           't[::-1],',
            (_NEIGHBOR_SUM_TEST,)),
     # Constellation.shortest_path_tree: a cost tie goes to the smaller id
     Mutant("routing_tie_to_the_larger_id", "constellation.py",

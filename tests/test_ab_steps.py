@@ -17,10 +17,15 @@ def _ab(*args):
 def test_this_checkout_against_itself_is_equal_with_a_finite_ratio():
     """3 steps at paper_grant_s10 in one process, no worktree: the one
     timed step after the warm-up gives a finite ratio, every step's outputs
-    are equal, and the output states the A/B's limits."""
+    are equal, the two-thread probe reads a finite positive scaling before
+    and after the process, and the output states the A/B's limits."""
     proc = _ab(ab_steps.ROOT, "paper_grant_s10", "3", "--procs", "1")
     assert proc.returncode == 0, proc.stderr
-    (reading,) = json.loads(proc.stdout.splitlines()[-1])["readings"]
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert len(record["two_thread_scaling"]) == 2
+    assert all(math.isfinite(x) and x > 0.0
+               for x in record["two_thread_scaling"])
+    (reading,) = record["readings"]
     assert reading["equal"]
     assert reading["timed"] == 3 - ab_steps.WARMUP["train"]
     assert math.isfinite(reading["ratio"]) and reading["ratio"] > 0.0

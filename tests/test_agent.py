@@ -862,7 +862,7 @@ def test_the_offloading_actor_computes_its_last_layer_at_the_sources(
     both of its forwards, and the step sums those two forwards' rows, its
     backward's hop rows and eight full-height sums: the outcome actor's two
     forwards and one backward, and the critic's three forwards and two
-    backwards.  One CPU: a split layer sums its rows share by share."""
+    backwards.  A sum is one call on any CPU count; this runs on one."""
     set_cpus(monkeypatch, 1)
     env = make_env(seed=1, steps=2, n_sources=50)
     agent = GrantAgent(env, TrainConfig(seed=1, steps=1))
@@ -935,26 +935,48 @@ def test_every_neighbor_sum_of_a_run_has_the_bits_of_the_first_term_loop(
 
 
 def test_every_share_of_a_split_run_has_the_first_term_bits(monkeypatch):
-    """At 2 CPUs, a 200-source run sums the rows of its split layers share
-    by share, each share's rows as a table of their own: every call has the
-    first-term loop's bits.  Each of a step's 19 sums is one call, or two
-    where its layer splits: 16 of them."""
+    """At 2 CPUs, a 200-source run splits the rows of its neighbor sums of
+    GCN_SHARE_MIN output elements into shares: each of a step's 19 sums,
+    13 of them split, has the first-term loop's bits."""
     set_cpus(monkeypatch, 2)
     agent = GrantAgent(make_env(seed=1, steps=3, n_sources=200),
                        TrainConfig(seed=1, steps=2))
     calls = []
     neighbor_sum = autodiff._neighbor_sum
 
-    def checked(x, table, out=None, term=None):
+    def checked(x, table, out=None):
         want = gcn_reference.first_term_neighbor_sum(x, table)
-        got = neighbor_sum(x, table, out, term)
+        got = neighbor_sum(x, table, out)
         assert got.tobytes() == want.tobytes()
-        calls.append(table.idx.shape[0])
+        calls.append(got.size >= autodiff.GCN_SHARE_MIN)
         return got
 
     monkeypatch.setattr(autodiff, "_neighbor_sum", checked)
     agent.run_training()
-    assert len(calls) == (19 + 16) * 2
+    assert len(calls) == 19 * 2 and sum(calls) == 13 * 2
+
+
+def _trained_parameters(monkeypatch, cpus, hidden_width):
+    """Each parameter's bytes after two grant training steps on the
+    default 10-source window, on `cpus` CPUs."""
+    set_cpus(monkeypatch, cpus)
+    agent = GrantAgent(make_env(seed=1, steps=3, n_sources=10),
+                       TrainConfig(seed=1, steps=2, hidden_width=hidden_width))
+    assert len(agent.env.involved) == 261
+    agent.run_training()
+    return [p.data.tobytes() for p in agent.parameters()]
+
+
+def test_a_wide_run_has_the_same_parameter_bits_on_one_and_two_cpus(
+        monkeypatch):
+    """At hidden_width 300 the 10-source window's 261-row sums of 300
+    columns reach GCN_SHARE_MIN and split on 2 CPUs; the products with W
+    do not, whose row slices BLAS may round otherwise in the last width
+    mod 8 columns, so two training steps leave every parameter with the
+    bits of one CPU."""
+    assert 261 * 300 >= autodiff.GCN_SHARE_MIN
+    assert (_trained_parameters(monkeypatch, 2, 300)
+            == _trained_parameters(monkeypatch, 1, 300))
 
 
 # -- sizing -------------------------------------------------------------------

@@ -19,6 +19,7 @@ from terasec.autodiff import (ADAM_BLOCK, ADAM_SHARE_MIN, NEIGHBOR_BLOCK, Adam,
                               load_checkpoint,
                               normalized_adjacency, save_checkpoint,
                               sub_graph, write_json, xavier_uniform)
+from terasec.agent import GrantAgent, TrainConfig
 from terasec.baselines import _FlatCritic
 from terasec.constellation import WalkerConfig
 from terasec.harness import ExperimentConfig, build_environment
@@ -1022,7 +1023,7 @@ def test_an_optimizer_below_the_share_minimum_runs_alone(sizes, monkeypatch):
     assert autodiff._pool[1] >= 2
 
 
-# -- GCN layers split across the CPUs ------------------------------------------
+# -- GCN neighbor sums split across the CPUs -----------------------------------
 
 def _bench_window(n_sources):
     """The benchmark's window at n_sources: its source-selection seed."""
@@ -1042,11 +1043,11 @@ def window_tables():
     return table, sub
 
 
-def _split_layers(tables, width, case, root):
-    """Bits of two stacked layers' output and every .grad, at every row of
-    the window's table or over its SubGraph, with the GCN_CASES case's
-    gradients, the backward seeded at the output (a writable gradient) or
-    at its row mean (a read-only row broadcast)."""
+def _split_layers(tables, width, case, root, hidden=128):
+    """Bits of two stacked layers' output and every .grad, `hidden` wide,
+    at every row of the window's table or over its SubGraph, with the
+    GCN_CASES case's gradients, the backward seeded at the output (a
+    writable gradient) or at its row mean (a read-only row broadcast)."""
     table, sub = tables
     first, last = (table,), (table,)
     if sub is not None:
@@ -1055,14 +1056,28 @@ def _split_layers(tables, width, case, root):
     needs_grad, frozen = GCN_CASES[case]
     x = Tensor(_signed_features(rng, table.idx.shape[0], width),
                requires_grad=needs_grad)
-    gcn1 = GcnLayer(rng, width, 128, "g1")
-    gcn2 = GcnLayer(rng, 128, 128, "g2")
+    gcn1 = GcnLayer(rng, width, hidden, "g1")
+    gcn2 = GcnLayer(rng, hidden, hidden, "g2")
     for w in (gcn1.w, gcn2.w):
         w.requires_grad = not frozen
     out = gcn2(gcn1(x, *first), *last)
     top = out.mean_rows() if root == "mean" else out
     top.backward(_signed_features(rng, *top.shape))
     return [_bits(t) for t in (out.data, x.grad, gcn1.w.grad, gcn2.w.grad)]
+
+
+def _sum_shares_spy(monkeypatch):
+    """[(output elements, shares)] of every neighbor sum from now on."""
+    sums, runs = [], _shares_spy(monkeypatch)
+    real = autodiff._neighbor_sum
+
+    def spy(x, table, out=None):
+        got = real(x, table, out)
+        sums.append((got.size, runs[-1][1]))  # the one _in_shares call
+        return got
+
+    monkeypatch.setattr(autodiff, "_neighbor_sum", spy)
+    return sums
 
 
 @pytest.mark.parametrize("root", ["out", "mean"])
@@ -1073,34 +1088,63 @@ def _split_layers(tables, width, case, root):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_split_gcn_layer_has_the_one_share_bits(
         window_tables, monkeypatch, cpus, width, graph, case, root):
-    """Two stacked layers on the 1,365-row window, at every row or over the
-    sources' SubGraph, split into 2 or 3 shares: the output and every
-    .grad have the bits of one share, for input widths 8, 9, 52 and 128."""
+    """Two stacked layers 128, 226 or 300 wide on the 1,365-row window, at
+    every row or over the sources' SubGraph, on 2 or 3 CPUs: the output and
+    every .grad have the bits of one CPU, for input widths 8, 9, 52 and
+    128.  A row slice of a product with W may differ from the whole
+    product in its last width mod 8 columns, so only the neighbor sums
+    split: each of GCN_SHARE_MIN output elements into one share per CPU,
+    each smaller one not at all."""
     table, sub = window_tables
     tables = (table, sub if graph == "sub" else None)
-    set_cpus(monkeypatch, 1)
-    want = _split_layers(tables, width, case, root)
-    set_cpus(monkeypatch, cpus)
-    calls = _shares_spy(monkeypatch)
-    assert _split_layers(tables, width, case, root) == want
-    # the first layer's forward splits (the sources' 200 rows do not)
-    assert calls[0][:2] == (1365 if graph == "whole" else 848, cpus)
-    assert all(shares == cpus for _, shares, _ in calls)
+    for hidden in (128, 226, 300):
+        set_cpus(monkeypatch, 1)
+        want = _split_layers(tables, width, case, root, hidden)
+        set_cpus(monkeypatch, cpus)
+        with pytest.MonkeyPatch.context() as patch:
+            sums = _sum_shares_spy(patch)
+            assert _split_layers(tables, width, case, root, hidden) == want
+        assert any(shares > 1 for _, shares in sums)
+        assert all(shares == (cpus if size >= GCN_SHARE_MIN else 1)
+                   for size, shares in sums), hidden
 
 
-def test_gcn_share_min_parts_the_10_and_200_source_layers(window_tables):
-    """Every 128-wide layer of the paper_grant_s10 window (291 involved
-    nodes) stays below GCN_SHARE_MIN; the gcn_grant_s200 window's
-    1,365-row layers and its 848-row first offloading layer reach it."""
-    table, sub = window_tables
-    assert 128 * len(_bench_window(10).involved) < GCN_SHARE_MIN
-    assert 128 * min(table.idx.shape[0], len(sub.hop)) >= GCN_SHARE_MIN
+def _sum_shapes(n_sources):
+    """The output shapes of one training step's neighbor sums on the
+    benchmark's window at n_sources."""
+    agent = GrantAgent(_bench_window(n_sources), TrainConfig(seed=1, steps=1))
+    shapes, real = set(), autodiff._neighbor_sum
+
+    def spy(x, table, out=None):
+        got = real(x, table, out)
+        shapes.add(got.shape)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(autodiff, "_neighbor_sum", spy)
+        agent.run_training()
+    return shapes
+
+
+def test_gcn_share_min_parts_the_10_and_200_source_layers():
+    """Every neighbor sum of the paper_grant_s10 window (291 involved
+    nodes) stays below GCN_SHARE_MIN; on the gcn_grant_s200 window the
+    848 x 128, 1,365 x 52 and 1,365 x 128 sums reach it, and the 848 x 9
+    and 1,365 x 8 first-layer sums and the sources' 200 x 128 ones do
+    not."""
+    assert max(r * c for r, c in _sum_shapes(10)) == 291 * 128 < GCN_SHARE_MIN
+    shapes = _sum_shapes(200)
+    assert ({s for s in shapes if s[0] * s[1] >= GCN_SHARE_MIN}
+            == {(848, 128), (1365, 52), (1365, 128)})
+    assert ({s for s in shapes if s[0] * s[1] < GCN_SHARE_MIN}
+            == {(848, 9), (1365, 8), (200, 128)})
 
 
 def test_a_busy_worker_leaves_its_share_to_the_caller(window_tables,
                                                       monkeypatch):
     """With every worker of the pool held inside another run's share, a
-    split layer runs every share on the caller, with the same bits."""
+    split neighbor sum runs every share on the caller, with the same
+    bits."""
     set_cpus(monkeypatch, 1)
     want = _split_layers(window_tables, 52, "input_grad", "out")
     set_cpus(monkeypatch, 2)

@@ -11,6 +11,7 @@ new counts with it)."""
 import math
 import os
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -41,11 +42,14 @@ DENSE_FILL_CALLS = (322, 665)
 #: most 32,768 output elements; now the blocks are 35 and 140 of at most
 #: 65,536 terms
 NEIGHBOR_SUM_CALLS = {10: (19, 105), 200: (19, 315)}
-#: the same on 2 CPUs: a layer of GCN_SHARE_MIN output elements sums each
-#: share's rows in one call, with the out and term buffers its caller
-#: passes; none splits at 10 sources, and 16 of the 19 sums at 200, whose
-#: 32 calls make 2 takes and einsums per row block of their own height
-SPLIT_NEIGHBOR_SUM_CALLS = {10: (19, 105), 200: (35, 318)}
+#: the same on 2 CPUs: a sum of GCN_SHARE_MIN output elements walks each
+#: share's rows in the whole sum's row blocks, cut at the share edge, with
+#: one term buffer per share; none splits at 10 sources, and 13 of the 19
+#: sums at 200, 12 of which walk one block more in their two shares than
+#: whole, a take and an einsum.  When each share of a split layer was a
+#: call of its own, with blocks of its own height, and 16 sums split, they
+#: were (35, 318)
+SPLIT_NEIGHBOR_SUM_CALLS = {10: (19, 105), 200: (19, 339)}
 #: calls per compare_bands slot, after the set-up: what no band changes
 #: once per slot record (the propagation delays once per phase, the GS
 #: downlink's path samples once), the link gains once per phase of each of
@@ -96,9 +100,9 @@ def step_counts(monkeypatch, agent):
                                      rates_ot)
         return spans(release, flows, out_bytes, routes, rates_ot, prop_ot_s)
 
-    def counted_sum(x, table, out=None, term=None):
+    def counted_sum(x, table, out=None):
         terms[0] += table.idx.size
-        return neighbor_sum(x, table, out, term)
+        return neighbor_sum(x, table, out)
 
     def counted_init(self, data, requires_grad=False):
         inits[0] += 1
@@ -140,7 +144,8 @@ def test_one_training_step_does_the_pinned_amount_of_work(monkeypatch,
 
 class CountingNumpy:
     """autodiff.np, counting into `calls` the names looked up while
-    `inside.flag` is set in the looking thread."""
+    `inside.flag` is set: in the looking thread for a threading.local,
+    in any thread for a shared namespace."""
 
     def __init__(self, calls, inside):
         self.calls, self.inside = calls, inside
@@ -166,18 +171,19 @@ class CountingArray:
 
 def neighbor_sum_calls(monkeypatch, n_sources, cpus):
     """(neighbor-sum calls, numpy calls inside them) of one GRANT training
-    step at n_sources on `cpus` CPUs."""
+    step at n_sources on `cpus` CPUs.  The flag is shared, since a split
+    sum's shares look up numpy on the pool's workers too."""
     set_cpus(monkeypatch, cpus)
     agent = GrantAgent(make_env(seed=1, steps=2, n_sources=n_sources),
                        TrainConfig(seed=1, steps=1))
-    sums, calls, inside = [], [], threading.local()
+    sums, calls, inside = [], [], types.SimpleNamespace(flag=False)
     neighbor_sum = autodiff._neighbor_sum
 
-    def counted_sum(x, table, out=None, term=None):
+    def counted_sum(x, table, out=None):
         sums.append(table.idx.shape)
         inside.flag = True
         try:
-            return neighbor_sum(CountingArray(x, calls), table, out, term)
+            return neighbor_sum(CountingArray(x, calls), table, out)
         finally:
             inside.flag = False
 
@@ -199,8 +205,8 @@ def test_one_training_step_makes_the_pinned_neighbor_sum_calls(monkeypatch,
 @pytest.mark.parametrize("n_sources", sorted(SPLIT_NEIGHBOR_SUM_CALLS))
 def test_a_split_training_step_makes_the_pinned_neighbor_sum_calls(
         monkeypatch, n_sources):
-    """On 2 CPUs each share of a split layer's sum is one call with its own
-    row blocks, and allocates no buffer: its caller passes out and term."""
+    """On 2 CPUs a split sum is still one call; its shares cut a row block
+    at their edge and allocate no buffer of their own."""
     assert (neighbor_sum_calls(monkeypatch, n_sources, 2)
             == SPLIT_NEIGHBOR_SUM_CALLS[n_sources])
 

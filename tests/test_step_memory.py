@@ -227,10 +227,9 @@ def test_the_critic_descent_backward_holds_one_transient_per_layer(
 
 def test_a_split_critic_descent_backward_holds_one_transient_per_layer(
         agent200, monkeypatch):
-    """The same bound on 2 CPUs, where each layer splits its rows in two
-    shares: its caller allocates every buffer, a neighbor-sum term buffer
-    per share among them, and frees the scratch of g * (1 - F'**2) before
-    the input gradient's buffer."""
+    """The same bound on 2 CPUs, where each neighbor sum of GCN_SHARE_MIN
+    output elements splits its rows in two shares: the sum's caller
+    allocates every buffer, a term buffer per share among them."""
     peaks, buffer = _descent_backward_peaks(agent200, monkeypatch, 2)
     assert peaks[0] <= 2 * buffer
 
